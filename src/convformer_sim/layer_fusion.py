@@ -196,48 +196,6 @@ def _group_axis_walks(layers: Sequence[ChainLayer], tile: TileShape):
 # Group cost and feasibility
 # ---------------------------------------------------------------------------
 
-def group_ema(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
-              weights_resident: bool, hw: HardwareConfig) -> tuple[int, int]:
-    """(ema_bytes, extra_macs) for one fusion group.
-
-    Intermediate feature maps contribute zero EMA. Under RECOMPUTE the halo
-    overlap of the first layer's input is re-read per tile and overlapping
-    intermediate pixels are recomputed; under CACHE each needed input byte is
-    read exactly once and no pixel is computed twice.
-    """
-    eb = hw.element_bytes
-    rows, cols = _group_axis_walks(layers, tile)
-    n_tiles = len(rows) * len(cols)
-    c_in0 = layers[0].in_shape.c
-    last = layers[-1].out_shape
-
-    if policy is HaloPolicy.RECOMPUTE:
-        sum_r = sum(ins[0][1] - ins[0][0] for ins, _ in rows)
-        sum_c = sum(ins[0][1] - ins[0][0] for ins, _ in cols)
-        input_bytes = sum_r * sum_c * c_in0 * eb
-    else:
-        cov_r = _merged_length([ins[0] for ins, _ in rows])
-        cov_c = _merged_length([ins[0] for ins, _ in cols])
-        input_bytes = cov_r * cov_c * c_in0 * eb
-
-    output_bytes = last.h * last.w * last.c * eb
-    w_elems = _group_weight_elems(layers)
-    weight_bytes = w_elems * eb * (1 if weights_resident else n_tiles)
-
-    extra_macs = 0
-    if policy is HaloPolicy.RECOMPUTE:
-        for li, layer in enumerate(layers):
-            ppm = _per_pixel_macs(layer)
-            if ppm == 0:
-                continue
-            sum_r = sum(outs[li][1] - outs[li][0] for _, outs in rows)
-            sum_c = sum(outs[li][1] - outs[li][0] for _, outs in cols)
-            full = layer.out_shape.h * layer.out_shape.w
-            extra_macs += (sum_r * sum_c - full) * ppm
-
-    return input_bytes + output_bytes + weight_bytes, extra_macs
-
-
 def _line_buffer_bytes(layers: Sequence[ChainLayer], hw: HardwareConfig) -> int:
     total = 0
     for layer in layers:
@@ -247,34 +205,100 @@ def _line_buffer_bytes(layers: Sequence[ChainLayer], hw: HardwareConfig) -> int:
     return total
 
 
+class _GroupCost:
+    """Costs every (tile, halo policy, weight residency) option of one group.
+
+    Row walks depend only on ``h_t`` and column walks only on ``w_t``, so each
+    is built once per tile extent, as (n_tiles, n_layers) arrays of per-layer
+    input and output interval lengths plus the first layer's input intervals.
+    """
+
+    def __init__(self, layers: Sequence[ChainLayer], hw: HardwareConfig):
+        self.layers = layers
+        self.hw = hw
+        self.c_in = np.array([l.in_shape.c for l in layers], dtype=np.int64)
+        self.c_out = np.array([l.out_shape.c for l in layers], dtype=np.int64)
+        self.w = np.array([weight_elems_with_shape(l.node, l.in_shape)
+                           for l in layers], dtype=np.int64)
+        # (pixels, MACs per pixel) per layer, as Python ints: the recompute
+        # MAC count can outgrow int64 where the live-element counts cannot
+        self.macs = [(l.out_shape.h * l.out_shape.w, _per_pixel_macs(l))
+                     for l in layers]
+        self.line_buffers = _line_buffer_bytes(layers, hw)
+        self.walks: tuple[dict, dict] = ({}, {})
+
+    def _walk(self, axis: int, step: int):
+        if step not in self.walks[axis]:
+            last = self.layers[-1].out_shape
+            total = last.h if axis == 0 else last.w
+            walks = [_axis_regions(self.layers, axis, lo, hi)
+                     for lo, hi in _tile_intervals(total, step)]
+            ins = np.array([[hi - lo for lo, hi in w_in] for w_in, _ in walks],
+                           dtype=np.int64)
+            outs = np.array([[hi - lo for lo, hi in w_out] for _, w_out in walks],
+                            dtype=np.int64)
+            self.walks[axis][step] = ins, outs, [w_in[0] for w_in, _ in walks]
+        return self.walks[axis][step]
+
+    def options(self, tile: TileShape
+                ) -> dict[tuple[HaloPolicy, bool], tuple[int, int, int]]:
+        """(policy, resident) -> (buffer_bytes, ema_bytes, extra_macs).
+
+        Options come in search order: RECOMPUTE before CACHE, resident
+        weights before streamed.
+
+        The buffer is the peak live bytes over every (tile, layer) pair of the
+        fused replay, plus resident weights and (under CACHE) per-layer halo
+        line buffers. Intermediate maps contribute zero EMA; under RECOMPUTE
+        the first layer's input halo is re-read per tile and overlapping
+        intermediate pixels are recomputed, under CACHE each needed input
+        byte is read once and no pixel is computed twice.
+        """
+        eb = self.hw.element_bytes
+        row_in, row_out, row_first = self._walk(0, tile.h_t)
+        col_in, col_out, col_first = self._walk(1, tile.w_t)
+        live = (row_in[:, None] * col_in[None] * self.c_in
+                + row_out[:, None] * col_out[None] * self.c_out)
+        peak = {True: int(live.max()) * eb, False: int((live + self.w).max()) * eb}
+        input_elems = {
+            HaloPolicy.RECOMPUTE: int(row_in[:, 0].sum()) * int(col_in[:, 0].sum()),
+            HaloPolicy.CACHE: _merged_length(row_first) * _merged_length(col_first)}
+        extra_macs = {
+            HaloPolicy.RECOMPUTE: sum(
+                (int(sr) * int(sc) - full) * ppm for sr, sc, (full, ppm)
+                in zip(row_out.sum(0), col_out.sum(0), self.macs)),
+            HaloPolicy.CACHE: 0}
+        last = self.layers[-1].out_shape
+        output_bytes = last.h * last.w * last.c * eb
+        w_bytes = int(self.w.sum()) * eb
+        n_tiles = len(row_first) * len(col_first)
+        options = {}
+        for policy in (HaloPolicy.RECOMPUTE, HaloPolicy.CACHE):
+            line_buffers = self.line_buffers if policy is HaloPolicy.CACHE else 0
+            input_bytes = input_elems[policy] * int(self.c_in[0]) * eb
+            for resident in (True, False):
+                buf = peak[resident] + (w_bytes if resident else 0) + line_buffers
+                ema = input_bytes + output_bytes + w_bytes * (1 if resident else n_tiles)
+                options[policy, resident] = buf, ema, extra_macs[policy]
+        return options
+
+
+def group_ema(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
+              weights_resident: bool, hw: HardwareConfig) -> tuple[int, int]:
+    """(ema_bytes, extra_macs) for one fusion group (see ``_GroupCost.options``)."""
+    _, ema, extra = _GroupCost(layers, hw).options(tile)[policy, weights_resident]
+    return ema, extra
+
+
 def group_buffer_bytes(layers: Sequence[ChainLayer], tile: TileShape,
                        policy: HaloPolicy, weights_resident: bool,
                        hw: HardwareConfig) -> int:
     """Peak live scratchpad bytes of the fused replay; raises over capacity.
 
-    The peak is taken over every (tile, layer) pair using the exact clamped
-    extents the executor allocates, plus resident weights and (under CACHE)
-    per-layer halo line buffers.
+    The peak uses the exact clamped extents the executor allocates (see
+    ``_GroupCost.options``).
     """
-    eb = hw.element_bytes
-    rows, cols = _group_axis_walks(layers, tile)
-    persistent = 0
-    if weights_resident:
-        persistent += _group_weight_elems(layers) * eb
-    if policy is HaloPolicy.CACHE:
-        persistent += _line_buffer_bytes(layers, hw)
-
-    peak = 0
-    for r_ins, r_outs in rows:
-        for c_ins, c_outs in cols:
-            for li, layer in enumerate(layers):
-                in_area = (r_ins[li][1] - r_ins[li][0]) * (c_ins[li][1] - c_ins[li][0])
-                out_area = (r_outs[li][1] - r_outs[li][0]) * (c_outs[li][1] - c_outs[li][0])
-                live = in_area * layer.in_shape.c + out_area * layer.out_shape.c
-                if not weights_resident:
-                    live += weight_elems_with_shape(layer.node, layer.in_shape)
-                peak = max(peak, live * eb)
-    req = peak + persistent
+    req, _, _ = _GroupCost(layers, hw).options(tile)[policy, weights_resident]
     if req > hw.scratchpad_bytes:
         raise CapacityError(req, hw.scratchpad_bytes, what="fusion group")
     return req
@@ -304,25 +328,37 @@ def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
 
     Ties prefer larger tiles, then fewer extra MACs, then the smaller buffer.
     """
-    last = layers[-1].out_shape
+    cost = _GroupCost(layers, hw)
     best: tuple | None = None
     choice: GroupChoice | None = None
-    for h_t in _divisors(last.h):
-        for w_t in _divisors(last.w):
-            tile = TileShape(h_t, w_t)
-            for policy in (HaloPolicy.RECOMPUTE, HaloPolicy.CACHE):
-                for resident in (True, False):
-                    try:
-                        buf = group_buffer_bytes(layers, tile, policy, resident, hw)
-                    except CapacityError:
-                        continue
-                    ema, extra = group_ema(layers, tile, policy, resident, hw)
-                    key = (ema, -tile.area, extra, buf,
-                           0 if policy is HaloPolicy.RECOMPUTE else 1)
-                    if best is None or key < best:
-                        best = key
-                        choice = GroupChoice(tile, policy, resident, ema, extra, buf)
+    for tile in _tile_candidates(layers):
+        for (policy, resident), (buf, ema, extra) in cost.options(tile).items():
+            if buf > hw.scratchpad_bytes:
+                continue
+            key = (ema, -tile.area, extra, buf,
+                   0 if policy is HaloPolicy.RECOMPUTE else 1)
+            if best is None or key < best:
+                best = key
+                choice = GroupChoice(tile, policy, resident, ema, extra, buf)
     return choice
+
+
+def _tile_candidates(layers: Sequence[ChainLayer]) -> list[TileShape]:
+    last = layers[-1].out_shape
+    return [TileShape(h_t, w_t) for h_t in _divisors(last.h)
+            for w_t in _divisors(last.w)]
+
+
+def _singleton_infeasible(layer: ChainLayer, hw: HardwareConfig
+                          ) -> NoFeasiblePlanError:
+    """The error for a layer that fits no tile alone, with its smallest shortfall."""
+    cost = _GroupCost([layer], hw)
+    need = min(buf for tile in _tile_candidates([layer])
+               for buf, _, _ in cost.options(tile).values())
+    return NoFeasiblePlanError(
+        f"layer {layer.node.id} cannot fit the scratchpad even as a singleton "
+        f"group: its smallest candidate needs {need} B of {hw.scratchpad_bytes} B "
+        f"(shortfall {need - hw.scratchpad_bytes} B)")
 
 
 def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPlan:
@@ -358,9 +394,8 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
                 best[j] = cand
                 back[j] = (i, c)
     if best[n - 1] is None:
-        raise NoFeasiblePlanError(
-            "some layer cannot fit the scratchpad even as a singleton group "
-            "at minimum tile size")
+        first = next(i for i in range(n) if cost(i, i) is None)
+        raise _singleton_infeasible(chain[first], hw)
 
     groups: list[FusionGroup] = []
     emas: list[int] = []
@@ -398,7 +433,7 @@ def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPla
         if chosen is None:
             chosen = best_group_choice([layer], hw)
         if chosen is None:
-            raise NoFeasiblePlanError(f"layer {layer.node.id} fits no tile")
+            raise _singleton_infeasible(layer, hw)
         groups.append(FusionGroup(i, i, chosen.tile, chosen.policy,
                                   chosen.weights_resident))
         emas.append(chosen.ema)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import attention_tiling as at
 from . import layer_fusion as lf
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .hwmodel import CostReport, HardwareConfig, ScratchpadSim, build_report
 from .workload import (Add, Attention, AttentionDims, LayerNode, NetworkGraph,
                        attention_dims, attention_operands, layer_macs,
@@ -137,7 +137,7 @@ def _fixed_plan(layers: list[lf.ChainLayer], group_spec: list | None,
         resident = True
         try:
             lf.group_buffer_bytes(sub, tile, policy, True, hw)
-        except Exception:
+        except CapacityError:
             resident = False
             lf.group_buffer_bytes(sub, tile, policy, False, hw)
         ema, extra = lf.group_ema(sub, tile, policy, resident, hw)

@@ -340,17 +340,16 @@ def conv2d_region(x: np.ndarray, op: Conv2D | Downsample, w: np.ndarray,
 
     cig = c_in // groups
     cog = c_out // groups
+    # every stride-th k x k window of the padded input: (c_in, oh, ow, k, k)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        win, (k, k), axis=(1, 2))[:, ::stride, ::stride]
     out = np.empty((c_out, oh, ow), dtype=np.float64)
     for g in range(groups):
-        xs = win[g * cig:(g + 1) * cig]
-        # im2col: (oh*ow, cig*k*k)
-        patches = np.empty((oh * ow, cig * k * k), dtype=np.float64)
-        idx = 0
-        for r in range(oh):
-            for c in range(ow):
-                patch = xs[:, r * stride:r * stride + k, c * stride:c * stride + k]
-                patches[idx] = patch.reshape(-1)
-                idx += 1
+        # im2col: (oh*ow, cig*k*k); the contiguous copy keeps the matmul
+        # operand layout, and so its rounding, independent of the region
+        patches = np.ascontiguousarray(
+            windows[g * cig:(g + 1) * cig].transpose(1, 2, 0, 3, 4)
+        ).reshape(oh * ow, cig * k * k)
         wg = w[g * cog:(g + 1) * cog].reshape(cog, -1)
         res = patches @ wg.T + b[g * cog:(g + 1) * cog]
         out[g * cog:(g + 1) * cog] = res.T.reshape(cog, oh, ow)

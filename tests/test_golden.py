@@ -1,0 +1,79 @@
+"""Golden CLI outputs: byte-exact stdout and exit code for fixed commands.
+
+Every case in ``golden_cases`` is replayed through ``cli.main`` and must
+reproduce the stored stdout byte for byte and the stored exit code. The set
+covers ``run`` and a four-schedule ``compare`` on every preset at four
+scratchpad sizes (at the smallest, ``compare`` is infeasible, exit 2, on three
+presets), plus ``run`` on a SegFormer-B0-shaped 224x224 graph
+(``golden/b0-224.json``).
+
+To rewrite the goldens after a deliberate, documented change of output::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from convformer_sim import cli
+from convformer_sim.workload import PRESETS
+
+GOLDEN = Path(__file__).parent / "golden"
+EXITS = GOLDEN / "exit_codes.json"
+SCRATCHPADS = (2048, 8192, 65536, 262144)
+
+
+def golden_cases() -> list[dict]:
+    cases = []
+    for preset in PRESETS:
+        for cap in SCRATCHPADS:
+            hw = f"--hw.scratchpad_bytes={cap}"
+            cases.append({"name": f"run-{preset}-{cap}",
+                          "argv": ["run", "--model", preset, hw]})
+            cases.append({"name": f"compare-{preset}-{cap}",
+                          "argv": ["compare", "--model", preset, "--schedules",
+                                   "naive,tiling,fusion,full", hw]})
+    cases.append({"name": "run-b0-224",
+                  "argv": ["run", "--config", str(GOLDEN / "b0-224.json")]})
+    return cases
+
+
+def replay(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _expected_exits() -> dict[str, int]:
+    return json.loads(EXITS.read_text())
+
+
+@pytest.mark.parametrize("case", golden_cases(), ids=lambda c: c["name"])
+def test_golden_output(case):
+    code, out = replay(case["argv"])
+    assert code == _expected_exits()[case["name"]]
+    assert out == (GOLDEN / f"{case['name']}.out").read_text()
+
+
+def test_every_golden_has_a_case():
+    assert sorted(_expected_exits()) == sorted(c["name"] for c in golden_cases())
+
+
+def write_goldens() -> None:
+    exits = {}
+    for case in golden_cases():
+        code, out = replay(case["argv"])
+        (GOLDEN / f"{case['name']}.out").write_text(out)
+        exits[case["name"]] = code
+        print(f"{case['name']}: exit {code}, {len(out)} chars", file=sys.stderr)
+    EXITS.write_text(json.dumps(exits, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    write_goldens()

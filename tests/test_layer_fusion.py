@@ -6,7 +6,7 @@ from convformer_sim.errors import (AttentionInSliceError, CapacityError,
                                    NoFeasiblePlanError)
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
-                                         HaloPolicy, TileShape,
+                                         GroupChoice, HaloPolicy, TileShape,
                                          best_group_choice, chain_from_nodes,
                                          fused_execute, group_buffer_bytes,
                                          group_ema, halo_input_extent,
@@ -319,6 +319,29 @@ class TestPartition:
         with pytest.raises(NoFeasiblePlanError):
             partition_chain(chain_of(g), hw)
 
+    def test_no_feasible_plan_names_layer_and_shortfall(self):
+        hw = HardwareConfig(scratchpad_bytes=64)
+        chain = chain_of(cs.build_preset("toy-chain"))
+        needs = []
+        for layer in chain:
+            requested = []
+            for tile, policy, resident in candidates([layer]):
+                try:
+                    group_buffer_bytes([layer], tile, policy, resident, hw)
+                except CapacityError as e:
+                    requested.append(e.requested)
+                else:
+                    break
+            else:
+                needs.append((layer.node.id, min(requested)))
+        assert needs, "every tile must overflow for this test to mean anything"
+        layer_id, need = needs[0]
+        with pytest.raises(NoFeasiblePlanError) as info:
+            partition_chain(chain, hw)
+        msg = str(info.value)
+        assert f"layer {layer_id} " in msg
+        assert f"shortfall {need - hw.scratchpad_bytes} B" in msg
+
     def test_fused_beats_singletons_on_presets(self, hw):
         for preset in cs.PRESETS:
             g = cs.build_preset(preset)
@@ -345,6 +368,58 @@ class TestPartition:
         lb = sum((3 - 1) * l.in_shape.w * l.in_shape.c * hw.element_bytes
                  for l in layers)
         assert buf_c == buf_r + lb
+
+
+def divisors(n):
+    return [i for i in range(1, n + 1) if n % i == 0]
+
+
+def candidates(layers):
+    last = layers[-1].out_shape
+    for h_t in divisors(last.h):
+        for w_t in divisors(last.w):
+            for policy in (RECOMPUTE, CACHE):
+                for resident in (True, False):
+                    yield TileShape(h_t, w_t), policy, resident
+
+
+def exhaustive_choice(layers, hw):
+    """Minimum of the search's tie-break key over every candidate, via the
+    public per-candidate functions."""
+    best = None
+    for tile, policy, resident in candidates(layers):
+        try:
+            buf = group_buffer_bytes(layers, tile, policy, resident, hw)
+        except CapacityError:
+            continue
+        ema, extra = group_ema(layers, tile, policy, resident, hw)
+        key = (ema, -tile.area, extra, buf, 0 if policy is RECOMPUTE else 1)
+        if best is None or key < best[0]:
+            best = key, GroupChoice(tile, policy, resident, ema, extra, buf)
+    return None if best is None else best[1]
+
+
+# 1024 B makes some sub-chains infeasible; the others are the golden sizes
+@pytest.mark.parametrize("cap", [1024, 2048, 8192, 65536, 262144])
+def test_best_group_choice_matches_exhaustive_enumeration(cap):
+    hw = HardwareConfig(scratchpad_bytes=cap)
+    checked = infeasible = 0
+    for preset in cs.PRESETS:
+        g = cs.build_preset(preset)
+        for kind, nodes in split_into_segments(g):
+            if kind != "chain":
+                continue
+            chain = chain_from_nodes(g, [n.id for n in nodes])
+            for i in range(len(chain)):
+                for j in range(i, len(chain)):
+                    want = exhaustive_choice(chain[i:j + 1], hw)
+                    assert best_group_choice(chain[i:j + 1], hw) == want, \
+                        (preset, i, j)
+                    checked += 1
+                    infeasible += want is None
+    assert checked > 0
+    if cap == 1024:
+        assert 0 < infeasible < checked
 
 
 # ---------------------------------------------------------------------------

@@ -197,3 +197,88 @@ def test_graph_from_dict_roundtrip():
 def test_graph_from_dict_missing_field():
     with pytest.raises(ShapeError):
         graph_from_dict({"nodes": []})
+
+
+# ---------------------------------------------------------------------------
+# conv2d_region against a per-pixel im2col oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+def loop_conv2d_region(x, op, w, b, rows, cols, origin=(0, 0)):
+    """Per-pixel im2col: the original formulation of ``conv2d_region``."""
+    if isinstance(op, Downsample):
+        k, stride, pad, groups = op.k, op.stride, 0, 1
+        c_out = x.shape[0]
+    else:
+        k, stride, pad, groups = op.k, op.stride, op.pad, op.groups
+        c_out = op.c_out
+    c_in = x.shape[0]
+    (r0, r1), (c0, c1) = rows, cols
+    oh, ow = r1 - r0, c1 - c0
+    in_r0, in_c0 = r0 * stride - pad, c0 * stride - pad
+    in_r1, in_c1 = (r1 - 1) * stride - pad + k, (c1 - 1) * stride - pad + k
+    win = np.zeros((c_in, in_r1 - in_r0, in_c1 - in_c0))
+    xr0, xc0 = origin
+    sr0, sr1 = max(in_r0, xr0), min(in_r1, xr0 + x.shape[1])
+    sc0, sc1 = max(in_c0, xc0), min(in_c1, xc0 + x.shape[2])
+    if sr0 < sr1 and sc0 < sc1:
+        win[:, sr0 - in_r0:sr1 - in_r0, sc0 - in_c0:sc1 - in_c0] = \
+            x[:, sr0 - xr0:sr1 - xr0, sc0 - xc0:sc1 - xc0]
+    cig, cog = c_in // groups, c_out // groups
+    out = np.empty((c_out, oh, ow))
+    for g in range(groups):
+        xs = win[g * cig:(g + 1) * cig]
+        patches = np.empty((oh * ow, cig * k * k))
+        idx = 0
+        for r in range(oh):
+            for c in range(ow):
+                patch = xs[:, r * stride:r * stride + k, c * stride:c * stride + k]
+                patches[idx] = patch.reshape(-1)
+                idx += 1
+        wg = w[g * cog:(g + 1) * cog].reshape(cog, -1)
+        res = patches @ wg.T + b[g * cog:(g + 1) * cog]
+        out[g * cog:(g + 1) * cog] = res.T.reshape(cog, oh, ow)
+    return out
+
+
+def random_region_case(rng, single_channel_strip=False):
+    """(x, op, w, b, rows, cols, origin) with a random conv and output region."""
+    k = int(rng.integers(1, 5))
+    stride = int(rng.integers(1, 6))  # stride > k happens often
+    if single_channel_strip:
+        op = Conv2D(1, int(rng.integers(1, 3)), k, stride, int(rng.integers(0, k)))
+        c_in = 1
+    elif rng.random() < 0.2:
+        op = Downsample(k, stride)
+        c_in = int(rng.integers(1, 5))
+    else:
+        groups = int(rng.choice([1, 1, 2, 3]))
+        c_in = groups * int(rng.integers(1, 4))
+        if rng.random() < 0.3:  # depthwise
+            groups, c_in = c_in, c_in
+        c_out = groups * int(rng.integers(1, 3))
+        op = Conv2D(c_in, c_out, k, stride, int(rng.integers(0, k)), groups)
+    c_out = c_in if isinstance(op, Downsample) else op.c_out
+    w = rng.standard_normal((c_out, c_in // getattr(op, "groups", 1), k, k))
+    b = rng.standard_normal(c_out)
+    origin = (int(rng.integers(0, 6)), int(rng.integers(0, 6)))
+    x = rng.standard_normal((c_in, int(rng.integers(1, 12)), int(rng.integers(1, 12))))
+    r0, c0 = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+    oh, ow = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    if single_channel_strip:
+        if rng.random() < 0.5:
+            ow = 1
+        else:
+            oh = 1
+    return x, op, w, b, (r0, r0 + oh), (c0, c0 + ow), origin
+
+
+@pytest.mark.parametrize("strip", [False, True], ids=["mixed", "1-wide-single-channel"])
+def test_conv2d_region_bit_identical_to_per_pixel_im2col(strip):
+    from convformer_sim.workload import conv2d_region
+    rng = np.random.default_rng(7 + strip)
+    for case in range(400):
+        x, op, w, b, rows, cols, origin = random_region_case(rng, strip)
+        got = conv2d_region(x, op, w, b, rows, cols, origin=origin)
+        want = loop_conv2d_region(x, op, w, b, rows, cols, origin=origin)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (case, op, rows, cols, origin)
