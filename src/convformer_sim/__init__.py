@@ -14,8 +14,9 @@ external-memory-access (EMA) number the optimizers claim.
 from .errors import (AttentionInSliceError, CapacityError, ConfigError,
                      InconsistentStatsError, NoFeasiblePlanError,
                      NoFeasibleTilingError, NotFoundError, NumericsError,
-                     ShapeError, SimError, UseAfterFreeError)
-from .hwmodel import CostReport, HardwareConfig, ScratchpadSim, roofline_cycles
+                     SelfCheckError, ShapeError, SimError, UseAfterFreeError)
+from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, replay,
+                      roofline_cycles)
 from .workload import (Add, Attention, AttentionDims, Conv2D, Downsample, GELU,
                        LayerNode, LayerNorm, Linear, NetworkGraph, PRESETS,
                        TensorShape, build_preset, infer_shapes, init_params,
@@ -27,7 +28,7 @@ from .attention_tiling import (AttentionTiling, ResidencyMode, SoftmaxState,
                                untiled_attention_ema)
 from .layer_fusion import (ChainLayer, FusionGroup, FusionPlan, HaloPolicy,
                            TileShape, fused_execute, group_buffer_bytes,
-                           group_ema, halo_input_extent, partition_chain,
+                           group_ema, partition_chain, schedule_group,
                            singleton_plan)
 from .feature_pruning import (Consumer, Granularity, PruneConfig, SparsityStats,
                               cascade_propagate, prune_mask,

@@ -19,14 +19,14 @@ test suite enforces this for the whole search grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import CapacityError, NoFeasibleTilingError, ShapeError
-from .hwmodel import HardwareConfig, ScratchpadSim
-from .workload import AttentionDims
+from .hwmodel import HardwareConfig, ScratchpadSim, Txn, replay
+from .workload import AttentionDims, divisors, softmax_rows, tile_intervals
 
 
 class ResidencyMode(str, Enum):
@@ -42,8 +42,7 @@ class AttentionTiling:
     element_bytes: int = 1
 
     def to_dict(self) -> dict:
-        return {"t_q": self.t_q, "t_k": self.t_k, "mode": self.mode.value,
-                "element_bytes": self.element_bytes}
+        return dict(asdict(self), mode=self.mode.value)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttentionTiling":
@@ -64,8 +63,7 @@ def _validate(dims: AttentionDims, tiling: AttentionTiling):
 # Closed-form EMA and buffer requirement
 # ---------------------------------------------------------------------------
 
-def attention_ema(dims: AttentionDims, tiling: AttentionTiling,
-                  hw: HardwareConfig | None = None) -> int:
+def attention_ema(dims: AttentionDims, tiling: AttentionTiling) -> int:
     """DRAM bytes for one attention core; infeasible tilings still get a cost."""
     _validate(dims, tiling)
     eb = dims.element_bytes
@@ -112,10 +110,6 @@ def tiling_buffer_bytes(dims: AttentionDims, tiling: AttentionTiling,
     return req
 
 
-def _divisors(n: int) -> list[int]:
-    return [i for i in range(1, n + 1) if n % i == 0]
-
-
 def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> AttentionTiling:
     """Exhaustive tile search: minimum EMA over divisors of N and N_r, both modes.
 
@@ -125,10 +119,10 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
     eb = dims.element_bytes
     best: tuple | None = None
     best_tiling: AttentionTiling | None = None
-    for t_q in _divisors(dims.N):
+    for t_q in divisors(dims.N):
         candidates = [AttentionTiling(t_q, dims.N_r, ResidencyMode.RESIDENT_KV, eb)]
         candidates += [AttentionTiling(t_q, t_k, ResidencyMode.STREAMING_KV, eb)
-                       for t_k in _divisors(dims.N_r)]
+                       for t_k in divisors(dims.N_r)]
         for cand in candidates:
             try:
                 tiling_buffer_bytes(dims, cand, hw)
@@ -147,23 +141,8 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
 
 
 # ---------------------------------------------------------------------------
-# Transaction schedule (the load-order artifact) and its replay
+# Transaction schedules (the load-order artifact)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Txn:
-    action: str          # alloc | load | store | touch | free
-    region: str
-    nbytes: int
-    head: int = -1
-    tile: int = -1
-    block: int = -1
-    what: str = ""
-
-
-def _tile_rows(total: int, step: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
 
 def schedule_attention(dims: AttentionDims, tiling: AttentionTiling) -> list[Txn]:
     """Ordered scratchpad transactions for one attention core, all heads.
@@ -175,98 +154,73 @@ def schedule_attention(dims: AttentionDims, tiling: AttentionTiling) -> list[Txn
     _validate(dims, tiling)
     eb = dims.element_bytes
     txns: list[Txn] = []
-    q_tiles = _tile_rows(dims.N, tiling.t_q)
+    q_tiles = tile_intervals(dims.N, tiling.t_q)
     if tiling.mode is ResidencyMode.RESIDENT_KV:
         kv_bytes = dims.N_r * dims.d * eb
         for h in range(dims.heads):
-            txns.append(Txn("alloc", "K", kv_bytes, h))
-            txns.append(Txn("load", "K", kv_bytes, h, what="load_k"))
-            txns.append(Txn("alloc", "V", kv_bytes, h))
-            txns.append(Txn("load", "V", kv_bytes, h, what="load_v"))
-            txns.append(Txn("alloc", "QO", tiling.t_q * dims.d * eb, h))
-            txns.append(Txn("alloc", "S", tiling.t_q * dims.N_r * eb, h))
+            txns += [Txn("alloc", "K", kv_bytes, h),
+                     Txn("load", "K", kv_bytes, h, what="load_k"),
+                     Txn("alloc", "V", kv_bytes, h),
+                     Txn("load", "V", kv_bytes, h, what="load_v"),
+                     Txn("alloc", "QO", tiling.t_q * dims.d * eb, h),
+                     Txn("alloc", "S", tiling.t_q * dims.N_r * eb, h)]
             for t, (lo, hi) in enumerate(q_tiles):
-                rows = hi - lo
-                txns.append(Txn("load", "QO", rows * dims.d * eb, h, t, what="load_q"))
-                txns.append(Txn("touch", "S", rows * dims.N_r * eb, h, t, what="scores"))
-                txns.append(Txn("touch", "S", rows * dims.N_r * eb, h, t, what="softmax"))
-                txns.append(Txn("touch", "QO", rows * dims.d * eb, h, t, what="context"))
-                txns.append(Txn("store", "QO", rows * dims.d * eb, h, t, what="store_o"))
-            for region in ("S", "QO", "V", "K"):
-                txns.append(Txn("free", region, 0, h))
+                q_bytes, s_bytes = (hi - lo) * dims.d * eb, (hi - lo) * dims.N_r * eb
+                txns += [Txn("load", "QO", q_bytes, h, t, what="load_q"),
+                         Txn("touch", "S", s_bytes, h, t, what="scores"),
+                         Txn("touch", "S", s_bytes, h, t, what="softmax"),
+                         Txn("touch", "QO", q_bytes, h, t, what="context"),
+                         Txn("store", "QO", q_bytes, h, t, what="store_o")]
+            txns += [Txn("free", region, 0, h) for region in ("S", "QO", "V", "K")]
     else:
-        k_blocks = _tile_rows(dims.N_r, tiling.t_k)
+        k_blocks = tile_intervals(dims.N_r, tiling.t_k)
+        kv_block, q_tile = tiling.t_k * dims.d * eb, tiling.t_q * dims.d * eb
         for h in range(dims.heads):
-            txns.append(Txn("alloc", "K", tiling.t_k * dims.d * eb, h))
-            txns.append(Txn("alloc", "V", tiling.t_k * dims.d * eb, h))
-            txns.append(Txn("alloc", "Q", tiling.t_q * dims.d * eb, h))
-            txns.append(Txn("alloc", "ACC", tiling.t_q * dims.d * eb, h))
-            txns.append(Txn("alloc", "M", tiling.t_q * eb, h))
-            txns.append(Txn("alloc", "L", tiling.t_q * eb, h))
-            txns.append(Txn("alloc", "S", tiling.t_q * tiling.t_k * eb, h))
+            txns += [Txn("alloc", "K", kv_block, h), Txn("alloc", "V", kv_block, h),
+                     Txn("alloc", "Q", q_tile, h), Txn("alloc", "ACC", q_tile, h),
+                     Txn("alloc", "M", tiling.t_q * eb, h),
+                     Txn("alloc", "L", tiling.t_q * eb, h),
+                     Txn("alloc", "S", tiling.t_q * tiling.t_k * eb, h)]
             for t, (lo, hi) in enumerate(q_tiles):
-                rows = hi - lo
-                txns.append(Txn("load", "Q", rows * dims.d * eb, h, t, what="load_q"))
+                q_bytes = (hi - lo) * dims.d * eb
+                txns.append(Txn("load", "Q", q_bytes, h, t, what="load_q"))
                 for b, (blo, bhi) in enumerate(k_blocks):
-                    brows = bhi - blo
-                    txns.append(Txn("load", "K", brows * dims.d * eb, h, t, b, "load_k"))
-                    txns.append(Txn("load", "V", brows * dims.d * eb, h, t, b, "load_v"))
-                    txns.append(Txn("touch", "S", rows * brows * eb, h, t, b, "scores"))
-                    txns.append(Txn("touch", "ACC", rows * dims.d * eb, h, t, b, "online_update"))
-                txns.append(Txn("touch", "ACC", rows * dims.d * eb, h, t, what="finalize"))
-                txns.append(Txn("store", "ACC", rows * dims.d * eb, h, t, what="store_o"))
-            for region in ("S", "L", "M", "ACC", "Q", "V", "K"):
-                txns.append(Txn("free", region, 0, h))
+                    kv_bytes = (bhi - blo) * dims.d * eb
+                    txns += [Txn("load", "K", kv_bytes, h, t, b, "load_k"),
+                             Txn("load", "V", kv_bytes, h, t, b, "load_v"),
+                             Txn("touch", "S", (hi - lo) * (bhi - blo) * eb, h, t, b,
+                                 "scores"),
+                             Txn("touch", "ACC", q_bytes, h, t, b, "online_update")]
+                txns += [Txn("touch", "ACC", q_bytes, h, t, what="finalize"),
+                         Txn("store", "ACC", q_bytes, h, t, what="store_o")]
+            txns += [Txn("free", region, 0, h)
+                     for region in ("S", "L", "M", "ACC", "Q", "V", "K")]
     return txns
 
 
 def schedule_untiled_attention(dims: AttentionDims) -> list[Txn]:
-    """Baseline schedule: the score matrix spills to DRAM and is re-read."""
+    """Baseline schedule: the score matrix spills to DRAM and is re-read.
+
+    Compute steps carry ``tile=0``: the whole sequence is one query tile.
+    """
     eb = dims.element_bytes
     txns: list[Txn] = []
     qb = dims.N * dims.d * eb
     kvb = dims.N_r * dims.d * eb
     sb = dims.N * dims.N_r * eb
     for h in range(dims.heads):
-        txns.append(Txn("alloc", "Q", qb, h))
-        txns.append(Txn("load", "Q", qb, h, what="load_q"))
-        txns.append(Txn("alloc", "K", kvb, h))
-        txns.append(Txn("load", "K", kvb, h, what="load_k"))
-        txns.append(Txn("alloc", "S", sb, h))
-        txns.append(Txn("touch", "S", sb, h, what="scores"))
-        txns.append(Txn("store", "S", sb, h, what="spill_s"))
-        txns.append(Txn("free", "S", 0, h))
-        txns.append(Txn("free", "K", 0, h))
-        txns.append(Txn("free", "Q", 0, h))
-        txns.append(Txn("alloc", "V", kvb, h))
-        txns.append(Txn("load", "V", kvb, h, what="load_v"))
-        txns.append(Txn("alloc", "S", sb, h))
-        txns.append(Txn("load", "S", sb, h, what="reload_s"))
-        txns.append(Txn("touch", "S", sb, h, what="softmax"))
-        txns.append(Txn("alloc", "O", qb, h))
-        txns.append(Txn("touch", "O", qb, h, what="context"))
-        txns.append(Txn("store", "O", qb, h, what="store_o"))
-        txns.append(Txn("free", "O", 0, h))
-        txns.append(Txn("free", "S", 0, h))
-        txns.append(Txn("free", "V", 0, h))
+        txns += [Txn("alloc", "Q", qb, h), Txn("load", "Q", qb, h, what="load_q"),
+                 Txn("alloc", "K", kvb, h), Txn("load", "K", kvb, h, what="load_k"),
+                 Txn("alloc", "S", sb, h), Txn("touch", "S", sb, h, 0, what="scores"),
+                 Txn("store", "S", sb, h, what="spill_s"),
+                 Txn("free", "S", 0, h), Txn("free", "K", 0, h), Txn("free", "Q", 0, h),
+                 Txn("alloc", "V", kvb, h), Txn("load", "V", kvb, h, what="load_v"),
+                 Txn("alloc", "S", sb, h), Txn("load", "S", sb, h, what="reload_s"),
+                 Txn("touch", "S", sb, h, 0, what="softmax"),
+                 Txn("alloc", "O", qb, h), Txn("touch", "O", qb, h, 0, what="context"),
+                 Txn("store", "O", qb, h, what="store_o"),
+                 Txn("free", "O", 0, h), Txn("free", "S", 0, h), Txn("free", "V", 0, h)]
     return txns
-
-
-def replay(txns: list[Txn], sim: ScratchpadSim):
-    """Drive a schedule through the simulator; raises on capacity violations."""
-    for t in txns:
-        if t.action == "alloc":
-            sim.alloc(t.region, t.nbytes)
-        elif t.action == "load":
-            sim.load(t.region, t.nbytes)
-        elif t.action == "store":
-            sim.store(t.region, t.nbytes)
-        elif t.action == "touch":
-            sim.touch(t.region, t.nbytes)
-        elif t.action == "free":
-            sim.free(t.region)
-        else:
-            raise ValueError(f"unknown action {t.action!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +254,41 @@ def online_softmax_update(state: SoftmaxState, s_block: np.ndarray,
 # Tiled execution (interprets the schedule, so traffic matches by construction)
 # ---------------------------------------------------------------------------
 
+def _attention_compute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                       out: np.ndarray, q_tiles: list[tuple[int, int]],
+                       k_blocks: list[tuple[int, int]]):
+    """Numerics of the compute steps of either attention schedule, keyed by tag.
+
+    Steps with ``block == -1`` see all of K and V; the streaming state starts
+    at block 0 of each query tile.
+    """
+    inv_scale = 1.0 / math.sqrt(q.shape[-1])
+    s_tile: np.ndarray | None = None
+    state: SoftmaxState | None = None
+
+    def compute(txn: Txn):
+        nonlocal s_tile, state
+        if txn.action != "touch":
+            return
+        h, (lo, hi) = txn.head, q_tiles[txn.tile]
+        if txn.what == "scores":
+            kh = k[h] if txn.block < 0 else k[h, slice(*k_blocks[txn.block])]
+            s_tile = (q[h, lo:hi] @ kh.T) * inv_scale
+        elif txn.what == "softmax":
+            s_tile = softmax_rows(s_tile)
+        elif txn.what == "context":
+            out[h, lo:hi] = s_tile @ v[h]
+        elif txn.what == "online_update":
+            if txn.block == 0:
+                state = init_softmax_state(hi - lo, q.shape[-1])
+            vh = v[h, slice(*k_blocks[txn.block])]
+            state = online_softmax_update(state, s_tile, vh)
+        elif txn.what == "finalize":
+            out[h, lo:hi] = state.acc / state.l[:, None]
+
+    return compute
+
+
 def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                             tiling: AttentionTiling, sim: ScratchpadSim) -> np.ndarray:
     """Tile-by-tile softmax(QK^T/sqrt(d))V; issues all traffic through ``sim``.
@@ -308,55 +297,12 @@ def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     simulator propagate: an infeasible tiling cannot be executed.
     """
     heads, n, d = q.shape
-    n_r = k.shape[1]
-    dims = AttentionDims(N=n, N_r=n_r, d=d, heads=heads,
+    dims = AttentionDims(N=n, N_r=k.shape[1], d=d, heads=heads,
                          element_bytes=tiling.element_bytes)
     out = np.empty_like(q)
-    inv_scale = 1.0 / math.sqrt(d)
-    q_tiles = _tile_rows(n, tiling.t_q)
-    k_blocks = _tile_rows(n_r, tiling.t_k)
-
-    s_tile: np.ndarray | None = None
-    state: SoftmaxState | None = None
-    for txn in schedule_attention(dims, tiling):
-        if txn.action in ("alloc", "free"):
-            getattr(sim, txn.action)(txn.region, *(() if txn.action == "free"
-                                                   else (txn.nbytes,)))
-            continue
-        if txn.action == "load":
-            sim.load(txn.region, txn.nbytes)
-            if txn.what == "load_q":
-                lo, hi = q_tiles[txn.tile]
-                if tiling.mode is ResidencyMode.STREAMING_KV:
-                    state = init_softmax_state(hi - lo, d)
-            continue
-        if txn.action == "store":
-            sim.store(txn.region, txn.nbytes)
-            continue
-        # touch: compute steps
-        sim.touch(txn.region, txn.nbytes)
-        h, lo, hi = txn.head, *q_tiles[txn.tile]
-        if txn.what == "scores":
-            if tiling.mode is ResidencyMode.RESIDENT_KV:
-                s_tile = (q[h, lo:hi] @ k[h].T) * inv_scale
-            else:
-                blo, bhi = k_blocks[txn.block]
-                s_tile = (q[h, lo:hi] @ k[h, blo:bhi].T) * inv_scale
-        elif txn.what == "softmax":
-            assert s_tile is not None
-            m = s_tile.max(axis=1, keepdims=True)
-            e = np.exp(s_tile - m)
-            s_tile = e / e.sum(axis=1, keepdims=True)
-        elif txn.what == "context":
-            assert s_tile is not None
-            out[h, lo:hi] = s_tile @ v[h]
-        elif txn.what == "online_update":
-            assert state is not None and s_tile is not None
-            blo, bhi = k_blocks[txn.block]
-            state = online_softmax_update(state, s_tile, v[h, blo:bhi])
-        elif txn.what == "finalize":
-            assert state is not None
-            out[h, lo:hi] = state.acc / state.l[:, None]
+    replay(schedule_attention(dims, tiling), sim,
+           _attention_compute(q, k, v, out, tile_intervals(n, tiling.t_q),
+                              tile_intervals(dims.N_r, tiling.t_k)))
     return out
 
 
@@ -364,31 +310,9 @@ def untiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                               sim: ScratchpadSim, element_bytes: int = 1) -> np.ndarray:
     """Baseline dense attention with the score matrix spilled to DRAM."""
     heads, n, d = q.shape
-    n_r = k.shape[1]
-    dims = AttentionDims(N=n, N_r=n_r, d=d, heads=heads, element_bytes=element_bytes)
+    dims = AttentionDims(N=n, N_r=k.shape[1], d=d, heads=heads,
+                         element_bytes=element_bytes)
     out = np.empty_like(q)
-    inv_scale = 1.0 / math.sqrt(d)
-    s: np.ndarray | None = None
-    for txn in schedule_untiled_attention(dims):
-        if txn.action in ("alloc", "free"):
-            getattr(sim, txn.action)(txn.region, *(() if txn.action == "free"
-                                                   else (txn.nbytes,)))
-            continue
-        if txn.action == "load":
-            sim.load(txn.region, txn.nbytes)
-        elif txn.action == "store":
-            sim.store(txn.region, txn.nbytes)
-        else:
-            sim.touch(txn.region, txn.nbytes)
-            h = txn.head
-            if txn.what == "scores":
-                s = (q[h] @ k[h].T) * inv_scale
-            elif txn.what == "softmax":
-                assert s is not None
-                m = s.max(axis=1, keepdims=True)
-                e = np.exp(s - m)
-                s = e / e.sum(axis=1, keepdims=True)
-            elif txn.what == "context":
-                assert s is not None
-                out[h] = s @ v[h]
+    replay(schedule_untiled_attention(dims), sim,
+           _attention_compute(q, k, v, out, [(0, n)], []))
     return out

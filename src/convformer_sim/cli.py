@@ -4,7 +4,9 @@ Configuration comes from a JSON file plus command-line overrides (flags win
 over file fields, which win over defaults). Reports embed the resolved
 hardware config and seed, and all outputs are byte-deterministic for a fixed
 config and seed. Exit codes: 0 ok, 1 config error, 2 infeasible schedule,
-3 equivalence failure.
+3 equivalence or self-check failure (an unpruned result deviates from the
+reference by more than the tolerance, or a closed-form EMA disagrees with the
+simulator); on 3 the output is still written.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -23,8 +25,9 @@ from . import attention_tiling as at
 from . import feature_pruning as fp
 from . import pipeline
 from .errors import (CapacityError, ConfigError, NoFeasiblePlanError,
-                     NoFeasibleTilingError, NotFoundError, ShapeError, SimError)
-from .hwmodel import CostReport, HardwareConfig
+                     NoFeasibleTilingError, NotFoundError, SelfCheckError,
+                     ShapeError, SimError)
+from .hwmodel import CostReport, HardwareConfig, parse_number
 from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
                        attention_dims, attention_operands, build_preset,
                        graph_from_dict, init_params, reference_execute,
@@ -59,12 +62,8 @@ class ExperimentConfig:
                           if isinstance(self.attention, at.AttentionTiling)
                           else self.attention),
             "fusion": self.fusion,
-            "pruning": "off" if self.pruning is None else {
-                "theta_attn": self.pruning.theta_attn,
-                "theta_act": self.pruning.theta_act,
-                "granularity": self.pruning.granularity.value,
-                "cascade_enabled": self.pruning.cascade_enabled,
-            },
+            "pruning": "off" if self.pruning is None else dict(
+                asdict(self.pruning), granularity=self.pruning.granularity.value),
         }
         return {"model": self.model, "hardware": self.hardware.to_dict(),
                 "schedule": sched, "seed": self.seed, "tolerance": self.tolerance}
@@ -134,12 +133,17 @@ def load_config(path: str | None, args: argparse.Namespace,
         raise ConfigError(f"schedule.pruning must be 'off' or an object, "
                           f"got {pruning_raw!r}")
 
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    tolerance = float(raw.get("tolerance", 1e-6))
+    seed = parse_number("seed", seed, integer=True)
+    tolerance = raw.get("tolerance", 1e-6)
     if getattr(args, "tolerance", None) is not None:
         tolerance = args.tolerance
+    tolerance = parse_number("tolerance", tolerance, integer=False)
+    for name, value in (("seed", seed), ("tolerance", tolerance)):
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
 
     return ExperimentConfig(model=model, hardware=hardware, attention=attention,
                             fusion=fusion, pruning=pruning, seed=seed,
@@ -196,11 +200,7 @@ def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
     layers = []
     total_skipped = 0
     total_elided = 0
-    consumers: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for n in graph.nodes:
-        for p in n.preds:
-            consumers[p].append(n.id)
-
+    consumers = graph.consumers()
     for node in graph.nodes:
         if isinstance(node.op, Attention):
             xin = record[node.preds[0]] if node.preds else None
@@ -233,27 +233,21 @@ def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
 
 
 def compare_experiments(cfg: ExperimentConfig, schedule_names: list[str]) -> list[dict]:
+    keys = ("ema_bytes", "cycles", "energy_pj")
     rows = []
     for name in schedule_names:
         if name not in SCHEDULE_PRESETS:
             raise ConfigError(f"unknown schedule {name!r}; "
                               f"known: {sorted(SCHEDULE_PRESETS)}")
         attention, fusion = SCHEDULE_PRESETS[name]
-        sub = ExperimentConfig(model=cfg.model, hardware=cfg.hardware,
-                               attention=attention, fusion=fusion,
-                               pruning=None, seed=cfg.seed,
-                               tolerance=cfg.tolerance)
-        res = run_experiment(sub)
-        rows.append({"schedule": name,
-                     "ema_bytes": res["report"]["ema_bytes"],
-                     "cycles": res["report"]["cycles"],
-                     "energy_pj": res["report"]["energy_pj"],
+        res = run_experiment(replace(cfg, attention=attention, fusion=fusion,
+                                     pruning=None))
+        rows.append({"schedule": name, **{k: res["report"][k] for k in keys},
                      "max_abs_deviation": res["max_abs_deviation"]})
     base = rows[0]
     for row in rows:
-        for key in ("ema_bytes", "cycles", "energy_pj"):
-            denom = base[key]
-            row[f"{key}_norm"] = row[key] / denom if denom else 1.0
+        for key in keys:
+            row[f"{key}_norm"] = row[key] / base[key] if base[key] else 1.0
     return rows
 
 
@@ -269,31 +263,18 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> list[di
     for value in values:
         sub = cfg
         if axis == "scratchpad_bytes":
-            hw = HardwareConfig.from_dict(
-                dict(cfg.hardware.to_dict(), scratchpad_bytes=int(value)))
-            sub = ExperimentConfig(cfg.model, hw, cfg.attention, cfg.fusion,
-                                   cfg.pruning, cfg.seed, cfg.tolerance)
+            sub = replace(cfg, hardware=replace(cfg.hardware,
+                                                scratchpad_bytes=int(value)))
         elif axis in ("theta_attn", "theta_act"):
             # the un-swept threshold stays off unless the config enables it
             base = cfg.pruning or fp.PruneConfig(theta_attn=0.0, theta_act=0.0)
-            pruning = fp.PruneConfig(
-                theta_attn=float(value) if axis == "theta_attn" else base.theta_attn,
-                theta_act=float(value) if axis == "theta_act" else base.theta_act,
-                granularity=base.granularity,
-                cascade_enabled=base.cascade_enabled)
-            sub = ExperimentConfig(cfg.model, cfg.hardware, cfg.attention,
-                                   cfg.fusion, pruning, cfg.seed, cfg.tolerance)
+            sub = replace(cfg, pruning=replace(base, **{axis: float(value)}))
         elif axis == "t_q":
-            tiling = _fixed_tq_tiling(cfg, int(value))
-            sub = ExperimentConfig(cfg.model, cfg.hardware, tiling, cfg.fusion,
-                                   cfg.pruning, cfg.seed, cfg.tolerance)
+            sub = replace(cfg, attention=_fixed_tq_tiling(cfg, int(value)))
         res = run_experiment(sub)
         report = res["adjusted_report"] if "adjusted_report" in res else res["report"]
         row = {"axis": axis, "value": value,
-               "ema_bytes": report["ema_bytes"],
-               "macs": report["macs"],
-               "cycles": report["cycles"],
-               "energy_pj": report["energy_pj"],
+               **{k: report[k] for k in ("ema_bytes", "macs", "cycles", "energy_pj")},
                "max_abs_deviation": res["max_abs_deviation"]}
         if "pruning" in res:
             attn = [l for l in res["pruning"] if l["point"] == "attention"]
@@ -326,14 +307,13 @@ def _fixed_tq_tiling(cfg: ExperimentConfig, t_q: int) -> at.AttentionTiling:
 # Output formatting
 # ---------------------------------------------------------------------------
 
-def emit(data, fmt: str, out_path: str | None, csv_fields: list[str] | None = None):
+def emit(data, fmt: str, out_path: str | None):
     if fmt == "json":
         text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     else:
         rows = data if isinstance(data, list) else [data]
-        if csv_fields is None:
-            csv_fields = sorted({k for r in rows for k in r
-                                 if not isinstance(r[k], (dict, list))})
+        csv_fields = sorted({k for r in rows for k in r
+                             if not isinstance(r[k], (dict, list))})
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=csv_fields, extrasaction="ignore",
                                 lineterminator="\n")
@@ -346,6 +326,16 @@ def emit(data, fmt: str, out_path: str | None, csv_fields: list[str] | None = No
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _equivalence_exit(deviations: list[float], tolerance: float) -> int:
+    """EXIT_EQUIVALENCE, reported on stderr, if any deviation exceeds tolerance."""
+    bad = [d for d in deviations if not d <= tolerance]
+    if not bad:
+        return EXIT_OK
+    print(f"equivalence failure: deviation {max(bad):.3e} > {tolerance:.3e}",
+          file=sys.stderr)
+    return EXIT_EQUIVALENCE
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +416,16 @@ def main(argv: list[str] | None = None) -> int:
                 emit([row], "csv", args.out)
             else:
                 emit(result, "json", args.out)
-            if cfg.pruning is None and not result["equivalence_ok"]:
-                print(f"equivalence failure: deviation "
-                      f"{result['max_abs_deviation']:.3e} > {cfg.tolerance:.3e}",
-                      file=sys.stderr)
-                return EXIT_EQUIVALENCE
-            return EXIT_OK
+            unpruned = [] if cfg.pruning else [result["max_abs_deviation"]]
+            return _equivalence_exit(unpruned, cfg.tolerance)
         if args.command == "compare":
             names = [s.strip() for s in args.schedules.split(",") if s.strip()]
             if len(names) < 2:
                 raise ConfigError("compare needs at least 2 schedules")
             rows = compare_experiments(cfg, names)
             emit(rows, args.format, args.out)
-            return EXIT_OK
+            return _equivalence_exit([r["max_abs_deviation"] for r in rows],
+                                     cfg.tolerance)
         if args.command == "sweep":
             try:
                 values = [float(v) if "." in v or "e" in v.lower() else int(v)
@@ -448,7 +435,9 @@ def main(argv: list[str] | None = None) -> int:
                                   f"{args.values!r}")
             rows = sweep_experiments(cfg, args.axis, values)
             emit(rows, args.format, args.out)
-            return EXIT_OK
+            # pruned rows (those with a granularity) are exempt, as in run
+            return _equivalence_exit([r["max_abs_deviation"] for r in rows
+                                      if "granularity" not in r], cfg.tolerance)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, NotFoundError, ShapeError) as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -456,6 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, NoFeasiblePlanError, NoFeasibleTilingError) as e:
         print(f"infeasible schedule: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except SelfCheckError as e:
+        print(f"self-check failure: {e}", file=sys.stderr)
+        return EXIT_EQUIVALENCE
     except SimError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -65,3 +65,7 @@ class InconsistentStatsError(SimError):
 
 class ConfigError(SimError):
     """Malformed experiment configuration; message names the offending field."""
+
+
+class SelfCheckError(SimError):
+    """A closed-form cost disagrees with the simulator counters of its schedule."""

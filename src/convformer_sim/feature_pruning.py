@@ -11,15 +11,15 @@ theta = 0 stays a bit-exact identity. Thresholds use strict inequality
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InconsistentStatsError
-from .hwmodel import CostReport, HardwareConfig, roofline_cycles
-from .workload import dense_attention
+from .hwmodel import CostReport, HardwareConfig, price
+from .workload import dense_attention, softmax_rows
 
 
 class Granularity(str, Enum):
@@ -49,11 +49,7 @@ class SparsityStats:
     elided_output_elems: int = 0
 
     def to_dict(self) -> dict:
-        return {"pruned_fraction": self.pruned_fraction,
-                "skipped_macs": self.skipped_macs,
-                "output_mse": self.output_mse,
-                "output_cosine": self.output_cosine,
-                "elided_output_elems": self.elided_output_elems}
+        return asdict(self)
 
 
 def prune_mask(t: np.ndarray, theta: float, granularity: Granularity
@@ -141,10 +137,7 @@ def pruned_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     total_pruned = 0
     zero_rows = 0
     for h in range(heads):
-        s = (q[h] @ k[h].T) / math.sqrt(d)
-        m = s.max(axis=-1, keepdims=True)
-        e = np.exp(s - m)
-        probs = e / e.sum(axis=-1, keepdims=True)
+        probs = softmax_rows((q[h] @ k[h].T) / math.sqrt(d))
         mask, _ = prune_mask(probs, config.theta_attn, config.granularity)
         pruned = np.where(mask, 0.0, probs)
         out[h] = pruned @ v[h]
@@ -204,17 +197,6 @@ def sparse_cost_adjust(report: CostReport, stats: SparsityStats,
     ema = report.ema_bytes
     if granularity in (Granularity.ROW, Granularity.COLUMN):
         ema = max(0, ema - stats.elided_output_elems * hw.element_bytes)
-    energy = ema * hw.e_dram + report.sram_accesses * hw.e_sram + macs * hw.e_mac
-    return CostReport(
-        ema_bytes=ema,
-        macs=macs,
-        vector_ops=report.vector_ops,
-        sram_accesses=report.sram_accesses,
-        cycles=roofline_cycles(macs, ema, hw),
-        energy_pj=energy,
-        scratchpad_high_water=report.scratchpad_high_water,
-        breakdown=report.breakdown,
-        hardware=report.hardware,
-        seed=report.seed,
-        notes=report.notes,
-    )
+    cycles, energy = price(macs, ema, report.sram_accesses, hw)
+    return replace(report, ema_bytes=ema, macs=macs, cycles=cycles,
+                   energy_pj=energy)

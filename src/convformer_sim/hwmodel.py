@@ -10,11 +10,28 @@ from the CLI config; every report embeds the config it was produced with.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
+from typing import Callable
 
 from .errors import CapacityError, ConfigError, UseAfterFreeError
 
 KIB = 1024
+
+
+def parse_number(name: str, value, integer: bool) -> int | float:
+    """A config value as an int or a finite float; ConfigError naming ``name`` if not.
+
+    ``int(str(value))`` rejects 1.5 and "1.5", which ``int(value)`` would truncate.
+    """
+    try:
+        number = int(str(value)) if integer else float(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -28,9 +45,10 @@ class HardwareConfig:
     element_bytes: int = 1          # datatype width of modeled traffic
 
     def __post_init__(self):
-        for name in ("scratchpad_bytes", "pe_count", "dram_bytes_per_cycle",
-                     "e_dram", "e_sram", "e_mac", "element_bytes"):
-            if getattr(self, name) <= 0:
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"hardware.{name} must be finite, got {value}")
+            if value <= 0:
                 raise ConfigError(f"hardware.{name} must be > 0")
         if self.e_dram <= self.e_sram:
             # EMA minimization is meaningless if DRAM is not the expensive level.
@@ -41,18 +59,11 @@ class HardwareConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardwareConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
+        bad = set(d) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown hardware field(s): {sorted(bad)}")
-        merged = dict(d)
-        for k in ("scratchpad_bytes", "pe_count", "dram_bytes_per_cycle", "element_bytes"):
-            if k in merged:
-                merged[k] = int(merged[k])
-        for k in ("e_dram", "e_sram", "e_mac"):
-            if k in merged:
-                merged[k] = float(merged[k])
-        return cls(**merged)
+        return cls(**{k: parse_number(f"hardware.{k}", v, not k.startswith("e_"))
+                      for k, v in d.items()})
 
 
 class ScratchpadSim:
@@ -134,6 +145,42 @@ class ScratchpadSim:
         self.trace.append(("free", name, 0))
 
 
+@dataclass(frozen=True)
+class Txn:
+    """One scratchpad transaction of a schedule; the tags locate it for compute."""
+    action: str          # alloc | load | store | touch | free
+    region: str
+    nbytes: int
+    head: int = -1
+    tile: int = -1
+    block: int = -1
+    what: str = ""
+
+
+def replay(txns: list[Txn], sim: ScratchpadSim,
+           compute: Callable[[Txn], None] | None = None):
+    """Drive a schedule through the simulator; raises on capacity violations.
+
+    This is the only place that dispatches transactions. ``compute``, if
+    given, runs after each transaction so numerics follow the same schedule.
+    """
+    for t in txns:
+        if t.action == "alloc":
+            sim.alloc(t.region, t.nbytes)
+        elif t.action == "load":
+            sim.load(t.region, t.nbytes)
+        elif t.action == "store":
+            sim.store(t.region, t.nbytes)
+        elif t.action == "touch":
+            sim.touch(t.region, t.nbytes)
+        elif t.action == "free":
+            sim.free(t.region)
+        else:
+            raise ValueError(f"unknown action {t.action!r}")
+        if compute is not None:
+            compute(t)
+
+
 def roofline_cycles(macs: int, ema_bytes: int, hw: HardwareConfig) -> int:
     """Max of compute-bound and bandwidth-bound cycles, perfectly overlapped."""
     compute = -(-macs // hw.pe_count)
@@ -159,19 +206,7 @@ class CostReport:
                   "cycles", "energy_pj", "scratchpad_high_water")
 
     def to_dict(self) -> dict:
-        return {
-            "ema_bytes": self.ema_bytes,
-            "macs": self.macs,
-            "vector_ops": self.vector_ops,
-            "sram_accesses": self.sram_accesses,
-            "cycles": self.cycles,
-            "energy_pj": self.energy_pj,
-            "scratchpad_high_water": self.scratchpad_high_water,
-            "breakdown": self.breakdown,
-            "hardware": self.hardware,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -180,18 +215,24 @@ class CostReport:
         return [getattr(self, f) for f in self.CSV_FIELDS]
 
 
+def price(macs: int, ema_bytes: int, sram_accesses: int,
+          hw: HardwareConfig) -> tuple[int, float]:
+    """(cycles, energy_pj); energy is exactly linear in traffic and MACs."""
+    energy = ema_bytes * hw.e_dram + sram_accesses * hw.e_sram + macs * hw.e_mac
+    return roofline_cycles(macs, ema_bytes, hw), energy
+
+
 def build_report(macs: int, vector_ops: int, sim: ScratchpadSim,
                  hw: HardwareConfig, breakdown: list[dict] | None = None,
                  seed: int | None = None) -> CostReport:
-    """Assemble a report from counters; energy is exactly linear in traffic."""
-    ema = sim.ema_bytes
-    energy = ema * hw.e_dram + sim.sram_accesses * hw.e_sram + macs * hw.e_mac
+    """Assemble a report from the simulator counters."""
+    cycles, energy = price(macs, sim.ema_bytes, sim.sram_accesses, hw)
     return CostReport(
-        ema_bytes=ema,
+        ema_bytes=sim.ema_bytes,
         macs=macs,
         vector_ops=vector_ops,
         sram_accesses=sim.sram_accesses,
-        cycles=roofline_cycles(macs, ema, hw),
+        cycles=cycles,
         energy_pj=energy,
         scratchpad_high_water=sim.high_water,
         breakdown=breakdown or [],

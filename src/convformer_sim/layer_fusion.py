@@ -18,16 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (AttentionInSliceError, CapacityError, NoFeasiblePlanError,
                      ShapeError)
-from .hwmodel import HardwareConfig, ScratchpadSim
+from .hwmodel import HardwareConfig, ScratchpadSim, Txn, replay
 from .workload import (Attention, Conv2D, Downsample, GELU, LayerNode,
                        LayerNorm, Linear, NetworkGraph, TensorShape,
-                       conv2d_region, gelu, layernorm, weight_elems_with_shape)
+                       conv2d_region, divisors, gelu, layernorm, linear_tokens,
+                       op_cost, tile_intervals)
 
 
 class HaloPolicy(str, Enum):
@@ -104,23 +106,6 @@ def _spatial_params(node: LayerNode) -> tuple[int, int, int]:
     raise ShapeError(node.id, f"op {op!r} not allowed in a fusion chain")
 
 
-def halo_input_extent(tile: TileShape, layers: Sequence[ChainLayer]) -> list[TileShape]:
-    """Input extent each layer must consume so the last layer emits ``tile``.
-
-    Walks backward: a conv grows the extent to (e-1)*stride + k, clamped to
-    the layer's full input size; pointwise layers pass it through. Returned
-    in layer order (index i is the input extent of layers[i]).
-    """
-    extents: list[TileShape] = [None] * len(layers)  # type: ignore[list-item]
-    eh, ew = tile.h_t, tile.w_t
-    for i in reversed(range(len(layers))):
-        k, s, _ = _spatial_params(layers[i].node)
-        eh = min((eh - 1) * s + k, layers[i].in_shape.h)
-        ew = min((ew - 1) * s + k, layers[i].in_shape.w)
-        extents[i] = TileShape(eh, ew)
-    return extents
-
-
 def _back_interval(lo: int, hi: int, k: int, s: int, p: int, in_len: int
                    ) -> tuple[int, int]:
     if hi <= lo:  # empty stays empty (pad-grown layers can produce these)
@@ -131,10 +116,6 @@ def _back_interval(lo: int, hi: int, k: int, s: int, p: int, in_len: int
     if hi2 <= lo2:  # the whole tile lands in the padding ring
         lo2 = hi2 = min(lo2, in_len)
     return lo2, hi2
-
-
-def _tile_intervals(total: int, step: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def _axis_regions(layers: Sequence[ChainLayer], axis: int, lo: int, hi: int
@@ -167,42 +148,30 @@ def _merged_length(intervals: Sequence[tuple[int, int]]) -> int:
     return total
 
 
-def _per_pixel_macs(layer: ChainLayer) -> int:
-    op = layer.node.op
-    if isinstance(op, Conv2D):
-        return op.c_out * (op.c_in // op.groups) * op.k * op.k
-    if isinstance(op, Downsample):
-        return layer.in_shape.c * layer.in_shape.c * op.k * op.k
-    if isinstance(op, Linear):
-        return op.c_in * op.c_out
-    return 0
-
-
-def _group_weight_elems(layers: Sequence[ChainLayer]) -> int:
-    return sum(weight_elems_with_shape(l.node, l.in_shape) for l in layers)
-
-
-def _group_axis_walks(layers: Sequence[ChainLayer], tile: TileShape):
-    """Axis walks for every tile row / tile column at the group output."""
+def _axis_walks(layers: Sequence[ChainLayer], axis: int, step: int
+                ) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """``_axis_regions`` of every tile of ``step`` along one axis of the group output."""
     last = layers[-1].out_shape
-    row_tiles = _tile_intervals(last.h, tile.h_t)
-    col_tiles = _tile_intervals(last.w, tile.w_t)
-    rows = [_axis_regions(layers, 0, lo, hi) for lo, hi in row_tiles]
-    cols = [_axis_regions(layers, 1, lo, hi) for lo, hi in col_tiles]
-    return rows, cols
+    total = last.h if axis == 0 else last.w
+    return [_axis_regions(layers, axis, lo, hi)
+            for lo, hi in tile_intervals(total, step)]
+
+
+def _tile_walks(layers: Sequence[ChainLayer], tile: TileShape) -> list[tuple]:
+    """(row walk, column walk) of every tile, row-major."""
+    return list(product(_axis_walks(layers, 0, tile.h_t),
+                        _axis_walks(layers, 1, tile.w_t)))
 
 
 # ---------------------------------------------------------------------------
 # Group cost and feasibility
 # ---------------------------------------------------------------------------
 
-def _line_buffer_bytes(layers: Sequence[ChainLayer], hw: HardwareConfig) -> int:
-    total = 0
-    for layer in layers:
-        k, _, _ = _spatial_params(layer.node)
-        if k > 1:
-            total += (k - 1) * layer.in_shape.w * layer.in_shape.c * hw.element_bytes
-    return total
+def _line_buffers(layers: Sequence[ChainLayer], eb: int) -> list[tuple[int, int]]:
+    """(layer index, bytes) of the halo line buffer of each k > 1 layer under CACHE."""
+    return [(li, (k - 1) * layer.in_shape.w * layer.in_shape.c * eb)
+            for li, layer in enumerate(layers)
+            if (k := _spatial_params(layer.node)[0]) > 1]
 
 
 class _GroupCost:
@@ -218,21 +187,18 @@ class _GroupCost:
         self.hw = hw
         self.c_in = np.array([l.in_shape.c for l in layers], dtype=np.int64)
         self.c_out = np.array([l.out_shape.c for l in layers], dtype=np.int64)
-        self.w = np.array([weight_elems_with_shape(l.node, l.in_shape)
-                           for l in layers], dtype=np.int64)
+        costs = [op_cost(l.node.op, l.in_shape) for l in layers]
+        self.w = np.array([w for w, _ in costs], dtype=np.int64)
         # (pixels, MACs per pixel) per layer, as Python ints: the recompute
         # MAC count can outgrow int64 where the live-element counts cannot
-        self.macs = [(l.out_shape.h * l.out_shape.w, _per_pixel_macs(l))
-                     for l in layers]
-        self.line_buffers = _line_buffer_bytes(layers, hw)
+        self.macs = [(l.out_shape.h * l.out_shape.w, ppm)
+                     for l, (_, ppm) in zip(layers, costs)]
+        self.line_buffers = sum(b for _, b in _line_buffers(layers, hw.element_bytes))
         self.walks: tuple[dict, dict] = ({}, {})
 
     def _walk(self, axis: int, step: int):
         if step not in self.walks[axis]:
-            last = self.layers[-1].out_shape
-            total = last.h if axis == 0 else last.w
-            walks = [_axis_regions(self.layers, axis, lo, hi)
-                     for lo, hi in _tile_intervals(total, step)]
+            walks = _axis_walks(self.layers, axis, step)
             ins = np.array([[hi - lo for lo, hi in w_in] for w_in, _ in walks],
                            dtype=np.int64)
             outs = np.array([[hi - lo for lo, hi in w_out] for _, w_out in walks],
@@ -318,10 +284,6 @@ class GroupChoice:
     buffer_bytes: int
 
 
-def _divisors(n: int) -> list[int]:
-    return [i for i in range(1, n + 1) if n % i == 0]
-
-
 def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
                       ) -> GroupChoice | None:
     """Minimum-EMA (tile, policy, residency) for one group, or None if infeasible.
@@ -345,8 +307,8 @@ def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
 
 def _tile_candidates(layers: Sequence[ChainLayer]) -> list[TileShape]:
     last = layers[-1].out_shape
-    return [TileShape(h_t, w_t) for h_t in _divisors(last.h)
-            for w_t in _divisors(last.w)]
+    return [TileShape(h_t, w_t) for h_t in divisors(last.h)
+            for w_t in divisors(last.w)]
 
 
 def _singleton_infeasible(layer: ChainLayer, hw: HardwareConfig
@@ -361,6 +323,29 @@ def _singleton_infeasible(layer: ChainLayer, hw: HardwareConfig
         f"(shortfall {need - hw.scratchpad_bytes} B)")
 
 
+def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape,
+                      policy: HaloPolicy, hw: HardwareConfig) -> GroupChoice:
+    """Resident weights if they fit at this tile, else streamed weights.
+
+    Raises ``CapacityError`` with the streamed requirement if neither fits.
+    """
+    options = _GroupCost(layers, hw).options(tile)
+    for resident in (True, False):
+        buf, ema, extra = options[policy, resident]
+        if buf <= hw.scratchpad_bytes:
+            return GroupChoice(tile, policy, resident, ema, extra, buf)
+    raise CapacityError(buf, hw.scratchpad_bytes, what="fusion group")
+
+
+def plan_from_choices(spans: Sequence[tuple[int, int, GroupChoice]]) -> FusionPlan:
+    """A plan from (start, end, choice) groups in chain order."""
+    emas = [c.ema for _, _, c in spans]
+    extras = [c.extra_macs for _, _, c in spans]
+    groups = [FusionGroup(i, j, c.tile, c.policy, c.weights_resident)
+              for i, j, c in spans]
+    return FusionPlan(groups, sum(emas), sum(extras), emas, extras)
+
+
 def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPlan:
     """Minimum-EMA partition of a linear chain into fusion groups.
 
@@ -370,7 +355,7 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
     """
     n = len(chain)
     if n == 0:
-        return FusionPlan([], 0, 0, [], [])
+        return plan_from_choices([])
     memo: dict[tuple[int, int], GroupChoice | None] = {}
 
     def cost(i: int, j: int) -> GroupChoice | None:
@@ -397,53 +382,84 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
         first = next(i for i in range(n) if cost(i, i) is None)
         raise _singleton_infeasible(chain[first], hw)
 
-    groups: list[FusionGroup] = []
-    emas: list[int] = []
-    extras: list[int] = []
+    spans: list[tuple[int, int, GroupChoice]] = []
     j = n - 1
     while j >= 0:
         i, c = back[j]  # type: ignore[misc]
-        groups.append(FusionGroup(i, j, c.tile, c.policy, c.weights_resident))
-        emas.append(c.ema)
-        extras.append(c.extra_macs)
+        spans.append((i, j, c))
         j = i - 1
-    groups.reverse()
-    emas.reverse()
-    extras.reverse()
-    return FusionPlan(groups, sum(emas), sum(extras), emas, extras)
+    return plan_from_choices(spans[::-1])
 
 
 def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPlan:
     """Fusion-free baseline: every layer is its own group (full-map tile if it fits)."""
-    groups: list[FusionGroup] = []
-    emas: list[int] = []
-    extras: list[int] = []
+    spans: list[tuple[int, int, GroupChoice]] = []
     for i, layer in enumerate(chain):
         full = TileShape(layer.out_shape.h, layer.out_shape.w)
-        chosen: GroupChoice | None = None
-        for resident in (True, False):
-            try:
-                buf = group_buffer_bytes([layer], full, HaloPolicy.RECOMPUTE,
-                                         resident, hw)
-            except CapacityError:
-                continue
-            ema, extra = group_ema([layer], full, HaloPolicy.RECOMPUTE, resident, hw)
-            chosen = GroupChoice(full, HaloPolicy.RECOMPUTE, resident, ema, extra, buf)
-            break
-        if chosen is None:
+        try:
+            chosen = fixed_tile_choice([layer], full, HaloPolicy.RECOMPUTE, hw)
+        except CapacityError:
             chosen = best_group_choice([layer], hw)
         if chosen is None:
             raise _singleton_infeasible(layer, hw)
-        groups.append(FusionGroup(i, i, chosen.tile, chosen.policy,
-                                  chosen.weights_resident))
-        emas.append(chosen.ema)
-        extras.append(chosen.extra_macs)
-    return FusionPlan(groups, sum(emas), sum(extras), emas, extras)
+        spans.append((i, i, chosen))
+    return plan_from_choices(spans)
 
 
 # ---------------------------------------------------------------------------
-# Fused execution
+# Fused schedule and execution
 # ---------------------------------------------------------------------------
+
+def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
+                   policy: HaloPolicy, weights_resident: bool,
+                   hw: HardwareConfig) -> list[Txn]:
+    """Ordered scratchpad transactions of one fusion group, tile by tile.
+
+    Each tile loads its first-layer input region (under CACHE only the bytes
+    no earlier tile loaded), runs every layer on chip and stores the last
+    layer's output. The compute step of layer ``li`` on row-major tile ``t``
+    is the touch tagged ``tile=t, block=li``.
+    """
+    eb = hw.element_bytes
+    w = [op_cost(l.node.op, l.in_shape)[0] * eb for l in layers]
+    line_buffers = _line_buffers(layers, eb) if policy is HaloPolicy.CACHE else []
+    c_in0 = layers[0].in_shape.c
+    covered = np.zeros((layers[0].in_shape.h, layers[0].in_shape.w), dtype=bool)
+    resident_w = sum(w) if weights_resident else 0
+    txns: list[Txn] = []
+    if resident_w:
+        txns += [Txn("alloc", "gW", resident_w), Txn("load", "gW", resident_w)]
+    txns += [Txn("alloc", f"gLB{li}", nbytes) for li, nbytes in line_buffers]
+    for t, ((r_ins, r_outs), (c_ins, c_outs)) in enumerate(_tile_walks(layers, tile)):
+        (ir0, ir1), (ic0, ic1) = r_ins[0], c_ins[0]
+        prev, prev_bytes = "tin", (ir1 - ir0) * (ic1 - ic0) * c_in0 * eb
+        if policy is HaloPolicy.RECOMPUTE:
+            load = prev_bytes
+        else:
+            region = covered[ir0:ir1, ic0:ic1]
+            load = int(region.size - region.sum()) * c_in0 * eb
+            region[...] = True
+        txns += [Txn("alloc", "tin", prev_bytes), Txn("load", "tin", load)]
+        for li, layer in enumerate(layers):
+            (or0, or1), (oc0, oc1) = r_outs[li], c_outs[li]
+            name = f"tb{li}"
+            out_bytes = (or1 - or0) * (oc1 - oc0) * layer.out_shape.c * eb
+            streamed = 0 if weights_resident else w[li]
+            txns.append(Txn("alloc", name, out_bytes))
+            if streamed:
+                txns += [Txn("alloc", "tw", streamed), Txn("load", "tw", streamed)]
+            txns.append(Txn("touch", name, prev_bytes + streamed + out_bytes,
+                            tile=t, block=li, what="layer"))
+            if streamed:
+                txns.append(Txn("free", "tw", 0))
+            txns.append(Txn("free", prev, 0))
+            prev, prev_bytes = name, out_bytes
+        txns += [Txn("store", prev, prev_bytes), Txn("free", prev, 0)]
+    txns += [Txn("free", f"gLB{li}", 0) for li, _ in line_buffers]
+    if resident_w:
+        txns.append(Txn("free", "gW", 0))
+    return txns
+
 
 def _layer_tile_forward(layer: ChainLayer, cur: np.ndarray,
                         cur_origin: tuple[int, int],
@@ -454,9 +470,7 @@ def _layer_tile_forward(layer: ChainLayer, cur: np.ndarray,
         return conv2d_region(cur, op, params["w"], params["b"],
                              out_rows, out_cols, origin=cur_origin)
     if isinstance(op, Linear):
-        c, h, w = cur.shape
-        tok = cur.reshape(c, h * w).T @ params["w"] + params["b"]
-        return tok.T.reshape(op.c_out, h, w)
+        return linear_tokens(cur, params["w"], params["b"])
     if isinstance(op, LayerNorm):
         return layernorm(cur)
     if isinstance(op, GELU):
@@ -464,90 +478,57 @@ def _layer_tile_forward(layer: ChainLayer, cur: np.ndarray,
     raise ShapeError(layer.node.id, f"op {op!r} not executable in a fused group")
 
 
+def _group_compute(layers: Sequence[ChainLayer], walks: list[tuple],
+                   x: np.ndarray, out: np.ndarray,
+                   params: dict[str, dict[str, np.ndarray]]):
+    """Numerics of ``schedule_group``'s compute steps: one layer on one tile.
+
+    ``walks`` are the group's ``_tile_walks``; layer 0 reads its tile's input
+    region of ``x`` and the last layer writes into ``out``.
+    """
+    cur: np.ndarray | None = None
+
+    def compute(txn: Txn):
+        nonlocal cur
+        if txn.what != "layer":
+            return
+        li = txn.block
+        (r_ins, r_outs), (c_ins, c_outs) = walks[txn.tile]
+        if li == 0:
+            (ir0, ir1), (ic0, ic1) = r_ins[0], c_ins[0]
+            cur = x[:, ir0:ir1, ic0:ic1]
+            origin = (ir0, ic0)
+        else:
+            origin = (r_outs[li - 1][0], c_outs[li - 1][0])
+        cur = _layer_tile_forward(layers[li], cur, origin, r_outs[li], c_outs[li],
+                                  params[layers[li].node.id])
+        if li == len(layers) - 1:
+            out[:, slice(*r_outs[li]), slice(*c_outs[li])] = cur
+
+    return compute
+
+
 def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
                   sim: ScratchpadSim,
                   params: dict[str, dict[str, np.ndarray]],
                   hw: HardwareConfig) -> np.ndarray:
-    """Execute a fusion plan tile-by-tile, issuing all DRAM traffic via ``sim``.
+    """Execute a fusion plan tile-by-tile, replaying each group's schedule.
 
     Intermediate maps within a group never touch DRAM; the resulting counters
     match ``group_ema`` byte-exactly and the output matches the dense
     reference path.
     """
-    eb = hw.element_bytes
-    cur_input = np.asarray(x, dtype=np.float64)
-    for gi, group in enumerate(plan.groups):
+    cur = np.asarray(x, dtype=np.float64)
+    for group in plan.groups:
         layers = chain[group.start:group.end + 1]
-        rows, cols = _group_axis_walks(layers, group.tile)
         last = layers[-1].out_shape
-        out_full = np.empty((last.c, last.h, last.w), dtype=np.float64)
-        w_elems = _group_weight_elems(layers)
-
-        if group.weights_resident and w_elems > 0:
-            sim.alloc("gW", w_elems * eb)
-            sim.load("gW", w_elems * eb)
-        if group.policy is HaloPolicy.CACHE:
-            for li, layer in enumerate(layers):
-                k, _, _ = _spatial_params(layer.node)
-                if k > 1:
-                    sim.alloc(f"gLB{li}",
-                              (k - 1) * layer.in_shape.w * layer.in_shape.c * eb)
-            covered = np.zeros((layers[0].in_shape.h, layers[0].in_shape.w),
-                               dtype=bool)
-
-        c_in0 = layers[0].in_shape.c
-        for r_ins, r_outs in rows:
-            for c_ins, c_outs in cols:
-                # first-layer input region for this tile
-                (ir0, ir1), (ic0, ic1) = r_ins[0], c_ins[0]
-                in_bytes = (ir1 - ir0) * (ic1 - ic0) * c_in0 * eb
-                sim.alloc("tin", in_bytes)
-                if group.policy is HaloPolicy.RECOMPUTE:
-                    sim.load("tin", in_bytes)
-                else:
-                    region = covered[ir0:ir1, ic0:ic1]
-                    novel = int(region.size - region.sum())
-                    sim.load("tin", novel * c_in0 * eb)
-                    covered[ir0:ir1, ic0:ic1] = True
-                cur = cur_input[:, ir0:ir1, ic0:ic1]
-                cur_origin = (ir0, ic0)
-                prev_name = "tin"
-                prev_bytes = in_bytes
-                for li, layer in enumerate(layers):
-                    (or0, or1), (oc0, oc1) = r_outs[li], c_outs[li]
-                    out_bytes = (or1 - or0) * (oc1 - oc0) * layer.out_shape.c * eb
-                    name = f"tb{li}"
-                    sim.alloc(name, out_bytes)
-                    wl = weight_elems_with_shape(layer.node, layer.in_shape)
-                    w_bytes = 0
-                    if wl > 0 and not group.weights_resident:
-                        w_bytes = wl * eb
-                        sim.alloc("tw", w_bytes)
-                        sim.load("tw", w_bytes)
-                    cur = _layer_tile_forward(layer, cur, cur_origin,
-                                              (or0, or1), (oc0, oc1),
-                                              params[layer.node.id])
-                    cur_origin = (or0, oc0)
-                    sim.touch(name, prev_bytes + w_bytes + out_bytes)
-                    if w_bytes:
-                        sim.free("tw")
-                    sim.free(prev_name)
-                    prev_name = name
-                    prev_bytes = out_bytes
-                sim.store(prev_name, prev_bytes)
-                sim.free(prev_name)
-                (fr0, fr1), (fc0, fc1) = r_outs[-1], c_outs[-1]
-                out_full[:, fr0:fr1, fc0:fc1] = cur
-
-        if group.policy is HaloPolicy.CACHE:
-            for li, layer in enumerate(layers):
-                k, _, _ = _spatial_params(layer.node)
-                if k > 1:
-                    sim.free(f"gLB{li}")
-        if group.weights_resident and w_elems > 0:
-            sim.free("gW")
-        cur_input = out_full
-    return cur_input
+        out = np.empty((last.c, last.h, last.w), dtype=np.float64)
+        compute = _group_compute(layers, _tile_walks(layers, group.tile), cur, out,
+                                 params)
+        replay(schedule_group(layers, group.tile, group.policy,
+                              group.weights_resident, hw), sim, compute)
+        cur = out
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +551,7 @@ def split_into_segments(graph: NetworkGraph) -> list[tuple[str, list[LayerNode]]
     any node with fan-out ends its chain because its output must be DRAM-visible
     to the other consumers.
     """
-    consumers: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for n in graph.nodes:
-        for p in n.preds:
-            consumers[p].append(n.id)
-
+    consumers = graph.consumers()
     segments: list[tuple[str, list[LayerNode]]] = []
     current: list[LayerNode] = []
     for node in graph.nodes:

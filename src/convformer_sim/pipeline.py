@@ -15,8 +15,9 @@ import numpy as np
 
 from . import attention_tiling as at
 from . import layer_fusion as lf
-from .errors import CapacityError, ConfigError
-from .hwmodel import CostReport, HardwareConfig, ScratchpadSim, build_report
+from .errors import ConfigError, SelfCheckError
+from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn,
+                      build_report, replay)
 from .workload import (Add, Attention, AttentionDims, LayerNode, NetworkGraph,
                        attention_dims, attention_operands, layer_macs,
                        layer_vector_ops)
@@ -92,10 +93,8 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
             node = nodes[0]
             if isinstance(node.op, Attention):
                 dims = attention_dims(graph, node, hw.element_bytes)
-                buffer_bytes = 0
                 if attention_mode == "auto":
                     tiling = at.search_attention_tiling(dims, hw)
-                    buffer_bytes = at.tiling_buffer_bytes(dims, tiling, hw)
                 elif attention_mode == "baseline":
                     tiling = None
                 elif isinstance(attention_mode, at.AttentionTiling):
@@ -104,9 +103,10 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                         # resident t_k always resolves to this layer's N_r
                         tiling = at.AttentionTiling(tiling.t_q, dims.N_r,
                                                     tiling.mode, hw.element_bytes)
-                    buffer_bytes = at.tiling_buffer_bytes(dims, tiling, hw)
                 else:
                     raise ConfigError(f"unknown attention mode {attention_mode!r}")
+                buffer_bytes = (0 if tiling is None
+                                else at.tiling_buffer_bytes(dims, tiling, hw))
                 units.append(AttentionUnit(node, tiling, dims, buffer_bytes))
             elif isinstance(node.op, Add):
                 units.append(AddUnit(node))
@@ -119,9 +119,7 @@ def _fixed_plan(layers: list[lf.ChainLayer], group_spec: list | None,
                 hw: HardwareConfig) -> lf.FusionPlan:
     if group_spec is None:
         return lf.singleton_plan(layers, hw)
-    groups = []
-    emas = []
-    extras = []
+    spans = []
     covered = 0
     for g in group_spec:
         try:
@@ -133,21 +131,12 @@ def _fixed_plan(layers: list[lf.ChainLayer], group_spec: list | None,
         if start != covered or end < start or end >= len(layers):
             raise ConfigError(f"fixed fusion groups must cover the chain; "
                               f"bad group [{start}, {end}]")
-        sub = layers[start:end + 1]
-        resident = True
-        try:
-            lf.group_buffer_bytes(sub, tile, policy, True, hw)
-        except CapacityError:
-            resident = False
-            lf.group_buffer_bytes(sub, tile, policy, False, hw)
-        ema, extra = lf.group_ema(sub, tile, policy, resident, hw)
-        groups.append(lf.FusionGroup(start, end, tile, policy, resident))
-        emas.append(ema)
-        extras.append(extra)
+        spans.append((start, end, lf.fixed_tile_choice(layers[start:end + 1],
+                                                      tile, policy, hw)))
         covered = end + 1
     if covered != len(layers):
         raise ConfigError("fixed fusion groups do not cover the whole chain")
-    return lf.FusionPlan(groups, sum(emas), sum(extras), emas, extras)
+    return lf.plan_from_choices(spans)
 
 
 # ---------------------------------------------------------------------------
@@ -159,37 +148,51 @@ def _balanced_split(total: int, parts: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
-def _gemm_pass(sim: ScratchpadSim, tag: str, in_elems: int, w_elems: int,
-               out_elems: int, eb: int):
+def _stream_blocks(in_elems: int, out_elems: int, eb: int, avail: int) -> int:
+    """Fewest blocks whose input block plus output block fit ``avail`` bytes."""
+    blocks = 1
+    while (blocks < max(in_elems, out_elems, 1)
+           and (-(-in_elems // blocks) + -(-out_elems // blocks)) * eb > avail):
+        blocks += 1
+    return blocks
+
+
+def _gemm_pass(tag: str, in_elems: int, w_elems: int, out_elems: int,
+               hw: HardwareConfig) -> list[Txn]:
     """Projection pass with resident weights and block-streamed activations.
 
     Every input and output byte moves exactly once, so total traffic equals
     in + weights + out regardless of the block count. Blocks shrink until the
-    working set fits whatever scratchpad headroom remains.
+    working set fits beside the weights (nothing else is live between passes).
     """
-    sim.alloc(f"{tag}_w", w_elems * eb)
-    sim.load(f"{tag}_w", w_elems * eb)
-    avail = sim.capacity - sim.live_bytes
-    blocks = 1
-    limit = max(in_elems, out_elems, 1)
-    while blocks < limit:
-        ib = -(-in_elems // blocks)
-        ob = -(-out_elems // blocks)
-        if (ib + ob) * eb <= avail:
-            break
-        blocks += 1
-    ib = -(-in_elems // blocks)
-    ob = -(-out_elems // blocks)
-    sim.alloc(f"{tag}_in", ib * eb)
-    sim.alloc(f"{tag}_out", ob * eb)
+    eb = hw.element_bytes
+    blocks = _stream_blocks(in_elems, out_elems, eb,
+                            hw.scratchpad_bytes - w_elems * eb)
+    txns = [Txn("alloc", f"{tag}_w", w_elems * eb),
+            Txn("load", f"{tag}_w", w_elems * eb),
+            Txn("alloc", f"{tag}_in", -(-in_elems // blocks) * eb),
+            Txn("alloc", f"{tag}_out", -(-out_elems // blocks) * eb)]
     for i_n, o_n in zip(_balanced_split(in_elems, blocks),
                         _balanced_split(out_elems, blocks)):
-        sim.load(f"{tag}_in", i_n * eb)
-        sim.touch(f"{tag}_out", (i_n + w_elems + o_n) * eb)
-        sim.store(f"{tag}_out", o_n * eb)
-    sim.free(f"{tag}_out")
-    sim.free(f"{tag}_in")
-    sim.free(f"{tag}_w")
+        txns += [Txn("load", f"{tag}_in", i_n * eb),
+                 Txn("touch", f"{tag}_out", (i_n + w_elems + o_n) * eb),
+                 Txn("store", f"{tag}_out", o_n * eb)]
+    return txns + [Txn("free", f"{tag}_{r}", 0) for r in ("out", "in", "w")]
+
+
+def _add_pass(elems: int, hw: HardwareConfig) -> list[Txn]:
+    """Residual add, block-streamed; each operand and the sum move once.
+
+    The block search is the gemm's with input = output = ``elems``.
+    """
+    eb = hw.element_bytes
+    blocks = _stream_blocks(elems, elems, eb, hw.scratchpad_bytes)
+    blk = -(-elems // blocks)
+    txns = [Txn("alloc", "add_a", blk * eb), Txn("alloc", "add_b", blk * eb)]
+    for n in _balanced_split(elems, blocks):
+        txns += [Txn("load", "add_a", n * eb), Txn("load", "add_b", n * eb),
+                 Txn("touch", "add_a", 3 * n * eb), Txn("store", "add_a", n * eb)]
+    return txns + [Txn("free", "add_b", 0), Txn("free", "add_a", 0)]
 
 
 def attention_unit_execute(x: np.ndarray, node: LayerNode,
@@ -204,19 +207,19 @@ def attention_unit_execute(x: np.ndarray, node: LayerNode,
     op = node.op
     assert isinstance(op, Attention)
     c, h, w = x.shape
-    eb = hw.element_bytes
     n_tok = h * w
     q, k, v = attention_operands(x, op, params)
     n_r = k.shape[1]
 
-    _gemm_pass(sim, "attnQ", n_tok * c, c * c, n_tok * c, eb)
+    txns = _gemm_pass("attnQ", n_tok * c, c * c, n_tok * c, hw)
     if op.sr_ratio > 1:
-        _gemm_pass(sim, "attnSR", n_tok * c, c * op.sr_ratio ** 2, n_r * c, eb)
-    _gemm_pass(sim, "attnK", n_r * c, c * c, n_r * c, eb)
-    _gemm_pass(sim, "attnV", n_r * c, c * c, n_r * c, eb)
+        txns += _gemm_pass("attnSR", n_tok * c, c * op.sr_ratio ** 2, n_r * c, hw)
+    txns += _gemm_pass("attnK", n_r * c, c * c, n_r * c, hw)
+    txns += _gemm_pass("attnV", n_r * c, c * c, n_r * c, hw)
+    replay(txns, sim)
 
     if tiling is None:
-        o = at.untiled_attention_execute(q, k, v, sim, element_bytes=eb)
+        o = at.untiled_attention_execute(q, k, v, sim, hw.element_bytes)
     else:
         o = at.tiled_attention_execute(q, k, v, tiling, sim)
     merged = o.transpose(1, 0, 2).reshape(n_tok, c)
@@ -230,8 +233,7 @@ def attention_unit_ema(graph: NetworkGraph, node: LayerNode,
     op = node.op
     assert isinstance(op, Attention)
     dims = attention_dims(graph, node, hw.element_bytes)
-    shp = graph.in_shape(node)
-    c = shp.c
+    c = graph.in_shape(node).c
     eb = hw.element_bytes
     ema = (2 * dims.N * c + c * c) * eb                    # Q projection
     if op.sr_ratio > 1:
@@ -246,23 +248,8 @@ def attention_unit_ema(graph: NetworkGraph, node: LayerNode,
 
 def add_unit_execute(a: np.ndarray, b: np.ndarray, sim: ScratchpadSim,
                      hw: HardwareConfig) -> np.ndarray:
-    """Residual add, block-streamed; each operand and the sum move once."""
-    eb = hw.element_bytes
-    elems = a.size
-    avail = sim.capacity
-    blocks = 1
-    while blocks < elems and 2 * (-(-elems // blocks)) * eb > avail:
-        blocks += 1
-    blk = -(-elems // blocks)
-    sim.alloc("add_a", blk * eb)
-    sim.alloc("add_b", blk * eb)
-    for n in _balanced_split(elems, blocks):
-        sim.load("add_a", n * eb)
-        sim.load("add_b", n * eb)
-        sim.touch("add_a", 3 * n * eb)
-        sim.store("add_a", n * eb)
-    sim.free("add_b")
-    sim.free("add_a")
+    """Residual add, traffic per ``_add_pass``."""
+    replay(_add_pass(a.size, hw), sim)
     return a + b
 
 
@@ -281,8 +268,7 @@ def execute_network(graph: NetworkGraph, schedule: NetworkSchedule,
     for unit in schedule.units:
         ema0 = sim.ema_bytes
         if isinstance(unit, ChainUnit):
-            first = unit.layers[0].node
-            xin = unit_input(first)
+            xin = unit_input(unit.layers[0].node)
             out = lf.fused_execute(unit.layers, unit.plan, xin, sim, params, hw)
             values[unit.layers[-1].node.id] = out
             macs = sum(layer_macs(graph, l.node) for l in unit.layers)
@@ -338,8 +324,8 @@ def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
     out, breakdown = execute_network(graph, schedule, x, sim, params, hw)
     totals = schedule_totals(graph, schedule, hw)
     if totals["ema_bytes"] != sim.ema_bytes:
-        raise AssertionError(
-            f"closed-form EMA {totals['ema_bytes']} != simulator {sim.ema_bytes}")
+        raise SelfCheckError(
+            f"closed-form EMA {totals['ema_bytes']} B != simulator {sim.ema_bytes} B")
     report = build_report(totals["macs"], totals["vector_ops"], sim, hw,
                           breakdown=breakdown, seed=seed)
     return out, report

@@ -136,6 +136,14 @@ class NetworkGraph:
             return self.input_shape
         return self.out_shape(node.preds[0])
 
+    def consumers(self) -> dict[str, list[str]]:
+        """Node id -> ids of the nodes that read its output, in graph order."""
+        out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        for n in self.nodes:
+            for p in n.preds:
+                out[p].append(n.id)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Attention geometry
@@ -179,6 +187,16 @@ def _sr_hw(h: int, w: int, sr: int) -> tuple[int, int]:
 
 def conv_out_dim(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
+
+
+def divisors(n: int) -> list[int]:
+    """Every tile extent that splits ``n`` evenly, ascending."""
+    return [i for i in range(1, n + 1) if n % i == 0]
+
+
+def tile_intervals(total: int, step: int) -> list[tuple[int, int]]:
+    """Half-open [lo, hi) tiles of ``step`` covering ``total``; the last may be short."""
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
@@ -280,22 +298,21 @@ def init_params(graph: NetworkGraph, seed: int = 0) -> dict[str, dict[str, np.nd
     return params
 
 
-def weight_elems(node: LayerNode) -> int:
-    op = node.op
+def op_cost(op: LayerOp, in_shape: TensorShape) -> tuple[int, int]:
+    """(weight elements incl. bias, MACs per output pixel) of a spatial or token op.
+
+    Attention, norm, activation and add layers report (0, 0): attention's
+    projection weights and MACs are costed by its own unit.
+    """
     if isinstance(op, Conv2D):
-        return op.c_out * (op.c_in // op.groups) * op.k * op.k + op.c_out
+        macs = op.c_out * (op.c_in // op.groups) * op.k * op.k
+        return macs + op.c_out, macs
     if isinstance(op, Downsample):
-        return 0  # filled by weight_elems_with_shape when channels are known
+        macs = in_shape.c * in_shape.c * op.k * op.k
+        return macs + in_shape.c, macs
     if isinstance(op, Linear):
-        return op.c_in * op.c_out + op.c_out
-    return 0
-
-
-def weight_elems_with_shape(node: LayerNode, in_shape: TensorShape) -> int:
-    op = node.op
-    if isinstance(op, Downsample):
-        return in_shape.c * in_shape.c * op.k * op.k + in_shape.c
-    return weight_elems(node)
+        return op.c_in * op.c_out + op.c_out, op.c_in * op.c_out
+    return 0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +509,7 @@ def seeded_input(graph: NetworkGraph, seed: int = 0) -> np.ndarray:
 def layer_macs(graph: NetworkGraph, node: LayerNode) -> int:
     """Multiply-accumulate count; norm/activation layers are vector ops, not MACs."""
     op = node.op
-    ins = graph.in_shape(node)
     outs = graph.out_shape(node.id)
-    if isinstance(op, Conv2D):
-        return outs.h * outs.w * op.c_out * (op.c_in // op.groups) * op.k * op.k
-    if isinstance(op, Downsample):
-        return outs.h * outs.w * ins.c * ins.c * op.k * op.k
-    if isinstance(op, Linear):
-        return ins.tokens * op.c_in * op.c_out
     if isinstance(op, Attention):
         c = op.heads * op.d_head
         dims = attention_dims(graph, node)
@@ -507,7 +517,7 @@ def layer_macs(graph: NetworkGraph, node: LayerNode) -> int:
         proj = dims.N * c * c + 2 * dims.N_r * c * c
         sr = dims.N_r * c * op.sr_ratio ** 2 if op.sr_ratio > 1 else 0  # depthwise
         return core + proj + sr
-    return 0
+    return outs.h * outs.w * op_cost(op, graph.in_shape(node))[1]
 
 
 def layer_vector_ops(graph: NetworkGraph, node: LayerNode) -> int:

@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
-from convformer_sim import cli
+import pytest
+
+from convformer_sim import cli, pipeline
 
 
 def run_cli(args, capsys):
@@ -297,3 +300,63 @@ def test_csv_run_format(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 2
     assert "ema_bytes" in lines[0]
+
+
+class TestEquivalenceAndSelfCheckExit:
+    """Exit 3 applies to every unpruned result, after the output is written."""
+
+    def test_compare_applies_tolerance(self, capsys):
+        code, out, err = run_cli(["compare", "--model", "pvtv2-micro",
+                                  "--schedules", "naive,full",
+                                  "--tolerance=1e-30"], capsys)
+        assert code == 3
+        assert len(json.loads(out)) == 2
+        assert "equivalence failure" in err
+
+    def test_sweep_applies_tolerance(self, capsys):
+        code, out, err = run_cli(["sweep", "--model", "pvtv2-micro", "--axis",
+                                  "scratchpad_bytes", "--values", "65536",
+                                  "--tolerance=1e-30"], capsys)
+        assert code == 3
+        assert len(json.loads(out)) == 1
+        assert "equivalence failure" in err
+
+    def test_pruned_sweep_rows_are_exempt(self, capsys):
+        config = Path(__file__).parent.parent / "configs" / "pruning_sweep.json"
+        code, _, _ = run_cli(["sweep", "--config", str(config),
+                              "--axis", "theta_attn", "--values", "0",
+                              "--tolerance=1e-30"], capsys)
+        assert code == 0
+
+    def test_self_check_failure_names_both_counts(self, monkeypatch, capsys):
+        code, out, _ = run_cli(["run", "--model", "toy-chain"], capsys)
+        ema = json.loads(out)["report"]["ema_bytes"]
+        real = pipeline.schedule_totals
+
+        def off_by_one(*args, **kwargs):
+            totals = real(*args, **kwargs)
+            totals["ema_bytes"] += 1
+            return totals
+
+        monkeypatch.setattr(pipeline, "schedule_totals", off_by_one)
+        code, _, err = run_cli(["run", "--model", "toy-chain"], capsys)
+        assert code == 3
+        assert "self-check" in err
+        assert f"{ema + 1} B" in err and f"{ema} B" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--hw.e_dram=nan"], "hardware.e_dram"),
+    (["--hw.e_dram=inf"], "hardware.e_dram"),
+    (["--hw.scratchpad_bytes=1.5"], "hardware.scratchpad_bytes"),
+    (["--seed=-1"], "seed"),
+    (["--tolerance=nan"], "tolerance"),
+    (["--tolerance=-1"], "tolerance"),
+])
+def test_bad_number_exits_1_naming_field(argv, field, capsys):
+    # in-process: a traceback would surface as an uncaught exception here
+    code, out, err = run_cli(["run", "--model", "toy-chain", *argv], capsys)
+    assert code == 1
+    assert field in err
+    assert out == ""
+    assert "Traceback" not in err

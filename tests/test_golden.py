@@ -5,7 +5,10 @@ reproduce the stored stdout byte for byte and the stored exit code. The set
 covers ``run`` and a four-schedule ``compare`` on every preset at four
 scratchpad sizes (at the smallest, ``compare`` is infeasible, exit 2, on three
 presets), plus ``run`` on a SegFormer-B0-shaped 224x224 graph
-(``golden/b0-224.json``).
+(``golden/b0-224.json``). Further cases cover both README sweeps, two
+``t_q`` sweeps (one exits 1, one runs), pruning runs in JSON and CSV,
+``element_bytes=2`` and a fixed fusion plan (``golden/fixed-fusion.json``:
+cache and streamed-weight groups beside singleton chains).
 
 To rewrite the goldens after a deliberate, documented change of output::
 
@@ -24,6 +27,7 @@ from convformer_sim import cli
 from convformer_sim.workload import PRESETS
 
 GOLDEN = Path(__file__).parent / "golden"
+PRUNING = str(Path(__file__).parent.parent / "configs" / "pruning_sweep.json")
 EXITS = GOLDEN / "exit_codes.json"
 SCRATCHPADS = (2048, 8192, 65536, 262144)
 
@@ -40,6 +44,29 @@ def golden_cases() -> list[dict]:
                                    "naive,tiling,fusion,full", hw]})
     cases.append({"name": "run-b0-224",
                   "argv": ["run", "--config", str(GOLDEN / "b0-224.json")]})
+    cases += [
+        {"name": "sweep-segformer-micro-scratchpad",
+         "argv": ["sweep", "--model", "segformer-micro", "--axis",
+                  "scratchpad_bytes", "--values", "2048,8192,65536,262144"]},
+        {"name": "sweep-pruning-theta-attn",
+         "argv": ["sweep", "--config", PRUNING, "--axis", "theta_attn",
+                  "--values", "0,0.005,0.01,0.02,0.05"]},
+        {"name": "run-pruning", "argv": ["run", "--config", PRUNING]},
+        {"name": "run-pruning-csv",
+         "argv": ["run", "--config", PRUNING, "--format", "csv"]},
+        {"name": "sweep-pvtv2-micro-tq",
+         "argv": ["sweep", "--model", "pvtv2-micro", "--axis", "t_q",
+                  "--values", "4,64"]},
+        # 64 does not divide every layer's N, so the case above exits 1 with
+        # no output; this one runs the fixed resident tilings it rejects
+        {"name": "sweep-pvtv2-micro-tq-divisors",
+         "argv": ["sweep", "--model", "pvtv2-micro", "--axis", "t_q",
+                  "--values", "1,2,4"]},
+        {"name": "run-pvtv2-micro-eb2",
+         "argv": ["run", "--model", "pvtv2-micro", "--hw.element_bytes=2"]},
+        {"name": "run-fixed-fusion",
+         "argv": ["run", "--config", str(GOLDEN / "fixed-fusion.json")]},
+    ]
     return cases
 
 

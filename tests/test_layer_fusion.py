@@ -9,14 +9,15 @@ from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
                                          GroupChoice, HaloPolicy, TileShape,
                                          best_group_choice, chain_from_nodes,
                                          fused_execute, group_buffer_bytes,
-                                         group_ema, halo_input_extent,
-                                         partition_chain, singleton_plan,
-                                         split_into_segments)
+                                         group_ema, partition_chain,
+                                         singleton_plan, split_into_segments)
+from convformer_sim.hwmodel import replay
+from convformer_sim.layer_fusion import (_GroupCost, _axis_regions,
+                                         _tile_candidates, schedule_group)
 from convformer_sim.workload import (Add, Attention, Conv2D, Downsample, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, infer_shapes, init_params,
-                                     reference_execute, seeded_input,
-                                     weight_elems_with_shape)
+                                     op_cost, reference_execute, seeded_input)
 
 RECOMPUTE = HaloPolicy.RECOMPUTE
 CACHE = HaloPolicy.CACHE
@@ -95,7 +96,7 @@ def per_pixel_oracle(layers, tile, policy, resident, hw):
             input_reads += len(cur - covered)
             covered |= cur
     c_in0 = layers[0].in_shape.c
-    w_elems = sum(weight_elems_with_shape(l.node, l.in_shape) for l in layers)
+    w_elems = sum(op_cost(l.node.op, l.in_shape)[0] for l in layers)
     ema = (input_reads * c_in0 + last.h * last.w * last.c) * eb \
         + w_elems * eb * (1 if resident else len(tiles))
     extra = 0
@@ -110,45 +111,45 @@ def per_pixel_oracle(layers, tile, policy, resident, hw):
 # Halo arithmetic
 # ---------------------------------------------------------------------------
 
+def in_lengths(graph, lo, hi, axis=0):
+    """Per-layer input extents along one axis for the output tile [lo, hi)."""
+    ins, _ = _axis_regions(chain_of(graph), axis, lo, hi)
+    return [b - a for a, b in ins]
+
+
 class TestHaloExtent:
     def test_single_3x3(self):
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 32, 32))
-        ext = halo_input_extent(TileShape(8, 8), chain_of(g))
-        assert ext[0] == TileShape(10, 10)
+        assert in_lengths(g, 8, 16) == [10]
 
     def test_stacked_3x3(self):
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1), Conv2D(4, 4, 3, 1, 1)],
                              TensorShape(1, 4, 32, 32))
-        ext = halo_input_extent(TileShape(8, 8), chain_of(g))
-        assert ext[0] == TileShape(12, 12)
-        assert ext[1] == TileShape(10, 10)
+        assert in_lengths(g, 8, 16) == [12, 10]
 
     def test_1x1_passthrough(self):
         g = make_chain_graph([Conv2D(4, 8, 1)], TensorShape(1, 4, 16, 16))
-        ext = halo_input_extent(TileShape(5, 7), chain_of(g))
-        assert ext[0] == TileShape(5, 7)
+        assert in_lengths(g, 5, 10) == [5]
+        assert in_lengths(g, 7, 14, axis=1) == [7]
 
     def test_pointwise_passthrough(self):
         g = make_chain_graph([LayerNorm(), Linear(4, 8), GELU()],
                              TensorShape(1, 4, 16, 16))
-        ext = halo_input_extent(TileShape(4, 4), chain_of(g))
-        assert all(e == TileShape(4, 4) for e in ext)
+        assert in_lengths(g, 4, 8) == [4, 4, 4]
 
     def test_extent_clamped_to_input(self):
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 8, 8))
-        ext = halo_input_extent(TileShape(8, 8), chain_of(g))
-        assert ext[0] == TileShape(8, 8)  # not 10: clamped at borders
+        assert in_lengths(g, 0, 8) == [8]  # not 10: clamped at borders
 
     def test_stride_composition(self):
         g = make_chain_graph([Conv2D(4, 4, 3, 2, 1)], TensorShape(1, 4, 32, 32))
-        ext = halo_input_extent(TileShape(8, 8), chain_of(g))
-        assert ext[0] == TileShape(17, 17)  # (8-1)*2 + 3
+        assert in_lengths(g, 8, 16) == [17]  # (8-1)*2 + 3
 
     def test_attention_rejected(self):
         g = infer_shapes(NetworkGraph([LayerNode("a", Attention(1, 4))],
                                       TensorShape(1, 4, 4, 4)))
         with pytest.raises(AttentionInSliceError):
-            halo_input_extent(TileShape(2, 2), chain_of(g))
+            in_lengths(g, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ class TestGroupEma:
         g = make_chain_graph([Conv2D(4, 8, 3, 1, 1)], TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
         ema, extra = group_ema(layers, TileShape(16, 16), RECOMPUTE, True, hw)
-        w = weight_elems_with_shape(layers[0].node, layers[0].in_shape)
+        w = op_cost(layers[0].node.op, layers[0].in_shape)[0]
         assert ema == (4 * 256 + 8 * 256 + w) * hw.element_bytes
         assert extra == 0
 
@@ -169,7 +170,7 @@ class TestGroupEma:
                              TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
         ema, extra = group_ema(layers, TileShape(16, 16), RECOMPUTE, True, hw)
-        w = sum(weight_elems_with_shape(l.node, l.in_shape) for l in layers)
+        w = sum(op_cost(l.node.op, l.in_shape)[0] for l in layers)
         assert ema == (4 * 256 + 4 * 256 + w) * hw.element_bytes
         assert extra == 0
 
@@ -215,7 +216,7 @@ class TestGroupEma:
     def test_weight_streaming_multiplies_by_tiles(self, hw):
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
-        w = weight_elems_with_shape(layers[0].node, layers[0].in_shape)
+        w = op_cost(layers[0].node.op, layers[0].in_shape)[0]
         ema_res, _ = group_ema(layers, TileShape(8, 8), RECOMPUTE, True, hw)
         ema_str, _ = group_ema(layers, TileShape(8, 8), RECOMPUTE, False, hw)
         assert ema_str - ema_res == 3 * w * hw.element_bytes  # 4 tiles vs 1
@@ -308,7 +309,7 @@ class TestPartition:
         assert len(plan.groups) == 1
         last = chain[-1].out_shape
         assert plan.groups[0].tile == TileShape(last.h, last.w)
-        w = sum(weight_elems_with_shape(l.node, l.in_shape) for l in chain)
+        w = sum(op_cost(l.node.op, l.in_shape)[0] for l in chain)
         first = chain[0].in_shape
         expect = (first.c * first.h * first.w + last.c * last.h * last.w + w)
         assert plan.total_ema == expect * hw.element_bytes
@@ -538,3 +539,31 @@ class TestSegments:
         # ln2 -> fc1 -> act -> fc2 stays one fusable chain per block
         assert all(len(c) == 4 for c in mlp)
         assert len(mlp) == 4
+
+
+@pytest.mark.parametrize("preset", ["toy-chain", "pvtv2-micro"])
+def test_schedule_group_replay_matches_closed_form(preset, hw):
+    """Closed form against the one interpreter, with no numerics.
+
+    Every contiguous sub-chain of every chain, every tile candidate and all
+    four (policy, residency) options: the replayed schedule's EMA and
+    high-water mark equal ``_GroupCost.options`` byte for byte.
+    """
+    g = cs.build_preset(preset)
+    cases = 0
+    for kind, nodes in split_into_segments(g):
+        if kind != "chain":
+            continue
+        chain = chain_from_nodes(g, [n.id for n in nodes])
+        for i in range(len(chain)):
+            for j in range(i, len(chain)):
+                layers = chain[i:j + 1]
+                cost = _GroupCost(layers, hw)
+                for tile in _tile_candidates(layers):
+                    for (policy, resident), (buf, ema, _) in cost.options(tile).items():
+                        sim = ScratchpadSim(1 << 40)
+                        replay(schedule_group(layers, tile, policy, resident, hw), sim)
+                        assert (sim.ema_bytes, sim.high_water) == (ema, buf), \
+                            (preset, i, j, tile, policy, resident)
+                        cases += 1
+    assert cases > 100

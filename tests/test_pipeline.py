@@ -4,10 +4,9 @@ import pytest
 import convformer_sim as cs
 from convformer_sim import pipeline
 from convformer_sim.attention_tiling import AttentionTiling, ResidencyMode
-from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
-from convformer_sim.workload import (Attention, init_params, layer_macs,
-                                     reference_execute, seeded_input,
-                                     weight_elems_with_shape)
+from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim, replay
+from convformer_sim.workload import (Attention, init_params, layer_macs, op_cost,
+                                     reference_execute, seeded_input)
 
 
 @pytest.fixture(params=cs.PRESETS)
@@ -42,7 +41,7 @@ def test_singleton_toy_chain_is_layer_sum_and_exact(hw):
     for n in g.nodes:
         ins = g.in_shape(n)
         outs = g.out_shape(n.id)
-        w = weight_elems_with_shape(n, ins)
+        w = op_cost(n.op, ins)[0]
         expect += (ins.elements + outs.elements + w) * hw.element_bytes
     assert report.ema_bytes == expect
 
@@ -89,7 +88,8 @@ def test_attention_unit_ema_matches_execution(hw):
 def test_gemm_pass_blocks_shrink_to_fit():
     hw = HardwareConfig(scratchpad_bytes=600)
     sim = ScratchpadSim(600)
-    pipeline._gemm_pass(sim, "t", in_elems=4096, w_elems=256, out_elems=4096, eb=1)
+    replay(pipeline._gemm_pass("t", in_elems=4096, w_elems=256, out_elems=4096,
+                               hw=hw), sim)
     assert sim.ema_bytes == 4096 + 256 + 4096  # blocks never change traffic
     assert sim.high_water <= 600
 
