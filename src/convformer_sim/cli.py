@@ -164,8 +164,8 @@ def build_graph(model: str | dict) -> NetworkGraph:
 # Experiment primitives
 # ---------------------------------------------------------------------------
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Full pipeline: reference + optimized execution, report, deviation."""
+def simulate(cfg: ExperimentConfig) -> dict:
+    """Reference and optimized execution of ``cfg``, pruning aside."""
     graph = build_graph(cfg.model)
     params = init_params(graph, cfg.seed)
     x = seeded_input(graph, cfg.seed)
@@ -175,37 +175,49 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     schedule = pipeline.plan_network(graph, cfg.hardware, cfg.attention, cfg.fusion)
     out, report = pipeline.run_schedule(graph, schedule, x, params,
                                         cfg.hardware, seed=cfg.seed)
-    deviation = float(np.max(np.abs(out - ref)))
+    return {"graph": graph, "params": params, "x": x, "record": record,
+            "schedule": schedule, "report": report,
+            "deviation": float(np.max(np.abs(out - ref)))}
 
+
+def experiment_result(cfg: ExperimentConfig, sim: dict) -> dict:
+    """The ``run`` result of ``cfg`` from ``simulate`` of ``cfg`` without pruning."""
     result = {
         "config": cfg.resolved_dict(),
-        "report": report.to_dict(),
-        "schedule": schedule.to_dict(),
-        "max_abs_deviation": deviation,
-        "equivalence_ok": deviation <= cfg.tolerance,
+        "report": sim["report"].to_dict(),
+        "schedule": sim["schedule"].to_dict(),
+        "max_abs_deviation": sim["deviation"],
+        "equivalence_ok": sim["deviation"] <= cfg.tolerance,
     }
     if cfg.pruning is not None:
-        pruned = pruning_analysis(graph, record, params, cfg.pruning, cfg.hardware)
+        pruned = pruning_analysis(sim["graph"], sim["record"], sim["x"],
+                                  sim["params"], cfg.pruning, cfg.hardware)
         stats = pruned["aggregate_stats"]
-        adjusted = fp.sparse_cost_adjust(report, stats, cfg.hardware,
+        adjusted = fp.sparse_cost_adjust(sim["report"], stats, cfg.hardware,
                                          cfg.pruning.granularity)
         result["pruning"] = pruned["layers"]
         result["adjusted_report"] = adjusted.to_dict()
     return result
 
 
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Full pipeline: reference + optimized execution, report, deviation."""
+    return experiment_result(cfg, simulate(cfg))
+
+
 def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
-                     params: dict, cfg: fp.PruneConfig, hw: HardwareConfig) -> dict:
-    """Layer-level pruning sweep points: attention maps and post-GELU maps."""
+                     x: np.ndarray, params: dict, cfg: fp.PruneConfig,
+                     hw: HardwareConfig) -> dict:
+    """Layer-level pruning sweep points: attention maps and post-GELU maps.
+
+    ``record`` holds every node's reference output, ``x`` the network input."""
     layers = []
     total_skipped = 0
     total_elided = 0
     consumers = graph.consumers()
     for node in graph.nodes:
         if isinstance(node.op, Attention):
-            xin = record[node.preds[0]] if node.preds else None
-            if xin is None:
-                continue
+            xin = record[node.preds[0]] if node.preds else x
             q, k, v = attention_operands(xin, node.op, params[node.id])
             _, stats = fp.pruned_attention_execute(q, k, v, cfg)
             total_skipped += stats.skipped_macs
@@ -255,23 +267,30 @@ SWEEP_AXES = ("scratchpad_bytes", "theta_attn", "theta_act", "t_q")
 
 
 def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> list[dict]:
+    """One row per value; consecutive rows that differ only in pruning share
+    one simulation. A row's config is built just before the row runs."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep values must be a nonempty list")
     rows = []
+    simulated: tuple[ExperimentConfig, dict] | None = None
     for value in values:
         sub = cfg
         if axis == "scratchpad_bytes":
-            sub = replace(cfg, hardware=replace(cfg.hardware,
-                                                scratchpad_bytes=int(value)))
+            sub = replace(cfg, hardware=replace(cfg.hardware, scratchpad_bytes=(
+                parse_number(axis, value, integer=True))))
         elif axis in ("theta_attn", "theta_act"):
             # the un-swept threshold stays off unless the config enables it
             base = cfg.pruning or fp.PruneConfig(theta_attn=0.0, theta_act=0.0)
             sub = replace(cfg, pruning=replace(base, **{axis: float(value)}))
         elif axis == "t_q":
-            sub = replace(cfg, attention=_fixed_tq_tiling(cfg, int(value)))
-        res = run_experiment(sub)
+            sub = replace(cfg, attention=_fixed_tq_tiling(
+                cfg, parse_number(axis, value, integer=True)))
+        if simulated is None or simulated[0] != replace(sub, pruning=None):
+            simulated = None   # free the last simulation before the next one
+            simulated = replace(sub, pruning=None), simulate(sub)
+        res = experiment_result(sub, simulated[1])
         report = res["adjusted_report"] if "adjusted_report" in res else res["report"]
         row = {"axis": axis, "value": value,
                **{k: report[k] for k in ("ema_bytes", "macs", "cycles", "energy_pj")},
@@ -291,6 +310,8 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> list[di
 
 
 def _fixed_tq_tiling(cfg: ExperimentConfig, t_q: int) -> at.AttentionTiling:
+    if t_q < 1:
+        raise ConfigError(f"t_q must be >= 1, got {t_q}")
     graph = build_graph(cfg.model)
     for node in graph.nodes:
         if isinstance(node.op, Attention):

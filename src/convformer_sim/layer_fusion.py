@@ -42,6 +42,10 @@ class TileShape:
     h_t: int
     w_t: int
 
+    def __post_init__(self):
+        if min(self.h_t, self.w_t) < 1:
+            raise ValueError(f"tile extents must be >= 1, got {self.h_t}x{self.w_t}")
+
     @property
     def area(self) -> int:
         return self.h_t * self.w_t
@@ -106,154 +110,204 @@ def _spatial_params(node: LayerNode) -> tuple[int, int, int]:
     raise ShapeError(node.id, f"op {op!r} not allowed in a fusion chain")
 
 
-def _back_interval(lo: int, hi: int, k: int, s: int, p: int, in_len: int
-                   ) -> tuple[int, int]:
-    if hi <= lo:  # empty stays empty (pad-grown layers can produce these)
-        anchor = min(max(lo * s - p, 0), in_len)
-        return anchor, anchor
-    lo2 = max(lo * s - p, 0)
-    hi2 = min((hi - 1) * s - p + k, in_len)
-    if hi2 <= lo2:  # the whole tile lands in the padding ring
-        lo2 = hi2 = min(lo2, in_len)
-    return lo2, hi2
+def _walk(layers: Sequence[ChainLayer], lo: np.ndarray, hi: np.ndarray, axis
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Back-propagate last-layer output intervals [lo, hi) along ``axis`` (0 rows,
+    1 columns; one for all or one per interval).
 
-
-def _axis_regions(layers: Sequence[ChainLayer], axis: int, lo: int, hi: int
-                  ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Per-layer (input, output) intervals along one axis for one output tile."""
+    Returns int64 (los, his) of shape (len(lo), len(layers) + 1): column l is
+    layer l's input interval, column l + 1 its output. Layer l's interval
+    depends only on layers l.., so one walk serves every group that ends at
+    the last layer. An interval that is empty or lands wholly in the padding
+    ring becomes empty at its clamped start.
+    """
     n = len(layers)
-    ins: list[tuple[int, int]] = [None] * n   # type: ignore[list-item]
-    outs: list[tuple[int, int]] = [None] * n  # type: ignore[list-item]
-    cur = (lo, hi)
-    for i in reversed(range(n)):
-        outs[i] = cur
-        k, s, p = _spatial_params(layers[i].node)
-        in_len = layers[i].in_shape.h if axis == 0 else layers[i].in_shape.w
-        cur = _back_interval(cur[0], cur[1], k, s, p, in_len)
-        ins[i] = cur
-    return ins, outs
+    in_lens = np.array([(l.in_shape.h, l.in_shape.w) for l in layers],
+                       dtype=np.int64)[:, axis]
+    walk = np.empty((2, len(lo), n + 1), dtype=np.int64)
+    walk[0, :, n], walk[1, :, n] = lo, hi
+    for li in reversed(range(n)):
+        k, s, p = _spatial_params(layers[li].node)
+        if (k, s, p) == (1, 1, 0):   # pointwise: same extent, same interval
+            walk[:, :, li] = walk[:, :, li + 1]
+            continue
+        a, b = walk[:, :, li + 1]
+        ends = walk[:, :, li]
+        np.clip(walk[:, :, li + 1] * s + [[-p], [k - s - p]], 0, in_lens[li], out=ends)
+        np.copyto(ends[1], ends[0], where=(b <= a) | (ends[1] <= ends[0]))
+    return walk[0], walk[1]
 
 
-def _merged_length(intervals: Sequence[tuple[int, int]]) -> int:
-    """Total length of the union of half-open intervals."""
-    total = 0
-    last_end = -1
-    for lo, hi in sorted(intervals):
-        lo = max(lo, last_end)
-        if hi > lo:
-            total += hi - lo
-            last_end = hi
-        else:
-            last_end = max(last_end, hi)
-    return total
+def _axis_tables(layers: Sequence[ChainLayer], h_extents: Sequence[int],
+                 w_extents: Sequence[int]) -> tuple[tuple, tuple]:
+    """Row and column tables of the last layer's output tiles, from one walk.
 
-
-def _axis_walks(layers: Sequence[ChainLayer], axis: int, step: int
-                ) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
-    """``_axis_regions`` of every tile of ``step`` along one axis of the group output."""
+    Each is (count, lens, sums, union) with, per extent e: ``count[e]``
+    tiles; per ``_walk`` column the total interval length ``sums[e]`` and
+    the union length ``union[e]``; ``lens[e]`` the rows of lengths that
+    differ from the previous tile (interior tiles repeat), zero padded to a
+    common row count (a zero row never raises a peak).
+    """
     last = layers[-1].out_shape
-    total = last.h if axis == 0 else last.w
-    return [_axis_regions(layers, axis, lo, hi)
-            for lo, hi in tile_intervals(total, step)]
+    n_h = len(h_extents)
+    step = np.array([*h_extents, *w_extents], dtype=np.int64)
+    total = np.where(np.arange(len(step)) < n_h, last.h, last.w)
+    count = -(-total // step)
+    starts = np.cumsum(count) - count
+    seg = np.repeat(np.arange(len(step)), count)
+    lo = (np.arange(len(seg)) - starts[seg]) * step[seg]
+    los, his = _walk(layers, lo, np.minimum(lo + step[seg], total[seg]),
+                     (seg >= n_h).astype(np.int64))
+    lens = his - los
+    # lo is non-decreasing in tile order, so a tile adds to the union what
+    # lies past the furthest end before it; the shift restarts that running
+    # maximum at each extent
+    shift = seg[:, None] * (int(his.max()) + 1)
+    before = np.zeros_like(his)
+    before[1:] = np.maximum.accumulate(his + shift, axis=0)[:-1] - shift[:-1]
+    before[starts] = 0
+    union = np.add.reduceat(np.maximum(his - np.maximum(los, before), 0), starts)
+    keep = np.ones(len(seg), dtype=bool)
+    keep[1:] = (lens[1:] != lens[:-1]).any(axis=1)
+    keep[starts] = True
+    rank = np.cumsum(keep) - 1
+    pos = (rank - rank[starts][seg])[keep]
+    distinct = np.zeros((len(step), int(pos.max()) + 1, lens.shape[1]), dtype=np.int64)
+    distinct[seg[keep], pos] = lens[keep]
+    table = (count, distinct, np.add.reduceat(lens, starts), union)
+    return tuple(a[:n_h] for a in table), tuple(a[n_h:] for a in table)
 
 
 def _tile_walks(layers: Sequence[ChainLayer], tile: TileShape) -> list[tuple]:
-    """(row walk, column walk) of every tile, row-major."""
-    return list(product(_axis_walks(layers, 0, tile.h_t),
-                        _axis_walks(layers, 1, tile.w_t)))
+    """Row-major (row, column) walks of every tile: [lo, hi] per ``_walk`` column."""
+    last = layers[-1].out_shape
+    rows, cols = tile_intervals(last.h, tile.h_t), tile_intervals(last.w, tile.w_t)
+    lo, hi = np.array(rows + cols, dtype=np.int64).T
+    walk = np.stack(_walk(layers, lo, hi, np.repeat([0, 1], [len(rows), len(cols)])),
+                    axis=-1).tolist()
+    return list(product(walk[:len(rows)], walk[len(rows):]))
 
 
 # ---------------------------------------------------------------------------
 # Group cost and feasibility
 # ---------------------------------------------------------------------------
 
-def _line_buffers(layers: Sequence[ChainLayer], eb: int) -> list[tuple[int, int]]:
-    """(layer index, bytes) of the halo line buffer of each k > 1 layer under CACHE."""
-    return [(li, (k - 1) * layer.in_shape.w * layer.in_shape.c * eb)
-            for li, layer in enumerate(layers)
-            if (k := _spatial_params(layer.node)[0]) > 1]
+POLICIES = (HaloPolicy.RECOMPUTE, HaloPolicy.CACHE)
+_INT64_SAFE = float(1 << 62)
 
 
-class _GroupCost:
-    """Costs every (tile, halo policy, weight residency) option of one group.
+def _line_buffer(layer: ChainLayer, eb: int) -> int:
+    """Bytes of the layer's halo line buffer under CACHE (none if k = 1)."""
+    return (_spatial_params(layer.node)[0] - 1) * layer.in_shape.w * layer.in_shape.c * eb
 
-    Row walks depend only on ``h_t`` and column walks only on ``w_t``, so each
-    is built once per tile extent, as (n_tiles, n_layers) arrays of per-layer
-    input and output interval lengths plus the first layer's input intervals.
+
+def _suffix(acc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``acc`` over x[i:] for every i, along axis 0."""
+    return acc.accumulate(x[::-1], axis=0)[::-1]
+
+
+class _GroupTable:
+    """Every (tile, halo policy, weight residency) option of every group ``layers[i:]``.
+
+    Tiles split the last layer's output into ``h_extents`` x ``w_extents``
+    (any extent >= 1). ``buf`` and ``ema`` (n, A, B, 2, 2) and ``extra``
+    (n, A, B, 2) are indexed by start i, extents (a, b), policy p in
+    ``POLICIES`` order and resident (r = 0) or streamed (r = 1) weights.
+    ``buf`` is the peak live bytes over every (tile, layer) pair of the fused
+    replay at the executor's exact clamped extents, plus resident weights and
+    (under CACHE) halo line buffers. Intermediate maps cost no EMA; under
+    RECOMPUTE each tile re-reads its input halo and overlapping intermediate
+    pixels are recomputed (``extra`` MACs), under CACHE each input byte is
+    read once; streamed weights are read once per tile.
     """
 
-    def __init__(self, layers: Sequence[ChainLayer], hw: HardwareConfig):
-        self.layers = layers
-        self.hw = hw
-        self.c_in = np.array([l.in_shape.c for l in layers], dtype=np.int64)
-        self.c_out = np.array([l.out_shape.c for l in layers], dtype=np.int64)
-        costs = [op_cost(l.node.op, l.in_shape) for l in layers]
-        self.w = np.array([w for w, _ in costs], dtype=np.int64)
-        # (pixels, MACs per pixel) per layer, as Python ints: the recompute
-        # MAC count can outgrow int64 where the live-element counts cannot
-        self.macs = [(l.out_shape.h * l.out_shape.w, ppm)
-                     for l, (_, ppm) in zip(layers, costs)]
-        self.line_buffers = sum(b for _, b in _line_buffers(layers, hw.element_bytes))
-        self.walks: tuple[dict, dict] = ({}, {})
+    def __init__(self, layers: Sequence[ChainLayer], hw: HardwareConfig,
+                 h_extents: Sequence[int], w_extents: Sequence[int]):
+        eb = hw.element_bytes
+        self.extents = (list(h_extents), list(w_extents))
+        (r_count, r_lens, r_sums, r_union), (c_count, c_lens, c_sums, c_union) = \
+            _axis_tables(layers, h_extents, w_extents)
+        c_in, c_out, w, ppm, full, lb = np.array(
+            [(l.in_shape.c, l.out_shape.c, *op_cost(l.node.op, l.in_shape),
+              l.out_shape.h * l.out_shape.w, _line_buffer(l, eb)) for l in layers],
+            dtype=np.int64).T
+        last = layers[-1].out_shape
+        out_bytes = last.h * last.w * last.c * eb
+        # every entry below, and every partial sum of one, is at most this
+        bound = (float(r_sums.max()) * float(c_sums.max()) * eb
+                 * float((c_in + c_out).max() + ppm.sum()) + float(lb.sum()) + out_bytes
+                 + float(w.sum()) * eb * float(r_count.max() * c_count.max()))
+        if bound >= _INT64_SAFE:
+            raise ShapeError(layers[-1].node.id,
+                             f"fusion cost table exceeds int64 (bound {bound:.3g})")
 
-    def _walk(self, axis: int, step: int):
-        if step not in self.walks[axis]:
-            walks = _axis_walks(self.layers, axis, step)
-            ins = np.array([[hi - lo for lo, hi in w_in] for w_in, _ in walks],
-                           dtype=np.int64)
-            outs = np.array([[hi - lo for lo, hi in w_out] for _, w_out in walks],
-                            dtype=np.int64)
-            self.walks[axis][step] = ins, outs, [w_in[0] for w_in, _ in walks]
-        return self.walks[axis][step]
+        def outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            return rows.T[:, :, None] * cols.T[:, None, :]   # (n, A, B)
 
-    def options(self, tile: TileShape
-                ) -> dict[tuple[HaloPolicy, bool], tuple[int, int, int]]:
-        """(policy, resident) -> (buffer_bytes, ema_bytes, extra_macs).
+        # peak live elements of each layer over every tile pair
+        r, c = r_lens[:, :, None, None], c_lens[None, None]
+        live = r[..., :-1] * c[..., :-1] * c_in + r[..., 1:] * c[..., 1:] * c_out
+        peak = np.moveaxis(live.max(axis=(1, 3)), -1, 0)
+        w_suffix = _suffix(np.add, w)[:, None, None] * eb
+        self.buf = np.empty(peak.shape + (2, 2), dtype=np.int64)
+        self.buf[..., 0, 0] = _suffix(np.maximum, peak) * eb + w_suffix
+        self.buf[..., 0, 1] = _suffix(np.maximum, peak + w[:, None, None]) * eb
+        self.buf[..., 1, :] = self.buf[..., 0, :] + _suffix(np.add, lb)[:, None, None, None]
+        input_bytes = np.stack([outer(r_sums[:, :-1], c_sums[:, :-1]),
+                                outer(r_union[:, :-1], c_union[:, :-1])],
+                               axis=-1) * (c_in * eb)[:, None, None, None]
+        self.ema = np.empty_like(self.buf)
+        self.ema[..., 0] = input_bytes + out_bytes + w_suffix[..., None]
+        self.ema[..., 1] = (input_bytes + out_bytes
+                            + (w_suffix * r_count[:, None] * c_count)[..., None])
+        self.extra = np.zeros(peak.shape + (2,), dtype=np.int64)
+        self.extra[..., 0] = _suffix(np.add, (outer(r_sums[:, 1:], c_sums[:, 1:])
+                                              - full[:, None, None]) * ppm[:, None, None])
 
-        Options come in search order: RECOMPUTE before CACHE, resident
-        weights before streamed.
+    def choice(self, i: int, a: int, b: int, p: int, r: int) -> GroupChoice:
+        tile = TileShape(int(self.extents[0][a]), int(self.extents[1][b]))
+        return GroupChoice(tile, POLICIES[p], r == 0, int(self.ema[i, a, b, p, r]),
+                           int(self.extra[i, a, b, p]), int(self.buf[i, a, b, p, r]))
 
-        The buffer is the peak live bytes over every (tile, layer) pair of the
-        fused replay, plus resident weights and (under CACHE) per-layer halo
-        line buffers. Intermediate maps contribute zero EMA; under RECOMPUTE
-        the first layer's input halo is re-read per tile and overlapping
-        intermediate pixels are recomputed, under CACHE each needed input
-        byte is read once and no pixel is computed twice.
+    def best(self, capacity: int) -> list[GroupChoice | None]:
+        """Minimum-EMA option that fits ``capacity`` per start i, or None.
+
+        Ties prefer larger tiles, fewer extra MACs, a smaller buffer, then
+        RECOMPUTE; exact ties go to the first option in index order.
         """
-        eb = self.hw.element_bytes
-        row_in, row_out, row_first = self._walk(0, tile.h_t)
-        col_in, col_out, col_first = self._walk(1, tile.w_t)
-        live = (row_in[:, None] * col_in[None] * self.c_in
-                + row_out[:, None] * col_out[None] * self.c_out)
-        peak = {True: int(live.max()) * eb, False: int((live + self.w).max()) * eb}
-        input_elems = {
-            HaloPolicy.RECOMPUTE: int(row_in[:, 0].sum()) * int(col_in[:, 0].sum()),
-            HaloPolicy.CACHE: _merged_length(row_first) * _merged_length(col_first)}
-        extra_macs = {
-            HaloPolicy.RECOMPUTE: sum(
-                (int(sr) * int(sc) - full) * ppm for sr, sc, (full, ppm)
-                in zip(row_out.sum(0), col_out.sum(0), self.macs)),
-            HaloPolicy.CACHE: 0}
-        last = self.layers[-1].out_shape
-        output_bytes = last.h * last.w * last.c * eb
-        w_bytes = int(self.w.sum()) * eb
-        n_tiles = len(row_first) * len(col_first)
-        options = {}
-        for policy in (HaloPolicy.RECOMPUTE, HaloPolicy.CACHE):
-            line_buffers = self.line_buffers if policy is HaloPolicy.CACHE else 0
-            input_bytes = input_elems[policy] * int(self.c_in[0]) * eb
-            for resident in (True, False):
-                buf = peak[resident] + (w_bytes if resident else 0) + line_buffers
-                ema = input_bytes + output_bytes + w_bytes * (1 if resident else n_tiles)
-                options[policy, resident] = buf, ema, extra_macs[policy]
-        return options
+        shape = self.buf.shape
+        h, w = (np.array(e, dtype=np.int64) for e in self.extents)
+        keys = (self.ema, -(h[:, None] * w)[:, :, None, None], self.extra[..., None],
+                self.buf, np.arange(2)[:, None])
+        fits = self.buf <= capacity
+        cand = fits
+        for key in keys:
+            key = np.broadcast_to(key, shape)
+            low = np.where(cand, key, np.iinfo(np.int64).max).min(
+                axis=(1, 2, 3, 4), keepdims=True)
+            cand = cand & (key == low)
+        first = cand.reshape(shape[0], -1).argmax(axis=1)
+        return [self.choice(i, *map(int, np.unravel_index(f, shape[1:])))
+                if fits[i].any() else None for i, f in enumerate(first)]
+
+
+def _candidate_table(layers: Sequence[ChainLayer], hw: HardwareConfig) -> _GroupTable:
+    """The table over every tile whose extents divide the last layer's output."""
+    last = layers[-1].out_shape
+    return _GroupTable(layers, hw, divisors(last.h), divisors(last.w))
+
+
+def _option(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
+            weights_resident: bool, hw: HardwareConfig) -> GroupChoice:
+    return _GroupTable(layers, hw, [tile.h_t], [tile.w_t]).choice(
+        0, 0, 0, POLICIES.index(policy), 0 if weights_resident else 1)
 
 
 def group_ema(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
               weights_resident: bool, hw: HardwareConfig) -> tuple[int, int]:
-    """(ema_bytes, extra_macs) for one fusion group (see ``_GroupCost.options``)."""
-    _, ema, extra = _GroupCost(layers, hw).options(tile)[policy, weights_resident]
-    return ema, extra
+    """(ema_bytes, extra_macs) for one fusion group (see ``_GroupTable``)."""
+    choice = _option(layers, tile, policy, weights_resident, hw)
+    return choice.ema, choice.extra_macs
 
 
 def group_buffer_bytes(layers: Sequence[ChainLayer], tile: TileShape,
@@ -262,9 +316,9 @@ def group_buffer_bytes(layers: Sequence[ChainLayer], tile: TileShape,
     """Peak live scratchpad bytes of the fused replay; raises over capacity.
 
     The peak uses the exact clamped extents the executor allocates (see
-    ``_GroupCost.options``).
+    ``_GroupTable``).
     """
-    req, _, _ = _GroupCost(layers, hw).options(tile)[policy, weights_resident]
+    req = _option(layers, tile, policy, weights_resident, hw).buffer_bytes
     if req > hw.scratchpad_bytes:
         raise CapacityError(req, hw.scratchpad_bytes, what="fusion group")
     return req
@@ -288,35 +342,16 @@ def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
                       ) -> GroupChoice | None:
     """Minimum-EMA (tile, policy, residency) for one group, or None if infeasible.
 
-    Ties prefer larger tiles, then fewer extra MACs, then the smaller buffer.
+    Tiles are the divisor extents of the group's output; ties as in
+    ``_GroupTable.best``.
     """
-    cost = _GroupCost(layers, hw)
-    best: tuple | None = None
-    choice: GroupChoice | None = None
-    for tile in _tile_candidates(layers):
-        for (policy, resident), (buf, ema, extra) in cost.options(tile).items():
-            if buf > hw.scratchpad_bytes:
-                continue
-            key = (ema, -tile.area, extra, buf,
-                   0 if policy is HaloPolicy.RECOMPUTE else 1)
-            if best is None or key < best:
-                best = key
-                choice = GroupChoice(tile, policy, resident, ema, extra, buf)
-    return choice
-
-
-def _tile_candidates(layers: Sequence[ChainLayer]) -> list[TileShape]:
-    last = layers[-1].out_shape
-    return [TileShape(h_t, w_t) for h_t in divisors(last.h)
-            for w_t in divisors(last.w)]
+    return _candidate_table(layers, hw).best(hw.scratchpad_bytes)[0]
 
 
 def _singleton_infeasible(layer: ChainLayer, hw: HardwareConfig
                           ) -> NoFeasiblePlanError:
     """The error for a layer that fits no tile alone, with its smallest shortfall."""
-    cost = _GroupCost([layer], hw)
-    need = min(buf for tile in _tile_candidates([layer])
-               for buf, _, _ in cost.options(tile).values())
+    need = int(_candidate_table([layer], hw).buf.min())
     return NoFeasiblePlanError(
         f"layer {layer.node.id} cannot fit the scratchpad even as a singleton "
         f"group: its smallest candidate needs {need} B of {hw.scratchpad_bytes} B "
@@ -329,12 +364,12 @@ def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape,
 
     Raises ``CapacityError`` with the streamed requirement if neither fits.
     """
-    options = _GroupCost(layers, hw).options(tile)
-    for resident in (True, False):
-        buf, ema, extra = options[policy, resident]
-        if buf <= hw.scratchpad_bytes:
-            return GroupChoice(tile, policy, resident, ema, extra, buf)
-    raise CapacityError(buf, hw.scratchpad_bytes, what="fusion group")
+    table = _GroupTable(layers, hw, [tile.h_t], [tile.w_t])
+    for r in (0, 1):
+        choice = table.choice(0, 0, 0, POLICIES.index(policy), r)
+        if choice.buffer_bytes <= hw.scratchpad_bytes:
+            return choice
+    raise CapacityError(choice.buffer_bytes, hw.scratchpad_bytes, what="fusion group")
 
 
 def plan_from_choices(spans: Sequence[tuple[int, int, GroupChoice]]) -> FusionPlan:
@@ -350,25 +385,19 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
     """Minimum-EMA partition of a linear chain into fusion groups.
 
     DP over split points: best[j] = min over i of best[i-1] + cost(i..j),
-    where cost enumerates tile candidates (divisors of the group's output
-    dims) and both halo policies. Ties break toward fewer groups.
+    where cost(i..j) is the best option over divisor tiles of layer j's
+    output and both halo policies. One ``_GroupTable`` per end layer j costs
+    every start i at once. Ties break toward fewer groups.
     """
     n = len(chain)
     if n == 0:
         return plan_from_choices([])
-    memo: dict[tuple[int, int], GroupChoice | None] = {}
-
-    def cost(i: int, j: int) -> GroupChoice | None:
-        if (i, j) not in memo:
-            memo[(i, j)] = best_group_choice(chain[i:j + 1], hw)
-        return memo[(i, j)]
-
     # best[j] = (ema, n_groups) for chain[0..j]
     best: list[tuple[int, int] | None] = [None] * n
     back: list[tuple[int, GroupChoice] | None] = [None] * n
     for j in range(n):
-        for i in range(j + 1):
-            c = cost(i, j)
+        choices = _candidate_table(chain[:j + 1], hw).best(hw.scratchpad_bytes)
+        for i, c in enumerate(choices):
             if c is None:
                 continue
             prev = (0, 0) if i == 0 else best[i - 1]
@@ -379,8 +408,8 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
                 best[j] = cand
                 back[j] = (i, c)
     if best[n - 1] is None:
-        first = next(i for i in range(n) if cost(i, i) is None)
-        raise _singleton_infeasible(chain[first], hw)
+        first = next(l for l in chain if best_group_choice([l], hw) is None)
+        raise _singleton_infeasible(first, hw)
 
     spans: list[tuple[int, int, GroupChoice]] = []
     j = n - 1
@@ -422,7 +451,8 @@ def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
     """
     eb = hw.element_bytes
     w = [op_cost(l.node.op, l.in_shape)[0] * eb for l in layers]
-    line_buffers = _line_buffers(layers, eb) if policy is HaloPolicy.CACHE else []
+    line_buffers = [(li, nbytes) for li, l in enumerate(layers)
+                    if (nbytes := _line_buffer(l, eb)) and policy is HaloPolicy.CACHE]
     c_in0 = layers[0].in_shape.c
     covered = np.zeros((layers[0].in_shape.h, layers[0].in_shape.w), dtype=bool)
     resident_w = sum(w) if weights_resident else 0
@@ -430,8 +460,8 @@ def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
     if resident_w:
         txns += [Txn("alloc", "gW", resident_w), Txn("load", "gW", resident_w)]
     txns += [Txn("alloc", f"gLB{li}", nbytes) for li, nbytes in line_buffers]
-    for t, ((r_ins, r_outs), (c_ins, c_outs)) in enumerate(_tile_walks(layers, tile)):
-        (ir0, ir1), (ic0, ic1) = r_ins[0], c_ins[0]
+    for t, (rows, cols) in enumerate(_tile_walks(layers, tile)):
+        (ir0, ir1), (ic0, ic1) = rows[0], cols[0]
         prev, prev_bytes = "tin", (ir1 - ir0) * (ic1 - ic0) * c_in0 * eb
         if policy is HaloPolicy.RECOMPUTE:
             load = prev_bytes
@@ -441,7 +471,7 @@ def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
             region[...] = True
         txns += [Txn("alloc", "tin", prev_bytes), Txn("load", "tin", load)]
         for li, layer in enumerate(layers):
-            (or0, or1), (oc0, oc1) = r_outs[li], c_outs[li]
+            (or0, or1), (oc0, oc1) = rows[li + 1], cols[li + 1]
             name = f"tb{li}"
             out_bytes = (or1 - or0) * (oc1 - oc0) * layer.out_shape.c * eb
             streamed = 0 if weights_resident else w[li]
@@ -493,17 +523,14 @@ def _group_compute(layers: Sequence[ChainLayer], walks: list[tuple],
         if txn.what != "layer":
             return
         li = txn.block
-        (r_ins, r_outs), (c_ins, c_outs) = walks[txn.tile]
+        rows, cols = walks[txn.tile]
         if li == 0:
-            (ir0, ir1), (ic0, ic1) = r_ins[0], c_ins[0]
-            cur = x[:, ir0:ir1, ic0:ic1]
-            origin = (ir0, ic0)
-        else:
-            origin = (r_outs[li - 1][0], c_outs[li - 1][0])
-        cur = _layer_tile_forward(layers[li], cur, origin, r_outs[li], c_outs[li],
+            cur = x[:, slice(*rows[0]), slice(*cols[0])]
+        origin = (rows[li][0], cols[li][0])
+        cur = _layer_tile_forward(layers[li], cur, origin, rows[li + 1], cols[li + 1],
                                   params[layers[li].node.id])
         if li == len(layers) - 1:
-            out[:, slice(*r_outs[li]), slice(*c_outs[li])] = cur
+            out[:, slice(*rows[li + 1]), slice(*cols[li + 1])] = cur
 
     return compute
 

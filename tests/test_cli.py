@@ -360,3 +360,58 @@ def test_bad_number_exits_1_naming_field(argv, field, capsys):
     assert field in err
     assert out == ""
     assert "Traceback" not in err
+
+
+def test_infeasible_sweep_row_names_layer(capsys):
+    # the first row is infeasible; the second row's bad threshold is never
+    # reached, so the exit is 2 (not 1) and stderr names the layer
+    config = Path(__file__).parent.parent / "configs" / "pruning_sweep.json"
+    code, out, err = run_cli(["sweep", "--config", str(config),
+                              "--hw.scratchpad_bytes=1024", "--axis",
+                              "theta_attn", "--values=0.01,-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "s0_down" in err
+
+
+@pytest.mark.parametrize("axis, value", [("scratchpad_bytes", "65536.7"),
+                                         ("t_q", "2.5"), ("t_q", "0")])
+def test_sweep_rejects_fractional_integer_axis(axis, value, capsys):
+    code, out, err = run_cli(["sweep", "--model", "segformer-micro", "--axis",
+                              axis, "--values", value], capsys)
+    assert code == 1
+    assert axis in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tile", [[0, 4], [-2, 4], [4, 0]])
+def test_fixed_fusion_tile_extent_below_one_rejected(tile, tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": "toy-chain",
+        "schedule": {"fusion": {"0": [
+            {"start": 0, "end": 3, "tile": tile, "policy": "recompute"},
+        ]}},
+    })
+    code, out, err = run_cli(["run", "--config", cfg], capsys)
+    assert code == 1
+    assert "schedule.fusion group" in err and "tile extents" in err
+    assert out == ""
+
+
+def test_pruning_analyzes_attention_on_network_input(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "model": {"graph": {
+            "input_shape": [1, 8, 4, 4],
+            "nodes": [
+                {"id": "attn", "kind": "attention", "heads": 2, "d_head": 4},
+                {"id": "fc", "kind": "linear", "c_in": 8, "c_out": 8,
+                 "preds": ["attn"]},
+            ],
+        }},
+        "schedule": {"pruning": {"theta_attn": 0.5, "theta_act": 0.0}},
+    })
+    code, out, _ = run_cli(["run", "--config", cfg], capsys)
+    assert code == 0
+    rows = json.loads(out)["pruning"]
+    assert [(r["node"], r["point"]) for r in rows] == [("attn", "attention")]
+    assert rows[0]["skipped_macs"] > 0

@@ -7,8 +7,9 @@ scratchpad sizes (at the smallest, ``compare`` is infeasible, exit 2, on three
 presets), plus ``run`` on a SegFormer-B0-shaped 224x224 graph
 (``golden/b0-224.json``). Further cases cover both README sweeps, two
 ``t_q`` sweeps (one exits 1, one runs), pruning runs in JSON and CSV,
-``element_bytes=2`` and a fixed fusion plan (``golden/fixed-fusion.json``:
-cache and streamed-weight groups beside singleton chains).
+``element_bytes=2``, a fixed fusion plan (``golden/fixed-fusion.json``:
+cache and streamed-weight groups beside singleton chains), a ``theta_act``
+sweep in JSON and CSV, and a threshold sweep whose first row is infeasible.
 
 To rewrite the goldens after a deliberate, documented change of output::
 
@@ -66,6 +67,17 @@ def golden_cases() -> list[dict]:
          "argv": ["run", "--model", "pvtv2-micro", "--hw.element_bytes=2"]},
         {"name": "run-fixed-fusion",
          "argv": ["run", "--config", str(GOLDEN / "fixed-fusion.json")]},
+        {"name": "sweep-pruning-theta-act",
+         "argv": ["sweep", "--config", PRUNING, "--axis", "theta_act",
+                  "--values", "0,0.001,0.01"]},
+        {"name": "sweep-pruning-theta-act-csv",
+         "argv": ["sweep", "--config", PRUNING, "--axis", "theta_act",
+                  "--values", "0,0.001,0.01", "--format", "csv"]},
+        # the first row is infeasible (exit 2) before the second row's bad
+        # threshold is ever parsed (that alone would exit 1)
+        {"name": "sweep-pruning-theta-attn-infeasible",
+         "argv": ["sweep", "--config", PRUNING, "--hw.scratchpad_bytes=1024",
+                  "--axis", "theta_attn", "--values=0.01,-1"]},
     ]
     return cases
 

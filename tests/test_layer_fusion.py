@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import convformer_sim as cs
 from convformer_sim.errors import (AttentionInSliceError, CapacityError,
-                                   NoFeasiblePlanError)
+                                   NoFeasiblePlanError, ShapeError)
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
                                          GroupChoice, HaloPolicy, TileShape,
@@ -12,8 +14,8 @@ from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
                                          group_ema, partition_chain,
                                          singleton_plan, split_into_segments)
 from convformer_sim.hwmodel import replay
-from convformer_sim.layer_fusion import (_GroupCost, _axis_regions,
-                                         _tile_candidates, schedule_group)
+from convformer_sim.layer_fusion import (_candidate_table, _walk,
+                                         schedule_group)
 from convformer_sim.workload import (Add, Attention, Conv2D, Downsample, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, infer_shapes, init_params,
@@ -113,8 +115,8 @@ def per_pixel_oracle(layers, tile, policy, resident, hw):
 
 def in_lengths(graph, lo, hi, axis=0):
     """Per-layer input extents along one axis for the output tile [lo, hi)."""
-    ins, _ = _axis_regions(chain_of(graph), axis, lo, hi)
-    return [b - a for a, b in ins]
+    los, his = _walk(chain_of(graph), np.array([lo]), np.array([hi]), axis)
+    return (his - los)[0, :-1].tolist()
 
 
 class TestHaloExtent:
@@ -545,9 +547,10 @@ class TestSegments:
 def test_schedule_group_replay_matches_closed_form(preset, hw):
     """Closed form against the one interpreter, with no numerics.
 
-    Every contiguous sub-chain of every chain, every tile candidate and all
-    four (policy, residency) options: the replayed schedule's EMA and
-    high-water mark equal ``_GroupCost.options`` byte for byte.
+    Every contiguous sub-chain ``chain[i..j]`` of every chain, every tile
+    candidate and all four (policy, residency) options: the replayed
+    schedule's EMA and high-water mark equal entry i of the cost table the
+    partitioner builds for end layer j, byte for byte.
     """
     g = cs.build_preset(preset)
     cases = 0
@@ -555,15 +558,92 @@ def test_schedule_group_replay_matches_closed_form(preset, hw):
         if kind != "chain":
             continue
         chain = chain_from_nodes(g, [n.id for n in nodes])
-        for i in range(len(chain)):
-            for j in range(i, len(chain)):
-                layers = chain[i:j + 1]
-                cost = _GroupCost(layers, hw)
-                for tile in _tile_candidates(layers):
-                    for (policy, resident), (buf, ema, _) in cost.options(tile).items():
-                        sim = ScratchpadSim(1 << 40)
-                        replay(schedule_group(layers, tile, policy, resident, hw), sim)
-                        assert (sim.ema_bytes, sim.high_water) == (ema, buf), \
-                            (preset, i, j, tile, policy, resident)
-                        cases += 1
+        for j in range(len(chain)):
+            table = _candidate_table(chain[:j + 1], hw)
+            for index in np.ndindex(table.buf.shape):
+                i = index[0]
+                c = table.choice(*index)
+                sim = ScratchpadSim(1 << 40)
+                replay(schedule_group(chain[i:j + 1], c.tile, c.policy,
+                                      c.weights_resident, hw), sim)
+                assert (sim.ema_bytes, sim.high_water) == (c.ema, c.buffer_bytes), \
+                    (preset, i, j, c)
+                cases += 1
     assert cases > 100
+
+
+# ---------------------------------------------------------------------------
+# Property test: the cost table against the brute-force oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def chains_and_tiles(draw):
+    """A chain of 1-4 layers on a 1-12 px map, a tile of any extent >= 1
+    (non-divisors and extents past the map included) and a hardware config."""
+    c0 = c = draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    ops = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["conv", "conv", "down", "linear", "ln", "gelu"]))
+        if kind == "conv":
+            k = draw(st.integers(1, 5))
+            groups = draw(st.sampled_from([g for g in (1, 2, 3) if c % g == 0]))
+            c_out = groups * draw(st.integers(1, 2))
+            ops.append(Conv2D(c, c_out, k, draw(st.integers(1, 3)),
+                              draw(st.integers(0, k)), groups=groups))
+            c = c_out
+        elif kind == "down":
+            ops.append(Downsample(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+        elif kind == "linear":
+            c_out = draw(st.integers(1, 3))
+            ops.append(Linear(c, c_out))
+            c = c_out
+        else:
+            ops.append(LayerNorm() if kind == "ln" else GELU())
+    try:
+        layers = chain_of(make_chain_graph(ops, TensorShape(1, c0, h, w)))
+    except ShapeError:   # a layer's output map would be empty
+        assume(False)
+    last = layers[-1].out_shape
+    tile = TileShape(draw(st.integers(1, last.h + 3)), draw(st.integers(1, last.w + 3)))
+    hw = HardwareConfig(scratchpad_bytes=draw(st.integers(64, 4096)),
+                        element_bytes=draw(st.sampled_from([1, 2])))
+    return layers, tile, hw
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chains_and_tiles())
+def test_cost_table_matches_brute_force_oracles(case):
+    """At any tile, EMA and extra MACs equal the per-pixel oracle and the
+    buffer equals the replayed high-water; over divisor tiles, the best
+    option of every group start the partitioner sees equals exhaustive
+    enumeration through the public per-candidate functions."""
+    layers, tile, hw = case
+    roomy = HardwareConfig(scratchpad_bytes=1 << 40, element_bytes=hw.element_bytes)
+    # a layer whose stride exceeds its kernel skips input rows between its
+    # windows; the model (and the executor) load and compute the whole span,
+    # gaps included, so there it may only exceed the oracle
+    skips = any(s > k for k, s, _ in (_kspad(l.node.op) for l in layers))
+    for policy in (RECOMPUTE, CACHE):
+        for resident in (True, False):
+            got = group_ema(layers, tile, policy, resident, hw)
+            want = per_pixel_oracle(layers, tile, policy, resident, hw)
+            if skips:
+                assert got[0] >= want[0] and got[1] >= want[1]
+            else:
+                assert got == want
+            sim = ScratchpadSim(roomy.scratchpad_bytes)
+            replay(schedule_group(layers, tile, policy, resident, hw), sim)
+            assert group_buffer_bytes(layers, tile, policy, resident, roomy) \
+                == sim.high_water
+    assert best_group_choice(layers, hw) == exhaustive_choice(layers, hw)
+    per_start = _candidate_table(layers, hw).best(hw.scratchpad_bytes)
+    assert per_start == [exhaustive_choice(layers[i:], hw) for i in range(len(layers))]
+
+
+def test_cost_table_refuses_to_wrap_int64(hw):
+    # 1x1 tiles of a 5x5 conv with 2^24 channels recompute ~1e21 MACs
+    g = make_chain_graph([Conv2D(1 << 24, 1 << 24, 5, 1, 2)],
+                         TensorShape(1, 1 << 24, 64, 64))
+    with pytest.raises(ShapeError, match="int64"):
+        group_ema(chain_of(g), TileShape(1, 1), RECOMPUTE, True, hw)
