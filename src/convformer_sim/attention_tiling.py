@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapacityError, NoFeasibleTilingError, ShapeError
-from .hwmodel import HardwareConfig, ScratchpadSim, Txn, replay
+from .hwmodel import HardwareConfig, ScratchpadSim, Txn, parse_number, replay
 from .workload import AttentionDims, divisors, softmax_rows, tile_intervals
 
 
@@ -46,8 +46,9 @@ class AttentionTiling:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttentionTiling":
-        return cls(int(d["t_q"]), int(d["t_k"]), ResidencyMode(d["mode"]),
-                   int(d.get("element_bytes", 1)))
+        t_q, t_k = (parse_number(f"schedule.attention.{k}", d[k], integer=True)
+                    for k in ("t_q", "t_k"))
+        return cls(t_q, t_k, ResidencyMode(d["mode"]), int(d.get("element_bytes", 1)))
 
 
 def _validate(dims: AttentionDims, tiling: AttentionTiling):

@@ -27,7 +27,7 @@ from . import pipeline
 from .errors import (CapacityError, ConfigError, NoFeasiblePlanError,
                      NoFeasibleTilingError, NotFoundError, SelfCheckError,
                      ShapeError, SimError)
-from .hwmodel import CostReport, HardwareConfig, parse_number
+from .hwmodel import CostReport, HardwareConfig, check_keys, parse_number
 from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
                        attention_dims, attention_operands, build_preset,
                        graph_from_dict, init_params, reference_execute,
@@ -83,10 +83,13 @@ def load_config(path: str | None, args: argparse.Namespace,
                               f"(line {e.lineno}, column {e.colno}): {e.msg}")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+    check_keys("config", raw, ("model", "hardware", "schedule", "seed", "tolerance"))
 
     model = raw.get("model", "toy-chain")
-    if isinstance(model, dict) and "preset" in model and "graph" in model:
-        raise ConfigError("model: give exactly one of preset or graph")
+    if isinstance(model, dict):
+        check_keys("model", model, ("preset", "graph"))
+        if "preset" in model and "graph" in model:
+            raise ConfigError("model: give exactly one of preset or graph")
     if getattr(args, "model", None):
         model = args.model
 
@@ -97,8 +100,10 @@ def load_config(path: str | None, args: argparse.Namespace,
     sched = raw.get("schedule", {})
     if not isinstance(sched, dict):
         raise ConfigError("schedule must be an object")
+    check_keys("schedule", sched, ("attention", "fusion", "pruning"))
     attention = sched.get("attention", "auto")
     if isinstance(attention, dict):
+        check_keys("schedule.attention", attention, ("t_q", "t_k", "mode"))
         try:
             attention = at.AttentionTiling.from_dict(
                 dict(attention, element_bytes=hardware.element_bytes))
@@ -108,22 +113,23 @@ def load_config(path: str | None, args: argparse.Namespace,
         raise ConfigError(f"schedule.attention must be auto, baseline, or a "
                           f"tiling object, got {attention!r}")
     fusion = sched.get("fusion", "auto")
-    if isinstance(fusion, list):
-        raise ConfigError("schedule.fusion: fixed plans are given as "
-                          '{"<chain index>": [groups...]}')
-    if not (fusion in ("auto", "singleton") or isinstance(fusion, dict)):
-        raise ConfigError(f"schedule.fusion must be auto, singleton, or a "
-                          f"chain map, got {fusion!r}")
+    if not (fusion in ("auto", "singleton") or isinstance(fusion, dict) and all(
+            isinstance(groups, list) for groups in fusion.values())):
+        raise ConfigError("schedule.fusion must be auto, singleton, or a map of chain "
+                          f'index to group lists ({{"0": [...]}}), got {fusion!r}')
 
     pruning_raw = sched.get("pruning", "off")
     pruning: fp.PruneConfig | None
     if pruning_raw == "off" or pruning_raw is None:
         pruning = None
     elif isinstance(pruning_raw, dict):
+        check_keys("schedule.pruning", pruning_raw, fp.PruneConfig.__dataclass_fields__)
+        thetas = {k: parse_number(f"schedule.pruning.{k}", pruning_raw.get(k, v),
+                                  integer=False)
+                  for k, v in (("theta_attn", 0.01), ("theta_act", 0.001))}
         try:
             pruning = fp.PruneConfig(
-                theta_attn=float(pruning_raw.get("theta_attn", 0.01)),
-                theta_act=float(pruning_raw.get("theta_act", 0.001)),
+                **thetas,
                 granularity=fp.Granularity(pruning_raw.get("granularity", "element")),
                 cascade_enabled=bool(pruning_raw.get("cascade_enabled", True)),
             )
@@ -283,7 +289,8 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> list[di
         elif axis in ("theta_attn", "theta_act"):
             # the un-swept threshold stays off unless the config enables it
             base = cfg.pruning or fp.PruneConfig(theta_attn=0.0, theta_act=0.0)
-            sub = replace(cfg, pruning=replace(base, **{axis: float(value)}))
+            sub = replace(cfg, pruning=replace(base, **{
+                axis: parse_number(axis, value, integer=False)}))
         elif axis == "t_q":
             sub = replace(cfg, attention=_fixed_tq_tiling(
                 cfg, parse_number(axis, value, integer=True)))

@@ -9,7 +9,6 @@ from the CLI config; every report embeds the config it was produced with.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Callable
@@ -32,6 +31,13 @@ def parse_number(name: str, value, integer: bool) -> int | float:
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {number}")
     return number
+
+
+def check_keys(where: str, d: dict, known) -> None:
+    """ConfigError naming every key of config object ``d`` that is not ``known``."""
+    bad = sorted(set(d) - set(known))
+    if bad:
+        raise ConfigError(f"unknown {where} field(s): {bad}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +65,7 @@ class HardwareConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardwareConfig":
-        bad = set(d) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ConfigError(f"unknown hardware field(s): {sorted(bad)}")
+        check_keys("hardware", d, cls.__dataclass_fields__)
         return cls(**{k: parse_number(f"hardware.{k}", v, not k.startswith("e_"))
                       for k, v in d.items()})
 
@@ -85,7 +89,6 @@ class ScratchpadSim:
         self.sram_accesses = 0
         self.high_water = 0
         self.loads_by_region: dict[str, int] = {}
-        self.trace: list[tuple[str, str, int]] = []
 
     @property
     def live_bytes(self) -> int:
@@ -105,7 +108,6 @@ class ScratchpadSim:
             raise CapacityError(needed, self.capacity, what=f"alloc {name!r}")
         self.regions[name] = nbytes
         self.high_water = max(self.high_water, needed)
-        self.trace.append(("alloc", name, nbytes))
         return name
 
     def _check(self, name: str, nbytes: int):
@@ -122,13 +124,11 @@ class ScratchpadSim:
         self.dram_reads += nbytes
         self.sram_accesses += nbytes
         self.loads_by_region[name] = self.loads_by_region.get(name, 0) + nbytes
-        self.trace.append(("load", name, nbytes))
 
     def store(self, name: str, nbytes: int):
         self._check(name, nbytes)
         self.dram_writes += nbytes
         self.sram_accesses += nbytes
-        self.trace.append(("store", name, nbytes))
 
     def touch(self, name: str, nbytes: int):
         if name not in self.regions:
@@ -136,13 +136,11 @@ class ScratchpadSim:
         if nbytes < 0:
             raise ValueError("byte count must be >= 0")
         self.sram_accesses += nbytes
-        self.trace.append(("touch", name, nbytes))
 
     def free(self, name: str):
         if name not in self.regions:
             raise UseAfterFreeError(f"region {name!r} is not live")
         del self.regions[name]
-        self.trace.append(("free", name, 0))
 
 
 @dataclass(frozen=True)
@@ -207,12 +205,6 @@ class CostReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    def csv_row(self) -> list:
-        return [getattr(self, f) for f in self.CSV_FIELDS]
 
 
 def price(macs: int, ema_bytes: int, sram_accesses: int,

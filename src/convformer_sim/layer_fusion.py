@@ -16,7 +16,7 @@ stitched between chains at DRAM granularity by the pipeline module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
 from typing import Sequence
@@ -26,10 +26,10 @@ import numpy as np
 from .errors import (AttentionInSliceError, CapacityError, NoFeasiblePlanError,
                      ShapeError)
 from .hwmodel import HardwareConfig, ScratchpadSim, Txn, replay
-from .workload import (Attention, Conv2D, Downsample, GELU, LayerNode,
-                       LayerNorm, Linear, NetworkGraph, TensorShape,
-                       conv2d_region, divisors, gelu, layernorm, linear_tokens,
-                       op_cost, tile_intervals)
+from .workload import (Attention, Conv2D, GELU, LayerNode, LayerNorm, Linear,
+                       NetworkGraph, TensorShape, divisors, layer_forward, op_cost,
+                       tile_intervals, window)
+from .workload import conv2d_region  # noqa: F401  (perfbench/tracer.py wraps this alias)
 
 
 class HaloPolicy(str, Enum):
@@ -46,10 +46,6 @@ class TileShape:
         if min(self.h_t, self.w_t) < 1:
             raise ValueError(f"tile extents must be >= 1, got {self.h_t}x{self.w_t}")
 
-    @property
-    def area(self) -> int:
-        return self.h_t * self.w_t
-
 
 @dataclass(frozen=True)
 class ChainLayer:
@@ -60,54 +56,51 @@ class ChainLayer:
 
 @dataclass(frozen=True)
 class FusionGroup:
+    """One group of a chain and its cost (see ``_GroupTable``)."""
     start: int            # first layer index in the chain, inclusive
     end: int              # last layer index, inclusive
     tile: TileShape
     policy: HaloPolicy
     weights_resident: bool
+    ema: int
+    extra_macs: int
+    buffer_bytes: int
 
     def to_dict(self) -> dict:
         return {"start": self.start, "end": self.end,
                 "tile": [self.tile.h_t, self.tile.w_t],
                 "policy": self.policy.value,
-                "weights_resident": self.weights_resident}
+                "weights_resident": self.weights_resident,
+                "ema_bytes": self.ema, "extra_macs": self.extra_macs}
 
 
 @dataclass
 class FusionPlan:
     groups: list[FusionGroup]
-    total_ema: int
-    total_extra_macs: int
-    group_ema: list[int]
-    group_extra_macs: list[int]
+
+    @property
+    def total_ema(self) -> int:
+        return sum(g.ema for g in self.groups)
+
+    @property
+    def total_extra_macs(self) -> int:
+        return sum(g.extra_macs for g in self.groups)
 
     def to_dict(self) -> dict:
-        return {
-            "groups": [dict(g.to_dict(), ema_bytes=e, extra_macs=m)
-                       for g, e, m in zip(self.groups, self.group_ema,
-                                          self.group_extra_macs)],
-            "total_ema": self.total_ema,
-            "total_extra_macs": self.total_extra_macs,
-        }
+        return {"groups": [g.to_dict() for g in self.groups],
+                "total_ema": self.total_ema, "total_extra_macs": self.total_extra_macs}
 
 
 # ---------------------------------------------------------------------------
 # Spatial geometry
 # ---------------------------------------------------------------------------
 
-def _spatial_params(node: LayerNode) -> tuple[int, int, int]:
-    """(k, stride, pad); pointwise layers pass extents through unchanged."""
-    op = node.op
-    if isinstance(op, Conv2D):
-        return op.k, op.stride, op.pad
-    if isinstance(op, Downsample):
-        return op.k, op.stride, 0
-    if isinstance(op, (Linear, LayerNorm, GELU)):
-        return 1, 1, 0
-    if isinstance(op, Attention):
+def _window(node: LayerNode) -> tuple[int, int, int, int]:
+    """``window`` of a chain layer; attention is global over tokens."""
+    if isinstance(node.op, Attention):
         raise AttentionInSliceError(
             f"{node.id}: attention cannot be spatially tiled inside a fusion group")
-    raise ShapeError(node.id, f"op {op!r} not allowed in a fusion chain")
+    return window(node.op)
 
 
 def _walk(layers: Sequence[ChainLayer], lo: np.ndarray, hi: np.ndarray, axis
@@ -127,7 +120,7 @@ def _walk(layers: Sequence[ChainLayer], lo: np.ndarray, hi: np.ndarray, axis
     walk = np.empty((2, len(lo), n + 1), dtype=np.int64)
     walk[0, :, n], walk[1, :, n] = lo, hi
     for li in reversed(range(n)):
-        k, s, p = _spatial_params(layers[li].node)
+        k, s, p, _ = _window(layers[li].node)
         if (k, s, p) == (1, 1, 0):   # pointwise: same extent, same interval
             walk[:, :, li] = walk[:, :, li + 1]
             continue
@@ -198,7 +191,7 @@ _INT64_SAFE = float(1 << 62)
 
 def _line_buffer(layer: ChainLayer, eb: int) -> int:
     """Bytes of the layer's halo line buffer under CACHE (none if k = 1)."""
-    return (_spatial_params(layer.node)[0] - 1) * layer.in_shape.w * layer.in_shape.c * eb
+    return (_window(layer.node)[0] - 1) * layer.in_shape.w * layer.in_shape.c * eb
 
 
 def _suffix(acc: np.ufunc, x: np.ndarray) -> np.ndarray:
@@ -228,7 +221,7 @@ class _GroupTable:
         (r_count, r_lens, r_sums, r_union), (c_count, c_lens, c_sums, c_union) = \
             _axis_tables(layers, h_extents, w_extents)
         c_in, c_out, w, ppm, full, lb = np.array(
-            [(l.in_shape.c, l.out_shape.c, *op_cost(l.node.op, l.in_shape),
+            [(l.in_shape.c, l.out_shape.c, *op_cost(l.node.op),
               l.out_shape.h * l.out_shape.w, _line_buffer(l, eb)) for l in layers],
             dtype=np.int64).T
         last = layers[-1].out_shape
@@ -264,12 +257,14 @@ class _GroupTable:
         self.extra[..., 0] = _suffix(np.add, (outer(r_sums[:, 1:], c_sums[:, 1:])
                                               - full[:, None, None]) * ppm[:, None, None])
 
-    def choice(self, i: int, a: int, b: int, p: int, r: int) -> GroupChoice:
+    def choice(self, i: int, a: int, b: int, p: int, r: int) -> FusionGroup:
+        """The group ``layers[i:]`` at extents (a, b), policy p and residency r."""
         tile = TileShape(int(self.extents[0][a]), int(self.extents[1][b]))
-        return GroupChoice(tile, POLICIES[p], r == 0, int(self.ema[i, a, b, p, r]),
-                           int(self.extra[i, a, b, p]), int(self.buf[i, a, b, p, r]))
+        return FusionGroup(i, len(self.buf) - 1, tile, POLICIES[p], r == 0,
+                           int(self.ema[i, a, b, p, r]), int(self.extra[i, a, b, p]),
+                           int(self.buf[i, a, b, p, r]))
 
-    def best(self, capacity: int) -> list[GroupChoice | None]:
+    def best(self, capacity: int) -> list[FusionGroup | None]:
         """Minimum-EMA option that fits ``capacity`` per start i, or None.
 
         Ties prefer larger tiles, fewer extra MACs, a smaller buffer, then
@@ -298,7 +293,7 @@ def _candidate_table(layers: Sequence[ChainLayer], hw: HardwareConfig) -> _Group
 
 
 def _option(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
-            weights_resident: bool, hw: HardwareConfig) -> GroupChoice:
+            weights_resident: bool, hw: HardwareConfig) -> FusionGroup:
     return _GroupTable(layers, hw, [tile.h_t], [tile.w_t]).choice(
         0, 0, 0, POLICIES.index(policy), 0 if weights_resident else 1)
 
@@ -328,18 +323,8 @@ def group_buffer_bytes(layers: Sequence[ChainLayer], tile: TileShape,
 # Partition search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupChoice:
-    tile: TileShape
-    policy: HaloPolicy
-    weights_resident: bool
-    ema: int
-    extra_macs: int
-    buffer_bytes: int
-
-
 def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
-                      ) -> GroupChoice | None:
+                      ) -> FusionGroup | None:
     """Minimum-EMA (tile, policy, residency) for one group, or None if infeasible.
 
     Tiles are the divisor extents of the group's output; ties as in
@@ -359,7 +344,7 @@ def _singleton_infeasible(layer: ChainLayer, hw: HardwareConfig
 
 
 def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape,
-                      policy: HaloPolicy, hw: HardwareConfig) -> GroupChoice:
+                      policy: HaloPolicy, hw: HardwareConfig) -> FusionGroup:
     """Resident weights if they fit at this tile, else streamed weights.
 
     Raises ``CapacityError`` with the streamed requirement if neither fits.
@@ -372,15 +357,6 @@ def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape,
     raise CapacityError(choice.buffer_bytes, hw.scratchpad_bytes, what="fusion group")
 
 
-def plan_from_choices(spans: Sequence[tuple[int, int, GroupChoice]]) -> FusionPlan:
-    """A plan from (start, end, choice) groups in chain order."""
-    emas = [c.ema for _, _, c in spans]
-    extras = [c.extra_macs for _, _, c in spans]
-    groups = [FusionGroup(i, j, c.tile, c.policy, c.weights_resident)
-              for i, j, c in spans]
-    return FusionPlan(groups, sum(emas), sum(extras), emas, extras)
-
-
 def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPlan:
     """Minimum-EMA partition of a linear chain into fusion groups.
 
@@ -391,38 +367,37 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
     """
     n = len(chain)
     if n == 0:
-        return plan_from_choices([])
-    # best[j] = (ema, n_groups) for chain[0..j]
+        return FusionPlan([])
+    # best[j] = (ema, n_groups) for chain[0..j], reached by group back[j]
     best: list[tuple[int, int] | None] = [None] * n
-    back: list[tuple[int, GroupChoice] | None] = [None] * n
+    back: list[FusionGroup | None] = [None] * n
     for j in range(n):
         choices = _candidate_table(chain[:j + 1], hw).best(hw.scratchpad_bytes)
-        for i, c in enumerate(choices):
-            if c is None:
+        for i, g in enumerate(choices):
+            if g is None:
                 continue
             prev = (0, 0) if i == 0 else best[i - 1]
             if prev is None:
                 continue
-            cand = (prev[0] + c.ema, prev[1] + 1)
+            cand = (prev[0] + g.ema, prev[1] + 1)
             if best[j] is None or cand < best[j]:
                 best[j] = cand
-                back[j] = (i, c)
+                back[j] = g
     if best[n - 1] is None:
         first = next(l for l in chain if best_group_choice([l], hw) is None)
         raise _singleton_infeasible(first, hw)
 
-    spans: list[tuple[int, int, GroupChoice]] = []
+    groups: list[FusionGroup] = []
     j = n - 1
     while j >= 0:
-        i, c = back[j]  # type: ignore[misc]
-        spans.append((i, j, c))
-        j = i - 1
-    return plan_from_choices(spans[::-1])
+        groups.append(back[j])  # type: ignore[arg-type]
+        j = groups[-1].start - 1
+    return FusionPlan(groups[::-1])
 
 
 def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPlan:
     """Fusion-free baseline: every layer is its own group (full-map tile if it fits)."""
-    spans: list[tuple[int, int, GroupChoice]] = []
+    groups: list[FusionGroup] = []
     for i, layer in enumerate(chain):
         full = TileShape(layer.out_shape.h, layer.out_shape.w)
         try:
@@ -431,8 +406,8 @@ def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPla
             chosen = best_group_choice([layer], hw)
         if chosen is None:
             raise _singleton_infeasible(layer, hw)
-        spans.append((i, i, chosen))
-    return plan_from_choices(spans)
+        groups.append(replace(chosen, start=i, end=i))
+    return FusionPlan(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +425,7 @@ def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
     is the touch tagged ``tile=t, block=li``.
     """
     eb = hw.element_bytes
-    w = [op_cost(l.node.op, l.in_shape)[0] * eb for l in layers]
+    w = [op_cost(l.node.op)[0] * eb for l in layers]
     line_buffers = [(li, nbytes) for li, l in enumerate(layers)
                     if (nbytes := _line_buffer(l, eb)) and policy is HaloPolicy.CACHE]
     c_in0 = layers[0].in_shape.c
@@ -491,23 +466,6 @@ def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
     return txns
 
 
-def _layer_tile_forward(layer: ChainLayer, cur: np.ndarray,
-                        cur_origin: tuple[int, int],
-                        out_rows: tuple[int, int], out_cols: tuple[int, int],
-                        params: dict[str, np.ndarray]) -> np.ndarray:
-    op = layer.node.op
-    if isinstance(op, (Conv2D, Downsample)):
-        return conv2d_region(cur, op, params["w"], params["b"],
-                             out_rows, out_cols, origin=cur_origin)
-    if isinstance(op, Linear):
-        return linear_tokens(cur, params["w"], params["b"])
-    if isinstance(op, LayerNorm):
-        return layernorm(cur)
-    if isinstance(op, GELU):
-        return gelu(cur)
-    raise ShapeError(layer.node.id, f"op {op!r} not executable in a fused group")
-
-
 def _group_compute(layers: Sequence[ChainLayer], walks: list[tuple],
                    x: np.ndarray, out: np.ndarray,
                    params: dict[str, dict[str, np.ndarray]]):
@@ -526,9 +484,9 @@ def _group_compute(layers: Sequence[ChainLayer], walks: list[tuple],
         rows, cols = walks[txn.tile]
         if li == 0:
             cur = x[:, slice(*rows[0]), slice(*cols[0])]
-        origin = (rows[li][0], cols[li][0])
-        cur = _layer_tile_forward(layers[li], cur, origin, rows[li + 1], cols[li + 1],
-                                  params[layers[li].node.id])
+        node = layers[li].node
+        cur = layer_forward(node, [cur], params[node.id], rows[li + 1], cols[li + 1],
+                            (rows[li][0], cols[li][0]))
         if li == len(layers) - 1:
             out[:, slice(*rows[li + 1]), slice(*cols[li + 1])] = cur
 
@@ -562,7 +520,7 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
 # Chain extraction from a graph
 # ---------------------------------------------------------------------------
 
-FUSABLE_OPS = (Conv2D, Downsample, Linear, LayerNorm, GELU)
+FUSABLE_OPS = (Conv2D, Linear, LayerNorm, GELU)
 
 
 def chain_from_nodes(graph: NetworkGraph, node_ids: Sequence[str]) -> list[ChainLayer]:

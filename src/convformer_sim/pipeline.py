@@ -9,7 +9,7 @@ whole execution, so its counters are the network's EMA ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import attention_tiling as at
 from . import layer_fusion as lf
 from .errors import ConfigError, SelfCheckError
 from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn,
-                      build_report, replay)
+                      build_report, check_keys, parse_number, replay)
 from .workload import (Add, Attention, AttentionDims, LayerNode, NetworkGraph,
                        attention_dims, attention_operands, layer_macs,
                        layer_vector_ops)
@@ -117,26 +117,30 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
 
 def _fixed_plan(layers: list[lf.ChainLayer], group_spec: list | None,
                 hw: HardwareConfig) -> lf.FusionPlan:
+    def integer(key: str, value) -> int:
+        return parse_number(f"schedule.fusion group {key}", value, integer=True)
+
     if group_spec is None:
         return lf.singleton_plan(layers, hw)
-    spans = []
+    groups = []
     covered = 0
     for g in group_spec:
         try:
-            start, end = int(g["start"]), int(g["end"])
-            tile = lf.TileShape(int(g["tile"][0]), int(g["tile"][1]))
+            check_keys("schedule.fusion group", g, ("start", "end", "tile", "policy"))
+            start, end = integer("start", g["start"]), integer("end", g["end"])
+            tile = lf.TileShape(*(integer("tile", t) for t in g["tile"]))
             policy = lf.HaloPolicy(g.get("policy", "recompute"))
-        except (KeyError, ValueError, TypeError, IndexError) as e:
+        except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"schedule.fusion group {g!r}: {e}")
         if start != covered or end < start or end >= len(layers):
             raise ConfigError(f"fixed fusion groups must cover the chain; "
                               f"bad group [{start}, {end}]")
-        spans.append((start, end, lf.fixed_tile_choice(layers[start:end + 1],
-                                                      tile, policy, hw)))
+        chosen = lf.fixed_tile_choice(layers[start:end + 1], tile, policy, hw)
+        groups.append(replace(chosen, start=start, end=end))
         covered = end + 1
     if covered != len(layers):
         raise ConfigError("fixed fusion groups do not cover the whole chain")
-    return lf.plan_from_choices(spans)
+    return lf.FusionPlan(groups)
 
 
 # ---------------------------------------------------------------------------

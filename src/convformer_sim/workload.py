@@ -99,7 +99,8 @@ class Add:
 
 @dataclass(frozen=True)
 class Downsample:
-    """Patch-merging: learned k x k strided conv, channel-preserving."""
+    """Patch-merging: an unpadded dense k x k strided conv, channel-preserving;
+    an input form that ``infer_shapes`` lowers to ``Conv2D(c, c, k, stride)``."""
     k: int
     stride: int
 
@@ -200,8 +201,10 @@ def tile_intervals(total: int, step: int) -> list[tuple[int, int]]:
 
 
 def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
-    """Annotate every node with its output shape; idempotent."""
+    """Annotate every node with its output shape and lower each ``Downsample``
+    to its ``Conv2D``; idempotent."""
     shapes: dict[str, TensorShape] = {}
+    nodes: list[LayerNode] = []
 
     def shape_of(pred: str) -> TensorShape:
         return shapes[pred]
@@ -214,6 +217,9 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
                                           "(graph must be topologically ordered)")
         ins = graph.input_shape if not node.preds else shape_of(node.preds[0])
         op = node.op
+        if isinstance(op, Downsample):
+            op = Conv2D(ins.c, ins.c, op.k, op.stride)
+            node = replace(node, op=op)
         if isinstance(op, Conv2D):
             if ins.c != op.c_in:
                 raise ShapeError(node.id, f"expects c_in={op.c_in}, got {ins.c}")
@@ -222,12 +228,6 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             if h < 1 or w < 1:
                 raise ShapeError(node.id, "kernel larger than padded input")
             out = TensorShape(ins.n, op.c_out, h, w)
-        elif isinstance(op, Downsample):
-            h = conv_out_dim(ins.h, op.k, op.stride, 0)
-            w = conv_out_dim(ins.w, op.k, op.stride, 0)
-            if h < 1 or w < 1:
-                raise ShapeError(node.id, "patch larger than input")
-            out = TensorShape(ins.n, ins.c, h, w)
         elif isinstance(op, Attention):
             if op.heads * op.d_head != ins.c:
                 raise ShapeError(node.id,
@@ -253,7 +253,8 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             raise ShapeError(node.id, f"unknown op {op!r}")
         shapes[node.id] = out
         seen.add(node.id)
-    return replace(graph, shapes=shapes)
+        nodes.append(node)
+    return replace(graph, nodes=nodes, shapes=shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +276,7 @@ def init_params(graph: NetworkGraph, seed: int = 0) -> dict[str, dict[str, np.nd
             p["w"] = _draw(rng, op.c_out, op.c_in // op.groups, op.k, op.k)
             p["b"] = _draw(rng, op.c_out)
         elif isinstance(op, Downsample):
-            c = graph.in_shape(node).c if graph.shapes else None
-            if c is None:
-                raise ShapeError(node.id, "infer shapes before init_params")
-            p["w"] = _draw(rng, c, c, op.k, op.k)
-            p["b"] = _draw(rng, c)
+            raise ShapeError(node.id, "infer shapes before init_params")
         elif isinstance(op, Linear):
             p["w"] = _draw(rng, op.c_in, op.c_out)
             p["b"] = _draw(rng, op.c_out)
@@ -298,7 +295,7 @@ def init_params(graph: NetworkGraph, seed: int = 0) -> dict[str, dict[str, np.nd
     return params
 
 
-def op_cost(op: LayerOp, in_shape: TensorShape) -> tuple[int, int]:
+def op_cost(op: LayerOp) -> tuple[int, int]:
     """(weight elements incl. bias, MACs per output pixel) of a spatial or token op.
 
     Attention, norm, activation and add layers report (0, 0): attention's
@@ -307,19 +304,27 @@ def op_cost(op: LayerOp, in_shape: TensorShape) -> tuple[int, int]:
     if isinstance(op, Conv2D):
         macs = op.c_out * (op.c_in // op.groups) * op.k * op.k
         return macs + op.c_out, macs
-    if isinstance(op, Downsample):
-        macs = in_shape.c * in_shape.c * op.k * op.k
-        return macs + in_shape.c, macs
     if isinstance(op, Linear):
         return op.c_in * op.c_out + op.c_out, op.c_in * op.c_out
+    if isinstance(op, Downsample):
+        raise ShapeError("downsample", "infer shapes before costing")
     return 0, 0
+
+
+def window(op: LayerOp) -> tuple[int, int, int, int]:
+    """(k, stride, pad, groups) of a conv; a token-wise layer is a 1x1 window."""
+    if isinstance(op, Conv2D):
+        return op.k, op.stride, op.pad, op.groups
+    if isinstance(op, (Linear, LayerNorm, GELU)):
+        return 1, 1, 0, 1
+    raise ShapeError(repr(op), "has no spatial window")
 
 
 # ---------------------------------------------------------------------------
 # Dense kernels (shared by reference and fused executors)
 # ---------------------------------------------------------------------------
 
-def conv2d_region(x: np.ndarray, op: Conv2D | Downsample, w: np.ndarray,
+def conv2d_region(x: np.ndarray, op: Conv2D, w: np.ndarray,
                   b: np.ndarray, rows: tuple[int, int], cols: tuple[int, int],
                   origin: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Compute conv output pixels for out rows [r0,r1) x cols [c0,c1).
@@ -329,13 +334,8 @@ def conv2d_region(x: np.ndarray, op: Conv2D | Downsample, w: np.ndarray,
     passes the full tensor at origin (0,0); the fused executor passes a tile
     region. Shared so per-pixel arithmetic is identical on both paths.
     """
-    if isinstance(op, Downsample):
-        k, stride, pad, groups = op.k, op.stride, 0, 1
-        c_out = x.shape[0]
-    else:
-        k, stride, pad, groups = op.k, op.stride, op.pad, op.groups
-        c_out = op.c_out
-    c_in = x.shape[0]
+    k, stride, pad, groups = window(op)
+    c_in, c_out = x.shape[0], op.c_out
     r0, r1 = rows
     c0, c1 = cols
     oh, ow = r1 - r0, c1 - c0
@@ -446,14 +446,18 @@ def attention_forward(x: np.ndarray, op: Attention, p: dict[str, np.ndarray]) ->
 # Reference execution
 # ---------------------------------------------------------------------------
 
-def layer_forward(node: LayerNode, inputs: list[np.ndarray],
-                  p: dict[str, np.ndarray]) -> np.ndarray:
+def layer_forward(node: LayerNode, inputs: list[np.ndarray], p: dict[str, np.ndarray],
+                  rows: tuple[int, int] | None = None, cols: tuple[int, int] | None = None,
+                  origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """One layer, for the reference and the fused executor. A conv computes
+    output rows x cols (default: all) of an input whose [0, 0] pixel sits at
+    ``origin``; the other layers are pixel- or token-wise and take their whole input."""
     op = node.op
     x = inputs[0]
-    if isinstance(op, (Conv2D, Downsample)):
-        h_out = conv_out_dim(x.shape[1], op.k, op.stride, getattr(op, "pad", 0))
-        w_out = conv_out_dim(x.shape[2], op.k, op.stride, getattr(op, "pad", 0))
-        return conv2d_region(x, op, p["w"], p["b"], (0, h_out), (0, w_out))
+    if isinstance(op, Conv2D):
+        rows = rows or (0, conv_out_dim(x.shape[1], op.k, op.stride, op.pad))
+        cols = cols or (0, conv_out_dim(x.shape[2], op.k, op.stride, op.pad))
+        return conv2d_region(x, op, p["w"], p["b"], rows, cols, origin)
     if isinstance(op, Attention):
         return attention_forward(x, op, p)
     if isinstance(op, Linear):
@@ -517,7 +521,7 @@ def layer_macs(graph: NetworkGraph, node: LayerNode) -> int:
         proj = dims.N * c * c + 2 * dims.N_r * c * c
         sr = dims.N_r * c * op.sr_ratio ** 2 if op.sr_ratio > 1 else 0  # depthwise
         return core + proj + sr
-    return outs.h * outs.w * op_cost(op, graph.in_shape(node))[1]
+    return outs.h * outs.w * op_cost(op)[1]
 
 
 def layer_vector_ops(graph: NetworkGraph, node: LayerNode) -> int:

@@ -178,7 +178,7 @@ def test_criterion_3_counter_formula_agreement():
                 from convformer_sim.layer_fusion import group_ema
                 ema, extra = group_ema(chain, tile, policy, True, hw)
                 plan = FusionPlan([FusionGroup(0, len(chain) - 1, tile, policy,
-                                               True)], ema, extra, [ema], [extra])
+                                               True, ema, extra, 0)])
                 sim = ScratchpadSim(1 << 30)
                 fused_execute(chain, plan, xin, sim, params, hw)
                 assert sim.ema_bytes == ema
@@ -396,8 +396,8 @@ def test_criterion_8_capacity_soundness_fuzz():
         hw = HardwareConfig(scratchpad_bytes=cap)
         params = init_params(g, 0)
         x = seeded_input(g, 0)
-        plan = FusionPlan([FusionGroup(0, depth - 1, tile, policy, resident)],
-                          0, 0, [0], [0])
+        plan = FusionPlan([FusionGroup(0, depth - 1, tile, policy, resident,
+                                       0, 0, 0)])
         try:
             group_buffer_bytes(chain, tile, policy, resident, hw)
             feasible = True

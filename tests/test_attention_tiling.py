@@ -343,7 +343,9 @@ def test_execute_counters_match_schedule_replay(rng):
         sim_exec = ScratchpadSim(1 << 20)
         tiled_attention_execute(q, k, v, tiling, sim_exec)
         sim_replay = replay_counters(schedule_attention(dims, tiling))
-        assert sim_exec.trace == sim_replay.trace
+        for counter in ("dram_reads", "dram_writes", "sram_accesses", "high_water",
+                        "loads_by_region"):
+            assert getattr(sim_exec, counter) == getattr(sim_replay, counter)
 
 def test_execute_propagates_capacity_error(rng):
     q, k, v = rand_qkv(rng, 1, 64, 64, 32)

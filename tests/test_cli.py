@@ -1,7 +1,14 @@
+import contextlib
+import importlib.util
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convformer_sim import cli, pipeline
 
@@ -415,3 +422,172 @@ def test_pruning_analyzes_attention_on_network_input(tmp_path, capsys):
     rows = json.loads(out)["pruning"]
     assert [(r["node"], r["point"]) for r in rows] == [("attn", "attention")]
     assert rows[0]["skipped_macs"] > 0
+
+
+@pytest.mark.parametrize("axis", ["theta_attn", "theta_act"])
+def test_sweep_rejects_non_finite_threshold(axis, capsys):
+    # 1e400 parses as inf; it used to reach the report as "value": Infinity
+    config = Path(__file__).parent.parent / "configs" / "pruning_sweep.json"
+    code, out, err = run_cli(["sweep", "--config", str(config), "--axis", axis,
+                              "--values", "1e400"], capsys)
+    assert code == 1
+    assert f"{axis} must be finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("model, schedule, field", [
+    # non-finite or missing thresholds used to run (NaN reached the report)
+    ("pvtv2-micro", {"pruning": {"theta_attn": float("nan"), "theta_act": 0.001}},
+     "schedule.pruning.theta_attn must be finite"),
+    ("pvtv2-micro", {"pruning": {"theta_act": float("inf")}},
+     "schedule.pruning.theta_act must be finite"),
+    ("pvtv2-micro", {"pruning": {"theta_attn": None}},
+     "schedule.pruning.theta_attn must be a number"),
+    # fractional integers used to be truncated (t_q 2.9 ran as 2)
+    ("pvtv2-micro", {"attention": {"t_q": 2.9, "t_k": 4, "mode": "resident_kv"}},
+     "schedule.attention.t_q must be an integer"),
+    ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3.7, "tile": [4, 4]}]}},
+     "schedule.fusion group end must be an integer"),
+    ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [4.9, 4]}]}},
+     "schedule.fusion group tile must be an integer"),
+    # a chain's groups must be a list (an int was a TypeError traceback)
+    ("toy-chain", {"fusion": {"0": 5}}, "schedule.fusion must be"),
+])
+def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
+    code, out, err = run_cli(["run", "--config", cfg], capsys)
+    assert code == 1
+    assert field in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"schedul": {}}, "unknown config field(s): ['schedul']"),
+    ({"model": {"preset": "toy-chain", "grpah": {}}}, "unknown model field(s): ['grpah']"),
+    ({"schedule": {"pruninng": "off"}}, "unknown schedule field(s): ['pruninng']"),
+    ({"schedule": {"pruning": {"theta_atn": 0.5}}},
+     "unknown schedule.pruning field(s): ['theta_atn']"),
+    ({"schedule": {"attention": {"t_q": 4, "t_k": 4, "mode": "resident_kv",
+                                 "element_bytes": 2}}},
+     "unknown schedule.attention field(s): ['element_bytes']"),
+    ({"schedule": {"fusion": {"0": [{"start": 0, "end": 3, "tile": [4, 4],
+                                     "polcy": "cache"}]}}},
+     "unknown schedule.fusion group field(s): ['polcy']"),
+])
+def test_unknown_config_key_exits_1_naming_it(config, key, tmp_path, capsys):
+    # each of these used to run on the defaults
+    code, out, err = run_cli(["run", "--config", write_config(tmp_path, config)], capsys)
+    assert code == 1
+    assert key in err
+    assert out == ""
+
+
+def _shipped_configs():
+    """Every config the repository ships or documents, by name."""
+    root = Path(__file__).parent.parent
+    configs = {p.name: json.loads(p.read_text())
+               for p in [*root.glob("configs/*.json"), *root.glob("tests/golden/*.json")]
+               if p.name != "exit_codes.json"}
+    readme = (root / "README.md").read_text()
+    for i, block in enumerate(re.findall(r"```json\n(.*?)```", readme, re.S)):
+        configs[f"README block {i}"] = json.loads(block)
+    spec = importlib.util.spec_from_file_location("b0graph", root / "perfbench" / "b0graph.py")
+    b0graph = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(b0graph)
+    configs["b0_config"] = b0graph.b0_config(0)
+    return configs
+
+
+def test_shipped_configs_load(tmp_path):
+    configs = _shipped_configs()
+    assert len(configs) >= 6
+    for name, config in configs.items():
+        path = write_config(tmp_path, config)
+        cfg = cli.load_config(path, cli.make_parser().parse_args(["run"]), {})
+        cli.build_graph(cfg.model)
+        assert cfg.resolved_dict()["seed"] == config.get("seed", 0), name
+
+
+# ---------------------------------------------------------------------------
+# Random command lines
+# ---------------------------------------------------------------------------
+
+# good values repeat so that most examples get past config parsing
+HW_VALUES = ("nan", "inf", "-inf", "1.5", "0", "-1", "1e400", "2048", "65536", "65536")
+THRESHOLDS = (0.0, 0.01, 0.001, 0.5, 0.01, float("nan"), float("inf"), -1, None, "x")
+SWEEP_VALUES = {"scratchpad_bytes": ("65536", "8192", "2048", "65536.7", "1e400", "0"),
+                "theta_attn": ("0", "0.01", "0.5", "2.5", "1e400", "-1"),
+                "theta_act": ("0", "0.01", "0.5", "2.5", "1e400", "-1"),
+                "t_q": ("1", "2", "4", "2.5", "1e400", "0")}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, schedule of the config file or None) for run, compare or sweep."""
+    command = draw(st.sampled_from(["run", "compare", "sweep"]))
+    argv = [command, "--model", draw(st.sampled_from(["toy-chain", "segformer-micro"]))]
+    fields = draw(st.lists(st.sampled_from(sorted(cli.HardwareConfig.__dataclass_fields__)),
+                           max_size=1))
+    argv += [f"--hw.{f}={draw(st.sampled_from(HW_VALUES))}" for f in fields]
+    if draw(st.booleans()):
+        argv.append(f"--tolerance={draw(st.sampled_from(['1e-30', '1e-30', 'nan', '1']))}")
+    if command == "compare":
+        argv.append("--schedules=naive,full")
+    if command == "sweep":
+        axis = draw(st.sampled_from(cli.SWEEP_AXES))
+        values = draw(st.lists(st.sampled_from(SWEEP_VALUES[axis]), min_size=1, max_size=2))
+        argv += [f"--axis={axis}", f"--values={','.join(values)}"]
+    schedule = {}
+    if draw(st.booleans()):
+        theta = st.sampled_from(THRESHOLDS)
+        schedule["pruning"] = {"theta_attn": draw(theta), "theta_act": draw(theta)}
+    if draw(st.booleans()):
+        schedule["attention"] = {
+            "t_q": draw(st.sampled_from([1, 2, 4, 4, 2.9, 0, "x"])),
+            "t_k": draw(st.sampled_from([1, 2, 4, 4, 3.7])),
+            "mode": draw(st.sampled_from(["resident_kv", "streaming_kv"]))}
+    if draw(st.booleans()):
+        # chain 0 has 4 layers on toy-chain and 2 on segformer-micro
+        schedule["fusion"] = {"0": [{"start": 0,
+                                     "end": draw(st.sampled_from([1, 3, 3, 3.7])),
+                                     "tile": [draw(st.sampled_from([4, 8, 16, 4.9, 0])),
+                                              draw(st.sampled_from([4, 8, 16]))]}]}
+    return argv, schedule if schedule or draw(st.booleans()) else None
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_lines())
+def test_random_command_lines_exit_cleanly(case):
+    """Any command line ends in 0, 1, 2 or 3 without an exception; on 0 and 3
+    stdout is strict JSON, and a run uses the fixed tiling and fusion groups
+    its config gives, as given."""
+    argv, schedule = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if schedule is not None:
+            argv = [*argv, "--config", write_config(Path(tmp), {"schedule": schedule})]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code not in (0, 3):
+        return
+    data = json.loads(out.getvalue(), parse_constant=_no_constant)
+    if argv[0] != "run":
+        return
+    units = data["schedule"]["units"]
+    attention = (schedule or {}).get("attention")
+    if attention is not None:
+        for tiling in (u["tiling"] for u in units if u["kind"] == "attention"):
+            assert tiling["t_q"] == attention["t_q"]
+            if attention["mode"] == "streaming_kv":
+                assert tiling["t_k"] == attention["t_k"]
+    fusion = (schedule or {}).get("fusion")
+    if fusion is not None:
+        given_group, = fusion["0"]
+        ran, = next(u for u in units if u["kind"] == "chain")["plan"]["groups"]
+        assert [ran["start"], ran["end"], ran["tile"]] == \
+            [given_group["start"], given_group["end"], given_group["tile"]]

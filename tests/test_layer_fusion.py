@@ -8,7 +8,7 @@ from convformer_sim.errors import (AttentionInSliceError, CapacityError,
                                    NoFeasiblePlanError, ShapeError)
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
-                                         GroupChoice, HaloPolicy, TileShape,
+                                         HaloPolicy, TileShape,
                                          best_group_choice, chain_from_nodes,
                                          fused_execute, group_buffer_bytes,
                                          group_ema, partition_chain,
@@ -98,7 +98,7 @@ def per_pixel_oracle(layers, tile, policy, resident, hw):
             input_reads += len(cur - covered)
             covered |= cur
     c_in0 = layers[0].in_shape.c
-    w_elems = sum(op_cost(l.node.op, l.in_shape)[0] for l in layers)
+    w_elems = sum(op_cost(l.node.op)[0] for l in layers)
     ema = (input_reads * c_in0 + last.h * last.w * last.c) * eb \
         + w_elems * eb * (1 if resident else len(tiles))
     extra = 0
@@ -163,7 +163,7 @@ class TestGroupEma:
         g = make_chain_graph([Conv2D(4, 8, 3, 1, 1)], TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
         ema, extra = group_ema(layers, TileShape(16, 16), RECOMPUTE, True, hw)
-        w = op_cost(layers[0].node.op, layers[0].in_shape)[0]
+        w = op_cost(layers[0].node.op)[0]
         assert ema == (4 * 256 + 8 * 256 + w) * hw.element_bytes
         assert extra == 0
 
@@ -172,7 +172,7 @@ class TestGroupEma:
                              TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
         ema, extra = group_ema(layers, TileShape(16, 16), RECOMPUTE, True, hw)
-        w = sum(op_cost(l.node.op, l.in_shape)[0] for l in layers)
+        w = sum(op_cost(l.node.op)[0] for l in layers)
         assert ema == (4 * 256 + 4 * 256 + w) * hw.element_bytes
         assert extra == 0
 
@@ -218,7 +218,7 @@ class TestGroupEma:
     def test_weight_streaming_multiplies_by_tiles(self, hw):
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
-        w = op_cost(layers[0].node.op, layers[0].in_shape)[0]
+        w = op_cost(layers[0].node.op)[0]
         ema_res, _ = group_ema(layers, TileShape(8, 8), RECOMPUTE, True, hw)
         ema_str, _ = group_ema(layers, TileShape(8, 8), RECOMPUTE, False, hw)
         assert ema_str - ema_res == 3 * w * hw.element_bytes  # 4 tiles vs 1
@@ -248,7 +248,7 @@ class TestGroupFeasible:
         layers = chain_of(g)
         tile = TileShape(4, 4)
         req = group_buffer_bytes(layers, tile, policy, resident, hw)
-        plan = FusionPlan([FusionGroup(0, 2, tile, policy, resident)], 0, 0, [0], [0])
+        plan = FusionPlan([FusionGroup(0, 2, tile, policy, resident, 0, 0, 0)])
         sim = ScratchpadSim(hw.scratchpad_bytes)
         params = init_params(g, 0)
         fused_execute(layers, plan, seeded_input(g, 0), sim, params, hw)
@@ -288,7 +288,7 @@ class TestPartition:
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 8, 8))
         plan = partition_chain(chain_of(g), hw)
         assert len(plan.groups) == 1
-        assert plan.total_ema == sum(plan.group_ema)
+        assert plan.total_ema == plan.groups[0].ema
 
     def test_toy_chain_matches_brute_force(self, hw):
         g = cs.build_preset("toy-chain")
@@ -311,7 +311,7 @@ class TestPartition:
         assert len(plan.groups) == 1
         last = chain[-1].out_shape
         assert plan.groups[0].tile == TileShape(last.h, last.w)
-        w = sum(op_cost(l.node.op, l.in_shape)[0] for l in chain)
+        w = sum(op_cost(l.node.op)[0] for l in chain)
         first = chain[0].in_shape
         expect = (first.c * first.h * first.w + last.c * last.h * last.w + w)
         assert plan.total_ema == expect * hw.element_bytes
@@ -386,9 +386,10 @@ def candidates(layers):
                     yield TileShape(h_t, w_t), policy, resident
 
 
-def exhaustive_choice(layers, hw):
+def exhaustive_choice(layers, hw, start=0):
     """Minimum of the search's tie-break key over every candidate, via the
-    public per-candidate functions."""
+    public per-candidate functions, as the group of a chain whose layers
+    from ``start`` on are ``layers``."""
     best = None
     for tile, policy, resident in candidates(layers):
         try:
@@ -396,9 +397,10 @@ def exhaustive_choice(layers, hw):
         except CapacityError:
             continue
         ema, extra = group_ema(layers, tile, policy, resident, hw)
-        key = (ema, -tile.area, extra, buf, 0 if policy is RECOMPUTE else 1)
+        key = (ema, -tile.h_t * tile.w_t, extra, buf, 0 if policy is RECOMPUTE else 1)
         if best is None or key < best[0]:
-            best = key, GroupChoice(tile, policy, resident, ema, extra, buf)
+            best = key, FusionGroup(start, start + len(layers) - 1, tile, policy,
+                                    resident, ema, extra, buf)
     return None if best is None else best[1]
 
 
@@ -451,8 +453,7 @@ class TestFusedExecute:
         ref = reference_execute(g, x, params)
         tile = TileShape(8, 8)
         ema, extra = group_ema(chain, tile, policy, True, hw)
-        plan = FusionPlan([FusionGroup(0, 3, tile, policy, True)],
-                          ema, extra, [ema], [extra])
+        plan = FusionPlan([FusionGroup(0, 3, tile, policy, True, ema, extra, 0)])
         sim = ScratchpadSim(hw.scratchpad_bytes)
         out = fused_execute(chain, plan, x, sim, params, hw)
         assert np.max(np.abs(out - ref)) <= 1e-12
@@ -494,8 +495,7 @@ class TestFusedExecute:
         x = seeded_input(g, 0)
         ref = reference_execute(g, x, params)
         ema, extra = group_ema(chain, tile, policy, True, hw)
-        plan = FusionPlan([FusionGroup(0, 2, tile, policy, True)],
-                          ema, extra, [ema], [extra])
+        plan = FusionPlan([FusionGroup(0, 2, tile, policy, True, ema, extra, 0)])
         sim = ScratchpadSim(hw.scratchpad_bytes)
         out = fused_execute(chain, plan, x, sim, params, hw)
         assert np.max(np.abs(out - ref)) <= 1e-12
@@ -638,7 +638,8 @@ def test_cost_table_matches_brute_force_oracles(case):
                 == sim.high_water
     assert best_group_choice(layers, hw) == exhaustive_choice(layers, hw)
     per_start = _candidate_table(layers, hw).best(hw.scratchpad_bytes)
-    assert per_start == [exhaustive_choice(layers[i:], hw) for i in range(len(layers))]
+    assert per_start == [exhaustive_choice(layers[i:], hw, start=i)
+                         for i in range(len(layers))]
 
 
 def test_cost_table_refuses_to_wrap_int64(hw):

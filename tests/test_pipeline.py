@@ -41,7 +41,7 @@ def test_singleton_toy_chain_is_layer_sum_and_exact(hw):
     for n in g.nodes:
         ins = g.in_shape(n)
         outs = g.out_shape(n.id)
-        w = op_cost(n.op, ins)[0]
+        w = op_cost(n.op)[0]
         expect += (ins.elements + outs.elements + w) * hw.element_bytes
     assert report.ema_bytes == expect
 

@@ -3,7 +3,7 @@ import pytest
 
 import convformer_sim as cs
 from convformer_sim.errors import NotFoundError, ShapeError
-from convformer_sim.workload import (Add, Attention, Conv2D, Downsample, GELU,
+from convformer_sim.workload import (Add, Attention, Conv2D, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, attention_dims, build_preset,
                                      dense_attention, graph_from_dict,
@@ -40,7 +40,9 @@ class TestPresets:
 
     def test_segformer_micro_stage_pattern(self):
         g = build_preset("segformer-micro")
-        downs = [n for n in g.nodes if isinstance(n.op, Downsample)]
+        # each Downsample(2, 2) is lowered to its dense conv at shape inference
+        downs = [n for n in g.nodes if n.id.endswith("_down")]
+        assert all(n.op == Conv2D(16, 16, 2, 2) for n in downs)
         attns = [n.op for n in g.nodes if isinstance(n.op, Attention)]
         assert len(downs) == 4 and len(attns) == 4
         assert [a.sr_ratio for a in attns] == [8, 4, 2, 1]
@@ -205,13 +207,8 @@ def test_graph_from_dict_missing_field():
 
 def loop_conv2d_region(x, op, w, b, rows, cols, origin=(0, 0)):
     """Per-pixel im2col: the original formulation of ``conv2d_region``."""
-    if isinstance(op, Downsample):
-        k, stride, pad, groups = op.k, op.stride, 0, 1
-        c_out = x.shape[0]
-    else:
-        k, stride, pad, groups = op.k, op.stride, op.pad, op.groups
-        c_out = op.c_out
-    c_in = x.shape[0]
+    k, stride, pad, groups = op.k, op.stride, op.pad, op.groups
+    c_in, c_out = x.shape[0], op.c_out
     (r0, r1), (c0, c1) = rows, cols
     oh, ow = r1 - r0, c1 - c0
     in_r0, in_c0 = r0 * stride - pad, c0 * stride - pad
@@ -247,9 +244,9 @@ def random_region_case(rng, single_channel_strip=False):
     if single_channel_strip:
         op = Conv2D(1, int(rng.integers(1, 3)), k, stride, int(rng.integers(0, k)))
         c_in = 1
-    elif rng.random() < 0.2:
-        op = Downsample(k, stride)
+    elif rng.random() < 0.2:  # a lowered Downsample(k, stride)
         c_in = int(rng.integers(1, 5))
+        op = Conv2D(c_in, c_in, k, stride)
     else:
         groups = int(rng.choice([1, 1, 2, 3]))
         c_in = groups * int(rng.integers(1, 4))
@@ -257,9 +254,8 @@ def random_region_case(rng, single_channel_strip=False):
             groups, c_in = c_in, c_in
         c_out = groups * int(rng.integers(1, 3))
         op = Conv2D(c_in, c_out, k, stride, int(rng.integers(0, k)), groups)
-    c_out = c_in if isinstance(op, Downsample) else op.c_out
-    w = rng.standard_normal((c_out, c_in // getattr(op, "groups", 1), k, k))
-    b = rng.standard_normal(c_out)
+    w = rng.standard_normal((op.c_out, c_in // op.groups, k, k))
+    b = rng.standard_normal(op.c_out)
     origin = (int(rng.integers(0, 6)), int(rng.integers(0, 6)))
     x = rng.standard_normal((c_in, int(rng.integers(1, 12)), int(rng.integers(1, 12))))
     r0, c0 = int(rng.integers(0, 5)), int(rng.integers(0, 5))
