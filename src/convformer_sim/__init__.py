@@ -5,7 +5,8 @@ numerically equivalent to a dense reference execution:
 
 * attention tiling with right-operand (K/V) residency and online softmax,
 * fusion of conv/MLP chains so intermediate feature maps never touch DRAM,
-* cascaded feature-map pruning with zero-skipping cost adjustment.
+* feature-map pruning with zero-skipping cost adjustment, counted at the
+  first consumer of each pruned map.
 
 A transaction-counting scratchpad simulator is the ground truth for every
 external-memory-access (EMA) number the optimizers claim.
@@ -30,8 +31,7 @@ from .layer_fusion import (ChainLayer, FusionGroup, FusionPlan, HaloPolicy,
                            TileShape, fused_execute, group_buffer_bytes,
                            group_ema, partition_chain, schedule_group,
                            singleton_plan)
-from .feature_pruning import (Consumer, Granularity, PruneConfig, SparsityStats,
-                              cascade_propagate, prune_mask,
+from .feature_pruning import (Granularity, PruneConfig, SparsityStats, prune_mask,
                               pruned_attention_execute, sparse_cost_adjust)
 
 __version__ = "0.1.0"

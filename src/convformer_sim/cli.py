@@ -130,9 +130,7 @@ def load_config(path: str | None, args: argparse.Namespace,
         try:
             pruning = fp.PruneConfig(
                 **thetas,
-                granularity=fp.Granularity(pruning_raw.get("granularity", "element")),
-                cascade_enabled=bool(pruning_raw.get("cascade_enabled", True)),
-            )
+                granularity=fp.Granularity(pruning_raw.get("granularity", "element")))
         except ValueError as e:
             raise ConfigError(f"schedule.pruning: {e}")
     else:

@@ -1,11 +1,12 @@
-"""Feature-map pruning: thresholding, cascade mask propagation, cost adjustment.
+"""Feature-map pruning: thresholding, pruned attention, cost adjustment.
 
 Feature maps are thresholded at two points — post-softmax attention
 probabilities and post-activation MLP maps — and the resulting zero masks
-skip downstream multiply-accumulates. Pruned softmax rows are NOT
-renormalized: dropped products model zero-skipping hardware, and
-theta = 0 stays a bit-exact identity. Thresholds use strict inequality
-(|x| < theta), so theta = 0 prunes nothing.
+skip multiply-accumulates in the first consumer of each map (the A.V product
+or the next linear layer); zeros are not yet followed into later layers.
+Pruned softmax rows are NOT renormalized: dropped products model
+zero-skipping hardware, and theta = 0 stays a bit-exact identity. Thresholds
+use strict inequality (|x| < theta), so theta = 0 prunes nothing.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InconsistentStatsError
 from .hwmodel import CostReport, HardwareConfig, price
-from .workload import dense_attention, softmax_rows
+from .workload import softmax_rows
 
 
 class Granularity(str, Enum):
@@ -33,7 +33,6 @@ class PruneConfig:
     theta_attn: float = 0.01    # threshold on post-softmax probabilities
     theta_act: float = 0.001    # threshold on post-activation magnitudes
     granularity: Granularity = Granularity.ELEMENT
-    cascade_enabled: bool = True
 
     def __post_init__(self):
         if self.theta_attn < 0 or self.theta_act < 0:
@@ -73,56 +72,6 @@ def prune_mask(t: np.ndarray, theta: float, granularity: Granularity
     return mask, float(mask.sum()) / mask.size
 
 
-@dataclass(frozen=True)
-class Consumer:
-    """Downstream op descriptor for cascade accounting.
-
-    ``matmul`` consumers multiply token rows by a (c_in x cols) matrix: a
-    zeroed element of the left operand skips ``cols`` MACs. ``pointwise``
-    consumers cost no MACs and preserve zeros iff ``zero_preserving``.
-    A matmul with a bias produces nonzero output rows from zero inputs,
-    which stops the cascade there.
-    """
-    kind: str                  # "matmul" | "pointwise"
-    cols: int = 0
-    has_bias: bool = False
-    zero_preserving: bool = True
-
-
-def cascade_propagate(mask: np.ndarray, consumers: Sequence[Consumer],
-                      cascade_enabled: bool = True) -> int:
-    """Total MACs skipped by a zero mask flowing through consecutive consumers.
-
-    The first consumer sees the element mask; each later consumer sees only
-    the rows that came out exactly zero (a row zeroes out when every element
-    of its input row was pruned and the producing op carries no bias).
-    Without cascading, only the first consumer counts.
-    """
-    skipped = 0
-    elem_mask = np.asarray(mask, dtype=bool)
-    zero_rows = elem_mask.all(axis=-1)
-    width = elem_mask.shape[-1]  # current row length as zeros flow downstream
-    first = True
-    for consumer in consumers:
-        if consumer.kind == "matmul":
-            if first:
-                skipped += int(elem_mask.sum()) * consumer.cols
-            else:
-                skipped += int(zero_rows.sum()) * width * consumer.cols
-            width = consumer.cols
-            if consumer.has_bias:
-                zero_rows = np.zeros_like(zero_rows)
-        elif consumer.kind == "pointwise":
-            if not consumer.zero_preserving:
-                zero_rows = np.zeros_like(zero_rows)
-        else:
-            raise ConfigError(f"unknown consumer kind {consumer.kind!r}")
-        first = False
-        if not cascade_enabled or not zero_rows.any():
-            break
-    return skipped
-
-
 def pruned_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                              config: PruneConfig) -> tuple[np.ndarray, SparsityStats]:
     """Attention with the post-softmax map thresholded; no renormalization.
@@ -132,15 +81,15 @@ def pruned_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """
     d = q.shape[-1]
     heads, n, _ = q.shape
-    exact = dense_attention(q, k, v)
+    exact = np.empty_like(q)
     out = np.empty_like(q)
     total_pruned = 0
     zero_rows = 0
     for h in range(heads):
         probs = softmax_rows((q[h] @ k[h].T) / math.sqrt(d))
+        exact[h] = probs @ v[h]   # dense_attention's expression for this head
         mask, _ = prune_mask(probs, config.theta_attn, config.granularity)
-        pruned = np.where(mask, 0.0, probs)
-        out[h] = pruned @ v[h]
+        out[h] = np.where(mask, 0.0, probs) @ v[h]
         total_pruned += int(mask.sum())
         zero_rows += int(mask.all(axis=-1).sum())
 

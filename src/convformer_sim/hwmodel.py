@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CapacityError, ConfigError, UseAfterFreeError
 
@@ -143,8 +143,7 @@ class ScratchpadSim:
         del self.regions[name]
 
 
-@dataclass(frozen=True)
-class Txn:
+class Txn(NamedTuple):
     """One scratchpad transaction of a schedule; the tags locate it for compute."""
     action: str          # alloc | load | store | touch | free
     region: str

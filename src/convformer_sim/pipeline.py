@@ -20,7 +20,7 @@ from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn,
                       build_report, check_keys, parse_number, replay)
 from .workload import (Add, Attention, AttentionDims, LayerNode, NetworkGraph,
                        attention_dims, attention_operands, layer_macs,
-                       layer_vector_ops)
+                       layer_vector_ops, projection_passes)
 
 
 @dataclass
@@ -74,9 +74,16 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                  attention_mode: str | at.AttentionTiling = "auto",
                  fusion_mode: str | dict = "auto") -> NetworkSchedule:
     """Build the unit schedule: fusion plans per chain, tilings per attention."""
+    segments = lf.split_into_segments(graph)
+    if isinstance(fusion_mode, dict):
+        chains = {str(i) for i in range(sum(kind == "chain" for kind, _ in segments))}
+        unknown = sorted(set(fusion_mode) - chains)
+        if unknown:
+            raise ConfigError(f"schedule.fusion names no chain {unknown}; the graph "
+                              f"has {len(chains)} chain(s), numbered from 0")
     units: list[ScheduleUnit] = []
     chain_idx = 0
-    for kind, nodes in lf.split_into_segments(graph):
+    for kind, nodes in segments:
         if kind == "chain":
             layers = lf.chain_from_nodes(graph, [n.id for n in nodes])
             if fusion_mode == "auto":
@@ -213,15 +220,8 @@ def attention_unit_execute(x: np.ndarray, node: LayerNode,
     c, h, w = x.shape
     n_tok = h * w
     q, k, v = attention_operands(x, op, params)
-    n_r = k.shape[1]
-
-    txns = _gemm_pass("attnQ", n_tok * c, c * c, n_tok * c, hw)
-    if op.sr_ratio > 1:
-        txns += _gemm_pass("attnSR", n_tok * c, c * op.sr_ratio ** 2, n_r * c, hw)
-    txns += _gemm_pass("attnK", n_r * c, c * c, n_r * c, hw)
-    txns += _gemm_pass("attnV", n_r * c, c * c, n_r * c, hw)
-    replay(txns, sim)
-
+    for tag, n_in, weights, n_out in projection_passes(op, n_tok, k.shape[1]):
+        replay(_gemm_pass(tag, n_in * c, weights, n_out * c, hw), sim)
     if tiling is None:
         o = at.untiled_attention_execute(q, k, v, sim, hw.element_bytes)
     else:
@@ -238,16 +238,12 @@ def attention_unit_ema(graph: NetworkGraph, node: LayerNode,
     assert isinstance(op, Attention)
     dims = attention_dims(graph, node, hw.element_bytes)
     c = graph.in_shape(node).c
-    eb = hw.element_bytes
-    ema = (2 * dims.N * c + c * c) * eb                    # Q projection
-    if op.sr_ratio > 1:
-        ema += (dims.N * c + c * op.sr_ratio ** 2 + dims.N_r * c) * eb
-    ema += 2 * (2 * dims.N_r * c + c * c) * eb             # K and V projections
+    # each pass moves its input, weights and output once (``_gemm_pass``)
+    ema = sum((n_in * c + weights + n_out * c) * hw.element_bytes
+              for _, n_in, weights, n_out in projection_passes(op, dims.N, dims.N_r))
     if tiling is None:
-        ema += at.untiled_attention_ema(dims)
-    else:
-        ema += at.attention_ema(dims, tiling)
-    return ema
+        return ema + at.untiled_attention_ema(dims)
+    return ema + at.attention_ema(dims, tiling)
 
 
 def add_unit_execute(a: np.ndarray, b: np.ndarray, sim: ScratchpadSim,

@@ -12,11 +12,12 @@ uniform in [-0.5, 0.5]; determinism matters more than realism here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import NotFoundError, NumericsError, ShapeError
+from .hwmodel import check_keys, parse_number
 
 LN_EPS = 1e-5
 
@@ -515,13 +516,22 @@ def layer_macs(graph: NetworkGraph, node: LayerNode) -> int:
     op = node.op
     outs = graph.out_shape(node.id)
     if isinstance(op, Attention):
-        c = op.heads * op.d_head
         dims = attention_dims(graph, node)
         core = op.heads * 2 * dims.N * dims.N_r * op.d_head  # QK^T + AV
-        proj = dims.N * c * c + 2 * dims.N_r * c * c
-        sr = dims.N_r * c * op.sr_ratio ** 2 if op.sr_ratio > 1 else 0  # depthwise
-        return core + proj + sr
+        return core + sum(n_out * weights for _, _, weights, n_out
+                          in projection_passes(op, dims.N, dims.N_r))
     return outs.h * outs.w * op_cost(op)[1]
+
+
+def projection_passes(op: Attention, n: int, n_r: int) -> list[tuple[str, int, int, int]]:
+    """(tag, input tokens, weight elements, output tokens) of each projection
+    pass of an attention layer on ``n`` tokens reduced to ``n_r``, in order:
+    Q, the depthwise spatial reduction when sr > 1, K, V. Each output token
+    costs one MAC per weight element."""
+    c = op.heads * op.d_head
+    sr = [("attnSR", n, c * op.sr_ratio ** 2, n_r)] if op.sr_ratio > 1 else []
+    return [("attnQ", n, c * c, n), *sr, ("attnK", n_r, c * c, n_r),
+            ("attnV", n_r, c * c, n_r)]
 
 
 def layer_vector_ops(graph: NetworkGraph, node: LayerNode) -> int:
@@ -608,33 +618,39 @@ PRESETS = ("toy-chain", "segformer-micro", "pvtv2-micro", "cmt-micro")
 # Declarative graph definition (config-file schema)
 # ---------------------------------------------------------------------------
 
-_KIND_BUILDERS = {
-    "conv2d": lambda d: Conv2D(int(d["c_in"]), int(d["c_out"]), int(d["k"]),
-                               int(d.get("stride", 1)), int(d.get("pad", 0)),
-                               int(d.get("groups", 1))),
-    "attention": lambda d: Attention(int(d["heads"]), int(d["d_head"]),
-                                     int(d.get("sr_ratio", 1))),
-    "linear": lambda d: Linear(int(d["c_in"]), int(d["c_out"])),
-    "layernorm": lambda d: LayerNorm(),
-    "gelu": lambda d: GELU(),
-    "add": lambda d: Add(str(d["residual_of"])),
-    "downsample": lambda d: Downsample(int(d["k"]), int(d["stride"])),
-}
+_KINDS = {"conv2d": Conv2D, "attention": Attention, "linear": Linear,
+          "layernorm": LayerNorm, "gelu": GELU, "add": Add, "downsample": Downsample}
+
+
+def _node_from_dict(nd: dict) -> LayerNode:
+    """One graph node. Unknown keys are rejected and integer fields parsed with
+    ``parse_number``; both errors name the node and the field."""
+    node_id = str(nd["id"])
+    kind = _KINDS.get(str(nd["kind"]).lower())
+    if kind is None:
+        raise NotFoundError(f"unknown layer kind {nd['kind']!r} of node {node_id!r}")
+    where = f"graph node {node_id!r}"
+    check_keys(where, nd, ("id", "kind", "preds", *(f.name for f in fields(kind))))
+    args = {}
+    for f in fields(kind):
+        if f.name in nd:
+            value = nd[f.name]
+            args[f.name] = (parse_number(f"{where} field {f.name}", value, integer=True)
+                            if f.type == "int" else str(value))
+        elif f.default is MISSING:
+            raise ShapeError(node_id, f"missing field {f.name!r}")
+    return LayerNode(node_id, kind(**args), tuple(str(p) for p in nd.get("preds", [])))
 
 
 def graph_from_dict(d: dict) -> NetworkGraph:
     """Build a graph from the declarative form used in experiment configs."""
     try:
-        shp = d["input_shape"]
-        input_shape = TensorShape(*[int(v) for v in shp])
-        nodes = []
-        for nd in d["nodes"]:
-            kind = str(nd["kind"]).lower()
-            if kind not in _KIND_BUILDERS:
-                raise NotFoundError(f"unknown layer kind {kind!r}")
-            op = _KIND_BUILDERS[kind](nd)
-            nodes.append(LayerNode(str(nd["id"]), op,
-                                   tuple(str(p) for p in nd.get("preds", []))))
+        check_keys("graph", d, ("input_shape", "nodes"))
+        shape = [parse_number("graph input_shape", v, integer=True)
+                 for v in d["input_shape"]]
+        if len(shape) != 4:
+            raise ShapeError("graph", f"input_shape must be [n, c, h, w], got {shape}")
+        nodes = [_node_from_dict(nd) for nd in d["nodes"]]
     except KeyError as e:
         raise ShapeError("graph", f"missing field {e.args[0]!r} in graph definition")
-    return infer_shapes(NetworkGraph(nodes=nodes, input_shape=input_shape))
+    return infer_shapes(NetworkGraph(nodes=nodes, input_shape=TensorShape(*shape)))

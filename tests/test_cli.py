@@ -25,6 +25,12 @@ def write_config(tmp_path, cfg, name="exp.json"):
     return str(path)
 
 
+def one_conv_graph(input_shape=(1, 4, 8, 8), **fields):
+    """A model with one 3x3 conv node ``c1``; ``fields`` override or add keys."""
+    node = {"id": "c1", "kind": "conv2d", "c_in": 4, "c_out": 4, "k": 3, **fields}
+    return {"graph": {"input_shape": list(input_shape), "nodes": [node]}}
+
+
 class TestExitCodes:
     def test_ok_run(self, capsys):
         code, out, _ = run_cli(["run", "--model", "toy-chain"], capsys)
@@ -452,6 +458,16 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
      "schedule.fusion group tile must be an integer"),
     # a chain's groups must be a list (an int was a TypeError traceback)
     ("toy-chain", {"fusion": {"0": 5}}, "schedule.fusion must be"),
+    # a key naming no chain used to be ignored (the singleton plan ran)
+    ("toy-chain", {"fusion": {"9": [{"start": 0, "end": 3, "tile": [4, 4]}]}},
+     "schedule.fusion names no chain ['9']"),
+    # graph integer fields were truncated by int() (k 3.9 ran as a 3x3 conv),
+    # and a non-numeric one was a ValueError traceback
+    (one_conv_graph(k=3.9), {}, "graph node 'c1' field k must be an integer, got 3.9"),
+    (one_conv_graph(stride="x"), {}, "graph node 'c1' field stride must be an integer"),
+    (one_conv_graph(input_shape=(1, 4, 8.5, 8)), {}, "graph input_shape must be an integer"),
+    # a wrong-length input_shape was a TypeError traceback
+    (one_conv_graph(input_shape=(4, 8, 8)), {}, "input_shape must be [n, c, h, w]"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -473,6 +489,16 @@ def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, 
     ({"schedule": {"fusion": {"0": [{"start": 0, "end": 3, "tile": [4, 4],
                                      "polcy": "cache"}]}}},
      "unknown schedule.fusion group field(s): ['polcy']"),
+    # cascading was never wired: every value ran the same first-consumer count
+    *(({"schedule": {"pruning": {"cascade_enabled": value}}},
+       "unknown schedule.pruning field(s): ['cascade_enabled']")
+      for value in (True, False, "false")),
+    # graph dicts were never checked ("strde" ran as stride 1)
+    ({"model": one_conv_graph(strde=2)}, "unknown graph node 'c1' field(s): ['strde']"),
+    ({"model": one_conv_graph(residual_of="c0")},
+     "unknown graph node 'c1' field(s): ['residual_of']"),
+    ({"model": {"graph": {**one_conv_graph()["graph"], "input": [1, 4, 8, 8]}}},
+     "unknown graph field(s): ['input']"),
 ])
 def test_unknown_config_key_exits_1_naming_it(config, key, tmp_path, capsys):
     # each of these used to run on the defaults

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from convformer_sim.errors import InconsistentStatsError
-from convformer_sim.feature_pruning import (Consumer, Granularity, PruneConfig,
-                                            SparsityStats, cascade_propagate,
-                                            prune_mask,
+from convformer_sim.feature_pruning import (Granularity, PruneConfig,
+                                            SparsityStats, prune_mask,
                                             pruned_attention_execute,
                                             sparse_cost_adjust)
 from convformer_sim.hwmodel import ScratchpadSim, build_report, roofline_cycles
@@ -70,7 +69,7 @@ class TestPruneMask:
 
 
 # ---------------------------------------------------------------------------
-# Cascade accounting vs an explicit zero-tally
+# Pruned attention execution
 # ---------------------------------------------------------------------------
 
 def zero_tally_matmul(left, right):
@@ -84,61 +83,6 @@ def zero_tally_matmul(left, right):
                 count += cols
     return count
 
-
-class TestCascade:
-    def test_all_false_mask(self):
-        mask = np.zeros((4, 8), dtype=bool)
-        assert cascade_propagate(mask, [Consumer("matmul", cols=16)]) == 0
-
-    def test_single_pruned_row_in_context(self):
-        mask = np.zeros((4, 16), dtype=bool)
-        mask[2, :] = True  # one fully-pruned probability row
-        skipped = cascade_propagate(mask, [Consumer("matmul", cols=32)])
-        assert skipped == 16 * 32  # the full A.V row: N_r * d
-
-    def test_cascade_counts_both_consumers(self, rng):
-        # attention context then a linear: a zeroed row skips at both
-        n, n_r, d, c_out = 6, 4, 8, 10
-        probs = softmax_rows(rng.normal(size=(n, n_r)))
-        mask = np.zeros_like(probs, dtype=bool)
-        mask[1, :] = True
-        mask[4, 2] = True  # partial row: skips in context only
-        pruned = np.where(mask, 0.0, probs)
-        v = rng.normal(size=(n_r, d))
-        w2 = rng.normal(size=(d, c_out))
-        out1 = pruned @ v
-        tally = zero_tally_matmul(pruned, v) + zero_tally_matmul(out1, w2)
-        got = cascade_propagate(mask, [Consumer("matmul", cols=d),
-                                       Consumer("matmul", cols=c_out, has_bias=False)])
-        assert got == tally
-
-    def test_bias_stops_cascade(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[0, :] = True
-        consumers = [Consumer("matmul", cols=8, has_bias=True),
-                     Consumer("matmul", cols=16)]
-        assert cascade_propagate(mask, consumers) == 4 * 8
-
-    def test_cascade_disabled_counts_first_only(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[0, :] = True
-        consumers = [Consumer("matmul", cols=8),
-                     Consumer("matmul", cols=16)]
-        assert cascade_propagate(mask, consumers, cascade_enabled=False) == 4 * 8
-        assert cascade_propagate(mask, consumers) == 4 * 8 + 8 * 16
-
-    def test_pointwise_zero_preserving_passes_rows(self):
-        mask = np.zeros((2, 4), dtype=bool)
-        mask[1, :] = True
-        consumers = [Consumer("matmul", cols=4),
-                     Consumer("pointwise"),  # e.g. GELU: gelu(0) = 0
-                     Consumer("matmul", cols=6)]
-        assert cascade_propagate(mask, consumers) == 4 * 4 + 4 * 6
-
-
-# ---------------------------------------------------------------------------
-# Pruned attention execution
-# ---------------------------------------------------------------------------
 
 def rand_qkv(rng, heads, n, n_r, d, scale=1.0):
     return (scale * rng.normal(size=(heads, n, d)),

@@ -11,12 +11,22 @@ presets), plus ``run`` on a SegFormer-B0-shaped 224x224 graph
 cache and streamed-weight groups beside singleton chains), a ``theta_act``
 sweep in JSON and CSV, and a threshold sweep whose first row is infeasible.
 
-To rewrite the goldens after a deliberate, documented change of output::
+To see what a change does to them, without writing anything::
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+which prints each golden that differs: its changed JSON paths (``-`` only in
+the golden, ``+`` only in the new output, ``~`` changed value), a line diff
+for CSV or other non-JSON output, and any exit-code change; it exits 1 if
+any golden differs. To rewrite the goldens after a deliberate, documented
+change of output::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import argparse
 import contextlib
+import difflib
 import io
 import json
 import sys
@@ -104,6 +114,60 @@ def test_every_golden_has_a_case():
     assert sorted(_expected_exits()) == sorted(c["name"] for c in golden_cases())
 
 
+def json_paths(old, new, path: str = "") -> list[str]:
+    """Each path at which two parsed JSON values differ, marked ``-`` (only in
+    ``old``), ``+`` (only in ``new``) or ``~`` (changed)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        paths = []
+        for key in sorted(set(old) | set(new)):
+            sub = f"{path}.{key}" if path else key
+            if key not in new:
+                paths.append("-" + sub)
+            elif key not in old:
+                paths.append("+" + sub)
+            else:
+                paths += json_paths(old[key], new[key], sub)
+        return paths
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [p for i, (a, b) in enumerate(zip(old, new))
+                for p in json_paths(a, b, f"{path}[{i}]")]
+    return [] if type(old) is type(new) and old == new else ["~" + (path or "$")]
+
+
+def test_json_paths_names_each_changed_leaf():
+    old = {"a": {"b": 1, "gone": True}, "rows": [{"x": 1.0}, {"x": 2}], "s": "k"}
+    new = {"a": {"b": 1, "new": None}, "rows": [{"x": 1}, {"x": 3}], "s": "k"}
+    assert json_paths(old, new) == ["-a.gone", "+a.new", "~rows[0].x", "~rows[1].x"]
+    assert json_paths([1, 2], [1]) == ["~$"]
+    assert json_paths(old, old) == []
+
+
+def diff_goldens() -> int:
+    """Print how each golden differs from a fresh replay; 1 if any does."""
+    exits = _expected_exits()
+    differs = False
+    for case in golden_cases():
+        name = case["name"]
+        code, out = replay(case["argv"])
+        old = (GOLDEN / f"{name}.out").read_text()
+        if code == exits[name] and out == old:
+            continue
+        differs = True
+        print(f"{name}:")
+        if code != exits[name]:
+            print(f"  exit {exits[name]} -> {code}")
+        if out == old:
+            continue
+        try:
+            changes = json_paths(json.loads(old), json.loads(out))
+        except json.JSONDecodeError:
+            changes = list(difflib.unified_diff(old.splitlines(), out.splitlines(),
+                                                "golden", "output", lineterm=""))
+        for line in changes or ["(same JSON, different text)"]:
+            print(f"  {line}")
+    return int(differs)
+
+
 def write_goldens() -> None:
     exits = {}
     for case in golden_cases():
@@ -115,4 +179,9 @@ def write_goldens() -> None:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite the CLI goldens.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print how each golden differs; write nothing")
+    if parser.parse_args().diff:
+        sys.exit(diff_goldens())
     write_goldens()
