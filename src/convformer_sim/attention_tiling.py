@@ -24,8 +24,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapacityError, NoFeasibleTilingError, ShapeError
-from .hwmodel import HardwareConfig, ScratchpadSim, Txn, parse_number, replay
+from .errors import CapacityError, ConfigError, NoFeasibleTilingError, ShapeError
+from .hwmodel import (HardwareConfig, ScratchpadSim, Txn, check_keys, parse_number,
+                      replay)
 from .workload import AttentionDims, divisors, softmax_rows, tile_intervals
 
 
@@ -39,16 +40,31 @@ class AttentionTiling:
     t_q: int                 # query row-tile, tokens
     t_k: int                 # key/value column-tile, tokens
     mode: ResidencyMode
-    element_bytes: int = 1
 
     def to_dict(self) -> dict:
         return dict(asdict(self), mode=self.mode.value)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttentionTiling":
-        t_q, t_k = (parse_number(f"schedule.attention.{k}", d[k], integer=True)
-                    for k in ("t_q", "t_k"))
-        return cls(t_q, t_k, ResidencyMode(d["mode"]), int(d.get("element_bytes", 1)))
+
+def tiling_spec(spec) -> dict:
+    """A fixed ``schedule.attention`` tiling, checked and with integer sizes.
+
+    ``{"t_q", "mode": "resident_kv"}`` keeps K and V whole, so each layer's
+    t_k is its N_r; ``{"t_q", "t_k", "mode": "streaming_kv"}`` streams them.
+    Sizes are range-checked per layer, by ``_validate``.
+    """
+    check_keys("schedule.attention", spec, ("t_q", "t_k", "mode"))
+    modes = [m.value for m in ResidencyMode]
+    if spec.get("mode") not in modes:
+        raise ConfigError(f"schedule.attention.mode must be one of {modes}, "
+                          f"got {spec.get('mode')!r}")
+    streaming = spec["mode"] == ResidencyMode.STREAMING_KV
+    if "t_k" in spec and not streaming:
+        raise ConfigError("schedule.attention.t_k is not allowed with resident_kv: "
+                          "K and V are whole, so t_k is each layer's N_r")
+    sizes = ("t_q", "t_k") if streaming else ("t_q",)
+    return {"mode": spec["mode"],
+            **{k: parse_number(f"schedule.attention.{k}", spec.get(k), integer=True)
+               for k in sizes}}
 
 
 def _validate(dims: AttentionDims, tiling: AttentionTiling):
@@ -117,12 +133,11 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
     Ties break toward larger t_q, then resident over streaming, then larger
     t_k — fewer schedule iterations at equal traffic.
     """
-    eb = dims.element_bytes
     best: tuple | None = None
     best_tiling: AttentionTiling | None = None
     for t_q in divisors(dims.N):
-        candidates = [AttentionTiling(t_q, dims.N_r, ResidencyMode.RESIDENT_KV, eb)]
-        candidates += [AttentionTiling(t_q, t_k, ResidencyMode.STREAMING_KV, eb)
+        candidates = [AttentionTiling(t_q, dims.N_r, ResidencyMode.RESIDENT_KV)]
+        candidates += [AttentionTiling(t_q, t_k, ResidencyMode.STREAMING_KV)
                        for t_k in divisors(dims.N_r)]
         for cand in candidates:
             try:
@@ -256,14 +271,17 @@ def online_softmax_update(state: SoftmaxState, s_block: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _attention_compute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                       out: np.ndarray, q_tiles: list[tuple[int, int]],
+                       dims: AttentionDims, out: np.ndarray,
+                       q_tiles: list[tuple[int, int]],
                        k_blocks: list[tuple[int, int]]):
     """Numerics of the compute steps of either attention schedule, keyed by tag.
 
     Steps with ``block == -1`` see all of K and V; the streaming state starts
     at block 0 of each query tile.
     """
-    inv_scale = 1.0 / math.sqrt(q.shape[-1])
+    assert q.shape == (dims.heads, dims.N, dims.d) == out.shape
+    assert k.shape == v.shape == (dims.heads, dims.N_r, dims.d)
+    inv_scale = 1.0 / math.sqrt(dims.d)
     s_tile: np.ndarray | None = None
     state: SoftmaxState | None = None
 
@@ -281,7 +299,7 @@ def _attention_compute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             out[h, lo:hi] = s_tile @ v[h]
         elif txn.what == "online_update":
             if txn.block == 0:
-                state = init_softmax_state(hi - lo, q.shape[-1])
+                state = init_softmax_state(hi - lo, dims.d)
             vh = v[h, slice(*k_blocks[txn.block])]
             state = online_softmax_update(state, s_tile, vh)
         elif txn.what == "finalize":
@@ -291,29 +309,24 @@ def _attention_compute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 
 def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                            tiling: AttentionTiling, sim: ScratchpadSim) -> np.ndarray:
+                            dims: AttentionDims, tiling: AttentionTiling,
+                            sim: ScratchpadSim) -> np.ndarray:
     """Tile-by-tile softmax(QK^T/sqrt(d))V; issues all traffic through ``sim``.
 
     q is (heads, N, d); k, v are (heads, N_r, d). Capacity errors from the
     simulator propagate: an infeasible tiling cannot be executed.
     """
-    heads, n, d = q.shape
-    dims = AttentionDims(N=n, N_r=k.shape[1], d=d, heads=heads,
-                         element_bytes=tiling.element_bytes)
     out = np.empty_like(q)
     replay(schedule_attention(dims, tiling), sim,
-           _attention_compute(q, k, v, out, tile_intervals(n, tiling.t_q),
+           _attention_compute(q, k, v, dims, out, tile_intervals(dims.N, tiling.t_q),
                               tile_intervals(dims.N_r, tiling.t_k)))
     return out
 
 
 def untiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                              sim: ScratchpadSim, element_bytes: int = 1) -> np.ndarray:
+                              dims: AttentionDims, sim: ScratchpadSim) -> np.ndarray:
     """Baseline dense attention with the score matrix spilled to DRAM."""
-    heads, n, d = q.shape
-    dims = AttentionDims(N=n, N_r=k.shape[1], d=d, heads=heads,
-                         element_bytes=element_bytes)
     out = np.empty_like(q)
     replay(schedule_untiled_attention(dims), sim,
-           _attention_compute(q, k, v, out, [(0, n)], []))
+           _attention_compute(q, k, v, dims, out, [(0, dims.N)], []))
     return out

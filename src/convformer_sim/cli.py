@@ -29,7 +29,7 @@ from .errors import (CapacityError, ConfigError, NoFeasiblePlanError,
                      ShapeError, SimError)
 from .hwmodel import CostReport, HardwareConfig, check_keys, parse_number
 from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
-                       attention_dims, attention_operands, build_preset,
+                       attention_operands, build_preset,
                        graph_from_dict, init_params, reference_execute,
                        seeded_input)
 
@@ -50,7 +50,7 @@ SCHEDULE_PRESETS = {
 class ExperimentConfig:
     model: str | dict = "toy-chain"
     hardware: HardwareConfig = field(default_factory=HardwareConfig)
-    attention: str | at.AttentionTiling = "auto"
+    attention: str | dict = "auto"
     fusion: str | dict = "auto"
     pruning: fp.PruneConfig | None = None
     seed: int = 0
@@ -58,9 +58,7 @@ class ExperimentConfig:
 
     def resolved_dict(self) -> dict:
         sched: dict = {
-            "attention": (self.attention.to_dict()
-                          if isinstance(self.attention, at.AttentionTiling)
-                          else self.attention),
+            "attention": self.attention,
             "fusion": self.fusion,
             "pruning": "off" if self.pruning is None else dict(
                 asdict(self.pruning), granularity=self.pruning.granularity.value),
@@ -86,29 +84,22 @@ def load_config(path: str | None, args: argparse.Namespace,
     check_keys("config", raw, ("model", "hardware", "schedule", "seed", "tolerance"))
 
     model = raw.get("model", "toy-chain")
-    if isinstance(model, dict):
+    if not isinstance(model, str):
         check_keys("model", model, ("preset", "graph"))
         if "preset" in model and "graph" in model:
             raise ConfigError("model: give exactly one of preset or graph")
     if getattr(args, "model", None):
         model = args.model
 
-    hw_dict = dict(raw.get("hardware", {}))
-    hw_dict.update(hw_overrides)
-    hardware = HardwareConfig.from_dict(hw_dict)
+    hw_raw = raw.get("hardware", {})
+    check_keys("hardware", hw_raw, HardwareConfig.__dataclass_fields__)
+    hardware = HardwareConfig.from_dict({**hw_raw, **hw_overrides})
 
     sched = raw.get("schedule", {})
-    if not isinstance(sched, dict):
-        raise ConfigError("schedule must be an object")
     check_keys("schedule", sched, ("attention", "fusion", "pruning"))
     attention = sched.get("attention", "auto")
     if isinstance(attention, dict):
-        check_keys("schedule.attention", attention, ("t_q", "t_k", "mode"))
-        try:
-            attention = at.AttentionTiling.from_dict(
-                dict(attention, element_bytes=hardware.element_bytes))
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"schedule.attention: {e}")
+        attention = at.tiling_spec(attention)
     elif attention not in ("auto", "baseline"):
         raise ConfigError(f"schedule.attention must be auto, baseline, or a "
                           f"tiling object, got {attention!r}")
@@ -290,8 +281,10 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> list[di
             sub = replace(cfg, pruning=replace(base, **{
                 axis: parse_number(axis, value, integer=False)}))
         elif axis == "t_q":
-            sub = replace(cfg, attention=_fixed_tq_tiling(
-                cfg, parse_number(axis, value, integer=True)))
+            # only t_q changes in a configured tiling; otherwise K/V stay resident
+            spec = (cfg.attention if isinstance(cfg.attention, dict)
+                    else {"mode": at.ResidencyMode.RESIDENT_KV.value})
+            sub = replace(cfg, attention=at.tiling_spec(dict(spec, t_q=value)))
         if simulated is None or simulated[0] != replace(sub, pruning=None):
             simulated = None   # free the last simulation before the next one
             simulated = replace(sub, pruning=None), simulate(sub)
@@ -312,21 +305,6 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> list[di
                                            default=1.0)
         rows.append(row)
     return rows
-
-
-def _fixed_tq_tiling(cfg: ExperimentConfig, t_q: int) -> at.AttentionTiling:
-    if t_q < 1:
-        raise ConfigError(f"t_q must be >= 1, got {t_q}")
-    graph = build_graph(cfg.model)
-    for node in graph.nodes:
-        if isinstance(node.op, Attention):
-            dims = attention_dims(graph, node, cfg.hardware.element_bytes)
-            if dims.N % t_q != 0:
-                raise ConfigError(
-                    f"t_q={t_q} does not divide N={dims.N} of node {node.id}")
-    # resident mode: t_k is resolved to each layer's N_r at planning time
-    return at.AttentionTiling(t_q, -1, at.ResidencyMode.RESIDENT_KV,
-                              cfg.hardware.element_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,19 @@ def parse_number(name: str, value, integer: bool) -> int | float:
 
 
 def check_keys(where: str, d: dict, known) -> None:
-    """ConfigError naming every key of config object ``d`` that is not ``known``."""
+    """ConfigError if config part ``d`` is not an object or has a key not ``known``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
     bad = sorted(set(d) - set(known))
     if bad:
         raise ConfigError(f"unknown {where} field(s): {bad}")
+
+
+def check_list(where: str, value) -> list:
+    """``value`` if it is a list; ConfigError naming config part ``where`` if not."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,6 @@ class ScratchpadSim:
         self.dram_writes = 0
         self.sram_accesses = 0
         self.high_water = 0
-        self.loads_by_region: dict[str, int] = {}
 
     @property
     def live_bytes(self) -> int:
@@ -123,7 +131,6 @@ class ScratchpadSim:
         self._check(name, nbytes)
         self.dram_reads += nbytes
         self.sram_accesses += nbytes
-        self.loads_by_region[name] = self.loads_by_region.get(name, 0) + nbytes
 
     def store(self, name: str, nbytes: int):
         self._check(name, nbytes)

@@ -32,8 +32,8 @@ class ChainUnit:
 @dataclass
 class AttentionUnit:
     node: LayerNode
+    dims: AttentionDims
     tiling: at.AttentionTiling | None   # None -> baseline spilled-score execution
-    dims: AttentionDims | None = None
     buffer_bytes: int = 0
 
 
@@ -61,6 +61,7 @@ class NetworkSchedule:
                     tiling = "baseline"
                 else:
                     tiling = dict(u.tiling.to_dict(),
+                                  element_bytes=u.dims.element_bytes,
                                   ema_bytes=at.attention_ema(u.dims, u.tiling),
                                   buffer_bytes=u.buffer_bytes)
                 out.append({"kind": "attention", "node": u.node.id,
@@ -71,9 +72,13 @@ class NetworkSchedule:
 
 
 def plan_network(graph: NetworkGraph, hw: HardwareConfig,
-                 attention_mode: str | at.AttentionTiling = "auto",
+                 attention_mode: str | dict = "auto",
                  fusion_mode: str | dict = "auto") -> NetworkSchedule:
-    """Build the unit schedule: fusion plans per chain, tilings per attention."""
+    """Build the unit schedule: fusion plans per chain, tilings per attention.
+
+    A dict ``attention_mode`` is an ``at.tiling_spec``; each attention layer
+    gets its fixed tiling, with t_k = N_r in resident mode.
+    """
     segments = lf.split_into_segments(graph)
     if isinstance(fusion_mode, dict):
         chains = {str(i) for i in range(sum(kind == "chain" for kind, _ in segments))}
@@ -104,17 +109,15 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                     tiling = at.search_attention_tiling(dims, hw)
                 elif attention_mode == "baseline":
                     tiling = None
-                elif isinstance(attention_mode, at.AttentionTiling):
-                    tiling = attention_mode
-                    if tiling.mode is at.ResidencyMode.RESIDENT_KV:
-                        # resident t_k always resolves to this layer's N_r
-                        tiling = at.AttentionTiling(tiling.t_q, dims.N_r,
-                                                    tiling.mode, hw.element_bytes)
+                elif isinstance(attention_mode, dict):
+                    tiling = at.AttentionTiling(
+                        attention_mode["t_q"], attention_mode.get("t_k", dims.N_r),
+                        at.ResidencyMode(attention_mode["mode"]))
                 else:
                     raise ConfigError(f"unknown attention mode {attention_mode!r}")
                 buffer_bytes = (0 if tiling is None
                                 else at.tiling_buffer_bytes(dims, tiling, hw))
-                units.append(AttentionUnit(node, tiling, dims, buffer_bytes))
+                units.append(AttentionUnit(node, dims, tiling, buffer_bytes))
             elif isinstance(node.op, Add):
                 units.append(AddUnit(node))
             else:
@@ -206,44 +209,38 @@ def _add_pass(elems: int, hw: HardwareConfig) -> list[Txn]:
     return txns + [Txn("free", "add_b", 0), Txn("free", "add_a", 0)]
 
 
-def attention_unit_execute(x: np.ndarray, node: LayerNode,
+def attention_unit_execute(x: np.ndarray, unit: AttentionUnit,
                            params: dict[str, np.ndarray],
-                           tiling: at.AttentionTiling | None,
                            sim: ScratchpadSim, hw: HardwareConfig) -> np.ndarray:
     """Projections (Q, spatial reduction, K, V) then the attention core.
 
     Projection operands round-trip through DRAM; the core re-reads Q/K/V per
     its residency mode, matching the closed-form EMA model.
     """
-    op = node.op
-    assert isinstance(op, Attention)
+    dims = unit.dims
     c, h, w = x.shape
-    n_tok = h * w
-    q, k, v = attention_operands(x, op, params)
-    for tag, n_in, weights, n_out in projection_passes(op, n_tok, k.shape[1]):
+    q, k, v = attention_operands(x, unit.node.op, params)
+    for tag, n_in, weights, n_out in projection_passes(unit.node.op, dims.N, dims.N_r):
         replay(_gemm_pass(tag, n_in * c, weights, n_out * c, hw), sim)
-    if tiling is None:
-        o = at.untiled_attention_execute(q, k, v, sim, hw.element_bytes)
+    if unit.tiling is None:
+        o = at.untiled_attention_execute(q, k, v, dims, sim)
     else:
-        o = at.tiled_attention_execute(q, k, v, tiling, sim)
-    merged = o.transpose(1, 0, 2).reshape(n_tok, c)
+        o = at.tiled_attention_execute(q, k, v, dims, unit.tiling, sim)
+    merged = o.transpose(1, 0, 2).reshape(dims.N, c)
     return merged.T.reshape(c, h, w)
 
 
-def attention_unit_ema(graph: NetworkGraph, node: LayerNode,
-                       tiling: at.AttentionTiling | None,
-                       hw: HardwareConfig) -> int:
+def attention_unit_ema(unit: AttentionUnit) -> int:
     """Closed-form EMA of an attention unit (projections + core)."""
-    op = node.op
-    assert isinstance(op, Attention)
-    dims = attention_dims(graph, node, hw.element_bytes)
-    c = graph.in_shape(node).c
+    dims = unit.dims
+    c = dims.heads * dims.d
     # each pass moves its input, weights and output once (``_gemm_pass``)
-    ema = sum((n_in * c + weights + n_out * c) * hw.element_bytes
-              for _, n_in, weights, n_out in projection_passes(op, dims.N, dims.N_r))
-    if tiling is None:
+    ema = sum((n_in * c + weights + n_out * c) * dims.element_bytes
+              for _, n_in, weights, n_out
+              in projection_passes(unit.node.op, dims.N, dims.N_r))
+    if unit.tiling is None:
         return ema + at.untiled_attention_ema(dims)
-    return ema + at.attention_ema(dims, tiling)
+    return ema + at.attention_ema(dims, unit.tiling)
 
 
 def add_unit_execute(a: np.ndarray, b: np.ndarray, sim: ScratchpadSim,
@@ -277,8 +274,7 @@ def execute_network(graph: NetworkGraph, schedule: NetworkSchedule,
             label = "chain[" + ",".join(l.node.id for l in unit.layers) + "]"
         elif isinstance(unit, AttentionUnit):
             xin = unit_input(unit.node)
-            out = attention_unit_execute(xin, unit.node, params[unit.node.id],
-                                         unit.tiling, sim, hw)
+            out = attention_unit_execute(xin, unit, params[unit.node.id], sim, hw)
             values[unit.node.id] = out
             macs = layer_macs(graph, unit.node)
             vops = layer_vector_ops(graph, unit.node)
@@ -306,7 +302,7 @@ def schedule_totals(graph: NetworkGraph, schedule: NetworkSchedule,
             ema += unit.plan.total_ema
             extra_macs += unit.plan.total_extra_macs
         elif isinstance(unit, AttentionUnit):
-            ema += attention_unit_ema(graph, unit.node, unit.tiling, hw)
+            ema += attention_unit_ema(unit)
         else:
             shp = graph.out_shape(unit.node.id)
             ema += 3 * shp.elements * hw.element_bytes

@@ -16,8 +16,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import NotFoundError, NumericsError, ShapeError
-from .hwmodel import check_keys, parse_number
+from .errors import ConfigError, NotFoundError, NumericsError, ShapeError
+from .hwmodel import check_keys, check_list, parse_number
 
 LN_EPS = 1e-5
 
@@ -625,6 +625,8 @@ _KINDS = {"conv2d": Conv2D, "attention": Attention, "linear": Linear,
 def _node_from_dict(nd: dict) -> LayerNode:
     """One graph node. Unknown keys are rejected and integer fields parsed with
     ``parse_number``; both errors name the node and the field."""
+    if not isinstance(nd, dict):
+        raise ConfigError(f"graph node must be an object, got {nd!r}")
     node_id = str(nd["id"])
     kind = _KINDS.get(str(nd["kind"]).lower())
     if kind is None:
@@ -639,7 +641,8 @@ def _node_from_dict(nd: dict) -> LayerNode:
                             if f.type == "int" else str(value))
         elif f.default is MISSING:
             raise ShapeError(node_id, f"missing field {f.name!r}")
-    return LayerNode(node_id, kind(**args), tuple(str(p) for p in nd.get("preds", [])))
+    preds = check_list(f"{where} field preds", nd.get("preds", []))
+    return LayerNode(node_id, kind(**args), tuple(str(p) for p in preds))
 
 
 def graph_from_dict(d: dict) -> NetworkGraph:
@@ -647,10 +650,10 @@ def graph_from_dict(d: dict) -> NetworkGraph:
     try:
         check_keys("graph", d, ("input_shape", "nodes"))
         shape = [parse_number("graph input_shape", v, integer=True)
-                 for v in d["input_shape"]]
+                 for v in check_list("graph input_shape", d["input_shape"])]
         if len(shape) != 4:
             raise ShapeError("graph", f"input_shape must be [n, c, h, w], got {shape}")
-        nodes = [_node_from_dict(nd) for nd in d["nodes"]]
+        nodes = [_node_from_dict(nd) for nd in check_list("graph nodes", d["nodes"])]
     except KeyError as e:
         raise ShapeError("graph", f"missing field {e.args[0]!r} in graph definition")
     return infer_shapes(NetworkGraph(nodes=nodes, input_shape=TensorShape(*shape)))

@@ -20,3 +20,12 @@ def replay_counters(txns, capacity=1 << 30):
     sim = ScratchpadSim(capacity)
     replay(txns, sim)
     return sim
+
+
+def region_loads(txns):
+    """Bytes loaded into each region by a schedule's ``load`` transactions."""
+    loads = {}
+    for t in txns:
+        if t.action == "load":
+            loads[t.region] = loads.get(t.region, 0) + t.nbytes
+    return loads

@@ -37,6 +37,8 @@ from convformer_sim.workload import (Attention, Conv2D, GELU, LayerNode,
                                      init_params, reference_execute,
                                      seeded_input, softmax_rows)
 
+from conftest import region_loads
+
 RESIDENT = ResidencyMode.RESIDENT_KV
 STREAMING = ResidencyMode.STREAMING_KV
 ATTN_PRESETS = ("segformer-micro", "pvtv2-micro", "cmt-micro")
@@ -106,7 +108,7 @@ def test_criterion_1_attention_oracle_equivalence():
         assert len([t for t in tilings if t.mode is STREAMING]) >= 3
         for tiling in tilings:
             sim = ScratchpadSim(1 << 30)
-            out = tiled_attention_execute(q, k, v, tiling, sim)
+            out = tiled_attention_execute(q, k, v, dims, tiling, sim)
             dev = float(np.max(np.abs(out - ref)))
             assert dev <= 1e-9, (preset, node.id, tiling, dev)
             checked += 1
@@ -294,8 +296,9 @@ def test_criterion_6_right_operand_single_load():
         sim = ScratchpadSim(hw.scratchpad_bytes)
         replay(txns, sim)
         kv_size = dims.heads * dims.N_r * dims.d * dims.element_bytes
-        assert sim.loads_by_region["K"] == kv_size, node.id
-        assert sim.loads_by_region["V"] == kv_size, node.id
+        loads = region_loads(txns)
+        assert loads["K"] == kv_size, node.id
+        assert loads["V"] == kv_size, node.id
         for h in range(dims.heads):
             per_head = [t for t in txns if t.head == h and t.action == "load"]
             first_q = next(i for i, t in enumerate(per_head) if t.what == "load_q")

@@ -15,7 +15,7 @@ from convformer_sim.errors import CapacityError, NoFeasibleTilingError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.workload import AttentionDims, dense_attention, softmax_rows
 
-from conftest import replay_counters
+from conftest import region_loads, replay_counters
 
 RESIDENT = ResidencyMode.RESIDENT_KV
 STREAMING = ResidencyMode.STREAMING_KV
@@ -25,13 +25,13 @@ def divisors(n):
     return [i for i in range(1, n + 1) if n % i == 0]
 
 
-def all_tilings(dims, eb=1):
+def all_tilings(dims):
     """Full candidate grid: every (t_q, t_k, mode) over divisors."""
     out = []
     for t_q in divisors(dims.N):
-        out.append(AttentionTiling(t_q, dims.N_r, RESIDENT, eb))
+        out.append(AttentionTiling(t_q, dims.N_r, RESIDENT))
         for t_k in divisors(dims.N_r):
-            out.append(AttentionTiling(t_q, t_k, STREAMING, eb))
+            out.append(AttentionTiling(t_q, t_k, STREAMING))
     return out
 
 
@@ -75,7 +75,7 @@ def test_ema_formula_matches_replay_everywhere(n, n_r, d, heads):
 
 def test_ema_handles_element_bytes():
     dims = AttentionDims(N=16, N_r=4, d=8, heads=2, element_bytes=2)
-    tiling = AttentionTiling(4, 2, STREAMING, element_bytes=2)
+    tiling = AttentionTiling(4, 2, STREAMING)
     sim = replay_counters(schedule_attention(dims, tiling))
     assert sim.ema_bytes == attention_ema(dims, tiling)
     assert sim.ema_bytes % 2 == 0
@@ -142,7 +142,7 @@ def test_min_tile_feasible_on_default_hw_for_presets():
 def brute_force_min_ema(dims, hw):
     """Oracle: feasibility and EMA both measured by replaying each candidate."""
     best = None
-    for tiling in all_tilings(dims, hw.element_bytes):
+    for tiling in all_tilings(dims):
         sim = ScratchpadSim(hw.scratchpad_bytes)
         try:
             replay(schedule_attention(dims, tiling), sim)
@@ -225,10 +225,11 @@ def test_resident_schedule_order_and_counts():
     kinds = [t.what for t in loads]
     assert kinds[:2] == ["load_k", "load_v"]
     assert kinds[2:] == ["load_q", "load_q"]
-    sim = replay_counters(txns)
-    assert sim.loads_by_region["K"] == 8 * 4  # exactly its size, once
-    assert sim.loads_by_region["V"] == 8 * 4
-    assert sim.loads_by_region["QO"] == 16 * 4
+    replay_counters(txns)
+    loads = region_loads(txns)
+    assert loads["K"] == 8 * 4  # exactly its size, once
+    assert loads["V"] == 8 * 4
+    assert loads["QO"] == 16 * 4
 
 
 def test_resident_single_load_across_heads():
@@ -240,8 +241,8 @@ def test_resident_single_load_across_heads():
         q_first = next(i for i, t in enumerate(per_head) if t.what == "load_q")
         assert all(t.what != "load_q" for t in per_head[:q_first])
         assert sum(t.nbytes for t in per_head if t.what == "load_k") == 8 * 4
-    sim = replay_counters(txns)
-    assert sim.loads_by_region["K"] == dims.heads * 8 * 4
+    replay_counters(txns)
+    assert region_loads(txns)["K"] == dims.heads * 8 * 4
 
 
 def test_streaming_single_pass_when_tq_is_n():
@@ -254,9 +255,10 @@ def test_streaming_single_pass_when_tq_is_n():
 def test_streaming_kv_reload_factor():
     dims = AttentionDims(N=16, N_r=8, d=4, heads=1)
     txns = schedule_attention(dims, AttentionTiling(4, 2, STREAMING))
-    sim = replay_counters(txns)
-    assert sim.loads_by_region["K"] == 4 * 8 * 4  # ceil(N/t_q) = 4 passes
-    assert sim.loads_by_region["V"] == 4 * 8 * 4
+    replay_counters(txns)
+    loads = region_loads(txns)
+    assert loads["K"] == 4 * 8 * 4  # ceil(N/t_q) = 4 passes
+    assert loads["V"] == 4 * 8 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +315,29 @@ def rand_qkv(rng, heads, n, n_r, d):
             rng.normal(size=(heads, n_r, d)))
 
 
+def dims_of(q, k):
+    """The attention dims of operands q (heads, N, d) and k (heads, N_r, d)."""
+    heads, n, d = q.shape
+    return AttentionDims(N=n, N_r=k.shape[1], d=d, heads=heads)
+
+
+class LoadRecordingSim(ScratchpadSim):
+    """A simulator that also sums the bytes loaded into each region."""
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.loads = {}
+
+    def load(self, name, nbytes):
+        super().load(name, nbytes)
+        self.loads[name] = self.loads.get(name, 0) + nbytes
+
+
 def test_single_token_is_v(rng):
     q, k, v = rand_qkv(rng, 1, 1, 1, 4)
     sim = ScratchpadSim(1 << 20)
-    out = tiled_attention_execute(q, k, v, AttentionTiling(1, 1, RESIDENT), sim)
+    out = tiled_attention_execute(q, k, v, dims_of(q, k), AttentionTiling(1, 1, RESIDENT),
+                                  sim)
     np.testing.assert_allclose(out, v, atol=1e-15)
 
 
@@ -324,7 +345,8 @@ def test_single_token_is_v(rng):
 def test_resident_matches_dense_tightly(rng, t_q):
     q, k, v = rand_qkv(rng, 2, 64, 16, 8)
     sim = ScratchpadSim(1 << 20)
-    out = tiled_attention_execute(q, k, v, AttentionTiling(t_q, 16, RESIDENT), sim)
+    out = tiled_attention_execute(q, k, v, dims_of(q, k),
+                                  AttentionTiling(t_q, 16, RESIDENT), sim)
     assert np.max(np.abs(out - dense_attention(q, k, v))) <= 1e-12
 
 
@@ -332,7 +354,8 @@ def test_resident_matches_dense_tightly(rng, t_q):
 def test_streaming_matches_dense(rng, t_q, t_k):
     q, k, v = rand_qkv(rng, 2, 64, 16, 8)
     sim = ScratchpadSim(1 << 20)
-    out = tiled_attention_execute(q, k, v, AttentionTiling(t_q, t_k, STREAMING), sim)
+    out = tiled_attention_execute(q, k, v, dims_of(q, k),
+                                  AttentionTiling(t_q, t_k, STREAMING), sim)
     assert np.max(np.abs(out - dense_attention(q, k, v))) <= 1e-9
 
 
@@ -340,26 +363,28 @@ def test_execute_counters_match_schedule_replay(rng):
     dims = AttentionDims(N=32, N_r=16, d=8, heads=2)
     q, k, v = rand_qkv(rng, 2, 32, 16, 8)
     for tiling in [AttentionTiling(8, 16, RESIDENT), AttentionTiling(8, 4, STREAMING)]:
-        sim_exec = ScratchpadSim(1 << 20)
-        tiled_attention_execute(q, k, v, tiling, sim_exec)
-        sim_replay = replay_counters(schedule_attention(dims, tiling))
-        for counter in ("dram_reads", "dram_writes", "sram_accesses", "high_water",
-                        "loads_by_region"):
+        sim_exec = LoadRecordingSim(1 << 20)
+        tiled_attention_execute(q, k, v, dims, tiling, sim_exec)
+        txns = schedule_attention(dims, tiling)
+        sim_replay = replay_counters(txns)
+        for counter in ("dram_reads", "dram_writes", "sram_accesses", "high_water"):
             assert getattr(sim_exec, counter) == getattr(sim_replay, counter)
+        assert sim_exec.loads == region_loads(txns)
 
 def test_execute_propagates_capacity_error(rng):
     q, k, v = rand_qkv(rng, 1, 64, 64, 32)
     sim = ScratchpadSim(64)
     with pytest.raises(CapacityError):
-        tiled_attention_execute(q, k, v, AttentionTiling(64, 64, RESIDENT), sim)
+        tiled_attention_execute(q, k, v, dims_of(q, k), AttentionTiling(64, 64, RESIDENT),
+                                sim)
 
 
 def test_untiled_execute_matches_dense_and_formula(rng):
     q, k, v = rand_qkv(rng, 2, 32, 8, 4)
     sim = ScratchpadSim(1 << 20)
-    out = untiled_attention_execute(q, k, v, sim)
-    np.testing.assert_allclose(out, dense_attention(q, k, v), atol=1e-12)
     dims = AttentionDims(N=32, N_r=8, d=4, heads=2)
+    out = untiled_attention_execute(q, k, v, dims, sim)
+    np.testing.assert_allclose(out, dense_attention(q, k, v), atol=1e-12)
     assert sim.ema_bytes == untiled_attention_ema(dims)
 
 
@@ -369,6 +394,6 @@ def test_ragged_tile_sizes_still_exact(rng):
     tiling = AttentionTiling(4, 4, STREAMING)
     q, k, v = rand_qkv(rng, 1, 10, 6, 4)
     sim = ScratchpadSim(1 << 20)
-    out = tiled_attention_execute(q, k, v, tiling, sim)
+    out = tiled_attention_execute(q, k, v, dims, tiling, sim)
     assert np.max(np.abs(out - dense_attention(q, k, v))) <= 1e-9
     assert sim.ema_bytes == attention_ema(dims, tiling)

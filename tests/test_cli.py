@@ -198,10 +198,19 @@ class TestSweep:
         assert code == 0
         assert len(json.loads(out)) == 3
 
-    def test_tq_must_divide(self, capsys):
-        code, _, err = run_cli(["sweep", "--model", "segformer-micro",
-                                "--axis", "t_q", "--values", "3"], capsys)
+    def test_tq_need_not_divide_n(self, capsys):
+        # the sweep used to demand that t_q divide N, a rule run does not have
+        code, out, err = run_cli(["sweep", "--model", "pvtv2-micro",
+                                  "--axis", "t_q", "--values", "3"], capsys)
+        assert code == 0, err
+        assert json.loads(out)[0]["value"] == 3
+
+    def test_tq_out_of_range(self, capsys):
+        code, out, err = run_cli(["sweep", "--model", "segformer-micro",
+                                  "--axis", "t_q", "--values", "0"], capsys)
         assert code == 1
+        assert "t_q=0 out of" in err
+        assert out == ""
 
 
 class TestFixedSchedules:
@@ -247,14 +256,30 @@ class TestFixedSchedules:
     def test_fixed_attention_tiling(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "model": "segformer-micro",
-            "schedule": {"attention": {"t_q": 4, "t_k": 4,
-                                       "mode": "resident_kv"}},
+            "schedule": {"attention": {"t_q": 4, "mode": "resident_kv"}},
         })
         code, out, _ = run_cli(["run", "--config", cfg], capsys)
         assert code == 0
         units = json.loads(out)["schedule"]["units"]
         tilings = [u["tiling"] for u in units if u["kind"] == "attention"]
         assert all(t["t_q"] == 4 and t["mode"] == "resident_kv" for t in tilings)
+
+
+FIXED_ATTENTION = str(Path(__file__).parent / "golden" / "fixed-attention.json")
+
+
+def test_tq_sweep_row_equals_run_on_streaming_config(capsys):
+    # the sweep used to replace a configured streaming tiling by a resident one
+    code, out, _ = run_cli(["run", "--config", FIXED_ATTENTION], capsys)
+    assert code == 0
+    run = json.loads(out)
+    code, out, _ = run_cli(["sweep", "--config", FIXED_ATTENTION, "--axis", "t_q",
+                            "--values", "4"], capsys)
+    assert code == 0
+    row, = json.loads(out)
+    for key in ("ema_bytes", "macs", "cycles", "energy_pj"):
+        assert row[key] == run["report"][key], key
+    assert row["max_abs_deviation"] == run["max_abs_deviation"]
 
 
 def test_sweep_non_numeric_values(capsys):
@@ -450,7 +475,7 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     ("pvtv2-micro", {"pruning": {"theta_attn": None}},
      "schedule.pruning.theta_attn must be a number"),
     # fractional integers used to be truncated (t_q 2.9 ran as 2)
-    ("pvtv2-micro", {"attention": {"t_q": 2.9, "t_k": 4, "mode": "resident_kv"}},
+    ("pvtv2-micro", {"attention": {"t_q": 2.9, "mode": "resident_kv"}},
      "schedule.attention.t_q must be an integer"),
     ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3.7, "tile": [4, 4]}]}},
      "schedule.fusion group end must be an integer"),
@@ -468,6 +493,19 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     (one_conv_graph(input_shape=(1, 4, 8.5, 8)), {}, "graph input_shape must be an integer"),
     # a wrong-length input_shape was a TypeError traceback
     (one_conv_graph(input_shape=(4, 8, 8)), {}, "input_shape must be [n, c, h, w]"),
+    # config parts of the wrong JSON type were TypeError tracebacks, and a
+    # string preds was split into characters (predecessor 'c' undefined)
+    (5, {}, "model must be an object, got 5"),
+    ({"graph": 5}, {}, "graph must be an object, got 5"),
+    ({"graph": {"input_shape": [1, 4, 8, 8], "nodes": 5}}, {},
+     "graph nodes must be a list, got 5"),
+    ({"graph": {"input_shape": [1, 4, 8, 8], "nodes": [5]}}, {},
+     "graph node must be an object, got 5"),
+    ({"graph": {"input_shape": 4, "nodes": []}}, {}, "graph input_shape must be a list, got 4"),
+    (one_conv_graph(preds="c1"), {}, "graph node 'c1' field preds must be a list, got 'c1'"),
+    # resident K/V are whole, so t_k is each layer's N_r; a given t_k was ignored
+    *(("pvtv2-micro", {"attention": {"t_q": 4, "t_k": t_k, "mode": "resident_kv"}},
+       "schedule.attention.t_k is not allowed with resident_kv") for t_k in (1, 3, 999)),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -499,6 +537,9 @@ def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, 
      "unknown graph node 'c1' field(s): ['residual_of']"),
     ({"model": {"graph": {**one_conv_graph()["graph"], "input": [1, 4, 8, 8]}}},
      "unknown graph field(s): ['input']"),
+    # a non-object hardware part was a TypeError traceback
+    ({"hardware": 5}, "hardware must be an object, got 5"),
+    ({"hardware": [1]}, "hardware must be an object, got [1]"),
 ])
 def test_unknown_config_key_exits_1_naming_it(config, key, tmp_path, capsys):
     # each of these used to run on the defaults
@@ -568,10 +609,11 @@ def command_lines(draw):
         theta = st.sampled_from(THRESHOLDS)
         schedule["pruning"] = {"theta_attn": draw(theta), "theta_act": draw(theta)}
     if draw(st.booleans()):
-        schedule["attention"] = {
-            "t_q": draw(st.sampled_from([1, 2, 4, 4, 2.9, 0, "x"])),
-            "t_k": draw(st.sampled_from([1, 2, 4, 4, 3.7])),
-            "mode": draw(st.sampled_from(["resident_kv", "streaming_kv"]))}
+        mode = draw(st.sampled_from(["resident_kv", "streaming_kv"]))
+        schedule["attention"] = {"t_q": draw(st.sampled_from([1, 2, 4, 4, 2.9, 0, "x"])),
+                                 "mode": mode}
+        if mode == "streaming_kv":  # resident K/V take no t_k
+            schedule["attention"]["t_k"] = draw(st.sampled_from([1, 2, 4, 4, 3.7]))
     if draw(st.booleans()):
         # chain 0 has 4 layers on toy-chain and 2 on segformer-micro
         schedule["fusion"] = {"0": [{"start": 0,

@@ -8,7 +8,9 @@ presets), plus ``run`` on a SegFormer-B0-shaped 224x224 graph
 (``golden/b0-224.json``). Further cases cover both README sweeps, two
 ``t_q`` sweeps (one exits 1, one runs), pruning runs in JSON and CSV,
 ``element_bytes=2``, a fixed fusion plan (``golden/fixed-fusion.json``:
-cache and streamed-weight groups beside singleton chains), a ``theta_act``
+cache and streamed-weight groups beside singleton chains), a fixed streaming
+attention tiling (``golden/fixed-attention.json``) in ``run`` and in a
+``t_q`` sweep, a ``theta_act``
 sweep in JSON and CSV, and a threshold sweep whose first row is infeasible.
 
 To see what a change does to them, without writing anything::
@@ -68,8 +70,8 @@ def golden_cases() -> list[dict]:
         {"name": "sweep-pvtv2-micro-tq",
          "argv": ["sweep", "--model", "pvtv2-micro", "--axis", "t_q",
                   "--values", "4,64"]},
-        # 64 does not divide every layer's N, so the case above exits 1 with
-        # no output; this one runs the fixed resident tilings it rejects
+        # 64 exceeds N=16 at stage 2, so the case above exits 1 with no
+        # output; this one runs the fixed resident tilings it rejects
         {"name": "sweep-pvtv2-micro-tq-divisors",
          "argv": ["sweep", "--model", "pvtv2-micro", "--axis", "t_q",
                   "--values", "1,2,4"]},
@@ -77,6 +79,11 @@ def golden_cases() -> list[dict]:
          "argv": ["run", "--model", "pvtv2-micro", "--hw.element_bytes=2"]},
         {"name": "run-fixed-fusion",
          "argv": ["run", "--config", str(GOLDEN / "fixed-fusion.json")]},
+        {"name": "run-fixed-attention",
+         "argv": ["run", "--config", str(GOLDEN / "fixed-attention.json")]},
+        {"name": "sweep-fixed-attention-tq",
+         "argv": ["sweep", "--config", str(GOLDEN / "fixed-attention.json"),
+                  "--axis", "t_q", "--values", "2,4"]},
         {"name": "sweep-pruning-theta-act",
          "argv": ["sweep", "--config", PRUNING, "--axis", "theta_act",
                   "--values", "0,0.001,0.01"]},

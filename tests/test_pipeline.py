@@ -3,10 +3,11 @@ import pytest
 
 import convformer_sim as cs
 from convformer_sim import pipeline
-from convformer_sim.attention_tiling import AttentionTiling, ResidencyMode
+from convformer_sim.attention_tiling import ResidencyMode, search_attention_tiling
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim, replay
-from convformer_sim.workload import (Attention, init_params, layer_macs, op_cost,
-                                     reference_execute, seeded_input)
+from convformer_sim.workload import (Attention, attention_dims, init_params,
+                                     layer_macs, op_cost, reference_execute,
+                                     seeded_input)
 
 
 @pytest.fixture(params=cs.PRESETS)
@@ -48,8 +49,8 @@ def test_singleton_toy_chain_is_layer_sum_and_exact(hw):
 
 def test_fixed_streaming_tiling_applies_everywhere(hw):
     g = cs.build_preset("segformer-micro")
-    tiling = AttentionTiling(2, 2, ResidencyMode.STREAMING_KV)
-    sched = pipeline.plan_network(g, hw, tiling, "auto")
+    spec = {"t_q": 2, "t_k": 2, "mode": "streaming_kv"}
+    sched = pipeline.plan_network(g, hw, spec, "auto")
     units = [u for u in sched.units if isinstance(u, pipeline.AttentionUnit)]
     assert len(units) == 4
     assert all(u.tiling.mode is ResidencyMode.STREAMING_KV for u in units)
@@ -57,14 +58,11 @@ def test_fixed_streaming_tiling_applies_everywhere(hw):
 
 def test_fixed_resident_tiling_resolves_tk(hw):
     g = cs.build_preset("segformer-micro")
-    tiling = AttentionTiling(2, -1, ResidencyMode.RESIDENT_KV)
-    sched = pipeline.plan_network(g, hw, tiling, "auto")
-    for u in sched.units:
-        if isinstance(u, pipeline.AttentionUnit):
-            node_dims = cs.AttentionDims(
-                N=g.in_shape(u.node).tokens,
-                N_r=u.tiling.t_k, d=u.node.op.d_head, heads=u.node.op.heads)
-            assert u.tiling.t_k == node_dims.N_r  # resolved per layer
+    sched = pipeline.plan_network(g, hw, {"t_q": 2, "mode": "resident_kv"}, "auto")
+    units = [u for u in sched.units if isinstance(u, pipeline.AttentionUnit)]
+    for u in units:
+        assert u.dims == attention_dims(g, u.node, hw.element_bytes)
+        assert u.tiling.t_k == u.dims.N_r  # resolved per layer
 
 
 def test_attention_unit_ema_matches_execution(hw):
@@ -75,14 +73,12 @@ def test_attention_unit_ema_matches_execution(hw):
     for node in g.nodes:
         if not isinstance(node.op, Attention):
             continue
-        from convformer_sim.attention_tiling import search_attention_tiling
-        from convformer_sim.workload import attention_dims
         dims = attention_dims(g, node, hw.element_bytes)
-        tiling = search_attention_tiling(dims, hw)
+        unit = pipeline.AttentionUnit(node, dims, search_attention_tiling(dims, hw))
         sim = ScratchpadSim(hw.scratchpad_bytes)
         x = record[node.preds[0]]
-        pipeline.attention_unit_execute(x, node, params[node.id], tiling, sim, hw)
-        assert sim.ema_bytes == pipeline.attention_unit_ema(g, node, tiling, hw)
+        pipeline.attention_unit_execute(x, unit, params[node.id], sim, hw)
+        assert sim.ema_bytes == pipeline.attention_unit_ema(unit)
 
 
 def test_gemm_pass_blocks_shrink_to_fit():
