@@ -50,7 +50,7 @@ def tiling_spec(spec) -> dict:
 
     ``{"t_q", "mode": "resident_kv"}`` keeps K and V whole, so each layer's
     t_k is its N_r; ``{"t_q", "t_k", "mode": "streaming_kv"}`` streams them.
-    Sizes are range-checked per layer, by ``_validate``.
+    Sizes are range-checked per layer, by ``check_tiling``.
     """
     check_keys("schedule.attention", spec, ("t_q", "t_k", "mode"))
     modes = [m.value for m in ResidencyMode]
@@ -67,13 +67,14 @@ def tiling_spec(spec) -> dict:
                for k in sizes}}
 
 
-def _validate(dims: AttentionDims, tiling: AttentionTiling):
-    if not (1 <= tiling.t_q <= dims.N):
-        raise ShapeError("tiling", f"t_q={tiling.t_q} out of [1, {dims.N}]")
-    if not (1 <= tiling.t_k <= dims.N_r):
-        raise ShapeError("tiling", f"t_k={tiling.t_k} out of [1, {dims.N_r}]")
+def check_tiling(dims: AttentionDims, tiling: AttentionTiling, where: str = "tiling",
+                 field: str = ""):
+    """Range-check ``tiling`` on ``dims``; an error names ``where`` and ``field + key``."""
+    for key, top in (("t_q", dims.N), ("t_k", dims.N_r)):
+        if not 1 <= getattr(tiling, key) <= top:
+            raise ShapeError(where, f"{field}{key}={getattr(tiling, key)} out of [1, {top}]")
     if tiling.mode is ResidencyMode.RESIDENT_KV and tiling.t_k != dims.N_r:
-        raise ShapeError("tiling", "resident mode requires t_k = N_r")
+        raise ShapeError(where, "resident mode requires t_k = N_r")
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def _validate(dims: AttentionDims, tiling: AttentionTiling):
 
 def attention_ema(dims: AttentionDims, tiling: AttentionTiling) -> int:
     """DRAM bytes for one attention core; infeasible tilings still get a cost."""
-    _validate(dims, tiling)
+    check_tiling(dims, tiling)
     eb = dims.element_bytes
     qo = 2 * dims.N * dims.d
     if tiling.mode is ResidencyMode.RESIDENT_KV:
@@ -110,7 +111,7 @@ def tiling_buffer_bytes(dims: AttentionDims, tiling: AttentionTiling,
     layout holds a Q tile, K/V blocks, one score block, and the online-softmax
     state (accumulator plus running max and sum vectors).
     """
-    _validate(dims, tiling)
+    check_tiling(dims, tiling)
     eb = dims.element_bytes
     if tiling.mode is ResidencyMode.RESIDENT_KV:
         elems = (2 * dims.N_r * dims.d          # K, V resident
@@ -167,7 +168,7 @@ def schedule_attention(dims: AttentionDims, tiling: AttentionTiling) -> list[Txn
     loaded before any Q tile and each of their bytes is loaded exactly once
     per head; in streaming mode they are re-streamed once per Q tile.
     """
-    _validate(dims, tiling)
+    check_tiling(dims, tiling)
     eb = dims.element_bytes
     txns: list[Txn] = []
     q_tiles = tile_intervals(dims.N, tiling.t_q)

@@ -240,6 +240,9 @@ def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
 
 
 def compare_experiments(cfg: ExperimentConfig, schedule_names: list[str]) -> list[dict]:
+    for key, default in (("attention", "auto"), ("fusion", "auto"), ("pruning", None)):
+        if getattr(cfg, key) != default:
+            raise ConfigError(f"compare runs named schedules: leave schedule.{key} unset")
     keys = ("ema_bytes", "cycles", "energy_pj")
     rows = []
     for name in schedule_names:

@@ -113,6 +113,7 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                     tiling = at.AttentionTiling(
                         attention_mode["t_q"], attention_mode.get("t_k", dims.N_r),
                         at.ResidencyMode(attention_mode["mode"]))
+                    at.check_tiling(dims, tiling, node.id, "schedule.attention.")
                 else:
                     raise ConfigError(f"unknown attention mode {attention_mode!r}")
                 buffer_bytes = (0 if tiling is None

@@ -358,13 +358,23 @@ def conv2d_region(x: np.ndarray, op: Conv2D, w: np.ndarray,
 
     cig = c_in // groups
     cog = c_out // groups
+    if cig == cog == 1:
+        # depthwise: k*k taps over strided views of ``win``, row-major from zero,
+        # bias last. Each pixel's float operations are the same in any region,
+        # and a fresh C-contiguous result keeps later channel reductions so.
+        out = np.zeros((c_out, oh, ow), dtype=np.float64)
+        for i, j in np.ndindex(k, k):
+            out += w[:, 0, i, j, None, None] * win[:, i:i + (oh - 1) * stride + 1:stride,
+                                                   j:j + (ow - 1) * stride + 1:stride]
+        out += b[:, None, None]
+        return out
     # every stride-th k x k window of the padded input: (c_in, oh, ow, k, k)
     windows = np.lib.stride_tricks.sliding_window_view(
         win, (k, k), axis=(1, 2))[:, ::stride, ::stride]
     out = np.empty((c_out, oh, ow), dtype=np.float64)
     for g in range(groups):
-        # im2col: (oh*ow, cig*k*k); the contiguous copy keeps the matmul
-        # operand layout, and so its rounding, independent of the region
+        # im2col: (oh*ow, cig*k*k); the contiguous copy fixes the matmul
+        # operand layout, though BLAS may still round by the region's size
         patches = np.ascontiguousarray(
             windows[g * cig:(g + 1) * cig].transpose(1, 2, 0, 3, 4)
         ).reshape(oh * ow, cig * k * k)
@@ -382,8 +392,8 @@ def layernorm(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-form GELU; one definition shared by every executor."""
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
+    """Tanh-form GELU, shared by every executor; x*x*x as numpy's x**3 is slow below 0."""
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))))
 
 
 def linear_tokens(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -160,6 +160,33 @@ class TestCompare:
                               "--schedules", "full"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("attention", {"t_q": 4, "t_k": 2, "mode": "streaming_kv"}),
+        ("attention", "baseline"),
+        ("fusion", "singleton"),
+        ("fusion", {"0": [{"start": 0, "end": 1, "tile": [8, 8]}]}),
+        ("pruning", {"theta_attn": 0.01}),
+    ])
+    def test_schedule_section_rejected(self, field, value, tmp_path, capsys):
+        # each named schedule sets its own attention and fusion and no
+        # pruning, so a configured one used to be dropped without a word
+        cfg = write_config(tmp_path, {"model": "pvtv2-micro", "schedule": {field: value}})
+        code, out, err = run_cli(["compare", "--config", cfg,
+                                  "--schedules", "naive,full"], capsys)
+        assert code == 1
+        assert f"schedule.{field}" in err
+        assert out == ""
+
+    def test_default_schedule_section_accepted(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": "toy-chain", "schedule": {
+            "attention": "auto", "fusion": "auto", "pruning": "off"}})
+        code, out, _ = run_cli(["compare", "--config", cfg,
+                                "--schedules", "naive,full"], capsys)
+        assert code == 0
+        code, out_model, _ = run_cli(["compare", "--model", "toy-chain",
+                                      "--schedules", "naive,full"], capsys)
+        assert out == out_model
+
 
 class TestSweep:
     def test_scratchpad_sweep_ema_nonincreasing(self, capsys):
@@ -210,6 +237,14 @@ class TestSweep:
                                   "--axis", "t_q", "--values", "0"], capsys)
         assert code == 1
         assert "t_q=0 out of" in err
+        assert out == ""
+
+    def test_tq_out_of_range_names_field_and_layer(self, capsys):
+        # the message used to be "tiling: t_q=64 out of [1, 16]"
+        code, out, err = run_cli(["sweep", "--model", "pvtv2-micro",
+                                  "--axis", "t_q", "--values", "4,64"], capsys)
+        assert code == 1
+        assert "s2b0_attn: schedule.attention.t_q=64 out of [1, 16]" in err
         assert out == ""
 
 
@@ -506,6 +541,11 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     # resident K/V are whole, so t_k is each layer's N_r; a given t_k was ignored
     *(("pvtv2-micro", {"attention": {"t_q": 4, "t_k": t_k, "mode": "resident_kv"}},
        "schedule.attention.t_k is not allowed with resident_kv") for t_k in (1, 3, 999)),
+    # out-of-range sizes named neither the field nor the layer ("tiling: t_k=5 ...")
+    ("pvtv2-micro", {"attention": {"t_q": 64, "mode": "resident_kv"}},
+     "s2b0_attn: schedule.attention.t_q=64 out of [1, 16]"),
+    ("pvtv2-micro", {"attention": {"t_q": 4, "t_k": 5, "mode": "streaming_kv"}},
+     "s0b0_attn: schedule.attention.t_k=5 out of [1, 4]"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})

@@ -17,17 +17,19 @@ To see what a change does to them, without writing anything::
 
     PYTHONPATH=src python tests/test_golden.py --diff
 
-which prints each golden that differs: its changed JSON paths (``-`` only in
-the golden, ``+`` only in the new output, ``~`` changed value), a line diff
-for CSV or other non-JSON output, and any exit-code change; it exits 1 if
-any golden differs. To rewrite the goldens after a deliberate, documented
-change of output::
+which prints each golden that differs: its changed paths (``-`` only in the
+golden, ``+`` only in the new output, ``~`` changed value), where a CSV
+output counts as a list of rows keyed by column, so a changed cell reads
+``~[0].max_abs_deviation``; a line diff for any other output; and any
+exit-code change. It exits 1 if any golden differs. To rewrite the goldens
+after a deliberate, documented change of output::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import argparse
 import contextlib
+import csv
 import difflib
 import io
 import json
@@ -149,6 +151,29 @@ def test_json_paths_names_each_changed_leaf():
     assert json_paths(old, old) == []
 
 
+def parse_output(text: str):
+    """A golden's stdout as JSON, or as CSV rows keyed by column; None if
+    it is neither (empty output, say)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) > 1 and len(rows[0]) > 1 and all(len(r) == len(rows[0]) for r in rows):
+        return [dict(zip(rows[0], r)) for r in rows[1:]]
+    return None
+
+
+def test_parse_output_reads_csv_by_column():
+    old = parse_output("cycles,max_abs_deviation\n10,1e-16\n20,0.0\n")
+    new = parse_output("cycles,max_abs_deviation\n10,2e-16\n20,0.0\n")
+    assert old == [{"cycles": "10", "max_abs_deviation": "1e-16"},
+                   {"cycles": "20", "max_abs_deviation": "0.0"}]
+    assert json_paths(old, new) == ["~[0].max_abs_deviation"]
+    assert parse_output('{"a": [1]}') == {"a": [1]}
+    assert parse_output("") is None
+    assert parse_output("not,a\ntable\n") is None
+
+
 def diff_goldens() -> int:
     """Print how each golden differs from a fresh replay; 1 if any does."""
     exits = _expected_exits()
@@ -165,12 +190,13 @@ def diff_goldens() -> int:
             print(f"  exit {exits[name]} -> {code}")
         if out == old:
             continue
-        try:
-            changes = json_paths(json.loads(old), json.loads(out))
-        except json.JSONDecodeError:
+        old_data, new_data = parse_output(old), parse_output(out)
+        if old_data is not None and new_data is not None:
+            changes = json_paths(old_data, new_data)
+        else:
             changes = list(difflib.unified_diff(old.splitlines(), out.splitlines(),
                                                 "golden", "output", lineterm=""))
-        for line in changes or ["(same JSON, different text)"]:
+        for line in changes or ["(same data, different text)"]:
             print(f"  {line}")
     return int(differs)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import convformer_sim as cs
-from convformer_sim import pipeline
+from convformer_sim import cli, pipeline
 from convformer_sim.attention_tiling import ResidencyMode, search_attention_tiling
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim, replay
 from convformer_sim.workload import (Attention, attention_dims, init_params,
@@ -79,6 +79,35 @@ def test_attention_unit_ema_matches_execution(hw):
         x = record[node.preds[0]]
         pipeline.attention_unit_execute(x, unit, params[node.id], sim, hw)
         assert sim.ema_bytes == pipeline.attention_unit_ema(unit)
+
+
+def _dw(node_id, k, pred, stride=1):
+    return {"id": node_id, "kind": "conv2d", "c_in": 8, "c_out": 8, "k": k,
+            "stride": stride, "pad": k // 2, "groups": 8, "preds": [pred] if pred else []}
+
+
+DEPTHWISE_CHAIN = {"input_shape": [1, 8, 12, 12], "nodes": [
+    _dw("dw1", 3, None),
+    {"id": "act1", "kind": "gelu", "preds": ["dw1"]},
+    {"id": "ln", "kind": "layernorm", "preds": ["act1"]},
+    _dw("dw2", 5, "ln"),
+    {"id": "act2", "kind": "gelu", "preds": ["dw2"]},
+    _dw("dw3", 3, "act2", stride=2),
+]}
+
+
+@pytest.mark.parametrize("policy", ["recompute", "cache"])
+@pytest.mark.parametrize("tile", [(th, tw) for th in (1, 2, 3, 5, 6) for tw in (1, 4, 6)],
+                         ids=lambda t: f"{t[0]}x{t[1]}")
+def test_depthwise_chain_is_region_independent(tile, policy):
+    """A fused depthwise chain equals the reference bit for bit at any tile:
+    each output pixel is the same sequence of float operations whatever
+    region it is computed in (per-group matmuls used to round by tile size)."""
+    group = {"start": 0, "end": 5, "tile": list(tile), "policy": policy}
+    cfg = cli.ExperimentConfig(model={"graph": DEPTHWISE_CHAIN}, fusion={"0": [group]})
+    res = cli.run_experiment(cfg)
+    assert res["schedule"]["units"][0]["plan"]["groups"][0]["tile"] == list(tile)
+    assert res["max_abs_deviation"] == 0.0
 
 
 def test_gemm_pass_blocks_shrink_to_fit():

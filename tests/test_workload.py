@@ -206,7 +206,8 @@ def test_graph_from_dict_missing_field():
 # ---------------------------------------------------------------------------
 
 def loop_conv2d_region(x, op, w, b, rows, cols, origin=(0, 0)):
-    """Per-pixel im2col: the original formulation of ``conv2d_region``."""
+    """Per-pixel im2col, the original formulation of ``conv2d_region``; a
+    depthwise conv sums its taps pixel by pixel."""
     k, stride, pad, groups = op.k, op.stride, op.pad, op.groups
     c_in, c_out = x.shape[0], op.c_out
     (r0, r1), (c0, c1) = rows, cols
@@ -222,6 +223,17 @@ def loop_conv2d_region(x, op, w, b, rows, cols, origin=(0, 0)):
             x[:, sr0 - xr0:sr1 - xr0, sc0 - xc0:sc1 - xc0]
     cig, cog = c_in // groups, c_out // groups
     out = np.empty((c_out, oh, ow))
+    if cig == cog == 1:  # depthwise: Python floats, taps in row-major order, bias last
+        for ch in range(c_out):
+            for r in range(oh):
+                for c in range(ow):
+                    acc = 0.0
+                    for i in range(k):
+                        for j in range(k):
+                            acc += float(win[ch, r * stride + i, c * stride + j]) \
+                                * float(w[ch, 0, i, j])
+                    out[ch, r, c] = acc + float(b[ch])
+        return out
     for g in range(groups):
         xs = win[g * cig:(g + 1) * cig]
         patches = np.empty((oh * ow, cig * k * k))
