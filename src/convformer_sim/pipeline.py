@@ -231,19 +231,6 @@ def attention_unit_execute(x: np.ndarray, unit: AttentionUnit,
     return merged.T.reshape(c, h, w)
 
 
-def attention_unit_ema(unit: AttentionUnit) -> int:
-    """Closed-form EMA of an attention unit (projections + core)."""
-    dims = unit.dims
-    c = dims.heads * dims.d
-    # each pass moves its input, weights and output once (``_gemm_pass``)
-    ema = sum((n_in * c + weights + n_out * c) * dims.element_bytes
-              for _, n_in, weights, n_out
-              in projection_passes(unit.node.op, dims.N, dims.N_r))
-    if unit.tiling is None:
-        return ema + at.untiled_attention_ema(dims)
-    return ema + at.attention_ema(dims, unit.tiling)
-
-
 def add_unit_execute(a: np.ndarray, b: np.ndarray, sim: ScratchpadSim,
                      hw: HardwareConfig) -> np.ndarray:
     """Residual add, traffic per ``_add_pass``."""
@@ -251,66 +238,59 @@ def add_unit_execute(a: np.ndarray, b: np.ndarray, sim: ScratchpadSim,
     return a + b
 
 
+def unit_cost(graph: NetworkGraph, unit: ScheduleUnit, hw: HardwareConfig) -> dict:
+    """Closed-form breakdown row ``{unit, ema_bytes, macs, vector_ops}`` of a unit."""
+    if isinstance(unit, ChainUnit):
+        nodes = [l.node for l in unit.layers]
+        label = "chain[" + ",".join(n.id for n in nodes) + "]"
+        ema, extra_macs = unit.plan.total_ema, unit.plan.total_extra_macs
+    elif isinstance(unit, AttentionUnit):
+        nodes, label, extra_macs = [unit.node], unit.node.id, 0
+        dims = unit.dims
+        c = dims.heads * dims.d
+        # each pass moves its input, weights and output once (``_gemm_pass``)
+        ema = sum((n_in * c + weights + n_out * c) * dims.element_bytes
+                  for _, n_in, weights, n_out
+                  in projection_passes(unit.node.op, dims.N, dims.N_r))
+        ema += (at.untiled_attention_ema(dims) if unit.tiling is None
+                else at.attention_ema(dims, unit.tiling))
+    else:
+        nodes, label, extra_macs = [unit.node], unit.node.id, 0
+        ema = 3 * graph.out_shape(unit.node.id).elements * hw.element_bytes
+    return {"unit": label, "ema_bytes": ema,
+            "macs": sum(layer_macs(graph, n) for n in nodes) + extra_macs,
+            "vector_ops": sum(layer_vector_ops(graph, n) for n in nodes)}
+
+
 def execute_network(graph: NetworkGraph, schedule: NetworkSchedule,
                     x: np.ndarray, sim: ScratchpadSim,
                     params: dict[str, dict[str, np.ndarray]],
                     hw: HardwareConfig) -> tuple[np.ndarray, list[dict]]:
-    """Run the scheduled network through one simulator; returns (output, breakdown)."""
+    """Run the scheduled network through one simulator; returns (output, breakdown).
+
+    SelfCheckError names the first unit whose simulated EMA is not its closed form.
+    """
     values: dict[str, np.ndarray] = {}
     breakdown: list[dict] = []
     out = np.asarray(x, dtype=np.float64)
-
-    def unit_input(node: LayerNode) -> np.ndarray:
-        return values[node.preds[0]] if node.preds else x
-
     for unit in schedule.units:
+        nodes = ([l.node for l in unit.layers] if isinstance(unit, ChainUnit)
+                 else [unit.node])
+        ins = [values[p] for p in nodes[0].preds] or [x]
         ema0 = sim.ema_bytes
         if isinstance(unit, ChainUnit):
-            xin = unit_input(unit.layers[0].node)
-            out = lf.fused_execute(unit.layers, unit.plan, xin, sim, params, hw)
-            values[unit.layers[-1].node.id] = out
-            macs = sum(layer_macs(graph, l.node) for l in unit.layers)
-            macs += unit.plan.total_extra_macs
-            vops = sum(layer_vector_ops(graph, l.node) for l in unit.layers)
-            label = "chain[" + ",".join(l.node.id for l in unit.layers) + "]"
+            out = lf.fused_execute(unit.layers, unit.plan, ins[0], sim, params, hw)
         elif isinstance(unit, AttentionUnit):
-            xin = unit_input(unit.node)
-            out = attention_unit_execute(xin, unit, params[unit.node.id], sim, hw)
-            values[unit.node.id] = out
-            macs = layer_macs(graph, unit.node)
-            vops = layer_vector_ops(graph, unit.node)
-            label = unit.node.id
+            out = attention_unit_execute(ins[0], unit, params[unit.node.id], sim, hw)
         else:
-            a = values[unit.node.preds[0]] if unit.node.preds[0] in values else x
-            b = values[unit.node.preds[1]] if unit.node.preds[1] in values else x
-            out = add_unit_execute(a, b, sim, hw)
-            values[unit.node.id] = out
-            macs = 0
-            vops = layer_vector_ops(graph, unit.node)
-            label = unit.node.id
-        breakdown.append({"unit": label, "ema_bytes": sim.ema_bytes - ema0,
-                          "macs": macs, "vector_ops": vops})
+            out = add_unit_execute(*ins, sim, hw)
+        values[nodes[-1].id] = out
+        row = unit_cost(graph, unit, hw)
+        if row["ema_bytes"] != sim.ema_bytes - ema0:
+            raise SelfCheckError(f"{row['unit']}: closed-form EMA {row['ema_bytes']} B "
+                                 f"!= simulator {sim.ema_bytes - ema0} B")
+        breakdown.append(row)
     return out, breakdown
-
-
-def schedule_totals(graph: NetworkGraph, schedule: NetworkSchedule,
-                    hw: HardwareConfig) -> dict:
-    """Closed-form totals for a schedule, independent of execution."""
-    ema = 0
-    extra_macs = 0
-    for unit in schedule.units:
-        if isinstance(unit, ChainUnit):
-            ema += unit.plan.total_ema
-            extra_macs += unit.plan.total_extra_macs
-        elif isinstance(unit, AttentionUnit):
-            ema += attention_unit_ema(unit)
-        else:
-            shp = graph.out_shape(unit.node.id)
-            ema += 3 * shp.elements * hw.element_bytes
-    macs = sum(layer_macs(graph, n) for n in graph.nodes) + extra_macs
-    vops = sum(layer_vector_ops(graph, n) for n in graph.nodes)
-    return {"ema_bytes": ema, "macs": macs, "vector_ops": vops,
-            "extra_macs": extra_macs}
 
 
 def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
@@ -319,10 +299,7 @@ def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
     """Execute a schedule and assemble its cost report from the sim counters."""
     sim = ScratchpadSim(hw.scratchpad_bytes)
     out, breakdown = execute_network(graph, schedule, x, sim, params, hw)
-    totals = schedule_totals(graph, schedule, hw)
-    if totals["ema_bytes"] != sim.ema_bytes:
-        raise SelfCheckError(
-            f"closed-form EMA {totals['ema_bytes']} B != simulator {sim.ema_bytes} B")
-    report = build_report(totals["macs"], totals["vector_ops"], sim, hw,
+    report = build_report(sum(r["macs"] for r in breakdown),
+                          sum(r["vector_ops"] for r in breakdown), sim, hw,
                           breakdown=breakdown, seed=seed)
     return out, report

@@ -212,6 +212,11 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
 
     seen: set[str] = set()
     for node in graph.nodes:
+        if node.id in seen:
+            raise ShapeError(node.id, "field id is already used by an earlier node")
+        if len(node.preds) > 1 and not isinstance(node.op, Add):
+            raise ShapeError(node.id, f"field preds names {len(node.preds)} inputs; "
+                                      "only an add takes two")
         for p in node.preds:
             if p not in seen:
                 raise ShapeError(node.id, f"predecessor {p!r} not defined earlier "
@@ -233,6 +238,9 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             if op.heads * op.d_head != ins.c:
                 raise ShapeError(node.id,
                                  f"heads*d_head = {op.heads * op.d_head} != c = {ins.c}")
+            if op.sr_ratio > min(ins.h, ins.w):
+                raise ShapeError(node.id, f"field sr_ratio {op.sr_ratio} exceeds the "
+                                          f"{ins.h}x{ins.w} input map")
             out = ins
         elif isinstance(op, Linear):
             if ins.c != op.c_in:
@@ -634,7 +642,8 @@ _KINDS = {"conv2d": Conv2D, "attention": Attention, "linear": Linear,
 
 def _node_from_dict(nd: dict) -> LayerNode:
     """One graph node. Unknown keys are rejected and integer fields parsed with
-    ``parse_number``; both errors name the node and the field."""
+    ``parse_number`` and held to >= 1 (``pad`` to >= 0); each error names the
+    node and the field."""
     if not isinstance(nd, dict):
         raise ConfigError(f"graph node must be an object, got {nd!r}")
     node_id = str(nd["id"])
@@ -645,10 +654,14 @@ def _node_from_dict(nd: dict) -> LayerNode:
     check_keys(where, nd, ("id", "kind", "preds", *(f.name for f in fields(kind))))
     args = {}
     for f in fields(kind):
-        if f.name in nd:
-            value = nd[f.name]
-            args[f.name] = (parse_number(f"{where} field {f.name}", value, integer=True)
-                            if f.type == "int" else str(value))
+        if f.name in nd and f.type == "int":
+            value = parse_number(f"{where} field {f.name}", nd[f.name], integer=True)
+            least = 0 if f.name == "pad" else 1
+            if value < least:
+                raise ConfigError(f"{where} field {f.name} must be >= {least}, got {value}")
+            args[f.name] = value
+        elif f.name in nd:
+            args[f.name] = str(nd[f.name])
         elif f.default is MISSING:
             raise ShapeError(node_id, f"missing field {f.name!r}")
     preds = check_list(f"{where} field preds", nd.get("preds", []))
@@ -661,8 +674,9 @@ def graph_from_dict(d: dict) -> NetworkGraph:
         check_keys("graph", d, ("input_shape", "nodes"))
         shape = [parse_number("graph input_shape", v, integer=True)
                  for v in check_list("graph input_shape", d["input_shape"])]
-        if len(shape) != 4:
-            raise ShapeError("graph", f"input_shape must be [n, c, h, w], got {shape}")
+        if len(shape) != 4 or shape[0] != 1:   # the executors run one image
+            raise ConfigError(f"graph input_shape must be [n, c, h, w] with n = 1, "
+                              f"got {shape}")
         nodes = [_node_from_dict(nd) for nd in check_list("graph nodes", d["nodes"])]
     except KeyError as e:
         raise ShapeError("graph", f"missing field {e.args[0]!r} in graph definition")

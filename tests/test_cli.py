@@ -31,6 +31,13 @@ def one_conv_graph(input_shape=(1, 4, 8, 8), **fields):
     return {"graph": {"input_shape": list(input_shape), "nodes": [node]}}
 
 
+def two_node_graph(second, input_shape=(1, 4, 8, 8)):
+    """``one_conv_graph`` plus a ``second`` node (id ``g`` unless given)."""
+    model = one_conv_graph(input_shape)
+    model["graph"]["nodes"].append({"id": "g", **second})
+    return model
+
+
 class TestExitCodes:
     def test_ok_run(self, capsys):
         code, out, _ = run_cli(["run", "--model", "toy-chain"], capsys)
@@ -402,19 +409,22 @@ class TestEquivalenceAndSelfCheckExit:
         assert code == 0
 
     def test_self_check_failure_names_both_counts(self, monkeypatch, capsys):
-        code, out, _ = run_cli(["run", "--model", "toy-chain"], capsys)
-        ema = json.loads(out)["report"]["ema_bytes"]
-        real = pipeline.schedule_totals
+        # one unit of many is off: the check runs per unit and names it
+        code, out, _ = run_cli(["run", "--model", "pvtv2-micro"], capsys)
+        rows = json.loads(out)["report"]["breakdown"]
+        ema = next(r["ema_bytes"] for r in rows if r["unit"] == "s0b0_attn")
+        real = pipeline.unit_cost
 
-        def off_by_one(*args, **kwargs):
-            totals = real(*args, **kwargs)
-            totals["ema_bytes"] += 1
-            return totals
+        def off_by_one(graph, unit, hw):
+            row = real(graph, unit, hw)
+            if row["unit"] == "s0b0_attn":
+                row["ema_bytes"] += 1
+            return row
 
-        monkeypatch.setattr(pipeline, "schedule_totals", off_by_one)
-        code, _, err = run_cli(["run", "--model", "toy-chain"], capsys)
+        monkeypatch.setattr(pipeline, "unit_cost", off_by_one)
+        code, _, err = run_cli(["run", "--model", "pvtv2-micro"], capsys)
         assert code == 3
-        assert "self-check" in err
+        assert "self-check" in err and "s0b0_attn" in err
         assert f"{ema + 1} B" in err and f"{ema} B" in err
 
 
@@ -546,6 +556,30 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
      "s2b0_attn: schedule.attention.t_q=64 out of [1, 16]"),
     ("pvtv2-micro", {"attention": {"t_q": 4, "t_k": 5, "mode": "streaming_kv"}},
      "s0b0_attn: schedule.attention.t_k=5 out of [1, 4]"),
+    # the executors run one image: batch 2 failed the self-check after an
+    # add, and after a gelu it reported twice the vector ops of one image
+    *((two_node_graph(second, input_shape=(2, 4, 8, 8)), {},
+       "graph input_shape must be [n, c, h, w] with n = 1, got [2, 4, 8, 8]")
+      for second in ({"kind": "add", "residual_of": "c1", "preds": ["c1", "c1"]},
+                     {"kind": "gelu", "preds": ["c1"]})),
+    # groups 0 was a ZeroDivisionError and -2 a ValueError traceback
+    (one_conv_graph(groups=0), {}, "graph node 'c1' field groups must be >= 1, got 0"),
+    (one_conv_graph(groups=-2), {}, "graph node 'c1' field groups must be >= 1, got -2"),
+    # a reduction window larger than the map was a zero-size-array traceback
+    ({"graph": {"input_shape": [1, 8, 4, 4], "nodes": [
+        {"id": "a1", "kind": "attention", "heads": 2, "d_head": 4, "sr_ratio": 8}]}}, {},
+     "a1: field sr_ratio 8 exceeds the 4x4 input map"),
+    # a repeated id was a KeyError: 'w' traceback
+    (two_node_graph({"id": "c1", "kind": "gelu", "preds": ["c1"]}), {},
+     "c1: field id is already used by an earlier node"),
+    # a negative pad ran as a crop
+    (one_conv_graph(input_shape=(1, 4, 6, 6), k=1, pad=-1), {},
+     "graph node 'c1' field pad must be >= 0, got -1"),
+    # a second input to a one-input layer was ignored
+    (two_node_graph({"kind": "gelu", "preds": ["c1", "c1"]}), {},
+     "g: field preds names 2 inputs; only an add takes two"),
+    # k 0 did not name the node ("conv2d: k and stride must be >= 1")
+    (one_conv_graph(k=0), {}, "graph node 'c1' field k must be >= 1, got 0"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})

@@ -6,8 +6,8 @@ from convformer_sim import cli, pipeline
 from convformer_sim.attention_tiling import ResidencyMode, search_attention_tiling
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim, replay
 from convformer_sim.workload import (Attention, attention_dims, init_params,
-                                     layer_macs, op_cost, reference_execute,
-                                     seeded_input)
+                                     layer_macs, layer_vector_ops, op_cost,
+                                     reference_execute, seeded_input)
 
 
 @pytest.fixture(params=cs.PRESETS)
@@ -78,7 +78,7 @@ def test_attention_unit_ema_matches_execution(hw):
         sim = ScratchpadSim(hw.scratchpad_bytes)
         x = record[node.preds[0]]
         pipeline.attention_unit_execute(x, unit, params[node.id], sim, hw)
-        assert sim.ema_bytes == pipeline.attention_unit_ema(unit)
+        assert sim.ema_bytes == pipeline.unit_cost(g, unit, hw)["ema_bytes"]
 
 
 def _dw(node_id, k, pred, stride=1):
@@ -128,12 +128,36 @@ def test_schedule_serializes(hw):
 
 
 def test_macs_include_recompute_overhead():
-    hw = HardwareConfig(scratchpad_bytes=3000)  # force tiled fusion groups
+    hw = HardwareConfig(scratchpad_bytes=4000)  # one tiled RECOMPUTE group
     g = cs.build_preset("toy-chain")
-    sched = pipeline.plan_network(g, hw, "auto", "auto")
-    totals = pipeline.schedule_totals(g, sched, hw)
+    (unit,) = pipeline.plan_network(g, hw, "auto", "auto").units
+    extra = unit.plan.total_extra_macs
+    assert extra > 0
     base = sum(layer_macs(g, n) for n in g.nodes)
-    assert totals["macs"] == base + totals["extra_macs"]
+    assert pipeline.unit_cost(g, unit, hw)["macs"] == base + extra
+
+
+@pytest.mark.parametrize("scratchpad_bytes, schedule",
+                         [(256 * 1024, s) for s in sorted(cli.SCHEDULE_PRESETS)]
+                         # pvtv2-micro's fused chains recompute at 2048 B, where
+                         # untiled (baseline) attention does not fit
+                         + [(2048, "tiling"), (2048, "full")])
+def test_units_cover_the_graph_and_sum_its_costs(preset, scratchpad_bytes, schedule):
+    """The report's MACs and vector ops, summed over units, equal the
+    graph-wide count plus the fusion plans' recompute MACs."""
+    hw = HardwareConfig(scratchpad_bytes=scratchpad_bytes)
+    g = cs.build_preset(preset)
+    sched = pipeline.plan_network(g, hw, *cli.SCHEDULE_PRESETS[schedule])
+    covered = [node.id for u in sched.units
+               for node in ([l.node for l in u.layers]
+                            if isinstance(u, pipeline.ChainUnit) else [u.node])]
+    assert sorted(covered) == sorted(n.id for n in g.nodes)   # each exactly once
+    params = init_params(g, 0)
+    _, report = pipeline.run_schedule(g, sched, seeded_input(g, 0), params, hw)
+    extra = sum(u.plan.total_extra_macs for u in sched.units
+                if isinstance(u, pipeline.ChainUnit))
+    assert report.macs == sum(layer_macs(g, n) for n in g.nodes) + extra
+    assert report.vector_ops == sum(layer_vector_ops(g, n) for n in g.nodes)
 
 
 def random_network(rng, idx):
