@@ -25,8 +25,7 @@ from .workload import (Add, Attention, AttentionDims, Conv2D, Downsample, GELU,
 from .attention_tiling import (AttentionTiling, ResidencyMode, SoftmaxState,
                                attention_ema, online_softmax_update,
                                schedule_attention, search_attention_tiling,
-                               tiled_attention_execute, tiling_buffer_bytes,
-                               untiled_attention_ema)
+                               tiled_attention_execute, tiling_buffer_bytes)
 from .layer_fusion import (ChainLayer, FusionGroup, FusionPlan, HaloPolicy,
                            TileShape, fused_execute, group_buffer_bytes,
                            group_ema, partition_chain, schedule_group,

@@ -11,6 +11,11 @@ never spills to DRAM. Two residency modes exist:
   online softmax (running max / running sum / rescaled accumulator) replaces
   the dense row softmax.
 
+``tiling=None`` is the comparison baseline, whose score matrix spills to DRAM
+and is re-read; every function below takes it like a tiling. Each compute step
+of a schedule is one ``touch``: a query tile (``"tile"``), a streamed K/V block
+(``"block"``) or the end of a streamed query tile (``"finalize"``).
+
 Every closed-form EMA and buffer formula in this module is byte-exact against
 a replay of the emitted transaction schedule through ``ScratchpadSim``; the
 test suite enforces this for the whole search grid.
@@ -67,9 +72,11 @@ def tiling_spec(spec) -> dict:
                for k in sizes}}
 
 
-def check_tiling(dims: AttentionDims, tiling: AttentionTiling, where: str = "tiling",
-                 field: str = ""):
+def check_tiling(dims: AttentionDims, tiling: AttentionTiling | None,
+                 where: str = "tiling", field: str = ""):
     """Range-check ``tiling`` on ``dims``; an error names ``where`` and ``field + key``."""
+    if tiling is None:
+        return
     for key, top in (("t_q", dims.N), ("t_k", dims.N_r)):
         if not 1 <= getattr(tiling, key) <= top:
             raise ShapeError(where, f"{field}{key}={getattr(tiling, key)} out of [1, {top}]")
@@ -81,39 +88,31 @@ def check_tiling(dims: AttentionDims, tiling: AttentionTiling, where: str = "til
 # Closed-form EMA and buffer requirement
 # ---------------------------------------------------------------------------
 
-def attention_ema(dims: AttentionDims, tiling: AttentionTiling) -> int:
+def attention_ema(dims: AttentionDims, tiling: AttentionTiling | None) -> int:
     """DRAM bytes for one attention core; infeasible tilings still get a cost."""
     check_tiling(dims, tiling)
-    eb = dims.element_bytes
-    qo = 2 * dims.N * dims.d
-    if tiling.mode is ResidencyMode.RESIDENT_KV:
-        kv = 2 * dims.N_r * dims.d
-    else:
-        passes = math.ceil(dims.N / tiling.t_q)
-        kv = 2 * dims.N_r * dims.d * passes
-    return dims.heads * (qo + kv) * eb
+    passes = (1 if tiling is None or tiling.mode is ResidencyMode.RESIDENT_KV
+              else math.ceil(dims.N / tiling.t_q))
+    spill = 2 * dims.N * dims.N_r if tiling is None else 0  # S written and re-read
+    per_head = 2 * dims.N * dims.d + 2 * dims.N_r * dims.d * passes + spill
+    return dims.heads * per_head * dims.element_bytes
 
 
-def untiled_attention_ema(dims: AttentionDims) -> int:
-    """Baseline with the score matrix spilled: one write and one re-read of S."""
-    eb = dims.element_bytes
-    per_head = 2 * dims.N * dims.d + 2 * dims.N_r * dims.d + 2 * dims.N * dims.N_r
-    return dims.heads * per_head * eb
-
-
-def tiling_buffer_bytes(dims: AttentionDims, tiling: AttentionTiling,
+def tiling_buffer_bytes(dims: AttentionDims, tiling: AttentionTiling | None,
                         hw: HardwareConfig) -> int:
     """Peak live scratchpad bytes for the tiling; raises if over capacity.
 
     Heads are processed sequentially, so the requirement is per-head. The
-    resident layout holds K, V, one score tile, and a shared Q/O tile (Q is
-    dead once scores exist, so the output reuses its buffer). The streaming
-    layout holds a Q tile, K/V blocks, one score block, and the online-softmax
+    baseline holds Q, K and S while it scores, then V, S and O. The resident
+    layout holds K, V, one score tile, and a shared Q/O tile (Q is dead once
+    scores exist, so the output reuses its buffer). The streaming layout
+    holds a Q tile, K/V blocks, one score block, and the online-softmax
     state (accumulator plus running max and sum vectors).
     """
     check_tiling(dims, tiling)
-    eb = dims.element_bytes
-    if tiling.mode is ResidencyMode.RESIDENT_KV:
+    if tiling is None:
+        elems = dims.N * dims.d + dims.N_r * dims.d + dims.N * dims.N_r
+    elif tiling.mode is ResidencyMode.RESIDENT_KV:
         elems = (2 * dims.N_r * dims.d          # K, V resident
                  + tiling.t_q * dims.N_r        # score tile
                  + tiling.t_q * dims.d)         # shared Q/O tile
@@ -122,9 +121,9 @@ def tiling_buffer_bytes(dims: AttentionDims, tiling: AttentionTiling,
                  + tiling.t_q * tiling.t_k      # score block
                  + 2 * tiling.t_q * dims.d      # Q tile + accumulator
                  + 2 * tiling.t_q)              # running max + running sum
-    req = elems * eb
+    req = elems * dims.element_bytes
     if req > hw.scratchpad_bytes:
-        raise CapacityError(req, hw.scratchpad_bytes, what="attention tiling")
+        raise CapacityError(req, hw.scratchpad_bytes, what="attention core")
     return req
 
 
@@ -136,6 +135,7 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
     """
     best: tuple | None = None
     best_tiling: AttentionTiling | None = None
+    need = math.inf
     for t_q in divisors(dims.N):
         candidates = [AttentionTiling(t_q, dims.N_r, ResidencyMode.RESIDENT_KV)]
         candidates += [AttentionTiling(t_q, t_k, ResidencyMode.STREAMING_KV)
@@ -143,7 +143,8 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
         for cand in candidates:
             try:
                 tiling_buffer_bytes(dims, cand, hw)
-            except CapacityError:
+            except CapacityError as e:
+                need = min(need, e.requested)
                 continue
             ema = attention_ema(dims, cand)
             mode_rank = 0 if cand.mode is ResidencyMode.RESIDENT_KV else 1
@@ -153,7 +154,8 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
                 best_tiling = cand
     if best_tiling is None:
         raise NoFeasibleTilingError(
-            f"no tiling fits {hw.scratchpad_bytes} B for dims {dims}")
+            f"no attention tiling fits {hw.scratchpad_bytes} B: the smallest candidate "
+            f"needs {need} B (deficit {need - hw.scratchpad_bytes} B)")
     return best_tiling
 
 
@@ -161,16 +163,32 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
 # Transaction schedules (the load-order artifact)
 # ---------------------------------------------------------------------------
 
-def schedule_attention(dims: AttentionDims, tiling: AttentionTiling) -> list[Txn]:
+def schedule_attention(dims: AttentionDims, tiling: AttentionTiling | None) -> list[Txn]:
     """Ordered scratchpad transactions for one attention core, all heads.
 
     Right matrices come first: in resident mode K and V are allocated and
     loaded before any Q tile and each of their bytes is loaded exactly once
-    per head; in streaming mode they are re-streamed once per Q tile.
+    per head; in streaming mode they are re-streamed once per Q tile. The
+    baseline (``None``) scores the whole sequence as one query tile, spills
+    S, and reads it back beside V to compute the tile.
     """
     check_tiling(dims, tiling)
     eb = dims.element_bytes
     txns: list[Txn] = []
+    if tiling is None:
+        qb, kvb, sb = dims.N * dims.d * eb, dims.N_r * dims.d * eb, dims.N * dims.N_r * eb
+        for h in range(dims.heads):
+            txns += [Txn("alloc", "Q", qb, h), Txn("load", "Q", qb, h, what="load_q"),
+                     Txn("alloc", "K", kvb, h), Txn("load", "K", kvb, h, what="load_k"),
+                     Txn("alloc", "S", sb, h), Txn("touch", "S", sb, h, 0, what="scores"),
+                     Txn("store", "S", sb, h, what="spill_s"),
+                     Txn("free", "S", 0, h), Txn("free", "K", 0, h), Txn("free", "Q", 0, h),
+                     Txn("alloc", "V", kvb, h), Txn("load", "V", kvb, h, what="load_v"),
+                     Txn("alloc", "S", sb, h), Txn("load", "S", sb, h, what="reload_s"),
+                     Txn("alloc", "O", qb, h), Txn("touch", "O", sb + qb, h, 0, what="tile"),
+                     Txn("store", "O", qb, h, what="store_o"),
+                     Txn("free", "O", 0, h), Txn("free", "S", 0, h), Txn("free", "V", 0, h)]
+        return txns
     q_tiles = tile_intervals(dims.N, tiling.t_q)
     if tiling.mode is ResidencyMode.RESIDENT_KV:
         kv_bytes = dims.N_r * dims.d * eb
@@ -183,10 +201,9 @@ def schedule_attention(dims: AttentionDims, tiling: AttentionTiling) -> list[Txn
                      Txn("alloc", "S", tiling.t_q * dims.N_r * eb, h)]
             for t, (lo, hi) in enumerate(q_tiles):
                 q_bytes, s_bytes = (hi - lo) * dims.d * eb, (hi - lo) * dims.N_r * eb
+                # scores and softmax pass over S, the context writes the tile
                 txns += [Txn("load", "QO", q_bytes, h, t, what="load_q"),
-                         Txn("touch", "S", s_bytes, h, t, what="scores"),
-                         Txn("touch", "S", s_bytes, h, t, what="softmax"),
-                         Txn("touch", "QO", q_bytes, h, t, what="context"),
+                         Txn("touch", "S", 2 * s_bytes + q_bytes, h, t, what="tile"),
                          Txn("store", "QO", q_bytes, h, t, what="store_o")]
             txns += [Txn("free", region, 0, h) for region in ("S", "QO", "V", "K")]
     else:
@@ -203,40 +220,15 @@ def schedule_attention(dims: AttentionDims, tiling: AttentionTiling) -> list[Txn
                 txns.append(Txn("load", "Q", q_bytes, h, t, what="load_q"))
                 for b, (blo, bhi) in enumerate(k_blocks):
                     kv_bytes = (bhi - blo) * dims.d * eb
+                    # the score block, then the online update of the accumulator
                     txns += [Txn("load", "K", kv_bytes, h, t, b, "load_k"),
                              Txn("load", "V", kv_bytes, h, t, b, "load_v"),
-                             Txn("touch", "S", (hi - lo) * (bhi - blo) * eb, h, t, b,
-                                 "scores"),
-                             Txn("touch", "ACC", q_bytes, h, t, b, "online_update")]
+                             Txn("touch", "S", (hi - lo) * (bhi - blo) * eb + q_bytes,
+                                 h, t, b, "block")]
                 txns += [Txn("touch", "ACC", q_bytes, h, t, what="finalize"),
                          Txn("store", "ACC", q_bytes, h, t, what="store_o")]
             txns += [Txn("free", region, 0, h)
                      for region in ("S", "L", "M", "ACC", "Q", "V", "K")]
-    return txns
-
-
-def schedule_untiled_attention(dims: AttentionDims) -> list[Txn]:
-    """Baseline schedule: the score matrix spills to DRAM and is re-read.
-
-    Compute steps carry ``tile=0``: the whole sequence is one query tile.
-    """
-    eb = dims.element_bytes
-    txns: list[Txn] = []
-    qb = dims.N * dims.d * eb
-    kvb = dims.N_r * dims.d * eb
-    sb = dims.N * dims.N_r * eb
-    for h in range(dims.heads):
-        txns += [Txn("alloc", "Q", qb, h), Txn("load", "Q", qb, h, what="load_q"),
-                 Txn("alloc", "K", kvb, h), Txn("load", "K", kvb, h, what="load_k"),
-                 Txn("alloc", "S", sb, h), Txn("touch", "S", sb, h, 0, what="scores"),
-                 Txn("store", "S", sb, h, what="spill_s"),
-                 Txn("free", "S", 0, h), Txn("free", "K", 0, h), Txn("free", "Q", 0, h),
-                 Txn("alloc", "V", kvb, h), Txn("load", "V", kvb, h, what="load_v"),
-                 Txn("alloc", "S", sb, h), Txn("load", "S", sb, h, what="reload_s"),
-                 Txn("touch", "S", sb, h, 0, what="softmax"),
-                 Txn("alloc", "O", qb, h), Txn("touch", "O", qb, h, 0, what="context"),
-                 Txn("store", "O", qb, h, what="store_o"),
-                 Txn("free", "O", 0, h), Txn("free", "S", 0, h), Txn("free", "V", 0, h)]
     return txns
 
 
@@ -272,41 +264,39 @@ def online_softmax_update(state: SoftmaxState, s_block: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _attention_compute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                       dims: AttentionDims, out: np.ndarray,
-                       q_tiles: list[tuple[int, int]],
-                       k_blocks: list[tuple[int, int]]):
-    """Numerics of the compute steps of either attention schedule, keyed by tag.
+                       dims: AttentionDims, tiling: AttentionTiling | None,
+                       sim: ScratchpadSim) -> np.ndarray:
+    """Replay the core's schedule through ``sim``, computing at its compute steps.
 
-    Steps with ``block == -1`` see all of K and V; the streaming state starts
-    at block 0 of each query tile.
+    A ``"tile"`` step attends its query tile over all of K and V; the streaming
+    state starts at block 0 of each query tile and ends at ``"finalize"``.
     """
-    assert q.shape == (dims.heads, dims.N, dims.d) == out.shape
+    assert q.shape == (dims.heads, dims.N, dims.d)
     assert k.shape == v.shape == (dims.heads, dims.N_r, dims.d)
+    t_q, t_k = (dims.N, dims.N_r) if tiling is None else (tiling.t_q, tiling.t_k)
+    q_tiles, k_blocks = tile_intervals(dims.N, t_q), tile_intervals(dims.N_r, t_k)
     inv_scale = 1.0 / math.sqrt(dims.d)
-    s_tile: np.ndarray | None = None
+    out = np.empty_like(q)
     state: SoftmaxState | None = None
 
     def compute(txn: Txn):
-        nonlocal s_tile, state
+        nonlocal state
         if txn.action != "touch":
             return
         h, (lo, hi) = txn.head, q_tiles[txn.tile]
-        if txn.what == "scores":
-            kh = k[h] if txn.block < 0 else k[h, slice(*k_blocks[txn.block])]
-            s_tile = (q[h, lo:hi] @ kh.T) * inv_scale
-        elif txn.what == "softmax":
-            s_tile = softmax_rows(s_tile)
-        elif txn.what == "context":
-            out[h, lo:hi] = s_tile @ v[h]
-        elif txn.what == "online_update":
+        if txn.what == "tile":
+            out[h, lo:hi] = softmax_rows((q[h, lo:hi] @ k[h].T) * inv_scale) @ v[h]
+        elif txn.what == "block":
             if txn.block == 0:
                 state = init_softmax_state(hi - lo, dims.d)
-            vh = v[h, slice(*k_blocks[txn.block])]
-            state = online_softmax_update(state, s_tile, vh)
+            blk = slice(*k_blocks[txn.block])
+            state = online_softmax_update(state, (q[h, lo:hi] @ k[h, blk].T) * inv_scale,
+                                          v[h, blk])
         elif txn.what == "finalize":
             out[h, lo:hi] = state.acc / state.l[:, None]
 
-    return compute
+    replay(schedule_attention(dims, tiling), sim, compute)
+    return out
 
 
 def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -317,17 +307,10 @@ def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     q is (heads, N, d); k, v are (heads, N_r, d). Capacity errors from the
     simulator propagate: an infeasible tiling cannot be executed.
     """
-    out = np.empty_like(q)
-    replay(schedule_attention(dims, tiling), sim,
-           _attention_compute(q, k, v, dims, out, tile_intervals(dims.N, tiling.t_q),
-                              tile_intervals(dims.N_r, tiling.t_k)))
-    return out
+    return _attention_compute(q, k, v, dims, tiling, sim)
 
 
 def untiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                               dims: AttentionDims, sim: ScratchpadSim) -> np.ndarray:
     """Baseline dense attention with the score matrix spilled to DRAM."""
-    out = np.empty_like(q)
-    replay(schedule_untiled_attention(dims), sim,
-           _attention_compute(q, k, v, dims, out, [(0, dims.N)], []))
-    return out
+    return _attention_compute(q, k, v, dims, None, sim)

@@ -41,6 +41,7 @@ class CapacityError(SimError):
         )
         self.requested = requested
         self.available = available
+        self.what = what
 
 
 class UseAfterFreeError(SimError):

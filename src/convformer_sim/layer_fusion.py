@@ -354,7 +354,8 @@ def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape,
         choice = table.choice(0, 0, 0, POLICIES.index(policy), r)
         if choice.buffer_bytes <= hw.scratchpad_bytes:
             return choice
-    raise CapacityError(choice.buffer_bytes, hw.scratchpad_bytes, what="fusion group")
+    raise CapacityError(choice.buffer_bytes, hw.scratchpad_bytes, what="fusion group ["
+                        + ",".join(l.node.id for l in layers) + "]")
 
 
 def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPlan:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import attention_tiling as at
 from . import layer_fusion as lf
-from .errors import ConfigError, SelfCheckError
+from .errors import CapacityError, ConfigError, NoFeasibleTilingError, SelfCheckError
 from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn,
                       build_report, check_keys, parse_number, replay)
 from .workload import (Add, Attention, AttentionDims, LayerNode, NetworkGraph,
@@ -33,7 +33,7 @@ class ChainUnit:
 class AttentionUnit:
     node: LayerNode
     dims: AttentionDims
-    tiling: at.AttentionTiling | None   # None -> baseline spilled-score execution
+    tiling: at.AttentionTiling | None   # None: the spilled-score baseline core
     buffer_bytes: int = 0
 
 
@@ -105,19 +105,21 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
             node = nodes[0]
             if isinstance(node.op, Attention):
                 dims = attention_dims(graph, node, hw.element_bytes)
-                if attention_mode == "auto":
-                    tiling = at.search_attention_tiling(dims, hw)
-                elif attention_mode == "baseline":
-                    tiling = None
-                elif isinstance(attention_mode, dict):
-                    tiling = at.AttentionTiling(
-                        attention_mode["t_q"], attention_mode.get("t_k", dims.N_r),
-                        at.ResidencyMode(attention_mode["mode"]))
-                    at.check_tiling(dims, tiling, node.id, "schedule.attention.")
-                else:
-                    raise ConfigError(f"unknown attention mode {attention_mode!r}")
-                buffer_bytes = (0 if tiling is None
-                                else at.tiling_buffer_bytes(dims, tiling, hw))
+                try:
+                    if attention_mode == "auto":
+                        tiling = at.search_attention_tiling(dims, hw)
+                    elif attention_mode == "baseline":
+                        tiling = None
+                    elif isinstance(attention_mode, dict):
+                        tiling = at.AttentionTiling(
+                            attention_mode["t_q"], attention_mode.get("t_k", dims.N_r),
+                            at.ResidencyMode(attention_mode["mode"]))
+                        at.check_tiling(dims, tiling, node.id, "schedule.attention.")
+                    else:
+                        raise ConfigError(f"unknown attention mode {attention_mode!r}")
+                    buffer_bytes = at.tiling_buffer_bytes(dims, tiling, hw)
+                except (CapacityError, NoFeasibleTilingError) as e:
+                    raise NoFeasibleTilingError(f"layer {node.id}: {e}") from e
                 units.append(AttentionUnit(node, dims, tiling, buffer_bytes))
             elif isinstance(node.op, Add):
                 units.append(AddUnit(node))
@@ -252,8 +254,7 @@ def unit_cost(graph: NetworkGraph, unit: ScheduleUnit, hw: HardwareConfig) -> di
         ema = sum((n_in * c + weights + n_out * c) * dims.element_bytes
                   for _, n_in, weights, n_out
                   in projection_passes(unit.node.op, dims.N, dims.N_r))
-        ema += (at.untiled_attention_ema(dims) if unit.tiling is None
-                else at.attention_ema(dims, unit.tiling))
+        ema += at.attention_ema(dims, unit.tiling)
     else:
         nodes, label, extra_macs = [unit.node], unit.node.id, 0
         ema = 3 * graph.out_shape(unit.node.id).elements * hw.element_bytes
@@ -268,7 +269,8 @@ def execute_network(graph: NetworkGraph, schedule: NetworkSchedule,
                     hw: HardwareConfig) -> tuple[np.ndarray, list[dict]]:
     """Run the scheduled network through one simulator; returns (output, breakdown).
 
-    SelfCheckError names the first unit whose simulated EMA is not its closed form.
+    SelfCheckError names the first unit whose simulated EMA is not its closed
+    form, and a CapacityError raised while a unit runs is re-raised naming it.
     """
     values: dict[str, np.ndarray] = {}
     breakdown: list[dict] = []
@@ -277,15 +279,18 @@ def execute_network(graph: NetworkGraph, schedule: NetworkSchedule,
         nodes = ([l.node for l in unit.layers] if isinstance(unit, ChainUnit)
                  else [unit.node])
         ins = [values[p] for p in nodes[0].preds] or [x]
-        ema0 = sim.ema_bytes
-        if isinstance(unit, ChainUnit):
-            out = lf.fused_execute(unit.layers, unit.plan, ins[0], sim, params, hw)
-        elif isinstance(unit, AttentionUnit):
-            out = attention_unit_execute(ins[0], unit, params[unit.node.id], sim, hw)
-        else:
-            out = add_unit_execute(*ins, sim, hw)
-        values[nodes[-1].id] = out
         row = unit_cost(graph, unit, hw)
+        ema0 = sim.ema_bytes
+        try:
+            if isinstance(unit, ChainUnit):
+                out = lf.fused_execute(unit.layers, unit.plan, ins[0], sim, params, hw)
+            elif isinstance(unit, AttentionUnit):
+                out = attention_unit_execute(ins[0], unit, params[unit.node.id], sim, hw)
+            else:
+                out = add_unit_execute(*ins, sim, hw)
+        except CapacityError as e:
+            raise CapacityError(e.requested, e.available, f"{row['unit']}: {e.what}") from e
+        values[nodes[-1].id] = out
         if row["ema_bytes"] != sim.ema_bytes - ema0:
             raise SelfCheckError(f"{row['unit']}: closed-form EMA {row['ema_bytes']} B "
                                  f"!= simulator {sim.ema_bytes - ema0} B")

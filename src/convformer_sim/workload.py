@@ -665,7 +665,11 @@ def _node_from_dict(nd: dict) -> LayerNode:
         elif f.default is MISSING:
             raise ShapeError(node_id, f"missing field {f.name!r}")
     preds = check_list(f"{where} field preds", nd.get("preds", []))
-    return LayerNode(node_id, kind(**args), tuple(str(p) for p in preds))
+    try:
+        op = kind(**args)
+    except ShapeError as e:  # the op's own check, e.g. groups dividing the channels
+        raise ConfigError(f"{where}: {e}")
+    return LayerNode(node_id, op, tuple(str(p) for p in preds))
 
 
 def graph_from_dict(d: dict) -> NetworkGraph:

@@ -19,8 +19,7 @@ from convformer_sim.attention_tiling import (AttentionTiling, ResidencyMode,
                                              schedule_attention,
                                              search_attention_tiling,
                                              tiled_attention_execute,
-                                             tiling_buffer_bytes,
-                                             untiled_attention_ema)
+                                             tiling_buffer_bytes)
 from convformer_sim.errors import CapacityError
 from convformer_sim.feature_pruning import PruneConfig, pruned_attention_execute
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
@@ -272,7 +271,7 @@ def test_criterion_5_ema_reduction_direction():
             continue
         dims = attention_dims(g, node, hw.element_bytes)
         tiled = attention_ema(dims, search_attention_tiling(dims, hw))
-        untiled = untiled_attention_ema(dims)
+        untiled = attention_ema(dims, None)
         assert tiled < untiled, node.id
         ratios.append(tiled / untiled)
     # (b) fusion plan total strictly below the all-singleton schedule

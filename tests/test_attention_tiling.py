@@ -1,3 +1,6 @@
+from collections import Counter
+from math import ceil
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,9 @@ from convformer_sim.attention_tiling import (AttentionTiling, ResidencyMode,
                                              attention_ema, init_softmax_state,
                                              online_softmax_update, replay,
                                              schedule_attention,
-                                             schedule_untiled_attention,
                                              search_attention_tiling,
                                              tiled_attention_execute,
                                              tiling_buffer_bytes,
-                                             untiled_attention_ema,
                                              untiled_attention_execute)
 from convformer_sim.errors import CapacityError, NoFeasibleTilingError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
@@ -50,8 +51,8 @@ def test_resident_ema_example():
 
 def test_untiled_baseline_example():
     dims = AttentionDims(N=64, N_r=16, d=32, heads=1, element_bytes=1)
-    assert untiled_attention_ema(dims) == 5120 + 2 * 64 * 16
-    sim = replay_counters(schedule_untiled_attention(dims))
+    assert attention_ema(dims, None) == 5120 + 2 * 64 * 16
+    sim = replay_counters(schedule_attention(dims, None))
     assert sim.ema_bytes == 7168
 
 
@@ -68,7 +69,7 @@ def test_streaming_full_tq_equals_resident():
 ])
 def test_ema_formula_matches_replay_everywhere(n, n_r, d, heads):
     dims = AttentionDims(N=n, N_r=n_r, d=d, heads=heads, element_bytes=1)
-    for tiling in all_tilings(dims):
+    for tiling in [None, *all_tilings(dims)]:
         sim = replay_counters(schedule_attention(dims, tiling))
         assert sim.ema_bytes == attention_ema(dims, tiling), tiling
 
@@ -108,7 +109,7 @@ def test_resident_buffer_example():
 def test_buffer_formula_matches_replay_high_water(n, n_r, d, heads):
     dims = AttentionDims(N=n, N_r=n_r, d=d, heads=heads)
     hw = HardwareConfig(scratchpad_bytes=1 << 30)
-    for tiling in all_tilings(dims):
+    for tiling in [None, *all_tilings(dims)]:
         req = tiling_buffer_bytes(dims, tiling, hw)
         sim = replay_counters(schedule_attention(dims, tiling))
         assert sim.high_water == req, tiling
@@ -207,8 +208,8 @@ def test_optimal_tiled_strictly_beats_spilled_baseline(n, n_r, d, heads):
     # with room for resident K/V the whole spilled-score term disappears
     dims = AttentionDims(N=n, N_r=n_r, d=d, heads=heads)
     tiling = search_attention_tiling(dims, HardwareConfig())
-    assert attention_ema(dims, tiling) < untiled_attention_ema(dims)
-    assert untiled_attention_ema(dims) - attention_ema(dims, tiling) \
+    assert attention_ema(dims, tiling) < attention_ema(dims, None)
+    assert attention_ema(dims, None) - attention_ema(dims, tiling) \
         == 2 * n * n_r * heads
 
 
@@ -259,6 +260,24 @@ def test_streaming_kv_reload_factor():
     loads = region_loads(txns)
     assert loads["K"] == 4 * 8 * 4  # ceil(N/t_q) = 4 passes
     assert loads["V"] == 4 * 8 * 4
+
+
+@pytest.mark.parametrize("n,n_r,d,heads", [(16, 16, 4, 1), (32, 8, 16, 3), (10, 6, 4, 2)])
+def test_one_compute_touch_per_query_tile_or_kv_block(n, n_r, d, heads):
+    dims = AttentionDims(N=n, N_r=n_r, d=d, heads=heads)
+    ragged = [AttentionTiling(4, n_r, RESIDENT), AttentionTiling(4, 4, STREAMING)]
+    for tiling in [None, *all_tilings(dims), *ragged]:
+        touches = Counter(t.what for t in schedule_attention(dims, tiling)
+                          if t.action == "touch")
+        if tiling is None:  # one query tile; the first touch scores S before it spills
+            assert touches == {"scores": heads, "tile": heads}
+            continue
+        q_tiles = heads * ceil(n / tiling.t_q)
+        if tiling.mode is RESIDENT:
+            assert touches == {"tile": q_tiles}, tiling
+        else:
+            assert touches == {"block": q_tiles * ceil(n_r / tiling.t_k),
+                               "finalize": q_tiles}, tiling
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +404,7 @@ def test_untiled_execute_matches_dense_and_formula(rng):
     dims = AttentionDims(N=32, N_r=8, d=4, heads=2)
     out = untiled_attention_execute(q, k, v, dims, sim)
     np.testing.assert_allclose(out, dense_attention(q, k, v), atol=1e-12)
-    assert sim.ema_bytes == untiled_attention_ema(dims)
+    assert sim.ema_bytes == attention_ema(dims, None)
 
 
 def test_ragged_tile_sizes_still_exact(rng):

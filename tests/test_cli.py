@@ -31,6 +31,12 @@ def one_conv_graph(input_shape=(1, 4, 8, 8), **fields):
     return {"graph": {"input_shape": list(input_shape), "nodes": [node]}}
 
 
+def mha_graph(heads, d_head):
+    """A model with one attention node ``mha`` on a 4x4 map."""
+    node = {"id": "mha", "kind": "attention", "heads": heads, "d_head": d_head}
+    return {"graph": {"input_shape": [1, heads * d_head, 4, 4], "nodes": [node]}}
+
+
 def two_node_graph(second, input_shape=(1, 4, 8, 8)):
     """``one_conv_graph`` plus a ``second`` node (id ``g`` unless given)."""
     model = one_conv_graph(input_shape)
@@ -457,6 +463,34 @@ def test_infeasible_sweep_row_names_layer(capsys):
     assert "s0_down" in err
 
 
+@pytest.mark.parametrize("command, model, schedule, capacity, node, deficit", [
+    # the search named the dims, not the layer, and no requirement
+    ("run", mha_graph(1, 64), {}, 200, "mha", 59),
+    # a fixed tiling over capacity named no layer
+    ("run", mha_graph(1, 16), {"attention": {"t_q": 16, "mode": "resident_kv"}}, 700,
+     "mha", 324),
+    # a baseline core was not checked at plan time; the replay named region 'S'
+    ("run", mha_graph(1, 16), {"attention": "baseline"}, 700, "mha", 68),
+    ("compare", "segformer-micro", {}, 2048, "s0b0_attn", 3136),
+    # projection weights over capacity named only region 'attnQ_w'
+    ("run", mha_graph(8, 8), {}, 1000, "mha", 3096),
+    # a fixed fusion group over capacity named no layer
+    ("run", "toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [16, 16]}]}},
+     2048, "c0,c1,c2,c3", 2632),
+])
+def test_infeasible_exits_2_naming_node_and_deficit(command, model, schedule, capacity,
+                                                    node, deficit, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
+    argv = [command, "--config", cfg, f"--hw.scratchpad_bytes={capacity}"]
+    if command == "compare":
+        argv.append("--schedules=naive,full")
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert node in err
+    assert f"deficit {deficit} B" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("axis, value", [("scratchpad_bytes", "65536.7"),
                                          ("t_q", "2.5"), ("t_q", "0")])
 def test_sweep_rejects_fractional_integer_axis(axis, value, capsys):
@@ -580,6 +614,9 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
      "g: field preds names 2 inputs; only an add takes two"),
     # k 0 did not name the node ("conv2d: k and stride must be >= 1")
     (one_conv_graph(k=0), {}, "graph node 'c1' field k must be >= 1, got 0"),
+    # nor did groups that divide neither channel count
+    (one_conv_graph(groups=3), {},
+     "graph node 'c1': conv2d: groups must divide c_in and c_out"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -655,6 +692,8 @@ def test_shipped_configs_load(tmp_path):
 
 # good values repeat so that most examples get past config parsing
 HW_VALUES = ("nan", "inf", "-inf", "1.5", "0", "-1", "1e400", "2048", "65536", "65536")
+# scratchpads small enough that some layer of either model cannot fit (exit 2)
+SMALL_SCRATCHPADS = ("1200", "2048", "4096")
 THRESHOLDS = (0.0, 0.01, 0.001, 0.5, 0.01, float("nan"), float("inf"), -1, None, "x")
 SWEEP_VALUES = {"scratchpad_bytes": ("65536", "8192", "2048", "65536.7", "1e400", "0"),
                 "theta_attn": ("0", "0.01", "0.5", "2.5", "1e400", "-1"),
@@ -670,6 +709,8 @@ def command_lines(draw):
     fields = draw(st.lists(st.sampled_from(sorted(cli.HardwareConfig.__dataclass_fields__)),
                            max_size=1))
     argv += [f"--hw.{f}={draw(st.sampled_from(HW_VALUES))}" for f in fields]
+    if not fields and draw(st.booleans()):
+        argv.append(f"--hw.scratchpad_bytes={draw(st.sampled_from(SMALL_SCRATCHPADS))}")
     if draw(st.booleans()):
         argv.append(f"--tolerance={draw(st.sampled_from(['1e-30', '1e-30', 'nan', '1']))}")
     if command == "compare":
@@ -683,10 +724,12 @@ def command_lines(draw):
         theta = st.sampled_from(THRESHOLDS)
         schedule["pruning"] = {"theta_attn": draw(theta), "theta_act": draw(theta)}
     if draw(st.booleans()):
-        mode = draw(st.sampled_from(["resident_kv", "streaming_kv"]))
+        mode = draw(st.sampled_from(["resident_kv", "streaming_kv", "baseline"]))
         schedule["attention"] = {"t_q": draw(st.sampled_from([1, 2, 4, 4, 2.9, 0, "x"])),
                                  "mode": mode}
-        if mode == "streaming_kv":  # resident K/V take no t_k
+        if mode == "baseline":
+            schedule["attention"] = "baseline"
+        elif mode == "streaming_kv":  # resident K/V take no t_k
             schedule["attention"]["t_k"] = draw(st.sampled_from([1, 2, 4, 4, 3.7]))
     if draw(st.booleans()):
         # chain 0 has 4 layers on toy-chain and 2 on segformer-micro
@@ -704,9 +747,10 @@ def _no_constant(name):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(command_lines())
 def test_random_command_lines_exit_cleanly(case):
-    """Any command line ends in 0, 1, 2 or 3 without an exception; on 0 and 3
-    stdout is strict JSON, and a run uses the fixed tiling and fusion groups
-    its config gives, as given."""
+    """Any command line ends in 0, 1, 2 or 3 without an exception; on 2 stderr
+    names a layer and the bytes it lacks; on 0 and 3 stdout is strict JSON,
+    and a run uses the fixed tiling and fusion groups its config gives, as
+    given."""
     argv, schedule = case
     with tempfile.TemporaryDirectory() as tmp:
         if schedule is not None:
@@ -715,6 +759,10 @@ def test_random_command_lines_exit_cleanly(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     assert code in (0, 1, 2, 3), err.getvalue()
+    if code == 2:
+        nodes = [n.id for n in cli.build_graph(argv[2]).nodes]
+        assert any(node in err.getvalue() for node in nodes), err.getvalue()
+        assert re.search(r"(deficit|shortfall) \d+ B", err.getvalue()), err.getvalue()
     if code not in (0, 3):
         return
     data = json.loads(out.getvalue(), parse_constant=_no_constant)
@@ -724,6 +772,9 @@ def test_random_command_lines_exit_cleanly(case):
     attention = (schedule or {}).get("attention")
     if attention is not None:
         for tiling in (u["tiling"] for u in units if u["kind"] == "attention"):
+            if attention == "baseline":
+                assert tiling == "baseline"
+                continue
             assert tiling["t_q"] == attention["t_q"]
             if attention["mode"] == "streaming_kv":
                 assert tiling["t_k"] == attention["t_k"]
