@@ -18,11 +18,13 @@ import json
 import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import attention_tiling as at
 from . import feature_pruning as fp
+from . import layer_fusion as lf
 from . import pipeline
 from .errors import (CapacityError, ConfigError, NoFeasiblePlanError,
                      NoFeasibleTilingError, NotFoundError, SelfCheckError,
@@ -159,24 +161,42 @@ def build_graph(model: str | dict) -> NetworkGraph:
 # Experiment primitives
 # ---------------------------------------------------------------------------
 
-def simulate(cfg: ExperimentConfig) -> dict:
-    """Reference and optimized execution of ``cfg``, pruning aside."""
-    graph = build_graph(cfg.model)
-    params = init_params(graph, cfg.seed)
-    x = seeded_input(graph, cfg.seed)
-    record: dict[str, np.ndarray] = {}
-    ref = reference_execute(graph, x, params, record=record)
+@dataclass
+class Reference:
+    """The reference run of one model and seed, shared by all rows of a command;
+    its tensors are built on first use, after the first row has planned."""
+    graph: NetworkGraph
+    seed: int
+    pruning: bool
 
-    schedule = pipeline.plan_network(graph, cfg.hardware, cfg.attention, cfg.fusion)
-    out, report = pipeline.run_schedule(graph, schedule, x, params,
-                                        cfg.hardware, seed=cfg.seed)
-    return {"graph": graph, "params": params, "x": x, "record": record,
-            "schedule": schedule, "report": report,
-            "deviation": float(np.max(np.abs(out - ref)))}
+    @cached_property
+    def tensors(self) -> tuple[dict, np.ndarray, dict[str, np.ndarray]]:
+        """(params, input, outputs by node id): kept only at unit boundaries
+        (segment ends, the same in every schedule) and, if pruning, GELUs."""
+        params, x = init_params(self.graph, self.seed), seeded_input(self.graph, self.seed)
+        keep = {nodes[-1].id for _, nodes in lf.split_into_segments(self.graph)}
+        keep |= {n.id for n in self.graph.nodes if self.pruning and isinstance(n.op, GELU)}
+        record: dict[str, np.ndarray] = {}
+        reference_execute(self.graph, x, params, record=record, keep=keep)
+        return params, x, record
 
 
-def experiment_result(cfg: ExperimentConfig, sim: dict) -> dict:
-    """The ``run`` result of ``cfg`` from ``simulate`` of ``cfg`` without pruning."""
+def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
+    """Plan ``cfg``, then run it (pruning aside), checking each unit against ``ref``."""
+    ref = ref or Reference(build_graph(cfg.model), cfg.seed, cfg.pruning is not None)
+    schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion)
+    params, x, record = ref.tensors
+    deviations: list[tuple[str, float]] = []
+    _, report = pipeline.run_schedule(ref.graph, schedule, x, params, cfg.hardware,
+                                      seed=cfg.seed, reference=record, deviations=deviations)
+    # the last unit's output is the network's (an empty graph outputs its input)
+    return {"ref": ref, "schedule": schedule, "report": report, "unit_deviations": deviations,
+            "deviation": deviations[-1][1] if deviations else 0.0}
+
+
+def run_experiment(cfg: ExperimentConfig, sim: dict | None = None) -> dict:
+    """The ``run`` result of ``cfg`` from ``sim`` (default: ``simulate(cfg)``)."""
+    sim = sim or simulate(cfg)
     result = {
         "config": cfg.resolved_dict(),
         "report": sim["report"].to_dict(),
@@ -185,8 +205,9 @@ def experiment_result(cfg: ExperimentConfig, sim: dict) -> dict:
         "equivalence_ok": sim["deviation"] <= cfg.tolerance,
     }
     if cfg.pruning is not None:
-        pruned = pruning_analysis(sim["graph"], sim["record"], sim["x"],
-                                  sim["params"], cfg.pruning, cfg.hardware)
+        params, x, record = sim["ref"].tensors
+        pruned = pruning_analysis(sim["ref"].graph, record, x, params,
+                                  cfg.pruning, cfg.hardware)
         stats = pruned["aggregate_stats"]
         adjusted = fp.sparse_cost_adjust(sim["report"], stats, cfg.hardware,
                                          cfg.pruning.granularity)
@@ -195,17 +216,13 @@ def experiment_result(cfg: ExperimentConfig, sim: dict) -> dict:
     return result
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Full pipeline: reference + optimized execution, report, deviation."""
-    return experiment_result(cfg, simulate(cfg))
-
-
 def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
                      x: np.ndarray, params: dict, cfg: fp.PruneConfig,
                      hw: HardwareConfig) -> dict:
     """Layer-level pruning sweep points: attention maps and post-GELU maps.
 
-    ``record`` holds every node's reference output, ``x`` the network input."""
+    ``record`` holds the reference outputs of attention inputs and GELUs,
+    ``x`` the network input."""
     layers = []
     total_skipped = 0
     total_elided = 0
@@ -239,39 +256,40 @@ def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
     return {"layers": layers, "aggregate_stats": agg}
 
 
-def compare_experiments(cfg: ExperimentConfig, schedule_names: list[str]) -> list[dict]:
+def compare_experiments(cfg: ExperimentConfig, schedule_names: list[str]) -> tuple:
     for key, default in (("attention", "auto"), ("fusion", "auto"), ("pruning", None)):
         if getattr(cfg, key) != default:
             raise ConfigError(f"compare runs named schedules: leave schedule.{key} unset")
     keys = ("ema_bytes", "cycles", "energy_pj")
-    rows = []
+    rows, sims, ref = [], [], None
     for name in schedule_names:
         if name not in SCHEDULE_PRESETS:
             raise ConfigError(f"unknown schedule {name!r}; "
                               f"known: {sorted(SCHEDULE_PRESETS)}")
         attention, fusion = SCHEDULE_PRESETS[name]
-        res = run_experiment(replace(cfg, attention=attention, fusion=fusion,
-                                     pruning=None))
-        rows.append({"schedule": name, **{k: res["report"][k] for k in keys},
-                     "max_abs_deviation": res["max_abs_deviation"]})
+        sims.append(simulate(replace(cfg, attention=attention, fusion=fusion), ref))
+        ref = sims[-1]["ref"]
+        rows.append({"schedule": name,
+                     **{k: getattr(sims[-1]["report"], k) for k in keys},
+                     "max_abs_deviation": sims[-1]["deviation"]})
     base = rows[0]
     for row in rows:
         for key in keys:
             row[f"{key}_norm"] = row[key] / base[key] if base[key] else 1.0
-    return rows
+    return rows, sims
 
 
 SWEEP_AXES = ("scratchpad_bytes", "theta_attn", "theta_act", "t_q")
 
 
-def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> list[dict]:
-    """One row per value; consecutive rows that differ only in pruning share
-    one simulation. A row's config is built just before the row runs."""
+def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> tuple:
+    """(rows, simulations of unpruned rows), a row per value, its config built just
+    before it runs; consecutive rows that differ only in pruning share a simulation."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep values must be a nonempty list")
-    rows = []
+    rows, sims, ref = [], [], None
     simulated: tuple[ExperimentConfig, dict] | None = None
     for value in values:
         sub = cfg
@@ -289,9 +307,11 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> list[di
                     else {"mode": at.ResidencyMode.RESIDENT_KV.value})
             sub = replace(cfg, attention=at.tiling_spec(dict(spec, t_q=value)))
         if simulated is None or simulated[0] != replace(sub, pruning=None):
-            simulated = None   # free the last simulation before the next one
-            simulated = replace(sub, pruning=None), simulate(sub)
-        res = experiment_result(sub, simulated[1])
+            simulated = replace(sub, pruning=None), simulate(sub, ref)
+            ref = simulated[1]["ref"]
+        res = run_experiment(sub, simulated[1])
+        if sub.pruning is None:
+            sims.append(simulated[1])
         report = res["adjusted_report"] if "adjusted_report" in res else res["report"]
         row = {"axis": axis, "value": value,
                **{k: report[k] for k in ("ema_bytes", "macs", "cycles", "energy_pj")},
@@ -307,7 +327,7 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> list[di
             row["min_output_cosine"] = min((l["output_cosine"] for l in attn),
                                            default=1.0)
         rows.append(row)
-    return rows
+    return rows, sims
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +355,14 @@ def emit(data, fmt: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _equivalence_exit(deviations: list[float], tolerance: float) -> int:
-    """EXIT_EQUIVALENCE, reported on stderr, if any deviation exceeds tolerance."""
-    bad = [d for d in deviations if not d <= tolerance]
+def _equivalence_exit(sims: list[dict], tolerance: float) -> int:
+    """EXIT_EQUIVALENCE, naming the first unit over ``tolerance`` on stderr, if any."""
+    bad = [s for s in sims if not s["deviation"] <= tolerance]
     if not bad:
         return EXIT_OK
-    print(f"equivalence failure: deviation {max(bad):.3e} > {tolerance:.3e}",
-          file=sys.stderr)
+    unit = next(u for u, d in bad[0]["unit_deviations"] if not d <= tolerance)
+    print(f"equivalence failure: deviation {max(s['deviation'] for s in bad):.3e} > "
+          f"{tolerance:.3e}; first unit over it: {unit}", file=sys.stderr)
     return EXIT_EQUIVALENCE
 
 
@@ -415,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
 
         cfg = load_config(args.config, args, hw_overrides)
         if args.command == "run":
-            result = run_experiment(cfg)
+            result = run_experiment(cfg, sim := simulate(cfg))
             if args.format == "csv":
                 report = result.get("adjusted_report", result["report"])
                 row = {k: report[k] for k in CostReport.CSV_FIELDS}
@@ -423,16 +444,14 @@ def main(argv: list[str] | None = None) -> int:
                 emit([row], "csv", args.out)
             else:
                 emit(result, "json", args.out)
-            unpruned = [] if cfg.pruning else [result["max_abs_deviation"]]
-            return _equivalence_exit(unpruned, cfg.tolerance)
+            return _equivalence_exit([] if cfg.pruning else [sim], cfg.tolerance)
         if args.command == "compare":
             names = [s.strip() for s in args.schedules.split(",") if s.strip()]
             if len(names) < 2:
                 raise ConfigError("compare needs at least 2 schedules")
-            rows = compare_experiments(cfg, names)
+            rows, sims = compare_experiments(cfg, names)
             emit(rows, args.format, args.out)
-            return _equivalence_exit([r["max_abs_deviation"] for r in rows],
-                                     cfg.tolerance)
+            return _equivalence_exit(sims, cfg.tolerance)
         if args.command == "sweep":
             try:
                 values = [float(v) if "." in v or "e" in v.lower() else int(v)
@@ -440,11 +459,10 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError:
                 raise ConfigError(f"sweep values must be numeric, got "
                                   f"{args.values!r}")
-            rows = sweep_experiments(cfg, args.axis, values)
+            rows, sims = sweep_experiments(cfg, args.axis, values)
             emit(rows, args.format, args.out)
-            # pruned rows (those with a granularity) are exempt, as in run
-            return _equivalence_exit([r["max_abs_deviation"] for r in rows
-                                      if "granularity" not in r], cfg.tolerance)
+            # pruned rows are exempt, as in run
+            return _equivalence_exit(sims, cfg.tolerance)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, NotFoundError, ShapeError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -9,6 +9,7 @@ whole execution, so its counters are the network's EMA ground truth.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,7 +78,8 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
     """Build the unit schedule: fusion plans per chain, tilings per attention.
 
     A dict ``attention_mode`` is an ``at.tiling_spec``; each attention layer
-    gets its fixed tiling, with t_k = N_r in resident mode.
+    gets its fixed tiling, with t_k = N_r in resident mode. Every group, core
+    and pass is capacity-checked here, before anything executes.
     """
     segments = lf.split_into_segments(graph)
     if isinstance(fusion_mode, dict):
@@ -121,10 +123,16 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                 except (CapacityError, NoFeasibleTilingError) as e:
                     raise NoFeasibleTilingError(f"layer {node.id}: {e}") from e
                 units.append(AttentionUnit(node, dims, tiling, buffer_bytes))
+                passes = _projection_txns(units[-1], hw)
             elif isinstance(node.op, Add):
                 units.append(AddUnit(node))
+                passes = _add_pass(graph.out_shape(node.id).elements, hw)
             else:
                 raise ConfigError(f"node {node.id} cannot be scheduled")
+            try:   # capacity-check the gemm or add passes without compute
+                replay(passes, ScratchpadSim(hw.scratchpad_bytes))
+            except CapacityError as e:
+                raise CapacityError(e.requested, e.available, f"{node.id}: {e.what}") from e
     return NetworkSchedule(units)
 
 
@@ -166,12 +174,10 @@ def _balanced_split(total: int, parts: int) -> list[int]:
 
 
 def _stream_blocks(in_elems: int, out_elems: int, eb: int, avail: int) -> int:
-    """Fewest blocks whose input block plus output block fit ``avail`` bytes."""
-    blocks = 1
-    while (blocks < max(in_elems, out_elems, 1)
-           and (-(-in_elems // blocks) + -(-out_elems // blocks)) * eb > avail):
-        blocks += 1
-    return blocks
+    """Fewest blocks whose in + out block fits ``avail`` B (need falls as blocks grow)."""
+    most = max(in_elems, out_elems, 1)
+    return min(most, 1 + bisect_left(range(1, most + 1), True, key=lambda blocks: (
+        -(-in_elems // blocks) + -(-out_elems // blocks)) * eb <= avail))
 
 
 def _gemm_pass(tag: str, in_elems: int, w_elems: int, out_elems: int,
@@ -212,6 +218,14 @@ def _add_pass(elems: int, hw: HardwareConfig) -> list[Txn]:
     return txns + [Txn("free", "add_b", 0), Txn("free", "add_a", 0)]
 
 
+def _projection_txns(unit: AttentionUnit, hw: HardwareConfig) -> list[Txn]:
+    """The unit's projection passes (Q, spatial reduction, K, V), in order."""
+    c = unit.dims.heads * unit.dims.d
+    return [t for tag, n_in, weights, n_out
+            in projection_passes(unit.node.op, unit.dims.N, unit.dims.N_r)
+            for t in _gemm_pass(tag, n_in * c, weights, n_out * c, hw)]
+
+
 def attention_unit_execute(x: np.ndarray, unit: AttentionUnit,
                            params: dict[str, np.ndarray],
                            sim: ScratchpadSim, hw: HardwareConfig) -> np.ndarray:
@@ -223,8 +237,7 @@ def attention_unit_execute(x: np.ndarray, unit: AttentionUnit,
     dims = unit.dims
     c, h, w = x.shape
     q, k, v = attention_operands(x, unit.node.op, params)
-    for tag, n_in, weights, n_out in projection_passes(unit.node.op, dims.N, dims.N_r):
-        replay(_gemm_pass(tag, n_in * c, weights, n_out * c, hw), sim)
+    replay(_projection_txns(unit, hw), sim)
     if unit.tiling is None:
         o = at.untiled_attention_execute(q, k, v, dims, sim)
     else:
@@ -265,20 +278,25 @@ def unit_cost(graph: NetworkGraph, unit: ScheduleUnit, hw: HardwareConfig) -> di
 
 def execute_network(graph: NetworkGraph, schedule: NetworkSchedule,
                     x: np.ndarray, sim: ScratchpadSim,
-                    params: dict[str, dict[str, np.ndarray]],
-                    hw: HardwareConfig) -> tuple[np.ndarray, list[dict]]:
+                    params: dict[str, dict[str, np.ndarray]], hw: HardwareConfig,
+                    reference: dict | None = None, deviations: list | None = None
+                    ) -> tuple[np.ndarray, list[dict]]:
     """Run the scheduled network through one simulator; returns (output, breakdown).
 
     SelfCheckError names the first unit whose simulated EMA is not its closed
     form, and a CapacityError raised while a unit runs is re-raised naming it.
+    An output is freed after its last reader runs. A unit whose output node is
+    in ``reference`` appends (unit, max abs deviation) to ``deviations``.
     """
+    unit_nodes = [[l.node for l in u.layers] if isinstance(u, ChainUnit) else [u.node]
+                  for u in schedule.units]
+    last_read = {p: i for i, nodes in enumerate(unit_nodes) for p in nodes[0].preds}
     values: dict[str, np.ndarray] = {}
     breakdown: list[dict] = []
     out = np.asarray(x, dtype=np.float64)
-    for unit in schedule.units:
-        nodes = ([l.node for l in unit.layers] if isinstance(unit, ChainUnit)
-                 else [unit.node])
+    for i, (unit, nodes) in enumerate(zip(schedule.units, unit_nodes)):
         ins = [values[p] for p in nodes[0].preds] or [x]
+        values = {k: v for k, v in values.items() if last_read.get(k) != i}
         row = unit_cost(graph, unit, hw)
         ema0 = sim.ema_bytes
         try:
@@ -294,16 +312,21 @@ def execute_network(graph: NetworkGraph, schedule: NetworkSchedule,
         if row["ema_bytes"] != sim.ema_bytes - ema0:
             raise SelfCheckError(f"{row['unit']}: closed-form EMA {row['ema_bytes']} B "
                                  f"!= simulator {sim.ema_bytes - ema0} B")
+        if reference is not None and nodes[-1].id in reference:
+            deviations.append((row["unit"], float(np.max(np.abs(
+                out - reference[nodes[-1].id])))))
         breakdown.append(row)
     return out, breakdown
 
 
 def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
                  params: dict[str, dict[str, np.ndarray]], hw: HardwareConfig,
-                 seed: int | None = None) -> tuple[np.ndarray, CostReport]:
-    """Execute a schedule and assemble its cost report from the sim counters."""
+                 seed: int | None = None, reference: dict | None = None,
+                 deviations: list | None = None) -> tuple[np.ndarray, CostReport]:
+    """Execute a schedule (see ``execute_network``) and report its sim counters."""
     sim = ScratchpadSim(hw.scratchpad_bytes)
-    out, breakdown = execute_network(graph, schedule, x, sim, params, hw)
+    out, breakdown = execute_network(graph, schedule, x, sim, params, hw,
+                                     reference, deviations)
     report = build_report(sum(r["macs"] for r in breakdown),
                           sum(r["vector_ops"] for r in breakdown), sim, hw,
                           breakdown=breakdown, seed=seed)

@@ -493,10 +493,12 @@ def layer_forward(node: LayerNode, inputs: list[np.ndarray], p: dict[str, np.nda
 def reference_execute(graph: NetworkGraph, x: np.ndarray,
                       params: dict[str, dict[str, np.ndarray]] | None = None,
                       seed: int = 0,
-                      record: dict[str, np.ndarray] | None = None) -> np.ndarray:
+                      record: dict[str, np.ndarray] | None = None,
+                      keep: set[str] | None = None) -> np.ndarray:
     """Dense, untiled, float64 execution: the oracle for all optimized paths.
 
-    ``record``, if given, is filled with every node's output tensor.
+    ``record``, if given, gets every node's output (only those in ``keep``, if
+    given); other outputs are freed after their last read.
     """
     if not graph.shapes:
         graph = infer_shapes(graph)
@@ -506,6 +508,7 @@ def reference_execute(graph: NetworkGraph, x: np.ndarray,
         raise ShapeError("input", f"expected {graph.input_shape}, got {x.shape}")
     x = np.asarray(x, dtype=np.float64)
 
+    last_read = {p: n.id for n in graph.nodes for p in n.preds}
     values: dict[str, np.ndarray] = {}
     out = x
     for node in graph.nodes:
@@ -513,8 +516,9 @@ def reference_execute(graph: NetworkGraph, x: np.ndarray,
         out = layer_forward(node, ins, params[node.id])
         if not np.all(np.isfinite(out)):
             raise NumericsError(node.id)
+        values = {k: v for k, v in values.items() if last_read.get(k) != node.id}
         values[node.id] = out
-        if record is not None:
+        if record is not None and (keep is None or node.id in keep):
             record[node.id] = out
     return out
 

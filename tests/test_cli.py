@@ -4,13 +4,16 @@ import io
 import json
 import re
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convformer_sim import cli, pipeline
+from convformer_sim import cli, pipeline, workload
+from convformer_sim.layer_fusion import split_into_segments
+from convformer_sim.workload import GELU, PRESETS, build_preset, reference_execute
 
 
 def run_cli(args, capsys):
@@ -784,3 +787,114 @@ def test_random_command_lines_exit_cleanly(case):
         ran, = next(u for u in units if u["kind"] == "chain")["plan"]["groups"]
         assert [ran["start"], ran["end"], ran["tile"]] == \
             [given_group["start"], given_group["end"], given_group["tile"]]
+
+
+def count_references(monkeypatch):
+    """Count the reference runs ``cli`` starts; returns the one-item counter."""
+    calls = [0]
+    real = cli.reference_execute
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reference_execute", counted)
+    return calls
+
+
+def test_projection_pass_infeasible_exits_2_before_any_numerics(tmp_path, monkeypatch,
+                                                                capsys):
+    calls = count_references(monkeypatch)
+    cfg = write_config(tmp_path, {"model": mha_graph(8, 8)})
+    code, out, err = run_cli(["run", "--config", cfg, "--hw.scratchpad_bytes=1000"], capsys)
+    assert code == 2
+    assert "mha" in err and "deficit 3096 B" in err
+    assert out == ""
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--model", "segformer-micro", "--schedules", "naive,tiling,fusion,full"],
+    ["sweep", "--model", "segformer-micro", "--axis", "scratchpad_bytes",
+     "--values", "2048,8192,65536,262144"],
+    ["sweep", "--config", str(Path(__file__).parent.parent / "configs" / "pruning_sweep.json"),
+     "--axis", "theta_attn", "--values", "0,0.01,0.02,0.05"],
+])
+def test_one_reference_per_command(argv, monkeypatch, capsys):
+    calls = count_references(monkeypatch)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(json.loads(out)) == 4
+    assert calls[0] == 1
+
+
+def boundary_ids(graph):
+    """The last node of every segment: where unit outputs meet."""
+    return {nodes[-1].id for _, nodes in split_into_segments(graph)}
+
+
+@pytest.mark.parametrize("pruning", [False, True])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_reference_keeps_boundaries_bit_identical_to_full_record(preset, pruning):
+    graph = build_preset(preset)
+    params, x, kept = cli.Reference(graph, 3, pruning).tensors
+    full = {}
+    reference_execute(graph, x, params, record=full)
+    gelus = {n.id for n in graph.nodes if isinstance(n.op, GELU)}
+    assert set(kept) == boundary_ids(graph) | (gelus if pruning else set())
+    assert len(kept) < len(full)
+    for node_id, tensor in kept.items():
+        assert tensor.dtype == full[node_id].dtype
+        assert tensor.tobytes() == full[node_id].tobytes(), node_id
+
+
+def test_reference_step_frees_non_boundary_outputs(monkeypatch):
+    """An output that is not kept is dead once its last consumer has run,
+    and every output but the kept ones once the reference step returns."""
+    graph = build_preset("pvtv2-micro")
+    order = {n.id: i for i, n in enumerate(graph.nodes)}
+    last_read = {p: order[n.id] for n in graph.nodes for p in n.preds}
+    kept_ids = boundary_ids(graph)
+    outputs, stale = {}, []
+    real = workload.layer_forward
+
+    def spy(node, inputs, p, *args, **kwargs):
+        stale.extend((node.id, k) for k, ref in outputs.items() if ref() is not None
+                     and k not in kept_ids and last_read[k] < order[node.id])
+        out = real(node, inputs, p, *args, **kwargs)
+        outputs[node.id] = weakref.ref(out)
+        return out
+
+    monkeypatch.setattr(workload, "layer_forward", spy)
+    _, _, kept = cli.Reference(graph, 0, False).tensors
+    assert set(kept) == kept_ids
+    assert stale == []
+    assert set(outputs) == set(order)
+    dropped = set(outputs) - kept_ids
+    assert dropped
+    assert all(outputs[node_id]() is None for node_id in dropped)
+    assert all(outputs[node_id]() is not None for node_id in kept_ids)
+
+
+def test_perturbed_unit_exits_3_naming_it(monkeypatch, capsys):
+    real = pipeline.attention_unit_execute
+
+    def perturbed(x, unit, *args):
+        out = real(x, unit, *args)
+        return out + 1e-3 if unit.node.id == "s1b0_attn" else out
+
+    monkeypatch.setattr(pipeline, "attention_unit_execute", perturbed)
+    code, out, err = run_cli(["run", "--model", "pvtv2-micro"], capsys)
+    assert code == 3
+    assert json.loads(out)["max_abs_deviation"] > 1e-6
+    assert err.startswith("equivalence failure: deviation")
+    assert "first unit over it: s1b0_attn" in err
+
+
+def test_empty_graph_runs_with_zero_deviation(tmp_path, capsys):
+    # no units: the output is the input, and no unit check runs
+    cfg = write_config(tmp_path, {"model": {"graph": {"input_shape": [1, 4, 8, 8],
+                                                      "nodes": []}}})
+    code, out, _ = run_cli(["run", "--config", cfg], capsys)
+    assert code == 0
+    assert json.loads(out)["max_abs_deviation"] == 0.0

@@ -14,8 +14,8 @@ from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
                                          group_ema, partition_chain,
                                          singleton_plan, split_into_segments)
 from convformer_sim.hwmodel import replay
-from convformer_sim.layer_fusion import (_candidate_table, _walk,
-                                         schedule_group)
+from convformer_sim.layer_fusion import (POLICIES, _candidate_table, _GroupTable,
+                                         _walk, schedule_group)
 from convformer_sim.workload import (Add, Attention, Conv2D, Downsample, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, infer_shapes, init_params,
@@ -387,16 +387,20 @@ def candidates(layers):
 
 
 def exhaustive_choice(layers, hw, start=0):
-    """Minimum of the search's tie-break key over every candidate, via the
-    public per-candidate functions, as the group of a chain whose layers
-    from ``start`` on are ``layers``."""
+    """Minimum of the search's tie-break key over every candidate, as the
+    group of a chain whose layers from ``start`` on are ``layers``. Each tile
+    is costed in its own one-tile table, which yields all four of its
+    (policy, residency) options, so the oracle does not share the
+    multi-tile broadcast of the search it checks."""
     best = None
+    tables = {}
     for tile, policy, resident in candidates(layers):
-        try:
-            buf = group_buffer_bytes(layers, tile, policy, resident, hw)
-        except CapacityError:
+        if tile not in tables:
+            tables[tile] = _GroupTable(layers, hw, [tile.h_t], [tile.w_t])
+        option = tables[tile].choice(0, 0, 0, POLICIES.index(policy), 0 if resident else 1)
+        ema, extra, buf = option.ema, option.extra_macs, option.buffer_bytes
+        if buf > hw.scratchpad_bytes:
             continue
-        ema, extra = group_ema(layers, tile, policy, resident, hw)
         key = (ema, -tile.h_t * tile.w_t, extra, buf, 0 if policy is RECOMPUTE else 1)
         if best is None or key < best[0]:
             best = key, FusionGroup(start, start + len(layers) - 1, tile, policy,

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ import convformer_sim as cs
 from convformer_sim import cli, pipeline
 from convformer_sim.attention_tiling import ResidencyMode, search_attention_tiling
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim, replay
-from convformer_sim.workload import (Attention, attention_dims, init_params,
-                                     layer_macs, layer_vector_ops, op_cost,
-                                     reference_execute, seeded_input)
+from convformer_sim.workload import (Attention, attention_dims, graph_from_dict,
+                                     init_params, layer_macs, layer_vector_ops,
+                                     op_cost, reference_execute, seeded_input)
 
 
 @pytest.fixture(params=cs.PRESETS)
@@ -225,3 +227,68 @@ def test_random_networks_all_schedules_equivalent(idx, hw):
         dev = float(np.max(np.abs(out - ref)))
         assert dev <= 1e-9, (idx, att, fus, dev)
         # run_schedule cross-checks closed-form EMA against counters
+
+
+def linear_stream_blocks(in_elems, out_elems, eb, avail):
+    """The block search as a linear scan: the oracle for the bisection."""
+    blocks = 1
+    while (blocks < max(in_elems, out_elems, 1)
+           and (-(-in_elems // blocks) + -(-out_elems // blocks)) * eb > avail):
+        blocks += 1
+    return blocks
+
+
+def test_stream_blocks_bisection_equals_linear_scan():
+    sizes = (0, 1, 2, 3, 7, 16, 49, 100, 257)
+    nothing_fits = 0
+    for in_elems in sizes:
+        for out_elems in sizes:
+            for eb in (1, 2, 4):
+                for avail in (-8, 0, 1, 2, 3, 4, 5, 8, 13, 64, 100, 1000, 4096):
+                    want = linear_stream_blocks(in_elems, out_elems, eb, avail)
+                    assert pipeline._stream_blocks(in_elems, out_elems, eb, avail) == want, \
+                        (in_elems, out_elems, eb, avail)
+                    nothing_fits += 2 * eb > avail and max(in_elems, out_elems) > 0
+    assert nothing_fits > 0
+
+
+def test_projection_pass_over_capacity_fails_at_plan_time():
+    # one attention node (8 heads x 8 on a 4x4 map): the core fits 1000 B,
+    # the 4096 B Q projection weights do not
+    g = graph_from_dict({"input_shape": [1, 64, 4, 4], "nodes": [
+        {"id": "mha", "kind": "attention", "heads": 8, "d_head": 8}]})
+    with pytest.raises(cs.CapacityError) as info:
+        pipeline.plan_network(g, HardwareConfig(scratchpad_bytes=1000))
+    assert str(info.value).startswith("mha: alloc 'attnQ_w' needs 4096 B")
+    assert "deficit 3096 B" in str(info.value)
+
+
+def test_execute_network_frees_each_output_after_its_last_read(monkeypatch, hw):
+    """While unit i runs, only outputs that unit i or a later unit reads are alive."""
+    g = cs.build_preset("pvtv2-micro")
+    sched = pipeline.plan_network(g, hw)
+    firsts = [u.layers[0].node if isinstance(u, pipeline.ChainUnit) else u.node
+              for u in sched.units]
+    lasts = [u.layers[-1].node.id if isinstance(u, pipeline.ChainUnit) else u.node.id
+             for u in sched.units]
+    still_read = [{lasts.index(p) for n in firsts[i:] for p in n.preds}
+                  for i in range(len(firsts))]
+    outputs, alive_at = [], []
+
+    def spy(run):
+        def wrapped(*args, **kwargs):
+            alive_at.append({j for j, ref in enumerate(outputs) if ref() is not None})
+            out = run(*args, **kwargs)
+            outputs.append(weakref.ref(out))
+            return out
+        return wrapped
+
+    for owner, name in ((pipeline.lf, "fused_execute"), (pipeline, "attention_unit_execute"),
+                        (pipeline, "add_unit_execute")):
+        monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    params = init_params(g, 0)
+    pipeline.run_schedule(g, sched, seeded_input(g, 0), params, hw)
+    assert len(alive_at) == len(sched.units)
+    assert any(len(still_read[i]) < i for i in range(len(still_read)))
+    for i, alive in enumerate(alive_at):
+        assert alive <= still_read[i], (i, alive - still_read[i])
