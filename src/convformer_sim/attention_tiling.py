@@ -1,4 +1,4 @@
-"""Attention tiling: EMA model, tile search, load scheduling, tiled executor.
+"""Attention tiling: EMA model, tile search, load scheduling, core executor.
 
 The mechanism modeled here keeps the attention score matrix on chip so it
 never spills to DRAM. Two residency modes exist:
@@ -12,9 +12,10 @@ never spills to DRAM. Two residency modes exist:
   the dense row softmax.
 
 ``tiling=None`` is the comparison baseline, whose score matrix spills to DRAM
-and is re-read; every function below takes it like a tiling. Each compute step
-of a schedule is one ``touch``: a query tile (``"tile"``), a streamed K/V block
-(``"block"``) or the end of a streamed query tile (``"finalize"``).
+and is re-read; every function below takes it like a tiling, and
+``tiled_attention_execute`` executes both. Each compute step of a schedule is
+one ``touch``: a query tile (``"tile"``), a streamed K/V block (``"block"``) or
+the end of a streamed query tile (``"finalize"``).
 
 Every closed-form EMA and buffer formula in this module is byte-exact against
 a replay of the emitted transaction schedule through ``ScratchpadSim``; the
@@ -260,16 +261,19 @@ def online_softmax_update(state: SoftmaxState, s_block: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Tiled execution (interprets the schedule, so traffic matches by construction)
+# Execution (interprets the schedule, so traffic matches by construction)
 # ---------------------------------------------------------------------------
 
-def _attention_compute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                       dims: AttentionDims, tiling: AttentionTiling | None,
-                       sim: ScratchpadSim) -> np.ndarray:
-    """Replay the core's schedule through ``sim``, computing at its compute steps.
+def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                            dims: AttentionDims, tiling: AttentionTiling | None,
+                            sim: ScratchpadSim) -> np.ndarray:
+    """softmax(QK^T/sqrt(d))V, replaying the core's schedule through ``sim``.
 
-    A ``"tile"`` step attends its query tile over all of K and V; the streaming
-    state starts at block 0 of each query tile and ends at ``"finalize"``.
+    q is (heads, N, d); k, v are (heads, N_r, d); ``tiling=None`` runs the
+    spilled-score baseline. A ``"tile"`` step attends its query tile over all
+    of K and V; the streaming state starts at block 0 of each query tile and
+    ends at ``"finalize"``. Capacity errors from the simulator propagate: an
+    infeasible tiling cannot be executed.
     """
     assert q.shape == (dims.heads, dims.N, dims.d)
     assert k.shape == v.shape == (dims.heads, dims.N_r, dims.d)
@@ -299,18 +303,7 @@ def _attention_compute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return out
 
 
-def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                            dims: AttentionDims, tiling: AttentionTiling,
-                            sim: ScratchpadSim) -> np.ndarray:
-    """Tile-by-tile softmax(QK^T/sqrt(d))V; issues all traffic through ``sim``.
-
-    q is (heads, N, d); k, v are (heads, N_r, d). Capacity errors from the
-    simulator propagate: an infeasible tiling cannot be executed.
-    """
-    return _attention_compute(q, k, v, dims, tiling, sim)
-
-
 def untiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                               dims: AttentionDims, sim: ScratchpadSim) -> np.ndarray:
-    """Baseline dense attention with the score matrix spilled to DRAM."""
-    return _attention_compute(q, k, v, dims, None, sim)
+    """The baseline core, ``tiled_attention_execute`` with ``tiling=None``."""
+    return tiled_attention_execute(q, k, v, dims, None, sim)

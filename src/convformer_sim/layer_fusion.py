@@ -467,50 +467,38 @@ def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
     return txns
 
 
-def _group_compute(layers: Sequence[ChainLayer], walks: list[tuple],
-                   x: np.ndarray, out: np.ndarray,
-                   params: dict[str, dict[str, np.ndarray]]):
-    """Numerics of ``schedule_group``'s compute steps: one layer on one tile.
-
-    ``walks`` are the group's ``_tile_walks``; layer 0 reads its tile's input
-    region of ``x`` and the last layer writes into ``out``.
-    """
-    cur: np.ndarray | None = None
-
-    def compute(txn: Txn):
-        nonlocal cur
-        if txn.what != "layer":
-            return
-        li = txn.block
-        rows, cols = walks[txn.tile]
-        if li == 0:
-            cur = x[:, slice(*rows[0]), slice(*cols[0])]
-        node = layers[li].node
-        cur = layer_forward(node, [cur], params[node.id], rows[li + 1], cols[li + 1],
-                            (rows[li][0], cols[li][0]))
-        if li == len(layers) - 1:
-            out[:, slice(*rows[li + 1]), slice(*cols[li + 1])] = cur
-
-    return compute
-
-
 def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
                   sim: ScratchpadSim,
                   params: dict[str, dict[str, np.ndarray]],
                   hw: HardwareConfig) -> np.ndarray:
     """Execute a fusion plan tile-by-tile, replaying each group's schedule.
 
-    Intermediate maps within a group never touch DRAM; the resulting counters
-    match ``group_ema`` byte-exactly and the output matches the dense
-    reference path.
+    Each compute step runs one layer on one tile; intermediate maps within a
+    group never touch DRAM. The resulting counters match ``group_ema``
+    byte-exactly and the output matches the dense reference path.
     """
     cur = np.asarray(x, dtype=np.float64)
     for group in plan.groups:
         layers = chain[group.start:group.end + 1]
+        walks = _tile_walks(layers, group.tile)
         last = layers[-1].out_shape
         out = np.empty((last.c, last.h, last.w), dtype=np.float64)
-        compute = _group_compute(layers, _tile_walks(layers, group.tile), cur, out,
-                                 params)
+        tile_val = None
+
+        def compute(txn: Txn):   # runs only inside this group's replay
+            nonlocal tile_val
+            if txn.what != "layer":
+                return
+            li = txn.block
+            rows, cols = walks[txn.tile]
+            if li == 0:
+                tile_val = cur[:, slice(*rows[0]), slice(*cols[0])]
+            node = layers[li].node
+            tile_val = layer_forward(node, [tile_val], params[node.id], rows[li + 1],
+                                     cols[li + 1], (rows[li][0], cols[li][0]))
+            if li == len(layers) - 1:
+                out[:, slice(*rows[li + 1]), slice(*cols[li + 1])] = tile_val
+
         replay(schedule_group(layers, group.tile, group.policy,
                               group.weights_resident, hw), sim, compute)
         cur = out

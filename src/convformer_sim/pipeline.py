@@ -3,8 +3,9 @@
 A network schedule is a sequence of units stitched at DRAM granularity:
 fusable chains (scheduled by the fusion partitioner), attention barriers
 (scheduled by the tiling search, with projection GEMMs modeled as plain
-untiled passes), and residual adds. One ScratchpadSim instance spans the
-whole execution, so its counters are the network's EMA ground truth.
+untiled passes), and residual adds. ``run_schedule`` is the network
+executor: one ScratchpadSim instance spans the whole execution, so its
+counters are the network's EMA ground truth.
 """
 
 from __future__ import annotations
@@ -88,6 +89,9 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
         if unknown:
             raise ConfigError(f"schedule.fusion names no chain {unknown}; the graph "
                               f"has {len(chains)} chain(s), numbered from 0")
+    if isinstance(attention_mode, dict) and not any(
+            isinstance(n.op, Attention) for n in graph.nodes):
+        raise ConfigError("schedule.attention fixes a tiling, but the graph has no attention")
     units: list[ScheduleUnit] = []
     chain_idx = 0
     for kind, nodes in segments:
@@ -238,10 +242,7 @@ def attention_unit_execute(x: np.ndarray, unit: AttentionUnit,
     c, h, w = x.shape
     q, k, v = attention_operands(x, unit.node.op, params)
     replay(_projection_txns(unit, hw), sim)
-    if unit.tiling is None:
-        o = at.untiled_attention_execute(q, k, v, dims, sim)
-    else:
-        o = at.tiled_attention_execute(q, k, v, dims, unit.tiling, sim)
+    o = at.tiled_attention_execute(q, k, v, dims, unit.tiling, sim)
     merged = o.transpose(1, 0, 2).reshape(dims.N, c)
     return merged.T.reshape(c, h, w)
 
@@ -276,18 +277,19 @@ def unit_cost(graph: NetworkGraph, unit: ScheduleUnit, hw: HardwareConfig) -> di
             "vector_ops": sum(layer_vector_ops(graph, n) for n in nodes)}
 
 
-def execute_network(graph: NetworkGraph, schedule: NetworkSchedule,
-                    x: np.ndarray, sim: ScratchpadSim,
-                    params: dict[str, dict[str, np.ndarray]], hw: HardwareConfig,
-                    reference: dict | None = None, deviations: list | None = None
-                    ) -> tuple[np.ndarray, list[dict]]:
-    """Run the scheduled network through one simulator; returns (output, breakdown).
+def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
+                 params: dict[str, dict[str, np.ndarray]], hw: HardwareConfig,
+                 seed: int | None = None, reference: dict | None = None,
+                 deviations: list | None = None) -> tuple[np.ndarray, CostReport]:
+    """Run the scheduled network through one simulator and report its counters.
 
-    SelfCheckError names the first unit whose simulated EMA is not its closed
-    form, and a CapacityError raised while a unit runs is re-raised naming it.
-    An output is freed after its last reader runs. A unit whose output node is
-    in ``reference`` appends (unit, max abs deviation) to ``deviations``.
+    The report's breakdown has one ``unit_cost`` row per unit. SelfCheckError
+    names the first unit whose simulated EMA is not its closed form, and a
+    CapacityError raised while a unit runs is re-raised naming it. An output
+    is freed after its last reader runs. A unit whose output node is in
+    ``reference`` appends (unit, max abs deviation) to ``deviations``.
     """
+    sim = ScratchpadSim(hw.scratchpad_bytes)
     unit_nodes = [[l.node for l in u.layers] if isinstance(u, ChainUnit) else [u.node]
                   for u in schedule.units]
     last_read = {p: i for i, nodes in enumerate(unit_nodes) for p in nodes[0].preds}
@@ -316,17 +318,6 @@ def execute_network(graph: NetworkGraph, schedule: NetworkSchedule,
             deviations.append((row["unit"], float(np.max(np.abs(
                 out - reference[nodes[-1].id])))))
         breakdown.append(row)
-    return out, breakdown
-
-
-def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
-                 params: dict[str, dict[str, np.ndarray]], hw: HardwareConfig,
-                 seed: int | None = None, reference: dict | None = None,
-                 deviations: list | None = None) -> tuple[np.ndarray, CostReport]:
-    """Execute a schedule (see ``execute_network``) and report its sim counters."""
-    sim = ScratchpadSim(hw.scratchpad_bytes)
-    out, breakdown = execute_network(graph, schedule, x, sim, params, hw,
-                                     reference, deviations)
     report = build_report(sum(r["macs"] for r in breakdown),
                           sum(r["vector_ops"] for r in breakdown), sim, hw,
                           breakdown=breakdown, seed=seed)

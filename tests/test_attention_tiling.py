@@ -405,6 +405,10 @@ def test_untiled_execute_matches_dense_and_formula(rng):
     out = untiled_attention_execute(q, k, v, dims, sim)
     np.testing.assert_allclose(out, dense_attention(q, k, v), atol=1e-12)
     assert sim.ema_bytes == attention_ema(dims, None)
+    # the baseline is the one core executor with tiling=None
+    sim2 = ScratchpadSim(1 << 20)
+    assert np.array_equal(tiled_attention_execute(q, k, v, dims, None, sim2), out)
+    assert vars(sim2) == vars(sim)
 
 
 def test_ragged_tile_sizes_still_exact(rng):

@@ -537,6 +537,15 @@ def test_pruning_analyzes_attention_on_network_input(tmp_path, capsys):
     assert rows[0]["skipped_macs"] > 0
 
 
+def test_tq_sweep_without_attention_exits_1(capsys):
+    # each value used to run the same report (ema_bytes 6432 on every row)
+    code, out, err = run_cli(["sweep", "--model", "toy-chain", "--axis", "t_q",
+                              "--values", "1,2,3"], capsys)
+    assert code == 1
+    assert "schedule.attention fixes a tiling, but the graph has no attention" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("axis", ["theta_attn", "theta_act"])
 def test_sweep_rejects_non_finite_threshold(axis, capsys):
     # 1e400 parses as inf; it used to reach the report as "value": Infinity
@@ -620,6 +629,9 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     # nor did groups that divide neither channel count
     (one_conv_graph(groups=3), {},
      "graph node 'c1': conv2d: groups must divide c_in and c_out"),
+    # a fixed tiling on a graph without attention was ignored (the auto report ran)
+    ("toy-chain", {"attention": {"t_q": 4, "mode": "resident_kv"}},
+     "schedule.attention fixes a tiling, but the graph has no attention"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})

@@ -1,7 +1,15 @@
+import contextlib
+import io
+import json
+import re
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convformer_sim as cs
 from convformer_sim import cli, pipeline
@@ -263,7 +271,7 @@ def test_projection_pass_over_capacity_fails_at_plan_time():
     assert "deficit 3096 B" in str(info.value)
 
 
-def test_execute_network_frees_each_output_after_its_last_read(monkeypatch, hw):
+def test_run_schedule_frees_each_output_after_its_last_read(monkeypatch, hw):
     """While unit i runs, only outputs that unit i or a later unit reads are alive."""
     g = cs.build_preset("pvtv2-micro")
     sched = pipeline.plan_network(g, hw)
@@ -292,3 +300,91 @@ def test_execute_network_frees_each_output_after_its_last_read(monkeypatch, hw):
     assert any(len(still_read[i]) < i for i in range(len(still_read)))
     for i, alive in enumerate(alive_at):
         assert alive <= still_read[i], (i, alive - still_read[i])
+
+
+# ---------------------------------------------------------------------------
+# Random whole graphs
+# ---------------------------------------------------------------------------
+
+CHANNELS = (2, 4, 8)
+SCRATCHPADS = (256, 600, 1024, 2048, 4096, 16384, 262144)
+
+
+@st.composite
+def whole_graphs(draw):
+    """A graph dict of 1-5 blocks on a 4-12 px map, each block reading the last."""
+    c, h, w = (draw(st.sampled_from(CHANNELS)), draw(st.integers(4, 12)),
+               draw(st.integers(4, 12)))
+    shape, nodes = [1, c, h, w], []
+
+    def add(kind, **fields):
+        preds = [nodes[-1]["id"]] if nodes else []
+        nodes.append({"id": f"n{len(nodes)}", "kind": kind, "preds": preds, **fields})
+        return nodes[-1]["id"]
+
+    for _ in range(draw(st.integers(1, 5))):
+        blocks = ["attention", "mlp"] if nodes else []   # their add reads a node
+        blocks += ["dense", "depthwise", "gelu"]
+        blocks += ["downsample", "depthwise_s2"] if min(h, w) >= 4 else []
+        block = draw(st.sampled_from(blocks))
+        if block == "dense":
+            k = draw(st.sampled_from([1, 3]))
+            c_out = draw(st.sampled_from(CHANNELS))
+            add("conv2d", c_in=c, c_out=c_out, k=k, pad=k // 2)
+            c = c_out
+        elif block in ("depthwise", "depthwise_s2"):
+            stride = 2 if block == "depthwise_s2" else 1
+            add("conv2d", c_in=c, c_out=c, k=3, stride=stride, pad=1, groups=c)
+            h, w = (h - 1) // stride + 1, (w - 1) // stride + 1
+        elif block == "downsample":
+            add("downsample", k=2, stride=2)
+            h, w = h // 2, w // 2
+        elif block == "gelu":
+            add("gelu")
+        else:
+            skip = nodes[-1]["id"]
+            add("layernorm")
+            if block == "attention":
+                heads = draw(st.sampled_from([d for d in CHANNELS if c % d == 0] + [1]))
+                last = add("attention", heads=heads, d_head=c // heads,
+                           sr_ratio=draw(st.integers(1, 2)))
+            else:
+                hidden = draw(st.sampled_from(CHANNELS))
+                add("linear", c_in=c, c_out=hidden)
+                add("gelu")
+                last = add("linear", c_in=hidden, c_out=c)
+            add("add", residual_of=skip)
+            nodes[-1]["preds"].append(skip)
+    return {"input_shape": shape, "nodes": nodes}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(whole_graphs(), st.sampled_from(SCRATCHPADS), st.sampled_from([1, 2]),
+       st.sampled_from(sorted(cli.SCHEDULE_PRESETS)))
+def test_random_graph_plans_and_executes_or_exits_2(graph, scratchpad, eb, schedule):
+    """Once a plan succeeds, execution fits and matches the reference; when
+    nothing fits, ``run`` exits 2 naming a node and the bytes it lacks."""
+    g = graph_from_dict(graph)
+    hw = HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb)
+    attention, fusion = cli.SCHEDULE_PRESETS[schedule]
+    try:
+        sched = pipeline.plan_network(g, hw, attention, fusion)
+    except (cs.CapacityError, cs.NoFeasiblePlanError, cs.NoFeasibleTilingError):
+        config = {"model": {"graph": graph},
+                  "hardware": {"scratchpad_bytes": scratchpad, "element_bytes": eb},
+                  "schedule": {"attention": attention, "fusion": fusion}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.json"
+            path.write_text(json.dumps(config))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["run", "--config", str(path)])
+        err = err.getvalue()
+        assert (code, out.getvalue()) == (2, ""), err
+        assert any(re.search(rf"\b{n['id']}\b", err) for n in graph["nodes"]), err
+        assert re.search(r"(deficit|shortfall) \d+ B", err), err
+        return
+    params, x = init_params(g, 0), seeded_input(g, 0)
+    out, report = pipeline.run_schedule(g, sched, x, params, hw)
+    assert float(np.max(np.abs(out - reference_execute(g, x, params)))) <= 1e-9
+    assert report.scratchpad_high_water <= scratchpad
