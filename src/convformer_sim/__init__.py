@@ -13,9 +13,8 @@ external-memory-access (EMA) number the optimizers claim.
 """
 
 from .errors import (AttentionInSliceError, CapacityError, ConfigError,
-                     InconsistentStatsError, NoFeasiblePlanError,
-                     NoFeasibleTilingError, NotFoundError, NumericsError,
-                     SelfCheckError, ShapeError, SimError, UseAfterFreeError)
+                     InconsistentStatsError, NumericsError, SelfCheckError,
+                     ShapeError, SimError, UseAfterFreeError)
 from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, replay,
                       roofline_cycles)
 from .workload import (Add, Attention, AttentionDims, Conv2D, Downsample, GELU,

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, NoFeasibleTilingError, ShapeError
+from .errors import CapacityError, ConfigError, ShapeError
 from .hwmodel import (HardwareConfig, ScratchpadSim, Txn, check_keys, parse_number,
                       replay)
 from .workload import AttentionDims, divisors, softmax_rows, tile_intervals
@@ -134,9 +134,8 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
     Ties break toward larger t_q, then resident over streaming, then larger
     t_k — fewer schedule iterations at equal traffic.
     """
-    best: tuple | None = None
-    best_tiling: AttentionTiling | None = None
-    need = math.inf
+    fits: list[AttentionTiling] = []
+    need = math.inf   # the smallest rejected request
     for t_q in divisors(dims.N):
         candidates = [AttentionTiling(t_q, dims.N_r, ResidencyMode.RESIDENT_KV)]
         candidates += [AttentionTiling(t_q, t_k, ResidencyMode.STREAMING_KV)
@@ -144,20 +143,13 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
         for cand in candidates:
             try:
                 tiling_buffer_bytes(dims, cand, hw)
+                fits.append(cand)
             except CapacityError as e:
                 need = min(need, e.requested)
-                continue
-            ema = attention_ema(dims, cand)
-            mode_rank = 0 if cand.mode is ResidencyMode.RESIDENT_KV else 1
-            key = (ema, -cand.t_q, mode_rank, -cand.t_k)
-            if best is None or key < best:
-                best = key
-                best_tiling = cand
-    if best_tiling is None:
-        raise NoFeasibleTilingError(
-            f"no attention tiling fits {hw.scratchpad_bytes} B: the smallest candidate "
-            f"needs {need} B (deficit {need - hw.scratchpad_bytes} B)")
-    return best_tiling
+    if not fits:
+        raise CapacityError(need, hw.scratchpad_bytes, "the smallest attention tiling")
+    return min(fits, key=lambda c: (attention_ema(dims, c), -c.t_q,
+                                    c.mode is ResidencyMode.STREAMING_KV, -c.t_k))
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,7 @@ from . import attention_tiling as at
 from . import feature_pruning as fp
 from . import layer_fusion as lf
 from . import pipeline
-from .errors import (CapacityError, ConfigError, NoFeasiblePlanError,
-                     NoFeasibleTilingError, NotFoundError, SelfCheckError,
-                     ShapeError, SimError)
+from .errors import CapacityError, ConfigError, SelfCheckError, ShapeError, SimError
 from .hwmodel import CostReport, HardwareConfig, check_keys, parse_number
 from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
                        attention_operands, build_preset,
@@ -464,10 +462,10 @@ def main(argv: list[str] | None = None) -> int:
             # pruned rows are exempt, as in run
             return _equivalence_exit(sims, cfg.tolerance)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, NotFoundError, ShapeError) as e:
+    except (ConfigError, ShapeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapacityError, NoFeasiblePlanError, NoFeasibleTilingError) as e:
+    except CapacityError as e:
         print(f"infeasible schedule: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except SelfCheckError as e:

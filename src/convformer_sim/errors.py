@@ -7,10 +7,6 @@ class SimError(Exception):
     """Base class for all simulator errors."""
 
 
-class NotFoundError(SimError):
-    """Unknown preset or named entity."""
-
-
 class ShapeError(SimError):
     """Tensor shapes are inconsistent at the named node."""
 
@@ -31,7 +27,7 @@ class CapacityError(SimError):
     """On-chip buffer capacity exceeded.
 
     Carries the requested and available byte counts so callers can report
-    the deficit; this is how infeasible tilings and fusion groups surface.
+    the deficit; every infeasible allocation, tiling, group or layer is one.
     """
 
     def __init__(self, requested: int, available: int, what: str = "allocation"):
@@ -48,14 +44,6 @@ class UseAfterFreeError(SimError):
     """Access to a scratchpad region that is not live."""
 
 
-class NoFeasibleTilingError(SimError):
-    """No attention tiling fits the scratchpad, even at minimum tile size."""
-
-
-class NoFeasiblePlanError(SimError):
-    """Some layer cannot be scheduled even as a singleton group at minimum tile."""
-
-
 class AttentionInSliceError(SimError):
     """Attention is global over tokens and cannot be spatially haloed."""
 
@@ -65,7 +53,7 @@ class InconsistentStatsError(SimError):
 
 
 class ConfigError(SimError):
-    """Malformed experiment configuration; message names the offending field."""
+    """Malformed configuration or unknown preset, node or layer kind; names the field."""
 
 
 class SelfCheckError(SimError):

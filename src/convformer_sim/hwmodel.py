@@ -215,8 +215,11 @@ class CostReport:
 
 def price(macs: int, ema_bytes: int, sram_accesses: int,
           hw: HardwareConfig) -> tuple[int, float]:
-    """(cycles, energy_pj); energy is exactly linear in traffic and MACs."""
+    """(cycles, energy_pj); energy is exactly linear in traffic and MACs, and finite."""
     energy = ema_bytes * hw.e_dram + sram_accesses * hw.e_sram + macs * hw.e_mac
+    if not math.isfinite(energy):
+        raise ConfigError("energy overflows: lower hardware.e_dram, hardware.e_sram "
+                          "or hardware.e_mac")
     return roofline_cycles(macs, ema_bytes, hw), energy
 
 

@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (AttentionInSliceError, CapacityError, NoFeasiblePlanError,
-                     ShapeError)
+from .errors import AttentionInSliceError, CapacityError, ShapeError
 from .hwmodel import HardwareConfig, ScratchpadSim, Txn, replay
 from .workload import (Attention, Conv2D, GELU, LayerNode, LayerNorm, Linear,
                        NetworkGraph, TensorShape, divisors, layer_forward, op_cost,
@@ -333,14 +332,10 @@ def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
     return _candidate_table(layers, hw).best(hw.scratchpad_bytes)[0]
 
 
-def _singleton_infeasible(layer: ChainLayer, hw: HardwareConfig
-                          ) -> NoFeasiblePlanError:
-    """The error for a layer that fits no tile alone, with its smallest shortfall."""
-    need = int(_candidate_table([layer], hw).buf.min())
-    return NoFeasiblePlanError(
-        f"layer {layer.node.id} cannot fit the scratchpad even as a singleton "
-        f"group: its smallest candidate needs {need} B of {hw.scratchpad_bytes} B "
-        f"(shortfall {need - hw.scratchpad_bytes} B)")
+def _singleton_infeasible(layer: ChainLayer, hw: HardwareConfig) -> CapacityError:
+    """The error for a layer that fits no tile alone, at its smallest candidate."""
+    return CapacityError(int(_candidate_table([layer], hw).buf.min()), hw.scratchpad_bytes,
+                         f"layer {layer.node.id} as a singleton group at its smallest tile")
 
 
 def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape,

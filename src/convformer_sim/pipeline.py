@@ -17,7 +17,7 @@ import numpy as np
 
 from . import attention_tiling as at
 from . import layer_fusion as lf
-from .errors import CapacityError, ConfigError, NoFeasibleTilingError, SelfCheckError
+from .errors import CapacityError, ConfigError, SelfCheckError
 from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn,
                       build_report, check_keys, parse_number, replay)
 from .workload import (Add, Attention, AttentionDims, LayerNode, NetworkGraph,
@@ -109,9 +109,9 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
             chain_idx += 1
         else:
             node = nodes[0]
-            if isinstance(node.op, Attention):
-                dims = attention_dims(graph, node, hw.element_bytes)
-                try:
+            try:   # capacity-check the core, then the gemm or add passes without compute
+                if isinstance(node.op, Attention):
+                    dims = attention_dims(graph, node, hw.element_bytes)
                     if attention_mode == "auto":
                         tiling = at.search_attention_tiling(dims, hw)
                     elif attention_mode == "baseline":
@@ -123,17 +123,14 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                         at.check_tiling(dims, tiling, node.id, "schedule.attention.")
                     else:
                         raise ConfigError(f"unknown attention mode {attention_mode!r}")
-                    buffer_bytes = at.tiling_buffer_bytes(dims, tiling, hw)
-                except (CapacityError, NoFeasibleTilingError) as e:
-                    raise NoFeasibleTilingError(f"layer {node.id}: {e}") from e
-                units.append(AttentionUnit(node, dims, tiling, buffer_bytes))
-                passes = _projection_txns(units[-1], hw)
-            elif isinstance(node.op, Add):
-                units.append(AddUnit(node))
-                passes = _add_pass(graph.out_shape(node.id).elements, hw)
-            else:
-                raise ConfigError(f"node {node.id} cannot be scheduled")
-            try:   # capacity-check the gemm or add passes without compute
+                    units.append(AttentionUnit(node, dims, tiling,
+                                               at.tiling_buffer_bytes(dims, tiling, hw)))
+                    passes = _projection_txns(units[-1], hw)
+                elif isinstance(node.op, Add):
+                    units.append(AddUnit(node))
+                    passes = _add_pass(graph.out_shape(node.id).elements, hw)
+                else:
+                    raise ConfigError(f"node {node.id} cannot be scheduled")
                 replay(passes, ScratchpadSim(hw.scratchpad_bytes))
             except CapacityError as e:
                 raise CapacityError(e.requested, e.available, f"{node.id}: {e.what}") from e

@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, NotFoundError, NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError
 from .hwmodel import check_keys, check_list, parse_number
 
 LN_EPS = 1e-5
@@ -126,7 +126,7 @@ class NetworkGraph:
         for n in self.nodes:
             if n.id == node_id:
                 return n
-        raise NotFoundError(f"no node {node_id!r}")
+        raise ConfigError(f"no node {node_id!r}")
 
     def out_shape(self, node_id: str) -> TensorShape:
         if node_id not in self.shapes:
@@ -629,7 +629,7 @@ def build_preset(name: str) -> NetworkGraph:
     elif name == "cmt-micro":
         g = _pyramid_preset(dw_in_mlp=False, local_conv=True)
     else:
-        raise NotFoundError(f"unknown preset {name!r}; known: {PRESETS}")
+        raise ConfigError(f"unknown preset {name!r}; known: {PRESETS}")
     return infer_shapes(g)
 
 
@@ -653,7 +653,7 @@ def _node_from_dict(nd: dict) -> LayerNode:
     node_id = str(nd["id"])
     kind = _KINDS.get(str(nd["kind"]).lower())
     if kind is None:
-        raise NotFoundError(f"unknown layer kind {nd['kind']!r} of node {node_id!r}")
+        raise ConfigError(f"unknown layer kind {nd['kind']!r} of node {node_id!r}")
     where = f"graph node {node_id!r}"
     check_keys(where, nd, ("id", "kind", "preds", *(f.name for f in fields(kind))))
     args = {}

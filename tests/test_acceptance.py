@@ -36,7 +36,7 @@ from convformer_sim.workload import (Attention, Conv2D, GELU, LayerNode,
                                      init_params, reference_execute,
                                      seeded_input, softmax_rows)
 
-from conftest import region_loads
+from conftest import region_loads, replay_counters
 
 RESIDENT = ResidencyMode.RESIDENT_KV
 STREAMING = ResidencyMode.STREAMING_KV
@@ -198,7 +198,7 @@ def test_criterion_4_search_optimality():
             for d, heads, cap in ((8, 1, 1 << 20), (16, 2, 4096), (32, 1, 1600)):
                 dims = cs.AttentionDims(N=n, N_r=n_r, d=d, heads=heads)
                 hw = HardwareConfig(scratchpad_bytes=cap)
-                best = None
+                best, need = None, math.inf
                 for t_q in divisors(n):
                     cands = [AttentionTiling(t_q, n_r, RESIDENT)]
                     cands += [AttentionTiling(t_q, t_k, STREAMING)
@@ -208,11 +208,14 @@ def test_criterion_4_search_optimality():
                         try:
                             replay(schedule_attention(dims, c), sim)
                         except CapacityError:
+                            peak = replay_counters(schedule_attention(dims, c)).high_water
+                            need = min(need, peak)
                             continue
                         best = sim.ema_bytes if best is None else min(best, sim.ema_bytes)
                 if best is None:
-                    with pytest.raises(cs.NoFeasibleTilingError):
+                    with pytest.raises(CapacityError) as e:
                         search_attention_tiling(dims, hw)
+                    assert e.value.requested == need, (dims, cap)
                 else:
                     tiling = search_attention_tiling(dims, hw)
                     assert attention_ema(dims, tiling) == best, (dims, cap)

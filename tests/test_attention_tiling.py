@@ -12,7 +12,7 @@ from convformer_sim.attention_tiling import (AttentionTiling, ResidencyMode,
                                              tiled_attention_execute,
                                              tiling_buffer_bytes,
                                              untiled_attention_execute)
-from convformer_sim.errors import CapacityError, NoFeasibleTilingError
+from convformer_sim.errors import CapacityError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.workload import AttentionDims, dense_attention, softmax_rows
 
@@ -166,8 +166,12 @@ def test_search_matches_brute_force(n, n_r, d, heads, capacity):
     hw = HardwareConfig(scratchpad_bytes=capacity)
     oracle = brute_force_min_ema(dims, hw)
     if oracle is None:
-        with pytest.raises(NoFeasibleTilingError):
+        with pytest.raises(CapacityError) as e:
             search_attention_tiling(dims, hw)
+        # the smallest candidate's need, as its replay measures it
+        assert e.value.requested == min(replay_counters(schedule_attention(dims, t)).high_water
+                                        for t in all_tilings(dims))
+        assert e.value.available == capacity
         return
     tiling = search_attention_tiling(dims, hw)
     assert attention_ema(dims, tiling) == oracle
@@ -196,8 +200,10 @@ def test_search_singleton_space():
 
 def test_no_feasible_tiling():
     dims = AttentionDims(N=64, N_r=64, d=64, heads=1)
-    with pytest.raises(NoFeasibleTilingError):
+    with pytest.raises(CapacityError) as e:
         search_attention_tiling(dims, HardwareConfig(scratchpad_bytes=8))
+    # streaming t_q = t_k = 1: K, V, Q and accumulator rows, one score, max and sum
+    assert (e.value.requested, e.value.available) == (4 * 64 + 1 + 2, 8)
 
 
 @pytest.mark.parametrize("n,n_r,d,heads", [

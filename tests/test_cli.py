@@ -444,6 +444,9 @@ class TestEquivalenceAndSelfCheckExit:
     (["--seed=-1"], "seed"),
     (["--tolerance=nan"], "tolerance"),
     (["--tolerance=-1"], "tolerance"),
+    # finite, but the priced energy overflowed: Infinity on stdout with exit 0
+    (["--hw.e_dram=1e308"], "hardware.e_dram"),
+    (["--hw.e_mac=1e308"], "hardware.e_mac"),
 ])
 def test_bad_number_exits_1_naming_field(argv, field, capsys):
     # in-process: a traceback would surface as an uncaught exception here
@@ -452,6 +455,14 @@ def test_bad_number_exits_1_naming_field(argv, field, capsys):
     assert field in err
     assert out == ""
     assert "Traceback" not in err
+
+
+def test_energy_overflow_in_compare_exits_1(capsys):
+    # printed Infinity energies and a NaN energy_pj_norm with exit 0
+    code, out, err = run_cli(["compare", "--model", "toy-chain", "--schedules", "naive,full",
+                              "--hw.e_dram=1e308"], capsys)
+    assert (code, out) == (1, "")
+    assert "hardware.e_dram" in err
 
 
 def test_infeasible_sweep_row_names_layer(capsys):
@@ -707,6 +718,8 @@ def test_shipped_configs_load(tmp_path):
 
 # good values repeat so that most examples get past config parsing
 HW_VALUES = ("nan", "inf", "-inf", "1.5", "0", "-1", "1e400", "2048", "65536", "65536")
+# finite energies whose priced sum can overflow
+ENERGY_VALUES = HW_VALUES + ("1e300", "1e308", "1.7976931348623157e308")
 # scratchpads small enough that some layer of either model cannot fit (exit 2)
 SMALL_SCRATCHPADS = ("1200", "2048", "4096")
 THRESHOLDS = (0.0, 0.01, 0.001, 0.5, 0.01, float("nan"), float("inf"), -1, None, "x")
@@ -723,7 +736,9 @@ def command_lines(draw):
     argv = [command, "--model", draw(st.sampled_from(["toy-chain", "segformer-micro"]))]
     fields = draw(st.lists(st.sampled_from(sorted(cli.HardwareConfig.__dataclass_fields__)),
                            max_size=1))
-    argv += [f"--hw.{f}={draw(st.sampled_from(HW_VALUES))}" for f in fields]
+    for f in fields:
+        values = ENERGY_VALUES if f.startswith("e_") else HW_VALUES
+        argv.append(f"--hw.{f}={draw(st.sampled_from(values))}")
     if not fields and draw(st.booleans()):
         argv.append(f"--hw.scratchpad_bytes={draw(st.sampled_from(SMALL_SCRATCHPADS))}")
     if draw(st.booleans()):
@@ -777,7 +792,9 @@ def test_random_command_lines_exit_cleanly(case):
     if code == 2:
         nodes = [n.id for n in cli.build_graph(argv[2]).nodes]
         assert any(node in err.getvalue() for node in nodes), err.getvalue()
-        assert re.search(r"(deficit|shortfall) \d+ B", err.getvalue()), err.getvalue()
+        m = re.search(r"needs (\d+) B but only (\d+) B available \(deficit (\d+) B\)",
+                      err.getvalue())
+        assert m and int(m[3]) == int(m[1]) - int(m[2]), err.getvalue()
     if code not in (0, 3):
         return
     data = json.loads(out.getvalue(), parse_constant=_no_constant)

@@ -4,8 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import convformer_sim as cs
-from convformer_sim.errors import (AttentionInSliceError, CapacityError,
-                                   NoFeasiblePlanError, ShapeError)
+from convformer_sim.errors import AttentionInSliceError, CapacityError, ShapeError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
                                          HaloPolicy, TileShape,
@@ -319,10 +318,10 @@ class TestPartition:
     def test_no_feasible_plan(self):
         hw = HardwareConfig(scratchpad_bytes=16)
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 16, 16))
-        with pytest.raises(NoFeasiblePlanError):
+        with pytest.raises(CapacityError):
             partition_chain(chain_of(g), hw)
 
-    def test_no_feasible_plan_names_layer_and_shortfall(self):
+    def test_no_feasible_plan_names_layer_and_deficit(self):
         hw = HardwareConfig(scratchpad_bytes=64)
         chain = chain_of(cs.build_preset("toy-chain"))
         needs = []
@@ -339,11 +338,12 @@ class TestPartition:
                 needs.append((layer.node.id, min(requested)))
         assert needs, "every tile must overflow for this test to mean anything"
         layer_id, need = needs[0]
-        with pytest.raises(NoFeasiblePlanError) as info:
+        with pytest.raises(CapacityError) as info:
             partition_chain(chain, hw)
         msg = str(info.value)
         assert f"layer {layer_id} " in msg
-        assert f"shortfall {need - hw.scratchpad_bytes} B" in msg
+        assert (info.value.requested, info.value.available) == (need, hw.scratchpad_bytes)
+        assert f"(deficit {need - hw.scratchpad_bytes} B)" in msg
 
     def test_fused_beats_singletons_on_presets(self, hw):
         for preset in cs.PRESETS:

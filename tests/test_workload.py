@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import convformer_sim as cs
-from convformer_sim.errors import NotFoundError, ShapeError
+from convformer_sim.errors import ConfigError, ShapeError
 from convformer_sim.workload import (Add, Attention, Conv2D, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, attention_dims, build_preset,
@@ -35,7 +35,7 @@ class TestPresets:
         assert g.input_shape == TensorShape(1, 8, 16, 16)
 
     def test_unknown_preset(self):
-        with pytest.raises(NotFoundError):
+        with pytest.raises(ConfigError):
             build_preset("bogus")
 
     def test_segformer_micro_stage_pattern(self):
