@@ -12,9 +12,7 @@ A transaction-counting scratchpad simulator is the ground truth for every
 external-memory-access (EMA) number the optimizers claim.
 """
 
-from .errors import (AttentionInSliceError, CapacityError, ConfigError,
-                     InconsistentStatsError, NumericsError, SelfCheckError,
-                     ShapeError, SimError, UseAfterFreeError)
+from .errors import CapacityError, ConfigError, SelfCheckError, SimError
 from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, replay,
                       roofline_cycles)
 from .workload import (Add, Attention, AttentionDims, Conv2D, Downsample, GELU,

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, ShapeError
+from .errors import CapacityError, ConfigError
 from .hwmodel import (HardwareConfig, ScratchpadSim, Txn, check_keys, parse_number,
                       replay)
 from .workload import AttentionDims, divisors, softmax_rows, tile_intervals
@@ -80,9 +80,9 @@ def check_tiling(dims: AttentionDims, tiling: AttentionTiling | None,
         return
     for key, top in (("t_q", dims.N), ("t_k", dims.N_r)):
         if not 1 <= getattr(tiling, key) <= top:
-            raise ShapeError(where, f"{field}{key}={getattr(tiling, key)} out of [1, {top}]")
+            raise ConfigError(f"{where}: {field}{key}={getattr(tiling, key)} out of [1, {top}]")
     if tiling.mode is ResidencyMode.RESIDENT_KV and tiling.t_k != dims.N_r:
-        raise ShapeError(where, "resident mode requires t_k = N_r")
+        raise ConfigError(f"{where}: resident mode requires t_k = N_r")
 
 
 # ---------------------------------------------------------------------------

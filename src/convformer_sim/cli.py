@@ -5,8 +5,9 @@ over file fields, which win over defaults). Reports embed the resolved
 hardware config and seed, and all outputs are byte-deterministic for a fixed
 config and seed. Exit codes: 0 ok, 1 config error, 2 infeasible schedule,
 3 equivalence or self-check failure (an unpruned result deviates from the
-reference by more than the tolerance, or a closed-form EMA disagrees with the
-simulator); on 3 the output is still written.
+reference by more than the tolerance, a closed-form EMA disagrees with the
+simulator, or a schedule breaks the simulator's rules); on an equivalence
+failure the output is still written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import attention_tiling as at
 from . import feature_pruning as fp
 from . import layer_fusion as lf
 from . import pipeline
-from .errors import CapacityError, ConfigError, SelfCheckError, ShapeError, SimError
+from .errors import ConfigError, SimError
 from .hwmodel import CostReport, HardwareConfig, check_keys, parse_number
 from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
                        attention_operands, build_preset,
@@ -35,7 +36,6 @@ from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_INFEASIBLE = 2
 EXIT_EQUIVALENCE = 3
 
 SCHEDULE_PRESETS = {
@@ -462,18 +462,9 @@ def main(argv: list[str] | None = None) -> int:
             # pruned rows are exempt, as in run
             return _equivalence_exit(sims, cfg.tolerance)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ShapeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CapacityError as e:
-        print(f"infeasible schedule: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SelfCheckError as e:
-        print(f"self-check failure: {e}", file=sys.stderr)
-        return EXIT_EQUIVALENCE
     except SimError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
     except OSError as e:
         print(f"output error: {e}", file=sys.stderr)
         return EXIT_CONFIG

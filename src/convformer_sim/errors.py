@@ -1,26 +1,19 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator: one class per CLI exit code."""
 
 from __future__ import annotations
 
 
 class SimError(Exception):
-    """Base class for all simulator errors."""
+    """Base class: the CLI prints ``label: message`` on stderr and exits ``exit_code``."""
+    exit_code = 1
+    label = "error"
 
 
-class ShapeError(SimError):
-    """Tensor shapes are inconsistent at the named node."""
-
-    def __init__(self, node_id: str, message: str):
-        super().__init__(f"{node_id}: {message}")
-        self.node_id = node_id
-
-
-class NumericsError(SimError):
-    """Non-finite values produced at the named node."""
-
-    def __init__(self, node_id: str):
-        super().__init__(f"non-finite values produced at node {node_id}")
-        self.node_id = node_id
+class ConfigError(SimError):
+    """Malformed config, graph or shape, unknown preset, node or layer kind, or a
+    non-finite reference output; names the field, node or layer."""
+    exit_code = 1
+    label = "config error"
 
 
 class CapacityError(SimError):
@@ -29,6 +22,8 @@ class CapacityError(SimError):
     Carries the requested and available byte counts so callers can report
     the deficit; every infeasible allocation, tiling, group or layer is one.
     """
+    exit_code = 2
+    label = "infeasible schedule"
 
     def __init__(self, requested: int, available: int, what: str = "allocation"):
         super().__init__(
@@ -40,21 +35,9 @@ class CapacityError(SimError):
         self.what = what
 
 
-class UseAfterFreeError(SimError):
-    """Access to a scratchpad region that is not live."""
-
-
-class AttentionInSliceError(SimError):
-    """Attention is global over tokens and cannot be spatially haloed."""
-
-
-class InconsistentStatsError(SimError):
-    """Sparsity stats do not belong to the cost report being adjusted."""
-
-
-class ConfigError(SimError):
-    """Malformed configuration or unknown preset, node or layer kind; names the field."""
-
-
 class SelfCheckError(SimError):
-    """A closed-form cost disagrees with the simulator counters of its schedule."""
+    """A closed-form cost disagrees with the simulator counters of its schedule, or
+    a schedule breaks the simulator's rules (a region used while not live, a byte
+    count that is negative or beyond its region, an unknown action)."""
+    exit_code = 3
+    label = "self-check failure"

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InconsistentStatsError
+from .errors import ConfigError, SelfCheckError
 from .hwmodel import CostReport, HardwareConfig, price
 from .workload import softmax_rows
 
@@ -140,7 +140,7 @@ def sparse_cost_adjust(report: CostReport, stats: SparsityStats,
     dense layout; element-level sparsity saves compute, not traffic.
     """
     if stats.skipped_macs > report.macs:
-        raise InconsistentStatsError(
+        raise SelfCheckError(
             f"skipped {stats.skipped_macs} MACs exceeds report total {report.macs}")
     macs = report.macs - stats.skipped_macs
     ema = report.ema_bytes

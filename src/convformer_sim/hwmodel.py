@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
 
-from .errors import CapacityError, ConfigError, UseAfterFreeError
+from .errors import CapacityError, ConfigError, SelfCheckError
 
 KIB = 1024
 
@@ -108,9 +108,9 @@ class ScratchpadSim:
 
     def alloc(self, name: str, nbytes: int) -> str:
         if name in self.regions:
-            raise UseAfterFreeError(f"region {name!r} already live")
+            raise SelfCheckError(f"region {name!r} already live")
         if nbytes < 0:
-            raise ValueError("allocation size must be >= 0")
+            raise SelfCheckError("allocation size must be >= 0")
         needed = self.live_bytes + nbytes
         if needed > self.capacity:
             raise CapacityError(needed, self.capacity, what=f"alloc {name!r}")
@@ -120,11 +120,11 @@ class ScratchpadSim:
 
     def _check(self, name: str, nbytes: int):
         if name not in self.regions:
-            raise UseAfterFreeError(f"region {name!r} is not live")
+            raise SelfCheckError(f"region {name!r} is not live")
         if nbytes < 0:
-            raise ValueError("byte count must be >= 0")
+            raise SelfCheckError("byte count must be >= 0")
         if nbytes > self.regions[name]:
-            raise ValueError(
+            raise SelfCheckError(
                 f"{nbytes} B exceeds region {name!r} size {self.regions[name]} B")
 
     def load(self, name: str, nbytes: int):
@@ -139,14 +139,14 @@ class ScratchpadSim:
 
     def touch(self, name: str, nbytes: int):
         if name not in self.regions:
-            raise UseAfterFreeError(f"region {name!r} is not live")
+            raise SelfCheckError(f"region {name!r} is not live")
         if nbytes < 0:
-            raise ValueError("byte count must be >= 0")
+            raise SelfCheckError("byte count must be >= 0")
         self.sram_accesses += nbytes
 
     def free(self, name: str):
         if name not in self.regions:
-            raise UseAfterFreeError(f"region {name!r} is not live")
+            raise SelfCheckError(f"region {name!r} is not live")
         del self.regions[name]
 
 
@@ -163,7 +163,7 @@ class Txn(NamedTuple):
 
 def replay(txns: list[Txn], sim: ScratchpadSim,
            compute: Callable[[Txn], None] | None = None):
-    """Drive a schedule through the simulator; raises on capacity violations.
+    """Drive a schedule through the simulator; raises CapacityError or SelfCheckError.
 
     This is the only place that dispatches transactions. ``compute``, if
     given, runs after each transaction so numerics follow the same schedule.
@@ -180,7 +180,7 @@ def replay(txns: list[Txn], sim: ScratchpadSim,
         elif t.action == "free":
             sim.free(t.region)
         else:
-            raise ValueError(f"unknown action {t.action!r}")
+            raise SelfCheckError(f"unknown action {t.action!r}")
         if compute is not None:
             compute(t)
 

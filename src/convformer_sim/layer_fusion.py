@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AttentionInSliceError, CapacityError, ShapeError
+from .errors import CapacityError, ConfigError
 from .hwmodel import HardwareConfig, ScratchpadSim, Txn, replay
 from .workload import (Attention, Conv2D, GELU, LayerNode, LayerNorm, Linear,
                        NetworkGraph, TensorShape, divisors, layer_forward, op_cost,
@@ -97,7 +97,7 @@ class FusionPlan:
 def _window(node: LayerNode) -> tuple[int, int, int, int]:
     """``window`` of a chain layer; attention is global over tokens."""
     if isinstance(node.op, Attention):
-        raise AttentionInSliceError(
+        raise ConfigError(
             f"{node.id}: attention cannot be spatially tiled inside a fusion group")
     return window(node.op)
 
@@ -219,10 +219,10 @@ class _GroupTable:
         self.extents = (list(h_extents), list(w_extents))
         (r_count, r_lens, r_sums, r_union), (c_count, c_lens, c_sums, c_union) = \
             _axis_tables(layers, h_extents, w_extents)
-        c_in, c_out, w, ppm, full, lb = np.array(
+        c_in, c_out, w, ppm, full, lb = per_layer = np.array(   # int64 once bounded
             [(l.in_shape.c, l.out_shape.c, *op_cost(l.node.op),
               l.out_shape.h * l.out_shape.w, _line_buffer(l, eb)) for l in layers],
-            dtype=np.int64).T
+            dtype=object).T
         last = layers[-1].out_shape
         out_bytes = last.h * last.w * last.c * eb
         # every entry below, and every partial sum of one, is at most this
@@ -230,8 +230,9 @@ class _GroupTable:
                  * float((c_in + c_out).max() + ppm.sum()) + float(lb.sum()) + out_bytes
                  + float(w.sum()) * eb * float(r_count.max() * c_count.max()))
         if bound >= _INT64_SAFE:
-            raise ShapeError(layers[-1].node.id,
-                             f"fusion cost table exceeds int64 (bound {bound:.3g})")
+            raise ConfigError(f"{layers[-1].node.id}: fusion cost table exceeds int64 "
+                              f"(bound {bound:.3g})")
+        c_in, c_out, w, ppm, full, lb = per_layer.astype(np.int64)
 
         def outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             return rows.T[:, :, None] * cols.T[:, None, :]   # (n, A, B)
@@ -332,12 +333,6 @@ def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
     return _candidate_table(layers, hw).best(hw.scratchpad_bytes)[0]
 
 
-def _singleton_infeasible(layer: ChainLayer, hw: HardwareConfig) -> CapacityError:
-    """The error for a layer that fits no tile alone, at its smallest candidate."""
-    return CapacityError(int(_candidate_table([layer], hw).buf.min()), hw.scratchpad_bytes,
-                         f"layer {layer.node.id} as a singleton group at its smallest tile")
-
-
 def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape,
                       policy: HaloPolicy, hw: HardwareConfig) -> FusionGroup:
     """Resident weights if they fit at this tile, else streamed weights.
@@ -367,8 +362,14 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
     # best[j] = (ema, n_groups) for chain[0..j], reached by group back[j]
     best: list[tuple[int, int] | None] = [None] * n
     back: list[FusionGroup | None] = [None] * n
+    alone: CapacityError | None = None   # the first layer that fits no tile alone
     for j in range(n):
-        choices = _candidate_table(chain[:j + 1], hw).best(hw.scratchpad_bytes)
+        table = _candidate_table(chain[:j + 1], hw)
+        choices = table.best(hw.scratchpad_bytes)
+        if choices[j] is None and alone is None:   # entry j is layer j alone
+            alone = CapacityError(int(table.buf[j].min()), hw.scratchpad_bytes,
+                                  f"layer {chain[j].node.id} as a singleton group "
+                                  "at its smallest tile")
         for i, g in enumerate(choices):
             if g is None:
                 continue
@@ -380,8 +381,7 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
                 best[j] = cand
                 back[j] = g
     if best[n - 1] is None:
-        first = next(l for l in chain if best_group_choice([l], hw) is None)
-        raise _singleton_infeasible(first, hw)
+        raise alone  # type: ignore[misc]
 
     groups: list[FusionGroup] = []
     j = n - 1
@@ -399,9 +399,7 @@ def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPla
         try:
             chosen = fixed_tile_choice([layer], full, HaloPolicy.RECOMPUTE, hw)
         except CapacityError:
-            chosen = best_group_choice([layer], hw)
-        if chosen is None:
-            raise _singleton_infeasible(layer, hw)
+            (chosen,) = partition_chain([layer], hw).groups
         groups.append(replace(chosen, start=i, end=i))
     return FusionPlan(groups)
 

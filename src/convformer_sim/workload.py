@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import ConfigError
 from .hwmodel import check_keys, check_list, parse_number
 
 LN_EPS = 1e-5
@@ -31,7 +31,7 @@ class TensorShape:
 
     def __post_init__(self):
         if min(self.n, self.c, self.h, self.w) < 1:
-            raise ShapeError("shape", f"all dims must be >= 1, got {self}")
+            raise ConfigError(f"shape: all dims must be >= 1, got {self}")
 
     @property
     def tokens(self) -> int:
@@ -61,9 +61,9 @@ class Conv2D:
 
     def __post_init__(self):
         if self.k < 1 or self.stride < 1:
-            raise ShapeError("conv2d", "k and stride must be >= 1")
+            raise ConfigError("conv2d: k and stride must be >= 1")
         if self.c_in % self.groups or self.c_out % self.groups:
-            raise ShapeError("conv2d", "groups must divide c_in and c_out")
+            raise ConfigError("conv2d: groups must divide c_in and c_out")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class Attention:
 
     def __post_init__(self):
         if self.heads < 1 or self.d_head < 1 or self.sr_ratio < 1:
-            raise ShapeError("attention", "heads, d_head, sr_ratio must be >= 1")
+            raise ConfigError("attention: heads, d_head, sr_ratio must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class NetworkGraph:
 
     def out_shape(self, node_id: str) -> TensorShape:
         if node_id not in self.shapes:
-            raise ShapeError(node_id, "shapes not inferred yet")
+            raise ConfigError(f"{node_id}: shapes not inferred yet")
         return self.shapes[node_id]
 
     def in_shape(self, node: LayerNode) -> TensorShape:
@@ -162,9 +162,9 @@ class AttentionDims:
 
     def __post_init__(self):
         if self.N < 1 or self.N_r < 1 or self.d < 1 or self.heads < 1:
-            raise ShapeError("attention", "dims must be >= 1")
+            raise ConfigError("attention: dims must be >= 1")
         if self.N_r > self.N:
-            raise ShapeError("attention", f"N_r={self.N_r} exceeds N={self.N}")
+            raise ConfigError(f"attention: N_r={self.N_r} exceeds N={self.N}")
 
 
 def attention_dims(graph: NetworkGraph, node: LayerNode, element_bytes: int = 1) -> AttentionDims:
@@ -213,14 +213,14 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
     seen: set[str] = set()
     for node in graph.nodes:
         if node.id in seen:
-            raise ShapeError(node.id, "field id is already used by an earlier node")
+            raise ConfigError(f"{node.id}: field id is already used by an earlier node")
         if len(node.preds) > 1 and not isinstance(node.op, Add):
-            raise ShapeError(node.id, f"field preds names {len(node.preds)} inputs; "
-                                      "only an add takes two")
+            raise ConfigError(f"{node.id}: field preds names {len(node.preds)} inputs; "
+                              "only an add takes two")
         for p in node.preds:
             if p not in seen:
-                raise ShapeError(node.id, f"predecessor {p!r} not defined earlier "
-                                          "(graph must be topologically ordered)")
+                raise ConfigError(f"{node.id}: predecessor {p!r} not defined earlier "
+                                  "(graph must be topologically ordered)")
         ins = graph.input_shape if not node.preds else shape_of(node.preds[0])
         op = node.op
         if isinstance(op, Downsample):
@@ -228,38 +228,38 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             node = replace(node, op=op)
         if isinstance(op, Conv2D):
             if ins.c != op.c_in:
-                raise ShapeError(node.id, f"expects c_in={op.c_in}, got {ins.c}")
+                raise ConfigError(f"{node.id}: expects c_in={op.c_in}, got {ins.c}")
             h = conv_out_dim(ins.h, op.k, op.stride, op.pad)
             w = conv_out_dim(ins.w, op.k, op.stride, op.pad)
             if h < 1 or w < 1:
-                raise ShapeError(node.id, "kernel larger than padded input")
+                raise ConfigError(f"{node.id}: kernel larger than padded input")
             out = TensorShape(ins.n, op.c_out, h, w)
         elif isinstance(op, Attention):
             if op.heads * op.d_head != ins.c:
-                raise ShapeError(node.id,
-                                 f"heads*d_head = {op.heads * op.d_head} != c = {ins.c}")
+                raise ConfigError(f"{node.id}: heads*d_head = {op.heads * op.d_head} "
+                                  f"!= c = {ins.c}")
             if op.sr_ratio > min(ins.h, ins.w):
-                raise ShapeError(node.id, f"field sr_ratio {op.sr_ratio} exceeds the "
-                                          f"{ins.h}x{ins.w} input map")
+                raise ConfigError(f"{node.id}: field sr_ratio {op.sr_ratio} exceeds the "
+                                  f"{ins.h}x{ins.w} input map")
             out = ins
         elif isinstance(op, Linear):
             if ins.c != op.c_in:
-                raise ShapeError(node.id, f"expects c_in={op.c_in}, got {ins.c}")
+                raise ConfigError(f"{node.id}: expects c_in={op.c_in}, got {ins.c}")
             out = TensorShape(ins.n, op.c_out, ins.h, ins.w)
         elif isinstance(op, (LayerNorm, GELU)):
             out = ins
         elif isinstance(op, Add):
             if len(node.preds) != 2:
-                raise ShapeError(node.id, "Add needs exactly 2 predecessors")
+                raise ConfigError(f"{node.id}: Add needs exactly 2 predecessors")
             a, b = shape_of(node.preds[0]), shape_of(node.preds[1])
             if a != b:
-                raise ShapeError(node.id, f"mismatched operands {a} vs {b}")
+                raise ConfigError(f"{node.id}: mismatched operands {a} vs {b}")
             if op.residual_of not in node.preds:
-                raise ShapeError(node.id, f"residual source {op.residual_of!r} "
-                                          "is not a predecessor")
+                raise ConfigError(f"{node.id}: residual source {op.residual_of!r} "
+                                  "is not a predecessor")
             out = a
         else:
-            raise ShapeError(node.id, f"unknown op {op!r}")
+            raise ConfigError(f"{node.id}: unknown op {op!r}")
         shapes[node.id] = out
         seen.add(node.id)
         nodes.append(node)
@@ -285,7 +285,7 @@ def init_params(graph: NetworkGraph, seed: int = 0) -> dict[str, dict[str, np.nd
             p["w"] = _draw(rng, op.c_out, op.c_in // op.groups, op.k, op.k)
             p["b"] = _draw(rng, op.c_out)
         elif isinstance(op, Downsample):
-            raise ShapeError(node.id, "infer shapes before init_params")
+            raise ConfigError(f"{node.id}: infer shapes before init_params")
         elif isinstance(op, Linear):
             p["w"] = _draw(rng, op.c_in, op.c_out)
             p["b"] = _draw(rng, op.c_out)
@@ -316,7 +316,7 @@ def op_cost(op: LayerOp) -> tuple[int, int]:
     if isinstance(op, Linear):
         return op.c_in * op.c_out + op.c_out, op.c_in * op.c_out
     if isinstance(op, Downsample):
-        raise ShapeError("downsample", "infer shapes before costing")
+        raise ConfigError("downsample: infer shapes before costing")
     return 0, 0
 
 
@@ -326,7 +326,7 @@ def window(op: LayerOp) -> tuple[int, int, int, int]:
         return op.k, op.stride, op.pad, op.groups
     if isinstance(op, (Linear, LayerNorm, GELU)):
         return 1, 1, 0, 1
-    raise ShapeError(repr(op), "has no spatial window")
+    raise ConfigError(f"{op!r}: has no spatial window")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def layer_forward(node: LayerNode, inputs: list[np.ndarray], p: dict[str, np.nda
         return gelu(x)
     if isinstance(op, Add):
         return inputs[0] + inputs[1]
-    raise ShapeError(node.id, f"unknown op {op!r}")
+    raise ConfigError(f"{node.id}: unknown op {op!r}")
 
 
 def reference_execute(graph: NetworkGraph, x: np.ndarray,
@@ -505,7 +505,7 @@ def reference_execute(graph: NetworkGraph, x: np.ndarray,
     if params is None:
         params = init_params(graph, seed)
     if tuple(x.shape) != (graph.input_shape.c, graph.input_shape.h, graph.input_shape.w):
-        raise ShapeError("input", f"expected {graph.input_shape}, got {x.shape}")
+        raise ConfigError(f"input: expected {graph.input_shape}, got {x.shape}")
     x = np.asarray(x, dtype=np.float64)
 
     last_read = {p: n.id for n in graph.nodes for p in n.preds}
@@ -515,7 +515,7 @@ def reference_execute(graph: NetworkGraph, x: np.ndarray,
         ins = [values[p] for p in node.preds] if node.preds else [x]
         out = layer_forward(node, ins, params[node.id])
         if not np.all(np.isfinite(out)):
-            raise NumericsError(node.id)
+            raise ConfigError(f"non-finite values produced at node {node.id}")
         values = {k: v for k, v in values.items() if last_read.get(k) != node.id}
         values[node.id] = out
         if record is not None and (keep is None or node.id in keep):
@@ -667,11 +667,11 @@ def _node_from_dict(nd: dict) -> LayerNode:
         elif f.name in nd:
             args[f.name] = str(nd[f.name])
         elif f.default is MISSING:
-            raise ShapeError(node_id, f"missing field {f.name!r}")
+            raise ConfigError(f"{node_id}: missing field {f.name!r}")
     preds = check_list(f"{where} field preds", nd.get("preds", []))
     try:
         op = kind(**args)
-    except ShapeError as e:  # the op's own check, e.g. groups dividing the channels
+    except ConfigError as e:  # the op's own check, e.g. groups dividing the channels
         raise ConfigError(f"{where}: {e}")
     return LayerNode(node_id, op, tuple(str(p) for p in preds))
 
@@ -687,5 +687,5 @@ def graph_from_dict(d: dict) -> NetworkGraph:
                               f"got {shape}")
         nodes = [_node_from_dict(nd) for nd in check_list("graph nodes", d["nodes"])]
     except KeyError as e:
-        raise ShapeError("graph", f"missing field {e.args[0]!r} in graph definition")
+        raise ConfigError(f"graph: missing field {e.args[0]!r} in graph definition")
     return infer_shapes(NetworkGraph(nodes=nodes, input_shape=TensorShape(*shape)))

@@ -7,11 +7,13 @@ import tempfile
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convformer_sim import cli, pipeline, workload
+from convformer_sim.hwmodel import Txn
 from convformer_sim.layer_fusion import split_into_segments
 from convformer_sim.workload import GELU, PRESETS, build_preset, reference_execute
 
@@ -436,6 +438,31 @@ class TestEquivalenceAndSelfCheckExit:
         assert "self-check" in err and "s0b0_attn" in err
         assert f"{ema + 1} B" in err and f"{ema} B" in err
 
+    @pytest.mark.parametrize("txns, message", [
+        # exited 1 as "error: region 'add_a' is not live"
+        ([Txn("load", "add_a", 1)], "region 'add_a' is not live"),
+        # a count beyond its region was a ValueError traceback
+        ([Txn("alloc", "add_a", 1), Txn("load", "add_a", 2), Txn("free", "add_a", 0)],
+         "2 B exceeds region 'add_a' size 1 B"),
+    ])
+    def test_simulator_rule_violation_exits_3(self, txns, message, monkeypatch, capsys):
+        # a schedule that breaks the simulator's rules is a failed self-check
+        monkeypatch.setattr(pipeline, "_add_pass", lambda elems, hw: txns)
+        code, out, err = run_cli(["run", "--model", "segformer-micro"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("self-check failure: ") and message in err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_reference_output_exits_1(self, monkeypatch, capsys):
+        # exited 1, but as "error: ..." rather than a config error
+        def all_inf(graph, seed):
+            return np.full(workload.seeded_input(graph, seed).shape, np.inf)
+
+        monkeypatch.setattr(cli, "seeded_input", all_inf)
+        code, out, err = run_cli(["run", "--model", "toy-chain"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("config error: non-finite values produced at node c0")
+
 
 @pytest.mark.parametrize("argv, field", [
     (["--hw.e_dram=nan"], "hardware.e_dram"),
@@ -447,6 +474,11 @@ class TestEquivalenceAndSelfCheckExit:
     # finite, but the priced energy overflowed: Infinity on stdout with exit 0
     (["--hw.e_dram=1e308"], "hardware.e_dram"),
     (["--hw.e_mac=1e308"], "hardware.e_mac"),
+    # huge element widths overflowed the fusion cost table before its int64
+    # guard (an OverflowError traceback); a later --model wins
+    *(([*model, f"--hw.element_bytes={eb}"], f"{layer}: fusion cost table exceeds int64")
+      for model, layer in (([], "c0"), (["--model", "segformer-micro"], "stem"))
+      for eb in (10**18, 10**19)),
 ])
 def test_bad_number_exits_1_naming_field(argv, field, capsys):
     # in-process: a traceback would surface as an uncaught exception here
@@ -643,6 +675,9 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     # a fixed tiling on a graph without attention was ignored (the auto report ran)
     ("toy-chain", {"attention": {"t_q": 4, "mode": "resident_kv"}},
      "schedule.attention fixes a tiling, but the graph has no attention"),
+    # a huge channel count overflowed the fusion cost table before its int64 guard
+    (one_conv_graph(input_shape=(1, 10**19, 4, 4), c_in=10**19, pad=1), {},
+     "c1: fusion cost table exceeds int64"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -718,6 +753,8 @@ def test_shipped_configs_load(tmp_path):
 
 # good values repeat so that most examples get past config parsing
 HW_VALUES = ("nan", "inf", "-inf", "1.5", "0", "-1", "1e400", "2048", "65536", "65536")
+# integers past the int64 range of the fusion cost table
+INT_HW_VALUES = HW_VALUES + ("1000000000000000000", "10000000000000000000")
 # finite energies whose priced sum can overflow
 ENERGY_VALUES = HW_VALUES + ("1e300", "1e308", "1.7976931348623157e308")
 # scratchpads small enough that some layer of either model cannot fit (exit 2)
@@ -737,7 +774,7 @@ def command_lines(draw):
     fields = draw(st.lists(st.sampled_from(sorted(cli.HardwareConfig.__dataclass_fields__)),
                            max_size=1))
     for f in fields:
-        values = ENERGY_VALUES if f.startswith("e_") else HW_VALUES
+        values = ENERGY_VALUES if f.startswith("e_") else INT_HW_VALUES
         argv.append(f"--hw.{f}={draw(st.sampled_from(values))}")
     if not fields and draw(st.booleans()):
         argv.append(f"--hw.scratchpad_bytes={draw(st.sampled_from(SMALL_SCRATCHPADS))}")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from convformer_sim.errors import InconsistentStatsError
+from convformer_sim.errors import SelfCheckError
 from convformer_sim.feature_pruning import (Granularity, PruneConfig,
                                             SparsityStats, prune_mask,
                                             pruned_attention_execute,
@@ -205,5 +205,5 @@ class TestSparseCostAdjust:
 
     def test_inconsistent_stats(self, hw):
         rep = report_for(10, 64, hw)
-        with pytest.raises(InconsistentStatsError):
+        with pytest.raises(SelfCheckError):
             sparse_cost_adjust(rep, SparsityStats(skipped_macs=11), hw)

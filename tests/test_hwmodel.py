@@ -1,6 +1,6 @@
 import pytest
 
-from convformer_sim.errors import CapacityError, ConfigError, UseAfterFreeError
+from convformer_sim.errors import CapacityError, ConfigError, SelfCheckError
 from convformer_sim.hwmodel import (HardwareConfig, ScratchpadSim, build_report,
                                     roofline_cycles)
 
@@ -64,13 +64,13 @@ class TestScratchpad:
         sim = ScratchpadSim(1000)
         sim.alloc("a", 10)
         sim.free("a")
-        with pytest.raises(UseAfterFreeError):
+        with pytest.raises(SelfCheckError):
             sim.load("a", 5)
 
     def test_load_beyond_region_size(self):
         sim = ScratchpadSim(1000)
         sim.alloc("a", 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(SelfCheckError):
             sim.load("a", 11)
 
     def test_free_then_realloc_same_name(self):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import convformer_sim as cs
-from convformer_sim.errors import AttentionInSliceError, CapacityError, ShapeError
+from convformer_sim.errors import CapacityError, ConfigError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
                                          HaloPolicy, TileShape,
@@ -149,7 +149,7 @@ class TestHaloExtent:
     def test_attention_rejected(self):
         g = infer_shapes(NetworkGraph([LayerNode("a", Attention(1, 4))],
                                       TensorShape(1, 4, 4, 4)))
-        with pytest.raises(AttentionInSliceError):
+        with pytest.raises(ConfigError, match="cannot be spatially tiled"):
             in_lengths(g, 0, 2)
 
 
@@ -606,7 +606,7 @@ def chains_and_tiles(draw):
             ops.append(LayerNorm() if kind == "ln" else GELU())
     try:
         layers = chain_of(make_chain_graph(ops, TensorShape(1, c0, h, w)))
-    except ShapeError:   # a layer's output map would be empty
+    except ConfigError:   # a layer's output map would be empty
         assume(False)
     last = layers[-1].out_shape
     tile = TileShape(draw(st.integers(1, last.h + 3)), draw(st.integers(1, last.w + 3)))
@@ -650,5 +650,5 @@ def test_cost_table_refuses_to_wrap_int64(hw):
     # 1x1 tiles of a 5x5 conv with 2^24 channels recompute ~1e21 MACs
     g = make_chain_graph([Conv2D(1 << 24, 1 << 24, 5, 1, 2)],
                          TensorShape(1, 1 << 24, 64, 64))
-    with pytest.raises(ShapeError, match="int64"):
+    with pytest.raises(ConfigError, match="int64"):
         group_ema(chain_of(g), TileShape(1, 1), RECOMPUTE, True, hw)

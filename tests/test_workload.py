@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import convformer_sim as cs
-from convformer_sim.errors import ConfigError, ShapeError
+from convformer_sim.errors import ConfigError
 from convformer_sim.workload import (Add, Attention, Conv2D, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, attention_dims, build_preset,
@@ -23,7 +23,7 @@ def test_tensor_shape_views():
 
 
 def test_tensor_shape_rejects_zero_dim():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         TensorShape(1, 0, 8, 8)
 
 
@@ -83,12 +83,12 @@ class TestInferShapes:
             LayerNode("b", Conv2D(4, 4, 3, 2, 1)),
             LayerNode("s", Add("a"), ("a", "b")),
         ]
-        with pytest.raises(ShapeError, match="s"):
+        with pytest.raises(ConfigError, match="s"):
             infer_shapes(NetworkGraph(nodes, TensorShape(1, 4, 16, 16)))
 
     def test_attention_head_mismatch(self):
         g = NetworkGraph([LayerNode("a", Attention(3, 5))], TensorShape(1, 16, 4, 4))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             infer_shapes(g)
 
     def test_idempotent(self):
@@ -130,7 +130,7 @@ class TestReferenceExecute:
 
     def test_input_shape_check(self):
         g = build_preset("toy-chain")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             reference_execute(g, np.zeros((3, 4, 4)))
 
 
@@ -197,7 +197,7 @@ def test_graph_from_dict_roundtrip():
 
 
 def test_graph_from_dict_missing_field():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         graph_from_dict({"nodes": []})
 
 
