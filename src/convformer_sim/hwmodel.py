@@ -10,6 +10,7 @@ from the CLI config; every report embeds the config it was produced with.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
 
@@ -22,13 +23,17 @@ def parse_number(name: str, value, integer: bool) -> int | float:
     """A config value as an int or a finite float; ConfigError naming ``name`` if not.
 
     ``int(str(value))`` rejects 1.5 and "1.5", which ``int(value)`` would truncate.
+    An int is held to the float range, as a float is to finite values.
     """
     try:
         number = int(str(value)) if integer else float(value)
     except (TypeError, ValueError):
         noun = "an integer" if integer else "a number"
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
-    if not math.isfinite(number):
+    if integer and abs(number) > sys.float_info.max:  # exact: no conversion to float
+        raise ConfigError(f"{name} must be at most {sys.float_info.max:.4g}, "
+                          f"got {len(str(abs(number)))} digits")
+    if not integer and not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {number}")
     return number
 
@@ -61,7 +66,7 @@ class HardwareConfig:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not math.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"hardware.{name} must be finite, got {value}")
             if value <= 0:
                 raise ConfigError(f"hardware.{name} must be > 0")

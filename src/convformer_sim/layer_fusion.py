@@ -185,7 +185,7 @@ def _tile_walks(layers: Sequence[ChainLayer], tile: TileShape) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 POLICIES = (HaloPolicy.RECOMPUTE, HaloPolicy.CACHE)
-_INT64_SAFE = float(1 << 62)
+_INT64_SAFE = 1 << 62
 
 
 def _line_buffer(layer: ChainLayer, eb: int) -> int:
@@ -225,13 +225,15 @@ class _GroupTable:
             dtype=object).T
         last = layers[-1].out_shape
         out_bytes = last.h * last.w * last.c * eb
-        # every entry below, and every partial sum of one, is at most this
-        bound = (float(r_sums.max()) * float(c_sums.max()) * eb
-                 * float((c_in + c_out).max() + ppm.sum()) + float(lb.sum()) + out_bytes
-                 + float(w.sum()) * eb * float(r_count.max() * c_count.max()))
+        # every entry below, and every partial sum of one, is at most this;
+        # exact, as an element width may be too long for a float
+        bound = (int(r_sums.max()) * int(c_sums.max()) * eb
+                 * ((c_in + c_out).max() + ppm.sum()) + lb.sum() + out_bytes
+                 + w.sum() * eb * int(r_count.max()) * int(c_count.max()))
         if bound >= _INT64_SAFE:
+            size = f"{bound:.3g}" if bound < 10**308 else "over 1e+308"  # float range
             raise ConfigError(f"{layers[-1].node.id}: fusion cost table exceeds int64 "
-                              f"(bound {bound:.3g})")
+                              f"(bound {size})")
         c_in, c_out, w, ppm, full, lb = per_layer.astype(np.int64)
 
         def outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

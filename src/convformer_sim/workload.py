@@ -20,6 +20,10 @@ from .errors import ConfigError
 from .hwmodel import check_keys, check_list, parse_number
 
 LN_EPS = 1e-5
+GELU_C = math.sqrt(2.0 / math.pi)
+# elements per block of the blocked kernels (256 KiB of float64), so that a
+# block's operands and temporaries stay in cache between passes
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -333,6 +337,11 @@ def window(op: LayerOp) -> tuple[int, int, int, int]:
 # Dense kernels (shared by reference and fused executors)
 # ---------------------------------------------------------------------------
 
+def block_rows(row_elements: int) -> int:
+    """Rows of ``row_elements`` each in one block of the blocked kernels."""
+    return max(1, BLOCK_ELEMENTS // max(row_elements, 1))
+
+
 def conv2d_region(x: np.ndarray, op: Conv2D, w: np.ndarray,
                   b: np.ndarray, rows: tuple[int, int], cols: tuple[int, int],
                   origin: tuple[int, int] = (0, 0)) -> np.ndarray:
@@ -350,32 +359,59 @@ def conv2d_region(x: np.ndarray, op: Conv2D, w: np.ndarray,
     oh, ow = r1 - r0, c1 - c0
     if oh <= 0 or ow <= 0:
         return np.zeros((c_out, max(oh, 0), max(ow, 0)), dtype=np.float64)
-    # gather padded input window for this output region (absolute coordinates)
-    in_r0 = r0 * stride - pad
-    in_c0 = c0 * stride - pad
-    in_r1 = (r1 - 1) * stride - pad + k
-    in_c1 = (c1 - 1) * stride - pad + k
-    win = np.zeros((c_in, in_r1 - in_r0, in_c1 - in_c0), dtype=np.float64)
-    xr0, xc0 = origin
-    xr1, xc1 = xr0 + x.shape[1], xc0 + x.shape[2]
-    sr0, sr1 = max(in_r0, xr0), min(in_r1, xr1)
-    sc0, sc1 = max(in_c0, xc0), min(in_c1, xc1)
-    if sr0 < sr1 and sc0 < sc1:
-        win[:, sr0 - in_r0:sr1 - in_r0, sc0 - in_c0:sc1 - in_c0] = \
-            x[:, sr0 - xr0:sr1 - xr0, sc0 - xc0:sc1 - xc0]
-
     cig = c_in // groups
     cog = c_out // groups
-    if cig == cog == 1:
-        # depthwise: k*k taps over strided views of ``win``, row-major from zero,
-        # bias last. Each pixel's float operations are the same in any region,
-        # and a fresh C-contiguous result keeps later channel reductions so.
-        out = np.zeros((c_out, oh, ow), dtype=np.float64)
-        for i, j in np.ndindex(k, k):
-            out += w[:, 0, i, j, None, None] * win[:, i:i + (oh - 1) * stride + 1:stride,
-                                                   j:j + (ow - 1) * stride + 1:stride]
-        out += b[:, None, None]
+    depthwise = cig == cog == 1
+    # padded input window of the output region (absolute coordinates), for
+    # one block of channels at a time; a dense conv takes them all at once.
+    # Each channel's window is one row of ``flat``: hp x wp and a tail of k
+    # zeros, so that under stride 1 each depthwise tap is one contiguous run
+    # of oh * wp elements. The wp - ow columns past the region's right edge
+    # are computed too, and cropped before the bias.
+    in_r0 = r0 * stride - pad
+    in_c0 = c0 * stride - pad
+    hp = (r1 - 1) * stride + k - r0 * stride
+    wp = (c1 - 1) * stride + k - c0 * stride
+    cw = wp if stride == 1 else ow       # output columns computed per row
+    step = block_rows(oh * cw) if depthwise else c_in
+    flat = np.zeros((min(step, c_in), hp * wp + k), dtype=np.float64)
+    win = flat[:, :hp * wp].reshape(-1, hp, wp)
+    xr0, xc0 = origin
+    sr0, sr1 = max(in_r0, xr0), min(in_r0 + hp, xr0 + x.shape[1])
+    sc0, sc1 = max(in_c0, xc0), min(in_c0 + wp, xc0 + x.shape[2])
+
+    def padded(lo: int) -> int:
+        """Fill the window with channels [lo, lo + step) and return their
+        count. Only the part inside ``x`` is written, so the zeros around it
+        stay for the next block."""
+        n = min(step, c_in - lo)
+        if sr0 < sr1 and sc0 < sc1:
+            win[:n, sr0 - in_r0:sr1 - in_r0, sc0 - in_c0:sc1 - in_c0] = \
+                x[lo:lo + n, sr0 - xr0:sr1 - xr0, sc0 - xc0:sc1 - xc0]
+        return n
+
+    if depthwise:
+        # k*k taps, row-major from zero, bias last: each pixel's float
+        # operations are the same in any region and any block, and a fresh
+        # C-contiguous result keeps later channel reductions so
+        out = np.empty((c_out, oh, ow), dtype=np.float64)
+        acc = np.empty((len(flat), oh, cw), dtype=np.float64)
+        prod = np.empty_like(acc)
+        for lo in range(0, c_out, step):
+            n = padded(lo)
+            block, pb = acc[:n], prod[:n]
+            block.fill(0.0)
+            for i, j in np.ndindex(k, k):
+                if stride == 1:
+                    tap = flat[:n, i * wp + j:(i + oh) * wp + j].reshape(n, oh, wp)
+                else:
+                    tap = win[:n, i:i + (oh - 1) * stride + 1:stride,
+                              j:j + (ow - 1) * stride + 1:stride]
+                np.multiply(w[lo:lo + n, 0, i, j, None, None], tap, out=pb)
+                block += pb
+            np.add(block[:, :, :ow], b[lo:lo + n, None, None], out=out[lo:lo + n])
         return out
+    padded(0)
     # every stride-th k x k window of the padded input: (c_in, oh, ow, k, k)
     windows = np.lib.stride_tricks.sliding_window_view(
         win, (k, k), axis=(1, 2))[:, ::stride, ::stride]
@@ -387,36 +423,60 @@ def conv2d_region(x: np.ndarray, op: Conv2D, w: np.ndarray,
             windows[g * cig:(g + 1) * cig].transpose(1, 2, 0, 3, 4)
         ).reshape(oh * ow, cig * k * k)
         wg = w[g * cog:(g + 1) * cog].reshape(cog, -1)
-        res = patches @ wg.T + b[g * cog:(g + 1) * cog]
+        res = patches @ wg.T
+        res += b[g * cog:(g + 1) * cog]
         out[g * cog:(g + 1) * cog] = res.T.reshape(cog, oh, ow)
     return out
 
 
 def layernorm(x: np.ndarray) -> np.ndarray:
-    """Per-pixel normalization over channels; gamma=1, beta=0."""
-    mean = x.mean(axis=0, keepdims=True)
-    var = x.var(axis=0, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS)
+    """Per-pixel normalization over channels; gamma=1, beta=0. The variance is
+    numpy's ``var``: the mean of the squared deviations, summed over axis 0."""
+    d = x - x.mean(axis=0, keepdims=True)
+    var = np.add.reduce(d * d, axis=0, keepdims=True)
+    var /= x.shape[0]
+    var += LN_EPS
+    d /= np.sqrt(var, out=var)
+    return d
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-form GELU, shared by every executor; x*x*x as numpy's x**3 is slow below 0."""
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))))
+    """Tanh-form GELU, shared by every executor:
+    0.5 * x * (1 + tanh(c * (x + 0.044715 * x*x*x))), in that order, over
+    blocks of ``x``'s first axis; x*x*x as numpy's x**3 is slow below 0."""
+    out = np.empty(x.shape, dtype=np.float64)
+    step = block_rows(math.prod(x.shape[1:]))
+    tmp = np.empty((min(step, len(x)), *x.shape[1:]), dtype=np.float64)
+    for lo in range(0, len(x), step):
+        xb, ob = x[lo:lo + step], out[lo:lo + step]
+        t = tmp[:len(xb)]
+        np.multiply(xb, xb, out=t)
+        t *= xb
+        t *= 0.044715
+        t += xb
+        t *= GELU_C
+        np.tanh(t, out=t)
+        t += 1.0
+        np.multiply(0.5, xb, out=ob)
+        ob *= t
+    return out
 
 
 def linear_tokens(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Token-wise linear layer on a (c, h, w) map."""
     c, h, wd = x.shape
     tok = x.reshape(c, h * wd).T  # (N, c)
-    out = tok @ w + b
+    out = tok @ w
+    out += b
     return out.T.reshape(w.shape[1], h, wd)
 
 
 def softmax_rows(s: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction (the baseline the online form must match)."""
-    m = s.max(axis=-1, keepdims=True)
-    e = np.exp(s - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = s - s.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def dense_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -479,6 +479,13 @@ class TestEquivalenceAndSelfCheckExit:
     *(([*model, f"--hw.element_bytes={eb}"], f"{layer}: fusion cost table exceeds int64")
       for model, layer in (([], "c0"), (["--model", "segformer-micro"], "stem"))
       for eb in (10**18, 10**19)),
+    # integers too long for a float: the finiteness check raised OverflowError
+    *(([f"--{flag}={10**400}"], f"{name} must be at most 1.798e+308, got 401 digits")
+      for flag, name in (("hw.element_bytes", "hardware.element_bytes"),
+                         ("hw.scratchpad_bytes", "hardware.scratchpad_bytes"),
+                         ("hw.pe_count", "hardware.pe_count"),
+                         ("hw.dram_bytes_per_cycle", "hardware.dram_bytes_per_cycle"),
+                         ("seed", "seed"))),
 ])
 def test_bad_number_exits_1_naming_field(argv, field, capsys):
     # in-process: a traceback would surface as an uncaught exception here
@@ -678,6 +685,13 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     # a huge channel count overflowed the fusion cost table before its int64 guard
     (one_conv_graph(input_shape=(1, 10**19, 4, 4), c_in=10**19, pad=1), {},
      "c1: fusion cost table exceeds int64"),
+    # the table's bound overflowed a float (weights of 10**400 elements)
+    (one_conv_graph(input_shape=(1, 10**200, 4, 4), c_in=10**200, c_out=10**200, pad=1), {},
+     "c1: fusion cost table exceeds int64 (bound over 1e+308)"),
+    # an integer too long for a float was an OverflowError traceback
+    (one_conv_graph(pad=10**400), {}, "graph node 'c1' field pad must be at most 1.798e+308"),
+    ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [10**400, 4]}]}},
+     "schedule.fusion group tile must be at most 1.798e+308"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -753,8 +767,8 @@ def test_shipped_configs_load(tmp_path):
 
 # good values repeat so that most examples get past config parsing
 HW_VALUES = ("nan", "inf", "-inf", "1.5", "0", "-1", "1e400", "2048", "65536", "65536")
-# integers past the int64 range of the fusion cost table
-INT_HW_VALUES = HW_VALUES + ("1000000000000000000", "10000000000000000000")
+# integers past the int64 range of the fusion cost table, and past a float's
+INT_HW_VALUES = HW_VALUES + ("1000000000000000000", "10000000000000000000", str(10**400))
 # finite energies whose priced sum can overflow
 ENERGY_VALUES = HW_VALUES + ("1e300", "1e308", "1.7976931348623157e308")
 # scratchpads small enough that some layer of either model cannot fit (exit 2)

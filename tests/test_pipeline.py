@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convformer_sim as cs
-from convformer_sim import cli, pipeline
+from convformer_sim import cli, pipeline, workload
 from convformer_sim.attention_tiling import ResidencyMode, search_attention_tiling
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim, replay
 from convformer_sim.workload import (Attention, attention_dims, graph_from_dict,
@@ -115,6 +115,23 @@ def test_depthwise_chain_is_region_independent(tile, policy):
     region it is computed in (per-group matmuls used to round by tile size)."""
     group = {"start": 0, "end": 5, "tile": list(tile), "policy": policy}
     cfg = cli.ExperimentConfig(model={"graph": DEPTHWISE_CHAIN}, fusion={"0": [group]})
+    res = cli.run_experiment(cfg)
+    assert res["schedule"]["units"][0]["plan"]["groups"][0]["tile"] == list(tile)
+    assert res["max_abs_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("policy", ["recompute", "cache"])
+@pytest.mark.parametrize("tile", [(4, 6), (6, 12), (9, 12)], ids=lambda t: f"{t[0]}x{t[1]}")
+def test_depthwise_chain_is_region_independent_across_channel_blocks(tile, policy):
+    """As above on a 72x72 map: the reference's full-map depthwise convs take
+    their 8 channels in several blocks, each tile's in one block (the tile of
+    the stride-2 output needs at most 2t + 7 input pixels a side)."""
+    th, tw = tile
+    assert workload.block_rows(72 * 72) < 8 <= workload.block_rows((2 * th + 7) * (2 * tw + 7))
+    graph = {**DEPTHWISE_CHAIN, "input_shape": [1, 8, 72, 72]}
+    group = {"start": 0, "end": 5, "tile": list(tile), "policy": policy}
+    cfg = cli.ExperimentConfig(model={"graph": graph}, fusion={"0": [group]},
+                               hardware=HardwareConfig(scratchpad_bytes=1 << 22))
     res = cli.run_experiment(cfg)
     assert res["schedule"]["units"][0]["plan"]["groups"][0]["tile"] == list(tile)
     assert res["max_abs_deviation"] == 0.0

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import convformer_sim as cs
+from convformer_sim import workload
 from convformer_sim.errors import ConfigError
 from convformer_sim.workload import (Add, Attention, Conv2D, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
@@ -290,3 +293,135 @@ def test_conv2d_region_bit_identical_to_per_pixel_im2col(strip):
         want = loop_conv2d_region(x, op, w, b, rows, cols, origin=origin)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (case, op, rows, cols, origin)
+
+
+# ---------------------------------------------------------------------------
+# Blocked and in-place kernels against the expressions they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def expr_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))))
+
+
+def expr_layernorm(x):
+    mean = x.mean(axis=0, keepdims=True)
+    var = x.var(axis=0, keepdims=True)
+    return (x - mean) / np.sqrt(var + workload.LN_EPS)
+
+
+def expr_softmax_rows(s):
+    m = s.max(axis=-1, keepdims=True)
+    e = np.exp(s - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def awkward_values(rng, shape):
+    """Normal values with signed zeros, huge and tiny magnitudes mixed in."""
+    x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 30.0, 1e6], size=shape)
+    picks = rng.random(shape)
+    x[picks < 0.05] = 0.0
+    x[(picks >= 0.05) & (picks < 0.1)] = -0.0
+    x[(picks >= 0.1) & (picks < 0.12)] = 1e200
+    x[(picks >= 0.12) & (picks < 0.14)] = -1e200
+    return x
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (70, 30, 30), (1, 200, 200), (40000,), (0, 3)])
+def test_elementwise_kernels_bit_identical_to_expressions(shape):
+    """GELU, LayerNorm and softmax equal the one-expression forms byte for
+    byte, on whole arrays (several GELU blocks for the larger shapes) and on
+    strided views of them."""
+    from convformer_sim.workload import gelu, layernorm, softmax_rows
+    rng = np.random.default_rng(sum(shape))
+    x = awkward_values(rng, shape)
+    views = [x] + ([x[1:, 1:-1:2]] if len(shape) == 3 and shape[0] > 1 else [])
+    with np.errstate(all="ignore"):  # x*x*x overflows to +-inf at 1e200
+        for v in views:
+            assert gelu(v).tobytes() == expr_gelu(v).tobytes()
+            if v.ndim == 3:
+                assert layernorm(v).tobytes() == expr_layernorm(v).tobytes()
+            if v.ndim >= 2 and v.size:
+                s = v.reshape(v.shape[0], -1)
+                assert softmax_rows(s).tobytes() == expr_softmax_rows(s).tobytes()
+                assert softmax_rows(s[:, ::2]).tobytes() == expr_softmax_rows(s[:, ::2]).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 5, 16, 64])
+def test_blocked_gelu_matches_at_any_block(block, monkeypatch):
+    monkeypatch.setattr(workload, "BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(block)
+    x = awkward_values(rng, (7, 3, 5))
+    with np.errstate(all="ignore"):
+        assert workload.gelu(x).tobytes() == expr_gelu(x).tobytes()
+
+
+def depthwise_case(rng, sr_style=False):
+    """(x, op, w, b, rows, cols, origin) of a depthwise conv and output region."""
+    c = int(rng.integers(1, 12))
+    if sr_style:  # the attention's spatial reduction: k == stride, no padding
+        k = stride = int(rng.choice([2, 4]))
+        pad = 0
+    else:
+        k, stride = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        pad = int(rng.integers(0, k))
+    op = Conv2D(c, c, k, stride, pad, groups=c)
+    w = rng.standard_normal((c, 1, k, k))
+    b = rng.standard_normal(c)
+    x = awkward_values(rng, (c, int(rng.integers(1, 14)), int(rng.integers(1, 14))))
+    origin = (int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+    r0, c0 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+    oh, ow = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+    return x, op, w, b, (r0, r0 + oh), (c0, c0 + ow), origin
+
+
+@pytest.mark.parametrize("block", [1, 7, 24, 50])
+@pytest.mark.parametrize("sr_style", [False, True], ids=["mixed", "k-eq-stride"])
+def test_depthwise_blocks_bit_identical_to_per_pixel_oracle(block, sr_style, monkeypatch):
+    """Blocks of one or many channels, a last block that is short (channel
+    counts not a multiple of the block) and regions larger than a block all
+    give the per-pixel sums, bit for bit."""
+    monkeypatch.setattr(workload, "BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(block + 100 * sr_style)
+    for case in range(60):
+        x, op, w, b, rows, cols, origin = depthwise_case(rng, sr_style)
+        got = workload.conv2d_region(x, op, w, b, rows, cols, origin=origin)
+        want = loop_conv2d_region(x, op, w, b, rows, cols, origin=origin)
+        assert got.tobytes() == want.tobytes(), (case, op, rows, cols, origin)
+
+
+def test_depthwise_at_the_default_block_size():
+    """A region of more output pixels than one block holds (one channel per
+    block, three blocks) and one of many channels with a short last block."""
+    rng = np.random.default_rng(3)
+    side = math.isqrt(workload.BLOCK_ELEMENTS) + 2
+    for c, k, stride, pad, hw in [(3, 1, 1, 0, side), (2, 2, 2, 0, 2 * side),
+                                  (2 * workload.BLOCK_ELEMENTS // 64 + 5, 1, 1, 0, 8)]:
+        op = Conv2D(c, c, k, stride, pad, groups=c)
+        w, b = rng.standard_normal((c, 1, k, k)), rng.standard_normal(c)
+        x = rng.standard_normal((c, hw, hw))
+        oh = (hw + 2 * pad - k) // stride + 1
+        got = workload.conv2d_region(x, op, w, b, (0, oh), (0, oh))
+        want = loop_conv2d_region(x, op, w, b, (0, oh), (0, oh))
+        assert got.tobytes() == want.tobytes(), (c, k, stride, hw)
+
+
+def test_kernels_leave_their_input_unchanged():
+    """Every kernel reads a read-only strided view without writing to it: the
+    fused executor passes slices of its running map, and the reference keeps
+    boundary tensors that later units read."""
+    from convformer_sim.workload import (conv2d_region, gelu, layernorm, linear_tokens,
+                                         softmax_rows)
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((6, 9, 10))
+    base.setflags(write=False)
+    x = base[:, 1:5, 2:7]
+    before = x.copy()
+    gelu(x)
+    layernorm(x)
+    softmax_rows(x[0])
+    linear_tokens(x, rng.standard_normal((6, 3)), rng.standard_normal(3))
+    for op in (Conv2D(6, 6, 3, 1, 1, groups=6), Conv2D(6, 4, 3, 2, 1, groups=2),
+               Conv2D(6, 6, 2, 2, 0, groups=6)):
+        w = rng.standard_normal((op.c_out, 6 // op.groups, op.k, op.k))
+        conv2d_region(x, op, w, rng.standard_normal(op.c_out), (0, 2), (0, 2), origin=(1, 1))
+    assert x.tobytes() == before.tobytes()
