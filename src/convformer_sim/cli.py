@@ -18,6 +18,7 @@ import io
 import json
 import re
 import sys
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
@@ -29,7 +30,7 @@ from . import layer_fusion as lf
 from . import pipeline
 from .errors import ConfigError, SimError
 from .hwmodel import CostReport, HardwareConfig, check_keys, parse_number
-from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
+from .workload import (BLOCK_ELEMENTS, Attention, GELU, Linear, NetworkGraph, PRESETS,
                        attention_operands, build_preset,
                        graph_from_dict, init_params, reference_execute,
                        seeded_input)
@@ -159,34 +160,86 @@ def build_graph(model: str | dict) -> NetworkGraph:
 # Experiment primitives
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Reference:
-    """The reference run of one model and seed, shared by all rows of a command;
-    its tensors are built on first use, after the first row has planned."""
-    graph: NetworkGraph
-    seed: int
-    pruning: bool
+    """The reference run of one model and seed, shared by all rows of a command.
+    It keeps outputs only at unit boundaries (segment ends, the same in every
+    schedule) and, if pruning, GELUs. ``ref[node_id]`` waits until that output
+    is stored (or the run is done) and, with ``release``, drops it."""
+
+    def __init__(self, graph: NetworkGraph, seed: int, pruning: bool, release: bool = False):
+        self.graph, self.seed, self.pruning, self.release = graph, seed, pruning, release
+        self.outputs: dict[str, np.ndarray] = {}
+        self.done, self.error, self.worker = False, None, None
+        self.stored = threading.Condition()   # guards outputs, done and error
 
     @cached_property
-    def tensors(self) -> tuple[dict, np.ndarray, dict[str, np.ndarray]]:
-        """(params, input, outputs by node id): kept only at unit boundaries
-        (segment ends, the same in every schedule) and, if pruning, GELUs."""
+    def inputs(self) -> tuple[dict, np.ndarray]:
+        """(params, input), read-only. Drawing them starts the reference: on a worker
+        thread if an activation exceeds BLOCK_ELEMENTS elements, else here and now."""
         params, x = init_params(self.graph, self.seed), seeded_input(self.graph, self.seed)
+        for a in (x, *(a for p in params.values() for a in p.values())):
+            a.flags.writeable = False
+        shapes = (self.graph.input_shape, *self.graph.shapes.values())
+        if max(s.elements for s in shapes) > BLOCK_ELEMENTS:
+            self.worker = threading.Thread(target=self._run, args=(x, params))
+            self.worker.start()
+        else:
+            self._run(x, params)
+            self.join()
+        return params, x
+
+    def _run(self, x: np.ndarray, params: dict) -> None:
         keep = {nodes[-1].id for _, nodes in lf.split_into_segments(self.graph)}
         keep |= {n.id for n in self.graph.nodes if self.pruning and isinstance(n.op, GELU)}
-        record: dict[str, np.ndarray] = {}
-        reference_execute(self.graph, x, params, record=record, keep=keep)
-        return params, x, record
+        try:
+            reference_execute(self.graph, x, params, record=self, keep=keep)
+        except BaseException as e:   # raised again by the reading thread
+            self.error = e
+        with self.stored:
+            self.done = True
+            self.stored.notify_all()
+
+    def __setitem__(self, node_id: str, out: np.ndarray) -> None:
+        with self.stored:
+            self.outputs[node_id] = out
+            self.stored.notify_all()
+
+    def __getitem__(self, node_id: str) -> np.ndarray:
+        with self.stored:
+            self.stored.wait_for(lambda: self.done or node_id in self.outputs)
+            if self.error is not None:
+                raise self.error
+            return self.outputs.pop(node_id) if self.release else self.outputs[node_id]
+
+    def join(self) -> None:
+        """Wait for the reference to finish; raises its error, if it failed."""
+        if self.worker is not None:
+            self.worker.join()
+        if self.error is not None:
+            raise self.error
+
+    @property
+    def tensors(self) -> tuple[dict, np.ndarray, dict[str, np.ndarray]]:
+        """(params, input, outputs by node id) once the reference has finished."""
+        params, x = self.inputs
+        self.join()
+        return params, x, self.outputs
 
 
 def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
-    """Plan ``cfg``, then run it (pruning aside), checking each unit against ``ref``."""
-    ref = ref or Reference(build_graph(cfg.model), cfg.seed, cfg.pruning is not None)
+    """Plan ``cfg``, then run it (pruning aside), checking each unit against ``ref``
+    as soon as its output is stored. A Reference made here drops each output once
+    checked, unless pruning reads it afterwards."""
+    ref = ref or Reference(build_graph(cfg.model), cfg.seed, cfg.pruning is not None,
+                           release=cfg.pruning is None)
     schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion)
-    params, x, record = ref.tensors
+    params, x = ref.inputs
     deviations: list[tuple[str, float]] = []
-    _, report = pipeline.run_schedule(ref.graph, schedule, x, params, cfg.hardware,
-                                      seed=cfg.seed, reference=record, deviations=deviations)
+    try:
+        _, report = pipeline.run_schedule(ref.graph, schedule, x, params, cfg.hardware,
+                                          seed=cfg.seed, reference=ref, deviations=deviations)
+    finally:   # a reference error replaces the schedule's, as if the reference ran first
+        ref.join()
     # the last unit's output is the network's (an empty graph outputs its input)
     return {"ref": ref, "schedule": schedule, "report": report, "unit_deviations": deviations,
             "deviation": deviations[-1][1] if deviations else 0.0}
@@ -259,14 +312,13 @@ def compare_experiments(cfg: ExperimentConfig, schedule_names: list[str]) -> tup
         if getattr(cfg, key) != default:
             raise ConfigError(f"compare runs named schedules: leave schedule.{key} unset")
     keys = ("ema_bytes", "cycles", "energy_pj")
-    rows, sims, ref = [], [], None
+    rows, sims, ref = [], [], Reference(build_graph(cfg.model), cfg.seed, False)
     for name in schedule_names:
         if name not in SCHEDULE_PRESETS:
             raise ConfigError(f"unknown schedule {name!r}; "
                               f"known: {sorted(SCHEDULE_PRESETS)}")
         attention, fusion = SCHEDULE_PRESETS[name]
         sims.append(simulate(replace(cfg, attention=attention, fusion=fusion), ref))
-        ref = sims[-1]["ref"]
         rows.append({"schedule": name,
                      **{k: getattr(sims[-1]["report"], k) for k in keys},
                      "max_abs_deviation": sims[-1]["deviation"]})
@@ -287,7 +339,9 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> tuple:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep values must be a nonempty list")
-    rows, sims, ref = [], [], None
+    rows, sims = [], []
+    ref = Reference(build_graph(cfg.model), cfg.seed,
+                    cfg.pruning is not None or axis in ("theta_attn", "theta_act"))
     simulated: tuple[ExperimentConfig, dict] | None = None
     for value in values:
         sub = cfg
@@ -306,7 +360,6 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> tuple:
             sub = replace(cfg, attention=at.tiling_spec(dict(spec, t_q=value)))
         if simulated is None or simulated[0] != replace(sub, pruning=None):
             simulated = replace(sub, pruning=None), simulate(sub, ref)
-            ref = simulated[1]["ref"]
         res = run_experiment(sub, simulated[1])
         if sub.pruning is None:
             sims.append(simulated[1])

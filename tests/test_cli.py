@@ -3,7 +3,10 @@ import importlib.util
 import io
 import json
 import re
+import sys
 import tempfile
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convformer_sim import cli, pipeline, workload
+from convformer_sim.errors import ConfigError, SelfCheckError
 from convformer_sim.hwmodel import Txn
 from convformer_sim.layer_fusion import split_into_segments
 from convformer_sim.workload import GELU, PRESETS, build_preset, reference_execute
@@ -978,3 +982,196 @@ def test_empty_graph_runs_with_zero_deviation(tmp_path, capsys):
     code, out, _ = run_cli(["run", "--config", cfg], capsys)
     assert code == 0
     assert json.loads(out)["max_abs_deviation"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The reference on a worker thread beside the schedule
+# ---------------------------------------------------------------------------
+
+PRUNING = str(Path(__file__).parent.parent / "configs" / "pruning_sweep.json")
+
+
+@pytest.fixture(params=["inline", "worker"])
+def reference_path(request, monkeypatch):
+    """Each micro preset runs its reference inline by default; ``worker``
+    forces every graph onto the worker thread."""
+    if request.param == "worker":
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+    return request.param
+
+
+def all_inf(graph, seed):
+    return np.full(workload.seeded_input(graph, seed).shape, np.inf)
+
+
+def failing_unit(*args, **kwargs):
+    raise SelfCheckError("chain[c0,c1,c2,c3]: planted failure")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_reference_error_wins_over_a_failing_first_unit(reference_path, monkeypatch,
+                                                         capsys):
+    # as if the reference had run to completion before the schedule
+    monkeypatch.setattr(cli, "seeded_input", all_inf)
+    monkeypatch.setattr(pipeline.lf, "fused_execute", failing_unit)
+    code, out, err = run_cli(["run", "--model", "toy-chain"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "config error: non-finite values produced at node c0\n"
+
+
+def read_in_thread(ref, node_id, before=lambda: None) -> BaseException | None:
+    """Read ``ref[node_id]`` on its own thread, calling ``before`` while the read
+    runs; the error it raised, failing the test if it has not ended in 30 s."""
+    raised = []
+
+    def read():
+        try:
+            ref[node_id]
+        except BaseException as e:
+            raised.append(e)
+
+    reader = threading.Thread(target=read, daemon=True)   # a hung read cannot block exit
+    reader.start()
+    before()
+    reader.join(30)
+    assert not reader.is_alive(), f"read of {node_id} did not return"
+    return raised[0] if raised else None
+
+
+def test_read_waiting_on_a_failed_reference_raises_its_error(monkeypatch):
+    go = threading.Event()
+
+    def fails_when_told(*args, **kwargs):
+        assert go.wait(30)
+        raise ConfigError("planted reference failure")
+
+    def fail_while_reading():
+        time.sleep(0.05)   # the reader is waiting on an output never stored
+        go.set()
+
+    monkeypatch.setattr(cli, "reference_execute", fails_when_told)
+    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+    ref = cli.Reference(build_preset("toy-chain"), 0, False)
+    ref.inputs
+    error = read_in_thread(ref, "c3", fail_while_reading)
+    assert isinstance(error, ConfigError) and str(error) == "planted reference failure"
+    with pytest.raises(ConfigError, match="planted reference failure"):
+        ref.join()
+    assert not ref.worker.is_alive()
+
+
+def test_read_of_an_output_never_kept_raises_once_the_reference_is_done(reference_path):
+    ref = cli.Reference(build_preset("toy-chain"), 0, False)
+    ref.inputs
+    assert isinstance(read_in_thread(ref, "c0"), KeyError)   # not a unit boundary
+    ref.join()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("argv, fault, code", [
+    (["run", "--model", "toy-chain"], None, 0),
+    (["run", "--config", PRUNING], None, 0),
+    (["compare", "--model", "pvtv2-micro"], None, 0),
+    (["sweep", "--config", PRUNING, "--axis", "theta_attn", "--values", "0,0.01"], None, 0),
+    (["run", "--model", "toy-chain", "--hw.scratchpad_bytes=256"], None, 2),
+    (["run", "--model", "toy-chain"], "reference", 1),
+    (["run", "--model", "toy-chain"], "unit", 3),
+    (["run", "--model", "toy-chain"], "both", 1),
+    (["compare", "--model", "toy-chain"], "both", 1),
+    (["run", "--model", "pvtv2-micro", "--tolerance", "0"], "perturbed", 3),
+], ids=["run", "pruned-run", "compare", "sweep", "plan-error", "reference-error",
+        "unit-error", "both-errors", "compare-both-errors", "equivalence"])
+def test_no_thread_outlives_the_command(argv, fault, code, reference_path, monkeypatch,
+                                        capsys):
+    if fault in ("reference", "both"):
+        monkeypatch.setattr(cli, "seeded_input", all_inf)
+    if fault in ("unit", "both"):
+        monkeypatch.setattr(pipeline.lf, "fused_execute", failing_unit)
+    if fault == "perturbed":
+        real = pipeline.add_unit_execute
+        monkeypatch.setattr(pipeline, "add_unit_execute", lambda *a: real(*a) + 1e-3)
+    before = threading.active_count()
+    assert run_cli(argv, capsys)[0] == code
+    assert threading.active_count() == before
+
+
+def stored_outputs(monkeypatch) -> dict:
+    """A weak reference to each output the reference stores, by node id."""
+    stored = {}
+    real = cli.Reference.__setitem__
+
+    def spy(self, node_id, out):
+        stored[node_id] = weakref.ref(out)
+        real(self, node_id, out)
+
+    monkeypatch.setattr(cli.Reference, "__setitem__", spy)
+    return stored
+
+
+def test_run_drops_each_reference_output_once_its_unit_is_checked(reference_path,
+                                                                  monkeypatch):
+    """Inline, each boundary is dead once the next unit starts; on either
+    path none is alive once the run returns."""
+    stored = stored_outputs(monkeypatch)
+    alive_at = []
+
+    def spy(run):
+        def wrapped(*args, **kwargs):
+            alive_at.append({k for k, ref in stored.items() if ref() is not None})
+            return run(*args, **kwargs)
+        return wrapped
+
+    for owner, name in ((pipeline.lf, "fused_execute"), (pipeline, "attention_unit_execute"),
+                        (pipeline, "add_unit_execute")):
+        monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    sim = cli.simulate(cli.ExperimentConfig(model="pvtv2-micro"))
+    ends = [u.layers[-1].node.id if isinstance(u, pipeline.ChainUnit) else u.node.id
+            for u in sim["schedule"].units]
+    assert set(stored) == set(ends)
+    assert len(alive_at) == len(ends)
+    if reference_path == "inline":
+        assert alive_at == [set(ends[i:]) for i in range(len(ends))]
+    assert [k for k, ref in stored.items() if ref() is not None] == []
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep", "pruned-run"])
+def test_shared_or_pruned_reference_keeps_every_output(command, reference_path,
+                                                       monkeypatch):
+    stored = stored_outputs(monkeypatch)
+    cfg = cli.ExperimentConfig(model="pvtv2-micro")
+    # ``held`` keeps the command's simulations, and with them its reference, alive
+    if command == "compare":
+        held = cli.compare_experiments(cfg, ["naive", "tiling", "full"])
+    elif command == "sweep":
+        held = cli.sweep_experiments(cfg, "scratchpad_bytes", [65536, 262144])
+    else:
+        cfg = cli.load_config(PRUNING, None, {})
+        held = cli.simulate(cfg)
+        cli.run_experiment(cfg, held)
+    assert stored
+    assert [k for k, ref in stored.items() if ref() is None] == []
+
+
+def test_concurrent_commands_under_fast_thread_switching(monkeypatch):
+    """Three commands, each with its reference worker, on two cores: every
+    unit's deviation is what the serial path computes."""
+    cfg = cli.ExperimentConfig(model="pvtv2-micro")
+    want = cli.simulate(cfg)["unit_deviations"]
+    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+    got = [None] * 3
+
+    def command(i):
+        got[i] = cli.simulate(cfg)["unit_deviations"]
+
+    threads = [threading.Thread(target=command, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 3

@@ -12,6 +12,8 @@ cache and streamed-weight groups beside singleton chains), a fixed streaming
 attention tiling (``golden/fixed-attention.json``) in ``run`` and in a
 ``t_q`` sweep, a ``theta_act``
 sweep in JSON and CSV, and a threshold sweep whose first row is infeasible.
+Every case runs twice: once with the reference where the input puts it (on a
+worker thread for the B0 graph only) and once with the worker forced on.
 
 To see what a change does to them, without writing anything::
 
@@ -102,10 +104,14 @@ def golden_cases() -> list[dict]:
 
 
 def replay(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    return replay_with_stderr(argv)[:2]
+
+
+def replay_with_stderr(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _expected_exits() -> dict[str, int]:
@@ -117,6 +123,33 @@ def test_golden_output(case):
     code, out = replay(case["argv"])
     assert code == _expected_exits()[case["name"]]
     assert out == (GOLDEN / f"{case['name']}.out").read_text()
+
+
+@pytest.mark.parametrize("case", golden_cases(), ids=lambda c: c["name"])
+def test_golden_output_with_reference_worker_forced(case, monkeypatch):
+    # every graph has an activation above 0 elements, so each runs its
+    # reference on a worker thread beside its schedule
+    code = _expected_exits()[case["name"]]
+    inline_err = replay_with_stderr(case["argv"])[2] if code else ""
+    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+    assert replay_with_stderr(case["argv"]) == (
+        code, (GOLDEN / f"{case['name']}.out").read_text(), inline_err)
+
+
+@pytest.mark.parametrize("model, worker", [
+    *((name, False) for name in PRESETS),
+    (json.loads((GOLDEN / "b0-224.json").read_text())["model"], True),
+])
+@pytest.mark.parametrize("forced", [False, True], ids=["gate", "forced"])
+def test_reference_worker_gate(model, worker, forced, monkeypatch):
+    if forced:
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+    ref = cli.Reference(cli.build_graph(model), 0, False)
+    ref.inputs
+    try:
+        assert (ref.worker is not None) == (worker or forced)
+    finally:
+        ref.join()
 
 
 def test_every_golden_has_a_case():

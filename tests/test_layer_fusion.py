@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import convformer_sim as cs
@@ -617,6 +617,11 @@ def chains_and_tiles(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(chains_and_tiles())
+# 1x1 output tiles whose back-propagated interval empties inside the padding
+# ring (k > s): an empty interval must stay empty through the earlier layers
+@example((chain_of(make_chain_graph([Conv2D(1, 1, 4, 2, 4), Conv2D(1, 1, 5, 3, 0),
+                                     Conv2D(1, 1, 4, 3, 4)], TensorShape(1, 1, 10, 10))),
+          TileShape(1, 1), HardwareConfig(scratchpad_bytes=4096, element_bytes=1)))
 def test_cost_table_matches_brute_force_oracles(case):
     """At any tile, EMA and extra MACs equal the per-pixel oracle and the
     buffer equals the replayed high-water; over divisor tiles, the best

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,20 @@ class TestLayerMacs:
         g = infer_shapes(NetworkGraph(nodes, TensorShape(1, 4, 4, 4)))
         assert layer_macs(g, g.nodes[0]) == 0
         assert layer_macs(g, g.nodes[1]) == 0
+
+
+def test_divisors_equal_brute_force():
+    for n in range(1, 2001):
+        assert workload.divisors(n) == [i for i in range(1, n + 1) if n % i == 0], n
+
+
+def test_divisors_of_a_huge_map_size_at_once():
+    # a walk over range(1, n + 1) did not finish; 10**15 = 2**15 * 5**15
+    start = time.perf_counter()
+    got = workload.divisors(10**15)
+    assert time.perf_counter() - start < 1.0
+    assert len(got) == 256 and got == sorted(set(got))
+    assert all(10**15 % d == 0 for d in got) and got[-1] == 10**15
 
 
 def test_sr_ratio_one_means_full_sequence():
