@@ -20,7 +20,6 @@ import re
 import sys
 import threading
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from . import layer_fusion as lf
 from . import pipeline
 from .errors import ConfigError, SimError
 from .hwmodel import CostReport, HardwareConfig, check_keys, parse_number
-from .workload import (BLOCK_ELEMENTS, Attention, GELU, Linear, NetworkGraph, PRESETS,
+from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
                        attention_operands, build_preset,
                        graph_from_dict, init_params, reference_execute,
                        seeded_input)
@@ -38,6 +37,9 @@ from .workload import (BLOCK_ELEMENTS, Attention, GELU, Linear, NetworkGraph, PR
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_EQUIVALENCE = 3
+# A graph whose largest activation (input included) has at most this many elements runs its
+# reference before its schedule: overlapping them made micro-sweeps wall_s 21% slower.
+SERIAL_MAX_ELEMENTS = 1 << 15
 
 SCHEDULE_PRESETS = {
     "naive": ("baseline", "singleton"),
@@ -161,79 +163,70 @@ def build_graph(model: str | dict) -> NetworkGraph:
 # ---------------------------------------------------------------------------
 
 class Reference:
-    """The reference run of one model and seed, shared by all rows of a command.
-    It keeps outputs only at unit boundaries (segment ends, the same in every
-    schedule) and, if pruning, GELUs. ``ref[node_id]`` waits until that output
-    is stored (or the run is done) and, with ``release``, drops it."""
+    """The reference run of one model and seed, shared by a command's rows. It keeps
+    unit-boundary outputs (alike in every schedule) and, if pruning, GELUs."""
 
     def __init__(self, graph: NetworkGraph, seed: int, pruning: bool, release: bool = False):
         self.graph, self.seed, self.pruning, self.release = graph, seed, pruning, release
-        self.outputs: dict[str, np.ndarray] = {}
-        self.done, self.error, self.worker = False, None, None
-        self.stored = threading.Condition()   # guards outputs, done and error
+        self.outputs, self.error, self.worker, self.inputs = {}, None, None, None
 
-    @cached_property
-    def inputs(self) -> tuple[dict, np.ndarray]:
-        """(params, input), read-only. Drawing them starts the reference: on a worker
-        thread if an activation exceeds BLOCK_ELEMENTS elements, else here and now."""
-        params, x = init_params(self.graph, self.seed), seeded_input(self.graph, self.seed)
-        for a in (x, *(a for p in params.values() for a in p.values())):
-            a.flags.writeable = False
-        shapes = (self.graph.input_shape, *self.graph.shapes.values())
-        if max(s.elements for s in shapes) > BLOCK_ELEMENTS:
+    def start(self) -> tuple[dict, np.ndarray]:
+        """Read-only (params, input); the first call starts the reference on its thread."""
+        if self.worker is None:
+            params, x = init_params(self.graph, self.seed), seeded_input(self.graph, self.seed)
+            for a in (x, *(a for p in params.values() for a in p.values())):
+                a.flags.writeable = False
+            keep = {nodes[-1].id for _, nodes in lf.split_into_segments(self.graph)}
+            keep |= {n.id for n in self.graph.nodes if self.pruning and isinstance(n.op, GELU)}
+            self.inputs, self.stored = (params, x), {k: threading.Event() for k in keep}
             self.worker = threading.Thread(target=self._run, args=(x, params))
-            self.worker.start()
-        else:
-            self._run(x, params)
-            self.join()
-        return params, x
+            shapes = (self.graph.input_shape, *self.graph.shapes.values())
+            if max(s.elements for s in shapes) > SERIAL_MAX_ELEMENTS:
+                self.worker.start()
+            else:   # see SERIAL_MAX_ELEMENTS
+                self.worker.run()   # on this thread, to the end
+        return self.inputs
 
     def _run(self, x: np.ndarray, params: dict) -> None:
-        keep = {nodes[-1].id for _, nodes in lf.split_into_segments(self.graph)}
-        keep |= {n.id for n in self.graph.nodes if self.pruning and isinstance(n.op, GELU)}
         try:
-            reference_execute(self.graph, x, params, record=self, keep=keep)
+            reference_execute(self.graph, x, params, record=self, keep=self.stored)
         except BaseException as e:   # raised again by the reading thread
             self.error = e
-        with self.stored:
-            self.done = True
-            self.stored.notify_all()
+        for stored in self.stored.values():   # a failed run stores nothing more
+            stored.set()
 
     def __setitem__(self, node_id: str, out: np.ndarray) -> None:
-        with self.stored:
-            self.outputs[node_id] = out
-            self.stored.notify_all()
+        self.outputs[node_id] = out
+        self.stored[node_id].set()
 
     def __getitem__(self, node_id: str) -> np.ndarray:
-        with self.stored:
-            self.stored.wait_for(lambda: self.done or node_id in self.outputs)
-            if self.error is not None:
-                raise self.error
-            return self.outputs.pop(node_id) if self.release else self.outputs[node_id]
+        """Waits until ``node_id`` is stored and, with ``release``, drops it."""
+        self.stored[node_id].wait()
+        if self.error is not None:
+            raise self.error
+        return self.outputs.pop(node_id) if self.release else self.outputs[node_id]
 
-    def join(self) -> None:
-        """Wait for the reference to finish; raises its error, if it failed."""
-        if self.worker is not None:
+    def join(self) -> dict[str, np.ndarray]:
+        """Wait for the started reference; its outputs by node id, or its error."""
+        if self.worker.is_alive():   # else it ended, or ran in ``start``
             self.worker.join()
         if self.error is not None:
             raise self.error
+        return self.outputs
 
     @property
     def tensors(self) -> tuple[dict, np.ndarray, dict[str, np.ndarray]]:
         """(params, input, outputs by node id) once the reference has finished."""
-        params, x = self.inputs
-        self.join()
-        return params, x, self.outputs
+        return (*self.start(), self.join())
 
 
 def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
-    """Plan ``cfg``, then run it (pruning aside), checking each unit against ``ref``
-    as soon as its output is stored. A Reference made here drops each output once
-    checked, unless pruning reads it afterwards."""
+    """Plan ``cfg``, then run it (pruning aside), checking each unit against ``ref`` as
+    soon as it is stored. A Reference made here drops each once checked, unless pruning."""
     ref = ref or Reference(build_graph(cfg.model), cfg.seed, cfg.pruning is not None,
                            release=cfg.pruning is None)
     schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion)
-    params, x = ref.inputs
+    params, x = ref.start()
     deviations: list[tuple[str, float]] = []
     try:
         _, report = pipeline.run_schedule(ref.graph, schedule, x, params, cfg.hardware,
@@ -339,9 +332,8 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> tuple:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep values must be a nonempty list")
-    rows, sims = [], []
-    ref = Reference(build_graph(cfg.model), cfg.seed,
-                    cfg.pruning is not None or axis in ("theta_attn", "theta_act"))
+    pruning = cfg.pruning is not None or axis in ("theta_attn", "theta_act")
+    rows, sims, ref = [], [], Reference(build_graph(cfg.model), cfg.seed, pruning)
     simulated: tuple[ExperimentConfig, dict] | None = None
     for value in values:
         sub = cfg

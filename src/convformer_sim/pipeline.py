@@ -283,9 +283,8 @@ def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
     The report's breakdown has one ``unit_cost`` row per unit. SelfCheckError
     names the first unit whose simulated EMA is not its closed form, and a
     CapacityError raised while a unit runs is re-raised naming it. An output
-    is freed after its last reader runs. With ``reference`` (outputs by node id,
-    each unit's last node among them), each unit appends (unit, max abs
-    deviation) to ``deviations``.
+    is freed after its last reader runs. Given ``reference`` (each unit's last
+    output by node id), each unit appends (unit, max abs deviation) to ``deviations``.
     """
     sim = ScratchpadSim(hw.scratchpad_bytes)
     unit_nodes = [[l.node for l in u.layers] if isinstance(u, ChainUnit) else [u.node]

@@ -196,17 +196,9 @@ def conv_out_dim(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    """Every tile extent that splits ``n`` evenly, ascending. Trial division stops
-    at the square root of what is left of ``n``, so a map size factors at once."""
-    divs, p = [1] if n >= 1 else [], 2
-    while n > 1:
-        p = p if p * p <= n else n   # what is left is prime
-        power = divs
-        while n % p == 0:
-            n, power = n // p, [d * p for d in power]
-            divs = divs + power
-        p += 1
-    return sorted(divs)
+    """Every tile extent that splits ``n`` (at least 1) evenly, ascending."""
+    p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)   # least prime factor
+    return [1] if n == 1 else sorted({d * f for d in divisors(n // p) for f in (1, p)})
 
 
 def tile_intervals(total: int, step: int) -> list[tuple[int, int]]:

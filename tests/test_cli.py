@@ -991,12 +991,12 @@ def test_empty_graph_runs_with_zero_deviation(tmp_path, capsys):
 PRUNING = str(Path(__file__).parent.parent / "configs" / "pruning_sweep.json")
 
 
-@pytest.fixture(params=["inline", "worker"])
-def reference_path(request, monkeypatch):
-    """Each micro preset runs its reference inline by default; ``worker``
-    forces every graph onto the worker thread."""
-    if request.param == "worker":
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+@pytest.fixture(params=["serial", "overlapped"])
+def reference_timing(request, monkeypatch):
+    """Each micro preset runs its reference before its schedule; ``overlapped``
+    runs every reference beside its schedule."""
+    if request.param == "overlapped":
+        monkeypatch.setattr(cli, "SERIAL_MAX_ELEMENTS", 0)
     return request.param
 
 
@@ -1009,7 +1009,7 @@ def failing_unit(*args, **kwargs):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_reference_error_wins_over_a_failing_first_unit(reference_path, monkeypatch,
+def test_reference_error_wins_over_a_failing_first_unit(reference_timing, monkeypatch,
                                                          capsys):
     # as if the reference had run to completion before the schedule
     monkeypatch.setattr(cli, "seeded_input", all_inf)
@@ -1050,9 +1050,9 @@ def test_read_waiting_on_a_failed_reference_raises_its_error(monkeypatch):
         go.set()
 
     monkeypatch.setattr(cli, "reference_execute", fails_when_told)
-    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+    monkeypatch.setattr(cli, "SERIAL_MAX_ELEMENTS", 0)
     ref = cli.Reference(build_preset("toy-chain"), 0, False)
-    ref.inputs
+    ref.start()
     error = read_in_thread(ref, "c3", fail_while_reading)
     assert isinstance(error, ConfigError) and str(error) == "planted reference failure"
     with pytest.raises(ConfigError, match="planted reference failure"):
@@ -1060,9 +1060,9 @@ def test_read_waiting_on_a_failed_reference_raises_its_error(monkeypatch):
     assert not ref.worker.is_alive()
 
 
-def test_read_of_an_output_never_kept_raises_once_the_reference_is_done(reference_path):
+def test_read_of_an_output_never_kept_raises_at_once(reference_timing):
     ref = cli.Reference(build_preset("toy-chain"), 0, False)
-    ref.inputs
+    ref.start()
     assert isinstance(read_in_thread(ref, "c0"), KeyError)   # not a unit boundary
     ref.join()
 
@@ -1081,7 +1081,7 @@ def test_read_of_an_output_never_kept_raises_once_the_reference_is_done(referenc
     (["run", "--model", "pvtv2-micro", "--tolerance", "0"], "perturbed", 3),
 ], ids=["run", "pruned-run", "compare", "sweep", "plan-error", "reference-error",
         "unit-error", "both-errors", "compare-both-errors", "equivalence"])
-def test_no_thread_outlives_the_command(argv, fault, code, reference_path, monkeypatch,
+def test_no_thread_outlives_the_command(argv, fault, code, reference_timing, monkeypatch,
                                         capsys):
     if fault in ("reference", "both"):
         monkeypatch.setattr(cli, "seeded_input", all_inf)
@@ -1108,10 +1108,10 @@ def stored_outputs(monkeypatch) -> dict:
     return stored
 
 
-def test_run_drops_each_reference_output_once_its_unit_is_checked(reference_path,
+def test_run_drops_each_reference_output_once_its_unit_is_checked(reference_timing,
                                                                   monkeypatch):
-    """Inline, each boundary is dead once the next unit starts; on either
-    path none is alive once the run returns."""
+    """Serial, each boundary is dead once the next unit starts; either way none
+    is alive once the run returns."""
     stored = stored_outputs(monkeypatch)
     alive_at = []
 
@@ -1129,13 +1129,13 @@ def test_run_drops_each_reference_output_once_its_unit_is_checked(reference_path
             for u in sim["schedule"].units]
     assert set(stored) == set(ends)
     assert len(alive_at) == len(ends)
-    if reference_path == "inline":
+    if reference_timing == "serial":
         assert alive_at == [set(ends[i:]) for i in range(len(ends))]
     assert [k for k, ref in stored.items() if ref() is not None] == []
 
 
 @pytest.mark.parametrize("command", ["compare", "sweep", "pruned-run"])
-def test_shared_or_pruned_reference_keeps_every_output(command, reference_path,
+def test_shared_or_pruned_reference_keeps_every_output(command, reference_timing,
                                                        monkeypatch):
     stored = stored_outputs(monkeypatch)
     cfg = cli.ExperimentConfig(model="pvtv2-micro")
@@ -1153,11 +1153,11 @@ def test_shared_or_pruned_reference_keeps_every_output(command, reference_path,
 
 
 def test_concurrent_commands_under_fast_thread_switching(monkeypatch):
-    """Three commands, each with its reference worker, on two cores: every
-    unit's deviation is what the serial path computes."""
+    """Three commands, each with its reference beside its schedule, on two
+    cores: every unit's deviation is what the serial timing computes."""
     cfg = cli.ExperimentConfig(model="pvtv2-micro")
     want = cli.simulate(cfg)["unit_deviations"]
-    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+    monkeypatch.setattr(cli, "SERIAL_MAX_ELEMENTS", 0)
     got = [None] * 3
 
     def command(i):

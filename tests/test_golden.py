@@ -12,8 +12,9 @@ cache and streamed-weight groups beside singleton chains), a fixed streaming
 attention tiling (``golden/fixed-attention.json``) in ``run`` and in a
 ``t_q`` sweep, a ``theta_act``
 sweep in JSON and CSV, and a threshold sweep whose first row is infeasible.
-Every case runs twice: once with the reference where the input puts it (on a
-worker thread for the B0 graph only) and once with the worker forced on.
+Every case runs twice: once as the command runs it (the reference overlaps
+the schedule on the B0 graph only) and once with every reference overlapping
+its schedule.
 
 To see what a change does to them, without writing anything::
 
@@ -36,6 +37,7 @@ import difflib
 import io
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -126,30 +128,45 @@ def test_golden_output(case):
 
 
 @pytest.mark.parametrize("case", golden_cases(), ids=lambda c: c["name"])
-def test_golden_output_with_reference_worker_forced(case, monkeypatch):
+def test_golden_output_with_every_reference_overlapped(case, monkeypatch):
     # every graph has an activation above 0 elements, so each runs its
-    # reference on a worker thread beside its schedule
+    # reference beside its schedule
     code = _expected_exits()[case["name"]]
-    inline_err = replay_with_stderr(case["argv"])[2] if code else ""
-    monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+    serial_err = replay_with_stderr(case["argv"])[2] if code else ""
+    monkeypatch.setattr(cli, "SERIAL_MAX_ELEMENTS", 0)
     assert replay_with_stderr(case["argv"]) == (
-        code, (GOLDEN / f"{case['name']}.out").read_text(), inline_err)
+        code, (GOLDEN / f"{case['name']}.out").read_text(), serial_err)
 
 
-@pytest.mark.parametrize("model, worker", [
+@pytest.mark.parametrize("model, overlaps", [
     *((name, False) for name in PRESETS),
     (json.loads((GOLDEN / "b0-224.json").read_text())["model"], True),
 ])
 @pytest.mark.parametrize("forced", [False, True], ids=["gate", "forced"])
-def test_reference_worker_gate(model, worker, forced, monkeypatch):
+def test_only_a_large_graph_overlaps_reference_and_schedule(model, overlaps, forced,
+                                                            monkeypatch):
+    """``start`` returns while the reference runs only on a graph with an activation
+    above ``SERIAL_MAX_ELEMENTS``; on any other it waits for the reference to end."""
     if forced:
-        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", 0)
+        monkeypatch.setattr(cli, "SERIAL_MAX_ELEMENTS", 0)
+    overlaps = overlaps or forced
+    go, real = threading.Event(), cli.reference_execute
+
+    def held(*args, **kwargs):   # the reference cannot end before ``go`` is set
+        assert go.wait(30)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reference_execute", held)
     ref = cli.Reference(cli.build_graph(model), 0, False)
-    ref.inputs
+    starter = threading.Thread(target=ref.start)
+    starter.start()
+    starter.join(10 if overlaps else 0.2)
     try:
-        assert (ref.worker is not None) == (worker or forced)
+        assert starter.is_alive() != overlaps
     finally:
-        ref.join()
+        go.set()
+        starter.join(30)
+    ref.join()
 
 
 def test_every_golden_has_a_case():
