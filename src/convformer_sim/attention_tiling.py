@@ -262,10 +262,11 @@ def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """softmax(QK^T/sqrt(d))V, replaying the core's schedule through ``sim``.
 
     q is (heads, N, d); k, v are (heads, N_r, d); ``tiling=None`` runs the
-    spilled-score baseline. A ``"tile"`` step attends its query tile over all
-    of K and V; the streaming state starts at block 0 of each query tile and
-    ends at ``"finalize"``. Capacity errors from the simulator propagate: an
-    infeasible tiling cannot be executed.
+    spilled-score baseline. ``replay`` calls ``compute`` on each touch. A
+    ``"tile"`` step attends its query tile over all of K and V; the streaming
+    state starts at block 0 of each query tile and ends at ``"finalize"``; the
+    baseline's ``"scores"`` step only counts traffic. Capacity errors from the
+    simulator propagate: an infeasible tiling cannot be executed.
     """
     assert q.shape == (dims.heads, dims.N, dims.d)
     assert k.shape == v.shape == (dims.heads, dims.N_r, dims.d)
@@ -277,8 +278,6 @@ def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
     def compute(txn: Txn):
         nonlocal state
-        if txn.action != "touch":
-            return
         h, (lo, hi) = txn.head, q_tiles[txn.tile]
         if txn.what == "tile":
             out[h, lo:hi] = softmax_rows((q[h, lo:hi] @ k[h].T) * inv_scale) @ v[h]

@@ -19,8 +19,9 @@ from .errors import CapacityError, ConfigError, SelfCheckError
 KIB = 1024
 
 
-def parse_number(name: str, value, integer: bool) -> int | float:
-    """A config value as an int or a finite float; ConfigError naming ``name`` if not.
+def parse_number(name: str, value, integer: bool, most: int | None = None) -> int | float:
+    """A config value as an int or a finite float, at most ``most`` if given;
+    ConfigError naming ``name`` if not.
 
     ``int(str(value))`` rejects 1.5 and "1.5", which ``int(value)`` would truncate.
     An int is held to the float range, as a float is to finite values.
@@ -35,6 +36,8 @@ def parse_number(name: str, value, integer: bool) -> int | float:
                           f"got {len(str(abs(number)))} digits")
     if not integer and not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {number}")
+    if most is not None and number > most:
+        raise ConfigError(f"{name} must be at most {most}, got {number}")
     return number
 
 
@@ -149,9 +152,8 @@ class ScratchpadSim:
             raise SelfCheckError("byte count must be >= 0")
         self.sram_accesses += nbytes
 
-    def free(self, name: str):
-        if name not in self.regions:
-            raise SelfCheckError(f"region {name!r} is not live")
+    def free(self, name: str, nbytes: int = 0):
+        self._check(name, nbytes)
         del self.regions[name]
 
 
@@ -171,22 +173,16 @@ def replay(txns: list[Txn], sim: ScratchpadSim,
     """Drive a schedule through the simulator; raises CapacityError or SelfCheckError.
 
     This is the only place that dispatches transactions. ``compute``, if
-    given, runs after each transaction so numerics follow the same schedule.
+    given, runs after each ``touch``: every compute step of a schedule is one.
     """
+    steps = {"alloc": sim.alloc, "load": sim.load, "store": sim.store,
+             "touch": sim.touch, "free": sim.free}
     for t in txns:
-        if t.action == "alloc":
-            sim.alloc(t.region, t.nbytes)
-        elif t.action == "load":
-            sim.load(t.region, t.nbytes)
-        elif t.action == "store":
-            sim.store(t.region, t.nbytes)
-        elif t.action == "touch":
-            sim.touch(t.region, t.nbytes)
-        elif t.action == "free":
-            sim.free(t.region)
-        else:
+        step = steps.get(t.action)
+        if step is None:
             raise SelfCheckError(f"unknown action {t.action!r}")
-        if compute is not None:
+        step(t.region, t.nbytes)
+        if compute is not None and t.action == "touch":
             compute(t)
 
 

@@ -120,7 +120,7 @@ def _walk(layers: Sequence[ChainLayer], lo: np.ndarray, hi: np.ndarray, axis
     walk[0, :, n], walk[1, :, n] = lo, hi
     for li in reversed(range(n)):
         k, s, p, _ = _window(layers[li].node)
-        if (k, s, p) == (1, 1, 0):   # pointwise: same extent, same interval
+        if (k, s, p) == (1, 1, 0):   # pointwise: the clip below gives this interval, slower
             walk[:, :, li] = walk[:, :, li + 1]
             continue
         a, b = walk[:, :, li + 1]
@@ -449,8 +449,7 @@ def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
             txns.append(Txn("alloc", name, out_bytes))
             if streamed:
                 txns += [Txn("alloc", "tw", streamed), Txn("load", "tw", streamed)]
-            txns.append(Txn("touch", name, prev_bytes + streamed + out_bytes,
-                            tile=t, block=li, what="layer"))
+            txns.append(Txn("touch", name, prev_bytes + streamed + out_bytes, tile=t, block=li))
             if streamed:
                 txns.append(Txn("free", "tw", 0))
             txns.append(Txn("free", prev, 0))
@@ -482,8 +481,6 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
 
         def compute(txn: Txn):   # runs only inside this group's replay
             nonlocal tile_val
-            if txn.what != "layer":
-                return
             li = txn.block
             rows, cols = walks[txn.tile]
             if li == 0:

@@ -20,8 +20,8 @@ from . import layer_fusion as lf
 from .errors import CapacityError, ConfigError, SelfCheckError
 from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn,
                       build_report, check_keys, parse_number, replay)
-from .workload import (Add, Attention, AttentionDims, LayerNode, NetworkGraph,
-                       attention_dims, attention_operands, layer_macs,
+from .workload import (MAX_EXTENT, Add, Attention, AttentionDims, LayerNode,
+                       NetworkGraph, attention_dims, attention_operands, layer_macs,
                        layer_vector_ops, projection_passes)
 
 
@@ -140,7 +140,8 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
 def _fixed_plan(layers: list[lf.ChainLayer], group_spec: list | None,
                 hw: HardwareConfig) -> lf.FusionPlan:
     def integer(key: str, value) -> int:
-        return parse_number(f"schedule.fusion group {key}", value, integer=True)
+        return parse_number(f"schedule.fusion group {key}", value, integer=True,
+                            most=MAX_EXTENT)
 
     if group_spec is None:
         return lf.singleton_plan(layers, hw)

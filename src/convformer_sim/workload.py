@@ -24,6 +24,10 @@ GELU_C = math.sqrt(2.0 / math.pi)
 # elements per block of the blocked kernels (256 KiB of float64), so that a
 # block's operands and temporaries stay in cache between passes
 BLOCK_ELEMENTS = 1 << 15
+# parsed integers that planning loops or sizes arrays by: map sides, windows,
+# reduction ratios, heads and fusion-group integers
+MAX_EXTENT = 1 << 16
+BOUNDED_FIELDS = ("k", "stride", "pad", "sr_ratio", "heads")
 
 
 @dataclass(frozen=True)
@@ -211,22 +215,17 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
     to its ``Conv2D``; idempotent."""
     shapes: dict[str, TensorShape] = {}
     nodes: list[LayerNode] = []
-
-    def shape_of(pred: str) -> TensorShape:
-        return shapes[pred]
-
-    seen: set[str] = set()
     for node in graph.nodes:
-        if node.id in seen:
+        if node.id in shapes:
             raise ConfigError(f"{node.id}: field id is already used by an earlier node")
         if len(node.preds) > 1 and not isinstance(node.op, Add):
             raise ConfigError(f"{node.id}: field preds names {len(node.preds)} inputs; "
                               "only an add takes two")
         for p in node.preds:
-            if p not in seen:
+            if p not in shapes:
                 raise ConfigError(f"{node.id}: predecessor {p!r} not defined earlier "
                                   "(graph must be topologically ordered)")
-        ins = graph.input_shape if not node.preds else shape_of(node.preds[0])
+        ins = graph.input_shape if not node.preds else shapes[node.preds[0]]
         op = node.op
         if isinstance(op, Downsample):
             op = Conv2D(ins.c, ins.c, op.k, op.stride)
@@ -256,7 +255,7 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
         elif isinstance(op, Add):
             if len(node.preds) != 2:
                 raise ConfigError(f"{node.id}: Add needs exactly 2 predecessors")
-            a, b = shape_of(node.preds[0]), shape_of(node.preds[1])
+            a, b = shapes[node.preds[0]], shapes[node.preds[1]]
             if a != b:
                 raise ConfigError(f"{node.id}: mismatched operands {a} vs {b}")
             if op.residual_of not in node.preds:
@@ -266,7 +265,6 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
         else:
             raise ConfigError(f"{node.id}: unknown op {op!r}")
         shapes[node.id] = out
-        seen.add(node.id)
         nodes.append(node)
     return replace(graph, nodes=nodes, shapes=shapes)
 
@@ -707,8 +705,8 @@ _KINDS = {"conv2d": Conv2D, "attention": Attention, "linear": Linear,
 
 def _node_from_dict(nd: dict) -> LayerNode:
     """One graph node. Unknown keys are rejected and integer fields parsed with
-    ``parse_number`` and held to >= 1 (``pad`` to >= 0); each error names the
-    node and the field."""
+    ``parse_number`` and held to >= 1 (``pad`` to >= 0) and the ``BOUNDED_FIELDS``
+    to at most ``MAX_EXTENT``; each error names the node and the field."""
     if not isinstance(nd, dict):
         raise ConfigError(f"graph node must be an object, got {nd!r}")
     node_id = str(nd["id"])
@@ -720,7 +718,8 @@ def _node_from_dict(nd: dict) -> LayerNode:
     args = {}
     for f in fields(kind):
         if f.name in nd and f.type == "int":
-            value = parse_number(f"{where} field {f.name}", nd[f.name], integer=True)
+            value = parse_number(f"{where} field {f.name}", nd[f.name], integer=True,
+                                 most=MAX_EXTENT if f.name in BOUNDED_FIELDS else None)
             least = 0 if f.name == "pad" else 1
             if value < least:
                 raise ConfigError(f"{where} field {f.name} must be >= {least}, got {value}")
@@ -746,6 +745,9 @@ def graph_from_dict(d: dict) -> NetworkGraph:
         if len(shape) != 4 or shape[0] != 1:   # the executors run one image
             raise ConfigError(f"graph input_shape must be [n, c, h, w] with n = 1, "
                               f"got {shape}")
+        if max(shape[2:]) > MAX_EXTENT:
+            raise ConfigError(f"graph input_shape h and w must be at most {MAX_EXTENT}, "
+                              f"got {shape[2:]}")
         nodes = [_node_from_dict(nd) for nd in check_list("graph nodes", d["nodes"])]
     except KeyError as e:
         raise ConfigError(f"graph: missing field {e.args[0]!r} in graph definition")

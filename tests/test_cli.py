@@ -696,6 +696,29 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     (one_conv_graph(pad=10**400), {}, "graph node 'c1' field pad must be at most 1.798e+308"),
     ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [10**400, 4]}]}},
      "schedule.fusion group tile must be at most 1.798e+308"),
+    # error paths that no other test ran
+    ({}, {}, "model must be a preset name or contain preset/graph"),
+    ("pvtv2-micro", {"pruning": {"granularity": "diagonal"}},
+     "schedule.pruning: 'diagonal' is not a valid Granularity"),
+    ("pvtv2-micro", {"pruning": 3}, "schedule.pruning must be 'off' or an object, got 3"),
+    ("pvtv2-micro", {"attention": {"t_q": 4, "mode": "bogus"}},
+     "schedule.attention.mode must be one of ['resident_kv', 'streaming_kv'], got 'bogus'"),
+    ({"graph": {"input_shape": [1, 4, 8, 8], "nodes": [
+        {"id": "a", "kind": "gelu", "preds": ["b"]}, {"id": "b", "kind": "gelu"}]}}, {},
+     "a: predecessor 'b' not defined earlier"),
+    (one_conv_graph(c_in=5), {}, "c1: expects c_in=5, got 4"),
+    ({"graph": {"input_shape": [1, 4, 8, 8], "nodes": [
+        {"id": "l", "kind": "linear", "c_in": 5, "c_out": 4}]}}, {}, "l: expects c_in=5, got 4"),
+    (two_node_graph({"kind": "add", "residual_of": "c1", "preds": ["c1"]}), {},
+     "g: Add needs exactly 2 predecessors"),
+    ({"graph": {"input_shape": [1, 4, 8, 8], "nodes": [
+        {"id": "a", "kind": "gelu"}, {"id": "b", "kind": "gelu", "preds": ["a"]},
+        {"id": "c", "kind": "gelu", "preds": ["b"]},
+        {"id": "s", "kind": "add", "residual_of": "a", "preds": ["b", "c"]}]}}, {},
+     "s: residual source 'a' is not a predecessor"),
+    (two_node_graph({"kind": "pool", "preds": ["c1"]}), {}, "unknown layer kind 'pool' of node 'g'"),
+    (two_node_graph({"kind": "downsample", "k": 2, "preds": ["c1"]}), {},
+     "g: missing field 'stride'"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -730,6 +753,9 @@ def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, 
     # a non-object hardware part was a TypeError traceback
     ({"hardware": 5}, "hardware must be an object, got 5"),
     ({"hardware": [1]}, "hardware must be an object, got [1]"),
+    ([{"model": "toy-chain"}], "config root must be a JSON object"),
+    ({"model": {"preset": "toy-chain", "graph": one_conv_graph()["graph"]}},
+     "model: give exactly one of preset or graph"),
 ])
 def test_unknown_config_key_exits_1_naming_it(config, key, tmp_path, capsys):
     # each of these used to run on the defaults
@@ -737,6 +763,94 @@ def test_unknown_config_key_exits_1_naming_it(config, key, tmp_path, capsys):
     assert code == 1
     assert key in err
     assert out == ""
+
+
+def test_missing_config_file_exits_1_naming_it(tmp_path, capsys):
+    path = str(tmp_path / "absent.json")
+    code, out, err = run_cli(["run", "--config", path], capsys)
+    assert (code, out) == (1, "")
+    assert f"cannot read config {path!r}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--model", "toy-chain", "--schedules", "naive,bogus"],
+     "unknown schedule 'bogus'"),
+    # usage errors exit 1 like every config error, not with argparse's 2
+    (["sweep", "--model", "toy-chain"], "the following arguments are required: --axis"),
+    (["run", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+])
+def test_bad_command_line_exits_1_naming_it(argv, message, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:   # argparse exits from inside the parse
+        code = e.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert message in err and "Traceback" not in err
+
+
+def test_preset_object_form_runs_the_preset(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": {"preset": "toy-chain"}})
+    code, out, err = run_cli(["run", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    _, out_name, _ = run_cli(["run", "--model", "toy-chain"], capsys)
+    assert json.loads(out)["report"] == json.loads(out_name)["report"]
+
+
+def test_two_chains_on_the_input_joined_by_an_add_run(tmp_path, capsys):
+    # b does not read a, so split_into_segments ends a's chain before b
+    model = one_conv_graph(pad=1)
+    model["graph"]["nodes"] += [
+        {"id": "b", "kind": "conv2d", "c_in": 4, "c_out": 4, "k": 1},
+        {"id": "s", "kind": "add", "residual_of": "c1", "preds": ["c1", "b"]}]
+    code, out, err = run_cli(["run", "--config", write_config(tmp_path, {"model": model})],
+                             capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert [u["kind"] for u in data["schedule"]["units"]] == ["chain", "chain", "add"]
+    assert data["max_abs_deviation"] <= 1e-9
+
+
+def test_baseline_attention_prints_baseline_tiling(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": "pvtv2-micro",
+                                  "schedule": {"attention": "baseline"}})
+    code, out, err = run_cli(["run", "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    tilings = [u["tiling"] for u in json.loads(out)["schedule"]["units"]
+               if u["kind"] == "attention"]
+    assert tilings and all(t == "baseline" for t in tilings)
+
+
+# integers that fit a float but not the planner: each ended in an OverflowError
+# or a numpy MemoryError traceback from inside planning
+@pytest.mark.parametrize("model, schedule, field", [
+    (one_conv_graph(stride=10**30), {}, "graph node 'c1' field stride must be at most 65536"),
+    (two_node_graph({"kind": "downsample", "k": 2, "stride": 10**30, "preds": ["c1"]}), {},
+     "graph node 'g' field stride must be at most 65536"),
+    (one_conv_graph(input_shape=(1, 4, 10**30, 8)), {},
+     "graph input_shape h and w must be at most 65536"),
+    ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [10**30, 4]}]}},
+     "schedule.fusion group tile must be at most 65536"),
+    (one_conv_graph(input_shape=(1, 4, 10**15, 8)), {},
+     "graph input_shape h and w must be at most 65536"),
+    (one_conv_graph(pad=10**15), {}, "graph node 'c1' field pad must be at most 65536"),
+    ({"graph": {"input_shape": [1, 10**30, 4, 4], "nodes": [
+        {"id": "a", "kind": "attention", "heads": 10**30, "d_head": 1}]}}, {},
+     "graph node 'a' field heads must be at most 65536"),
+])
+def test_integer_too_large_to_plan_exits_1_before_planning(model, schedule, field, tmp_path,
+                                                           monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the planner ran on an oversized integer")
+
+    # parsing rejects each input before the fusion planner builds an array
+    monkeypatch.setattr("convformer_sim.layer_fusion._walk", unreachable)
+    cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
+    start = time.perf_counter()
+    code, out, err = run_cli(["run", "--config", cfg], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert field in err and "Traceback" not in err
 
 
 def _shipped_configs():

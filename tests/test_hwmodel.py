@@ -1,8 +1,8 @@
 import pytest
 
 from convformer_sim.errors import CapacityError, ConfigError, SelfCheckError
-from convformer_sim.hwmodel import (HardwareConfig, ScratchpadSim, build_report,
-                                    roofline_cycles)
+from convformer_sim.hwmodel import (HardwareConfig, ScratchpadSim, Txn, build_report,
+                                    replay, roofline_cycles)
 
 
 def test_default_config_valid():
@@ -91,6 +91,31 @@ class TestScratchpad:
             sim.alloc("c", 31)
         assert sim.high_water == 70 <= sim.capacity
         assert sim.regions == {"b": 70}
+
+
+@pytest.mark.parametrize("txns, message", [
+    ([Txn("alloc", "a", 1), Txn("alloc", "a", 1)], "region 'a' already live"),
+    ([Txn("alloc", "a", -1)], "allocation size must be >= 0"),
+    *(([Txn("alloc", "a", 4), Txn(action, "a", -1)], "byte count must be >= 0")
+      for action in ("load", "store", "touch")),
+    *(([Txn(action, "a", 0)], "region 'a' is not live") for action in ("touch", "free")),
+    ([Txn("alloc", "a", 4), Txn("copy", "a", 4)], "unknown action 'copy'"),
+])
+def test_simulator_rule_violation_raises_self_check(txns, message):
+    with pytest.raises(SelfCheckError) as e:
+        replay(txns, ScratchpadSim(100))
+    assert str(e.value) == message
+
+
+def test_replay_computes_after_each_touch_and_no_other_action():
+    txns = [Txn("alloc", "a", 8), Txn("load", "a", 8), Txn("touch", "a", 8, tile=0),
+            Txn("alloc", "b", 4), Txn("touch", "b", 4, tile=1), Txn("store", "a", 8),
+            Txn("touch", "a", 2, tile=2), Txn("free", "b", 0), Txn("free", "a", 0)]
+    sim = ScratchpadSim(100)
+    steps = []
+    replay(txns, sim, lambda t: steps.append((t, sim.sram_accesses)))
+    # in schedule order, each after its own touch is counted
+    assert steps == [(txns[2], 16), (txns[4], 20), (txns[6], 30)]
 
 
 @pytest.mark.parametrize("macs,ema,pe,bw,expect", [

@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from convformer_sim.workload import (Add, Attention, Conv2D, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, attention_dims, build_preset,
                                      dense_attention, graph_from_dict,
-                                     infer_shapes, init_params, layer_macs,
-                                     reference_execute, seeded_input)
+                                     infer_shapes, init_params, layer_macs, op_cost,
+                                     projection_passes, reference_execute,
+                                     seeded_input)
 
 # frozen once from the reference executor on the seeded toy-chain input;
 # every equivalence test reuses this oracle
@@ -217,6 +220,26 @@ def test_graph_from_dict_roundtrip():
 def test_graph_from_dict_missing_field():
     with pytest.raises(ConfigError):
         graph_from_dict({"nodes": []})
+
+
+B0_GRAPH = Path(__file__).parent / "golden" / "b0-224.json"
+
+
+@pytest.mark.parametrize("name", [*cs.PRESETS, "b0-224"])
+def test_weights_drawn_equal_weights_costed(name):
+    # one function per op answers "how many weights": op_cost for a layer,
+    # projection_passes for the projections of an attention layer
+    g = (graph_from_dict(json.loads(B0_GRAPH.read_text())["model"]["graph"])
+         if name == "b0-224" else build_preset(name))
+    params = init_params(g, seed=0)
+    for node in g.nodes:
+        drawn = sum(a.size for a in params[node.id].values())
+        if isinstance(node.op, Attention):
+            dims = attention_dims(g, node)
+            costed = sum(w for _, _, w, _ in projection_passes(node.op, dims.N, dims.N_r))
+        else:
+            costed = op_cost(node.op)[0]
+        assert drawn == costed, node.id
 
 
 # ---------------------------------------------------------------------------
