@@ -164,11 +164,12 @@ def build_graph(model: str | dict) -> NetworkGraph:
 
 class Reference:
     """The reference run of one model and seed, shared by a command's rows. It keeps
-    unit-boundary outputs (alike in every schedule) and, if pruning, GELUs."""
+    unit-boundary outputs (alike in every schedule) and, if pruning, GELUs; ``tables``
+    holds the rows' fusion cost tables (``pipeline.plan_network``)."""
 
     def __init__(self, graph: NetworkGraph, seed: int, pruning: bool, release: bool = False):
         self.graph, self.seed, self.pruning, self.release = graph, seed, pruning, release
-        self.outputs, self.error, self.worker, self.inputs = {}, None, None, None
+        self.outputs, self.error, self.worker, self.inputs, self.tables = {}, None, None, None, {}
 
     def start(self) -> tuple[dict, np.ndarray]:
         """Read-only (params, input); the first call starts the reference on its thread."""
@@ -225,7 +226,8 @@ def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
     soon as it is stored. A Reference made here drops each once checked, unless pruning."""
     ref = ref or Reference(build_graph(cfg.model), cfg.seed, cfg.pruning is not None,
                            release=cfg.pruning is None)
-    schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion)
+    schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion,
+                                     ref.tables)
     params, x = ref.start()
     deviations: list[tuple[str, float]] = []
     try:
@@ -248,16 +250,21 @@ def run_experiment(cfg: ExperimentConfig, sim: dict | None = None) -> dict:
         "max_abs_deviation": sim["deviation"],
         "equivalence_ok": sim["deviation"] <= cfg.tolerance,
     }
-    if cfg.pruning is not None:
-        params, x, record = sim["ref"].tensors
-        pruned = pruning_analysis(sim["ref"].graph, record, x, params,
-                                  cfg.pruning, cfg.hardware)
-        stats = pruned["aggregate_stats"]
-        adjusted = fp.sparse_cost_adjust(sim["report"], stats, cfg.hardware,
-                                         cfg.pruning.granularity)
-        result["pruning"] = pruned["layers"]
-        result["adjusted_report"] = adjusted.to_dict()
+    report, layers = pruned_report(cfg, sim)
+    if layers is not None:
+        result.update(pruning=layers, adjusted_report=report.to_dict())
     return result
+
+
+def pruned_report(cfg: ExperimentConfig, sim: dict) -> tuple[CostReport, list | None]:
+    """(report, pruning layers) of ``sim``: the report adjusted for ``cfg.pruning`` and
+    its ``pruning_analysis`` layers, or the report as run and None without pruning."""
+    if cfg.pruning is None:
+        return sim["report"], None
+    params, x, record = sim["ref"].tensors
+    pruned = pruning_analysis(sim["ref"].graph, record, x, params, cfg.pruning, cfg.hardware)
+    return fp.sparse_cost_adjust(sim["report"], pruned["aggregate_stats"], cfg.hardware,
+                                 cfg.pruning.granularity), pruned["layers"]
 
 
 def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
@@ -352,17 +359,16 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> tuple:
             sub = replace(cfg, attention=at.tiling_spec(dict(spec, t_q=value)))
         if simulated is None or simulated[0] != replace(sub, pruning=None):
             simulated = replace(sub, pruning=None), simulate(sub, ref)
-        res = run_experiment(sub, simulated[1])
+        report, layers = pruned_report(sub, simulated[1])
         if sub.pruning is None:
             sims.append(simulated[1])
-        report = res["adjusted_report"] if "adjusted_report" in res else res["report"]
         row = {"axis": axis, "value": value,
-               **{k: report[k] for k in ("ema_bytes", "macs", "cycles", "energy_pj")},
-               "max_abs_deviation": res["max_abs_deviation"]}
-        if "pruning" in res:
-            attn = [l for l in res["pruning"] if l["point"] == "attention"]
+               **{k: getattr(report, k) for k in ("ema_bytes", "macs", "cycles", "energy_pj")},
+               "max_abs_deviation": simulated[1]["deviation"]}
+        if layers is not None:
+            attn = [l for l in layers if l["point"] == "attention"]
             row["granularity"] = sub.pruning.granularity.value
-            row["skipped_macs"] = sum(l["skipped_macs"] for l in res["pruning"])
+            row["skipped_macs"] = sum(l["skipped_macs"] for l in layers)
             row["pruned_fraction"] = (sum(l["pruned_fraction"] for l in attn)
                                       / len(attn) if attn else 0.0)
             row["max_output_mse"] = max((l["output_mse"] for l in attn),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, asdict
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import CapacityError, ConfigError, SelfCheckError
 
@@ -168,7 +168,7 @@ class Txn(NamedTuple):
     what: str = ""
 
 
-def replay(txns: list[Txn], sim: ScratchpadSim,
+def replay(txns: Iterable[Txn], sim: ScratchpadSim,
            compute: Callable[[Txn], None] | None = None):
     """Drive a schedule through the simulator; raises CapacityError or SelfCheckError.
 

@@ -216,7 +216,7 @@ class _GroupTable:
     def __init__(self, layers: Sequence[ChainLayer], hw: HardwareConfig,
                  h_extents: Sequence[int], w_extents: Sequence[int]):
         eb = hw.element_bytes
-        self.extents = (list(h_extents), list(w_extents))
+        self.extents, self.bests = (list(h_extents), list(w_extents)), {}
         (r_count, r_lens, r_sums, r_union), (c_count, c_lens, c_sums, c_union) = \
             _axis_tables(layers, h_extents, w_extents)
         c_in, c_out, w, ppm, full, lb = per_layer = np.array(   # int64 once bounded
@@ -270,8 +270,10 @@ class _GroupTable:
         """Minimum-EMA option that fits ``capacity`` per start i, or None.
 
         Ties prefer larger tiles, fewer extra MACs, a smaller buffer, then
-        RECOMPUTE; exact ties go to the first option in index order.
+        RECOMPUTE; exact ties go to the first option in index order. Memoized.
         """
+        if capacity in self.bests:
+            return self.bests[capacity]
         shape = self.buf.shape
         h, w = (np.array(e, dtype=np.int64) for e in self.extents)
         keys = (self.ema, -(h[:, None] * w)[:, :, None, None], self.extra[..., None],
@@ -284,19 +286,29 @@ class _GroupTable:
                 axis=(1, 2, 3, 4), keepdims=True)
             cand = cand & (key == low)
         first = cand.reshape(shape[0], -1).argmax(axis=1)
-        return [self.choice(i, *map(int, np.unravel_index(f, shape[1:])))
-                if fits[i].any() else None for i, f in enumerate(first)]
+        self.bests[capacity] = [self.choice(i, *map(int, np.unravel_index(f, shape[1:])))
+                                if fits[i].any() else None for i, f in enumerate(first)]
+        return self.bests[capacity]
 
 
-def _candidate_table(layers: Sequence[ChainLayer], hw: HardwareConfig) -> _GroupTable:
-    """The table over every tile whose extents divide the last layer's output."""
+def _candidate_table(layers: Sequence[ChainLayer], hw: HardwareConfig,
+                     tables: dict | None = None, tile: TileShape | None = None) -> _GroupTable:
+    """The table at ``tile``, or over every tile whose extents divide the last layer's
+    output. Chains of one geometry (ops and shapes, not node ids) share it through
+    ``tables``; a table that fails to build is not stored."""
     last = layers[-1].out_shape
-    return _GroupTable(layers, hw, divisors(last.h), divisors(last.w))
+    extents = ((tile.h_t,), (tile.w_t,)) if tile else (divisors(last.h), divisors(last.w))
+    key = (tuple((l.node.op, l.in_shape, l.out_shape) for l in layers), hw.element_bytes,
+           *map(tuple, extents))
+    tables = {} if tables is None else tables
+    if key not in tables:
+        tables[key] = _GroupTable(layers, hw, *extents)
+    return tables[key]
 
 
 def _option(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
             weights_resident: bool, hw: HardwareConfig) -> FusionGroup:
-    return _GroupTable(layers, hw, [tile.h_t], [tile.w_t]).choice(
+    return _candidate_table(layers, hw, tile=tile).choice(
         0, 0, 0, POLICIES.index(policy), 0 if weights_resident else 1)
 
 
@@ -335,13 +347,13 @@ def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
     return _candidate_table(layers, hw).best(hw.scratchpad_bytes)[0]
 
 
-def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape,
-                      policy: HaloPolicy, hw: HardwareConfig) -> FusionGroup:
+def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
+                      hw: HardwareConfig, tables: dict | None = None) -> FusionGroup:
     """Resident weights if they fit at this tile, else streamed weights.
 
     Raises ``CapacityError`` with the streamed requirement if neither fits.
     """
-    table = _GroupTable(layers, hw, [tile.h_t], [tile.w_t])
+    table = _candidate_table(layers, hw, tables, tile)
     for r in (0, 1):
         choice = table.choice(0, 0, 0, POLICIES.index(policy), r)
         if choice.buffer_bytes <= hw.scratchpad_bytes:
@@ -350,13 +362,14 @@ def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape,
                         + ",".join(l.node.id for l in layers) + "]")
 
 
-def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPlan:
+def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig,
+                    tables: dict | None = None) -> FusionPlan:
     """Minimum-EMA partition of a linear chain into fusion groups.
 
     DP over split points: best[j] = min over i of best[i-1] + cost(i..j),
     where cost(i..j) is the best option over divisor tiles of layer j's
-    output and both halo policies. One ``_GroupTable`` per end layer j costs
-    every start i at once. Ties break toward fewer groups.
+    output and both halo policies. One ``_GroupTable`` per end layer j, from
+    ``tables``, costs every start i at once. Ties break toward fewer groups.
     """
     n = len(chain)
     if n == 0:
@@ -366,7 +379,7 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
     back: list[FusionGroup | None] = [None] * n
     alone: CapacityError | None = None   # the first layer that fits no tile alone
     for j in range(n):
-        table = _candidate_table(chain[:j + 1], hw)
+        table = _candidate_table(chain[:j + 1], hw, tables)
         choices = table.best(hw.scratchpad_bytes)
         if choices[j] is None and alone is None:   # entry j is layer j alone
             alone = CapacityError(int(table.buf[j].min()), hw.scratchpad_bytes,
@@ -393,15 +406,16 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPl
     return FusionPlan(groups[::-1])
 
 
-def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig) -> FusionPlan:
+def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig,
+                   tables: dict | None = None) -> FusionPlan:
     """Fusion-free baseline: every layer is its own group (full-map tile if it fits)."""
     groups: list[FusionGroup] = []
     for i, layer in enumerate(chain):
         full = TileShape(layer.out_shape.h, layer.out_shape.w)
         try:
-            chosen = fixed_tile_choice([layer], full, HaloPolicy.RECOMPUTE, hw)
+            chosen = fixed_tile_choice([layer], full, HaloPolicy.RECOMPUTE, hw, tables)
         except CapacityError:
-            (chosen,) = partition_chain([layer], hw).groups
+            (chosen,) = partition_chain([layer], hw, tables).groups
         groups.append(replace(chosen, start=i, end=i))
     return FusionPlan(groups)
 

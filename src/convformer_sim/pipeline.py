@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -75,12 +76,14 @@ class NetworkSchedule:
 
 def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                  attention_mode: str | dict = "auto",
-                 fusion_mode: str | dict = "auto") -> NetworkSchedule:
+                 fusion_mode: str | dict = "auto", tables: dict | None = None
+                 ) -> NetworkSchedule:
     """Build the unit schedule: fusion plans per chain, tilings per attention.
 
     A dict ``attention_mode`` is an ``at.tiling_spec``; each attention layer
     gets its fixed tiling, with t_k = N_r in resident mode. Every group, core
-    and pass is capacity-checked here, before anything executes.
+    and pass is capacity-checked here, before anything executes. Fusion cost
+    tables are looked up in ``tables``, which calls may share.
     """
     segments = lf.split_into_segments(graph)
     if isinstance(fusion_mode, dict):
@@ -98,11 +101,11 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
         if kind == "chain":
             layers = lf.chain_from_nodes(graph, [n.id for n in nodes])
             if fusion_mode == "auto":
-                plan = lf.partition_chain(layers, hw)
+                plan = lf.partition_chain(layers, hw, tables)
             elif fusion_mode == "singleton":
-                plan = lf.singleton_plan(layers, hw)
+                plan = lf.singleton_plan(layers, hw, tables)
             elif isinstance(fusion_mode, dict):
-                plan = _fixed_plan(layers, fusion_mode.get(str(chain_idx)), hw)
+                plan = _fixed_plan(layers, fusion_mode.get(str(chain_idx)), hw, tables)
             else:
                 raise ConfigError(f"unknown fusion mode {fusion_mode!r}")
             units.append(ChainUnit(layers, plan))
@@ -138,13 +141,13 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
 
 
 def _fixed_plan(layers: list[lf.ChainLayer], group_spec: list | None,
-                hw: HardwareConfig) -> lf.FusionPlan:
+                hw: HardwareConfig, tables: dict | None) -> lf.FusionPlan:
     def integer(key: str, value) -> int:
         return parse_number(f"schedule.fusion group {key}", value, integer=True,
                             most=MAX_EXTENT)
 
     if group_spec is None:
-        return lf.singleton_plan(layers, hw)
+        return lf.singleton_plan(layers, hw, tables)
     groups = []
     covered = 0
     for g in group_spec:
@@ -158,7 +161,7 @@ def _fixed_plan(layers: list[lf.ChainLayer], group_spec: list | None,
         if start != covered or end < start or end >= len(layers):
             raise ConfigError(f"fixed fusion groups must cover the chain; "
                               f"bad group [{start}, {end}]")
-        chosen = lf.fixed_tile_choice(layers[start:end + 1], tile, policy, hw)
+        chosen = lf.fixed_tile_choice(layers[start:end + 1], tile, policy, hw, tables)
         groups.append(replace(chosen, start=start, end=end))
         covered = end + 1
     if covered != len(layers):
@@ -183,26 +186,27 @@ def _stream_blocks(in_elems: int, out_elems: int, eb: int, avail: int) -> int:
 
 
 def _gemm_pass(tag: str, in_elems: int, w_elems: int, out_elems: int,
-               hw: HardwareConfig) -> list[Txn]:
+               hw: HardwareConfig) -> Iterator[Txn]:
     """Projection pass with resident weights and block-streamed activations.
 
     Every input and output byte moves exactly once, so total traffic equals
     in + weights + out regardless of the block count. Blocks shrink until the
     working set fits beside the weights (nothing else is live between passes).
+    Lazy, so a replay that cannot fit the weights stops before any block is made.
     """
     eb = hw.element_bytes
+    yield Txn("alloc", f"{tag}_w", w_elems * eb)
+    yield Txn("load", f"{tag}_w", w_elems * eb)
     blocks = _stream_blocks(in_elems, out_elems, eb,
                             hw.scratchpad_bytes - w_elems * eb)
-    txns = [Txn("alloc", f"{tag}_w", w_elems * eb),
-            Txn("load", f"{tag}_w", w_elems * eb),
-            Txn("alloc", f"{tag}_in", -(-in_elems // blocks) * eb),
-            Txn("alloc", f"{tag}_out", -(-out_elems // blocks) * eb)]
+    yield Txn("alloc", f"{tag}_in", -(-in_elems // blocks) * eb)
+    yield Txn("alloc", f"{tag}_out", -(-out_elems // blocks) * eb)
     for i_n, o_n in zip(_balanced_split(in_elems, blocks),
                         _balanced_split(out_elems, blocks)):
-        txns += [Txn("load", f"{tag}_in", i_n * eb),
-                 Txn("touch", f"{tag}_out", (i_n + w_elems + o_n) * eb),
-                 Txn("store", f"{tag}_out", o_n * eb)]
-    return txns + [Txn("free", f"{tag}_{r}", 0) for r in ("out", "in", "w")]
+        yield from (Txn("load", f"{tag}_in", i_n * eb),
+                    Txn("touch", f"{tag}_out", (i_n + w_elems + o_n) * eb),
+                    Txn("store", f"{tag}_out", o_n * eb))
+    yield from (Txn("free", f"{tag}_{r}", 0) for r in ("out", "in", "w"))
 
 
 def _add_pass(elems: int, hw: HardwareConfig) -> list[Txn]:
@@ -220,12 +224,12 @@ def _add_pass(elems: int, hw: HardwareConfig) -> list[Txn]:
     return txns + [Txn("free", "add_b", 0), Txn("free", "add_a", 0)]
 
 
-def _projection_txns(unit: AttentionUnit, hw: HardwareConfig) -> list[Txn]:
-    """The unit's projection passes (Q, spatial reduction, K, V), in order."""
+def _projection_txns(unit: AttentionUnit, hw: HardwareConfig) -> Iterator[Txn]:
+    """The unit's projection passes (Q, spatial reduction, K, V), in order, lazily."""
     c = unit.dims.heads * unit.dims.d
-    return [t for tag, n_in, weights, n_out
+    return (t for tag, n_in, weights, n_out
             in projection_passes(unit.node.op, unit.dims.N, unit.dims.N_r)
-            for t in _gemm_pass(tag, n_in * c, weights, n_out * c, hw)]
+            for t in _gemm_pass(tag, n_in * c, weights, n_out * c, hw))
 
 
 def attention_unit_execute(x: np.ndarray, unit: AttentionUnit,
@@ -283,9 +287,10 @@ def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
 
     The report's breakdown has one ``unit_cost`` row per unit. SelfCheckError
     names the first unit whose simulated EMA is not its closed form, and a
-    CapacityError raised while a unit runs is re-raised naming it. An output
-    is freed after its last reader runs. Given ``reference`` (each unit's last
-    output by node id), each unit appends (unit, max abs deviation) to ``deviations``.
+    CapacityError (or a MemoryError, as a ConfigError) raised while a unit runs
+    is re-raised naming it. An output is freed after its last reader runs.
+    Given ``reference`` (each unit's last output by node id), each unit
+    appends (unit, max abs deviation) to ``deviations``.
     """
     sim = ScratchpadSim(hw.scratchpad_bytes)
     unit_nodes = [[l.node for l in u.layers] if isinstance(u, ChainUnit) else [u.node]
@@ -308,6 +313,8 @@ def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
                 out = add_unit_execute(*ins, sim, hw)
         except CapacityError as e:
             raise CapacityError(e.requested, e.available, f"{row['unit']}: {e.what}") from e
+        except MemoryError as e:
+            raise ConfigError(f"{row['unit']}: out of memory ({e})") from e
         values[nodes[-1].id] = out
         if row["ema_bytes"] != sim.ema_bytes - ema0:
             raise SelfCheckError(f"{row['unit']}: closed-form EMA {row['ema_bytes']} B "

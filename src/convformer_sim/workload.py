@@ -572,7 +572,10 @@ def reference_execute(graph: NetworkGraph, x: np.ndarray,
     out = x
     for node in graph.nodes:
         ins = [values[p] for p in node.preds] if node.preds else [x]
-        out = layer_forward(node, ins, params[node.id])
+        try:
+            out = layer_forward(node, ins, params[node.id])
+        except MemoryError as e:
+            raise ConfigError(f"{node.id}: out of memory in the reference ({e})") from e
         if not np.all(np.isfinite(out)):
             raise ConfigError(f"non-finite values produced at node {node.id}")
         values = {k: v for k, v in values.items() if last_read.get(k) != node.id}

@@ -1289,3 +1289,114 @@ def test_concurrent_commands_under_fast_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * 3
+
+
+# ---------------------------------------------------------------------------
+# Plans and rows of one command
+# ---------------------------------------------------------------------------
+
+B0_CONFIG = str(Path(__file__).parent / "golden" / "b0-224.json")
+
+
+def count_tables(monkeypatch) -> list:
+    """The geometry of every fusion cost table built: ops and shapes, element
+    width and tile extents, in build order."""
+    built = []
+    real = pipeline.lf._GroupTable.__init__
+
+    def counted(self, layers, hw, h_extents, w_extents):
+        built.append((tuple((l.node.op, l.in_shape, l.out_shape) for l in layers),
+                      hw.element_bytes, tuple(h_extents), tuple(w_extents)))
+        real(self, layers, hw, h_extents, w_extents)
+
+    monkeypatch.setattr(pipeline.lf._GroupTable, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "segformer-micro", "--axis", "scratchpad_bytes",
+     "--values", "2048,8192,65536,262144"],
+    ["compare", "--config", B0_CONFIG, "--schedules", "naive,tiling,fusion,full"],
+])
+def test_a_command_builds_each_distinct_table_once(argv, monkeypatch, capsys):
+    built = count_tables(monkeypatch)
+    assert run_cli(argv, capsys)[0] == 0
+    first = list(built)
+    assert first and len(first) == len(set(first))
+    assert run_cli(argv, capsys)[0] == 0   # the next command shares none of them
+    assert built == first + first
+
+
+SWEEP_VALUES = {"scratchpad_bytes": "8192,65536", "theta_attn": "0,0.02",
+                "theta_act": "0,0.01", "t_q": "2,4"}
+
+
+@pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+def test_sweep_rows_equal_runs_of_their_configs(axis, tmp_path, capsys):
+    code, out, _ = run_cli(["sweep", "--model", "pvtv2-micro", "--axis", axis,
+                            "--values", SWEEP_VALUES[axis]], capsys)
+    assert code == 0
+    for row in json.loads(out):
+        value = row["value"]
+        cfg = {"model": "pvtv2-micro"}
+        if axis == "scratchpad_bytes":
+            cfg["hardware"] = {"scratchpad_bytes": value}
+        elif axis == "t_q":
+            cfg["schedule"] = {"attention": {"t_q": value, "mode": "resident_kv"}}
+        else:   # the other threshold stays off, as in the sweep
+            cfg["schedule"] = {"pruning": {"theta_attn": 0, "theta_act": 0, axis: value}}
+        code, out, _ = run_cli(["run", "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 0
+        run = json.loads(out)
+        report = run.get("adjusted_report", run["report"])
+        for key in ("ema_bytes", "macs", "cycles", "energy_pj"):
+            assert row[key] == report[key], (key, value)
+        assert row["max_abs_deviation"] == run["max_abs_deviation"]
+        assert ("skipped_macs" in row) == ("pruning" in run) == (axis.startswith("theta"))
+        if "pruning" in run:
+            assert row["skipped_macs"] == sum(l["skipped_macs"] for l in run["pruning"])
+
+
+@pytest.mark.parametrize("heads", [16384, 65536])
+def test_unfit_projection_weights_exit_2_at_once(heads, tmp_path, capsys):
+    # the pass's block transactions used to be built before its weights' alloc failed
+    node = {"id": "a", "kind": "attention", "heads": heads, "d_head": 1, "sr_ratio": 1}
+    cfg = write_config(tmp_path, {"model": {"graph": {"input_shape": [1, heads, 4, 4],
+                                                      "nodes": [node]}}})
+    start = time.perf_counter()
+    code, out, err = run_cli(["run", "--config", cfg], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    need, room = heads * heads, 256 * 1024
+    assert err == (f"infeasible schedule: a: alloc 'attnQ_w' needs {need} B but only "
+                   f"{room} B available (deficit {need - room} B)\n")
+
+
+OUT_OF_MEMORY = "Unable to allocate 8.00 EiB for an array with shape (1152921504606846976,)"
+
+
+def out_of_memory_at(module, node_id, monkeypatch):
+    """``module.layer_forward`` fails to allocate node ``node_id``'s output."""
+    real = module.layer_forward
+
+    def forward(node, *args, **kwargs):
+        if node.id == node_id:
+            raise MemoryError(OUT_OF_MEMORY)
+        return real(node, *args, **kwargs)
+
+    monkeypatch.setattr(module, "layer_forward", forward)
+
+
+def test_reference_out_of_memory_exits_1_naming_the_node(reference_timing, monkeypatch,
+                                                         capsys):
+    out_of_memory_at(workload, "c2", monkeypatch)
+    code, out, err = run_cli(["run", "--model", "toy-chain"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"config error: c2: out of memory in the reference ({OUT_OF_MEMORY})\n"
+
+
+def test_unit_out_of_memory_exits_1_naming_the_unit(reference_timing, monkeypatch, capsys):
+    out_of_memory_at(pipeline.lf, "c2", monkeypatch)
+    code, out, err = run_cli(["run", "--model", "toy-chain"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"config error: chain[c0,c1,c2,c3]: out of memory ({OUT_OF_MEMORY})\n"

@@ -657,3 +657,38 @@ def test_cost_table_refuses_to_wrap_int64(hw):
                          TensorShape(1, 1 << 24, 64, 64))
     with pytest.raises(ConfigError, match="int64"):
         group_ema(chain_of(g), TileShape(1, 1), RECOMPUTE, True, hw)
+
+
+# ---------------------------------------------------------------------------
+# Cost tables shared by chain geometry
+# ---------------------------------------------------------------------------
+
+def twin_chains():
+    """Two one-conv chains of one geometry whose layers are ``a`` and ``b``."""
+    shape = TensorShape(1, 4, 8, 8)
+    return [chain_of(infer_shapes(NetworkGraph([LayerNode(i, Conv2D(4, 4, 3, 1, 1))], shape)))
+            for i in "ab"]
+
+
+def test_shared_table_errors_name_each_chains_own_layer():
+    tables = {}
+    tiny = HardwareConfig(scratchpad_bytes=8)
+    for chain in twin_chains():
+        with pytest.raises(CapacityError,
+                           match=rf"^layer {chain[0].node.id} as a singleton group"):
+            singleton_plan(chain, tiny, tables)
+    assert tables   # the second chain's error came from the first chain's tables
+    # a table whose bound check fails is never stored, so each build names its caller
+    wide = HardwareConfig(element_bytes=10**18)
+    for chain in twin_chains():
+        with pytest.raises(ConfigError, match=rf"^{chain[0].node.id}: fusion cost table "
+                                              "exceeds int64"):
+            partition_chain(chain, wide, tables)
+    assert all(key[1] == 1 for key in tables)
+
+
+def test_best_is_memoized_per_capacity(hw):
+    table = _candidate_table(twin_chains()[0], hw)
+    fits = table.best(hw.scratchpad_bytes)
+    assert table.best(hw.scratchpad_bytes) is fits
+    assert table.best(8) == [None] and table.best(8) is not fits

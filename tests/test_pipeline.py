@@ -406,3 +406,33 @@ def test_random_graph_plans_and_executes_or_exits_2(graph, scratchpad, eb, sched
     out, report = pipeline.run_schedule(g, sched, x, params, hw)
     assert float(np.max(np.abs(out - reference_execute(g, x, params)))) <= 1e-9
     assert report.scratchpad_high_water <= scratchpad
+
+
+# ---------------------------------------------------------------------------
+# Fusion cost tables shared by a command's plans
+# ---------------------------------------------------------------------------
+
+B0_GRAPH = Path(__file__).parent / "golden" / "b0-224.json"
+
+
+def planned(graph, hw, schedule, tables=None):
+    """``plan_network(...).to_dict()`` of a named schedule, or its CapacityError's text."""
+    try:
+        return pipeline.plan_network(graph, hw, *cli.SCHEDULE_PRESETS[schedule],
+                                     tables).to_dict()
+    except cs.CapacityError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("name", [*cs.PRESETS, "b0-224"])
+def test_plans_from_shared_tables_equal_fresh_plans(name):
+    g = (graph_from_dict(json.loads(B0_GRAPH.read_text())["model"]["graph"])
+         if name == "b0-224" else cs.build_preset(name))
+    tables = {}
+    # the README sweep, then the b0-224 config's own (B0 fits no smaller one), in sequence
+    for scratchpad in (2048, 8192, 65536, 262144, 1 << 20):
+        hw = HardwareConfig(scratchpad_bytes=scratchpad)
+        for schedule in cli.SCHEDULE_PRESETS:
+            assert planned(g, hw, schedule, tables) == planned(g, hw, schedule), \
+                (schedule, scratchpad)
+    assert tables
