@@ -31,7 +31,7 @@ from .errors import ConfigError, SimError
 from .hwmodel import CostReport, HardwareConfig, check_keys, parse_number
 from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
                        attention_operands, build_preset,
-                       graph_from_dict, init_params, reference_execute,
+                       graph_from_dict, node_params, reference_execute,
                        seeded_input)
 
 EXIT_OK = 0
@@ -162,6 +162,28 @@ def build_graph(model: str | dict) -> NetworkGraph:
 # Experiment primitives
 # ---------------------------------------------------------------------------
 
+class Params(dict):
+    """Read-only parameters by node id. A node's are drawn on its first read, once,
+    by whichever thread reads it first; reading a drawn node takes no lock."""
+
+    def __init__(self, graph: NetworkGraph, seed: int):
+        self.nodes, self.seed = {n.id: (n, i) for i, n in enumerate(graph.nodes)}, seed
+        self.lock = threading.Lock()
+
+    def __missing__(self, node_id: str) -> dict[str, np.ndarray]:
+        with self.lock:
+            if node_id not in self:   # else drawn while this thread waited
+                try:
+                    p = node_params(*self.nodes[node_id], self.seed)
+                except MemoryError as e:
+                    raise ConfigError(f"{node_id}: out of memory drawing its parameters "
+                                      f"({e})") from e
+                for a in p.values():
+                    a.flags.writeable = False
+                self[node_id] = p
+            return dict.__getitem__(self, node_id)
+
+
 class Reference:
     """The reference run of one model and seed, shared by a command's rows. It keeps
     unit-boundary outputs (alike in every schedule) and, if pruning, GELUs; ``tables``
@@ -170,17 +192,22 @@ class Reference:
     def __init__(self, graph: NetworkGraph, seed: int, pruning: bool, release: bool = False):
         self.graph, self.seed, self.pruning, self.release = graph, seed, pruning, release
         self.outputs, self.error, self.worker, self.inputs, self.tables = {}, None, None, None, {}
+        self.params = Params(graph, seed)
 
     def start(self) -> tuple[dict, np.ndarray]:
-        """Read-only (params, input); the first call starts the reference on its thread."""
+        """Read-only (params, each node's drawn on first read, input); the first call
+        starts the reference on its thread."""
         if self.worker is None:
-            params, x = init_params(self.graph, self.seed), seeded_input(self.graph, self.seed)
-            for a in (x, *(a for p in params.values() for a in p.values())):
-                a.flags.writeable = False
-            keep = {nodes[-1].id for _, nodes in lf.split_into_segments(self.graph)}
+            try:
+                x = seeded_input(self.graph, self.seed)
+            except MemoryError as e:
+                raise ConfigError(f"input: out of memory drawing it ({e})") from e
+            x.flags.writeable = False
+            self.units = {nodes[-1].id: nodes for _, nodes in lf.split_into_segments(self.graph)}
+            keep = set(self.units)
             keep |= {n.id for n in self.graph.nodes if self.pruning and isinstance(n.op, GELU)}
-            self.inputs, self.stored = (params, x), {k: threading.Event() for k in keep}
-            self.worker = threading.Thread(target=self._run, args=(x, params))
+            self.inputs, self.stored = (self.params, x), {k: threading.Event() for k in keep}
+            self.worker = threading.Thread(target=self._run, args=(x, self.params))
             shapes = (self.graph.input_shape, *self.graph.shapes.values())
             if max(s.elements for s in shapes) > SERIAL_MAX_ELEMENTS:
                 self.worker.start()
@@ -201,10 +228,13 @@ class Reference:
         self.stored[node_id].set()
 
     def __getitem__(self, node_id: str) -> np.ndarray:
-        """Waits until ``node_id`` is stored and, with ``release``, drops it."""
+        """Waits until ``node_id`` is stored; with ``release``, drops it and its unit's params."""
         self.stored[node_id].wait()
         if self.error is not None:
             raise self.error
+        if self.release:   # the reference and the schedule are past this unit
+            for unit_node in self.units[node_id]:
+                del self.params[unit_node.id]
         return self.outputs.pop(node_id) if self.release else self.outputs[node_id]
 
     def join(self) -> dict[str, np.ndarray]:

@@ -274,37 +274,42 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
 # ---------------------------------------------------------------------------
 
 def _draw(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return rng.uniform(-0.5, 0.5, size=shape)
+    # bit-identical to rng.uniform(-0.5, 0.5, shape), which adds -0.5 to 1.0 * each draw
+    a = rng.random(shape)
+    a -= 0.5
+    return a
+
+
+def node_params(node: LayerNode, idx: int, seed: int = 0) -> dict[str, np.ndarray]:
+    """Node ``idx``'s seeded parameters, from its own stream: alike in any draw order."""
+    rng = np.random.default_rng([seed, idx])
+    op = node.op
+    p: dict[str, np.ndarray] = {}
+    if isinstance(op, Conv2D):
+        p["w"] = _draw(rng, op.c_out, op.c_in // op.groups, op.k, op.k)
+        p["b"] = _draw(rng, op.c_out)
+    elif isinstance(op, Downsample):
+        raise ConfigError(f"{node.id}: infer shapes before init_params")
+    elif isinstance(op, Linear):
+        p["w"] = _draw(rng, op.c_in, op.c_out)
+        p["b"] = _draw(rng, op.c_out)
+    elif isinstance(op, Attention):
+        c = op.heads * op.d_head
+        p["wq"] = _draw(rng, c, c)
+        p["wk"] = _draw(rng, c, c)
+        p["wv"] = _draw(rng, c, c)
+        if op.sr_ratio > 1:
+            # depthwise patch reduction: keeps the weight footprint at
+            # c*sr^2 so the pass stays schedulable on small scratchpads
+            p["w_sr"] = _draw(rng, c, 1, op.sr_ratio, op.sr_ratio)
+    # LayerNorm runs with gamma=1, beta=0 so zero rows stay zero rows;
+    # GELU and Add carry no parameters.
+    return p
 
 
 def init_params(graph: NetworkGraph, seed: int = 0) -> dict[str, dict[str, np.ndarray]]:
     """Seeded per-node parameters; stable across runs for a given graph."""
-    params: dict[str, dict[str, np.ndarray]] = {}
-    for idx, node in enumerate(graph.nodes):
-        rng = np.random.default_rng([seed, idx])
-        op = node.op
-        p: dict[str, np.ndarray] = {}
-        if isinstance(op, Conv2D):
-            p["w"] = _draw(rng, op.c_out, op.c_in // op.groups, op.k, op.k)
-            p["b"] = _draw(rng, op.c_out)
-        elif isinstance(op, Downsample):
-            raise ConfigError(f"{node.id}: infer shapes before init_params")
-        elif isinstance(op, Linear):
-            p["w"] = _draw(rng, op.c_in, op.c_out)
-            p["b"] = _draw(rng, op.c_out)
-        elif isinstance(op, Attention):
-            c = op.heads * op.d_head
-            p["wq"] = _draw(rng, c, c)
-            p["wk"] = _draw(rng, c, c)
-            p["wv"] = _draw(rng, c, c)
-            if op.sr_ratio > 1:
-                # depthwise patch reduction: keeps the weight footprint at
-                # c*sr^2 so the pass stays schedulable on small scratchpads
-                p["w_sr"] = _draw(rng, c, 1, op.sr_ratio, op.sr_ratio)
-        # LayerNorm runs with gamma=1, beta=0 so zero rows stay zero rows;
-        # GELU and Add carry no parameters.
-        params[node.id] = p
-    return params
+    return {node.id: node_params(node, idx, seed) for idx, node in enumerate(graph.nodes)}
 
 
 def op_cost(op: LayerOp) -> tuple[int, int]:
@@ -586,9 +591,8 @@ def reference_execute(graph: NetworkGraph, x: np.ndarray,
 
 
 def seeded_input(graph: NetworkGraph, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng([seed, 0xFEED])
     s = graph.input_shape
-    return rng.uniform(-0.5, 0.5, size=(s.c, s.h, s.w))
+    return _draw(np.random.default_rng([seed, 0xFEED]), s.c, s.h, s.w)
 
 
 # ---------------------------------------------------------------------------

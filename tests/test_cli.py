@@ -8,6 +8,7 @@ import tempfile
 import threading
 import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -1400,3 +1401,201 @@ def test_unit_out_of_memory_exits_1_naming_the_unit(reference_timing, monkeypatc
     code, out, err = run_cli(["run", "--model", "toy-chain"], capsys)
     assert (code, out) == (1, "")
     assert err == f"config error: chain[c0,c1,c2,c3]: out of memory ({OUT_OF_MEMORY})\n"
+
+
+# ---------------------------------------------------------------------------
+# Parameters drawn on first read
+# ---------------------------------------------------------------------------
+
+PARAM_GRAPHS = {**{name: build_preset(name) for name in PRESETS},
+                "b0-224": cli.build_graph(json.loads(Path(B0_CONFIG).read_text())["model"])}
+
+
+def assert_params_equal(got, want):
+    assert set(got) == set(want)
+    for node_id, p in want.items():
+        assert list(got[node_id]) == list(p), node_id
+        for key, a in p.items():
+            assert (got[node_id][key].dtype, got[node_id][key].shape) == (a.dtype, a.shape)
+            assert got[node_id][key].tobytes() == a.tobytes(), (node_id, key)
+            assert not got[node_id][key].flags.writeable
+
+
+@contextlib.contextmanager
+def fast_thread_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def count_draws(monkeypatch, slow: bool = False) -> Counter:
+    """Count ``node_params`` calls by node id; ``slow`` widens each draw's window."""
+    drawn = Counter()
+    real = cli.node_params
+
+    def counted(node, idx, seed):
+        drawn[node.id] += 1
+        if slow:
+            time.sleep(0.001)
+        return real(node, idx, seed)
+
+    monkeypatch.setattr(cli, "node_params", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("order", ["graph", "reverse", "threads"])
+@pytest.mark.parametrize("name", PARAM_GRAPHS)
+def test_params_drawn_on_read_equal_init_params(name, order, monkeypatch):
+    graph, drawn = PARAM_GRAPHS[name], count_draws(monkeypatch)
+    params = cli.Params(graph, 5)
+    ids = [n.id for n in graph.nodes]
+    if order == "threads":   # two read in graph order and two in reverse, on two cores
+        threads = [threading.Thread(target=lambda ids=ids[::step]: [params[k] for k in ids])
+                   for step in (1, -1, 1, -1)]
+        with fast_thread_switching():
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        assert not any(t.is_alive() for t in threads)
+    else:
+        for node_id in ids if order == "graph" else reversed(ids):
+            params[node_id]
+    assert drawn == Counter(ids)
+    assert_params_equal(dict(params), workload.init_params(graph, 5))
+
+
+def test_reading_drawn_params_takes_no_lock():
+    params = cli.Params(build_preset("toy-chain"), 0)
+    drawn = params["c1"]
+    with params.lock:   # a read that waited for it would not return
+        assert read_in_thread(params, "c1") is None
+    assert params["c1"] is drawn
+
+
+# every command runs pvtv2-micro (the model of configs/pruning_sweep.json)
+DRAW_COMMANDS = {
+    "run": ["run", "--model", "pvtv2-micro"],
+    "pruned-run": ["run", "--config", PRUNING],
+    "compare": ["compare", "--model", "pvtv2-micro", "--schedules", "naive,tiling,fusion,full"],
+    "sweep": ["sweep", "--config", PRUNING, "--axis", "theta_attn", "--values", "0,0.01,0.02"],
+}
+
+
+def once_each() -> Counter:
+    return Counter(n.id for n in build_preset("pvtv2-micro").nodes)
+
+
+@pytest.mark.parametrize("command", DRAW_COMMANDS)
+def test_each_node_is_drawn_once_per_command(command, reference_timing, monkeypatch, capsys):
+    argv = DRAW_COMMANDS[command]
+    drawn = count_draws(monkeypatch)
+    assert run_cli(argv, capsys)[0] == 0
+    assert drawn == once_each()
+
+
+def test_each_node_is_drawn_once_under_fast_thread_switching(monkeypatch, capsys):
+    """Both threads reach the first nodes together: no node is drawn twice, and none
+    again after its unit drops it."""
+    monkeypatch.setattr(cli, "SERIAL_MAX_ELEMENTS", 0)
+    drawn = count_draws(monkeypatch, slow=True)
+    with fast_thread_switching():
+        for argv in DRAW_COMMANDS.values():
+            drawn.clear()
+            assert run_cli(argv, capsys)[0] == 0
+            assert drawn == once_each(), argv
+
+
+def drawn_arrays(monkeypatch) -> dict:
+    """Weak references to each node's drawn param arrays, by node id."""
+    drawn = {}
+    real = cli.node_params
+
+    def spy(node, idx, seed):
+        p = real(node, idx, seed)
+        drawn[node.id] = [weakref.ref(a) for a in p.values()]
+        return p
+
+    monkeypatch.setattr(cli, "node_params", spy)
+    return drawn
+
+
+def alive(drawn: dict) -> set:
+    return {k for k, refs in drawn.items() if any(ref() is not None for ref in refs)}
+
+
+def test_run_drops_each_units_params_once_it_is_checked(reference_timing, monkeypatch):
+    """Serial, each unit's params are dead once the next unit starts; either way
+    none is alive once the run returns."""
+    drawn = drawn_arrays(monkeypatch)
+    alive_at = []
+
+    def spy(run):
+        def wrapped(*args, **kwargs):
+            alive_at.append(alive(drawn))
+            return run(*args, **kwargs)
+        return wrapped
+
+    for owner, name in ((pipeline.lf, "fused_execute"), (pipeline, "attention_unit_execute"),
+                        (pipeline, "add_unit_execute")):
+        monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
+    sim = cli.simulate(cli.ExperimentConfig(model="pvtv2-micro"))
+    units = [[l.node.id for l in u.layers] if isinstance(u, pipeline.ChainUnit) else [u.node.id]
+             for u in sim["schedule"].units]
+    with_params = {k for k, refs in drawn.items() if refs}
+    assert set(drawn) == {k for ids in units for k in ids}
+    assert len(alive_at) == len(units)
+    if reference_timing == "serial":
+        assert alive_at == [{k for ids in units[i:] for k in ids} & with_params
+                            for i in range(len(units))]
+    assert alive(drawn) == set()
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep", "pruned-run"])
+def test_shared_or_pruned_reference_keeps_every_nodes_params(command, reference_timing,
+                                                             monkeypatch):
+    drawn = drawn_arrays(monkeypatch)
+    cfg = cli.ExperimentConfig(model="pvtv2-micro")
+    # ``held`` keeps the command's simulations, and with them its reference, alive
+    if command == "compare":
+        held = cli.compare_experiments(cfg, ["naive", "tiling", "full"])
+    elif command == "sweep":
+        held = cli.sweep_experiments(cfg, "scratchpad_bytes", [65536, 262144])
+    else:
+        cfg = cli.load_config(PRUNING, None, {})
+        held = cli.simulate(cfg)
+        cli.run_experiment(cfg, held)
+    assert set(drawn) == {n.id for n in cli.build_graph(cfg.model).nodes}
+    assert alive(drawn) == {k for k, refs in drawn.items() if refs}
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_params_out_of_memory_exits_1_naming_the_node(command, reference_timing,
+                                                      monkeypatch, capsys):
+    real = cli.node_params
+
+    def draw(node, idx, seed):
+        if node.id == "c2":
+            raise MemoryError(OUT_OF_MEMORY)
+        return real(node, idx, seed)
+
+    monkeypatch.setattr(cli, "node_params", draw)
+    code, out, err = run_cli([command, "--model", "toy-chain"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"config error: c2: out of memory drawing its parameters "
+                   f"({OUT_OF_MEMORY})\n")
+
+
+def test_input_out_of_memory_exits_1_naming_it(reference_timing, monkeypatch, capsys):
+    def draw(graph, seed):
+        raise MemoryError(OUT_OF_MEMORY)
+
+    monkeypatch.setattr(cli, "seeded_input", draw)
+    before = threading.active_count()
+    code, out, err = run_cli(["run", "--model", "toy-chain"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"config error: input: out of memory drawing it ({OUT_OF_MEMORY})\n"
+    assert threading.active_count() == before

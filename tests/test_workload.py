@@ -194,6 +194,16 @@ def test_divisors_of_a_huge_map_size_at_once():
     assert all(10**15 % d == 0 for d in got) and got[-1] == 10**15
 
 
+@pytest.mark.parametrize("shape", [(0,), (1,), (7,), (3, 0, 2), (1, 1, 1, 1), (16, 16),
+                                   (64, 8, 3, 3), (3, 224, 224)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_draw_bit_identical_to_uniform(shape, seed):
+    got = workload._draw(np.random.default_rng([seed, 5]), *shape)
+    want = np.random.default_rng([seed, 5]).uniform(-0.5, 0.5, size=shape)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_sr_ratio_one_means_full_sequence():
     g = infer_shapes(NetworkGraph([LayerNode("a", Attention(2, 8, 1))],
                                   TensorShape(1, 16, 4, 4)))
