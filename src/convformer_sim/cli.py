@@ -4,9 +4,9 @@ Configuration comes from a JSON file plus command-line overrides (flags win
 over file fields, which win over defaults). Reports embed the resolved
 hardware config and seed, and all outputs are byte-deterministic for a fixed
 config and seed. Exit codes: 0 ok, 1 config error, 2 infeasible schedule,
-3 equivalence or self-check failure (an unpruned result deviates from the
-reference by more than the tolerance, a closed-form EMA disagrees with the
-simulator, or a schedule breaks the simulator's rules); on an equivalence
+3 equivalence or self-check failure (a row's schedule, pruned or not, deviates
+from the reference by more than the tolerance, a closed-form EMA disagrees with
+the simulator, or a schedule breaks the simulator's rules); on an equivalence
 failure the output is still written.
 """
 
@@ -187,16 +187,17 @@ class Params(dict):
 class Reference:
     """The reference run of one model and seed, shared by a command's rows. It keeps
     unit-boundary outputs (alike in every schedule) and, if pruning, GELUs; ``tables``
-    holds the rows' fusion cost tables (``pipeline.plan_network``)."""
+    holds the rows' fusion cost tables (``pipeline.plan_network``) and ``last`` the
+    (unpruned config, simulation) of the last row that ran its schedule."""
 
     def __init__(self, graph: NetworkGraph, seed: int, pruning: bool, release: bool = False):
         self.graph, self.seed, self.pruning, self.release = graph, seed, pruning, release
-        self.outputs, self.error, self.worker, self.inputs, self.tables = {}, None, None, None, {}
-        self.params = Params(graph, seed)
+        self.outputs, self.error, self.worker, self.x, self.tables = {}, None, None, None, {}
+        self.params, self.last = Params(graph, seed), (None, None)
 
-    def start(self) -> tuple[dict, np.ndarray]:
-        """Read-only (params, each node's drawn on first read, input); the first call
-        starts the reference on its thread."""
+    def start(self) -> None:
+        """Draw the input ``x`` read-only (``params`` draws each node's on first read),
+        then, on the first call, start the reference on its thread."""
         if self.worker is None:
             try:
                 x = seeded_input(self.graph, self.seed)
@@ -206,26 +207,27 @@ class Reference:
             self.units = {nodes[-1].id: nodes for _, nodes in lf.split_into_segments(self.graph)}
             keep = set(self.units)
             keep |= {n.id for n in self.graph.nodes if self.pruning and isinstance(n.op, GELU)}
-            self.inputs, self.stored = (self.params, x), {k: threading.Event() for k in keep}
-            self.worker = threading.Thread(target=self._run, args=(x, self.params))
+            self.x, self.stored = x, {k: threading.Event() for k in keep}
+            self.worker = threading.Thread(target=self._run)
             shapes = (self.graph.input_shape, *self.graph.shapes.values())
             if max(s.elements for s in shapes) > SERIAL_MAX_ELEMENTS:
                 self.worker.start()
             else:   # see SERIAL_MAX_ELEMENTS
                 self.worker.run()   # on this thread, to the end
-        return self.inputs
 
-    def _run(self, x: np.ndarray, params: dict) -> None:
+    def _run(self) -> None:
         try:
-            reference_execute(self.graph, x, params, record=self, keep=self.stored)
+            reference_execute(self.graph, self.x, self.params, record=self)
         except BaseException as e:   # raised again by the reading thread
             self.error = e
         for stored in self.stored.values():   # a failed run stores nothing more
             stored.set()
 
     def __setitem__(self, node_id: str, out: np.ndarray) -> None:
-        self.outputs[node_id] = out
-        self.stored[node_id].set()
+        """Keeps ``out`` only if ``node_id`` is a unit boundary (or a GELU, if pruning)."""
+        if node_id in self.stored:
+            self.outputs[node_id] = out
+            self.stored[node_id].set()
 
     def __getitem__(self, node_id: str) -> np.ndarray:
         """Waits until ``node_id`` is stored; with ``release``, drops it and its unit's params."""
@@ -245,29 +247,37 @@ class Reference:
             raise self.error
         return self.outputs
 
-    @property
-    def tensors(self) -> tuple[dict, np.ndarray, dict[str, np.ndarray]]:
-        """(params, input, outputs by node id) once the reference has finished."""
-        return (*self.start(), self.join())
-
 
 def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
-    """Plan ``cfg``, then run it (pruning aside), checking each unit against ``ref`` as
-    soon as it is stored. A Reference made here drops each once checked, unless pruning."""
+    """One row of ``cfg``: ``ref.last`` if ``cfg`` differs from it only in pruning, else
+    ``cfg`` planned and run (pruning aside), each unit checked against ``ref`` as soon as
+    it is stored; then, if pruning, its ``pruning`` layers and ``adjusted_report``.
+    A Reference made here drops each unit once checked, unless pruning."""
     ref = ref or Reference(build_graph(cfg.model), cfg.seed, cfg.pruning is not None,
                            release=cfg.pruning is None)
-    schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion,
-                                     ref.tables)
-    params, x = ref.start()
-    deviations: list[tuple[str, float]] = []
-    try:
-        _, report = pipeline.run_schedule(ref.graph, schedule, x, params, cfg.hardware,
-                                          seed=cfg.seed, reference=ref, deviations=deviations)
-    finally:   # a reference error replaces the schedule's, as if the reference ran first
-        ref.join()
-    # the last unit's output is the network's (an empty graph outputs its input)
-    return {"ref": ref, "schedule": schedule, "report": report, "unit_deviations": deviations,
+    unpruned = replace(cfg, pruning=None)
+    if ref.last[0] != unpruned:
+        schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion,
+                                         ref.tables)
+        ref.start()
+        deviations: list[tuple[str, float]] = []
+        try:
+            _, report = pipeline.run_schedule(ref.graph, schedule, ref.x, ref.params,
+                                              cfg.hardware, seed=cfg.seed, reference=ref,
+                                              deviations=deviations)
+        finally:   # a reference error replaces the schedule's, as if the reference ran first
+            ref.join()
+        # the last unit's output is the network's (an empty graph outputs its input)
+        ref.last = unpruned, {
+            "schedule": schedule, "report": report, "unit_deviations": deviations,
             "deviation": deviations[-1][1] if deviations else 0.0}
+    sim = dict(ref.last[1])
+    if cfg.pruning is not None:
+        pruned = pruning_analysis(ref.graph, ref.join(), ref.x, ref.params, cfg.pruning,
+                                  cfg.hardware)
+        sim.update(pruning=pruned["layers"], adjusted_report=fp.sparse_cost_adjust(
+            sim["report"], pruned["aggregate_stats"], cfg.hardware, cfg.pruning.granularity))
+    return sim
 
 
 def run_experiment(cfg: ExperimentConfig, sim: dict | None = None) -> dict:
@@ -280,21 +290,9 @@ def run_experiment(cfg: ExperimentConfig, sim: dict | None = None) -> dict:
         "max_abs_deviation": sim["deviation"],
         "equivalence_ok": sim["deviation"] <= cfg.tolerance,
     }
-    report, layers = pruned_report(cfg, sim)
-    if layers is not None:
-        result.update(pruning=layers, adjusted_report=report.to_dict())
+    if "pruning" in sim:
+        result.update(pruning=sim["pruning"], adjusted_report=sim["adjusted_report"].to_dict())
     return result
-
-
-def pruned_report(cfg: ExperimentConfig, sim: dict) -> tuple[CostReport, list | None]:
-    """(report, pruning layers) of ``sim``: the report adjusted for ``cfg.pruning`` and
-    its ``pruning_analysis`` layers, or the report as run and None without pruning."""
-    if cfg.pruning is None:
-        return sim["report"], None
-    params, x, record = sim["ref"].tensors
-    pruned = pruning_analysis(sim["ref"].graph, record, x, params, cfg.pruning, cfg.hardware)
-    return fp.sparse_cost_adjust(sim["report"], pruned["aggregate_stats"], cfg.hardware,
-                                 cfg.pruning.granularity), pruned["layers"]
 
 
 def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
@@ -326,14 +324,11 @@ def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
                 continue
             t = record[node.id]
             tok = t.reshape(t.shape[0], -1).T
-            _, stats = fp.prune_activation_map(tok, cfg.theta_act,
-                                               cfg.granularity,
+            _, stats = fp.prune_activation_map(tok, cfg.theta_act, cfg.granularity,
                                                nxt_node.op.c_out)
             total_skipped += stats.skipped_macs
-            layers.append({"node": node.id, "point": "activation",
-                           **stats.to_dict()})
-    agg = fp.SparsityStats(skipped_macs=total_skipped,
-                           elided_output_elems=total_elided)
+            layers.append({"node": node.id, "point": "activation", **stats.to_dict()})
+    agg = fp.SparsityStats(skipped_macs=total_skipped, elided_output_elems=total_elided)
     return {"layers": layers, "aggregate_stats": agg}
 
 
@@ -363,15 +358,14 @@ SWEEP_AXES = ("scratchpad_bytes", "theta_attn", "theta_act", "t_q")
 
 
 def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> tuple:
-    """(rows, simulations of unpruned rows), a row per value, its config built just
-    before it runs; consecutive rows that differ only in pruning share a simulation."""
+    """(rows, simulations), a row per value, its config built just before it runs;
+    consecutive rows that differ only in pruning share a schedule run (``simulate``)."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("sweep values must be a nonempty list")
     pruning = cfg.pruning is not None or axis in ("theta_attn", "theta_act")
     rows, sims, ref = [], [], Reference(build_graph(cfg.model), cfg.seed, pruning)
-    simulated: tuple[ExperimentConfig, dict] | None = None
     for value in values:
         sub = cfg
         if axis == "scratchpad_bytes":
@@ -387,24 +381,19 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> tuple:
             spec = (cfg.attention if isinstance(cfg.attention, dict)
                     else {"mode": at.ResidencyMode.RESIDENT_KV.value})
             sub = replace(cfg, attention=at.tiling_spec(dict(spec, t_q=value)))
-        if simulated is None or simulated[0] != replace(sub, pruning=None):
-            simulated = replace(sub, pruning=None), simulate(sub, ref)
-        report, layers = pruned_report(sub, simulated[1])
-        if sub.pruning is None:
-            sims.append(simulated[1])
+        sims.append(sim := simulate(sub, ref))
+        report, layers = sim.get("adjusted_report", sim["report"]), sim.get("pruning")
         row = {"axis": axis, "value": value,
                **{k: getattr(report, k) for k in ("ema_bytes", "macs", "cycles", "energy_pj")},
-               "max_abs_deviation": simulated[1]["deviation"]}
+               "max_abs_deviation": sim["deviation"]}
         if layers is not None:
             attn = [l for l in layers if l["point"] == "attention"]
             row["granularity"] = sub.pruning.granularity.value
             row["skipped_macs"] = sum(l["skipped_macs"] for l in layers)
             row["pruned_fraction"] = (sum(l["pruned_fraction"] for l in attn)
                                       / len(attn) if attn else 0.0)
-            row["max_output_mse"] = max((l["output_mse"] for l in attn),
-                                        default=0.0)
-            row["min_output_cosine"] = min((l["output_cosine"] for l in attn),
-                                           default=1.0)
+            row["max_output_mse"] = max((l["output_mse"] for l in attn), default=0.0)
+            row["min_output_cosine"] = min((l["output_cosine"] for l in attn), default=1.0)
         rows.append(row)
     return rows, sims
 
@@ -523,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
                 emit([row], "csv", args.out)
             else:
                 emit(result, "json", args.out)
-            return _equivalence_exit([] if cfg.pruning else [sim], cfg.tolerance)
+            return _equivalence_exit([sim], cfg.tolerance)
         if args.command == "compare":
             names = [s.strip() for s in args.schedules.split(",") if s.strip()]
             if len(names) < 2:
@@ -540,7 +529,6 @@ def main(argv: list[str] | None = None) -> int:
                                   f"{args.values!r}")
             rows, sims = sweep_experiments(cfg, args.axis, values)
             emit(rows, args.format, args.out)
-            # pruned rows are exempt, as in run
             return _equivalence_exit(sims, cfg.tolerance)
         raise ConfigError(f"unknown command {args.command!r}")
     except SimError as e:

@@ -276,18 +276,12 @@ class _GroupTable:
             return self.bests[capacity]
         shape = self.buf.shape
         h, w = (np.array(e, dtype=np.int64) for e in self.extents)
-        keys = (self.ema, -(h[:, None] * w)[:, :, None, None], self.extra[..., None],
-                self.buf, np.arange(2)[:, None])
-        fits = self.buf <= capacity
-        cand = fits
-        for key in keys:
-            key = np.broadcast_to(key, shape)
-            low = np.where(cand, key, np.iinfo(np.int64).max).min(
-                axis=(1, 2, 3, 4), keepdims=True)
-            cand = cand & (key == low)
-        first = cand.reshape(shape[0], -1).argmax(axis=1)
-        self.bests[capacity] = [self.choice(i, *map(int, np.unravel_index(f, shape[1:])))
-                                if fits[i].any() else None for i, f in enumerate(first)]
+        keys = (np.arange(2)[:, None], self.buf, self.extra[..., None],   # last sorts first
+                -(h[:, None] * w)[:, :, None, None], self.ema, self.buf > capacity)
+        first = np.lexsort([np.broadcast_to(k, shape).reshape(shape[0], -1) for k in keys])
+        self.bests[capacity] = [None if self.buf[i].flat[f] > capacity else
+                                self.choice(i, *map(int, np.unravel_index(f, shape[1:])))
+                                for i, f in enumerate(first[:, 0])]
         return self.bests[capacity]
 
 

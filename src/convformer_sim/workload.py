@@ -557,12 +557,11 @@ def layer_forward(node: LayerNode, inputs: list[np.ndarray], p: dict[str, np.nda
 def reference_execute(graph: NetworkGraph, x: np.ndarray,
                       params: dict[str, dict[str, np.ndarray]] | None = None,
                       seed: int = 0,
-                      record: dict[str, np.ndarray] | None = None,
-                      keep: set[str] | None = None) -> np.ndarray:
+                      record: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Dense, untiled, float64 execution: the oracle for all optimized paths.
 
-    ``record``, if given, gets every node's output (only those in ``keep``, if
-    given); other outputs are freed after their last read.
+    ``record``, if given, gets every node's output; outputs are freed after their
+    last read unless ``record`` keeps them.
     """
     if not graph.shapes:
         graph = infer_shapes(graph)
@@ -585,7 +584,7 @@ def reference_execute(graph: NetworkGraph, x: np.ndarray,
             raise ConfigError(f"non-finite values produced at node {node.id}")
         values = {k: v for k, v in values.items() if last_read.get(k) != node.id}
         values[node.id] = out
-        if record is not None and (keep is None or node.id in keep):
+        if record is not None:
             record[node.id] = out
     return out
 

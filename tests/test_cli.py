@@ -399,7 +399,7 @@ def test_csv_run_format(capsys):
 
 
 class TestEquivalenceAndSelfCheckExit:
-    """Exit 3 applies to every unpruned result, after the output is written."""
+    """Exit 3 applies to every result, pruned or not, after the output is written."""
 
     def test_compare_applies_tolerance(self, capsys):
         code, out, err = run_cli(["compare", "--model", "pvtv2-micro",
@@ -417,12 +417,19 @@ class TestEquivalenceAndSelfCheckExit:
         assert len(json.loads(out)) == 1
         assert "equivalence failure" in err
 
-    def test_pruned_sweep_rows_are_exempt(self, capsys):
-        config = Path(__file__).parent.parent / "configs" / "pruning_sweep.json"
-        code, _, _ = run_cli(["sweep", "--config", str(config),
-                              "--axis", "theta_attn", "--values", "0",
-                              "--tolerance=1e-30"], capsys)
-        assert code == 0
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["sweep", "--axis", "theta_attn", "--values", "0"]], ids=["run", "sweep"])
+    def test_pruned_rows_apply_tolerance(self, argv, capsys):
+        # a pruned row reports its schedule's deviation, so that deviation gates it
+        config = str(Path(__file__).parent.parent / "configs" / "pruning_sweep.json")
+        code, out, err = run_cli([*argv, "--config", config, "--tolerance=1e-30"], capsys)
+        assert code == 3
+        data = json.loads(out)
+        assert "pruning" in data if argv == ["run"] else "skipped_macs" in data[0]
+        assert err.startswith("equivalence failure: deviation")
+        assert err.endswith("first unit over it: s1b0_attn\n")
+        code, _, err = run_cli([*argv, "--config", config], capsys)
+        assert (code, err) == (0, "")
 
     def test_self_check_failure_names_both_counts(self, monkeypatch, capsys):
         # one unit of many is off: the check runs per unit and names it
@@ -1027,6 +1034,21 @@ def test_one_reference_per_command(argv, monkeypatch, capsys):
     assert calls[0] == 1
 
 
+def test_threshold_sweep_runs_its_schedule_once(monkeypatch, capsys):
+    """Rows that differ only in pruning reuse the last row's schedule run."""
+    calls = Counter()
+    for owner, name in ((pipeline, "run_schedule"), (cli, "pruning_analysis")):
+        def counted(*args, real=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    code, out, _ = run_cli(["sweep", "--config", PRUNING, "--axis", "theta_attn",
+                            "--values", "0,0.005,0.01,0.02,0.05"], capsys)
+    assert code == 0
+    assert len(json.loads(out)) == 5
+    assert calls == {"run_schedule": 1, "pruning_analysis": 5}
+
+
 def boundary_ids(graph):
     """The last node of every segment: where unit outputs meet."""
     return {nodes[-1].id for _, nodes in split_into_segments(graph)}
@@ -1036,9 +1058,10 @@ def boundary_ids(graph):
 @pytest.mark.parametrize("preset", PRESETS)
 def test_reference_keeps_boundaries_bit_identical_to_full_record(preset, pruning):
     graph = build_preset(preset)
-    params, x, kept = cli.Reference(graph, 3, pruning).tensors
-    full = {}
-    reference_execute(graph, x, params, record=full)
+    ref = cli.Reference(graph, 3, pruning)
+    ref.start()
+    kept, full = ref.join(), {}
+    reference_execute(graph, ref.x, ref.params, record=full)
     gelus = {n.id for n in graph.nodes if isinstance(n.op, GELU)}
     assert set(kept) == boundary_ids(graph) | (gelus if pruning else set())
     assert len(kept) < len(full)
@@ -1065,7 +1088,9 @@ def test_reference_step_frees_non_boundary_outputs(monkeypatch):
         return out
 
     monkeypatch.setattr(workload, "layer_forward", spy)
-    _, _, kept = cli.Reference(graph, 0, False).tensors
+    ref = cli.Reference(graph, 0, False)
+    ref.start()
+    kept = ref.join()
     assert set(kept) == kept_ids
     assert stale == []
     assert set(outputs) == set(order)
@@ -1216,11 +1241,40 @@ def stored_outputs(monkeypatch) -> dict:
     real = cli.Reference.__setitem__
 
     def spy(self, node_id, out):
-        stored[node_id] = weakref.ref(out)
         real(self, node_id, out)
+        if node_id in self.stored:
+            stored[node_id] = weakref.ref(out)
 
     monkeypatch.setattr(cli.Reference, "__setitem__", spy)
     return stored
+
+
+def made_references(monkeypatch) -> list:
+    """Every Reference ``cli`` makes, kept alive by the returned list."""
+    made = []
+    real = cli.Reference.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Reference, "__init__", spy)
+    return made
+
+
+def run_holding_reference(command: str, monkeypatch) -> cli.ExperimentConfig:
+    """Run ``command`` on pvtv2-micro while holding its one Reference; its config."""
+    held = made_references(monkeypatch)
+    cfg = cli.ExperimentConfig(model="pvtv2-micro")
+    if command == "compare":
+        cli.compare_experiments(cfg, ["naive", "tiling", "full"])
+    elif command == "sweep":
+        cli.sweep_experiments(cfg, "scratchpad_bytes", [65536, 262144])
+    else:
+        cfg = cli.load_config(PRUNING, None, {})
+        cli.run_experiment(cfg)
+    assert len(held) == 1
+    return cfg
 
 
 def test_run_drops_each_reference_output_once_its_unit_is_checked(reference_timing,
@@ -1253,16 +1307,7 @@ def test_run_drops_each_reference_output_once_its_unit_is_checked(reference_timi
 def test_shared_or_pruned_reference_keeps_every_output(command, reference_timing,
                                                        monkeypatch):
     stored = stored_outputs(monkeypatch)
-    cfg = cli.ExperimentConfig(model="pvtv2-micro")
-    # ``held`` keeps the command's simulations, and with them its reference, alive
-    if command == "compare":
-        held = cli.compare_experiments(cfg, ["naive", "tiling", "full"])
-    elif command == "sweep":
-        held = cli.sweep_experiments(cfg, "scratchpad_bytes", [65536, 262144])
-    else:
-        cfg = cli.load_config(PRUNING, None, {})
-        held = cli.simulate(cfg)
-        cli.run_experiment(cfg, held)
+    run_holding_reference(command, monkeypatch)
     assert stored
     assert [k for k, ref in stored.items() if ref() is None] == []
 
@@ -1558,16 +1603,7 @@ def test_run_drops_each_units_params_once_it_is_checked(reference_timing, monkey
 def test_shared_or_pruned_reference_keeps_every_nodes_params(command, reference_timing,
                                                              monkeypatch):
     drawn = drawn_arrays(monkeypatch)
-    cfg = cli.ExperimentConfig(model="pvtv2-micro")
-    # ``held`` keeps the command's simulations, and with them its reference, alive
-    if command == "compare":
-        held = cli.compare_experiments(cfg, ["naive", "tiling", "full"])
-    elif command == "sweep":
-        held = cli.sweep_experiments(cfg, "scratchpad_bytes", [65536, 262144])
-    else:
-        cfg = cli.load_config(PRUNING, None, {})
-        held = cli.simulate(cfg)
-        cli.run_experiment(cfg, held)
+    cfg = run_holding_reference(command, monkeypatch)
     assert set(drawn) == {n.id for n in cli.build_graph(cfg.model).nodes}
     assert alive(drawn) == {k for k, refs in drawn.items() if refs}
 
