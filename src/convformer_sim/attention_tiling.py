@@ -31,8 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .hwmodel import (HardwareConfig, ScratchpadSim, Txn, check_keys, parse_number,
-                      replay)
+from .hwmodel import HardwareConfig, ScratchpadSim, Txn, parse_fields, replay
 from .workload import AttentionDims, divisors, softmax_rows, tile_intervals
 
 
@@ -43,34 +42,28 @@ class ResidencyMode(str, Enum):
 
 @dataclass(frozen=True)
 class AttentionTiling:
-    t_q: int                 # query row-tile, tokens
-    t_k: int                 # key/value column-tile, tokens
+    t_q: int                 # query row-tile, tokens; 1..N per layer (check_tiling)
+    t_k: int                 # key/value column-tile, tokens; 1..N_r per layer
     mode: ResidencyMode
 
     def to_dict(self) -> dict:
         return dict(asdict(self), mode=self.mode.value)
 
 
-def tiling_spec(spec) -> dict:
-    """A fixed ``schedule.attention`` tiling, checked and with integer sizes.
+def tiling_spec(spec: dict) -> dict:
+    """A fixed ``schedule.attention`` tiling, its fields parsed by ``parse_fields``.
 
     ``{"t_q", "mode": "resident_kv"}`` keeps K and V whole, so each layer's
     t_k is its N_r; ``{"t_q", "t_k", "mode": "streaming_kv"}`` streams them.
     Sizes are range-checked per layer, by ``check_tiling``.
     """
-    check_keys("schedule.attention", spec, ("t_q", "t_k", "mode"))
-    modes = [m.value for m in ResidencyMode]
-    if spec.get("mode") not in modes:
-        raise ConfigError(f"schedule.attention.mode must be one of {modes}, "
-                          f"got {spec.get('mode')!r}")
-    streaming = spec["mode"] == ResidencyMode.STREAMING_KV
-    if "t_k" in spec and not streaming:
+    streaming = spec.get("mode") == ResidencyMode.STREAMING_KV
+    tiling = parse_fields("schedule.attention", spec, AttentionTiling,
+                          required=("mode", "t_q", "t_k") if streaming else ("mode", "t_q"))
+    if "t_k" in tiling and not streaming:
         raise ConfigError("schedule.attention.t_k is not allowed with resident_kv: "
                           "K and V are whole, so t_k is each layer's N_r")
-    sizes = ("t_q", "t_k") if streaming else ("t_q",)
-    return {"mode": spec["mode"],
-            **{k: parse_number(f"schedule.attention.{k}", spec.get(k), integer=True)
-               for k in sizes}}
+    return tiling
 
 
 def check_tiling(dims: AttentionDims, tiling: AttentionTiling | None,

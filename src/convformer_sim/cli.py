@@ -28,8 +28,8 @@ from . import feature_pruning as fp
 from . import layer_fusion as lf
 from . import pipeline
 from .errors import ConfigError, SimError
-from .hwmodel import CostReport, HardwareConfig, check_keys, parse_number
-from .workload import (Attention, GELU, Linear, NetworkGraph, PRESETS,
+from .hwmodel import CostReport, HardwareConfig, bounded, check_keys, parse_fields
+from .workload import (Attention, GELU, LayerNode, Linear, NetworkGraph, PRESETS,
                        attention_operands, build_preset,
                        graph_from_dict, node_params, reference_execute,
                        seeded_input)
@@ -56,8 +56,8 @@ class ExperimentConfig:
     attention: str | dict = "auto"
     fusion: str | dict = "auto"
     pruning: fp.PruneConfig | None = None
-    seed: int = 0
-    tolerance: float = 1e-6
+    seed: int = bounded(0, default=0)
+    tolerance: float = bounded(0, default=1e-6)
 
     def resolved_dict(self) -> dict:
         sched: dict = {
@@ -85,67 +85,37 @@ def load_config(path: str | None, args: argparse.Namespace,
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     check_keys("config", raw, ("model", "hardware", "schedule", "seed", "tolerance"))
-
-    model = raw.get("model", "toy-chain")
-    if not isinstance(model, str):
-        check_keys("model", model, ("preset", "graph"))
-        if "preset" in model and "graph" in model:
+    if not isinstance(raw.get("model", ""), str):
+        check_keys("model", raw["model"], ("preset", "graph"))
+        if "preset" in raw["model"] and "graph" in raw["model"]:
             raise ConfigError("model: give exactly one of preset or graph")
-    if getattr(args, "model", None):
-        model = args.model
-
-    hw_raw = raw.get("hardware", {})
-    check_keys("hardware", hw_raw, HardwareConfig.__dataclass_fields__)
-    hardware = HardwareConfig.from_dict({**hw_raw, **hw_overrides})
+    # fields not given keep their ExperimentConfig defaults; flags win over the file
+    parts = {k: raw[k] for k in ("model", "seed", "tolerance") if k in raw}
+    parts.update((k, getattr(args, k)) for k in ("model", "seed", "tolerance")
+                 if getattr(args, k, None) is not None)
+    parts["hardware"] = HardwareConfig.from_dict(raw.get("hardware", {}), hw_overrides)
 
     sched = raw.get("schedule", {})
     check_keys("schedule", sched, ("attention", "fusion", "pruning"))
-    attention = sched.get("attention", "auto")
+    parts.update(sched)   # pruning, which the file spells "off" or an object, is read below
+    attention = parts.get("attention", ExperimentConfig.attention)
     if isinstance(attention, dict):
-        attention = at.tiling_spec(attention)
+        parts["attention"] = at.tiling_spec(attention)
     elif attention not in ("auto", "baseline"):
         raise ConfigError(f"schedule.attention must be auto, baseline, or a "
                           f"tiling object, got {attention!r}")
-    fusion = sched.get("fusion", "auto")
+    fusion = parts.get("fusion", ExperimentConfig.fusion)
     if not (fusion in ("auto", "singleton") or isinstance(fusion, dict) and all(
             isinstance(groups, list) for groups in fusion.values())):
         raise ConfigError("schedule.fusion must be auto, singleton, or a map of chain "
                           f'index to group lists ({{"0": [...]}}), got {fusion!r}')
-
-    pruning_raw = sched.get("pruning", "off")
-    pruning: fp.PruneConfig | None
-    if pruning_raw == "off" or pruning_raw is None:
-        pruning = None
-    elif isinstance(pruning_raw, dict):
-        check_keys("schedule.pruning", pruning_raw, fp.PruneConfig.__dataclass_fields__)
-        thetas = {k: parse_number(f"schedule.pruning.{k}", pruning_raw.get(k, v),
-                                  integer=False)
-                  for k, v in (("theta_attn", 0.01), ("theta_act", 0.001))}
-        try:
-            pruning = fp.PruneConfig(
-                **thetas,
-                granularity=fp.Granularity(pruning_raw.get("granularity", "element")))
-        except ValueError as e:
-            raise ConfigError(f"schedule.pruning: {e}")
-    else:
-        raise ConfigError(f"schedule.pruning must be 'off' or an object, "
-                          f"got {pruning_raw!r}")
-
-    seed = raw.get("seed", 0)
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    seed = parse_number("seed", seed, integer=True)
-    tolerance = raw.get("tolerance", 1e-6)
-    if getattr(args, "tolerance", None) is not None:
-        tolerance = args.tolerance
-    tolerance = parse_number("tolerance", tolerance, integer=False)
-    for name, value in (("seed", seed), ("tolerance", tolerance)):
-        if value < 0:
-            raise ConfigError(f"{name} must be >= 0, got {value}")
-
-    return ExperimentConfig(model=model, hardware=hardware, attention=attention,
-                            fusion=fusion, pruning=pruning, seed=seed,
-                            tolerance=tolerance)
+    pruning = parts.pop("pruning", "off")
+    if isinstance(pruning, dict):
+        parts["pruning"] = fp.PruneConfig(**parse_fields("schedule.pruning", pruning,
+                                                         fp.PruneConfig))
+    elif pruning not in ("off", None):
+        raise ConfigError(f"schedule.pruning must be 'off' or an object, got {pruning!r}")
+    return ExperimentConfig(**parse_fields("config", parts, ExperimentConfig, ""))
 
 
 def build_graph(model: str | dict) -> NetworkGraph:
@@ -255,6 +225,9 @@ def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
     A Reference made here drops each unit once checked, unless pruning."""
     ref = ref or Reference(build_graph(cfg.model), cfg.seed, cfg.pruning is not None,
                            release=cfg.pruning is None)
+    if cfg.pruning is not None and not pruning_points(ref.graph):
+        raise ConfigError("schedule.pruning sets thresholds, but the graph has no pruning "
+                          "point (an attention, or a GELU read only by a linear)")
     unpruned = replace(cfg, pruning=None)
     if ref.last[0] != unpruned:
         schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion,
@@ -295,6 +268,19 @@ def run_experiment(cfg: ExperimentConfig, sim: dict | None = None) -> dict:
     return result
 
 
+def pruning_points(graph: NetworkGraph) -> list[tuple[LayerNode, Linear | None]]:
+    """Each attention, with None, and each GELU read only by a linear, with that linear's
+    op: the maps that pruning thresholds, in graph order."""
+    ops, consumers, points = {n.id: n.op for n in graph.nodes}, graph.consumers(), []
+    for node in graph.nodes:
+        readers = [ops[c] for c in consumers[node.id]]
+        if isinstance(node.op, Attention):
+            points.append((node, None))
+        elif isinstance(node.op, GELU) and len(readers) == 1 and isinstance(readers[0], Linear):
+            points.append((node, readers[0]))
+    return points
+
+
 def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
                      x: np.ndarray, params: dict, cfg: fp.PruneConfig,
                      hw: HardwareConfig) -> dict:
@@ -305,36 +291,27 @@ def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
     layers = []
     total_skipped = 0
     total_elided = 0
-    consumers = graph.consumers()
-    for node in graph.nodes:
-        if isinstance(node.op, Attention):
+    for node, linear in pruning_points(graph):
+        if linear is None:
             xin = record[node.preds[0]] if node.preds else x
             q, k, v = attention_operands(xin, node.op, params[node.id])
             _, stats = fp.pruned_attention_execute(q, k, v, cfg)
-            total_skipped += stats.skipped_macs
             total_elided += stats.elided_output_elems
-            layers.append({"node": node.id, "point": "attention",
-                           **stats.to_dict()})
-        elif isinstance(node.op, GELU):
-            nxt = consumers[node.id]
-            if len(nxt) != 1:
-                continue
-            nxt_node = graph.node(nxt[0])
-            if not isinstance(nxt_node.op, Linear):
-                continue
+            layers.append({"node": node.id, "point": "attention", **stats.to_dict()})
+        else:
             t = record[node.id]
             tok = t.reshape(t.shape[0], -1).T
             _, stats = fp.prune_activation_map(tok, cfg.theta_act, cfg.granularity,
-                                               nxt_node.op.c_out)
-            total_skipped += stats.skipped_macs
+                                               linear.c_out)
             layers.append({"node": node.id, "point": "activation", **stats.to_dict()})
+        total_skipped += stats.skipped_macs
     agg = fp.SparsityStats(skipped_macs=total_skipped, elided_output_elems=total_elided)
     return {"layers": layers, "aggregate_stats": agg}
 
 
 def compare_experiments(cfg: ExperimentConfig, schedule_names: list[str]) -> tuple:
-    for key, default in (("attention", "auto"), ("fusion", "auto"), ("pruning", None)):
-        if getattr(cfg, key) != default:
+    for key in ("attention", "fusion", "pruning"):
+        if getattr(cfg, key) != getattr(ExperimentConfig, key):
             raise ConfigError(f"compare runs named schedules: leave schedule.{key} unset")
     keys = ("ema_bytes", "cycles", "energy_pj")
     rows, sims, ref = [], [], Reference(build_graph(cfg.model), cfg.seed, False)
@@ -367,20 +344,17 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> tuple:
     pruning = cfg.pruning is not None or axis in ("theta_attn", "theta_act")
     rows, sims, ref = [], [], Reference(build_graph(cfg.model), cfg.seed, pruning)
     for value in values:
-        sub = cfg
-        if axis == "scratchpad_bytes":
-            sub = replace(cfg, hardware=replace(cfg.hardware, scratchpad_bytes=(
-                parse_number(axis, value, integer=True))))
-        elif axis in ("theta_attn", "theta_act"):
-            # the un-swept threshold stays off unless the config enables it
-            base = cfg.pruning or fp.PruneConfig(theta_attn=0.0, theta_act=0.0)
-            sub = replace(cfg, pruning=replace(base, **{
-                axis: parse_number(axis, value, integer=False)}))
-        elif axis == "t_q":
+        if axis == "t_q":
             # only t_q changes in a configured tiling; otherwise K/V stay resident
             spec = (cfg.attention if isinstance(cfg.attention, dict)
                     else {"mode": at.ResidencyMode.RESIDENT_KV.value})
             sub = replace(cfg, attention=at.tiling_spec(dict(spec, t_q=value)))
+        else:
+            part = "hardware" if axis == "scratchpad_bytes" else "pruning"
+            # the un-swept threshold stays off unless the config enables it
+            base = getattr(cfg, part) or fp.PruneConfig(theta_attn=0.0, theta_act=0.0)
+            sub = replace(cfg, **{part: replace(base, **parse_fields(
+                "sweep", {axis: value}, type(base), ""))})
         sims.append(sim := simulate(sub, ref))
         report, layers = sim.get("adjusted_report", sim["report"]), sim.get("pruning")
         row = {"axis": axis, "value": value,
@@ -469,7 +443,8 @@ def make_parser() -> _Parser:
         sp.add_argument("--model", help="preset name (overrides config)")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--tolerance", type=float, default=None,
-                        help="max-abs equivalence tolerance (default 1e-6)")
+                        help="max-abs equivalence tolerance "
+                             f"(default {ExperimentConfig.tolerance})")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 

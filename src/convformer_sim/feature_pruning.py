@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, SelfCheckError
-from .hwmodel import CostReport, HardwareConfig, price
+from .errors import SelfCheckError
+from .hwmodel import CostReport, HardwareConfig, bounded, price
 from .workload import softmax_rows
 
 
@@ -30,13 +30,9 @@ class Granularity(str, Enum):
 
 @dataclass(frozen=True)
 class PruneConfig:
-    theta_attn: float = 0.01    # threshold on post-softmax probabilities
-    theta_act: float = 0.001    # threshold on post-activation magnitudes
+    theta_attn: float = bounded(0, default=0.01)   # threshold on post-softmax probabilities
+    theta_act: float = bounded(0, default=0.001)   # threshold on post-activation magnitudes
     granularity: Granularity = Granularity.ELEMENT
-
-    def __post_init__(self):
-        if self.theta_attn < 0 or self.theta_act < 0:
-            raise ConfigError("prune thresholds must be >= 0")
 
 
 @dataclass
@@ -58,8 +54,6 @@ def prune_mask(t: np.ndarray, theta: float, granularity: Granularity
     ROW/COLUMN prune a whole vector only when every element is below theta;
     rows are the last axis, columns the second-to-last.
     """
-    if theta < 0:
-        raise ConfigError("theta must be >= 0")
     a = np.abs(t)
     if granularity is Granularity.ELEMENT:
         mask = a < theta

@@ -9,24 +9,29 @@ from the CLI config; every report embeds the config it was produced with.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass, field, asdict
-from typing import Callable, Iterable, NamedTuple
+from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
+from typing import Callable, Iterable, NamedTuple, get_args, get_origin, get_type_hints
 
 from .errors import CapacityError, ConfigError, SelfCheckError
 
 KIB = 1024
 
 
-def parse_number(name: str, value, integer: bool, most: int | None = None) -> int | float:
-    """A config value as an int or a finite float, at most ``most`` if given;
+def parse_number(name: str, value, integer: bool, least: int | None = None,
+                 most: int | None = None) -> int | float:
+    """A config value as an int or a finite float, in [least, most] where given;
     ConfigError naming ``name`` if not.
 
     ``int(str(value))`` rejects 1.5 and "1.5", which ``int(value)`` would truncate.
     An int is held to the float range, as a float is to finite values.
     """
     try:
+        if isinstance(value, bool):   # JSON true is not 1
+            raise TypeError
         number = int(str(value)) if integer else float(value)
     except (TypeError, ValueError):
         noun = "an integer" if integer else "a number"
@@ -36,6 +41,8 @@ def parse_number(name: str, value, integer: bool, most: int | None = None) -> in
                           f"got {len(str(abs(number)))} digits")
     if not integer and not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {number}")
+    if least is not None and number < least:
+        raise ConfigError(f"{name} must be >= {least}, got {number}")
     if most is not None and number > most:
         raise ConfigError(f"{name} must be at most {most}, got {number}")
     return number
@@ -48,6 +55,48 @@ def check_keys(where: str, d: dict, known) -> None:
     bad = sorted(set(d) - set(known))
     if bad:
         raise ConfigError(f"unknown {where} field(s): {bad}")
+
+
+_type_hints = functools.cache(get_type_hints)   # per dataclass: parse_fields reads them
+
+
+def bounded(least: int | None = None, most: int | None = None, **kwargs):
+    """A dataclass field whose config value ``parse_fields`` holds to [least, most]."""
+    return field(metadata={"least": least, "most": most}, **kwargs)
+
+
+def parse_fields(where: str, d: dict, cls, prefix: str | None = None, extra=(),
+                 required=()) -> dict:
+    """The fields of dataclass ``cls`` that config part ``d`` gives, each parsed by its
+    annotation: an int or float by ``parse_number``, held to its ``bounded`` metadata;
+    an enum by value; a str as given; a tuple of ints as a list of as many, each held
+    to the field's bounds; anything else as given. A key that is neither a field nor in
+    ``extra`` is rejected, and a field in ``required`` that ``d`` lacks is parsed as
+    None. Each error names ``prefix`` + the field (``prefix`` defaults to ``where.``)."""
+    check_keys(where, d, (*extra, *(f.name for f in fields(cls))))
+    prefix = f"{where}." if prefix is None else prefix
+    types = _type_hints(cls)
+    d = {**dict.fromkeys(required), **d}
+    return {f.name: _parse_value(prefix + f.name, d[f.name], types[f.name], f.metadata)
+            for f in fields(cls) if f.name in d}
+
+
+def _parse_value(name: str, value, kind, bounds):
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list) or len(value) != len(get_args(kind)):
+            raise ConfigError(f"{name} must be a list of {len(get_args(kind))} integers, "
+                              f"got {value!r}")
+        return tuple(_parse_value(name, v, int, bounds) for v in value)
+    if kind in (int, float):
+        value = parse_number(name, value, kind is int, **bounds)
+    elif isinstance(kind, type) and issubclass(kind, Enum):
+        values = [m.value for m in kind]
+        if value not in values:
+            raise ConfigError(f"{name} must be one of {values}, got {value!r}")
+        value = kind(value)
+    elif kind is str and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def check_list(where: str, value) -> list:
@@ -81,10 +130,9 @@ class HardwareConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "HardwareConfig":
-        check_keys("hardware", d, cls.__dataclass_fields__)
-        return cls(**{k: parse_number(f"hardware.{k}", v, not k.startswith("e_"))
-                      for k, v in d.items()})
+    def from_dict(cls, *parts: dict) -> "HardwareConfig":
+        """The config of ``hardware`` parts, a later part's fields winning."""
+        return cls(**{k: v for d in parts for k, v in parse_fields("hardware", d, cls).items()})
 
 
 class ScratchpadSim:

@@ -19,8 +19,8 @@ import numpy as np
 from . import attention_tiling as at
 from . import layer_fusion as lf
 from .errors import CapacityError, ConfigError, SelfCheckError
-from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn,
-                      build_report, check_keys, parse_number, replay)
+from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, bounded,
+                      build_report, parse_fields, replay)
 from .workload import (MAX_EXTENT, Add, Attention, AttentionDims, LayerNode,
                        NetworkGraph, attention_dims, attention_operands, layer_macs,
                        layer_vector_ops, projection_passes)
@@ -140,32 +140,39 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
     return NetworkSchedule(units)
 
 
+@dataclass(frozen=True)
+class FixedGroup:
+    """A ``schedule.fusion`` group as a config gives it: chain layers start..end, fused
+    at one tile and halo policy."""
+    start: int = bounded(0, MAX_EXTENT)
+    end: int = bounded(0, MAX_EXTENT)
+    tile: tuple[int, int] = bounded(most=MAX_EXTENT)
+    policy: lf.HaloPolicy = lf.HaloPolicy.RECOMPUTE
+
+
 def _fixed_plan(layers: list[lf.ChainLayer], group_spec: list | None,
                 hw: HardwareConfig, tables: dict | None) -> lf.FusionPlan:
-    def integer(key: str, value) -> int:
-        return parse_number(f"schedule.fusion group {key}", value, integer=True,
-                            most=MAX_EXTENT)
-
     if group_spec is None:
         return lf.singleton_plan(layers, hw, tables)
     groups = []
     covered = 0
     for g in group_spec:
+        spec = FixedGroup(**parse_fields("schedule.fusion group", g, FixedGroup,
+                                         "schedule.fusion group ",
+                                         required=("start", "end", "tile")))
         try:
-            check_keys("schedule.fusion group", g, ("start", "end", "tile", "policy"))
-            start, end = integer("start", g["start"]), integer("end", g["end"])
-            tile = lf.TileShape(*(integer("tile", t) for t in g["tile"]))
-            policy = lf.HaloPolicy(g.get("policy", "recompute"))
-        except (KeyError, ValueError, TypeError) as e:
+            tile = lf.TileShape(*spec.tile)
+        except ValueError as e:
             raise ConfigError(f"schedule.fusion group {g!r}: {e}")
+        start, end = spec.start, spec.end
         if start != covered or end < start or end >= len(layers):
-            raise ConfigError(f"fixed fusion groups must cover the chain; "
+            raise ConfigError(f"schedule.fusion groups must cover the chain in order; "
                               f"bad group [{start}, {end}]")
-        chosen = lf.fixed_tile_choice(layers[start:end + 1], tile, policy, hw, tables)
+        chosen = lf.fixed_tile_choice(layers[start:end + 1], tile, spec.policy, hw, tables)
         groups.append(replace(chosen, start=start, end=end))
         covered = end + 1
     if covered != len(layers):
-        raise ConfigError("fixed fusion groups do not cover the whole chain")
+        raise ConfigError("schedule.fusion groups do not cover the whole chain")
     return lf.FusionPlan(groups)
 
 

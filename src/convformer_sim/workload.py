@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError
-from .hwmodel import check_keys, check_list, parse_number
+from .hwmodel import bounded, check_keys, check_list, parse_fields, parse_number
 
 LN_EPS = 1e-5
 GELU_C = math.sqrt(2.0 / math.pi)
@@ -27,7 +27,6 @@ BLOCK_ELEMENTS = 1 << 15
 # parsed integers that planning loops or sizes arrays by: map sides, windows,
 # reduction ratios, heads and fusion-group integers
 MAX_EXTENT = 1 << 16
-BOUNDED_FIELDS = ("k", "stride", "pad", "sr_ratio", "heads")
 
 
 @dataclass(frozen=True)
@@ -60,35 +59,29 @@ class TensorShape:
 
 @dataclass(frozen=True)
 class Conv2D:
-    c_in: int
-    c_out: int
-    k: int
-    stride: int = 1
-    pad: int = 0
-    groups: int = 1
+    c_in: int = bounded(1)
+    c_out: int = bounded(1)
+    k: int = bounded(1, MAX_EXTENT)
+    stride: int = bounded(1, MAX_EXTENT, default=1)
+    pad: int = bounded(0, MAX_EXTENT, default=0)
+    groups: int = bounded(1, default=1)
 
     def __post_init__(self):
-        if self.k < 1 or self.stride < 1:
-            raise ConfigError("conv2d: k and stride must be >= 1")
         if self.c_in % self.groups or self.c_out % self.groups:
             raise ConfigError("conv2d: groups must divide c_in and c_out")
 
 
 @dataclass(frozen=True)
 class Attention:
-    heads: int
-    d_head: int
-    sr_ratio: int = 1
-
-    def __post_init__(self):
-        if self.heads < 1 or self.d_head < 1 or self.sr_ratio < 1:
-            raise ConfigError("attention: heads, d_head, sr_ratio must be >= 1")
+    heads: int = bounded(1, MAX_EXTENT)   # the schedules loop once per head
+    d_head: int = bounded(1)
+    sr_ratio: int = bounded(1, MAX_EXTENT, default=1)
 
 
 @dataclass(frozen=True)
 class Linear:
-    c_in: int
-    c_out: int
+    c_in: int = bounded(1)
+    c_out: int = bounded(1)
 
 
 @dataclass(frozen=True)
@@ -110,8 +103,8 @@ class Add:
 class Downsample:
     """Patch-merging: an unpadded dense k x k strided conv, channel-preserving;
     an input form that ``infer_shapes`` lowers to ``Conv2D(c, c, k, stride)``."""
-    k: int
-    stride: int
+    k: int = bounded(1, MAX_EXTENT)
+    stride: int = bounded(1, MAX_EXTENT)
 
 
 LayerOp = Conv2D | Attention | Linear | LayerNorm | GELU | Add | Downsample
@@ -710,9 +703,7 @@ _KINDS = {"conv2d": Conv2D, "attention": Attention, "linear": Linear,
 
 
 def _node_from_dict(nd: dict) -> LayerNode:
-    """One graph node. Unknown keys are rejected and integer fields parsed with
-    ``parse_number`` and held to >= 1 (``pad`` to >= 0) and the ``BOUNDED_FIELDS``
-    to at most ``MAX_EXTENT``; each error names the node and the field."""
+    """One graph node: its kind's fields by ``parse_fields``; each error names the node."""
     if not isinstance(nd, dict):
         raise ConfigError(f"graph node must be an object, got {nd!r}")
     node_id = str(nd["id"])
@@ -720,19 +711,9 @@ def _node_from_dict(nd: dict) -> LayerNode:
     if kind is None:
         raise ConfigError(f"unknown layer kind {nd['kind']!r} of node {node_id!r}")
     where = f"graph node {node_id!r}"
-    check_keys(where, nd, ("id", "kind", "preds", *(f.name for f in fields(kind))))
-    args = {}
+    args = parse_fields(where, nd, kind, f"{where} field ", extra=("id", "kind", "preds"))
     for f in fields(kind):
-        if f.name in nd and f.type == "int":
-            value = parse_number(f"{where} field {f.name}", nd[f.name], integer=True,
-                                 most=MAX_EXTENT if f.name in BOUNDED_FIELDS else None)
-            least = 0 if f.name == "pad" else 1
-            if value < least:
-                raise ConfigError(f"{where} field {f.name} must be >= {least}, got {value}")
-            args[f.name] = value
-        elif f.name in nd:
-            args[f.name] = str(nd[f.name])
-        elif f.default is MISSING:
+        if f.name not in args and f.default is MISSING:
             raise ConfigError(f"{node_id}: missing field {f.name!r}")
     preds = check_list(f"{where} field preds", nd.get("preds", []))
     try:

@@ -707,7 +707,8 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     # error paths that no other test ran
     ({}, {}, "model must be a preset name or contain preset/graph"),
     ("pvtv2-micro", {"pruning": {"granularity": "diagonal"}},
-     "schedule.pruning: 'diagonal' is not a valid Granularity"),
+     "schedule.pruning.granularity must be one of ['element', 'row', 'column'], "
+     "got 'diagonal'"),
     ("pvtv2-micro", {"pruning": 3}, "schedule.pruning must be 'off' or an object, got 3"),
     ("pvtv2-micro", {"attention": {"t_q": 4, "mode": "bogus"}},
      "schedule.attention.mode must be one of ['resident_kv', 'streaming_kv'], got 'bogus'"),
@@ -727,6 +728,16 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     (two_node_graph({"kind": "pool", "preds": ["c1"]}), {}, "unknown layer kind 'pool' of node 'g'"),
     (two_node_graph({"kind": "downsample", "k": 2, "preds": ["c1"]}), {},
      "g: missing field 'stride'"),
+    # a tile that is not two integers was a TypeError ("'int' object is not iterable",
+    # "TileShape.__init__() takes 3 positional arguments but 4 were given")
+    *(("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": tile}]}},
+       f"schedule.fusion group tile must be a list of 2 integers, got {tile}")
+      for tile in (4, [4, 4, 4])),
+    # true ran as threshold 1.0, and -1 said "prune thresholds must be >= 0"
+    ("pvtv2-micro", {"pruning": {"theta_attn": True}},
+     "schedule.pruning.theta_attn must be a number, got True"),
+    ("pvtv2-micro", {"pruning": {"theta_attn": -1}},
+     "schedule.pruning.theta_attn must be >= 0, got -1.0"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -734,6 +745,46 @@ def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, 
     assert code == 1
     assert field in err
     assert out == ""
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"tolerance": True}, "tolerance"),
+    ({"hardware": {"e_dram": True}}, "hardware.e_dram"),
+])
+def test_boolean_is_not_a_number(config, field, tmp_path, capsys):
+    # each float field read JSON true as 1.0 and ran
+    code, out, err = run_cli(["run", "--config", write_config(tmp_path, config)], capsys)
+    assert (code, out) == (1, "")
+    assert f"{field} must be a number, got True" in err
+
+
+def test_negative_sweep_threshold_names_its_axis(capsys):
+    # it said "prune thresholds must be >= 0"
+    config = Path(__file__).parent.parent / "configs" / "pruning_sweep.json"
+    code, out, err = run_cli(["sweep", "--config", str(config), "--axis", "theta_act",
+                              "--values=-0.5"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "config error: theta_act must be >= 0, got -0.5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["sweep", "--axis", "theta_attn", "--values", "0.1,0.5"],
+    ["sweep", "--axis", "theta_act", "--values", "0.5"],
+])
+def test_pruning_without_a_pruning_point_exits_1_before_numerics(argv, tmp_path, monkeypatch,
+                                                                  capsys):
+    # toy-chain has no attention and no GELU read by a linear: pruning ran, reported
+    # "pruning": [] and the unpruned costs, and exited 0
+    def unreachable(*args, **kwargs):
+        raise AssertionError("planning ran under a pruning config that prunes nothing")
+
+    monkeypatch.setattr(pipeline, "plan_network", unreachable)
+    cfg = write_config(tmp_path, {"model": "toy-chain", "schedule": {
+        "pruning": {"theta_attn": 0.5, "theta_act": 0.5}} if argv == ["run"] else {}})
+    code, out, err = run_cli([*argv, "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("config error: schedule.pruning sets thresholds, but the graph "
+                          "has no pruning point")
 
 
 @pytest.mark.parametrize("config, key", [
