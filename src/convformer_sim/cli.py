@@ -157,8 +157,8 @@ class Params(dict):
 class Reference:
     """The reference run of one model and seed, shared by a command's rows. It keeps
     unit-boundary outputs (alike in every schedule) and, if pruning, GELUs; ``tables``
-    holds the rows' fusion cost tables (``pipeline.plan_network``) and ``last`` the
-    (unpruned config, simulation) of the last row that ran its schedule."""
+    holds the rows' plan caches (``pipeline.plan_network``; unused if ``release``) and
+    ``last`` the (unpruned config, simulation) of the last row that ran its schedule."""
 
     def __init__(self, graph: NetworkGraph, seed: int, pruning: bool, release: bool = False):
         self.graph, self.seed, self.pruning, self.release = graph, seed, pruning, release
@@ -231,7 +231,7 @@ def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
     unpruned = replace(cfg, pruning=None)
     if ref.last[0] != unpruned:
         schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion,
-                                         ref.tables)
+                                         None if ref.release else ref.tables)
         ref.start()
         deviations: list[tuple[str, float]] = []
         try:
@@ -246,8 +246,7 @@ def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
             "deviation": deviations[-1][1] if deviations else 0.0}
     sim = dict(ref.last[1])
     if cfg.pruning is not None:
-        pruned = pruning_analysis(ref.graph, ref.join(), ref.x, ref.params, cfg.pruning,
-                                  cfg.hardware)
+        pruned = pruning_analysis(ref.graph, ref.join(), ref.x, ref.params, cfg.pruning)
         sim.update(pruning=pruned["layers"], adjusted_report=fp.sparse_cost_adjust(
             sim["report"], pruned["aggregate_stats"], cfg.hardware, cfg.pruning.granularity))
     return sim
@@ -282,8 +281,7 @@ def pruning_points(graph: NetworkGraph) -> list[tuple[LayerNode, Linear | None]]
 
 
 def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
-                     x: np.ndarray, params: dict, cfg: fp.PruneConfig,
-                     hw: HardwareConfig) -> dict:
+                     x: np.ndarray, params: dict, cfg: fp.PruneConfig) -> dict:
     """Layer-level pruning sweep points: attention maps and post-GELU maps.
 
     ``record`` holds the reference outputs of attention inputs and GELUs,

@@ -102,16 +102,16 @@ def _window(node: LayerNode) -> tuple[int, int, int, int]:
     return window(node.op)
 
 
-def _walk(layers: Sequence[ChainLayer], lo: np.ndarray, hi: np.ndarray, axis
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Back-propagate last-layer output intervals [lo, hi) along ``axis`` (0 rows,
-    1 columns; one for all or one per interval).
+def _walk(layers: Sequence[ChainLayer], lo: np.ndarray, hi: np.ndarray, axis,
+          last=None) -> tuple[np.ndarray, np.ndarray]:
+    """Back-propagate output intervals [lo, hi) of layer ``last`` (default the last)
+    along ``axis`` (0 rows, 1 columns); each is one for all or one per interval.
 
     Returns int64 (los, his) of shape (len(lo), len(layers) + 1): column l is
-    layer l's input interval, column l + 1 its output. Layer l's interval
-    depends only on layers l.., so one walk serves every group that ends at
-    the last layer. An interval that is empty or lands wholly in the padding
-    ring becomes empty at its clamped start.
+    layer l's input interval, column l + 1 its output, and past ``last`` the
+    interval is unchanged. Layer l's interval depends only on layers l..last,
+    so one walk serves every group that ends at ``last``. An interval that is
+    empty or lands wholly in the padding ring becomes empty at its clamped start.
     """
     n = len(layers)
     in_lens = np.array([(l.in_shape.h, l.in_shape.w) for l in layers],
@@ -127,47 +127,52 @@ def _walk(layers: Sequence[ChainLayer], lo: np.ndarray, hi: np.ndarray, axis
         ends = walk[:, :, li]
         np.clip(walk[:, :, li + 1] * s + [[-p], [k - s - p]], 0, in_lens[li], out=ends)
         np.copyto(ends[1], ends[0], where=(b <= a) | (ends[1] <= ends[0]))
+        if last is not None:
+            np.copyto(ends, walk[:, :, li + 1], where=last < li)
     return walk[0], walk[1]
 
 
-def _axis_tables(layers: Sequence[ChainLayer], h_extents: Sequence[int],
-                 w_extents: Sequence[int]) -> tuple[tuple, tuple]:
-    """Row and column tables of the last layer's output tiles, from one walk.
+def _axis_tables(layers: Sequence[ChainLayer], h_extents: np.ndarray,
+                 w_extents: np.ndarray) -> tuple[tuple, tuple]:
+    """Row and column tables of the output tiles of end e, one of the last E layers, at
+    extents ``h_extents[e]`` x ``w_extents[e]`` (each (E, A) or (E, B)), from one walk.
 
-    Each is (count, lens, sums, union) with, per extent e: ``count[e]``
-    tiles; per ``_walk`` column the total interval length ``sums[e]`` and
-    the union length ``union[e]``; ``lens[e]`` the rows of lengths that
-    differ from the previous tile (interior tiles repeat), zero padded to a
-    common row count (a zero row never raises a peak).
+    Each is (count, lens, sums, union), indexed by end e and extent index:
+    ``count`` tiles; per ``_walk`` column the total interval length ``sums``
+    and the union length ``union``; ``lens`` the rows of lengths that differ
+    from the previous tile (interior tiles repeat), zero padded to a common
+    row count (a zero row never raises a peak).
     """
-    last = layers[-1].out_shape
-    n_h = len(h_extents)
-    step = np.array([*h_extents, *w_extents], dtype=np.int64)
-    total = np.where(np.arange(len(step)) < n_h, last.h, last.w)
+    first = len(layers) - len(h_extents)
+    axis, end, step, total = np.array(
+        [(ax, e, x, (layer.out_shape.h, layer.out_shape.w)[ax]) for ax, extents in
+         enumerate((h_extents, w_extents)) for e, layer in enumerate(layers[first:])
+         for x in extents[e]], dtype=np.int64).T
     count = -(-total // step)
-    starts = np.cumsum(count) - count
-    seg = np.repeat(np.arange(len(step)), count)
+    starts = np.add.accumulate(count) - count
+    seg = np.arange(len(step)).repeat(count)
     lo = (np.arange(len(seg)) - starts[seg]) * step[seg]
-    los, his = _walk(layers, lo, np.minimum(lo + step[seg], total[seg]),
-                     (seg >= n_h).astype(np.int64))
+    los, his = _walk(layers, lo, np.minimum(lo + step[seg], total[seg]), axis[seg],
+                     first + end[seg] if first < len(layers) - 1 else None)
     lens = his - los
     # lo is non-decreasing in tile order, so a tile adds to the union what
     # lies past the furthest end before it; the shift restarts that running
     # maximum at each extent
     shift = seg[:, None] * (int(his.max()) + 1)
-    before = np.zeros_like(his)
+    before = np.zeros(his.shape, dtype=np.int64)
     before[1:] = np.maximum.accumulate(his + shift, axis=0)[:-1] - shift[:-1]
     before[starts] = 0
     union = np.add.reduceat(np.maximum(his - np.maximum(los, before), 0), starts)
     keep = np.ones(len(seg), dtype=bool)
-    keep[1:] = (lens[1:] != lens[:-1]).any(axis=1)
+    keep[1:] = np.logical_or.reduce(lens[1:] != lens[:-1], axis=1)
     keep[starts] = True
-    rank = np.cumsum(keep) - 1
+    rank = np.add.accumulate(keep, dtype=np.int64) - 1
     pos = (rank - rank[starts][seg])[keep]
     distinct = np.zeros((len(step), int(pos.max()) + 1, lens.shape[1]), dtype=np.int64)
     distinct[seg[keep], pos] = lens[keep]
     table = (count, distinct, np.add.reduceat(lens, starts), union)
-    return tuple(a[:n_h] for a in table), tuple(a[n_h:] for a in table)
+    return tuple(tuple(a[part].reshape(len(h_extents), -1, *a.shape[1:]) for a in table)
+                 for part in (slice(h_extents.size), slice(h_extents.size, None)))
 
 
 def _tile_walks(layers: Sequence[ChainLayer], tile: TileShape) -> list[tuple]:
@@ -194,116 +199,125 @@ def _line_buffer(layer: ChainLayer, eb: int) -> int:
 
 
 def _suffix(acc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """``acc`` over x[i:] for every i, along axis 0."""
-    return acc.accumulate(x[::-1], axis=0)[::-1]
+    """``acc`` over x[:, i:] for every i, along axis 1."""
+    return acc.accumulate(x[:, ::-1], axis=1)[:, ::-1]
 
 
 class _GroupTable:
-    """Every (tile, halo policy, weight residency) option of every group ``layers[i:]``.
+    """Every (tile, halo policy, weight residency) option of every group ``layers[i..j]``
+    ending at layer j = len(layers) - E + e for an end e < E = ``len(extents)``.
 
-    Tiles split the last layer's output into ``h_extents`` x ``w_extents``
-    (any extent >= 1). ``buf`` and ``ema`` (n, A, B, 2, 2) and ``extra``
-    (n, A, B, 2) are indexed by start i, extents (a, b), policy p in
-    ``POLICIES`` order and resident (r = 0) or streamed (r = 1) weights.
-    ``buf`` is the peak live bytes over every (tile, layer) pair of the fused
-    replay at the executor's exact clamped extents, plus resident weights and
-    (under CACHE) halo line buffers. Intermediate maps cost no EMA; under
-    RECOMPUTE each tile re-reads its input halo and overlapping intermediate
-    pixels are recomputed (``extra`` MACs), under CACHE each input byte is
-    read once; streamed weights are read once per tile.
+    End e's tiles split layer j's output into ``extents[e]`` = (row, column extents),
+    each >= 1, its last repeated up to A and B (a repeat ties with it, so never wins
+    or lowers a minimum). ``buf`` and ``ema`` (E, n, A, B, 2, 2) and ``extra``
+    (E, n, A, B, 2) are indexed by end e, start i <= j, extents (a, b), policy p in
+    ``POLICIES`` order and resident (r = 0) or streamed (r = 1) weights. ``buf`` is
+    the peak live bytes over every (tile, layer) pair of the fused replay at the
+    executor's exact clamped extents, plus resident weights and (under CACHE) halo
+    line buffers. Intermediate maps cost no EMA; under RECOMPUTE each tile re-reads
+    its input halo and overlapping intermediate pixels are recomputed (``extra``
+    MACs), under CACHE each input byte is read once; streamed weights are read once
+    per tile.
     """
 
     def __init__(self, layers: Sequence[ChainLayer], hw: HardwareConfig,
-                 h_extents: Sequence[int], w_extents: Sequence[int]):
-        eb = hw.element_bytes
-        self.extents, self.bests = (list(h_extents), list(w_extents)), {}
+                 extents: Sequence[tuple]):
+        eb, n, first = hw.element_bytes, len(layers), len(layers) - len(extents)
+        self.ends, self.bests = range(first, n), {}
+        most = [max(len(x[ax]) for x in extents) for ax in (0, 1)]   # A and B
+        self.h, self.w = (np.array([x[ax] + x[ax][-1:] * (most[ax] - len(x[ax]))
+                                    for x in extents]) for ax in (0, 1))
         (r_count, r_lens, r_sums, r_union), (c_count, c_lens, c_sums, c_union) = \
-            _axis_tables(layers, h_extents, w_extents)
-        c_in, c_out, w, ppm, full, lb = per_layer = np.array(   # int64 once bounded
-            [(l.in_shape.c, l.out_shape.c, *op_cost(l.node.op),
-              l.out_shape.h * l.out_shape.w, _line_buffer(l, eb)) for l in layers],
-            dtype=object).T
-        last = layers[-1].out_shape
-        out_bytes = last.h * last.w * last.c * eb
-        # every entry below, and every partial sum of one, is at most this;
-        # exact, as an element width may be too long for a float
-        bound = (int(r_sums.max()) * int(c_sums.max()) * eb
-                 * ((c_in + c_out).max() + ppm.sum()) + lb.sum() + out_bytes
-                 + w.sum() * eb * int(r_count.max()) * int(c_count.max()))
-        if bound >= _INT64_SAFE:
-            size = f"{bound:.3g}" if bound < 10**308 else "over 1e+308"  # float range
-            raise ConfigError(f"{layers[-1].node.id}: fusion cost table exceeds int64 "
-                              f"(bound {size})")
-        c_in, c_out, w, ppm, full, lb = per_layer.astype(np.int64)
-
-        def outer(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            return rows.T[:, :, None] * cols.T[:, None, :]   # (n, A, B)
-
-        # peak live elements of each layer over every tile pair
-        r, c = r_lens[:, :, None, None], c_lens[None, None]
-        live = r[..., :-1] * c[..., :-1] * c_in + r[..., 1:] * c[..., 1:] * c_out
-        peak = np.moveaxis(live.max(axis=(1, 3)), -1, 0)
-        w_suffix = _suffix(np.add, w)[:, None, None] * eb
+            _axis_tables(layers, self.h, self.w)
+        per_layer = [(l.in_shape.c, l.out_shape.c, *op_cost(l.node.op),   # int64 once bounded
+                      l.out_shape.h * l.out_shape.w, _line_buffer(l, eb)) for l in layers]
+        c_in, c_out, w, ppm, _, lb = zip(*per_layer)
+        out = [l.out_shape.elements * eb for l in layers[first:]]
+        # end e's bound caps its every entry and partial sum; exact, as eb may pass a float
+        top = [np.maximum.reduce(a.reshape(len(a), -1), axis=1).tolist()
+               for a in (r_sums, c_sums, r_count, c_count)]
+        for e, k in enumerate(range(first + 1, n + 1)):   # end e is layer k - 1
+            b = (top[0][e] * top[1][e] * eb * (max(map(sum, zip(c_in[:k], c_out[:k])))
+                                               + sum(ppm[:k])) + sum(lb[:k]) + out[e]
+                 + sum(w[:k]) * eb * top[2][e] * top[3][e])
+            if b >= _INT64_SAFE:   # the first end whose prefix overflows
+                size = f"{b:.3g}" if b < 10**308 else "over 1e+308"  # float range
+                raise ConfigError(f"{layers[k - 1].node.id}: fusion cost table exceeds int64 "
+                                  f"(bound {size})")
+        # (E, n) counts, zero past end e. Peaks go one end at a time: a temporary over
+        # glibc's 128 KB mmap threshold raised a run's peak RSS once freed
+        c_in, c_out, w, ppm, full, lb = np.array(per_layer, dtype=np.int64).T[:, None] * np.tri(
+            n, dtype=np.int64)[first:]
+        peak = np.empty((len(extents), n, self.h.shape[1], self.w.shape[1]), dtype=np.int64)
+        for e, (r, c) in enumerate(zip(r_lens[:, :, :, None, None], c_lens[:, None, None])):
+            peak[e] = (r[..., :-1] * c[..., :-1] * c_in[e] + r[..., 1:] * c[..., 1:] * c_out[e]
+                       ).max(axis=(1, 3)).transpose(2, 0, 1)
+        w, ppm, full, lb, c_in = (a[..., None, None] for a in (w, ppm, full, lb, c_in))
+        w_suffix = _suffix(np.add, w) * eb
         self.buf = np.empty(peak.shape + (2, 2), dtype=np.int64)
         self.buf[..., 0, 0] = _suffix(np.maximum, peak) * eb + w_suffix
-        self.buf[..., 0, 1] = _suffix(np.maximum, peak + w[:, None, None]) * eb
-        self.buf[..., 1, :] = self.buf[..., 0, :] + _suffix(np.add, lb)[:, None, None, None]
-        input_bytes = np.stack([outer(r_sums[:, :-1], c_sums[:, :-1]),
-                                outer(r_union[:, :-1], c_union[:, :-1])],
-                               axis=-1) * (c_in * eb)[:, None, None, None]
+        self.buf[..., 0, 1] = _suffix(np.maximum, peak + w) * eb
+        self.buf[..., 1, :] = self.buf[..., 0, :] + _suffix(np.add, lb)[..., None]
+        # (E, n + 1, A, B): the total and union interval area of each walk column
+        area, union = (rows.swapaxes(1, 2)[..., None] * cols.swapaxes(1, 2)[:, :, None]
+                       for rows, cols in ((r_sums, c_sums), (r_union, c_union)))
+        input_bytes = (np.stack([area[:, :-1], union[:, :-1]], axis=-1) * (c_in * eb)[..., None]
+                       + np.array(out, dtype=np.int64)[:, None, None, None, None])
         self.ema = np.empty_like(self.buf)
-        self.ema[..., 0] = input_bytes + out_bytes + w_suffix[..., None]
-        self.ema[..., 1] = (input_bytes + out_bytes
-                            + (w_suffix * r_count[:, None] * c_count)[..., None])
+        self.ema[..., 0] = input_bytes + w_suffix[..., None]
+        self.ema[..., 1] = input_bytes + (w_suffix * r_count[:, None, :, None]
+                                          * c_count[:, None, None, :])[..., None]
         self.extra = np.zeros(peak.shape + (2,), dtype=np.int64)
-        self.extra[..., 0] = _suffix(np.add, (outer(r_sums[:, 1:], c_sums[:, 1:])
-                                              - full[:, None, None]) * ppm[:, None, None])
+        self.extra[..., 0] = _suffix(np.add, (area[:, 1:] - full) * ppm)
 
-    def choice(self, i: int, a: int, b: int, p: int, r: int) -> FusionGroup:
-        """The group ``layers[i:]`` at extents (a, b), policy p and residency r."""
-        tile = TileShape(int(self.extents[0][a]), int(self.extents[1][b]))
-        return FusionGroup(i, len(self.buf) - 1, tile, POLICIES[p], r == 0,
-                           int(self.ema[i, a, b, p, r]), int(self.extra[i, a, b, p]),
-                           int(self.buf[i, a, b, p, r]))
+    def choice(self, e: int, i: int, a: int, b: int, p: int, r: int) -> FusionGroup:
+        """The group ``layers[i..j]`` of end e at extents (a, b), policy p and residency r."""
+        return FusionGroup(i, self.ends[e], TileShape(int(self.h[e, a]), int(self.w[e, b])),
+                           POLICIES[p], r == 0, int(self.ema[e, i, a, b, p, r]),
+                           int(self.extra[e, i, a, b, p]), int(self.buf[e, i, a, b, p, r]))
 
-    def best(self, capacity: int) -> list[FusionGroup | None]:
-        """Minimum-EMA option that fits ``capacity`` per start i, or None.
+    def best(self, capacity: int) -> list[list[FusionGroup | None]]:
+        """Per end e, the minimum-EMA option that fits ``capacity`` per start i <= j, or None.
 
         Ties prefer larger tiles, fewer extra MACs, a smaller buffer, then
         RECOMPUTE; exact ties go to the first option in index order. Memoized.
         """
-        if capacity in self.bests:
-            return self.bests[capacity]
-        shape = self.buf.shape
-        h, w = (np.array(e, dtype=np.int64) for e in self.extents)
-        keys = (np.arange(2)[:, None], self.buf, self.extra[..., None],   # last sorts first
-                -(h[:, None] * w)[:, :, None, None], self.ema, self.buf > capacity)
-        first = np.lexsort([np.broadcast_to(k, shape).reshape(shape[0], -1) for k in keys])
-        self.bests[capacity] = [None if self.buf[i].flat[f] > capacity else
-                                self.choice(i, *map(int, np.unravel_index(f, shape[1:])))
-                                for i, f in enumerate(first[:, 0])]
+        if capacity not in self.bests:
+            if not self.bests:   # the first capacity ranks each (e, i)'s options once
+                keys = np.broadcast_arrays(   # the last key sorts first
+                    np.arange(2)[:, None], self.buf, self.extra[..., None],
+                    -(self.h[:, None, :, None] * self.w[:, None, None, :])[..., None, None],
+                    self.ema)
+                self.order = np.lexsort([k.reshape(-1, self.buf[0, 0].size) for k in keys])
+                self.order += np.arange(0, self.buf.size, self.order.shape[1])[:, None]
+            fits = self.buf.ravel()[self.order] <= capacity   # each row's first fit wins
+            index = np.unravel_index(self.order[np.arange(len(fits)), fits.argmax(axis=1)],
+                                     self.buf.shape)
+            found = fits.any(axis=1).reshape(self.buf.shape[:2]).tolist()
+            index = np.array(index).T.reshape(*self.buf.shape[:2], -1).tolist()
+            self.bests[capacity] = [[self.choice(*index[e][i]) if found[e][i] else None
+                                     for i in range(j + 1)] for e, j in enumerate(self.ends)]
         return self.bests[capacity]
 
 
 def _candidate_table(layers: Sequence[ChainLayer], hw: HardwareConfig,
                      tables: dict | None = None, tile: TileShape | None = None) -> _GroupTable:
-    """The table at ``tile``, or over every tile whose extents divide the last layer's
-    output. Chains of one geometry (ops and shapes, not node ids) share it through
-    ``tables``; a table that fails to build is not stored."""
-    last = layers[-1].out_shape
-    extents = ((tile.h_t,), (tile.w_t,)) if tile else (divisors(last.h), divisors(last.w))
-    key = (tuple((l.node.op, l.in_shape, l.out_shape) for l in layers), hw.element_bytes,
-           *map(tuple, extents))
+    """The table at ``tile`` of the groups ending at the last layer, or of every group over
+    every tile whose extents divide its last layer's output. Chains of one geometry (ops
+    and shapes, not node ids) share it through ``tables``; a failed build is not stored."""
+    key = (tuple((l.node.op, l.in_shape, l.out_shape) for l in layers), hw.element_bytes, tile)
     tables = {} if tables is None else tables
     if key not in tables:
-        tables[key] = _GroupTable(layers, hw, *extents)
+        tables[key] = _GroupTable(layers, hw, [((tile.h_t,), (tile.w_t,))] if tile else
+                                  [(divisors(l.out_shape.h), divisors(l.out_shape.w))
+                                   for l in layers])
     return tables[key]
 
 
 def _option(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
             weights_resident: bool, hw: HardwareConfig) -> FusionGroup:
     return _candidate_table(layers, hw, tile=tile).choice(
-        0, 0, 0, POLICIES.index(policy), 0 if weights_resident else 1)
+        0, 0, 0, 0, POLICIES.index(policy), 0 if weights_resident else 1)
 
 
 def group_ema(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
@@ -338,7 +352,7 @@ def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
     Tiles are the divisor extents of the group's output; ties as in
     ``_GroupTable.best``.
     """
-    return _candidate_table(layers, hw).best(hw.scratchpad_bytes)[0]
+    return _candidate_table(layers, hw).best(hw.scratchpad_bytes)[-1][0]
 
 
 def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
@@ -349,7 +363,7 @@ def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape, policy: Hal
     """
     table = _candidate_table(layers, hw, tables, tile)
     for r in (0, 1):
-        choice = table.choice(0, 0, 0, POLICIES.index(policy), r)
+        choice = table.choice(0, 0, 0, 0, POLICIES.index(policy), r)
         if choice.buffer_bytes <= hw.scratchpad_bytes:
             return choice
     raise CapacityError(choice.buffer_bytes, hw.scratchpad_bytes, what="fusion group ["
@@ -362,8 +376,8 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig,
 
     DP over split points: best[j] = min over i of best[i-1] + cost(i..j),
     where cost(i..j) is the best option over divisor tiles of layer j's
-    output and both halo policies. One ``_GroupTable`` per end layer j, from
-    ``tables``, costs every start i at once. Ties break toward fewer groups.
+    output and both halo policies. One ``_GroupTable``, from ``tables``,
+    costs every (i, j) at once. Ties break toward fewer groups.
     """
     n = len(chain)
     if n == 0:
@@ -372,11 +386,10 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig,
     best: list[tuple[int, int] | None] = [None] * n
     back: list[FusionGroup | None] = [None] * n
     alone: CapacityError | None = None   # the first layer that fits no tile alone
-    for j in range(n):
-        table = _candidate_table(chain[:j + 1], hw, tables)
-        choices = table.best(hw.scratchpad_bytes)
+    table = _candidate_table(chain, hw, tables)
+    for j, choices in enumerate(table.best(hw.scratchpad_bytes)):
         if choices[j] is None and alone is None:   # entry j is layer j alone
-            alone = CapacityError(int(table.buf[j].min()), hw.scratchpad_bytes,
+            alone = CapacityError(int(table.buf[j, j].min()), hw.scratchpad_bytes,
                                   f"layer {chain[j].node.id} as a singleton group "
                                   "at its smallest tile")
         for i, g in enumerate(choices):
@@ -420,13 +433,14 @@ def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig,
 
 def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
                    policy: HaloPolicy, weights_resident: bool,
-                   hw: HardwareConfig) -> list[Txn]:
+                   hw: HardwareConfig, walks: list[tuple] | None = None) -> list[Txn]:
     """Ordered scratchpad transactions of one fusion group, tile by tile.
 
     Each tile loads its first-layer input region (under CACHE only the bytes
     no earlier tile loaded), runs every layer on chip and stores the last
     layer's output. The compute step of layer ``li`` on row-major tile ``t``
-    is the touch tagged ``tile=t, block=li``.
+    is the touch tagged ``tile=t, block=li``. ``walks`` is the group's
+    ``_tile_walks``, made here if not given.
     """
     eb = hw.element_bytes
     w = [op_cost(l.node.op)[0] * eb for l in layers]
@@ -439,7 +453,7 @@ def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
     if resident_w:
         txns += [Txn("alloc", "gW", resident_w), Txn("load", "gW", resident_w)]
     txns += [Txn("alloc", f"gLB{li}", nbytes) for li, nbytes in line_buffers]
-    for t, (rows, cols) in enumerate(_tile_walks(layers, tile)):
+    for t, (rows, cols) in enumerate(walks or _tile_walks(layers, tile)):
         (ir0, ir1), (ic0, ic1) = rows[0], cols[0]
         prev, prev_bytes = "tin", (ir1 - ir0) * (ic1 - ic0) * c_in0 * eb
         if policy is HaloPolicy.RECOMPUTE:
@@ -500,7 +514,7 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
                 out[:, slice(*rows[li + 1]), slice(*cols[li + 1])] = tile_val
 
         replay(schedule_group(layers, group.tile, group.policy,
-                              group.weights_resident, hw), sim, compute)
+                              group.weights_resident, hw, walks), sim, compute)
         cur = out
     return cur
 
@@ -512,9 +526,8 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
 FUSABLE_OPS = (Conv2D, Linear, LayerNorm, GELU)
 
 
-def chain_from_nodes(graph: NetworkGraph, node_ids: Sequence[str]) -> list[ChainLayer]:
-    return [ChainLayer(graph.node(i), graph.in_shape(graph.node(i)),
-                       graph.out_shape(i)) for i in node_ids]
+def chain_from_nodes(graph: NetworkGraph, nodes: Sequence[LayerNode]) -> list[ChainLayer]:
+    return [ChainLayer(n, graph.in_shape(n), graph.out_shape(n.id)) for n in nodes]
 
 
 def split_into_segments(graph: NetworkGraph) -> list[tuple[str, list[LayerNode]]]:

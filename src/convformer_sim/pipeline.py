@@ -83,8 +83,9 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
     A dict ``attention_mode`` is an ``at.tiling_spec``; each attention layer
     gets its fixed tiling, with t_k = N_r in resident mode. Every group, core
     and pass is capacity-checked here, before anything executes. Fusion cost
-    tables are looked up in ``tables``, which calls may share.
+    tables and attention searches are looked up in ``tables``, which calls may share.
     """
+    tables = {} if tables is None else tables
     segments = lf.split_into_segments(graph)
     if isinstance(fusion_mode, dict):
         chains = {str(i) for i in range(sum(kind == "chain" for kind, _ in segments))}
@@ -99,7 +100,7 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
     chain_idx = 0
     for kind, nodes in segments:
         if kind == "chain":
-            layers = lf.chain_from_nodes(graph, [n.id for n in nodes])
+            layers = lf.chain_from_nodes(graph, nodes)
             if fusion_mode == "auto":
                 plan = lf.partition_chain(layers, hw, tables)
             elif fusion_mode == "singleton":
@@ -115,8 +116,9 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
             try:   # capacity-check the core, then the gemm or add passes without compute
                 if isinstance(node.op, Attention):
                     dims = attention_dims(graph, node, hw.element_bytes)
-                    if attention_mode == "auto":
-                        tiling = at.search_attention_tiling(dims, hw)
+                    if attention_mode == "auto":   # one search per geometry and hardware
+                        tiling = tables[dims, hw] = (tables.get((dims, hw))
+                                                     or at.search_attention_tiling(dims, hw))
                     elif attention_mode == "baseline":
                         tiling = None
                     elif isinstance(attention_mode, dict):

@@ -11,6 +11,7 @@ uniform in [-0.5, 0.5]; determinism matters more than realism here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -192,10 +193,11 @@ def conv_out_dim(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def divisors(n: int) -> list[int]:
+@functools.cache
+def divisors(n: int) -> tuple[int, ...]:
     """Every tile extent that splits ``n`` (at least 1) evenly, ascending."""
     p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)   # least prime factor
-    return [1] if n == 1 else sorted({d * f for d in divisors(n // p) for f in (1, p)})
+    return (1,) if n == 1 else tuple(sorted({d * f for d in divisors(n // p) for f in (1, p)}))
 
 
 def tile_intervals(total: int, step: int) -> list[tuple[int, int]]:

@@ -84,7 +84,7 @@ def preset_chain_cases():
         for kind, nodes in split_into_segments(g):
             if kind != "chain":
                 continue
-            chain = chain_from_nodes(g, [n.id for n in nodes])
+            chain = chain_from_nodes(g, nodes)
             first = chain[0].node
             xin = x if not first.preds else record[first.preds[0]]
             ref = record[chain[-1].node.id]
@@ -231,7 +231,7 @@ def test_criterion_4_search_optimality():
         nodes.append(LayerNode(f"L{i}", op, prev))
         prev = (f"L{i}",)
     g = infer_shapes(NetworkGraph(nodes, TensorShape(1, 2, 8, 8)))
-    chain = chain_from_nodes(g, [n.id for n in g.nodes])
+    chain = chain_from_nodes(g, g.nodes)
     for cap in (256 * 1024, 1024, 600):
         hw = HardwareConfig(scratchpad_bytes=cap)
         memo = {}
@@ -394,7 +394,7 @@ def test_criterion_8_capacity_soundness_fuzz():
             nodes.append(LayerNode(f"L{i}", op, prev))
             prev = (f"L{i}",)
         g = infer_shapes(NetworkGraph(nodes, TensorShape(1, c, size, size)))
-        chain = chain_from_nodes(g, [n.id for n in g.nodes])
+        chain = chain_from_nodes(g, g.nodes)
         last = chain[-1].out_shape
         tile = TileShape(int(rng.choice(divisors(last.h))),
                          int(rng.choice(divisors(last.w))))

@@ -1397,17 +1397,22 @@ B0_CONFIG = str(Path(__file__).parent / "golden" / "b0-224.json")
 
 def count_tables(monkeypatch) -> list:
     """The geometry of every fusion cost table built: ops and shapes, element
-    width and tile extents, in build order."""
+    width and each end's tile extents, in build order."""
     built = []
     real = pipeline.lf._GroupTable.__init__
 
-    def counted(self, layers, hw, h_extents, w_extents):
+    def counted(self, layers, hw, extents):
         built.append((tuple((l.node.op, l.in_shape, l.out_shape) for l in layers),
-                      hw.element_bytes, tuple(h_extents), tuple(w_extents)))
-        real(self, layers, hw, h_extents, w_extents)
+                      hw.element_bytes, tuple(extents)))
+        real(self, layers, hw, extents)
 
     monkeypatch.setattr(pipeline.lf._GroupTable, "__init__", counted)
     return built
+
+
+# one table per distinct chain geometry, shared by every scratchpad size of the
+# sweep and every schedule of the compare (one per chain prefix made 21 and 52)
+TABLES_BUILT = {"sweep": 12, "compare": 36}
 
 
 @pytest.mark.parametrize("argv", [
@@ -1419,7 +1424,7 @@ def test_a_command_builds_each_distinct_table_once(argv, monkeypatch, capsys):
     built = count_tables(monkeypatch)
     assert run_cli(argv, capsys)[0] == 0
     first = list(built)
-    assert first and len(first) == len(set(first))
+    assert len(first) == len(set(first)) == TABLES_BUILT[argv[0]]
     assert run_cli(argv, capsys)[0] == 0   # the next command shares none of them
     assert built == first + first
 

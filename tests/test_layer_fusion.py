@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import convformer_sim as cs
+from convformer_sim.cli import build_graph
 from convformer_sim.errors import CapacityError, ConfigError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
@@ -14,7 +18,7 @@ from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
                                          singleton_plan, split_into_segments)
 from convformer_sim.hwmodel import replay
 from convformer_sim.layer_fusion import (POLICIES, _candidate_table, _GroupTable,
-                                         _walk, schedule_group)
+                                         _line_buffer, _walk, schedule_group)
 from convformer_sim.workload import (Add, Attention, Conv2D, Downsample, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, infer_shapes, init_params,
@@ -34,7 +38,7 @@ def make_chain_graph(ops, input_shape):
 
 
 def chain_of(graph):
-    return chain_from_nodes(graph, [n.id for n in graph.nodes])
+    return chain_from_nodes(graph, graph.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +355,7 @@ class TestPartition:
             for kind, nodes in split_into_segments(g):
                 if kind != "chain" or len(nodes) < 2:
                     continue
-                chain = chain_from_nodes(g, [n.id for n in nodes])
+                chain = chain_from_nodes(g, nodes)
                 fused = partition_chain(chain, hw)
                 single = singleton_plan(chain, hw)
                 assert fused.total_ema < single.total_ema, preset
@@ -396,8 +400,9 @@ def exhaustive_choice(layers, hw, start=0):
     tables = {}
     for tile, policy, resident in candidates(layers):
         if tile not in tables:
-            tables[tile] = _GroupTable(layers, hw, [tile.h_t], [tile.w_t])
-        option = tables[tile].choice(0, 0, 0, POLICIES.index(policy), 0 if resident else 1)
+            tables[tile] = _GroupTable(layers, hw, [((tile.h_t,), (tile.w_t,))])
+        option = tables[tile].choice(0, 0, 0, 0, POLICIES.index(policy),
+                                     0 if resident else 1)
         ema, extra, buf = option.ema, option.extra_macs, option.buffer_bytes
         if buf > hw.scratchpad_bytes:
             continue
@@ -418,7 +423,7 @@ def test_best_group_choice_matches_exhaustive_enumeration(cap):
         for kind, nodes in split_into_segments(g):
             if kind != "chain":
                 continue
-            chain = chain_from_nodes(g, [n.id for n in nodes])
+            chain = chain_from_nodes(g, nodes)
             for i in range(len(chain)):
                 for j in range(i, len(chain)):
                     want = exhaustive_choice(chain[i:j + 1], hw)
@@ -470,7 +475,7 @@ class TestFusedExecute:
             for kind, nodes in split_into_segments(g):
                 if kind != "chain":
                     continue
-                chain = chain_from_nodes(g, [n.id for n in nodes])
+                chain = chain_from_nodes(g, nodes)
                 plan = partition_chain(chain, hw)
                 first = chain[0].node
                 x = seeded_input(g, 0) if not first.preds else None
@@ -553,20 +558,20 @@ def test_schedule_group_replay_matches_closed_form(preset, hw):
 
     Every contiguous sub-chain ``chain[i..j]`` of every chain, every tile
     candidate and all four (policy, residency) options: the replayed
-    schedule's EMA and high-water mark equal entry i of the cost table the
-    partitioner builds for end layer j, byte for byte.
+    schedule's EMA and high-water mark equal entry (j, i) of the cost table
+    the partitioner builds for the chain, byte for byte.
     """
     g = cs.build_preset(preset)
     cases = 0
     for kind, nodes in split_into_segments(g):
         if kind != "chain":
             continue
-        chain = chain_from_nodes(g, [n.id for n in nodes])
-        for j in range(len(chain)):
-            table = _candidate_table(chain[:j + 1], hw)
-            for index in np.ndindex(table.buf.shape):
-                i = index[0]
-                c = table.choice(*index)
+        chain = chain_from_nodes(g, nodes)
+        table = _candidate_table(chain, hw)
+        for j, layer in enumerate(chain):
+            extents = (len(divisors(layer.out_shape.h)), len(divisors(layer.out_shape.w)))
+            for i, a, b, p, r in np.ndindex(j + 1, *extents, 2, 2):
+                c = table.choice(j, i, a, b, p, r)
                 sim = ScratchpadSim(1 << 40)
                 replay(schedule_group(chain[i:j + 1], c.tile, c.policy,
                                       c.weights_resident, hw), sim)
@@ -646,9 +651,10 @@ def test_cost_table_matches_brute_force_oracles(case):
             assert group_buffer_bytes(layers, tile, policy, resident, roomy) \
                 == sim.high_water
     assert best_group_choice(layers, hw) == exhaustive_choice(layers, hw)
-    per_start = _candidate_table(layers, hw).best(hw.scratchpad_bytes)
+    per_start = _candidate_table(layers, hw).best(hw.scratchpad_bytes)[-1]
     assert per_start == [exhaustive_choice(layers[i:], hw, start=i)
                          for i in range(len(layers))]
+    assert_table_matches_per_end_tables(layers, hw)
 
 
 def test_cost_table_refuses_to_wrap_int64(hw):
@@ -657,6 +663,18 @@ def test_cost_table_refuses_to_wrap_int64(hw):
                          TensorShape(1, 1 << 24, 64, 64))
     with pytest.raises(ConfigError, match="int64"):
         group_ema(chain_of(g), TileShape(1, 1), RECOMPUTE, True, hw)
+
+
+@pytest.mark.parametrize("ops,channels,named", [
+    ([Conv2D(4, 1 << 24, 1), Conv2D(1 << 24, 1 << 24, 5, 1, 2)], 4, "L1"),
+    ([Conv2D(1 << 24, 1 << 24, 5, 1, 2), Conv2D(1 << 24, 4, 1)], 1 << 24, "L0"),
+])
+def test_chain_table_names_the_first_end_whose_prefix_overflows(hw, ops, channels, named):
+    # the chain's one table refuses as the per-end tables did, at the first end j
+    # whose groups chain[i..j] could pass int64
+    chain = chain_of(make_chain_graph(ops, TensorShape(1, channels, 64, 64)))
+    with pytest.raises(ConfigError, match=rf"^{named}: fusion cost table exceeds int64"):
+        partition_chain(chain, hw)
 
 
 # ---------------------------------------------------------------------------
@@ -691,4 +709,142 @@ def test_best_is_memoized_per_capacity(hw):
     table = _candidate_table(twin_chains()[0], hw)
     fits = table.best(hw.scratchpad_bytes)
     assert table.best(hw.scratchpad_bytes) is fits
-    assert table.best(8) == [None] and table.best(8) is not fits
+    assert table.best(8) == [[None]] and table.best(8) is not fits
+
+
+# ---------------------------------------------------------------------------
+# One table per chain against one table per chain end
+# ---------------------------------------------------------------------------
+
+def per_end_axis_tables(layers, h_extents, w_extents):
+    """Row and column tables of the last layer's output tiles: (count, lens,
+    sums, union) per extent, from one walk (see ``layer_fusion._axis_tables``)."""
+    last = layers[-1].out_shape
+    n_h = len(h_extents)
+    step = np.array([*h_extents, *w_extents], dtype=np.int64)
+    total = np.where(np.arange(len(step)) < n_h, last.h, last.w)
+    count = -(-total // step)
+    starts = np.cumsum(count) - count
+    seg = np.repeat(np.arange(len(step)), count)
+    lo = (np.arange(len(seg)) - starts[seg]) * step[seg]
+    los, his = _walk(layers, lo, np.minimum(lo + step[seg], total[seg]),
+                     (seg >= n_h).astype(np.int64))
+    lens = his - los
+    shift = seg[:, None] * (int(his.max()) + 1)
+    before = np.zeros_like(his)
+    before[1:] = np.maximum.accumulate(his + shift, axis=0)[:-1] - shift[:-1]
+    before[starts] = 0
+    union = np.add.reduceat(np.maximum(his - np.maximum(los, before), 0), starts)
+    keep = np.ones(len(seg), dtype=bool)
+    keep[1:] = (lens[1:] != lens[:-1]).any(axis=1)
+    keep[starts] = True
+    rank = np.cumsum(keep) - 1
+    pos = (rank - rank[starts][seg])[keep]
+    distinct = np.zeros((len(step), int(pos.max()) + 1, lens.shape[1]), dtype=np.int64)
+    distinct[seg[keep], pos] = lens[keep]
+    table = (count, distinct, np.add.reduceat(lens, starts), union)
+    return tuple(a[:n_h] for a in table), tuple(a[n_h:] for a in table)
+
+
+def suffix(acc, x):
+    return acc.accumulate(x[::-1], axis=0)[::-1]
+
+
+class PerEndTable:
+    """Every option of every group ``layers[i:]`` that ends at the last layer, as
+    the planner costed it with one table per chain end: ``buf`` and ``ema``
+    (n, A, B, 2, 2) and ``extra`` (n, A, B, 2) by start, extents, policy and
+    residency, and ``best`` by one lexsort per capacity."""
+
+    def __init__(self, layers, hw, h_extents, w_extents):
+        eb = hw.element_bytes
+        self.extents = (list(h_extents), list(w_extents))
+        (r_count, r_lens, r_sums, r_union), (c_count, c_lens, c_sums, c_union) = \
+            per_end_axis_tables(layers, h_extents, w_extents)
+        c_in, c_out, w, ppm, full, lb = np.array(
+            [(l.in_shape.c, l.out_shape.c, *op_cost(l.node.op),
+              l.out_shape.h * l.out_shape.w, _line_buffer(l, eb)) for l in layers],
+            dtype=np.int64).T
+        last = layers[-1].out_shape
+        out_bytes = last.h * last.w * last.c * eb
+
+        def outer(rows, cols):
+            return rows.T[:, :, None] * cols.T[:, None, :]
+
+        r, c = r_lens[:, :, None, None], c_lens[None, None]
+        live = r[..., :-1] * c[..., :-1] * c_in + r[..., 1:] * c[..., 1:] * c_out
+        peak = np.moveaxis(live.max(axis=(1, 3)), -1, 0)
+        w_suffix = suffix(np.add, w)[:, None, None] * eb
+        self.buf = np.empty(peak.shape + (2, 2), dtype=np.int64)
+        self.buf[..., 0, 0] = suffix(np.maximum, peak) * eb + w_suffix
+        self.buf[..., 0, 1] = suffix(np.maximum, peak + w[:, None, None]) * eb
+        self.buf[..., 1, :] = self.buf[..., 0, :] + suffix(np.add, lb)[:, None, None, None]
+        input_bytes = np.stack([outer(r_sums[:, :-1], c_sums[:, :-1]),
+                                outer(r_union[:, :-1], c_union[:, :-1])],
+                               axis=-1) * (c_in * eb)[:, None, None, None]
+        self.ema = np.empty_like(self.buf)
+        self.ema[..., 0] = input_bytes + out_bytes + w_suffix[..., None]
+        self.ema[..., 1] = (input_bytes + out_bytes
+                            + (w_suffix * r_count[:, None] * c_count)[..., None])
+        self.extra = np.zeros(peak.shape + (2,), dtype=np.int64)
+        self.extra[..., 0] = suffix(np.add, (outer(r_sums[:, 1:], c_sums[:, 1:])
+                                             - full[:, None, None]) * ppm[:, None, None])
+
+    def best(self, capacity):
+        shape = self.buf.shape
+        h, w = (np.array(e, dtype=np.int64) for e in self.extents)
+        keys = (np.arange(2)[:, None], self.buf, self.extra[..., None],
+                -(h[:, None] * w)[:, :, None, None], self.ema, self.buf > capacity)
+        first = np.lexsort([np.broadcast_to(k, shape).reshape(shape[0], -1) for k in keys])
+        out = []
+        for i, f in enumerate(first[:, 0]):
+            a, b, p, r = map(int, np.unravel_index(f, shape[1:]))
+            out.append(None if self.buf[i, a, b, p, r] > capacity else FusionGroup(
+                i, shape[0] - 1, TileShape(self.extents[0][a], self.extents[1][b]),
+                POLICIES[p], r == 0, int(self.ema[i, a, b, p, r]),
+                int(self.extra[i, a, b, p]), int(self.buf[i, a, b, p, r])))
+        return out
+
+
+def assert_table_matches_per_end_tables(chain, hw):
+    """Every option (i, j, extents, policy, residency) of the chain's table equals
+    the per-end table of ``chain[:j + 1]``, an extent repeated to pad the end's
+    extents costs the same as its last, and ``best`` picks the per-end winners
+    where every option, some and none fit."""
+    table = _candidate_table(chain, hw)
+    for j, layer in enumerate(chain):
+        old = PerEndTable(chain[:j + 1], hw, divisors(layer.out_shape.h),
+                          divisors(layer.out_shape.w))
+        n, a, b = old.buf.shape[:3]
+        for name in ("buf", "ema", "extra"):
+            np.testing.assert_array_equal(getattr(table, name)[j, :n, :a, :b],
+                                          getattr(old, name), err_msg=f"{name} of end {j}")
+        # a repeated extent costs what the end's last extent costs, so it never wins
+        h, w = table.buf.shape[2:4]
+        assert (table.h[j].tolist(), table.w[j].tolist()) == (
+            old.extents[0] + old.extents[0][-1:] * (h - a),
+            old.extents[1] + old.extents[1][-1:] * (w - b))
+        for name in ("buf", "ema", "extra"):
+            got = getattr(table, name)[j, :n]
+            np.testing.assert_array_equal(got[:, a:], np.repeat(got[:, a - 1:a], h - a, 1))
+            np.testing.assert_array_equal(got[:, :, b:], np.repeat(got[:, :, b - 1:b], w - b, 2))
+        values = np.unique(old.buf)
+        for cap in (int(values[-1]), int(values[len(values) // 2]), int(values[0]) - 1):
+            assert table.best(cap)[j] == old.best(cap), (j, cap)
+
+
+def b0_graph():
+    with open(Path(__file__).parent / "golden" / "b0-224.json") as f:
+        return build_graph(json.load(f)["model"])
+
+
+@pytest.mark.parametrize("preset", [*cs.PRESETS, "b0-224"])
+@pytest.mark.parametrize("element_bytes", [1, 2])
+def test_chain_table_matches_per_end_tables(preset, element_bytes):
+    g = b0_graph() if preset == "b0-224" else cs.build_preset(preset)
+    hw = HardwareConfig(element_bytes=element_bytes)
+    chains = [chain_from_nodes(g, nodes) for kind, nodes in split_into_segments(g)
+              if kind == "chain"]
+    assert chains
+    for chain in chains:
+        assert_table_matches_per_end_tables(chain, hw)
