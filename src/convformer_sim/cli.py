@@ -27,16 +27,13 @@ from . import attention_tiling as at
 from . import feature_pruning as fp
 from . import layer_fusion as lf
 from . import pipeline
-from .errors import ConfigError, SimError
+from .errors import ConfigError, SelfCheckError, SimError
 from .hwmodel import CostReport, HardwareConfig, bounded, check_keys, parse_fields
 from .workload import (Attention, GELU, LayerNode, Linear, NetworkGraph, PRESETS,
                        attention_operands, build_preset,
                        graph_from_dict, node_params, reference_execute,
                        seeded_input)
 
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_EQUIVALENCE = 3
 # A graph whose largest activation (input included) has at most this many elements runs its
 # reference before its schedule: overlapping them made micro-sweeps wall_s 21% slower.
 SERIAL_MAX_ELEMENTS = 1 << 15
@@ -396,14 +393,15 @@ def emit(data, fmt: str, out_path: str | None):
 
 
 def _equivalence_exit(sims: list[dict], tolerance: float) -> int:
-    """EXIT_EQUIVALENCE, naming the first unit over ``tolerance`` on stderr, if any."""
+    """SelfCheckError's exit code, naming the first unit over ``tolerance`` on stderr,
+    if any; else 0."""
     bad = [s for s in sims if not s["deviation"] <= tolerance]
     if not bad:
-        return EXIT_OK
+        return 0
     unit = next(u for u, d in bad[0]["unit_deviations"] if not d <= tolerance)
     print(f"equivalence failure: deviation {max(s['deviation'] for s in bad):.3e} > "
           f"{tolerance:.3e}; first unit over it: {unit}", file=sys.stderr)
-    return EXIT_EQUIVALENCE
+    return SelfCheckError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +411,7 @@ def _equivalence_exit(sims: list[dict], tolerance: float) -> int:
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 means "infeasible" here
     def error(self, message):
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        self.exit(ConfigError.exit_code, f"{self.prog}: error: {message}\n")
 
 
 HW_FLAG = re.compile(r"^--hw\.([A-Za-z_]+)=(.+)$")
@@ -473,43 +471,39 @@ def main(argv: list[str] | None = None) -> int:
                 data.append({"name": name, "layers": len(g.nodes),
                              "input_shape": list(g.input_shape.as_tuple())})
             emit(data, "json", None)
-            return EXIT_OK
+            return 0
 
         cfg = load_config(args.config, args, hw_overrides)
         if args.command == "run":
-            result = run_experiment(cfg, sim := simulate(cfg))
+            sims = [simulate(cfg)]
+            data = run_experiment(cfg, sims[0])
             if args.format == "csv":
-                report = result.get("adjusted_report", result["report"])
-                row = {k: report[k] for k in CostReport.CSV_FIELDS}
-                row["max_abs_deviation"] = result["max_abs_deviation"]
-                emit([row], "csv", args.out)
-            else:
-                emit(result, "json", args.out)
-            return _equivalence_exit([sim], cfg.tolerance)
-        if args.command == "compare":
+                report = data.get("adjusted_report", data["report"])
+                data = {**{k: report[k] for k in CostReport.CSV_FIELDS},
+                        "max_abs_deviation": data["max_abs_deviation"]}
+        elif args.command == "compare":
             names = [s.strip() for s in args.schedules.split(",") if s.strip()]
             if len(names) < 2:
                 raise ConfigError("compare needs at least 2 schedules")
-            rows, sims = compare_experiments(cfg, names)
-            emit(rows, args.format, args.out)
-            return _equivalence_exit(sims, cfg.tolerance)
-        if args.command == "sweep":
+            data, sims = compare_experiments(cfg, names)
+        elif args.command == "sweep":
             try:
                 values = [float(v) if "." in v or "e" in v.lower() else int(v)
                           for v in args.values.split(",") if v.strip()]
             except ValueError:
                 raise ConfigError(f"sweep values must be numeric, got "
                                   f"{args.values!r}")
-            rows, sims = sweep_experiments(cfg, args.axis, values)
-            emit(rows, args.format, args.out)
-            return _equivalence_exit(sims, cfg.tolerance)
-        raise ConfigError(f"unknown command {args.command!r}")
+            data, sims = sweep_experiments(cfg, args.axis, values)
+        else:
+            raise ConfigError(f"unknown command {args.command!r}")
+        emit(data, args.format, args.out)
+        return _equivalence_exit(sims, cfg.tolerance)
     except SimError as e:
         print(f"{e.label}: {e}", file=sys.stderr)
         return e.exit_code
     except OSError as e:
         print(f"output error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -124,12 +124,6 @@ class NetworkGraph:
     input_shape: TensorShape
     shapes: dict[str, TensorShape] = field(default_factory=dict)
 
-    def node(self, node_id: str) -> LayerNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise ConfigError(f"no node {node_id!r}")
-
     def out_shape(self, node_id: str) -> TensorShape:
         if node_id not in self.shapes:
             raise ConfigError(f"{node_id}: shapes not inferred yet")
@@ -172,25 +166,26 @@ class AttentionDims:
 def attention_dims(graph: NetworkGraph, node: LayerNode, element_bytes: int = 1) -> AttentionDims:
     op = node.op
     assert isinstance(op, Attention)
-    shp = graph.in_shape(node)
-    n_tok = shp.tokens
-    h_r, w_r = _sr_hw(shp.h, shp.w, op.sr_ratio)
-    return AttentionDims(N=n_tok, N_r=h_r * w_r, d=op.d_head, heads=op.heads,
-                         element_bytes=element_bytes)
+    shp, sr = graph.in_shape(node), sr_conv(op)
+    return AttentionDims(N=shp.tokens, N_r=conv_out_dim(shp.h, sr) * conv_out_dim(shp.w, sr),
+                         d=op.d_head, heads=op.heads, element_bytes=element_bytes)
 
 
-def _sr_hw(h: int, w: int, sr: int) -> tuple[int, int]:
-    if sr == 1:
-        return h, w
-    return (h - sr) // sr + 1, (w - sr) // sr + 1
+def sr_conv(op: Attention) -> Conv2D:
+    """The K/V spatial reduction: a depthwise conv whose kernel equals its stride
+    (PVT, SegFormer); at sr_ratio 1 it keeps every token and is not run. Depthwise
+    keeps its weights at c*sr^2, so the pass stays schedulable on small scratchpads."""
+    c = op.heads * op.d_head
+    return Conv2D(c, c, op.sr_ratio, op.sr_ratio, 0, groups=c)
 
 
 # ---------------------------------------------------------------------------
 # Shape inference
 # ---------------------------------------------------------------------------
 
-def conv_out_dim(size: int, k: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
+def conv_out_dim(size: int, op: Conv2D) -> int:
+    """Output rows (or columns) of ``op`` on ``size`` input rows (or columns)."""
+    return (size + 2 * op.pad - op.k) // op.stride + 1
 
 
 @functools.cache
@@ -228,8 +223,8 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
         if isinstance(op, Conv2D):
             if ins.c != op.c_in:
                 raise ConfigError(f"{node.id}: expects c_in={op.c_in}, got {ins.c}")
-            h = conv_out_dim(ins.h, op.k, op.stride, op.pad)
-            w = conv_out_dim(ins.w, op.k, op.stride, op.pad)
+            h = conv_out_dim(ins.h, op)
+            w = conv_out_dim(ins.w, op)
             if h < 1 or w < 1:
                 raise ConfigError(f"{node.id}: kernel larger than padded input")
             out = TensorShape(ins.n, op.c_out, h, w)
@@ -275,31 +270,28 @@ def _draw(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return a
 
 
+def param_shapes(op: LayerOp) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in draw order: the one statement of what ``op`` holds.
+    An attention layer's ``w_sr`` is its ``sr_conv``'s weight, without a bias.
+    LayerNorm runs with gamma=1, beta=0 so zero rows stay zero rows; GELU and Add
+    carry no parameters."""
+    if isinstance(op, Conv2D):
+        return {"w": (op.c_out, op.c_in // op.groups, op.k, op.k), "b": (op.c_out,)}
+    if isinstance(op, Linear):
+        return {"w": (op.c_in, op.c_out), "b": (op.c_out,)}
+    if isinstance(op, Attention):
+        c = op.heads * op.d_head
+        sr = {"w_sr": param_shapes(sr_conv(op))["w"]} if op.sr_ratio > 1 else {}
+        return {"wq": (c, c), "wk": (c, c), "wv": (c, c), **sr}
+    if isinstance(op, Downsample):
+        raise ConfigError("downsample: infer shapes before drawing or costing parameters")
+    return {}
+
+
 def node_params(node: LayerNode, idx: int, seed: int = 0) -> dict[str, np.ndarray]:
     """Node ``idx``'s seeded parameters, from its own stream: alike in any draw order."""
     rng = np.random.default_rng([seed, idx])
-    op = node.op
-    p: dict[str, np.ndarray] = {}
-    if isinstance(op, Conv2D):
-        p["w"] = _draw(rng, op.c_out, op.c_in // op.groups, op.k, op.k)
-        p["b"] = _draw(rng, op.c_out)
-    elif isinstance(op, Downsample):
-        raise ConfigError(f"{node.id}: infer shapes before init_params")
-    elif isinstance(op, Linear):
-        p["w"] = _draw(rng, op.c_in, op.c_out)
-        p["b"] = _draw(rng, op.c_out)
-    elif isinstance(op, Attention):
-        c = op.heads * op.d_head
-        p["wq"] = _draw(rng, c, c)
-        p["wk"] = _draw(rng, c, c)
-        p["wv"] = _draw(rng, c, c)
-        if op.sr_ratio > 1:
-            # depthwise patch reduction: keeps the weight footprint at
-            # c*sr^2 so the pass stays schedulable on small scratchpads
-            p["w_sr"] = _draw(rng, c, 1, op.sr_ratio, op.sr_ratio)
-    # LayerNorm runs with gamma=1, beta=0 so zero rows stay zero rows;
-    # GELU and Add carry no parameters.
-    return p
+    return {name: _draw(rng, *shape) for name, shape in param_shapes(node.op).items()}
 
 
 def init_params(graph: NetworkGraph, seed: int = 0) -> dict[str, dict[str, np.ndarray]]:
@@ -310,17 +302,14 @@ def init_params(graph: NetworkGraph, seed: int = 0) -> dict[str, dict[str, np.nd
 def op_cost(op: LayerOp) -> tuple[int, int]:
     """(weight elements incl. bias, MACs per output pixel) of a spatial or token op.
 
-    Attention, norm, activation and add layers report (0, 0): attention's
-    projection weights and MACs are costed by its own unit.
+    Each output pixel takes one MAC per element of the ``w`` parameter. Attention,
+    norm, activation and add layers report (0, 0): attention's projection weights
+    and MACs are costed by its own unit (``projection_passes``).
     """
-    if isinstance(op, Conv2D):
-        macs = op.c_out * (op.c_in // op.groups) * op.k * op.k
-        return macs + op.c_out, macs
-    if isinstance(op, Linear):
-        return op.c_in * op.c_out + op.c_out, op.c_in * op.c_out
-    if isinstance(op, Downsample):
-        raise ConfigError("downsample: infer shapes before costing")
-    return 0, 0
+    if isinstance(op, Attention):
+        return 0, 0
+    shapes = param_shapes(op)
+    return sum(map(math.prod, shapes.values())), math.prod(shapes["w"]) if shapes else 0
 
 
 def window(op: LayerOp) -> tuple[int, int, int, int]:
@@ -496,9 +485,9 @@ def attention_operands(x: np.ndarray, op: Attention, p: dict[str, np.ndarray]
     tok = x.reshape(c, n_tok).T  # (N, c)
     q = tok @ p["wq"]
     if op.sr_ratio > 1:
-        h_r, w_r = _sr_hw(h, w, op.sr_ratio)
-        sr_conv = Conv2D(c, c, op.sr_ratio, op.sr_ratio, 0, groups=c)
-        red = conv2d_region(x, sr_conv, p["w_sr"], np.zeros(c), (0, h_r), (0, w_r))
+        sr = sr_conv(op)
+        red = conv2d_region(x, sr, p["w_sr"], np.zeros(c),
+                            (0, conv_out_dim(h, sr)), (0, conv_out_dim(w, sr)))
         tok_r = red.reshape(c, -1).T
     else:
         tok_r = tok
@@ -533,8 +522,8 @@ def layer_forward(node: LayerNode, inputs: list[np.ndarray], p: dict[str, np.nda
     op = node.op
     x = inputs[0]
     if isinstance(op, Conv2D):
-        rows = rows or (0, conv_out_dim(x.shape[1], op.k, op.stride, op.pad))
-        cols = cols or (0, conv_out_dim(x.shape[2], op.k, op.stride, op.pad))
+        rows = rows or (0, conv_out_dim(x.shape[1], op))
+        cols = cols or (0, conv_out_dim(x.shape[2], op))
         return conv2d_region(x, op, p["w"], p["b"], rows, cols, origin)
     if isinstance(op, Attention):
         return attention_forward(x, op, p)
@@ -608,12 +597,12 @@ def layer_macs(graph: NetworkGraph, node: LayerNode) -> int:
 def projection_passes(op: Attention, n: int, n_r: int) -> list[tuple[str, int, int, int]]:
     """(tag, input tokens, weight elements, output tokens) of each projection
     pass of an attention layer on ``n`` tokens reduced to ``n_r``, in order:
-    Q, the depthwise spatial reduction when sr > 1, K, V. Each output token
-    costs one MAC per weight element."""
-    c = op.heads * op.d_head
-    sr = [("attnSR", n, c * op.sr_ratio ** 2, n_r)] if op.sr_ratio > 1 else []
-    return [("attnQ", n, c * c, n), *sr, ("attnK", n_r, c * c, n_r),
-            ("attnV", n_r, c * c, n_r)]
+    Q, the depthwise spatial reduction (``sr_conv``) when sr > 1, K, V. Each
+    output token costs one MAC per weight element."""
+    w = {name: math.prod(shape) for name, shape in param_shapes(op).items()}
+    sr = [("attnSR", n, w["w_sr"], n_r)] if "w_sr" in w else []
+    return [("attnQ", n, w["wq"], n), *sr, ("attnK", n_r, w["wk"], n_r),
+            ("attnV", n_r, w["wv"], n_r)]
 
 
 def layer_vector_ops(graph: NetworkGraph, node: LayerNode) -> int:

@@ -5,17 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convformer_sim as cs
 from convformer_sim import workload
 from convformer_sim.errors import ConfigError
 from convformer_sim.workload import (Add, Attention, Conv2D, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
-                                     TensorShape, attention_dims, build_preset,
-                                     dense_attention, graph_from_dict,
+                                     TensorShape, attention_dims, attention_operands,
+                                     build_preset, dense_attention, graph_from_dict,
                                      infer_shapes, init_params, layer_macs, op_cost,
                                      projection_passes, reference_execute,
-                                     seeded_input)
+                                     seeded_input, sr_conv)
 
 # frozen once from the reference executor on the seeded toy-chain input;
 # every equivalence test reuses this oracle
@@ -209,6 +211,28 @@ def test_sr_ratio_one_means_full_sequence():
                                   TensorShape(1, 16, 4, 4)))
     dims = attention_dims(g, g.nodes[0])
     assert dims.N_r == dims.N == 16
+
+
+@st.composite
+def maps_and_ratios(draw):
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return h, w, draw(st.integers(1, min(h, w)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(maps_and_ratios())
+def test_reduced_tokens_are_the_sr_conv_output_pixels(hw_sr):
+    # N_r follows the unpadded kernel == stride formula, the output map of
+    # sr_conv as shape inference gives it, and the K/V the reference projects
+    h, w, sr = hw_sr
+    op = Attention(1, 2, sr)
+    g = infer_shapes(NetworkGraph([LayerNode("a", op)], TensorShape(1, 2, h, w)))
+    n_r = attention_dims(g, g.nodes[0]).N_r
+    assert n_r == ((h - sr) // sr + 1) * ((w - sr) // sr + 1)
+    conv = infer_shapes(NetworkGraph([LayerNode("sr", sr_conv(op))], TensorShape(1, 2, h, w)))
+    assert n_r == conv.shapes["sr"].tokens
+    _, k, v = attention_operands(seeded_input(g), op, init_params(g)["a"])
+    assert k.shape[1] == v.shape[1] == n_r
 
 
 def test_graph_from_dict_roundtrip():
