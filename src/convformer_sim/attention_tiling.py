@@ -66,16 +66,13 @@ def tiling_spec(spec: dict) -> dict:
     return tiling
 
 
-def check_tiling(dims: AttentionDims, tiling: AttentionTiling | None,
-                 where: str = "tiling", field: str = ""):
-    """Range-check ``tiling`` on ``dims``; an error names ``where`` and ``field + key``."""
-    if tiling is None:
-        return
+def check_tiling(dims: AttentionDims, tiling: AttentionTiling, node_id: str):
+    """Range-check a fixed ``schedule.attention`` tiling on layer ``node_id``'s ``dims``.
+    A resident tiling takes no t_k (``tiling_spec``): ``plan_network`` gives it N_r."""
     for key, top in (("t_q", dims.N), ("t_k", dims.N_r)):
         if not 1 <= getattr(tiling, key) <= top:
-            raise ConfigError(f"{where}: {field}{key}={getattr(tiling, key)} out of [1, {top}]")
-    if tiling.mode is ResidencyMode.RESIDENT_KV and tiling.t_k != dims.N_r:
-        raise ConfigError(f"{where}: resident mode requires t_k = N_r")
+            raise ConfigError(f"{node_id}: schedule.attention.{key}={getattr(tiling, key)} "
+                              f"out of [1, {top}]")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +81,6 @@ def check_tiling(dims: AttentionDims, tiling: AttentionTiling | None,
 
 def attention_ema(dims: AttentionDims, tiling: AttentionTiling | None) -> int:
     """DRAM bytes for one attention core; infeasible tilings still get a cost."""
-    check_tiling(dims, tiling)
     passes = (1 if tiling is None or tiling.mode is ResidencyMode.RESIDENT_KV
               else math.ceil(dims.N / tiling.t_q))
     spill = 2 * dims.N * dims.N_r if tiling is None else 0  # S written and re-read
@@ -103,7 +99,6 @@ def tiling_buffer_bytes(dims: AttentionDims, tiling: AttentionTiling | None,
     holds a Q tile, K/V blocks, one score block, and the online-softmax
     state (accumulator plus running max and sum vectors).
     """
-    check_tiling(dims, tiling)
     if tiling is None:
         elems = dims.N * dims.d + dims.N_r * dims.d + dims.N * dims.N_r
     elif tiling.mode is ResidencyMode.RESIDENT_KV:
@@ -158,7 +153,6 @@ def schedule_attention(dims: AttentionDims, tiling: AttentionTiling | None) -> l
     baseline (``None``) scores the whole sequence as one query tile, spills
     S, and reads it back beside V to compute the tile.
     """
-    check_tiling(dims, tiling)
     eb = dims.element_bytes
     txns: list[Txn] = []
     if tiling is None:

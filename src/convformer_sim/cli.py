@@ -153,9 +153,10 @@ class Params(dict):
 
 class Reference:
     """The reference run of one model and seed, shared by a command's rows. It keeps
-    unit-boundary outputs (alike in every schedule) and, if pruning, GELUs; ``tables``
-    holds the rows' plan caches (``pipeline.plan_network``; unused if ``release``) and
-    ``last`` the (unpruned config, simulation) of the last row that ran its schedule."""
+    unit-boundary outputs (alike in every schedule) and, if pruning, the GELUs that
+    ``pruning_points`` names; ``tables`` holds the rows' plan caches
+    (``pipeline.plan_network``; unused if ``release``) and ``last`` the (unpruned
+    config, simulation) of the last row that ran its schedule."""
 
     def __init__(self, graph: NetworkGraph, seed: int, pruning: bool, release: bool = False):
         self.graph, self.seed, self.pruning, self.release = graph, seed, pruning, release
@@ -172,8 +173,8 @@ class Reference:
                 raise ConfigError(f"input: out of memory drawing it ({e})") from e
             x.flags.writeable = False
             self.units = {nodes[-1].id: nodes for _, nodes in lf.split_into_segments(self.graph)}
-            keep = set(self.units)
-            keep |= {n.id for n in self.graph.nodes if self.pruning and isinstance(n.op, GELU)}
+            points = pruning_points(self.graph) if self.pruning else []
+            keep = set(self.units) | {n.id for n, linear in points if linear is not None}
             self.x, self.stored = x, {k: threading.Event() for k in keep}
             self.worker = threading.Thread(target=self._run)
             shapes = (self.graph.input_shape, *self.graph.shapes.values())
@@ -191,7 +192,7 @@ class Reference:
             stored.set()
 
     def __setitem__(self, node_id: str, out: np.ndarray) -> None:
-        """Keeps ``out`` only if ``node_id`` is a unit boundary (or a GELU, if pruning)."""
+        """Keeps ``out`` only if ``node_id`` is a unit boundary (or a pruned GELU)."""
         if node_id in self.stored:
             self.outputs[node_id] = out
             self.stored[node_id].set()
@@ -486,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
             if len(names) < 2:
                 raise ConfigError("compare needs at least 2 schedules")
             data, sims = compare_experiments(cfg, names)
-        elif args.command == "sweep":
+        else:   # sweep: argparse admits no other command
             try:
                 values = [float(v) if "." in v or "e" in v.lower() else int(v)
                           for v in args.values.split(",") if v.strip()]
@@ -494,8 +495,6 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"sweep values must be numeric, got "
                                   f"{args.values!r}")
             data, sims = sweep_experiments(cfg, args.axis, values)
-        else:
-            raise ConfigError(f"unknown command {args.command!r}")
         emit(data, args.format, args.out)
         return _equivalence_exit(sims, cfg.tolerance)
     except SimError as e:

@@ -117,9 +117,7 @@ class HardwareConfig:
     element_bytes: int = 1          # datatype width of modeled traffic
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"hardware.{name} must be finite, got {value}")
+        for name, value in asdict(self).items():   # parse_number has made each finite
             if value <= 0:
                 raise ConfigError(f"hardware.{name} must be > 0")
         if self.e_dram <= self.e_sram:
@@ -145,8 +143,6 @@ class ScratchpadSim:
     """
 
     def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ConfigError("scratchpad capacity must be > 0")
         self.capacity = capacity
         self.regions: dict[str, int] = {}
         self.dram_reads = 0

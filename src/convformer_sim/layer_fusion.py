@@ -380,8 +380,6 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig,
     costs every (i, j) at once. Ties break toward fewer groups.
     """
     n = len(chain)
-    if n == 0:
-        return FusionPlan([])
     # best[j] = (ema, n_groups) for chain[0..j], reached by group back[j]
     best: list[tuple[int, int] | None] = [None] * n
     back: list[FusionGroup | None] = [None] * n

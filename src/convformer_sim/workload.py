@@ -125,8 +125,6 @@ class NetworkGraph:
     shapes: dict[str, TensorShape] = field(default_factory=dict)
 
     def out_shape(self, node_id: str) -> TensorShape:
-        if node_id not in self.shapes:
-            raise ConfigError(f"{node_id}: shapes not inferred yet")
         return self.shapes[node_id]
 
     def in_shape(self, node: LayerNode) -> TensorShape:
@@ -155,12 +153,6 @@ class AttentionDims:
     d: int        # per-head dimension
     heads: int
     element_bytes: int = 1
-
-    def __post_init__(self):
-        if self.N < 1 or self.N_r < 1 or self.d < 1 or self.heads < 1:
-            raise ConfigError("attention: dims must be >= 1")
-        if self.N_r > self.N:
-            raise ConfigError(f"attention: N_r={self.N_r} exceeds N={self.N}")
 
 
 def attention_dims(graph: NetworkGraph, node: LayerNode, element_bytes: int = 1) -> AttentionDims:
@@ -202,7 +194,8 @@ def tile_intervals(total: int, step: int) -> list[tuple[int, int]]:
 
 def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
     """Annotate every node with its output shape and lower each ``Downsample``
-    to its ``Conv2D``; idempotent."""
+    to its ``Conv2D``; idempotent. The last node is the graph's one output, so
+    every node before it must be read by a later one."""
     shapes: dict[str, TensorShape] = {}
     nodes: list[LayerNode] = []
     for node in graph.nodes:
@@ -256,6 +249,11 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             raise ConfigError(f"{node.id}: unknown op {op!r}")
         shapes[node.id] = out
         nodes.append(node)
+    read = {p for node in nodes for p in node.preds}
+    for node in nodes[:-1]:
+        if node.id not in read:
+            raise ConfigError(f"{node.id}: no node reads its output; only the last node "
+                              "may be the graph's output")
     return replace(graph, nodes=nodes, shapes=shapes)
 
 

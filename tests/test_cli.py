@@ -738,6 +738,16 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
      "schedule.pruning.theta_attn must be a number, got True"),
     ("pvtv2-micro", {"pruning": {"theta_attn": -1}},
      "schedule.pruning.theta_attn must be >= 0, got -1.0"),
+    # the boundary that lets plan_network take any other fusion mode as a map
+    ("toy-chain", {"fusion": "fused"}, "schedule.fusion must be auto, singleton"),
+    # a second sink was charged its EMA (chain[z], 532 B), but only the last
+    # unit's deviation was reported
+    ({"graph": {"input_shape": [1, 4, 8, 8], "nodes": [
+        {"id": "a", "kind": "conv2d", "c_in": 4, "c_out": 4, "k": 3, "pad": 1},
+        {"id": "z", "kind": "conv2d", "c_in": 4, "c_out": 4, "k": 1, "preds": ["a"]},
+        {"id": "b", "kind": "conv2d", "c_in": 4, "c_out": 4, "k": 1, "preds": ["a"]},
+        {"id": "s", "kind": "add", "residual_of": "a", "preds": ["b", "a"]}]}}, {},
+     "z: no node reads its output"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -1113,12 +1123,27 @@ def test_reference_keeps_boundaries_bit_identical_to_full_record(preset, pruning
     ref.start()
     kept, full = ref.join(), {}
     reference_execute(graph, ref.x, ref.params, record=full)
-    gelus = {n.id for n in graph.nodes if isinstance(n.op, GELU)}
+    gelus = {n.id for n, linear in cli.pruning_points(graph) if linear is not None}
+    assert gelus == {n.id for n in graph.nodes if isinstance(n.op, GELU)}
     assert set(kept) == boundary_ids(graph) | (gelus if pruning else set())
     assert len(kept) < len(full)
     for node_id, tensor in kept.items():
         assert tensor.dtype == full[node_id].dtype
         assert tensor.tobytes() == full[node_id].tobytes(), node_id
+
+
+def test_pruned_reference_keeps_only_the_gelus_pruning_reads():
+    # g1 feeds a conv, so it is no pruning point; the Reference kept it anyway
+    graph = workload.graph_from_dict({"input_shape": [1, 4, 4, 4], "nodes": [
+        {"id": "c1", "kind": "conv2d", "c_in": 4, "c_out": 4, "k": 1},
+        {"id": "g1", "kind": "gelu", "preds": ["c1"]},
+        {"id": "c2", "kind": "conv2d", "c_in": 4, "c_out": 4, "k": 1, "preds": ["g1"]},
+        {"id": "g2", "kind": "gelu", "preds": ["c2"]},
+        {"id": "l", "kind": "linear", "c_in": 4, "c_out": 4, "preds": ["g2"]}]})
+    assert [n.id for n, _ in cli.pruning_points(graph)] == ["g2"]
+    ref = cli.Reference(graph, 0, True)
+    ref.start()
+    assert set(ref.join()) == {"g2", "l"}
 
 
 def test_reference_step_frees_non_boundary_outputs(monkeypatch):

@@ -2,13 +2,18 @@
 
 A definition counts as used when its name appears as a name or an attribute
 anywhere in the package outside its own body; package exports in
-``__init__.py`` are imports, not uses. The functions that
+``__init__.py`` are imports, not uses. A method named like a class field or a
+stored attribute (``unit.node``, ``self.error``) needs a call of its name
+outside its body, since reading the field would otherwise count as its use;
+properties are exempt, and so are overrides of a base class from outside the
+package, which that class's own code calls. The functions that
 ``perfbench/tracer.py`` traces (``TRACED``) are allowed without a use, since
 the benchmark wraps them by name. The tracer module is loaded by path, as in
 ``test_perfbench_contract.py``.
 """
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -29,13 +34,50 @@ def _uses(tree: ast.AST) -> list[tuple[str, int]]:
             for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
 
 
+def _calls(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every call of a name or an attribute in ``tree``."""
+    return [(f.id, n.lineno) if isinstance(f, ast.Name) else (f.attr, n.lineno)
+            for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(f := n.func, (ast.Name, ast.Attribute))]
+
+
+def _fields_and_stored(trees: dict[str, ast.AST]) -> set[str]:
+    """Names annotated in a class body (dataclass and named-tuple fields) or stored
+    as an attribute anywhere in ``trees``."""
+    names = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ClassDef):
+                names |= {s.target.id for s in n.body
+                          if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                names.add(n.attr)
+    return names
+
+
+def _needs_call(module: str, cls: ast.ClassDef, method: ast.FunctionDef,
+                shadowed: set[str]) -> bool:
+    """Whether ``method`` shares a name with a field or stored attribute and is
+    neither a property nor an override of a base from outside the package."""
+    if method.name not in shadowed or any(
+            isinstance(d, ast.Name) and d.id == "property" for d in method.decorator_list):
+        return False
+    owner = getattr(importlib.import_module(f"convformer_sim.{module}"), cls.name)
+    return not any(method.name in vars(base) for base in owner.__mro__[1:]
+                   if not base.__module__.startswith("convformer_sim"))
+
+
 def test_every_definition_is_used_in_src():
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
     uses = {module: _uses(tree) for module, tree in trees.items()}
+    calls = {module: _calls(tree) for module, tree in trees.items()}
+    shadowed = _fields_and_stored(trees)
     traced, unused = _traced(), []
     for module, tree in trees.items():
         if module == "__init__":
             continue
+        methods = {id(m): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for m in c.body if isinstance(m, ast.FunctionDef)}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
@@ -43,7 +85,9 @@ def test_every_definition_is_used_in_src():
             if name.startswith("__") and name.endswith("__") or (module, name) in traced:
                 continue
             body = range(node.lineno, node.end_lineno + 1)
+            cls = methods.get(id(node))
+            found = calls if cls and _needs_call(module, cls, node, shadowed) else uses
             if not any(used == name and not (other == module and line in body)
-                       for other, found in uses.items() for used, line in found):
+                       for other, seen in found.items() for used, line in seen):
                 unused.append(f"{module}.{name} (line {node.lineno})")
     assert unused == [], f"defined but never used in src/: {unused}"
