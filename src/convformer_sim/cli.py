@@ -231,11 +231,9 @@ def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
         schedule = pipeline.plan_network(ref.graph, cfg.hardware, cfg.attention, cfg.fusion,
                                          None if ref.release else ref.tables)
         ref.start()
-        deviations: list[tuple[str, float]] = []
         try:
-            _, report = pipeline.run_schedule(ref.graph, schedule, ref.x, ref.params,
-                                              cfg.hardware, seed=cfg.seed, reference=ref,
-                                              deviations=deviations)
+            _, report, deviations = pipeline.run_schedule(
+                ref.graph, schedule, ref.x, ref.params, cfg.hardware, cfg.seed, ref)
         finally:   # a reference error replaces the schedule's, as if the reference ran first
             ref.join()
         # the last unit's output is the network's (an empty graph outputs its input)
@@ -250,9 +248,8 @@ def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
     return sim
 
 
-def run_experiment(cfg: ExperimentConfig, sim: dict | None = None) -> dict:
-    """The ``run`` result of ``cfg`` from ``sim`` (default: ``simulate(cfg)``)."""
-    sim = sim or simulate(cfg)
+def run_experiment(cfg: ExperimentConfig, sim: dict) -> dict:
+    """The ``run`` result of ``cfg`` from its row ``sim`` (``simulate(cfg)``)."""
     result = {
         "config": cfg.resolved_dict(),
         "report": sim["report"].to_dict(),

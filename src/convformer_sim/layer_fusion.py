@@ -429,16 +429,15 @@ def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig,
 # Fused schedule and execution
 # ---------------------------------------------------------------------------
 
-def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
+def schedule_group(layers: Sequence[ChainLayer], walks: list[tuple],
                    policy: HaloPolicy, weights_resident: bool,
-                   hw: HardwareConfig, walks: list[tuple] | None = None) -> list[Txn]:
+                   hw: HardwareConfig) -> list[Txn]:
     """Ordered scratchpad transactions of one fusion group, tile by tile.
 
     Each tile loads its first-layer input region (under CACHE only the bytes
     no earlier tile loaded), runs every layer on chip and stores the last
     layer's output. The compute step of layer ``li`` on row-major tile ``t``
-    is the touch tagged ``tile=t, block=li``. ``walks`` is the group's
-    ``_tile_walks``, made here if not given.
+    is the touch tagged ``tile=t, block=li``. ``walks`` is its tile's ``_tile_walks``.
     """
     eb = hw.element_bytes
     w = [op_cost(l.node.op)[0] * eb for l in layers]
@@ -451,7 +450,7 @@ def schedule_group(layers: Sequence[ChainLayer], tile: TileShape,
     if resident_w:
         txns += [Txn("alloc", "gW", resident_w), Txn("load", "gW", resident_w)]
     txns += [Txn("alloc", f"gLB{li}", nbytes) for li, nbytes in line_buffers]
-    for t, (rows, cols) in enumerate(walks or _tile_walks(layers, tile)):
+    for t, (rows, cols) in enumerate(walks):
         (ir0, ir1), (ic0, ic1) = rows[0], cols[0]
         prev, prev_bytes = "tin", (ir1 - ir0) * (ic1 - ic0) * c_in0 * eb
         if policy is HaloPolicy.RECOMPUTE:
@@ -491,8 +490,7 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
     group never touch DRAM. The resulting counters match ``group_ema``
     byte-exactly and the output matches the dense reference path.
     """
-    cur = np.asarray(x, dtype=np.float64)
-    for group in plan.groups:
+    for group in plan.groups:   # each group reads the last one's output as ``x``
         layers = chain[group.start:group.end + 1]
         walks = _tile_walks(layers, group.tile)
         last = layers[-1].out_shape
@@ -504,17 +502,17 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
             li = txn.block
             rows, cols = walks[txn.tile]
             if li == 0:
-                tile_val = cur[:, slice(*rows[0]), slice(*cols[0])]
+                tile_val = x[:, slice(*rows[0]), slice(*cols[0])]
             node = layers[li].node
             tile_val = layer_forward(node, [tile_val], params[node.id], rows[li + 1],
                                      cols[li + 1], (rows[li][0], cols[li][0]))
             if li == len(layers) - 1:
                 out[:, slice(*rows[li + 1]), slice(*cols[li + 1])] = tile_val
 
-        replay(schedule_group(layers, group.tile, group.policy,
-                              group.weights_resident, hw, walks), sim, compute)
-        cur = out
-    return cur
+        replay(schedule_group(layers, walks, group.policy, group.weights_resident, hw),
+               sim, compute)
+        x = out
+    return x
 
 
 # ---------------------------------------------------------------------------

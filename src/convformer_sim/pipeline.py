@@ -82,8 +82,8 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
 
     A dict ``attention_mode`` is an ``at.tiling_spec``; each attention layer
     gets its fixed tiling, with t_k = N_r in resident mode. Every group, core
-    and pass is capacity-checked here, before anything executes. Fusion cost
-    tables and attention searches are looked up in ``tables``, which calls may share.
+    and pass is capacity-checked here, before anything executes; ``tables``, which
+    calls may share, keeps fusion cost tables, attention searches and passed replays.
     """
     tables = {} if tables is None else tables
     segments = lf.split_into_segments(graph)
@@ -126,11 +126,14 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                         at.check_tiling(dims, tiling, node.id)
                     units.append(AttentionUnit(node, dims, tiling,
                                                at.tiling_buffer_bytes(dims, tiling, hw)))
-                    passes = _projection_txns(units[-1], hw)
+                    key, passes = (node.op, dims, hw), _projection_txns(units[-1], hw)
                 else:   # an add: shape inference leaves no other barrier
                     units.append(AddUnit(node))
-                    passes = _add_pass(graph.out_shape(node.id).elements, hw)
-                replay(passes, ScratchpadSim(hw.scratchpad_bytes))
+                    elems = graph.out_shape(node.id).elements
+                    key, passes = (elems, hw), _add_pass(elems, hw)
+                if key not in tables:   # one replay per geometry and hardware that passes
+                    replay(passes, ScratchpadSim(hw.scratchpad_bytes))
+                    tables[key] = True
             except CapacityError as e:
                 raise CapacityError(e.requested, e.available, f"{node.id}: {e.what}") from e
     return NetworkSchedule(units)
@@ -212,19 +215,19 @@ def _gemm_pass(tag: str, in_elems: int, w_elems: int, out_elems: int,
     yield from (Txn("free", f"{tag}_{r}", 0) for r in ("out", "in", "w"))
 
 
-def _add_pass(elems: int, hw: HardwareConfig) -> list[Txn]:
-    """Residual add, block-streamed; each operand and the sum move once.
+def _add_pass(elems: int, hw: HardwareConfig) -> Iterator[Txn]:
+    """Residual add, block-streamed; each operand and the sum move once. Lazy, as the gemm's.
 
     The block search is the gemm's with input = output = ``elems``.
     """
     eb = hw.element_bytes
     blocks = _stream_blocks(elems, elems, eb, hw.scratchpad_bytes)
     blk = -(-elems // blocks)
-    txns = [Txn("alloc", "add_a", blk * eb), Txn("alloc", "add_b", blk * eb)]
+    yield from (Txn("alloc", "add_a", blk * eb), Txn("alloc", "add_b", blk * eb))
     for n in _balanced_split(elems, blocks):
-        txns += [Txn("load", "add_a", n * eb), Txn("load", "add_b", n * eb),
-                 Txn("touch", "add_a", 3 * n * eb), Txn("store", "add_a", n * eb)]
-    return txns + [Txn("free", "add_b", 0), Txn("free", "add_a", 0)]
+        yield from (Txn("load", "add_a", n * eb), Txn("load", "add_b", n * eb),
+                    Txn("touch", "add_a", 3 * n * eb), Txn("store", "add_a", n * eb))
+    yield from (Txn("free", "add_b", 0), Txn("free", "add_a", 0))
 
 
 def _projection_txns(unit: AttentionUnit, hw: HardwareConfig) -> Iterator[Txn]:
@@ -284,16 +287,16 @@ def unit_cost(graph: NetworkGraph, unit: ScheduleUnit, hw: HardwareConfig) -> di
 
 def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
                  params: dict[str, dict[str, np.ndarray]], hw: HardwareConfig,
-                 seed: int | None = None, reference: dict | None = None,
-                 deviations: list | None = None) -> tuple[np.ndarray, CostReport]:
-    """Run the scheduled network through one simulator and report its counters.
+                 seed: int, reference: dict
+                 ) -> tuple[np.ndarray, CostReport, list[tuple[str, float]]]:
+    """Run the scheduled network through one simulator; its output, its counters'
+    report and each unit's (label, max abs deviation from ``reference``).
 
-    The report's breakdown has one ``unit_cost`` row per unit. SelfCheckError
-    names the first unit whose simulated EMA is not its closed form, and a
-    CapacityError (or a MemoryError, as a ConfigError) raised while a unit runs
-    is re-raised naming it. An output is freed after its last reader runs.
-    Given ``reference`` (each unit's last output by node id), each unit
-    appends (unit, max abs deviation) to ``deviations``.
+    ``reference`` holds each unit's last output by node id. The report's breakdown
+    has one ``unit_cost`` row per unit. SelfCheckError names the first unit whose
+    simulated EMA is not its closed form, and a CapacityError (or a MemoryError, as
+    a ConfigError) raised while a unit runs is re-raised naming it. An output is
+    freed after its last reader runs.
     """
     sim = ScratchpadSim(hw.scratchpad_bytes)
     unit_nodes = [[l.node for l in u.layers] if isinstance(u, ChainUnit) else [u.node]
@@ -301,7 +304,8 @@ def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
     last_read = {p: i for i, nodes in enumerate(unit_nodes) for p in nodes[0].preds}
     values: dict[str, np.ndarray] = {}
     breakdown: list[dict] = []
-    out = np.asarray(x, dtype=np.float64)
+    deviations: list[tuple[str, float]] = []
+    out = x
     for i, (unit, nodes) in enumerate(zip(schedule.units, unit_nodes)):
         ins = [values[p] for p in nodes[0].preds] or [x]
         values = {k: v for k, v in values.items() if last_read.get(k) != i}
@@ -322,11 +326,9 @@ def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
         if row["ema_bytes"] != sim.ema_bytes - ema0:
             raise SelfCheckError(f"{row['unit']}: closed-form EMA {row['ema_bytes']} B "
                                  f"!= simulator {sim.ema_bytes - ema0} B")
-        if reference is not None:
-            deviations.append((row["unit"], float(np.max(np.abs(
-                out - reference[nodes[-1].id])))))
+        deviations.append((row["unit"], float(np.max(np.abs(out - reference[nodes[-1].id])))))
         breakdown.append(row)
     report = build_report(sum(r["macs"] for r in breakdown),
                           sum(r["vector_ops"] for r in breakdown), sim, hw,
                           breakdown=breakdown, seed=seed)
-    return out, report
+    return out, report, deviations

@@ -537,22 +537,16 @@ def layer_forward(node: LayerNode, inputs: list[np.ndarray], p: dict[str, np.nda
 
 
 def reference_execute(graph: NetworkGraph, x: np.ndarray,
-                      params: dict[str, dict[str, np.ndarray]] | None = None,
-                      seed: int = 0,
+                      params: dict[str, dict[str, np.ndarray]],
                       record: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Dense, untiled, float64 execution: the oracle for all optimized paths.
 
+    ``x`` is the float64 input (``seeded_input``), ``params`` those the schedule reads.
     ``record``, if given, gets every node's output; outputs are freed after their
     last read unless ``record`` keeps them.
     """
-    if not graph.shapes:
-        graph = infer_shapes(graph)
-    if params is None:
-        params = init_params(graph, seed)
     if tuple(x.shape) != (graph.input_shape.c, graph.input_shape.h, graph.input_shape.w):
         raise ConfigError(f"input: expected {graph.input_shape}, got {x.shape}")
-    x = np.asarray(x, dtype=np.float64)
-
     last_read = {p: n.id for n in graph.nodes for p in n.preds}
     values: dict[str, np.ndarray] = {}
     out = x

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from convformer_sim import pipeline
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.attention_tiling import replay
+from convformer_sim.workload import reference_execute
 
 
 @pytest.fixture
@@ -29,3 +31,11 @@ def region_loads(txns):
         if t.action == "load":
             loads[t.region] = loads.get(t.region, 0) + t.nbytes
     return loads
+
+
+def checked_run(graph, schedule, x, params, hw, seed=0):
+    """``pipeline.run_schedule`` checked against a recorded reference run of the same
+    input and parameters: (output, report, each unit's (label, max abs deviation))."""
+    record = {}
+    reference_execute(graph, x, params, record=record)
+    return pipeline.run_schedule(graph, schedule, x, params, hw, seed, record)

@@ -1348,7 +1348,7 @@ def run_holding_reference(command: str, monkeypatch) -> cli.ExperimentConfig:
         cli.sweep_experiments(cfg, "scratchpad_bytes", [65536, 262144])
     else:
         cfg = cli.load_config(PRUNING, None, {})
-        cli.run_experiment(cfg)
+        cli.run_experiment(cfg, cli.simulate(cfg))
     assert len(held) == 1
     return cfg
 

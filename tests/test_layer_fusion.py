@@ -18,7 +18,7 @@ from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
                                          singleton_plan, split_into_segments)
 from convformer_sim.hwmodel import replay
 from convformer_sim.layer_fusion import (POLICIES, _candidate_table, _GroupTable,
-                                         _line_buffer, _walk, schedule_group)
+                                         _line_buffer, _tile_walks, _walk, schedule_group)
 from convformer_sim.workload import (Add, Attention, Conv2D, Downsample, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, infer_shapes, init_params,
@@ -573,8 +573,8 @@ def test_schedule_group_replay_matches_closed_form(preset, hw):
             for i, a, b, p, r in np.ndindex(j + 1, *extents, 2, 2):
                 c = table.choice(j, i, a, b, p, r)
                 sim = ScratchpadSim(1 << 40)
-                replay(schedule_group(chain[i:j + 1], c.tile, c.policy,
-                                      c.weights_resident, hw), sim)
+                replay(schedule_group(chain[i:j + 1], _tile_walks(chain[i:j + 1], c.tile),
+                                      c.policy, c.weights_resident, hw), sim)
                 assert (sim.ema_bytes, sim.high_water) == (c.ema, c.buffer_bytes), \
                     (preset, i, j, c)
                 cases += 1
@@ -647,7 +647,8 @@ def test_cost_table_matches_brute_force_oracles(case):
             else:
                 assert got == want
             sim = ScratchpadSim(roomy.scratchpad_bytes)
-            replay(schedule_group(layers, tile, policy, resident, hw), sim)
+            replay(schedule_group(layers, _tile_walks(layers, tile), policy, resident, hw),
+                   sim)
             assert group_buffer_bytes(layers, tile, policy, resident, roomy) \
                 == sim.high_water
     assert best_group_choice(layers, hw) == exhaustive_choice(layers, hw)

@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim, replay
 from convformer_sim.workload import (Attention, attention_dims, graph_from_dict,
                                      init_params, layer_macs, layer_vector_ops,
                                      op_cost, reference_execute, seeded_input)
+from conftest import checked_run
 
 
 @pytest.fixture(params=cs.PRESETS)
@@ -33,9 +35,11 @@ def test_every_schedule_matches_reference(preset, hw):
     for att in ("auto", "baseline"):
         for fus in ("auto", "singleton"):
             sched = pipeline.plan_network(g, hw, att, fus)
-            out, report = pipeline.run_schedule(g, sched, x, params, hw)
+            out, report, deviations = checked_run(g, sched, x, params, hw)
             dev = float(np.max(np.abs(out - ref)))
             assert dev <= 1e-9, (preset, att, fus, dev)
+            assert len(deviations) == len(sched.units)
+            assert all(d <= 1e-9 for _, d in deviations), (preset, att, fus, deviations)
             assert report.ema_bytes > 0
             # run_schedule itself asserts formula == counters byte-exactly
 
@@ -46,7 +50,7 @@ def test_singleton_toy_chain_is_layer_sum_and_exact(hw):
     x = seeded_input(g, 0)
     ref = reference_execute(g, x, params)
     sched = pipeline.plan_network(g, hw, "auto", "singleton")
-    out, report = pipeline.run_schedule(g, sched, x, params, hw)
+    out, report, _ = checked_run(g, sched, x, params, hw)
     assert float(np.max(np.abs(out - ref))) == 0.0
     expect = 0
     for n in g.nodes:
@@ -115,7 +119,7 @@ def test_depthwise_chain_is_region_independent(tile, policy):
     region it is computed in (per-group matmuls used to round by tile size)."""
     group = {"start": 0, "end": 5, "tile": list(tile), "policy": policy}
     cfg = cli.ExperimentConfig(model={"graph": DEPTHWISE_CHAIN}, fusion={"0": [group]})
-    res = cli.run_experiment(cfg)
+    res = cli.run_experiment(cfg, cli.simulate(cfg))
     assert res["schedule"]["units"][0]["plan"]["groups"][0]["tile"] == list(tile)
     assert res["max_abs_deviation"] == 0.0
 
@@ -132,7 +136,7 @@ def test_depthwise_chain_is_region_independent_across_channel_blocks(tile, polic
     group = {"start": 0, "end": 5, "tile": list(tile), "policy": policy}
     cfg = cli.ExperimentConfig(model={"graph": graph}, fusion={"0": [group]},
                                hardware=HardwareConfig(scratchpad_bytes=1 << 22))
-    res = cli.run_experiment(cfg)
+    res = cli.run_experiment(cfg, cli.simulate(cfg))
     assert res["schedule"]["units"][0]["plan"]["groups"][0]["tile"] == list(tile)
     assert res["max_abs_deviation"] == 0.0
 
@@ -180,7 +184,7 @@ def test_units_cover_the_graph_and_sum_its_costs(preset, scratchpad_bytes, sched
                             if isinstance(u, pipeline.ChainUnit) else [u.node])]
     assert sorted(covered) == sorted(n.id for n in g.nodes)   # each exactly once
     params = init_params(g, 0)
-    _, report = pipeline.run_schedule(g, sched, seeded_input(g, 0), params, hw)
+    _, report, _ = checked_run(g, sched, seeded_input(g, 0), params, hw)
     extra = sum(u.plan.total_extra_macs for u in sched.units
                 if isinstance(u, pipeline.ChainUnit))
     assert report.macs == sum(layer_macs(g, n) for n in g.nodes) + extra
@@ -248,9 +252,11 @@ def test_random_networks_all_schedules_equivalent(idx, hw):
     ref = reference_execute(g, x, params)
     for att, fus in (("auto", "auto"), ("baseline", "singleton")):
         sched = pipeline.plan_network(g, hw, att, fus)
-        out, report = pipeline.run_schedule(g, sched, x, params, hw)
+        out, report, deviations = checked_run(g, sched, x, params, hw, idx)
         dev = float(np.max(np.abs(out - ref)))
         assert dev <= 1e-9, (idx, att, fus, dev)
+        assert len(deviations) == len(sched.units)
+        assert all(d <= 1e-9 for _, d in deviations), (idx, att, fus, deviations)
         # run_schedule cross-checks closed-form EMA against counters
 
 
@@ -312,7 +318,7 @@ def test_run_schedule_frees_each_output_after_its_last_read(monkeypatch, hw):
                         (pipeline, "add_unit_execute")):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
     params = init_params(g, 0)
-    pipeline.run_schedule(g, sched, seeded_input(g, 0), params, hw)
+    checked_run(g, sched, seeded_input(g, 0), params, hw)
     assert len(alive_at) == len(sched.units)
     assert any(len(still_read[i]) < i for i in range(len(still_read)))
     for i, alive in enumerate(alive_at):
@@ -403,8 +409,10 @@ def test_random_graph_plans_and_executes_or_exits_2(graph, scratchpad, eb, sched
         assert m and int(m[3]) == int(m[1]) - int(m[2]), err
         return
     params, x = init_params(g, 0), seeded_input(g, 0)
-    out, report = pipeline.run_schedule(g, sched, x, params, hw)
+    out, report, deviations = checked_run(g, sched, x, params, hw)
     assert float(np.max(np.abs(out - reference_execute(g, x, params)))) <= 1e-9
+    assert len(deviations) == len(sched.units)
+    assert all(d <= 1e-9 for _, d in deviations), deviations
     assert report.scratchpad_high_water <= scratchpad
 
 
@@ -436,3 +444,21 @@ def test_plans_from_shared_tables_equal_fresh_plans(name):
             assert planned(g, hw, schedule, tables) == planned(g, hw, schedule), \
                 (schedule, scratchpad)
     assert tables
+
+
+def test_plan_replays_each_pass_geometry_once_per_hardware(monkeypatch):
+    """Planning replays one capacity check per attention projection or add geometry
+    and hardware: B0's 8 attention and 16 add units make 4 geometries of each, and
+    a plan sharing the tables replays only for hardware it has not seen."""
+    g = graph_from_dict(json.loads(B0_GRAPH.read_text())["model"]["graph"])
+    replays, real = [], pipeline.replay
+    monkeypatch.setattr(pipeline, "replay",
+                        lambda txns, sim: replays.append(sim) or real(txns, sim))
+    tables, hw = {}, HardwareConfig(scratchpad_bytes=1 << 20)
+    sched = pipeline.plan_network(g, hw, "auto", "auto", tables)
+    assert sum(not isinstance(u, pipeline.ChainUnit) for u in sched.units) == 24
+    assert len(replays) == 8
+    pipeline.plan_network(g, hw, "auto", "singleton", tables)
+    assert len(replays) == 8
+    pipeline.plan_network(g, replace(hw, scratchpad_bytes=1 << 21), "auto", "auto", tables)
+    assert len(replays) == 16

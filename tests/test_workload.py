@@ -69,7 +69,7 @@ class TestPresets:
     def test_zeros_input_is_finite(self, name):
         g = build_preset(name)
         x = np.zeros((g.input_shape.c, g.input_shape.h, g.input_shape.w))
-        out = reference_execute(g, x, seed=0)
+        out = reference_execute(g, x, init_params(g, 0))
         assert np.all(np.isfinite(out))
 
 
@@ -126,21 +126,21 @@ class TestReferenceExecute:
 
     def test_toy_chain_golden(self):
         g = build_preset("toy-chain")
-        out = reference_execute(g, seeded_input(g, 0), seed=0)
+        out = reference_execute(g, seeded_input(g, 0), init_params(g, 0))
         assert abs(out.sum() - TOY_GOLDEN_SUM) < 1e-8
         assert abs(np.abs(out).sum() - TOY_GOLDEN_ABS_SUM) < 1e-7
 
     def test_deterministic(self):
         g = build_preset("pvtv2-micro")
         x = seeded_input(g, 7)
-        a = reference_execute(g, x, seed=7)
-        b = reference_execute(g, x, seed=7)
+        a = reference_execute(g, x, init_params(g, 7))
+        b = reference_execute(g, x, init_params(g, 7))
         np.testing.assert_array_equal(a, b)
 
     def test_input_shape_check(self):
         g = build_preset("toy-chain")
         with pytest.raises(ConfigError):
-            reference_execute(g, np.zeros((3, 4, 4)))
+            reference_execute(g, np.zeros((3, 4, 4)), init_params(g, 0))
 
 
 class TestLayerMacs:
@@ -247,7 +247,7 @@ def test_graph_from_dict_roundtrip():
         ],
     })
     assert g.shapes["a1"] == TensorShape(1, 8, 8, 8)
-    out = reference_execute(g, seeded_input(g, 0), seed=0)
+    out = reference_execute(g, seeded_input(g, 0), init_params(g, 0))
     assert np.all(np.isfinite(out))
 
 
