@@ -233,7 +233,7 @@ def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
         ref.start()
         try:
             _, report, deviations = pipeline.run_schedule(
-                ref.graph, schedule, ref.x, ref.params, cfg.hardware, cfg.seed, ref)
+                schedule, ref.x, ref.params, cfg.hardware, cfg.seed, ref)
         finally:   # a reference error replaces the schedule's, as if the reference ran first
             ref.join()
         # the last unit's output is the network's (an empty graph outputs its input)

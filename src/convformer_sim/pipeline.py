@@ -1,11 +1,12 @@
 """Whole-network scheduling and execution.
 
-A network schedule is a sequence of units stitched at DRAM granularity:
-fusable chains (scheduled by the fusion partitioner), attention barriers
-(scheduled by the tiling search, with projection GEMMs modeled as plain
-untiled passes), and residual adds. ``run_schedule`` is the network
-executor: one ScratchpadSim instance spans the whole execution, so its
-counters are the network's EMA ground truth.
+A network schedule is a sequence of units stitched at DRAM granularity: fusable
+chains (scheduled by the fusion partitioner), attention barriers (scheduled by the
+tiling search, with projection GEMMs modeled as plain untiled passes), and residual
+adds; each kind has ``nodes``, a breakdown ``row``, ``execute`` and ``to_dict``, and
+each barrier kind the ``passes`` that planning replays. ``run_schedule`` is the network
+executor: one ScratchpadSim instance spans the whole execution, so its counters are the
+network's EMA ground truth.
 """
 
 from __future__ import annotations
@@ -30,55 +31,80 @@ from .workload import (MAX_EXTENT, Attention, AttentionDims, LayerNode,
 class ChainUnit:
     layers: list[lf.ChainLayer]
     plan: lf.FusionPlan
+    row: dict   # {unit, ema_bytes, macs, vector_ops}, as in every unit kind
+
+    @property
+    def nodes(self) -> list[LayerNode]:
+        return [l.node for l in self.layers]
+
+    def execute(self, ins: list, params: dict, sim: ScratchpadSim, hw: HardwareConfig):
+        return lf.fused_execute(self.layers, self.plan, ins[0], sim, params, hw)
+
+    def to_dict(self) -> dict:
+        return {"kind": "chain", "layers": [n.id for n in self.nodes],
+                "plan": self.plan.to_dict()}
 
 
 @dataclass
 class AttentionUnit:
-    node: LayerNode
+    nodes: list[LayerNode]   # the attention node alone, as in an add
     dims: AttentionDims
     tiling: at.AttentionTiling | None   # None: the spilled-score baseline core
-    buffer_bytes: int = 0
+    buffer_bytes: int
+    row: dict
+
+    @property
+    def node(self) -> LayerNode:
+        return self.nodes[0]
+
+    def passes(self, hw: HardwareConfig) -> Iterator[Txn]:
+        """The projection passes (Q, spatial reduction, K, V), in order, lazily."""
+        c = self.dims.heads * self.dims.d
+        return (t for tag, n_in, weights, n_out
+                in projection_passes(self.node.op, self.dims.N, self.dims.N_r)
+                for t in _gemm_pass(tag, n_in * c, weights, n_out * c, hw))
+
+    def execute(self, ins: list, params: dict, sim: ScratchpadSim, hw: HardwareConfig):
+        return attention_unit_execute(ins[0], self, params[self.node.id], sim, hw)
+
+    def to_dict(self) -> dict:
+        tiling = "baseline" if self.tiling is None else dict(
+            self.tiling.to_dict(), element_bytes=self.dims.element_bytes,
+            ema_bytes=at.attention_ema(self.dims, self.tiling),
+            buffer_bytes=self.buffer_bytes)
+        return {"kind": "attention", "node": self.node.id, "tiling": tiling}
 
 
 @dataclass
 class AddUnit:
-    node: LayerNode
+    nodes: list[LayerNode]   # the add node alone
+    elems: int   # of each operand and of the sum
+    row: dict
 
+    def passes(self, hw: HardwareConfig) -> Iterator[Txn]:
+        return _add_pass(self.elems, hw)
 
-ScheduleUnit = ChainUnit | AttentionUnit | AddUnit
+    def execute(self, ins: list, params: dict, sim: ScratchpadSim, hw: HardwareConfig):
+        return add_unit_execute(*ins, self, sim, hw)
+
+    def to_dict(self) -> dict:
+        return {"kind": "add", "node": self.nodes[0].id}
 
 
 @dataclass
 class NetworkSchedule:
-    units: list[ScheduleUnit]
+    units: list[ChainUnit | AttentionUnit | AddUnit]
 
     def to_dict(self) -> dict:
-        out = []
-        for u in self.units:
-            if isinstance(u, ChainUnit):
-                out.append({"kind": "chain",
-                            "layers": [l.node.id for l in u.layers],
-                            "plan": u.plan.to_dict()})
-            elif isinstance(u, AttentionUnit):
-                if u.tiling is None:
-                    tiling = "baseline"
-                else:
-                    tiling = dict(u.tiling.to_dict(),
-                                  element_bytes=u.dims.element_bytes,
-                                  ema_bytes=at.attention_ema(u.dims, u.tiling),
-                                  buffer_bytes=u.buffer_bytes)
-                out.append({"kind": "attention", "node": u.node.id,
-                            "tiling": tiling})
-            else:
-                out.append({"kind": "add", "node": u.node.id})
-        return {"units": out}
+        return {"units": [u.to_dict() for u in self.units]}
 
 
 def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                  attention_mode: str | dict = "auto",
                  fusion_mode: str | dict = "auto", tables: dict | None = None
                  ) -> NetworkSchedule:
-    """Build the unit schedule: fusion plans per chain, tilings per attention.
+    """Build the unit schedule: fusion plans per chain, tilings per attention, and
+    each unit's breakdown row.
 
     A dict ``attention_mode`` is an ``at.tiling_spec``; each attention layer
     gets its fixed tiling, with t_k = N_r in resident mode. Every group, core
@@ -96,46 +122,54 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
     if isinstance(attention_mode, dict) and not any(
             isinstance(n.op, Attention) for n in graph.nodes):
         raise ConfigError("schedule.attention fixes a tiling, but the graph has no attention")
-    units: list[ScheduleUnit] = []
+
+    def row(nodes: list[LayerNode], label: str, ema: int, extra_macs: int = 0) -> dict:
+        return {"unit": label, "ema_bytes": ema,   # closed forms, checked as the unit runs
+                "macs": sum(layer_macs(graph, n) for n in nodes) + extra_macs,
+                "vector_ops": sum(layer_vector_ops(graph, n) for n in nodes)}
+
+    units: list[ChainUnit | AttentionUnit | AddUnit] = []
     chain_idx = 0
     for kind, nodes in segments:
-        if kind == "chain":
+        if kind == "chain":   # its cost table capacity-checks every group: it has no passes
             layers = lf.chain_from_nodes(graph, nodes)
-            if fusion_mode == "auto":
-                plan = lf.partition_chain(layers, hw, tables)
-            elif fusion_mode == "singleton":
-                plan = lf.singleton_plan(layers, hw, tables)
-            else:
-                plan = _fixed_plan(layers, fusion_mode.get(str(chain_idx)), hw, tables)
-            units.append(ChainUnit(layers, plan))
+            plan = _chain_plan(layers, fusion_mode, chain_idx, hw, tables)
+            label = "chain[" + ",".join(n.id for n in nodes) + "]"
+            units.append(ChainUnit(layers, plan, row(nodes, label, plan.total_ema,
+                                                     plan.total_extra_macs)))
             chain_idx += 1
-        else:
-            node = nodes[0]
-            try:   # capacity-check the core, then the gemm or add passes without compute
-                if isinstance(node.op, Attention):
-                    dims = attention_dims(graph, node, hw.element_bytes)
-                    if attention_mode == "auto":   # one search per geometry and hardware
-                        tiling = tables[dims, hw] = (tables.get((dims, hw))
-                                                     or at.search_attention_tiling(dims, hw))
-                    elif attention_mode == "baseline":
-                        tiling = None
-                    else:
-                        tiling = at.AttentionTiling(
-                            attention_mode["t_q"], attention_mode.get("t_k", dims.N_r),
-                            at.ResidencyMode(attention_mode["mode"]))
-                        at.check_tiling(dims, tiling, node.id)
-                    units.append(AttentionUnit(node, dims, tiling,
-                                               at.tiling_buffer_bytes(dims, tiling, hw)))
-                    key, passes = (node.op, dims, hw), _projection_txns(units[-1], hw)
-                else:   # an add: shape inference leaves no other barrier
-                    units.append(AddUnit(node))
-                    elems = graph.out_shape(node.id).elements
-                    key, passes = (elems, hw), _add_pass(elems, hw)
-                if key not in tables:   # one replay per geometry and hardware that passes
-                    replay(passes, ScratchpadSim(hw.scratchpad_bytes))
-                    tables[key] = True
-            except CapacityError as e:
-                raise CapacityError(e.requested, e.available, f"{node.id}: {e.what}") from e
+            continue
+        node, eb = nodes[0], hw.element_bytes
+        try:   # capacity-check the core, then replay the unit's passes without compute
+            if isinstance(node.op, Attention):
+                dims = attention_dims(graph, node, eb)
+                if attention_mode == "auto":   # one search per geometry and hardware
+                    tiling = tables[dims, hw] = (tables.get((dims, hw))
+                                                 or at.search_attention_tiling(dims, hw))
+                elif attention_mode == "baseline":
+                    tiling = None
+                else:
+                    tiling = at.AttentionTiling(
+                        attention_mode["t_q"], attention_mode.get("t_k", dims.N_r),
+                        at.ResidencyMode(attention_mode["mode"]))
+                    at.check_tiling(dims, tiling, node.id)
+                # each pass moves its input, weights and output once (``_gemm_pass``)
+                ema = at.attention_ema(dims, tiling) + eb * sum(
+                    (n_in + n_out) * dims.heads * dims.d + weights
+                    for _, n_in, weights, n_out in projection_passes(node.op, dims.N, dims.N_r))
+                key, unit = (node.op, dims, hw), AttentionUnit(
+                    nodes, dims, tiling, at.tiling_buffer_bytes(dims, tiling, hw),
+                    row(nodes, node.id, ema))
+            else:   # an add: shape inference leaves no other barrier
+                elems = graph.out_shape(node.id).elements
+                key, unit = (elems, hw), AddUnit(nodes, elems,
+                                                 row(nodes, node.id, 3 * elems * eb))
+            if key not in tables:   # one replay per geometry and hardware that passes
+                replay(unit.passes(hw), ScratchpadSim(hw.scratchpad_bytes))
+                tables[key] = True
+        except CapacityError as e:
+            raise CapacityError(e.requested, e.available, f"{node.id}: {e.what}") from e
+        units.append(unit)
     return NetworkSchedule(units)
 
 
@@ -149,12 +183,15 @@ class FixedGroup:
     policy: lf.HaloPolicy = lf.HaloPolicy.RECOMPUTE
 
 
-def _fixed_plan(layers: list[lf.ChainLayer], group_spec: list | None,
-                hw: HardwareConfig, tables: dict | None) -> lf.FusionPlan:
+def _chain_plan(layers: list[lf.ChainLayer], fusion_mode: str | dict, index: int,
+                hw: HardwareConfig, tables: dict) -> lf.FusionPlan:
+    """Chain ``index``'s plan in ``fusion_mode``; a chain a map does not name is singleton."""
+    if fusion_mode == "auto":
+        return lf.partition_chain(layers, hw, tables)
+    group_spec = None if fusion_mode == "singleton" else fusion_mode.get(str(index))
     if group_spec is None:
         return lf.singleton_plan(layers, hw, tables)
-    groups = []
-    covered = 0
+    groups, covered = [], 0
     for g in group_spec:
         spec = FixedGroup(**parse_fields("schedule.fusion group", g, FixedGroup,
                                          "schedule.fusion group ",
@@ -230,14 +267,6 @@ def _add_pass(elems: int, hw: HardwareConfig) -> Iterator[Txn]:
     yield from (Txn("free", "add_b", 0), Txn("free", "add_a", 0))
 
 
-def _projection_txns(unit: AttentionUnit, hw: HardwareConfig) -> Iterator[Txn]:
-    """The unit's projection passes (Q, spatial reduction, K, V), in order, lazily."""
-    c = unit.dims.heads * unit.dims.d
-    return (t for tag, n_in, weights, n_out
-            in projection_passes(unit.node.op, unit.dims.N, unit.dims.N_r)
-            for t in _gemm_pass(tag, n_in * c, weights, n_out * c, hw))
-
-
 def attention_unit_execute(x: np.ndarray, unit: AttentionUnit,
                            params: dict[str, np.ndarray],
                            sim: ScratchpadSim, hw: HardwareConfig) -> np.ndarray:
@@ -249,43 +278,20 @@ def attention_unit_execute(x: np.ndarray, unit: AttentionUnit,
     dims = unit.dims
     c, h, w = x.shape
     q, k, v = attention_operands(x, unit.node.op, params)
-    replay(_projection_txns(unit, hw), sim)
+    replay(unit.passes(hw), sim)
     o = at.tiled_attention_execute(q, k, v, dims, unit.tiling, sim)
     merged = o.transpose(1, 0, 2).reshape(dims.N, c)
     return merged.T.reshape(c, h, w)
 
 
-def add_unit_execute(a: np.ndarray, b: np.ndarray, sim: ScratchpadSim,
+def add_unit_execute(a: np.ndarray, b: np.ndarray, unit: AddUnit, sim: ScratchpadSim,
                      hw: HardwareConfig) -> np.ndarray:
-    """Residual add, traffic per ``_add_pass``."""
-    replay(_add_pass(a.size, hw), sim)
+    """Residual add, traffic per the unit's ``passes``."""
+    replay(unit.passes(hw), sim)
     return a + b
 
 
-def unit_cost(graph: NetworkGraph, unit: ScheduleUnit, hw: HardwareConfig) -> dict:
-    """Closed-form breakdown row ``{unit, ema_bytes, macs, vector_ops}`` of a unit."""
-    if isinstance(unit, ChainUnit):
-        nodes = [l.node for l in unit.layers]
-        label = "chain[" + ",".join(n.id for n in nodes) + "]"
-        ema, extra_macs = unit.plan.total_ema, unit.plan.total_extra_macs
-    elif isinstance(unit, AttentionUnit):
-        nodes, label, extra_macs = [unit.node], unit.node.id, 0
-        dims = unit.dims
-        c = dims.heads * dims.d
-        # each pass moves its input, weights and output once (``_gemm_pass``)
-        ema = sum((n_in * c + weights + n_out * c) * dims.element_bytes
-                  for _, n_in, weights, n_out
-                  in projection_passes(unit.node.op, dims.N, dims.N_r))
-        ema += at.attention_ema(dims, unit.tiling)
-    else:
-        nodes, label, extra_macs = [unit.node], unit.node.id, 0
-        ema = 3 * graph.out_shape(unit.node.id).elements * hw.element_bytes
-    return {"unit": label, "ema_bytes": ema,
-            "macs": sum(layer_macs(graph, n) for n in nodes) + extra_macs,
-            "vector_ops": sum(layer_vector_ops(graph, n) for n in nodes)}
-
-
-def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
+def run_schedule(schedule: NetworkSchedule, x: np.ndarray,
                  params: dict[str, dict[str, np.ndarray]], hw: HardwareConfig,
                  seed: int, reference: dict
                  ) -> tuple[np.ndarray, CostReport, list[tuple[str, float]]]:
@@ -293,31 +299,23 @@ def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
     report and each unit's (label, max abs deviation from ``reference``).
 
     ``reference`` holds each unit's last output by node id. The report's breakdown
-    has one ``unit_cost`` row per unit. SelfCheckError names the first unit whose
-    simulated EMA is not its closed form, and a CapacityError (or a MemoryError, as
-    a ConfigError) raised while a unit runs is re-raised naming it. An output is
-    freed after its last reader runs.
+    is the units' rows. SelfCheckError names the first unit whose simulated EMA is
+    not its row's, and a CapacityError (or a MemoryError, as a ConfigError) raised
+    while a unit runs is re-raised naming it. An output is freed after its last
+    reader runs.
     """
     sim = ScratchpadSim(hw.scratchpad_bytes)
-    unit_nodes = [[l.node for l in u.layers] if isinstance(u, ChainUnit) else [u.node]
-                  for u in schedule.units]
-    last_read = {p: i for i, nodes in enumerate(unit_nodes) for p in nodes[0].preds}
+    last_read = {p: i for i, u in enumerate(schedule.units) for p in u.nodes[0].preds}
     values: dict[str, np.ndarray] = {}
-    breakdown: list[dict] = []
     deviations: list[tuple[str, float]] = []
     out = x
-    for i, (unit, nodes) in enumerate(zip(schedule.units, unit_nodes)):
+    for i, unit in enumerate(schedule.units):
+        nodes, row = unit.nodes, unit.row
         ins = [values[p] for p in nodes[0].preds] or [x]
         values = {k: v for k, v in values.items() if last_read.get(k) != i}
-        row = unit_cost(graph, unit, hw)
         ema0 = sim.ema_bytes
         try:
-            if isinstance(unit, ChainUnit):
-                out = lf.fused_execute(unit.layers, unit.plan, ins[0], sim, params, hw)
-            elif isinstance(unit, AttentionUnit):
-                out = attention_unit_execute(ins[0], unit, params[unit.node.id], sim, hw)
-            else:
-                out = add_unit_execute(*ins, sim, hw)
+            out = unit.execute(ins, params, sim, hw)
         except CapacityError as e:
             raise CapacityError(e.requested, e.available, f"{row['unit']}: {e.what}") from e
         except MemoryError as e:
@@ -327,8 +325,7 @@ def run_schedule(graph: NetworkGraph, schedule: NetworkSchedule, x: np.ndarray,
             raise SelfCheckError(f"{row['unit']}: closed-form EMA {row['ema_bytes']} B "
                                  f"!= simulator {sim.ema_bytes - ema0} B")
         deviations.append((row["unit"], float(np.max(np.abs(out - reference[nodes[-1].id])))))
-        breakdown.append(row)
-    report = build_report(sum(r["macs"] for r in breakdown),
-                          sum(r["vector_ops"] for r in breakdown), sim, hw,
-                          breakdown=breakdown, seed=seed)
+    rows = [u.row for u in schedule.units]
+    report = build_report(sum(r["macs"] for r in rows), sum(r["vector_ops"] for r in rows),
+                          sim, hw, breakdown=rows, seed=seed)
     return out, report, deviations

@@ -38,4 +38,4 @@ def checked_run(graph, schedule, x, params, hw, seed=0):
     input and parameters: (output, report, each unit's (label, max abs deviation))."""
     record = {}
     reference_execute(graph, x, params, record=record)
-    return pipeline.run_schedule(graph, schedule, x, params, hw, seed, record)
+    return pipeline.run_schedule(schedule, x, params, hw, seed, record)

@@ -28,7 +28,7 @@ from convformer_sim.layer_fusion import (FusionGroup, FusionPlan, HaloPolicy,
                                          chain_from_nodes, fused_execute,
                                          group_buffer_bytes, partition_chain,
                                          singleton_plan, split_into_segments)
-from convformer_sim.pipeline import plan_network, unit_cost
+from convformer_sim.pipeline import plan_network
 from convformer_sim.workload import (Attention, Conv2D, GELU, LayerNode,
                                      NetworkGraph, TensorShape,
                                      attention_dims, attention_operands,
@@ -279,8 +279,7 @@ def test_criterion_5_ema_reduction_direction():
         ratios.append(tiled / untiled)
     # (b) fusion plan total strictly below the all-singleton schedule
     def network_ema(fusion_mode):
-        return sum(unit_cost(g, u, hw)["ema_bytes"]
-                   for u in plan_network(g, hw, "auto", fusion_mode).units)
+        return sum(u.row["ema_bytes"] for u in plan_network(g, hw, "auto", fusion_mode).units)
 
     fused_total, single_total = network_ema("auto"), network_ema("singleton")
     assert fused_total < single_total

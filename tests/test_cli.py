@@ -9,6 +9,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from convformer_sim import cli, pipeline, workload
 from convformer_sim.errors import ConfigError, SelfCheckError
-from convformer_sim.hwmodel import Txn
+from convformer_sim.hwmodel import HardwareConfig, Txn
 from convformer_sim.layer_fusion import split_into_segments
 from convformer_sim.workload import GELU, PRESETS, build_preset, reference_execute
 
@@ -436,15 +437,15 @@ class TestEquivalenceAndSelfCheckExit:
         code, out, _ = run_cli(["run", "--model", "pvtv2-micro"], capsys)
         rows = json.loads(out)["report"]["breakdown"]
         ema = next(r["ema_bytes"] for r in rows if r["unit"] == "s0b0_attn")
-        real = pipeline.unit_cost
+        real = pipeline.plan_network
 
-        def off_by_one(graph, unit, hw):
-            row = real(graph, unit, hw)
-            if row["unit"] == "s0b0_attn":
-                row["ema_bytes"] += 1
-            return row
+        def off_by_one(*args, **kwargs):
+            schedule = real(*args, **kwargs)
+            (unit,) = [u for u in schedule.units if u.row["unit"] == "s0b0_attn"]
+            unit.row["ema_bytes"] += 1
+            return schedule
 
-        monkeypatch.setattr(pipeline, "unit_cost", off_by_one)
+        monkeypatch.setattr(pipeline, "plan_network", off_by_one)
         code, _, err = run_cli(["run", "--model", "pvtv2-micro"], capsys)
         assert code == 3
         assert "self-check" in err and "s0b0_attn" in err
@@ -1110,6 +1111,20 @@ def test_threshold_sweep_runs_its_schedule_once(monkeypatch, capsys):
     assert calls == {"run_schedule": 1, "pruning_analysis": 5}
 
 
+def test_an_equal_plan_on_another_scratchpad_runs_again():
+    """A schedule does not record its passes' block counts: at 512 B the baseline
+    projections stream in more blocks than at 1024 B and count their weights once per
+    block, so an equal plan can report other SRAM accesses and another peak. Each row of
+    an ascending scratchpad sweep is its own run."""
+    cfg = cli.ExperimentConfig(model=mha_graph(2, 8), attention="baseline")
+    _, sims = cli.sweep_experiments(cfg, "scratchpad_bytes", [512, 1024])
+    assert sims[0]["schedule"] == sims[1]["schedule"]
+    assert sims[0]["report"].sram_accesses != sims[1]["report"].sram_accesses
+    for size, sim in zip([512, 1024], sims):
+        fresh = cli.simulate(replace(cfg, hardware=HardwareConfig(scratchpad_bytes=size)))
+        assert sim["report"] == fresh["report"]
+
+
 def boundary_ids(graph):
     """The last node of every segment: where unit outputs meet."""
     return {nodes[-1].id for _, nodes in split_into_segments(graph)}
@@ -1370,8 +1385,7 @@ def test_run_drops_each_reference_output_once_its_unit_is_checked(reference_timi
                         (pipeline, "add_unit_execute")):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
     sim = cli.simulate(cli.ExperimentConfig(model="pvtv2-micro"))
-    ends = [u.layers[-1].node.id if isinstance(u, pipeline.ChainUnit) else u.node.id
-            for u in sim["schedule"].units]
+    ends = [u.nodes[-1].id for u in sim["schedule"].units]
     assert set(stored) == set(ends)
     assert len(alive_at) == len(ends)
     if reference_timing == "serial":
@@ -1669,8 +1683,7 @@ def test_run_drops_each_units_params_once_it_is_checked(reference_timing, monkey
                         (pipeline, "add_unit_execute")):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
     sim = cli.simulate(cli.ExperimentConfig(model="pvtv2-micro"))
-    units = [[l.node.id for l in u.layers] if isinstance(u, pipeline.ChainUnit) else [u.node.id]
-             for u in sim["schedule"].units]
+    units = [[n.id for n in u.nodes] for u in sim["schedule"].units]
     with_params = {k for k, refs in drawn.items() if refs}
     assert set(drawn) == {k for ids in units for k in ids}
     assert len(alive_at) == len(units)

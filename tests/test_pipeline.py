@@ -1,10 +1,11 @@
+import ast
 import contextlib
 import io
 import json
 import re
 import tempfile
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,15 +85,15 @@ def test_attention_unit_ema_matches_execution(hw):
     params = init_params(g, 0)
     record = {}
     reference_execute(g, seeded_input(g, 0), params, record=record)
-    for node in g.nodes:
-        if not isinstance(node.op, Attention):
-            continue
-        dims = attention_dims(g, node, hw.element_bytes)
-        unit = pipeline.AttentionUnit(node, dims, search_attention_tiling(dims, hw))
+    units = [u for u in pipeline.plan_network(g, hw).units
+             if isinstance(u, pipeline.AttentionUnit)]
+    assert len(units) == sum(isinstance(n.op, Attention) for n in g.nodes)
+    for unit in units:
+        assert unit.tiling == search_attention_tiling(unit.dims, hw)
         sim = ScratchpadSim(hw.scratchpad_bytes)
-        x = record[node.preds[0]]
-        pipeline.attention_unit_execute(x, unit, params[node.id], sim, hw)
-        assert sim.ema_bytes == pipeline.unit_cost(g, unit, hw)["ema_bytes"]
+        x = record[unit.node.preds[0]]
+        pipeline.attention_unit_execute(x, unit, params[unit.node.id], sim, hw)
+        assert sim.ema_bytes == unit.row["ema_bytes"]
 
 
 def _dw(node_id, k, pred, stride=1):
@@ -165,7 +166,7 @@ def test_macs_include_recompute_overhead():
     extra = unit.plan.total_extra_macs
     assert extra > 0
     base = sum(layer_macs(g, n) for n in g.nodes)
-    assert pipeline.unit_cost(g, unit, hw)["macs"] == base + extra
+    assert unit.row["macs"] == base + extra
 
 
 @pytest.mark.parametrize("scratchpad_bytes, schedule",
@@ -179,9 +180,7 @@ def test_units_cover_the_graph_and_sum_its_costs(preset, scratchpad_bytes, sched
     hw = HardwareConfig(scratchpad_bytes=scratchpad_bytes)
     g = cs.build_preset(preset)
     sched = pipeline.plan_network(g, hw, *cli.SCHEDULE_PRESETS[schedule])
-    covered = [node.id for u in sched.units
-               for node in ([l.node for l in u.layers]
-                            if isinstance(u, pipeline.ChainUnit) else [u.node])]
+    covered = [node.id for u in sched.units for node in u.nodes]
     assert sorted(covered) == sorted(n.id for n in g.nodes)   # each exactly once
     params = init_params(g, 0)
     _, report, _ = checked_run(g, sched, seeded_input(g, 0), params, hw)
@@ -298,10 +297,8 @@ def test_run_schedule_frees_each_output_after_its_last_read(monkeypatch, hw):
     """While unit i runs, only outputs that unit i or a later unit reads are alive."""
     g = cs.build_preset("pvtv2-micro")
     sched = pipeline.plan_network(g, hw)
-    firsts = [u.layers[0].node if isinstance(u, pipeline.ChainUnit) else u.node
-              for u in sched.units]
-    lasts = [u.layers[-1].node.id if isinstance(u, pipeline.ChainUnit) else u.node.id
-             for u in sched.units]
+    firsts = [u.nodes[0] for u in sched.units]
+    lasts = [u.nodes[-1].id for u in sched.units]
     still_read = [{lasts.index(p) for n in firsts[i:] for p in n.preds}
                   for i in range(len(firsts))]
     outputs, alive_at = [], []
@@ -462,3 +459,29 @@ def test_plan_replays_each_pass_geometry_once_per_hardware(monkeypatch):
     assert len(replays) == 8
     pipeline.plan_network(g, replace(hw, scratchpad_bytes=1 << 21), "auto", "auto", tables)
     assert len(replays) == 16
+
+
+UNIT_KINDS = ("ChainUnit", "AttentionUnit", "AddUnit")
+UNIT_PROTOCOL = ("nodes", "row", "execute", "to_dict")   # a barrier kind adds ``passes``
+
+
+def test_no_code_asks_a_unit_its_kind():
+    """Every unit kind answers one protocol (each barrier kind also its plan-time
+    ``passes``), so no ``isinstance`` in the package names a unit kind: one would bring
+    back a per-kind ladder."""
+    tests = []
+    for path in sorted(Path(cs.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "isinstance" and len(n.args) == 2):
+                kinds = n.args[1].elts if isinstance(n.args[1], ast.Tuple) else [n.args[1]]
+                if any(getattr(k, "id", getattr(k, "attr", None)) in UNIT_KINDS for k in kinds):
+                    tests.append(f"{path.name}:{n.lineno}")
+    assert tests == []
+    for kind in UNIT_KINDS:
+        cls = getattr(pipeline, kind)
+        names = {f.name for f in fields(cls)} | {
+            name for name, value in vars(cls).items()
+            if callable(value) or isinstance(value, property)}
+        barrier = {"passes"} if kind != "ChainUnit" else set()
+        assert set(UNIT_PROTOCOL) | barrier <= names, kind
