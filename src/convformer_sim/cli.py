@@ -16,10 +16,9 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 import threading
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,7 +83,7 @@ def load_config(path: str | None, args: argparse.Namespace,
     check_keys("config", raw, ("model", "hardware", "schedule", "seed", "tolerance"))
     if not isinstance(raw.get("model", ""), str):
         check_keys("model", raw["model"], ("preset", "graph"))
-        if "preset" in raw["model"] and "graph" in raw["model"]:
+        if len(raw["model"]) != 1:
             raise ConfigError("model: give exactly one of preset or graph")
     # fields not given keep their ExperimentConfig defaults; flags win over the file
     parts = {k: raw[k] for k in ("model", "seed", "tolerance") if k in raw}
@@ -120,9 +119,7 @@ def build_graph(model: str | dict) -> NetworkGraph:
         return build_preset(model)
     if "preset" in model:
         return build_preset(str(model["preset"]))
-    if "graph" in model:
-        return graph_from_dict(model["graph"])
-    raise ConfigError("model must be a preset name or contain preset/graph")
+    return graph_from_dict(model["graph"])
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +404,9 @@ def _equivalence_exit(sims: list[dict], tolerance: float) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage by default; 2 means "infeasible" here
+    # a usage error goes to main's handler: argparse would exit 2, "infeasible" here
     def error(self, message):
-        self.exit(ConfigError.exit_code, f"{self.prog}: error: {message}\n")
-
-
-HW_FLAG = re.compile(r"^--hw\.([A-Za-z_]+)=(.+)$")
-
-
-def _extract_hw_overrides(extra: list[str]) -> dict:
-    overrides = {}
-    for token in extra:
-        m = HW_FLAG.match(token)
-        if not m:
-            raise ConfigError(f"unrecognized argument {token!r}")
-        key, value = m.group(1), m.group(2)
-        overrides[key] = value
-    return overrides
+        raise ConfigError(message)
 
 
 def make_parser() -> _Parser:
@@ -433,6 +416,7 @@ def make_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
+        sp.allow_abbrev = False   # else --hw.pe=1 would set hardware.pe_count
         sp.add_argument("--config", help="JSON experiment config")
         sp.add_argument("--model", help="preset name (overrides config)")
         sp.add_argument("--seed", type=int, default=None)
@@ -441,6 +425,9 @@ def make_parser() -> _Parser:
                              f"(default {ExperimentConfig.tolerance})")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
+        for f in fields(HardwareConfig):   # parsed with the config's hardware part
+            sp.add_argument(f"--hw.{f.name}", default=argparse.SUPPRESS, metavar="VALUE",
+                            help=f"overrides the config (default {f.default})")
 
     sp = sub.add_parser("run", help="run one experiment and emit its cost report")
     common(sp)
@@ -458,10 +445,8 @@ def make_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args, extra = parser.parse_known_args(argv)
     try:
-        hw_overrides = _extract_hw_overrides(extra)
+        args = make_parser().parse_args(argv)
         if args.command == "presets":
             data = []
             for name in PRESETS:
@@ -471,7 +456,8 @@ def main(argv: list[str] | None = None) -> int:
             emit(data, "json", None)
             return 0
 
-        cfg = load_config(args.config, args, hw_overrides)
+        cfg = load_config(args.config, args, {k[3:]: v for k, v in vars(args).items()
+                                              if k.startswith("hw.")})
         if args.command == "run":
             sims = [simulate(cfg)]
             data = run_experiment(cfg, sims[0])

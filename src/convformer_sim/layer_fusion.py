@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError
 from .hwmodel import HardwareConfig, ScratchpadSim, Txn, replay
-from .workload import (Attention, Conv2D, GELU, LayerNode, LayerNorm, Linear,
+from .workload import (Conv2D, GELU, LayerNode, LayerNorm, Linear,
                        NetworkGraph, TensorShape, divisors, layer_forward, op_cost,
                        tile_intervals, window)
 from .workload import conv2d_region  # noqa: F401  (perfbench/tracer.py wraps this alias)
@@ -40,10 +40,6 @@ class HaloPolicy(str, Enum):
 class TileShape:
     h_t: int
     w_t: int
-
-    def __post_init__(self):
-        if min(self.h_t, self.w_t) < 1:
-            raise ValueError(f"tile extents must be >= 1, got {self.h_t}x{self.w_t}")
 
 
 @dataclass(frozen=True)
@@ -94,14 +90,6 @@ class FusionPlan:
 # Spatial geometry
 # ---------------------------------------------------------------------------
 
-def _window(node: LayerNode) -> tuple[int, int, int, int]:
-    """``window`` of a chain layer; attention is global over tokens."""
-    if isinstance(node.op, Attention):
-        raise ConfigError(
-            f"{node.id}: attention cannot be spatially tiled inside a fusion group")
-    return window(node.op)
-
-
 def _walk(layers: Sequence[ChainLayer], lo: np.ndarray, hi: np.ndarray, axis,
           last=None) -> tuple[np.ndarray, np.ndarray]:
     """Back-propagate output intervals [lo, hi) of layer ``last`` (default the last)
@@ -119,7 +107,7 @@ def _walk(layers: Sequence[ChainLayer], lo: np.ndarray, hi: np.ndarray, axis,
     walk = np.empty((2, len(lo), n + 1), dtype=np.int64)
     walk[0, :, n], walk[1, :, n] = lo, hi
     for li in reversed(range(n)):
-        k, s, p, _ = _window(layers[li].node)
+        k, s, p, _ = window(layers[li].node.op)
         if (k, s, p) == (1, 1, 0):   # pointwise: the clip below gives this interval, slower
             walk[:, :, li] = walk[:, :, li + 1]
             continue
@@ -195,7 +183,7 @@ _INT64_SAFE = 1 << 62
 
 def _line_buffer(layer: ChainLayer, eb: int) -> int:
     """Bytes of the layer's halo line buffer under CACHE (none if k = 1)."""
-    return (_window(layer.node)[0] - 1) * layer.in_shape.w * layer.in_shape.c * eb
+    return (window(layer.node.op)[0] - 1) * layer.in_shape.w * layer.in_shape.c * eb
 
 
 def _suffix(acc: np.ufunc, x: np.ndarray) -> np.ndarray:

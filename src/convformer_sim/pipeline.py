@@ -179,7 +179,7 @@ class FixedGroup:
     at one tile and halo policy."""
     start: int = bounded(0, MAX_EXTENT)
     end: int = bounded(0, MAX_EXTENT)
-    tile: tuple[int, int] = bounded(most=MAX_EXTENT)
+    tile: tuple[int, int] = bounded(1, MAX_EXTENT)
     policy: lf.HaloPolicy = lf.HaloPolicy.RECOMPUTE
 
 
@@ -196,15 +196,12 @@ def _chain_plan(layers: list[lf.ChainLayer], fusion_mode: str | dict, index: int
         spec = FixedGroup(**parse_fields("schedule.fusion group", g, FixedGroup,
                                          "schedule.fusion group ",
                                          required=("start", "end", "tile")))
-        try:
-            tile = lf.TileShape(*spec.tile)
-        except ValueError as e:
-            raise ConfigError(f"schedule.fusion group {g!r}: {e}")
         start, end = spec.start, spec.end
         if start != covered or end < start or end >= len(layers):
             raise ConfigError(f"schedule.fusion groups must cover the chain in order; "
                               f"bad group [{start}, {end}]")
-        chosen = lf.fixed_tile_choice(layers[start:end + 1], tile, spec.policy, hw, tables)
+        chosen = lf.fixed_tile_choice(layers[start:end + 1], lf.TileShape(*spec.tile),
+                                      spec.policy, hw, tables)
         groups.append(replace(chosen, start=start, end=end))
         covered = end + 1
     if covered != len(layers):

@@ -157,7 +157,6 @@ class AttentionDims:
 
 def attention_dims(graph: NetworkGraph, node: LayerNode, element_bytes: int = 1) -> AttentionDims:
     op = node.op
-    assert isinstance(op, Attention)
     shp, sr = graph.in_shape(node), sr_conv(op)
     return AttentionDims(N=shp.tokens, N_r=conv_out_dim(shp.h, sr) * conv_out_dim(shp.w, sr),
                          d=op.d_head, heads=op.heads, element_bytes=element_bytes)
@@ -235,7 +234,7 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             out = TensorShape(ins.n, op.c_out, ins.h, ins.w)
         elif isinstance(op, (LayerNorm, GELU)):
             out = ins
-        elif isinstance(op, Add):
+        else:   # an add: _KINDS admits no other op
             if len(node.preds) != 2:
                 raise ConfigError(f"{node.id}: Add needs exactly 2 predecessors")
             a, b = shapes[node.preds[0]], shapes[node.preds[1]]
@@ -244,9 +243,11 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             if op.residual_of not in node.preds:
                 raise ConfigError(f"{node.id}: residual source {op.residual_of!r} "
                                   "is not a predecessor")
+            skip = min(node.preds, key=list(shapes).index)
+            if op.residual_of != skip:
+                raise ConfigError(f"{node.id}: field residual_of must name the skip input "
+                                  f"{skip!r}, got {op.residual_of!r}")
             out = a
-        else:
-            raise ConfigError(f"{node.id}: unknown op {op!r}")
         shapes[node.id] = out
         nodes.append(node)
     read = {p for node in nodes for p in node.preds}
@@ -531,9 +532,7 @@ def layer_forward(node: LayerNode, inputs: list[np.ndarray], p: dict[str, np.nda
         return layernorm(x)
     if isinstance(op, GELU):
         return gelu(x)
-    if isinstance(op, Add):
-        return inputs[0] + inputs[1]
-    raise ConfigError(f"{node.id}: unknown op {op!r}")
+    return inputs[0] + inputs[1]   # an add
 
 
 def reference_execute(graph: NetworkGraph, x: np.ndarray,

@@ -9,12 +9,12 @@ import threading
 import time
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convformer_sim import cli, pipeline, workload
@@ -577,7 +577,7 @@ def test_fixed_fusion_tile_extent_below_one_rejected(tile, tmp_path, capsys):
     })
     code, out, err = run_cli(["run", "--config", cfg], capsys)
     assert code == 1
-    assert "schedule.fusion group" in err and "tile extents" in err
+    assert f"schedule.fusion group tile must be >= 1, got {min(tile)}" in err
     assert out == ""
 
 
@@ -706,7 +706,7 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [10**400, 4]}]}},
      "schedule.fusion group tile must be at most 1.798e+308"),
     # error paths that no other test ran
-    ({}, {}, "model must be a preset name or contain preset/graph"),
+    ({}, {}, "model: give exactly one of preset or graph"),
     ("pvtv2-micro", {"pruning": {"granularity": "diagonal"}},
      "schedule.pruning.granularity must be one of ['element', 'row', 'column'], "
      "got 'diagonal'"),
@@ -749,6 +749,11 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
         {"id": "b", "kind": "conv2d", "c_in": 4, "c_out": 4, "k": 1, "preds": ["a"]},
         {"id": "s", "kind": "add", "residual_of": "a", "preds": ["b", "a"]}]}}, {},
      "z: no node reads its output"),
+    # naming the add's later predecessor changed nothing: an add is symmetric
+    ({"graph": {"input_shape": [1, 4, 8, 8], "nodes": [
+        {"id": "a", "kind": "gelu"}, {"id": "b", "kind": "gelu", "preds": ["a"]},
+        {"id": "s", "kind": "add", "residual_of": "b", "preds": ["b", "a"]}]}}, {},
+     "s: field residual_of must name the skip input 'a', got 'b'"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -850,13 +855,27 @@ def test_missing_config_file_exits_1_naming_it(tmp_path, capsys):
     (["run", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
 ])
 def test_bad_command_line_exits_1_naming_it(argv, message, capsys):
-    try:
-        code = cli.main(argv)
-    except SystemExit as e:   # argparse exits from inside the parse
-        code = e.code
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert message in err and "Traceback" not in err
+
+
+def test_hw_flag_takes_its_value_with_or_without_equals(capsys):
+    # the space form was an unrecognized argument
+    runs = [run_cli(["run", "--model", "toy-chain", *flag], capsys)
+            for flag in (["--hw.pe_count", "128"], ["--hw.pe_count=128"])]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    assert json.loads(runs[0][1])["config"]["hardware"]["pe_count"] == 128
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_help_lists_every_hardware_field(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exit_.value.code == 0
+    assert [f.name for f in fields(HardwareConfig) if f"--hw.{f.name} " not in out] == []
 
 
 def test_preset_object_form_runs_the_preset(tmp_path, capsys):
@@ -1007,6 +1026,57 @@ def command_lines(draw):
                                      "tile": [draw(st.sampled_from([4, 8, 16, 4.9, 0])),
                                               draw(st.sampled_from([4, 8, 16]))]}]}
     return argv, schedule if schedule or draw(st.booleans()) else None
+
+
+# every option of run, compare and sweep but the --hw.* ones
+OPTIONS = ("--config", "--model", "--seed", "--tolerance", "--out", "--format", "--schedules",
+           "--axis", "--values", "--help")
+HW_FIELDS = tuple(f.name for f in fields(HardwareConfig))
+
+
+@st.composite
+def bad_command_lines(draw):
+    """(argv, the words stderr must name): a command line with good ``--hw.*`` flags,
+    in either form, and one bad token: an unknown flag, ``--hw.<not a field>=1``, a
+    trailing ``--hw.<field>`` with no value, ``--format xml``, or a sweep without
+    ``--axis``."""
+    command = draw(st.sampled_from(["run", "compare", "sweep"]))
+    argv = [command, "--model", draw(st.sampled_from(["toy-chain", "segformer-micro"]))]
+    for f in draw(st.lists(st.sampled_from(HW_FIELDS), max_size=2)):
+        argv += draw(st.sampled_from([[f"--hw.{f}=64"], [f"--hw.{f}", "64"]]))
+    bad = draw(st.sampled_from(["flag", "hw", "trailing", "format"]
+                               + ["axis"] * (command == "sweep")))
+    if command == "sweep":
+        argv += ["--values=1"] if bad == "axis" else ["--axis=t_q", "--values=1"]
+    if bad == "flag":
+        token = draw(st.from_regex(r"--[a-z][a-z_.]{0,11}", fullmatch=True).filter(
+            lambda t: t not in OPTIONS and not t.startswith("--hw.")))
+        return [*argv, token], [token]
+    if bad == "hw":
+        name = draw(st.from_regex(r"[a-z][a-z_]{0,15}", fullmatch=True).filter(
+            lambda n: n not in HW_FIELDS))
+        return [*argv, f"--hw.{name}=1"], [f"--hw.{name}=1"]
+    if bad == "trailing":
+        flag = f"--hw.{draw(st.sampled_from(HW_FIELDS))}"
+        return [*argv, flag], [flag]
+    if bad == "format":
+        return [*argv, "--format", "xml"], ["--format", "'xml'"]
+    return argv, ["--axis"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bad_command_lines())
+@example((["run", "--hw.pe=1"], ["--hw.pe=1"]))   # a prefix of pe_count is no field
+def test_malformed_command_line_exits_1_naming_the_token(case):
+    """argparse's usage errors end in main's one handler: exit 1, no stdout, and a
+    ``config error`` naming the token (they were a SystemExit from inside the parse)."""
+    argv, names = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue()) == (1, ""), err.getvalue()
+    assert err.getvalue().startswith("config error: "), err.getvalue()
+    assert all(name in err.getvalue() for name in names), (names, err.getvalue())
 
 
 def _no_constant(name):

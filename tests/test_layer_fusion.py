@@ -153,7 +153,7 @@ class TestHaloExtent:
     def test_attention_rejected(self):
         g = infer_shapes(NetworkGraph([LayerNode("a", Attention(1, 4))],
                                       TensorShape(1, 4, 4, 4)))
-        with pytest.raises(ConfigError, match="cannot be spatially tiled"):
+        with pytest.raises(ConfigError, match=r"Attention\(.*\): has no spatial window"):
             in_lengths(g, 0, 2)
 
 

@@ -16,8 +16,9 @@ a fixed fusion group on chain 0, and pruning. It sets each field in turn:
 * to another legal value: ``report``, ``schedule``, ``pruning`` or
   ``adjusted_report`` changes (the hardware and seed that a report echoes do not
   count), or the schedule is infeasible (exit 2), or a rule across fields rejects the
-  config (exit 1, no stdout): a node's channels must match its input, and a fixed
-  tiling must fit every attention layer of the graph, say.
+  config (exit 1, no stdout): a node's channels must match its input, a fixed
+  tiling must fit every attention layer of the graph, and an add's ``residual_of``
+  must name the earlier of its two predecessors, say.
 
 Each example draws one bad and one legal value for every field (for a node field, of
 one node of its kind); ``EXEMPT`` lists the fields whose legal values need not change
@@ -69,8 +70,6 @@ KINDS = {"conv2d node": "conv2d", "downsample node": "downsample",
 # fields whose legal values need not change the result, each with its reason
 EXEMPT = {
     ("top level", "tolerance"): "it only gates equivalence_ok and the exit code",
-    ("add node", "residual_of"): "an add is symmetric, so naming its other "
-                                 "predecessor changes nothing",
 }
 # legal values drawn where the field acts, each with its reason
 ACTING = {
@@ -210,12 +209,15 @@ def bad_values(f, kind) -> st.SearchStrategy:
     return st.sampled_from(wrong)
 
 
-def legal_values(part, f, kind, base, preset) -> st.SearchStrategy:
-    """Legal values of field ``f`` other than ``base``."""
+def legal_values(part, f, kind, holder, preset) -> st.SearchStrategy:
+    """Legal values of field ``f`` other than its value in ``holder``."""
+    base = holder[f.name]
     if (part, f.name) in ACTING:
         return ACTING[part, f.name].filter(lambda v: v != base)
     if f.name == "model":
         return st.just(({"segformer-micro", "pvtv2-micro"} - {preset}).pop())
+    if f.name == "residual_of":   # the add's other predecessor
+        return st.sampled_from([p for p in holder["preds"] if p != base])
     if typing.get_origin(kind) is tuple:
         return st.lists(st.integers(1, 2 * base[0] + 2), min_size=2, max_size=2).filter(
             lambda v: v != base)
@@ -253,7 +255,7 @@ def test_every_field_changes_the_result_or_is_rejected(preset, data, tmp_path_fa
                 continue
             config = copy.deepcopy(base)
             holder, _ = locate(config, part, node_id)
-            value = data.draw(legal_values(part, f, hints[f.name], holder[f.name], preset),
+            value = data.draw(legal_values(part, f, hints[f.name], holder, preset),
                               label=f"legal {name}")
             holder[f.name] = value
             if f.name == "mode" and value == "resident_kv":
