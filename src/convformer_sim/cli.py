@@ -241,7 +241,7 @@ def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
     if cfg.pruning is not None:
         pruned = pruning_analysis(ref.graph, ref.join(), ref.x, ref.params, cfg.pruning)
         sim.update(pruning=pruned["layers"], adjusted_report=fp.sparse_cost_adjust(
-            sim["report"], pruned["aggregate_stats"], cfg.hardware, cfg.pruning.granularity))
+            sim["report"], pruned["aggregate_stats"], cfg.hardware))
     return sim
 
 

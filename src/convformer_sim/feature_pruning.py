@@ -115,31 +115,28 @@ def pruned_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 def prune_activation_map(t: np.ndarray, theta: float, granularity: Granularity,
                          downstream_cols: int) -> tuple[np.ndarray, SparsityStats]:
-    """Threshold a post-activation token map (N x c); skips in the next GEMM."""
+    """Threshold a post-activation token map (N x c); skips in the next GEMM.
+    Returns the mask (True = pruned) and its stats, which elide no output."""
     mask, frac = prune_mask(t, theta, granularity)
-    pruned = np.where(mask, 0.0, t)
     stats = SparsityStats(pruned_fraction=frac,
                           skipped_macs=int(mask.sum()) * downstream_cols)
-    return pruned, stats
+    return mask, stats
 
 
 def sparse_cost_adjust(report: CostReport, stats: SparsityStats,
-                       hw: HardwareConfig,
-                       granularity: Granularity = Granularity.ELEMENT
-                       ) -> CostReport:
+                       hw: HardwareConfig) -> CostReport:
     """Cost report with skipped MACs removed (idealized perfect zero-skipping).
 
-    Cycles and MAC energy drop proportionally to skipped work. EMA shrinks
-    only for ROW/COLUMN granularity, where whole vectors are elided from the
-    dense layout; element-level sparsity saves compute, not traffic.
+    Cycles and MAC energy drop proportionally to skipped work. EMA shrinks by
+    the stats' elided output elements, which only ROW/COLUMN pruning sets
+    (whole vectors elided from the dense layout); element-level sparsity saves
+    compute, not traffic.
     """
     if stats.skipped_macs > report.macs:
         raise SelfCheckError(
             f"skipped {stats.skipped_macs} MACs exceeds report total {report.macs}")
     macs = report.macs - stats.skipped_macs
-    ema = report.ema_bytes
-    if granularity in (Granularity.ROW, Granularity.COLUMN):
-        ema = max(0, ema - stats.elided_output_elems * hw.element_bytes)
+    ema = max(0, report.ema_bytes - stats.elided_output_elems * hw.element_bytes)
     cycles, energy = price(macs, ema, report.sram_accesses, hw)
     return replace(report, ema_bytes=ema, macs=macs, cycles=cycles,
                    energy_pj=energy)

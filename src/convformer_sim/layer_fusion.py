@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError
 from .hwmodel import HardwareConfig, ScratchpadSim, Txn, replay
-from .workload import (Conv2D, GELU, LayerNode, LayerNorm, Linear,
-                       NetworkGraph, TensorShape, divisors, layer_forward, op_cost,
-                       tile_intervals, window)
+from .workload import (FUSABLE_OPS, LayerNode, NetworkGraph, TensorShape, divisors,
+                       layer_forward, op_cost, tile_intervals, window)
 from .workload import conv2d_region  # noqa: F401  (perfbench/tracer.py wraps this alias)
 
 
@@ -506,9 +505,6 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
 # ---------------------------------------------------------------------------
 # Chain extraction from a graph
 # ---------------------------------------------------------------------------
-
-FUSABLE_OPS = (Conv2D, Linear, LayerNorm, GELU)
-
 
 def chain_from_nodes(graph: NetworkGraph, nodes: Sequence[LayerNode]) -> list[ChainLayer]:
     return [ChainLayer(n, graph.in_shape(n), graph.out_shape(n.id)) for n in nodes]

@@ -23,7 +23,7 @@ from .errors import CapacityError, ConfigError, SelfCheckError
 from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, bounded,
                       build_report, parse_fields, replay)
 from .workload import (MAX_EXTENT, Attention, AttentionDims, LayerNode,
-                       NetworkGraph, attention_dims, attention_operands, layer_macs,
+                       NetworkGraph, attention_dims, attention_forward, layer_macs,
                        layer_vector_ops, projection_passes)
 
 
@@ -272,13 +272,9 @@ def attention_unit_execute(x: np.ndarray, unit: AttentionUnit,
     Projection operands round-trip through DRAM; the core re-reads Q/K/V per
     its residency mode, matching the closed-form EMA model.
     """
-    dims = unit.dims
-    c, h, w = x.shape
-    q, k, v = attention_operands(x, unit.node.op, params)
     replay(unit.passes(hw), sim)
-    o = at.tiled_attention_execute(q, k, v, dims, unit.tiling, sim)
-    merged = o.transpose(1, 0, 2).reshape(dims.N, c)
-    return merged.T.reshape(c, h, w)
+    return attention_forward(x, unit.node.op, params, core=lambda q, k, v: (
+        at.tiled_attention_execute(q, k, v, unit.dims, unit.tiling, sim)))
 
 
 def add_unit_execute(a: np.ndarray, b: np.ndarray, unit: AddUnit, sim: ScratchpadSim,

@@ -37,10 +37,6 @@ class TensorShape:
     h: int
     w: int
 
-    def __post_init__(self):
-        if min(self.n, self.c, self.h, self.w) < 1:
-            raise ConfigError(f"shape: all dims must be >= 1, got {self}")
-
     @property
     def tokens(self) -> int:
         """Sequence view: h*w tokens of dimension c."""
@@ -212,14 +208,15 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
         if isinstance(op, Downsample):
             op = Conv2D(ins.c, ins.c, op.k, op.stride)
             node = replace(node, op=op)
-        if isinstance(op, Conv2D):
+        out = ins   # only a conv or a linear computes a new shape
+        if isinstance(op, (Conv2D, Linear)):
             if ins.c != op.c_in:
                 raise ConfigError(f"{node.id}: expects c_in={op.c_in}, got {ins.c}")
-            h = conv_out_dim(ins.h, op)
-            w = conv_out_dim(ins.w, op)
-            if h < 1 or w < 1:
+            out = replace(ins, c=op.c_out)
+        if isinstance(op, Conv2D):
+            out = replace(out, h=conv_out_dim(ins.h, op), w=conv_out_dim(ins.w, op))
+            if out.h < 1 or out.w < 1:
                 raise ConfigError(f"{node.id}: kernel larger than padded input")
-            out = TensorShape(ins.n, op.c_out, h, w)
         elif isinstance(op, Attention):
             if op.heads * op.d_head != ins.c:
                 raise ConfigError(f"{node.id}: heads*d_head = {op.heads * op.d_head} "
@@ -227,19 +224,12 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             if op.sr_ratio > min(ins.h, ins.w):
                 raise ConfigError(f"{node.id}: field sr_ratio {op.sr_ratio} exceeds the "
                                   f"{ins.h}x{ins.w} input map")
-            out = ins
-        elif isinstance(op, Linear):
-            if ins.c != op.c_in:
-                raise ConfigError(f"{node.id}: expects c_in={op.c_in}, got {ins.c}")
-            out = TensorShape(ins.n, op.c_out, ins.h, ins.w)
-        elif isinstance(op, (LayerNorm, GELU)):
-            out = ins
-        else:   # an add: _KINDS admits no other op
+        elif isinstance(op, Add):
             if len(node.preds) != 2:
                 raise ConfigError(f"{node.id}: Add needs exactly 2 predecessors")
-            a, b = shapes[node.preds[0]], shapes[node.preds[1]]
-            if a != b:
-                raise ConfigError(f"{node.id}: mismatched operands {a} vs {b}")
+            if ins != shapes[node.preds[1]]:
+                raise ConfigError(f"{node.id}: mismatched operands {ins} vs "
+                                  f"{shapes[node.preds[1]]}")
             if op.residual_of not in node.preds:
                 raise ConfigError(f"{node.id}: residual source {op.residual_of!r} "
                                   "is not a predecessor")
@@ -247,7 +237,6 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             if op.residual_of != skip:
                 raise ConfigError(f"{node.id}: field residual_of must name the skip input "
                                   f"{skip!r}, got {op.residual_of!r}")
-            out = a
         shapes[node.id] = out
         nodes.append(node)
     read = {p for node in nodes for p in node.preds}
@@ -311,11 +300,14 @@ def op_cost(op: LayerOp) -> tuple[int, int]:
     return sum(map(math.prod, shapes.values())), math.prod(shapes["w"]) if shapes else 0
 
 
+FUSABLE_OPS = (Conv2D, Linear, LayerNorm, GELU)   # what a fusion chain may hold
+
+
 def window(op: LayerOp) -> tuple[int, int, int, int]:
     """(k, stride, pad, groups) of a conv; a token-wise layer is a 1x1 window."""
     if isinstance(op, Conv2D):
         return op.k, op.stride, op.pad, op.groups
-    if isinstance(op, (Linear, LayerNorm, GELU)):
+    if isinstance(op, FUSABLE_OPS):
         return 1, 1, 0, 1
     raise ConfigError(f"{op!r}: has no spatial window")
 
@@ -500,10 +492,12 @@ def attention_operands(x: np.ndarray, op: Attention, p: dict[str, np.ndarray]
     return split(q), split(kk), split(vv)
 
 
-def attention_forward(x: np.ndarray, op: Attention, p: dict[str, np.ndarray]) -> np.ndarray:
+def attention_forward(x: np.ndarray, op: Attention, p: dict[str, np.ndarray],
+                      core=dense_attention) -> np.ndarray:
+    """Attention on a (c, h, w) map: project, run ``core`` on the per-head Q, K, V,
+    and merge its (heads, N, d) output back into a (c, h, w) map."""
     c, h, w = x.shape
-    q, k, v = attention_operands(x, op, p)
-    o = dense_attention(q, k, v)  # (heads, N, d)
+    o = core(*attention_operands(x, op, p))
     merged = o.transpose(1, 0, 2).reshape(h * w, c)
     return merged.T.reshape(c, h, w)
 
@@ -651,6 +645,12 @@ def _pyramid_preset(dw_in_mlp: bool, local_conv: bool) -> NetworkGraph:
     return NetworkGraph(nodes=nodes, input_shape=TensorShape(1, 3, 32, 32))
 
 
+# each pyramid preset's (dw_in_mlp, local_conv)
+_PYRAMIDS = {"segformer-micro": (False, False), "pvtv2-micro": (True, False),
+             "cmt-micro": (False, True)}
+PRESETS = ("toy-chain", *_PYRAMIDS)
+
+
 def build_preset(name: str) -> NetworkGraph:
     """Reduced-scale model presets; shapes come pre-inferred."""
     if name == "toy-chain":
@@ -662,18 +662,11 @@ def build_preset(name: str) -> NetworkGraph:
             LayerNode("c3", Conv2D(c, c, 3, 1, 1), ("c2",)),
         ]
         g = NetworkGraph(nodes=nodes, input_shape=TensorShape(1, c, 16, 16))
-    elif name == "segformer-micro":
-        g = _pyramid_preset(dw_in_mlp=False, local_conv=False)
-    elif name == "pvtv2-micro":
-        g = _pyramid_preset(dw_in_mlp=True, local_conv=False)
-    elif name == "cmt-micro":
-        g = _pyramid_preset(dw_in_mlp=False, local_conv=True)
+    elif name in _PYRAMIDS:
+        g = _pyramid_preset(*_PYRAMIDS[name])
     else:
         raise ConfigError(f"unknown preset {name!r}; known: {PRESETS}")
     return infer_shapes(g)
-
-
-PRESETS = ("toy-chain", "segformer-micro", "pvtv2-micro", "cmt-micro")
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +702,7 @@ def graph_from_dict(d: dict) -> NetworkGraph:
     """Build a graph from the declarative form used in experiment configs."""
     try:
         check_keys("graph", d, ("input_shape", "nodes"))
-        shape = [parse_number("graph input_shape", v, integer=True)
+        shape = [parse_number("graph input_shape", v, integer=True, least=1)
                  for v in check_list("graph input_shape", d["input_shape"])]
         if len(shape) != 4 or shape[0] != 1:   # the executors run one image
             raise ConfigError(f"graph input_shape must be [n, c, h, w] with n = 1, "

@@ -754,6 +754,9 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
         {"id": "a", "kind": "gelu"}, {"id": "b", "kind": "gelu", "preds": ["a"]},
         {"id": "s", "kind": "add", "residual_of": "b", "preds": ["b", "a"]}]}}, {},
      "s: field residual_of must name the skip input 'a', got 'b'"),
+    # a zero dimension is rejected where the graph is parsed, n = 0 included
+    *((one_conv_graph(input_shape=shape), {}, "graph input_shape must be >= 1, got 0")
+      for shape in ((1, 0, 8, 8), (0, 4, 8, 8))),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})

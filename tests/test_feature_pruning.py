@@ -177,22 +177,26 @@ class TestSparseCostAdjust:
     def test_half_row_sparsity_halves_mac_energy(self, hw):
         total = 4096
         rep = report_for(total, 64, hw)
-        adj = sparse_cost_adjust(rep, SparsityStats(skipped_macs=total // 2), hw,
-                                 granularity=ROW)
+        adj = sparse_cost_adjust(rep, SparsityStats(skipped_macs=total // 2), hw)
         mac_term = rep.energy_pj - rep.ema_bytes * hw.e_dram - rep.sram_accesses * hw.e_sram
         adj_term = adj.energy_pj - adj.ema_bytes * hw.e_dram - adj.sram_accesses * hw.e_sram
         assert adj_term == mac_term / 2
 
-    def test_element_granularity_keeps_ema(self, hw):
-        rep = report_for(100, 640, hw)
-        stats = SparsityStats(skipped_macs=50, elided_output_elems=32)
-        adj = sparse_cost_adjust(rep, stats, hw, granularity=ELEMENT)
-        assert adj.ema_bytes == rep.ema_bytes
+    def test_element_granularity_keeps_ema(self, rng, hw):
+        q, k, v = rand_qkv(rng, 1, 8, 8, 4)
+        q[0, 0] = 0.0   # query 0 scores every key alike: each probability is 1/8
+        out, stats = pruned_attention_execute(
+            q, k, v, PruneConfig(theta_attn=0.2, granularity=ELEMENT))
+        assert (out[0, 0] == 0.0).all()   # its whole row is pruned
+        assert stats.elided_output_elems == 0
+        rep = report_for(2 * 8 * 8 * 4, 640, hw)
+        adj = sparse_cost_adjust(rep, stats, hw)
+        assert adj.ema_bytes == rep.ema_bytes and adj.macs < rep.macs
 
     def test_row_granularity_reduces_ema(self, hw):
         rep = report_for(100, 640, hw)
         stats = SparsityStats(skipped_macs=50, elided_output_elems=32)
-        adj = sparse_cost_adjust(rep, stats, hw, granularity=ROW)
+        adj = sparse_cost_adjust(rep, stats, hw)
         assert adj.ema_bytes == rep.ema_bytes - 32 * hw.element_bytes
 
     def test_adjusted_never_exceeds_original(self, hw, rng):

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 import weakref
@@ -411,6 +412,30 @@ def test_random_graph_plans_and_executes_or_exits_2(graph, scratchpad, eb, sched
     assert len(deviations) == len(sched.units)
     assert all(d <= 1e-9 for _, d in deviations), deviations
     assert report.scratchpad_high_water <= scratchpad
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(whole_graphs(), st.sampled_from([1, 2]),
+       st.lists(st.integers(256, 65536), min_size=2, max_size=4, unique=True))
+def test_plan_ema_falls_as_the_scratchpad_grows(graph, eb, scratchpads):
+    """Plan only: no named schedule's EMA rises, nor does it stop fitting, as the
+    scratchpad grows; where all four fit, full <= fusion <= naive and full <=
+    tiling <= naive. ``whole_graphs`` draws no stride > kernel."""
+    g, tables, last = graph_from_dict(graph), {}, {}
+    for scratchpad in sorted(scratchpads):
+        hw = HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb)
+        ema = {}
+        for name, modes in cli.SCHEDULE_PRESETS.items():
+            try:
+                units = pipeline.plan_network(g, hw, *modes, tables).units
+                ema[name] = sum(u.row["ema_bytes"] for u in units)
+            except cs.CapacityError:
+                ema[name] = math.inf
+            assert ema[name] <= last.get(name, math.inf), (name, scratchpad)
+        if math.inf not in ema.values():
+            assert ema["full"] <= ema["fusion"] <= ema["naive"], (scratchpad, ema)
+            assert ema["full"] <= ema["tiling"] <= ema["naive"], (scratchpad, ema)
+        last = ema
 
 
 # ---------------------------------------------------------------------------

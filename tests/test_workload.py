@@ -31,11 +31,6 @@ def test_tensor_shape_views():
     assert s.tokens * s.c == s.elements  # sequence and spatial views agree
 
 
-def test_tensor_shape_rejects_zero_dim():
-    with pytest.raises(ConfigError):
-        TensorShape(1, 0, 8, 8)
-
-
 class TestPresets:
     def test_toy_chain_structure(self):
         g = build_preset("toy-chain")
