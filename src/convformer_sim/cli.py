@@ -239,9 +239,11 @@ def simulate(cfg: ExperimentConfig, ref: Reference | None = None) -> dict:
             "deviation": deviations[-1][1] if deviations else 0.0}
     sim = dict(ref.last[1])
     if cfg.pruning is not None:
-        pruned = pruning_analysis(ref.graph, ref.join(), ref.x, ref.params, cfg.pruning)
-        sim.update(pruning=pruned["layers"], adjusted_report=fp.sparse_cost_adjust(
-            sim["report"], pruned["aggregate_stats"], cfg.hardware))
+        layers = pruning_analysis(ref.graph, ref.join(), ref.x, ref.params, cfg.pruning)
+        stats = fp.SparsityStats(**{k: sum(l[k] for l in layers)
+                                    for k in ("skipped_macs", "elided_output_elems")})
+        sim.update(pruning=layers, adjusted_report=fp.sparse_cost_adjust(
+            sim["report"], stats, cfg.hardware))
     return sim
 
 
@@ -273,30 +275,25 @@ def pruning_points(graph: NetworkGraph) -> list[tuple[LayerNode, Linear | None]]
 
 
 def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
-                     x: np.ndarray, params: dict, cfg: fp.PruneConfig) -> dict:
+                     x: np.ndarray, params: dict, cfg: fp.PruneConfig) -> list[dict]:
     """Layer-level pruning sweep points: attention maps and post-GELU maps.
 
     ``record`` holds the reference outputs of attention inputs and GELUs,
-    ``x`` the network input."""
+    ``x`` the network input. One record per point: its node, kind and stats."""
     layers = []
-    total_skipped = 0
-    total_elided = 0
     for node, linear in pruning_points(graph):
         if linear is None:
             xin = record[node.preds[0]] if node.preds else x
             q, k, v = attention_operands(xin, node.op, params[node.id])
             _, stats = fp.pruned_attention_execute(q, k, v, cfg)
-            total_elided += stats.elided_output_elems
-            layers.append({"node": node.id, "point": "attention", **stats.to_dict()})
         else:
             t = record[node.id]
             tok = t.reshape(t.shape[0], -1).T
             _, stats = fp.prune_activation_map(tok, cfg.theta_act, cfg.granularity,
                                                linear.c_out)
-            layers.append({"node": node.id, "point": "activation", **stats.to_dict()})
-        total_skipped += stats.skipped_macs
-    agg = fp.SparsityStats(skipped_macs=total_skipped, elided_output_elems=total_elided)
-    return {"layers": layers, "aggregate_stats": agg}
+        layers.append({"node": node.id, "point": "attention" if linear is None else "activation",
+                       **stats.to_dict()})
+    return layers
 
 
 def compare_experiments(cfg: ExperimentConfig, schedule_names: list[str]) -> tuple:

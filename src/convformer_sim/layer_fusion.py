@@ -361,41 +361,24 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig,
                     tables: dict | None = None) -> FusionPlan:
     """Minimum-EMA partition of a linear chain into fusion groups.
 
-    DP over split points: best[j] = min over i of best[i-1] + cost(i..j),
-    where cost(i..j) is the best option over divisor tiles of layer j's
-    output and both halo policies. One ``_GroupTable``, from ``tables``,
-    costs every (i, j) at once. Ties break toward fewer groups.
+    DP over split points: plans[j], the plan of chain[0..j], is the minimum over
+    i of plans[i-1] plus group(i..j), the best option over divisor tiles of layer
+    j's output and both halo policies. One ``_GroupTable``, from ``tables``,
+    costs every (i, j) at once. Ties break toward fewer groups, then the first i.
     """
-    n = len(chain)
-    # best[j] = (ema, n_groups) for chain[0..j], reached by group back[j]
-    best: list[tuple[int, int] | None] = [None] * n
-    back: list[FusionGroup | None] = [None] * n
-    alone: CapacityError | None = None   # the first layer that fits no tile alone
     table = _candidate_table(chain, hw, tables)
-    for j, choices in enumerate(table.best(hw.scratchpad_bytes)):
-        if choices[j] is None and alone is None:   # entry j is layer j alone
-            alone = CapacityError(int(table.buf[j, j].min()), hw.scratchpad_bytes,
-                                  f"layer {chain[j].node.id} as a singleton group "
-                                  "at its smallest tile")
-        for i, g in enumerate(choices):
-            if g is None:
-                continue
-            prev = (0, 0) if i == 0 else best[i - 1]
-            if prev is None:
-                continue
-            cand = (prev[0] + g.ema, prev[1] + 1)
-            if best[j] is None or cand < best[j]:
-                best[j] = cand
-                back[j] = g
-    if best[n - 1] is None:
-        raise alone  # type: ignore[misc]
-
-    groups: list[FusionGroup] = []
-    j = n - 1
-    while j >= 0:
-        groups.append(back[j])  # type: ignore[arg-type]
-        j = groups[-1].start - 1
-    return FusionPlan(groups[::-1])
+    choices = table.best(hw.scratchpad_bytes)
+    plans = {-1: FusionPlan([])}   # prefix end j -> its minimum (EMA, group count) plan
+    for j, starts in enumerate(choices):
+        cands = [FusionPlan(plans[i - 1].groups + [g]) for i, g in enumerate(starts)
+                 if g is not None and i - 1 in plans]
+        if cands:
+            plans[j] = min(cands, key=lambda plan: (plan.total_ema, len(plan.groups)))
+    if len(chain) - 1 not in plans:   # then some layer fits no tile alone: name the first
+        j = next(j for j, starts in enumerate(choices) if starts[j] is None)
+        raise CapacityError(int(table.buf[j, j].min()), hw.scratchpad_bytes,
+                            f"layer {chain[j].node.id} as a singleton group at its smallest tile")
+    return plans[len(chain) - 1]
 
 
 def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig,
@@ -513,28 +496,19 @@ def chain_from_nodes(graph: NetworkGraph, nodes: Sequence[LayerNode]) -> list[Ch
 def split_into_segments(graph: NetworkGraph) -> list[tuple[str, list[LayerNode]]]:
     """Partition the graph into ('chain', nodes) and ('barrier', [node]) segments.
 
-    A chain extends only while each node's output feeds exactly the next node;
-    attention and residual adds are barriers (their operands live in DRAM), and
-    any node with fan-out ends its chain because its output must be DRAM-visible
-    to the other consumers.
+    A non-fusable node (attention, residual add) is a barrier: its operands live
+    in DRAM. A fusable node extends the chain before it only if it reads only
+    that chain's last node and is that node's one reader; any other reader needs
+    the output DRAM-visible. Otherwise it starts a new chain.
     """
     consumers = graph.consumers()
     segments: list[tuple[str, list[LayerNode]]] = []
-    current: list[LayerNode] = []
     for node in graph.nodes:
-        if isinstance(node.op, FUSABLE_OPS):
-            if current and node.preds != (current[-1].id,):
-                segments.append(("chain", current))
-                current = []
-            current.append(node)
-            if len(consumers[node.id]) != 1:
-                segments.append(("chain", current))
-                current = []
-        else:
-            if current:
-                segments.append(("chain", current))
-                current = []
+        last = segments[-1][1][-1].id if segments and segments[-1][0] == "chain" else None
+        if not isinstance(node.op, FUSABLE_OPS):
             segments.append(("barrier", [node]))
-    if current:
-        segments.append(("chain", current))
+        elif node.preds == (last,) and consumers[last] == [node.id]:
+            segments[-1][1].append(node)
+        else:
+            segments.append(("chain", [node]))
     return segments

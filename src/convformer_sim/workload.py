@@ -230,9 +230,6 @@ def infer_shapes(graph: NetworkGraph) -> NetworkGraph:
             if ins != shapes[node.preds[1]]:
                 raise ConfigError(f"{node.id}: mismatched operands {ins} vs "
                                   f"{shapes[node.preds[1]]}")
-            if op.residual_of not in node.preds:
-                raise ConfigError(f"{node.id}: residual source {op.residual_of!r} "
-                                  "is not a predecessor")
             skip = min(node.preds, key=list(shapes).index)
             if op.residual_of != skip:
                 raise ConfigError(f"{node.id}: field residual_of must name the skip input "

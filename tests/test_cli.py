@@ -725,7 +725,7 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
         {"id": "a", "kind": "gelu"}, {"id": "b", "kind": "gelu", "preds": ["a"]},
         {"id": "c", "kind": "gelu", "preds": ["b"]},
         {"id": "s", "kind": "add", "residual_of": "a", "preds": ["b", "c"]}]}}, {},
-     "s: residual source 'a' is not a predecessor"),
+     "s: field residual_of must name the skip input 'b', got 'a'"),
     (two_node_graph({"kind": "pool", "preds": ["c1"]}), {}, "unknown layer kind 'pool' of node 'g'"),
     (two_node_graph({"kind": "downsample", "k": 2, "preds": ["c1"]}), {},
      "g: missing field 'stride'"),

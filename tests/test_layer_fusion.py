@@ -263,8 +263,8 @@ class TestGroupFeasible:
 # ---------------------------------------------------------------------------
 
 def brute_force_partition(chain, hw):
-    """Oracle: enumerate all 2^(n-1) contiguous partitions over the same
-    group evaluator grid."""
+    """Oracle: the minimum (EMA, group count) over all 2^(n-1) contiguous
+    partitions, each group at its ``best_group_choice``."""
     n = len(chain)
     best = None
     for mask in range(1 << (n - 1)):
@@ -281,8 +281,8 @@ def brute_force_partition(chain, hw):
                 ok = False
                 break
             total += choice.ema
-        if ok and (best is None or total < best):
-            best = total
+        if ok and (best is None or (total, len(bounds) - 1) < best):
+            best = (total, len(bounds) - 1)
     return best
 
 
@@ -297,14 +297,14 @@ class TestPartition:
         g = cs.build_preset("toy-chain")
         chain = chain_of(g)
         plan = partition_chain(chain, hw)
-        assert plan.total_ema == brute_force_partition(chain, hw)
+        assert (plan.total_ema, len(plan.groups)) == brute_force_partition(chain, hw)
 
     def test_constrained_scratchpad_matches_brute_force(self):
         hw = HardwareConfig(scratchpad_bytes=2048)
         g = cs.build_preset("toy-chain")
         chain = chain_of(g)
         plan = partition_chain(chain, hw)
-        assert plan.total_ema == brute_force_partition(chain, hw)
+        assert (plan.total_ema, len(plan.groups)) == brute_force_partition(chain, hw)
 
     def test_huge_scratchpad_fuses_everything(self):
         hw = HardwareConfig(scratchpad_bytes=1 << 30)

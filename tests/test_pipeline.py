@@ -11,14 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import convformer_sim as cs
 from convformer_sim import cli, pipeline, workload
 from convformer_sim.attention_tiling import ResidencyMode, search_attention_tiling
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim, replay
-from convformer_sim.workload import (Attention, attention_dims, graph_from_dict,
+from convformer_sim.layer_fusion import split_into_segments
+from convformer_sim.workload import (FUSABLE_OPS, Attention, attention_dims, graph_from_dict,
                                      init_params, layer_macs, layer_vector_ops,
                                      op_cost, reference_execute, seeded_input)
 from conftest import checked_run
@@ -412,6 +413,30 @@ def test_random_graph_plans_and_executes_or_exits_2(graph, scratchpad, eb, sched
     assert len(deviations) == len(sched.units)
     assert all(d <= 1e-9 for _, d in deviations), deviations
     assert report.scratchpad_high_water <= scratchpad
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(whole_graphs().map(graph_from_dict))
+@example(cs.build_preset("toy-chain"))
+@example(cs.build_preset("segformer-micro"))
+@example(cs.build_preset("pvtv2-micro"))
+@example(cs.build_preset("cmt-micro"))
+def test_segments_follow_the_chain_rule(g):
+    """The segments cover the nodes once, in order; a barrier is one non-fusable node;
+    in a chain each node reads only the node before it, whose one reader it is; and
+    no chain could have taken in the chain after it."""
+    segments, consumers = split_into_segments(g), g.consumers()
+    assert [n.id for _, nodes in segments for n in nodes] == [n.id for n in g.nodes]
+    for kind, nodes in segments:
+        assert kind in ("chain", "barrier")
+        assert all(isinstance(n.op, FUSABLE_OPS) == (kind == "chain") for n in nodes)
+        assert kind == "chain" or len(nodes) == 1
+        for a, b in zip(nodes, nodes[1:]):
+            assert b.preds == (a.id,) and len(consumers[a.id]) == 1, (a.id, b.id)
+    for (kind, nodes), (next_kind, after) in zip(segments, segments[1:]):
+        if kind == next_kind == "chain":
+            assert not (after[0].preds == (nodes[-1].id,)
+                        and len(consumers[nodes[-1].id]) == 1), (nodes[-1].id, after[0].id)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
