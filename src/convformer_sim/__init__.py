@@ -24,9 +24,8 @@ from .attention_tiling import (AttentionTiling, ResidencyMode, SoftmaxState,
                                schedule_attention, search_attention_tiling,
                                tiled_attention_execute, tiling_buffer_bytes)
 from .layer_fusion import (ChainLayer, FusionGroup, FusionPlan, HaloPolicy,
-                           TileShape, fused_execute, group_buffer_bytes,
-                           group_ema, partition_chain, schedule_group,
-                           singleton_plan)
+                           fused_execute, group_buffer_bytes, group_ema,
+                           partition_chain, schedule_group, singleton_plan)
 from .feature_pruning import (Granularity, PruneConfig, SparsityStats, prune_mask,
                               pruned_attention_execute, sparse_cost_adjust)
 

@@ -69,10 +69,11 @@ def parse_fields(where: str, d: dict, cls, prefix: str | None = None, extra=(),
                  required=()) -> dict:
     """The fields of dataclass ``cls`` that config part ``d`` gives, each parsed by its
     annotation: an int or float by ``parse_number``, held to its ``bounded`` metadata;
-    an enum by value; a str as given; a tuple of ints as a list of as many, each held
-    to the field's bounds; anything else as given. A key that is neither a field nor in
-    ``extra`` is rejected, and a field in ``required`` that ``d`` lacks is parsed as
-    None. Each error names ``prefix`` + the field (``prefix`` defaults to ``where.``)."""
+    an enum by value; a str as given; a bool as JSON true or false only; a tuple of ints
+    as a list of as many, each held to the field's bounds; anything else as given. A key
+    that is neither a field nor in ``extra`` is rejected, and a field in ``required``
+    that ``d`` lacks is parsed as None. Each error names ``prefix`` + the field
+    (``prefix`` defaults to ``where.``)."""
     check_keys(where, d, (*extra, *(f.name for f in fields(cls))))
     prefix = f"{where}." if prefix is None else prefix
     types = _type_hints(cls)
@@ -96,6 +97,8 @@ def _parse_value(name: str, value, kind, bounds):
         value = kind(value)
     elif kind is str and not isinstance(value, str):
         raise ConfigError(f"{name} must be a string, got {value!r}")
+    elif kind is bool and not isinstance(value, bool):   # 1 == True, but 1 is no boolean
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     return value
 
 

@@ -16,7 +16,7 @@ stitched between chains at DRAM granularity by the pipeline module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from itertools import product
 from typing import Sequence
@@ -24,21 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .hwmodel import HardwareConfig, ScratchpadSim, Txn, replay
-from .workload import (FUSABLE_OPS, LayerNode, NetworkGraph, TensorShape, divisors,
-                       layer_forward, op_cost, tile_intervals, window)
+from .hwmodel import HardwareConfig, ScratchpadSim, Txn, bounded, replay
+from .workload import (FUSABLE_OPS, MAX_EXTENT, LayerNode, NetworkGraph, TensorShape,
+                       divisors, layer_forward, op_cost, tile_intervals, window)
 from .workload import conv2d_region  # noqa: F401  (perfbench/tracer.py wraps this alias)
 
 
 class HaloPolicy(str, Enum):
     RECOMPUTE = "recompute"
     CACHE = "cache"
-
-
-@dataclass(frozen=True)
-class TileShape:
-    h_t: int
-    w_t: int
 
 
 @dataclass(frozen=True)
@@ -50,22 +44,21 @@ class ChainLayer:
 
 @dataclass(frozen=True)
 class FusionGroup:
-    """One group of a chain and its cost (see ``_GroupTable``)."""
-    start: int            # first layer index in the chain, inclusive
-    end: int              # last layer index, inclusive
-    tile: TileShape
-    policy: HaloPolicy
-    weights_resident: bool
-    ema: int
-    extra_macs: int
-    buffer_bytes: int
+    """One group of a chain and its cost (see ``_GroupTable``): the record ``run`` prints
+    and a ``schedule.fusion`` group reads back. ``start``, ``end``, ``tile`` and ``policy``
+    choose the group; the fields after them are derived from those, so a config may
+    leave each out (None), and one it gives must equal the recomputed value."""
+    start: int = bounded(0, MAX_EXTENT)   # first layer index in the chain, inclusive
+    end: int = bounded(0, MAX_EXTENT)     # last layer index, inclusive
+    tile: tuple[int, int] = bounded(1, MAX_EXTENT)   # output rows, columns
+    policy: HaloPolicy = HaloPolicy.RECOMPUTE
+    weights_resident: bool = None
+    ema_bytes: int = None
+    extra_macs: int = None
+    buffer_bytes: int = None
 
     def to_dict(self) -> dict:
-        return {"start": self.start, "end": self.end,
-                "tile": [self.tile.h_t, self.tile.w_t],
-                "policy": self.policy.value,
-                "weights_resident": self.weights_resident,
-                "ema_bytes": self.ema, "extra_macs": self.extra_macs}
+        return dict(asdict(self), tile=list(self.tile), policy=self.policy.value)
 
 
 @dataclass
@@ -74,7 +67,7 @@ class FusionPlan:
 
     @property
     def total_ema(self) -> int:
-        return sum(g.ema for g in self.groups)
+        return sum(g.ema_bytes for g in self.groups)
 
     @property
     def total_extra_macs(self) -> int:
@@ -162,10 +155,10 @@ def _axis_tables(layers: Sequence[ChainLayer], h_extents: np.ndarray,
                  for part in (slice(h_extents.size), slice(h_extents.size, None)))
 
 
-def _tile_walks(layers: Sequence[ChainLayer], tile: TileShape) -> list[tuple]:
+def _tile_walks(layers: Sequence[ChainLayer], tile: tuple[int, int]) -> list[tuple]:
     """Row-major (row, column) walks of every tile: [lo, hi] per ``_walk`` column."""
     last = layers[-1].out_shape
-    rows, cols = tile_intervals(last.h, tile.h_t), tile_intervals(last.w, tile.w_t)
+    rows, cols = tile_intervals(last.h, tile[0]), tile_intervals(last.w, tile[1])
     lo, hi = np.array(rows + cols, dtype=np.int64).T
     walk = np.stack(_walk(layers, lo, hi, np.repeat([0, 1], [len(rows), len(cols)])),
                     axis=-1).tolist()
@@ -259,20 +252,21 @@ class _GroupTable:
 
     def choice(self, e: int, i: int, a: int, b: int, p: int, r: int) -> FusionGroup:
         """The group ``layers[i..j]`` of end e at extents (a, b), policy p and residency r."""
-        return FusionGroup(i, self.ends[e], TileShape(int(self.h[e, a]), int(self.w[e, b])),
+        return FusionGroup(i, self.ends[e], (int(self.h[e, a]), int(self.w[e, b])),
                            POLICIES[p], r == 0, int(self.ema[e, i, a, b, p, r]),
                            int(self.extra[e, i, a, b, p]), int(self.buf[e, i, a, b, p, r]))
 
     def best(self, capacity: int) -> list[list[FusionGroup | None]]:
         """Per end e, the minimum-EMA option that fits ``capacity`` per start i <= j, or None.
 
-        Ties prefer larger tiles, fewer extra MACs, a smaller buffer, then
-        RECOMPUTE; exact ties go to the first option in index order. Memoized.
+        Ties prefer larger tiles, fewer extra MACs, resident weights (the one residency
+        rule, as ``fixed_tile_choice``'s), a smaller buffer, then RECOMPUTE; exact ties
+        go to the first option in index order. Memoized.
         """
         if capacity not in self.bests:
             if not self.bests:   # the first capacity ranks each (e, i)'s options once
                 keys = np.broadcast_arrays(   # the last key sorts first
-                    np.arange(2)[:, None], self.buf, self.extra[..., None],
+                    np.arange(2)[:, None], self.buf, np.arange(2), self.extra[..., None],
                     -(self.h[:, None, :, None] * self.w[:, None, None, :])[..., None, None],
                     self.ema)
                 self.order = np.lexsort([k.reshape(-1, self.buf[0, 0].size) for k in keys])
@@ -288,33 +282,34 @@ class _GroupTable:
 
 
 def _candidate_table(layers: Sequence[ChainLayer], hw: HardwareConfig,
-                     tables: dict | None = None, tile: TileShape | None = None) -> _GroupTable:
+                     tables: dict | None = None, tile: tuple[int, int] | None = None
+                     ) -> _GroupTable:
     """The table at ``tile`` of the groups ending at the last layer, or of every group over
     every tile whose extents divide its last layer's output. Chains of one geometry (ops
     and shapes, not node ids) share it through ``tables``; a failed build is not stored."""
     key = (tuple((l.node.op, l.in_shape, l.out_shape) for l in layers), hw.element_bytes, tile)
     tables = {} if tables is None else tables
     if key not in tables:
-        tables[key] = _GroupTable(layers, hw, [((tile.h_t,), (tile.w_t,))] if tile else
+        tables[key] = _GroupTable(layers, hw, [((tile[0],), (tile[1],))] if tile else
                                   [(divisors(l.out_shape.h), divisors(l.out_shape.w))
                                    for l in layers])
     return tables[key]
 
 
-def _option(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
+def _option(layers: Sequence[ChainLayer], tile: tuple[int, int], policy: HaloPolicy,
             weights_resident: bool, hw: HardwareConfig) -> FusionGroup:
     return _candidate_table(layers, hw, tile=tile).choice(
         0, 0, 0, 0, POLICIES.index(policy), 0 if weights_resident else 1)
 
 
-def group_ema(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
+def group_ema(layers: Sequence[ChainLayer], tile: tuple[int, int], policy: HaloPolicy,
               weights_resident: bool, hw: HardwareConfig) -> tuple[int, int]:
     """(ema_bytes, extra_macs) for one fusion group (see ``_GroupTable``)."""
     choice = _option(layers, tile, policy, weights_resident, hw)
-    return choice.ema, choice.extra_macs
+    return choice.ema_bytes, choice.extra_macs
 
 
-def group_buffer_bytes(layers: Sequence[ChainLayer], tile: TileShape,
+def group_buffer_bytes(layers: Sequence[ChainLayer], tile: tuple[int, int],
                        policy: HaloPolicy, weights_resident: bool,
                        hw: HardwareConfig) -> int:
     """Peak live scratchpad bytes of the fused replay; raises over capacity.
@@ -342,9 +337,10 @@ def best_group_choice(layers: Sequence[ChainLayer], hw: HardwareConfig
     return _candidate_table(layers, hw).best(hw.scratchpad_bytes)[-1][0]
 
 
-def fixed_tile_choice(layers: Sequence[ChainLayer], tile: TileShape, policy: HaloPolicy,
+def fixed_tile_choice(layers: Sequence[ChainLayer], tile: tuple[int, int], policy: HaloPolicy,
                       hw: HardwareConfig, tables: dict | None = None) -> FusionGroup:
-    """Resident weights if they fit at this tile, else streamed weights.
+    """Resident weights if they fit at this tile, else streamed weights: the rule that
+    ``_GroupTable.best`` ranks by.
 
     Raises ``CapacityError`` with the streamed requirement if neither fits.
     """
@@ -386,7 +382,7 @@ def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig,
     """Fusion-free baseline: every layer is its own group (full-map tile if it fits)."""
     groups: list[FusionGroup] = []
     for i, layer in enumerate(chain):
-        full = TileShape(layer.out_shape.h, layer.out_shape.w)
+        full = (layer.out_shape.h, layer.out_shape.w)
         try:
             chosen = fixed_tile_choice([layer], full, HaloPolicy.RECOMPUTE, hw, tables)
         except CapacityError:

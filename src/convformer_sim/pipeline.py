@@ -11,6 +11,7 @@ network's EMA ground truth.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -20,11 +21,10 @@ import numpy as np
 from . import attention_tiling as at
 from . import layer_fusion as lf
 from .errors import CapacityError, ConfigError, SelfCheckError
-from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, bounded,
-                      build_report, parse_fields, replay)
-from .workload import (MAX_EXTENT, Attention, AttentionDims, LayerNode,
-                       NetworkGraph, attention_dims, attention_forward, layer_macs,
-                       layer_vector_ops, projection_passes)
+from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, build_report,
+                      parse_fields, replay)
+from .workload import (Attention, AttentionDims, LayerNode, NetworkGraph, attention_dims,
+                       attention_forward, layer_macs, layer_vector_ops, projection_passes)
 
 
 @dataclass
@@ -173,19 +173,13 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
     return NetworkSchedule(units)
 
 
-@dataclass(frozen=True)
-class FixedGroup:
-    """A ``schedule.fusion`` group as a config gives it: chain layers start..end, fused
-    at one tile and halo policy."""
-    start: int = bounded(0, MAX_EXTENT)
-    end: int = bounded(0, MAX_EXTENT)
-    tile: tuple[int, int] = bounded(1, MAX_EXTENT)
-    policy: lf.HaloPolicy = lf.HaloPolicy.RECOMPUTE
-
-
 def _chain_plan(layers: list[lf.ChainLayer], fusion_mode: str | dict, index: int,
                 hw: HardwareConfig, tables: dict) -> lf.FusionPlan:
-    """Chain ``index``'s plan in ``fusion_mode``; a chain a map does not name is singleton."""
+    """Chain ``index``'s plan in ``fusion_mode``; a chain a map does not name is singleton.
+
+    A map's groups are ``FusionGroup`` records, as ``run`` prints them: each group is
+    costed from its start, end, tile and policy, and a derived field it gives must
+    equal the recomputed one."""
     if fusion_mode == "auto":
         return lf.partition_chain(layers, hw, tables)
     group_spec = None if fusion_mode == "singleton" else fusion_mode.get(str(index))
@@ -193,16 +187,21 @@ def _chain_plan(layers: list[lf.ChainLayer], fusion_mode: str | dict, index: int
         return lf.singleton_plan(layers, hw, tables)
     groups, covered = [], 0
     for g in group_spec:
-        spec = FixedGroup(**parse_fields("schedule.fusion group", g, FixedGroup,
-                                         "schedule.fusion group ",
-                                         required=("start", "end", "tile")))
-        start, end = spec.start, spec.end
+        given = parse_fields("schedule.fusion group", g, lf.FusionGroup,
+                             "schedule.fusion group ", required=("start", "end", "tile"))
+        start, end = given["start"], given["end"]
         if start != covered or end < start or end >= len(layers):
             raise ConfigError(f"schedule.fusion groups must cover the chain in order; "
                               f"bad group [{start}, {end}]")
-        chosen = lf.fixed_tile_choice(layers[start:end + 1], lf.TileShape(*spec.tile),
-                                      spec.policy, hw, tables)
-        groups.append(replace(chosen, start=start, end=end))
+        chosen = replace(lf.fixed_tile_choice(layers[start:end + 1], given["tile"],
+                                              given.get("policy", lf.FusionGroup.policy),
+                                              hw, tables), start=start, end=end)
+        for name, value in given.items():   # only a derived field can differ
+            if getattr(chosen, name) != value:
+                raise ConfigError(f"schedule.fusion group {name} must be "
+                                  f"{json.dumps(chosen.to_dict()[name])} (derived from start, "
+                                  f"end, tile and policy), got {json.dumps(g[name])}")
+        groups.append(chosen)
         covered = end + 1
     if covered != len(layers):
         raise ConfigError("schedule.fusion groups do not cover the whole chain")

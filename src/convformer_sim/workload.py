@@ -287,12 +287,10 @@ def init_params(graph: NetworkGraph, seed: int = 0) -> dict[str, dict[str, np.nd
 def op_cost(op: LayerOp) -> tuple[int, int]:
     """(weight elements incl. bias, MACs per output pixel) of a spatial or token op.
 
-    Each output pixel takes one MAC per element of the ``w`` parameter. Attention,
-    norm, activation and add layers report (0, 0): attention's projection weights
-    and MACs are costed by its own unit (``projection_passes``).
+    Each output pixel takes one MAC per element of the ``w`` parameter. Norm,
+    activation and add layers report (0, 0). Attention is never asked: its unit
+    costs its projections (``projection_passes``) and its core.
     """
-    if isinstance(op, Attention):
-        return 0, 0
     shapes = param_shapes(op)
     return sum(map(math.prod, shapes.values())), math.prod(shapes["w"]) if shapes else 0
 

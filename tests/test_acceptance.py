@@ -24,10 +24,10 @@ from convformer_sim.errors import CapacityError
 from convformer_sim.feature_pruning import PruneConfig, pruned_attention_execute
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.layer_fusion import (FusionGroup, FusionPlan, HaloPolicy,
-                                         TileShape, best_group_choice,
-                                         chain_from_nodes, fused_execute,
-                                         group_buffer_bytes, partition_chain,
-                                         singleton_plan, split_into_segments)
+                                         best_group_choice, chain_from_nodes,
+                                         fused_execute, group_buffer_bytes,
+                                         partition_chain, singleton_plan,
+                                         split_into_segments)
 from convformer_sim.pipeline import plan_network
 from convformer_sim.workload import (Attention, Conv2D, GELU, LayerNode,
                                      NetworkGraph, TensorShape,
@@ -174,7 +174,7 @@ def test_criterion_3_counter_formula_agreement():
             fusion_cases += 1
         if len(chain) >= 2:
             last = chain[-1].out_shape
-            tile = TileShape(max(1, last.h // 2), max(1, last.w // 2))
+            tile = (max(1, last.h // 2), max(1, last.w // 2))
             for policy in (HaloPolicy.RECOMPUTE, HaloPolicy.CACHE):
                 from convformer_sim.layer_fusion import group_ema
                 ema, extra = group_ema(chain, tile, policy, True, hw)
@@ -252,7 +252,7 @@ def test_criterion_4_search_optimality():
                 if c is None:
                     ok = False
                     break
-                total += c.ema
+                total += c.ema_bytes
             if ok and (best is None or total < best):
                 best = total
         plan = partition_chain(chain, hw)
@@ -395,8 +395,7 @@ def test_criterion_8_capacity_soundness_fuzz():
         g = infer_shapes(NetworkGraph(nodes, TensorShape(1, c, size, size)))
         chain = chain_from_nodes(g, g.nodes)
         last = chain[-1].out_shape
-        tile = TileShape(int(rng.choice(divisors(last.h))),
-                         int(rng.choice(divisors(last.w))))
+        tile = (int(rng.choice(divisors(last.h))), int(rng.choice(divisors(last.w))))
         policy = HaloPolicy.RECOMPUTE if rng.random() < 0.5 else HaloPolicy.CACHE
         resident = bool(rng.random() < 0.5)
         cap = int(rng.integers(16, 2048))

@@ -757,6 +757,18 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     # a zero dimension is rejected where the graph is parsed, n = 0 included
     *((one_conv_graph(input_shape=shape), {}, "graph input_shape must be >= 1, got 0")
       for shape in ((1, 0, 8, 8), (0, 4, 8, 8))),
+    # a derived group field must be a JSON boolean or integer equal to the one the
+    # group's start, end, tile and policy give (1 == True would have passed as true)
+    ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [16, 16],
+                                     "weights_resident": 1}]}},
+     "schedule.fusion group weights_resident must be true or false, got 1"),
+    ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [16, 16],
+                                     "weights_resident": False}]}},
+     "schedule.fusion group weights_resident must be true (derived from start, end, tile "
+     "and policy), got false"),
+    ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [16, 16],
+                                     "ema_bytes": 1}]}},
+     "schedule.fusion group ema_bytes must be "),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})

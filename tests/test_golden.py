@@ -24,7 +24,9 @@ which prints each golden that differs: its changed paths (``-`` only in the
 golden, ``+`` only in the new output, ``~`` changed value), where a CSV
 output counts as a list of rows keyed by column, so a changed cell reads
 ``~[0].max_abs_deviation``; a line diff for any other output; and any
-exit-code change. It exits 1 if any golden differs. To rewrite the goldens
+exit-code change. It ends with one summary of the changed paths across all
+goldens, list indices collapsed to ``[*]``, each with the number of goldens it
+appears in, and exits 1 if any golden differs. To rewrite the goldens
 after a deliberate, documented change of output::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -36,8 +38,10 @@ import csv
 import difflib
 import io
 import json
+import re
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -224,10 +228,25 @@ def test_parse_output_reads_csv_by_column():
     assert parse_output("not,a\ntable\n") is None
 
 
+def path_summary(changes: dict[str, list[str]]) -> list[str]:
+    """One line per changed path across goldens (golden name -> its ``json_paths``),
+    list indices collapsed to ``[*]``, with the number of goldens it appears in."""
+    counts = Counter(p for paths in changes.values()
+                     for p in {re.sub(r"\[\d+\]", "[*]", p) for p in paths})
+    return [f"{path}  ({n} golden{'s' * (n != 1)})" for path, n in sorted(counts.items())]
+
+
+def test_path_summary_collapses_indices_and_counts_goldens():
+    assert path_summary({"a": ["~[0].x", "~[1].x", "+y"], "b": ["~[2].x"], "c": []}) == [
+        "+y  (1 golden)", "~[*].x  (2 goldens)"]
+
+
 def diff_goldens() -> int:
-    """Print how each golden differs from a fresh replay; 1 if any does."""
+    """Print how each golden differs from a fresh replay, then the summary of its
+    changed paths; 1 if any golden differs."""
     exits = _expected_exits()
     differs = False
+    summary: dict[str, list[str]] = {}
     for case in golden_cases():
         name = case["name"]
         code, out = replay(case["argv"])
@@ -236,17 +255,25 @@ def diff_goldens() -> int:
             continue
         differs = True
         print(f"{name}:")
+        paths = summary[name] = []
         if code != exits[name]:
             print(f"  exit {exits[name]} -> {code}")
+            paths.append("exit code")
         if out == old:
             continue
         old_data, new_data = parse_output(old), parse_output(out)
         if old_data is not None and new_data is not None:
             changes = json_paths(old_data, new_data)
+            paths += changes
         else:
             changes = list(difflib.unified_diff(old.splitlines(), out.splitlines(),
                                                 "golden", "output", lineterm=""))
+            paths.append("(text)")
         for line in changes or ["(same data, different text)"]:
+            print(f"  {line}")
+    if differs:
+        print(f"changed paths across {len(summary)} golden(s):")
+        for line in path_summary(summary):
             print(f"  {line}")
     return int(differs)
 

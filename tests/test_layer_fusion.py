@@ -10,8 +10,7 @@ import convformer_sim as cs
 from convformer_sim.cli import build_graph
 from convformer_sim.errors import CapacityError, ConfigError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
-from convformer_sim.layer_fusion import (FusionGroup, FusionPlan,
-                                         HaloPolicy, TileShape,
+from convformer_sim.layer_fusion import (FusionGroup, FusionPlan, HaloPolicy,
                                          best_group_choice, chain_from_nodes,
                                          fused_execute, group_buffer_bytes,
                                          group_ema, partition_chain,
@@ -82,11 +81,11 @@ def per_pixel_oracle(layers, tile, policy, resident, hw):
     eb = hw.element_bytes
     last = layers[-1].out_shape
     tiles = []
-    for r0 in range(0, last.h, tile.h_t):
-        for c0 in range(0, last.w, tile.w_t):
+    for r0 in range(0, last.h, tile[0]):
+        for c0 in range(0, last.w, tile[1]):
             tiles.append({(r, c)
-                          for r in range(r0, min(r0 + tile.h_t, last.h))
-                          for c in range(c0, min(c0 + tile.w_t, last.w))})
+                          for r in range(r0, min(r0 + tile[0], last.h))
+                          for c in range(c0, min(c0 + tile[1], last.w))})
     input_reads = 0
     covered = set()
     computed = [0] * len(layers)
@@ -165,7 +164,7 @@ class TestGroupEma:
     def test_single_layer_full_tile(self, hw):
         g = make_chain_graph([Conv2D(4, 8, 3, 1, 1)], TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
-        ema, extra = group_ema(layers, TileShape(16, 16), RECOMPUTE, True, hw)
+        ema, extra = group_ema(layers, (16, 16), RECOMPUTE, True, hw)
         w = op_cost(layers[0].node.op)[0]
         assert ema == (4 * 256 + 8 * 256 + w) * hw.element_bytes
         assert extra == 0
@@ -174,7 +173,7 @@ class TestGroupEma:
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1), Conv2D(4, 4, 3, 1, 1)],
                              TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
-        ema, extra = group_ema(layers, TileShape(16, 16), RECOMPUTE, True, hw)
+        ema, extra = group_ema(layers, (16, 16), RECOMPUTE, True, hw)
         w = sum(op_cost(l.node.op)[0] for l in layers)
         assert ema == (4 * 256 + 4 * 256 + w) * hw.element_bytes
         assert extra == 0
@@ -185,23 +184,23 @@ class TestGroupEma:
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1), Conv2D(4, 4, 3, 1, 1)],
                              TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
-        tile = TileShape(8, 8)
+        tile = (8, 8)
         got = group_ema(layers, tile, policy, resident, hw)
         assert got == per_pixel_oracle(layers, tile, policy, resident, hw)
 
     @pytest.mark.parametrize("ops,shape,tile", [
         ([Conv2D(2, 4, 3, 1, 1), GELU(), Conv2D(4, 2, 3, 1, 1)],
-         TensorShape(1, 2, 12, 12), TileShape(4, 6)),
+         TensorShape(1, 2, 12, 12), (4, 6)),
         ([Conv2D(3, 3, 5, 1, 2), Conv2D(3, 6, 3, 1, 0)],
-         TensorShape(1, 3, 16, 16), TileShape(7, 7)),  # ragged tiles
+         TensorShape(1, 3, 16, 16), (7, 7)),  # ragged tiles
         ([Downsample(2, 2), Conv2D(4, 4, 3, 1, 1)],
-         TensorShape(1, 4, 16, 16), TileShape(4, 4)),
+         TensorShape(1, 4, 16, 16), (4, 4)),
         ([Conv2D(2, 2, 3, 2, 1), Conv2D(2, 4, 1)],
-         TensorShape(1, 2, 16, 16), TileShape(2, 8)),
+         TensorShape(1, 2, 16, 16), (2, 8)),
         ([LayerNorm(), Linear(4, 8), GELU(), Linear(8, 4)],
-         TensorShape(1, 4, 8, 8), TileShape(2, 2)),
+         TensorShape(1, 4, 8, 8), (2, 2)),
         ([Conv2D(2, 2, 3, 1, 1, groups=2), Conv2D(2, 2, 3, 1, 1)],
-         TensorShape(1, 2, 10, 10), TileShape(5, 5)),
+         TensorShape(1, 2, 10, 10), (5, 5)),
     ])
     @pytest.mark.parametrize("policy", [RECOMPUTE, CACHE])
     def test_grid_vs_per_pixel_oracle(self, hw, ops, shape, tile, policy):
@@ -213,8 +212,8 @@ class TestGroupEma:
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1), Conv2D(4, 4, 3, 1, 1)],
                              TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
-        ema_c, extra_c = group_ema(layers, TileShape(4, 4), CACHE, True, hw)
-        ema_r, extra_r = group_ema(layers, TileShape(4, 4), RECOMPUTE, True, hw)
+        ema_c, extra_c = group_ema(layers, (4, 4), CACHE, True, hw)
+        ema_r, extra_r = group_ema(layers, (4, 4), RECOMPUTE, True, hw)
         assert ema_c < ema_r  # halo re-reads eliminated
         assert extra_c == 0 and extra_r > 0
 
@@ -222,8 +221,8 @@ class TestGroupEma:
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
         w = op_cost(layers[0].node.op)[0]
-        ema_res, _ = group_ema(layers, TileShape(8, 8), RECOMPUTE, True, hw)
-        ema_str, _ = group_ema(layers, TileShape(8, 8), RECOMPUTE, False, hw)
+        ema_res, _ = group_ema(layers, (8, 8), RECOMPUTE, True, hw)
+        ema_str, _ = group_ema(layers, (8, 8), RECOMPUTE, False, hw)
         assert ema_str - ema_res == 3 * w * hw.element_bytes  # 4 tiles vs 1
 
 
@@ -236,11 +235,11 @@ class TestGroupFeasible:
         hw = HardwareConfig(scratchpad_bytes=128)
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 32, 32))
         with pytest.raises(CapacityError):
-            group_buffer_bytes(chain_of(g), TileShape(32, 32), RECOMPUTE, False, hw)
+            group_buffer_bytes(chain_of(g), (32, 32), RECOMPUTE, False, hw)
 
     def test_pointwise_chain_requirement_is_tiles_only(self, hw):
         g = make_chain_graph([GELU(), GELU()], TensorShape(1, 4, 8, 8))
-        req = group_buffer_bytes(chain_of(g), TileShape(4, 4), RECOMPUTE, True, hw)
+        req = group_buffer_bytes(chain_of(g), (4, 4), RECOMPUTE, True, hw)
         assert req == 2 * 4 * 4 * 4 * hw.element_bytes  # in tile + out tile
 
     @pytest.mark.parametrize("policy", [RECOMPUTE, CACHE])
@@ -249,7 +248,7 @@ class TestGroupFeasible:
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1), GELU(), Conv2D(4, 8, 3, 1, 1)],
                              TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
-        tile = TileShape(4, 4)
+        tile = (4, 4)
         req = group_buffer_bytes(layers, tile, policy, resident, hw)
         plan = FusionPlan([FusionGroup(0, 2, tile, policy, resident, 0, 0, 0)])
         sim = ScratchpadSim(hw.scratchpad_bytes)
@@ -280,7 +279,7 @@ def brute_force_partition(chain, hw):
             if choice is None:
                 ok = False
                 break
-            total += choice.ema
+            total += choice.ema_bytes
         if ok and (best is None or (total, len(bounds) - 1) < best):
             best = (total, len(bounds) - 1)
     return best
@@ -291,7 +290,7 @@ class TestPartition:
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 8, 8))
         plan = partition_chain(chain_of(g), hw)
         assert len(plan.groups) == 1
-        assert plan.total_ema == plan.groups[0].ema
+        assert plan.total_ema == plan.groups[0].ema_bytes
 
     def test_toy_chain_matches_brute_force(self, hw):
         g = cs.build_preset("toy-chain")
@@ -313,7 +312,7 @@ class TestPartition:
         plan = partition_chain(chain, hw)
         assert len(plan.groups) == 1
         last = chain[-1].out_shape
-        assert plan.groups[0].tile == TileShape(last.h, last.w)
+        assert plan.groups[0].tile == (last.h, last.w)
         w = sum(op_cost(l.node.op)[0] for l in chain)
         first = chain[0].in_shape
         expect = (first.c * first.h * first.w + last.c * last.h * last.w + w)
@@ -366,7 +365,7 @@ class TestPartition:
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1), Conv2D(4, 4, 3, 1, 1)],
                              TensorShape(1, 4, 16, 16))
         layers = chain_of(g)
-        tile = TileShape(8, 8)
+        tile = (8, 8)
         _, extra_r = group_ema(layers, tile, RECOMPUTE, True, hw)
         _, extra_c = group_ema(layers, tile, CACHE, True, hw)
         buf_r = group_buffer_bytes(layers, tile, RECOMPUTE, True, hw)
@@ -387,7 +386,7 @@ def candidates(layers):
         for w_t in divisors(last.w):
             for policy in (RECOMPUTE, CACHE):
                 for resident in (True, False):
-                    yield TileShape(h_t, w_t), policy, resident
+                    yield (h_t, w_t), policy, resident
 
 
 def exhaustive_choice(layers, hw, start=0):
@@ -400,13 +399,14 @@ def exhaustive_choice(layers, hw, start=0):
     tables = {}
     for tile, policy, resident in candidates(layers):
         if tile not in tables:
-            tables[tile] = _GroupTable(layers, hw, [((tile.h_t,), (tile.w_t,))])
+            tables[tile] = _GroupTable(layers, hw, [((tile[0],), (tile[1],))])
         option = tables[tile].choice(0, 0, 0, 0, POLICIES.index(policy),
                                      0 if resident else 1)
-        ema, extra, buf = option.ema, option.extra_macs, option.buffer_bytes
+        ema, extra, buf = option.ema_bytes, option.extra_macs, option.buffer_bytes
         if buf > hw.scratchpad_bytes:
             continue
-        key = (ema, -tile.h_t * tile.w_t, extra, buf, 0 if policy is RECOMPUTE else 1)
+        key = (ema, -tile[0] * tile[1], extra, not resident, buf,
+               0 if policy is RECOMPUTE else 1)
         if best is None or key < best[0]:
             best = key, FusionGroup(start, start + len(layers) - 1, tile, policy,
                                     resident, ema, extra, buf)
@@ -460,7 +460,7 @@ class TestFusedExecute:
         params = init_params(g, 0)
         x = seeded_input(g, 0)
         ref = reference_execute(g, x, params)
-        tile = TileShape(8, 8)
+        tile = (8, 8)
         ema, extra = group_ema(chain, tile, policy, True, hw)
         plan = FusionPlan([FusionGroup(0, 3, tile, policy, True, ema, extra, 0)])
         sim = ScratchpadSim(hw.scratchpad_bytes)
@@ -491,8 +491,7 @@ class TestFusedExecute:
                 assert sim.ema_bytes == plan.total_ema
 
 
-    @pytest.mark.parametrize("tile", [TileShape(2, 1), TileShape(4, 4),
-                                      TileShape(1, 16)])
+    @pytest.mark.parametrize("tile", [(2, 1), (4, 4), (1, 16)])
     @pytest.mark.parametrize("policy", [RECOMPUTE, CACHE])
     def test_pad_grown_conv_edges(self, hw, tile, policy):
         # 1x1 convs with pad=1 grow the map; edge tiles land entirely in the
@@ -575,7 +574,7 @@ def test_schedule_group_replay_matches_closed_form(preset, hw):
                 sim = ScratchpadSim(1 << 40)
                 replay(schedule_group(chain[i:j + 1], _tile_walks(chain[i:j + 1], c.tile),
                                       c.policy, c.weights_resident, hw), sim)
-                assert (sim.ema_bytes, sim.high_water) == (c.ema, c.buffer_bytes), \
+                assert (sim.ema_bytes, sim.high_water) == (c.ema_bytes, c.buffer_bytes), \
                     (preset, i, j, c)
                 cases += 1
     assert cases > 100
@@ -614,7 +613,7 @@ def chains_and_tiles(draw):
     except ConfigError:   # a layer's output map would be empty
         assume(False)
     last = layers[-1].out_shape
-    tile = TileShape(draw(st.integers(1, last.h + 3)), draw(st.integers(1, last.w + 3)))
+    tile = (draw(st.integers(1, last.h + 3)), draw(st.integers(1, last.w + 3)))
     hw = HardwareConfig(scratchpad_bytes=draw(st.integers(64, 4096)),
                         element_bytes=draw(st.sampled_from([1, 2])))
     return layers, tile, hw
@@ -626,7 +625,7 @@ def chains_and_tiles(draw):
 # ring (k > s): an empty interval must stay empty through the earlier layers
 @example((chain_of(make_chain_graph([Conv2D(1, 1, 4, 2, 4), Conv2D(1, 1, 5, 3, 0),
                                      Conv2D(1, 1, 4, 3, 4)], TensorShape(1, 1, 10, 10))),
-          TileShape(1, 1), HardwareConfig(scratchpad_bytes=4096, element_bytes=1)))
+          (1, 1), HardwareConfig(scratchpad_bytes=4096, element_bytes=1)))
 def test_cost_table_matches_brute_force_oracles(case):
     """At any tile, EMA and extra MACs equal the per-pixel oracle and the
     buffer equals the replayed high-water; over divisor tiles, the best
@@ -663,7 +662,7 @@ def test_cost_table_refuses_to_wrap_int64(hw):
     g = make_chain_graph([Conv2D(1 << 24, 1 << 24, 5, 1, 2)],
                          TensorShape(1, 1 << 24, 64, 64))
     with pytest.raises(ConfigError, match="int64"):
-        group_ema(chain_of(g), TileShape(1, 1), RECOMPUTE, True, hw)
+        group_ema(chain_of(g), (1, 1), RECOMPUTE, True, hw)
 
 
 @pytest.mark.parametrize("ops,channels,named", [
@@ -794,14 +793,14 @@ class PerEndTable:
     def best(self, capacity):
         shape = self.buf.shape
         h, w = (np.array(e, dtype=np.int64) for e in self.extents)
-        keys = (np.arange(2)[:, None], self.buf, self.extra[..., None],
+        keys = (np.arange(2)[:, None], self.buf, np.arange(2), self.extra[..., None],
                 -(h[:, None] * w)[:, :, None, None], self.ema, self.buf > capacity)
         first = np.lexsort([np.broadcast_to(k, shape).reshape(shape[0], -1) for k in keys])
         out = []
         for i, f in enumerate(first[:, 0]):
             a, b, p, r = map(int, np.unravel_index(f, shape[1:]))
             out.append(None if self.buf[i, a, b, p, r] > capacity else FusionGroup(
-                i, shape[0] - 1, TileShape(self.extents[0][a], self.extents[1][b]),
+                i, shape[0] - 1, (self.extents[0][a], self.extents[1][b]),
                 POLICIES[p], r == 0, int(self.ema[i, a, b, p, r]),
                 int(self.extra[i, a, b, p]), int(self.buf[i, a, b, p, r])))
         return out

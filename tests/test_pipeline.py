@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import re
 import tempfile
 import weakref
@@ -464,11 +465,115 @@ def test_plan_ema_falls_as_the_scratchpad_grows(graph, eb, scratchpads):
 
 
 # ---------------------------------------------------------------------------
-# Fusion cost tables shared by a command's plans
+# One group record: the printed plan is a config that reproduces it
 # ---------------------------------------------------------------------------
 
 B0_GRAPH = Path(__file__).parent / "golden" / "b0-224.json"
 
+
+def printed_groups(schedule: dict) -> dict:
+    """Each chain unit's printed ``plan.groups``, unedited, as a ``schedule.fusion`` map."""
+    chains = [u for u in schedule["units"] if u["kind"] == "chain"]
+    return {str(i): u["plan"]["groups"] for i, u in enumerate(chains)}
+
+
+def run_stdout(config: dict, tmp: Path) -> tuple[int, str]:
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", str(path)])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("model", [*cs.PRESETS, "b0-224"])
+def test_printed_groups_fed_back_reproduce_the_run(model, tmp_path):
+    """``run``'s stdout, pasted groups and all, is the auto run's byte for byte, but for
+    the config echo of ``schedule.fusion``: on each preset at five scratchpads and both
+    element widths, and on the B0 golden config."""
+    configs = ([json.loads(B0_GRAPH.read_text())] if model == "b0-224" else
+               [{"model": model, "hardware": {"scratchpad_bytes": cap, "element_bytes": eb}}
+                for cap in (2048, 4096, 8192, 65536, 262144) for eb in (1, 2)])
+    fed_back = 0
+    for config in configs:
+        code, out = run_stdout(config, tmp_path)
+        if code == 2:   # nothing to print
+            continue
+        data = json.loads(out)
+        fusion = printed_groups(data["schedule"])
+        data["config"]["schedule"]["fusion"] = fusion
+        config = dict(config, schedule=dict(config.get("schedule", {}), attention="auto",
+                                            fusion=fusion))
+        assert run_stdout(config, tmp_path) == (
+            code, json.dumps(data, sort_keys=True, indent=2) + "\n"), config["hardware"]
+        fed_back += 1
+    assert fed_back >= (1 if model == "b0-224" else 8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)   # over 500 feasible plans
+@given(whole_graphs().map(graph_from_dict), st.sampled_from(SCRATCHPADS),
+       st.sampled_from([1, 2]))
+def test_printed_groups_fed_back_reproduce_the_plan(g, scratchpad, eb):
+    """Plan only: under ``fusion`` and ``full``, each chain's printed groups, fed back
+    as ``schedule.fusion``, give the same ``schedule.to_dict()``."""
+    hw, tables = HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb), {}
+    for name in ("fusion", "full"):
+        attention, fusion = cli.SCHEDULE_PRESETS[name]
+        try:
+            printed = json.loads(json.dumps(pipeline.plan_network(g, hw, attention, fusion,
+                                                                  tables).to_dict()))
+        except cs.CapacityError:
+            continue
+        again = pipeline.plan_network(g, hw, attention, printed_groups(printed), tables)
+        assert json.loads(json.dumps(again.to_dict())) == printed, name
+
+
+def random_groups(rng: random.Random, layers: list) -> list[dict]:
+    """A random partition of a chain into ``schedule.fusion`` groups, each at a divisor
+    tile of its last layer's output and either halo policy."""
+    cuts = sorted(rng.sample(range(1, len(layers)), rng.randint(0, len(layers) - 1)))
+    groups = []
+    for start, stop in zip([0, *cuts], [*cuts, len(layers)]):
+        out = layers[stop - 1].out_shape
+        groups.append({"start": start, "end": stop - 1,
+                       "tile": [rng.choice(workload.divisors(out.h)),
+                                rng.choice(workload.divisors(out.w))],
+                       "policy": rng.choice(["recompute", "cache"])})
+    return groups
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(whole_graphs().map(graph_from_dict), st.sampled_from(SCRATCHPADS),
+       st.sampled_from([1, 2]), st.integers(0, 2**32))
+@example(cs.build_preset("toy-chain"), 2048, 1, 0)
+@example(cs.build_preset("segformer-micro"), 8192, 2, 1)
+@example(cs.build_preset("pvtv2-micro"), 4096, 1, 2)
+@example(cs.build_preset("cmt-micro"), 65536, 1, 3)
+def test_no_fed_back_partition_beats_the_search(g, scratchpad, eb, seed):
+    """Plan only: any partition of a chain, at divisor tiles and either policy, fed back
+    as ``schedule.fusion``, is infeasible or costs that chain at least the EMA of the
+    auto plan's. This checks the search through the path a fixed group takes."""
+    hw = HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb)
+    tables, rng = {}, random.Random(seed)
+    try:
+        auto = pipeline.plan_network(g, hw, "auto", "auto", tables).units
+    except cs.CapacityError:
+        return
+    chains = [u for u in auto if isinstance(u, pipeline.ChainUnit)]
+    for index, unit in enumerate(chains):
+        for _ in range(8):
+            fusion = {str(index): random_groups(rng, unit.layers)}
+            try:
+                units = pipeline.plan_network(g, hw, "auto", fusion, tables).units
+            except cs.CapacityError:
+                continue
+            fixed = [u for u in units if isinstance(u, pipeline.ChainUnit)][index]
+            assert fixed.plan.total_ema >= unit.plan.total_ema, fusion
+
+
+# ---------------------------------------------------------------------------
+# Fusion cost tables shared by a command's plans
+# ---------------------------------------------------------------------------
 
 def planned(graph, hw, schedule, tables=None):
     """``plan_network(...).to_dict()`` of a named schedule, or its CapacityError's text."""

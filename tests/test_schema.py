@@ -12,7 +12,10 @@ that gives every part: the graph inline, all hardware fields, a fixed streaming 
 a fixed fusion group on chain 0, and pruning. It sets each field in turn:
 
 * to a value outside its declared bounds, of the wrong type, or a boolean: exit 1,
-  no stdout, and stderr names the field;
+  no stdout, and stderr names the field. A derived field (a fusion group's
+  ``weights_resident``, ``ema_bytes``, ``extra_macs`` and ``buffer_bytes``, default
+  None) is also rejected at any value but the one recomputed from the group, and at
+  that value it changes nothing;
 * to another legal value: ``report``, ``schedule``, ``pruning`` or
   ``adjusted_report`` changes (the hardware and seed that a report echoes do not
   count), or the schedule is infeasible (exit 2), or a rule across fields rejects the
@@ -41,11 +44,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convformer_sim import cli, pipeline
+from convformer_sim import cli
 from convformer_sim.attention_tiling import AttentionTiling
 from convformer_sim.feature_pruning import PruneConfig
 from convformer_sim.hwmodel import HardwareConfig
-from convformer_sim.layer_fusion import split_into_segments
+from convformer_sim.layer_fusion import FusionGroup, split_into_segments
 from convformer_sim.workload import (Add, Attention, Conv2D, Downsample, Linear,
                                      build_preset)
 
@@ -57,7 +60,7 @@ PARTS = {
     "hardware": (HardwareConfig, None),
     "schedule.pruning": (PruneConfig, None),
     "schedule.attention": (AttentionTiling, None),
-    "schedule.fusion group": (pipeline.FixedGroup, None),
+    "schedule.fusion group": (FusionGroup, None),
     "conv2d node": (Conv2D, None),
     "downsample node": (Downsample, None),
     "attention node": (Attention, None),
@@ -67,9 +70,14 @@ PARTS = {
 KINDS = {"conv2d node": "conv2d", "downsample node": "downsample",
          "attention node": "attention", "linear node": "linear", "add node": "add"}
 
+# fields a config may give only at the value recomputed from the others (default None)
+DERIVED = {(part, f.name) for part, (cls, names) in PARTS.items() for f in fields(cls)
+           if f.default is None and (names is None or f.name in names)}
 # fields whose legal values need not change the result, each with its reason
 EXEMPT = {
     ("top level", "tolerance"): "it only gates equivalence_ok and the exit code",
+    **{key: "derived: any other value exits 1, and the recomputed one changes nothing"
+       for key in DERIVED},
 }
 # legal values drawn where the field acts, each with its reason
 ACTING = {
@@ -100,6 +108,8 @@ def type_name(kind) -> str:
 
 
 def default_text(f) -> str:
+    if f.default is None:
+        return "derived"
     if f.default is MISSING:
         return "default of `HardwareConfig`" if f.default_factory is not MISSING else "required"
     value = f.default.value if isinstance(f.default, Enum) else f.default
@@ -188,11 +198,17 @@ def result(out: str) -> dict:
     return kept
 
 
-def bad_values(f, kind) -> st.SearchStrategy:
-    """Values of field ``f`` (annotated ``kind``) outside its bounds or of a wrong type."""
+def bad_values(f, kind, derived=MISSING) -> st.SearchStrategy:
+    """Values of field ``f`` (annotated ``kind``) outside its bounds or of a wrong type,
+    or, for a derived field, other than its ``derived`` value."""
     least, most = f.metadata.get("least"), f.metadata.get("most")
     wrong = [True, False, None, [1], {"a": 1}]
-    if kind in (int, float):
+    if kind is bool:
+        wrong = [not derived, None, [1], {"a": 1}, 0, 1, "true"]
+    elif derived is not MISSING:
+        return st.one_of(st.sampled_from(wrong + ["x", 2.5]),
+                         st.integers().filter(lambda v: v != derived))
+    elif kind in (int, float):
         wrong += ["x"]
         wrong += [least - 1] if least is not None else []
         wrong += [most + 1] if most is not None else []
@@ -239,6 +255,9 @@ def test_every_field_changes_the_result_or_is_rejected(preset, data, tmp_path_fa
     code, out, err = run(base, tmp)
     assert (code, err) == (0, ""), err
     base_result = result(out)
+    # chain 0's one fixed group, as run printed it: its derived fields' recomputed values
+    chain = next(u for u in base_result["schedule"]["units"] if u["kind"] == "chain")
+    group = chain["plan"]["groups"][0]
     for part, (cls, _) in PARTS.items():
         hints = typing.get_type_hints(cls)
         nodes = [n["id"] for n in base["model"]["graph"]["nodes"] if n["kind"] == KINDS.get(part)]
@@ -247,10 +266,15 @@ def test_every_field_changes_the_result_or_is_rejected(preset, data, tmp_path_fa
             config = copy.deepcopy(base)
             holder, prefix = locate(config, part, node_id)
             name = prefix + f.name
-            holder[f.name] = data.draw(bad_values(f, hints[f.name]), label=name)
+            derived = group[f.name] if (part, f.name) in DERIVED else MISSING
+            holder[f.name] = data.draw(bad_values(f, hints[f.name], derived), label=name)
             code, out, err = run(config, tmp)
             assert (code, out) == (1, ""), (name, holder[f.name], err)
             assert name in err, (name, holder[f.name], err)
+            if derived is not MISSING:
+                holder[f.name] = derived
+                code, out, err = run(config, tmp)
+                assert (code, err) == (0, "") and result(out) == base_result, (name, err)
             if (part, f.name) in EXEMPT:
                 continue
             config = copy.deepcopy(base)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import convformer_sim as cs
 from convformer_sim import workload
 from convformer_sim.errors import ConfigError
-from convformer_sim.workload import (Add, Attention, Conv2D, GELU,
+from convformer_sim.workload import (Add, Attention, Conv2D, Downsample, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, attention_dims, attention_operands,
                                      build_preset, dense_attention, graph_from_dict,
@@ -269,6 +269,14 @@ def test_weights_drawn_equal_weights_costed(name):
         else:
             costed = op_cost(node.op)[0]
         assert drawn == costed, node.id
+
+
+def test_an_uninferred_downsample_has_no_parameters():
+    # shape inference lowers each downsample to the conv whose weights it draws;
+    # a graph built without it is refused rather than drawn with no weights
+    g = NetworkGraph([LayerNode("d", Downsample(2, 2))], TensorShape(1, 4, 8, 8))
+    with pytest.raises(ConfigError, match="^downsample: infer shapes before drawing"):
+        init_params(g)
 
 
 # ---------------------------------------------------------------------------
