@@ -25,14 +25,16 @@ test suite enforces this for the whole search grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .hwmodel import HardwareConfig, ScratchpadSim, Txn, parse_fields, replay
-from .workload import AttentionDims, divisors, softmax_rows, tile_intervals
+from .hwmodel import (HardwareConfig, ScratchpadSim, Txn, bounded, check_derived,
+                      parse_fields, parse_number, replay)
+from .workload import (Attention, AttentionDims, NetworkGraph, divisors, softmax_rows,
+                       tile_intervals)
 
 
 class ResidencyMode(str, Enum):
@@ -42,37 +44,51 @@ class ResidencyMode(str, Enum):
 
 @dataclass(frozen=True)
 class AttentionTiling:
-    t_q: int                 # query row-tile, tokens; 1..N per layer (check_tiling)
-    t_k: int                 # key/value column-tile, tokens; 1..N_r per layer
+    """One layer's tiling and its cost: the record ``run`` prints and ``schedule.attention``
+    reads back (``fixed_tiling``). ``t_q``, ``mode`` and, streaming, ``t_k`` choose it;
+    resident K/V are whole, so there t_k is N_r. The fields after ``mode`` are derived."""
+    t_q: int = bounded(1)    # query row-tile, tokens; at most the layer's N
+    t_k: int = bounded(1)    # key/value column-tile, tokens; at most the layer's N_r
     mode: ResidencyMode
+    element_bytes: int = None
+    ema_bytes: int = None
+    buffer_bytes: int = None
 
     def to_dict(self) -> dict:
         return dict(asdict(self), mode=self.mode.value)
 
 
-def tiling_spec(spec: dict) -> dict:
-    """A fixed ``schedule.attention`` tiling, its fields parsed by ``parse_fields``.
-
-    ``{"t_q", "mode": "resident_kv"}`` keeps K and V whole, so each layer's
-    t_k is its N_r; ``{"t_q", "t_k", "mode": "streaming_kv"}`` streams them.
-    Sizes are range-checked per layer, by ``check_tiling``.
-    """
-    streaming = spec.get("mode") == ResidencyMode.STREAMING_KV
-    tiling = parse_fields("schedule.attention", spec, AttentionTiling,
-                          required=("mode", "t_q", "t_k") if streaming else ("mode", "t_q"))
-    if "t_k" in tiling and not streaming:
-        raise ConfigError("schedule.attention.t_k is not allowed with resident_kv: "
-                          "K and V are whole, so t_k is each layer's N_r")
+def fixed_tiling(record, dims: AttentionDims, hw: HardwareConfig) -> AttentionTiling | None:
+    """The tiling a layer's ``schedule.attention`` record fixes, costed as the search costs
+    it (None for ``"baseline"``). Its sizes are held to the layer's N and N_r, and a
+    derived field it gives must equal the recomputed one."""
+    if record == "baseline":
+        tiling_buffer_bytes(dims, None, hw)
+        return None
+    given = parse_fields("schedule.attention", record, AttentionTiling, required=("t_q", "mode"))
+    streaming = given["mode"] is ResidencyMode.STREAMING_KV   # else t_k is N_r
+    tiling = AttentionTiling(given["t_q"], given.get("t_k") if streaming else dims.N_r,
+                             given["mode"])
+    for key, top in (("t_q", dims.N), ("t_k", dims.N_r)):   # and a streaming t_k left out
+        parse_number(f"schedule.attention.{key}", getattr(tiling, key), True, most=top)
+    tiling = costed(dims, tiling, hw)
+    check_derived("schedule.attention.", given, tiling, record, "t_q, mode and a streaming t_k")
     return tiling
 
 
-def check_tiling(dims: AttentionDims, tiling: AttentionTiling, node_id: str):
-    """Range-check a fixed ``schedule.attention`` tiling on layer ``node_id``'s ``dims``.
-    A resident tiling takes no t_k (``tiling_spec``): ``plan_network`` gives it N_r."""
-    for key, top in (("t_q", dims.N), ("t_k", dims.N_r)):
-        if not 1 <= getattr(tiling, key) <= top:
-            raise ConfigError(f"{node_id}: schedule.attention.{key}={getattr(tiling, key)} "
-                              f"out of [1, {top}]")
+def swept_tilings(attention, graph: NetworkGraph, t_q) -> dict:
+    """A ``t_q`` sweep row's ``schedule.attention``: each attention layer, and each key of
+    the map ``attention`` (``plan_network`` holds keys to layers), at ``t_q``. A record that
+    is a tiling keeps its mode and t_k and drops its derived fields; any other is resident."""
+    layers = [n.id for n in graph.nodes if isinstance(n.op, Attention)]
+    if not layers:
+        raise ConfigError("a t_q sweep sets schedule.attention.t_q, but the graph has no "
+                          "attention layer")
+    records = attention if isinstance(attention, dict) else {}
+    kept = {node: {k: v for k, v in r.items() if k in ("t_k", "mode")}
+            for node, r in records.items() if isinstance(r, dict)}
+    return {node: dict(kept.get(node, {"mode": ResidencyMode.RESIDENT_KV.value}), t_q=t_q)
+            for node in [*records, *layers]}
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +132,13 @@ def tiling_buffer_bytes(dims: AttentionDims, tiling: AttentionTiling | None,
     return req
 
 
+def costed(dims: AttentionDims, tiling: AttentionTiling, hw: HardwareConfig
+           ) -> AttentionTiling:
+    """``tiling`` with its derived fields on ``dims``; CapacityError if it does not fit."""
+    return replace(tiling, buffer_bytes=tiling_buffer_bytes(dims, tiling, hw),
+                   element_bytes=dims.element_bytes, ema_bytes=attention_ema(dims, tiling))
+
+
 def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> AttentionTiling:
     """Exhaustive tile search: minimum EMA over divisors of N and N_r, both modes.
 
@@ -130,13 +153,12 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
                        for t_k in divisors(dims.N_r)]
         for cand in candidates:
             try:
-                tiling_buffer_bytes(dims, cand, hw)
-                fits.append(cand)
+                fits.append(costed(dims, cand, hw))
             except CapacityError as e:
                 need = min(need, e.requested)
     if not fits:
         raise CapacityError(need, hw.scratchpad_bytes, "the smallest attention tiling")
-    return min(fits, key=lambda c: (attention_ema(dims, c), -c.t_q,
+    return min(fits, key=lambda c: (c.ema_bytes, -c.t_q,
                                     c.mode is ResidencyMode.STREAMING_KV, -c.t_k))
 
 

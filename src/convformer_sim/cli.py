@@ -95,11 +95,10 @@ def load_config(path: str | None, args: argparse.Namespace,
     check_keys("schedule", sched, ("attention", "fusion", "pruning"))
     parts.update(sched)   # pruning, which the file spells "off" or an object, is read below
     attention = parts.get("attention", ExperimentConfig.attention)
-    if isinstance(attention, dict):
-        parts["attention"] = at.tiling_spec(attention)
-    elif attention not in ("auto", "baseline"):
-        raise ConfigError(f"schedule.attention must be auto, baseline, or a "
-                          f"tiling object, got {attention!r}")
+    if not (attention in ("auto", "baseline") or isinstance(attention, dict) and all(
+            r == "baseline" or isinstance(r, dict) for r in attention.values())):
+        raise ConfigError("schedule.attention must be auto, baseline, or a map of attention "
+                          f"layer to baseline or a tiling object, got {attention!r}")
     fusion = parts.get("fusion", ExperimentConfig.fusion)
     if not (fusion in ("auto", "singleton") or isinstance(fusion, dict) and all(
             isinstance(groups, list) for groups in fusion.values())):
@@ -332,10 +331,7 @@ def sweep_experiments(cfg: ExperimentConfig, axis: str, values: list) -> tuple:
     rows, sims, ref = [], [], Reference(build_graph(cfg.model), cfg.seed, pruning)
     for value in values:
         if axis == "t_q":
-            # only t_q changes in a configured tiling; otherwise K/V stay resident
-            spec = (cfg.attention if isinstance(cfg.attention, dict)
-                    else {"mode": at.ResidencyMode.RESIDENT_KV.value})
-            sub = replace(cfg, attention=at.tiling_spec(dict(spec, t_q=value)))
+            sub = replace(cfg, attention=at.swept_tilings(cfg.attention, ref.graph, value))
         else:
             part = "hardware" if axis == "scratchpad_bytes" else "pruning"
             # the un-swept threshold stays off unless the config enables it

@@ -10,6 +10,7 @@ from the CLI config; every report embeds the config it was produced with.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -80,6 +81,15 @@ def parse_fields(where: str, d: dict, cls, prefix: str | None = None, extra=(),
     d = {**dict.fromkeys(required), **d}
     return {f.name: _parse_value(prefix + f.name, d[f.name], types[f.name], f.metadata)
             for f in fields(cls) if f.name in d}
+
+
+def check_derived(prefix: str, given: dict, record, raw: dict, basis: str) -> None:
+    """ConfigError naming ``prefix`` + the first field of config part ``raw`` (parsed:
+    ``given``) that is not ``record``'s: only a field derived from ``basis`` can differ."""
+    for name, value in given.items():
+        if getattr(record, name) != value:
+            raise ConfigError(f"{prefix}{name} must be {json.dumps(record.to_dict()[name])} "
+                              f"(derived from {basis}), got {json.dumps(raw[name])}")
 
 
 def _parse_value(name: str, value, kind, bounds):

@@ -11,7 +11,6 @@ network's EMA ground truth.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -22,7 +21,7 @@ from . import attention_tiling as at
 from . import layer_fusion as lf
 from .errors import CapacityError, ConfigError, SelfCheckError
 from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, build_report,
-                      parse_fields, replay)
+                      check_derived, parse_fields, replay)
 from .workload import (Attention, AttentionDims, LayerNode, NetworkGraph, attention_dims,
                        attention_forward, layer_macs, layer_vector_ops, projection_passes)
 
@@ -50,7 +49,6 @@ class AttentionUnit:
     nodes: list[LayerNode]   # the attention node alone, as in an add
     dims: AttentionDims
     tiling: at.AttentionTiling | None   # None: the spilled-score baseline core
-    buffer_bytes: int
     row: dict
 
     @property
@@ -68,11 +66,8 @@ class AttentionUnit:
         return attention_unit_execute(ins[0], self, params[self.node.id], sim, hw)
 
     def to_dict(self) -> dict:
-        tiling = "baseline" if self.tiling is None else dict(
-            self.tiling.to_dict(), element_bytes=self.dims.element_bytes,
-            ema_bytes=at.attention_ema(self.dims, self.tiling),
-            buffer_bytes=self.buffer_bytes)
-        return {"kind": "attention", "node": self.node.id, "tiling": tiling}
+        return {"kind": "attention", "node": self.node.id,
+                "tiling": "baseline" if self.tiling is None else self.tiling.to_dict()}
 
 
 @dataclass
@@ -106,10 +101,10 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
     """Build the unit schedule: fusion plans per chain, tilings per attention, and
     each unit's breakdown row.
 
-    A dict ``attention_mode`` is an ``at.tiling_spec``; each attention layer
-    gets its fixed tiling, with t_k = N_r in resident mode. Every group, core
-    and pass is capacity-checked here, before anything executes; ``tables``, which
-    calls may share, keeps fusion cost tables, attention searches and passed replays.
+    A dict ``attention_mode`` maps attention layer ids to the records ``run`` prints
+    (``at.fixed_tiling``); a layer it does not name runs the baseline core. Every
+    group, core and pass is capacity-checked here, before anything executes; ``tables``,
+    which calls may share, keeps fusion cost tables, attention searches and passed replays.
     """
     tables = {} if tables is None else tables
     segments = lf.split_into_segments(graph)
@@ -119,9 +114,11 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
         if unknown:
             raise ConfigError(f"schedule.fusion names no chain {unknown}; the graph "
                               f"has {len(chains)} chain(s), numbered from 0")
-    if isinstance(attention_mode, dict) and not any(
-            isinstance(n.op, Attention) for n in graph.nodes):
-        raise ConfigError("schedule.attention fixes a tiling, but the graph has no attention")
+    records = attention_mode if isinstance(attention_mode, dict) else {}
+    unknown = sorted(set(records) - {n.id for n in graph.nodes if isinstance(n.op, Attention)})
+    if unknown:
+        raise ConfigError(f"schedule.attention fixes a tiling for {unknown}, but the graph "
+                          "has no attention layer of that id")
 
     def row(nodes: list[LayerNode], label: str, ema: int, extra_macs: int = 0) -> dict:
         return {"unit": label, "ema_bytes": ema,   # closed forms, checked as the unit runs
@@ -146,20 +143,14 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                 if attention_mode == "auto":   # one search per geometry and hardware
                     tiling = tables[dims, hw] = (tables.get((dims, hw))
                                                  or at.search_attention_tiling(dims, hw))
-                elif attention_mode == "baseline":
-                    tiling = None
-                else:
-                    tiling = at.AttentionTiling(
-                        attention_mode["t_q"], attention_mode.get("t_k", dims.N_r),
-                        at.ResidencyMode(attention_mode["mode"]))
-                    at.check_tiling(dims, tiling, node.id)
+                else:   # a layer that a map does not name runs the baseline core
+                    tiling = at.fixed_tiling(records.get(node.id, "baseline"), dims, hw)
                 # each pass moves its input, weights and output once (``_gemm_pass``)
                 ema = at.attention_ema(dims, tiling) + eb * sum(
                     (n_in + n_out) * dims.heads * dims.d + weights
                     for _, n_in, weights, n_out in projection_passes(node.op, dims.N, dims.N_r))
-                key, unit = (node.op, dims, hw), AttentionUnit(
-                    nodes, dims, tiling, at.tiling_buffer_bytes(dims, tiling, hw),
-                    row(nodes, node.id, ema))
+                key, unit = (node.op, dims, hw), AttentionUnit(nodes, dims, tiling,
+                                                               row(nodes, node.id, ema))
             else:   # an add: shape inference leaves no other barrier
                 elems = graph.out_shape(node.id).elements
                 key, unit = (elems, hw), AddUnit(nodes, elems,
@@ -169,6 +160,8 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                 tables[key] = True
         except CapacityError as e:
             raise CapacityError(e.requested, e.available, f"{node.id}: {e.what}") from e
+        except ConfigError as e:   # a field of the layer's fixed tiling
+            raise ConfigError(f"{node.id}: {e}") from e
         units.append(unit)
     return NetworkSchedule(units)
 
@@ -196,11 +189,8 @@ def _chain_plan(layers: list[lf.ChainLayer], fusion_mode: str | dict, index: int
         chosen = replace(lf.fixed_tile_choice(layers[start:end + 1], given["tile"],
                                               given.get("policy", lf.FusionGroup.policy),
                                               hw, tables), start=start, end=end)
-        for name, value in given.items():   # only a derived field can differ
-            if getattr(chosen, name) != value:
-                raise ConfigError(f"schedule.fusion group {name} must be "
-                                  f"{json.dumps(chosen.to_dict()[name])} (derived from start, "
-                                  f"end, tile and policy), got {json.dumps(g[name])}")
+        check_derived("schedule.fusion group ", given, chosen, g,
+                      "start, end, tile and policy")
         groups.append(chosen)
         covered = end + 1
     if covered != len(layers):
@@ -292,9 +282,9 @@ def run_schedule(schedule: NetworkSchedule, x: np.ndarray,
 
     ``reference`` holds each unit's last output by node id. The report's breakdown
     is the units' rows. SelfCheckError names the first unit whose simulated EMA is
-    not its row's, and a CapacityError (or a MemoryError, as a ConfigError) raised
-    while a unit runs is re-raised naming it. An output is freed after its last
-    reader runs.
+    not its row's, or that overflows ``hw``'s scratchpad as it runs (planning at
+    ``hw`` rules that out); a MemoryError is a ConfigError naming the unit. An output
+    is freed after its last reader runs.
     """
     sim = ScratchpadSim(hw.scratchpad_bytes)
     last_read = {p: i for i, u in enumerate(schedule.units) for p in u.nodes[0].preds}
@@ -308,8 +298,8 @@ def run_schedule(schedule: NetworkSchedule, x: np.ndarray,
         ema0 = sim.ema_bytes
         try:
             out = unit.execute(ins, params, sim, hw)
-        except CapacityError as e:
-            raise CapacityError(e.requested, e.available, f"{row['unit']}: {e.what}") from e
+        except CapacityError as e:   # planning capacity-checked it: the plan is broken
+            raise SelfCheckError(f"{row['unit']}: planned to fit, but running it: {e}") from e
         except MemoryError as e:
             raise ConfigError(f"{row['unit']}: out of memory ({e})") from e
         values[nodes[-1].id] = out

@@ -454,7 +454,9 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path, capsys):
     streaming_cfg = tmp_path / "stream.json"
     streaming_cfg.write_text(json.dumps({
         "model": "segformer-micro",
-        "schedule": {"attention": {"t_q": 2, "t_k": 2, "mode": "streaming_kv"}},
+        "schedule": {"attention": {n.id: {"t_q": 2, "t_k": 2, "mode": "streaming_kv"}
+                                   for n in cs.build_preset("segformer-micro").nodes
+                                   if isinstance(n.op, cs.Attention)}},
     }))
     assert cli.main(["run", "--config", str(streaming_cfg), "--tolerance", "0",
                      "--out", str(tmp_path / "y.json")]) == 3

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convformer_sim import attention_tiling as at
 from convformer_sim import cli, pipeline, workload
 from convformer_sim.errors import ConfigError, SelfCheckError
 from convformer_sim.hwmodel import HardwareConfig, Txn
@@ -46,6 +48,15 @@ def mha_graph(heads, d_head):
     """A model with one attention node ``mha`` on a 4x4 map."""
     node = {"id": "mha", "kind": "attention", "heads": heads, "d_head": d_head}
     return {"graph": {"input_shape": [1, heads * d_head, 4, 4], "nodes": [node]}}
+
+
+# the attention layers of segformer-micro, pvtv2-micro and cmt-micro
+MICRO_ATTENTION = ("s0b0_attn", "s1b0_attn", "s2b0_attn", "s3b0_attn")
+
+
+def every_layer(record) -> dict:
+    """A ``schedule.attention`` map that gives each micro preset layer ``record``."""
+    return {layer: record for layer in MICRO_ATTENTION}
 
 
 def two_node_graph(second, input_shape=(1, 4, 8, 8)):
@@ -96,7 +107,7 @@ class TestExitCodes:
         # the tiny residual deviation must trip the equivalence gate
         cfg = write_config(tmp_path, {
             "model": "segformer-micro",
-            "schedule": {"attention": {"t_q": 2, "t_k": 2, "mode": "streaming_kv"}},
+            "schedule": {"attention": every_layer({"t_q": 2, "t_k": 2, "mode": "streaming_kv"})},
         })
         code, _, err = run_cli(["run", "--config", cfg, "--tolerance", "0"], capsys)
         assert code == 3
@@ -185,7 +196,7 @@ class TestCompare:
         assert code == 1
 
     @pytest.mark.parametrize("field, value", [
-        ("attention", {"t_q": 4, "t_k": 2, "mode": "streaming_kv"}),
+        ("attention", every_layer({"t_q": 4, "t_k": 2, "mode": "streaming_kv"})),
         ("attention", "baseline"),
         ("fusion", "singleton"),
         ("fusion", {"0": [{"start": 0, "end": 1, "tile": [8, 8]}]}),
@@ -260,15 +271,16 @@ class TestSweep:
         code, out, err = run_cli(["sweep", "--model", "segformer-micro",
                                   "--axis", "t_q", "--values", "0"], capsys)
         assert code == 1
-        assert "t_q=0 out of" in err
+        assert "s0b0_attn: schedule.attention.t_q must be >= 1, got 0" in err
         assert out == ""
 
     def test_tq_out_of_range_names_field_and_layer(self, capsys):
-        # the message used to be "tiling: t_q=64 out of [1, 16]"
+        # the message used to be "tiling: t_q=64 out of [1, 16]", then
+        # "s2b0_attn: schedule.attention.t_q=64 out of [1, 16]"
         code, out, err = run_cli(["sweep", "--model", "pvtv2-micro",
                                   "--axis", "t_q", "--values", "4,64"], capsys)
         assert code == 1
-        assert "s2b0_attn: schedule.attention.t_q=64 out of [1, 16]" in err
+        assert "s2b0_attn: schedule.attention.t_q must be at most 16, got 64" in err
         assert out == ""
 
 
@@ -315,7 +327,7 @@ class TestFixedSchedules:
     def test_fixed_attention_tiling(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "model": "segformer-micro",
-            "schedule": {"attention": {"t_q": 4, "mode": "resident_kv"}},
+            "schedule": {"attention": every_layer({"t_q": 4, "mode": "resident_kv"})},
         })
         code, out, _ = run_cli(["run", "--config", cfg], capsys)
         assert code == 0
@@ -533,8 +545,8 @@ def test_infeasible_sweep_row_names_layer(capsys):
     # the search named the dims, not the layer, and no requirement
     ("run", mha_graph(1, 64), {}, 200, "mha", 59),
     # a fixed tiling over capacity named no layer
-    ("run", mha_graph(1, 16), {"attention": {"t_q": 16, "mode": "resident_kv"}}, 700,
-     "mha", 324),
+    ("run", mha_graph(1, 16), {"attention": {"mha": {"t_q": 16, "mode": "resident_kv"}}},
+     700, "mha", 324),
     # a baseline core was not checked at plan time; the replay named region 'S'
     ("run", mha_graph(1, 16), {"attention": "baseline"}, 700, "mha", 68),
     ("compare", "segformer-micro", {}, 2048, "s0b0_attn", 3136),
@@ -605,7 +617,8 @@ def test_tq_sweep_without_attention_exits_1(capsys):
     code, out, err = run_cli(["sweep", "--model", "toy-chain", "--axis", "t_q",
                               "--values", "1,2,3"], capsys)
     assert code == 1
-    assert "schedule.attention fixes a tiling, but the graph has no attention" in err
+    assert ("a t_q sweep sets schedule.attention.t_q, but the graph has no attention "
+            "layer") in err
     assert out == ""
 
 
@@ -629,7 +642,7 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     ("pvtv2-micro", {"pruning": {"theta_attn": None}},
      "schedule.pruning.theta_attn must be a number"),
     # fractional integers used to be truncated (t_q 2.9 ran as 2)
-    ("pvtv2-micro", {"attention": {"t_q": 2.9, "mode": "resident_kv"}},
+    ("pvtv2-micro", {"attention": {"s0b0_attn": {"t_q": 2.9, "mode": "resident_kv"}}},
      "schedule.attention.t_q must be an integer"),
     ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3.7, "tile": [4, 4]}]}},
      "schedule.fusion group end must be an integer"),
@@ -657,14 +670,17 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
      "graph node must be an object, got 5"),
     ({"graph": {"input_shape": 4, "nodes": []}}, {}, "graph input_shape must be a list, got 4"),
     (one_conv_graph(preds="c1"), {}, "graph node 'c1' field preds must be a list, got 'c1'"),
-    # resident K/V are whole, so t_k is each layer's N_r; a given t_k was ignored
-    *(("pvtv2-micro", {"attention": {"t_q": 4, "t_k": t_k, "mode": "resident_kv"}},
-       "schedule.attention.t_k is not allowed with resident_kv") for t_k in (1, 3, 999)),
+    # resident K/V are whole, so t_k is each layer's N_r; a given t_k was ignored,
+    # and then rejected ("schedule.attention.t_k is not allowed with resident_kv")
+    *(("pvtv2-micro", {"attention": {"s0b0_attn": {"t_q": 4, "t_k": t_k,
+                                                   "mode": "resident_kv"}}},
+       "schedule.attention.t_k must be 4 (derived from t_q, mode and a streaming t_k), "
+       f"got {t_k}") for t_k in (1, 3, 999)),
     # out-of-range sizes named neither the field nor the layer ("tiling: t_k=5 ...")
-    ("pvtv2-micro", {"attention": {"t_q": 64, "mode": "resident_kv"}},
-     "s2b0_attn: schedule.attention.t_q=64 out of [1, 16]"),
-    ("pvtv2-micro", {"attention": {"t_q": 4, "t_k": 5, "mode": "streaming_kv"}},
-     "s0b0_attn: schedule.attention.t_k=5 out of [1, 4]"),
+    ("pvtv2-micro", {"attention": {"s2b0_attn": {"t_q": 64, "mode": "resident_kv"}}},
+     "s2b0_attn: schedule.attention.t_q must be at most 16, got 64"),
+    ("pvtv2-micro", {"attention": {"s0b0_attn": {"t_q": 4, "t_k": 5, "mode": "streaming_kv"}}},
+     "s0b0_attn: schedule.attention.t_k must be at most 4, got 5"),
     # the executors run one image: batch 2 failed the self-check after an
     # add, and after a gelu it reported twice the vector ops of one image
     *((two_node_graph(second, input_shape=(2, 4, 8, 8)), {},
@@ -692,9 +708,11 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     # nor did groups that divide neither channel count
     (one_conv_graph(groups=3), {},
      "graph node 'c1': conv2d: groups must divide c_in and c_out"),
-    # a fixed tiling on a graph without attention was ignored (the auto report ran)
-    ("toy-chain", {"attention": {"t_q": 4, "mode": "resident_kv"}},
-     "schedule.attention fixes a tiling, but the graph has no attention"),
+    # a fixed tiling on a graph without attention was ignored (the auto report ran);
+    # a map key that names no attention layer is rejected as an unknown chain is
+    ("toy-chain", {"attention": {"c0": {"t_q": 4, "mode": "resident_kv"}}},
+     "schedule.attention fixes a tiling for ['c0'], but the graph has no attention layer "
+     "of that id"),
     # a huge channel count overflowed the fusion cost table before its int64 guard
     (one_conv_graph(input_shape=(1, 10**19, 4, 4), c_in=10**19, pad=1), {},
      "c1: fusion cost table exceeds int64"),
@@ -711,7 +729,7 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
      "schedule.pruning.granularity must be one of ['element', 'row', 'column'], "
      "got 'diagonal'"),
     ("pvtv2-micro", {"pruning": 3}, "schedule.pruning must be 'off' or an object, got 3"),
-    ("pvtv2-micro", {"attention": {"t_q": 4, "mode": "bogus"}},
+    ("pvtv2-micro", {"attention": {"s0b0_attn": {"t_q": 4, "mode": "bogus"}}},
      "schedule.attention.mode must be one of ['resident_kv', 'streaming_kv'], got 'bogus'"),
     ({"graph": {"input_shape": [1, 4, 8, 8], "nodes": [
         {"id": "a", "kind": "gelu", "preds": ["b"]}, {"id": "b", "kind": "gelu"}]}}, {},
@@ -769,6 +787,21 @@ def test_sweep_rejects_non_finite_threshold(axis, capsys):
     ("toy-chain", {"fusion": {"0": [{"start": 0, "end": 3, "tile": [16, 16],
                                      "ema_bytes": 1}]}},
      "schedule.fusion group ema_bytes must be "),
+    # a layer's record is "baseline" or a tiling, as run prints it, and its derived
+    # fields must be the recomputed ones
+    *(("pvtv2-micro", {"attention": {"s0b0_attn": record}},
+       "schedule.attention must be auto, baseline, or a map of attention layer to baseline "
+       "or a tiling object") for record in (5, "auto", [4])),
+    ("pvtv2-micro", {"attention": {"s1b0_attn": {"t_q": 4, "t_k": 2, "mode": "streaming_kv",
+                                                 "ema_bytes": 1}}},
+     "s1b0_attn: schedule.attention.ema_bytes must be 4096 (derived from t_q, mode and a "
+     "streaming t_k), got 1"),
+    ("pvtv2-micro", {"attention": {"s1b0_attn": {"t_q": 4, "mode": "resident_kv",
+                                                 "element_bytes": 2}}},
+     "s1b0_attn: schedule.attention.element_bytes must be 1 (derived from t_q, mode and a "
+     "streaming t_k), got 2"),
+    ("pvtv2-micro", {"attention": {"s1b0_attn": {"t_q": 4, "mode": "streaming_kv"}}},
+     "s1b0_attn: schedule.attention.t_k must be an integer, got None"),
 ])
 def test_bad_schedule_field_exits_1_naming_it(model, schedule, field, tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": model, "schedule": schedule})
@@ -824,9 +857,9 @@ def test_pruning_without_a_pruning_point_exits_1_before_numerics(argv, tmp_path,
     ({"schedule": {"pruninng": "off"}}, "unknown schedule field(s): ['pruninng']"),
     ({"schedule": {"pruning": {"theta_atn": 0.5}}},
      "unknown schedule.pruning field(s): ['theta_atn']"),
-    ({"schedule": {"attention": {"t_q": 4, "t_k": 4, "mode": "resident_kv",
-                                 "element_bytes": 2}}},
-     "unknown schedule.attention field(s): ['element_bytes']"),
+    ({"model": "pvtv2-micro", "schedule": {"attention": {"s0b0_attn": {
+        "t_q": 4, "mode": "resident_kv", "elem_bytes": 1}}}},
+     "unknown schedule.attention field(s): ['elem_bytes']"),
     ({"schedule": {"fusion": {"0": [{"start": 0, "end": 3, "tile": [4, 4],
                                      "polcy": "cache"}]}}},
      "unknown schedule.fusion group field(s): ['polcy']"),
@@ -996,15 +1029,122 @@ ENERGY_VALUES = HW_VALUES + ("1e300", "1e308", "1.7976931348623157e308")
 # scratchpads small enough that some layer of either model cannot fit (exit 2)
 SMALL_SCRATCHPADS = ("1200", "2048", "4096")
 THRESHOLDS = (0.0, 0.01, 0.001, 0.5, 0.01, float("nan"), float("inf"), -1, None, "x")
-SWEEP_VALUES = {"scratchpad_bytes": ("65536", "8192", "2048", "65536.7", "1e400", "0"),
+# (a later module-level SWEEP_VALUES, of other tests, used to shadow these: the draws
+# took single characters of its strings)
+RANDOM_SWEEP_VALUES = {"scratchpad_bytes": ("65536", "8192", "2048", "65536.7", "1e400", "0"),
                 "theta_attn": ("0", "0.01", "0.5", "2.5", "1e400", "-1"),
                 "theta_act": ("0", "0.01", "0.5", "2.5", "1e400", "-1"),
                 "t_q": ("1", "2", "4", "2.5", "1e400", "0")}
 
 
+# a derived tiling field drawn wrong: an offset from its recomputed value, or a bad value
+WRONG_DERIVED = (1, -4, 2.5, "x", True, None)
+
+
+@st.composite
+def tiling_records(draw, layer: str, fills: list):
+    """A ``schedule.attention`` record for ``layer``: ``"baseline"``, or a tiling whose
+    sizes may be bad and whose derived fields are each given right, given wrong or left
+    out. Each given one is appended to ``fills`` as (layer, field, None if right, else
+    how it is wrong), and its value is filled in where the model and hardware are
+    known (``fill_derived``)."""
+    if draw(st.integers(0, 5)) == 0:
+        return "baseline"
+    mode = draw(st.sampled_from(["resident_kv", "streaming_kv"]))
+    record = {"t_q": draw(st.sampled_from([1, 2, 4] * 3 + [2.9, 0, "x"])), "mode": mode}
+    derived = ["element_bytes", "ema_bytes", "buffer_bytes"]
+    if mode == "streaming_kv":
+        record["t_k"] = draw(st.sampled_from([1, 2, 4] * 3 + [3.7]))
+    else:   # derived: each layer's N_r
+        derived.append("t_k")
+    for name in derived:
+        how = draw(st.sampled_from(["right", "right", "absent", "absent", "wrong"]))
+        if how != "absent":
+            fills.append((layer, name, None if how == "right"
+                          else draw(st.sampled_from(WRONG_DERIVED))))
+    return record
+
+
+def fill_derived(model: str, eb: int, attention: dict, fills: list) -> set:
+    """Give each drawn derived field its value on ``model`` at element width ``eb``
+    (its recomputed value, or that value made wrong); the (layer, field) pairs of the
+    map that are bad: a size that is no integer or out of range, or a wrong field."""
+    graph, bad = build_preset(model), set()
+    dims = {n.id: workload.attention_dims(graph, n, eb) for n in graph.nodes
+            if isinstance(n.op, workload.Attention)}
+    for layer, record in attention.items():
+        if record == "baseline" or layer not in dims:
+            continue
+        d, streaming = dims[layer], record["mode"] == "streaming_kv"
+        t_k = record["t_k"] if streaming else d.N_r
+        sizes = [("t_q", record["t_q"], d.N)] + [("t_k", t_k, d.N_r)] * streaming
+        bad_sizes = {(layer, k) for k, v, top in sizes
+                     if type(v) is not int or not 1 <= v <= top}
+        bad |= bad_sizes
+        right = {"t_k": t_k, "element_bytes": eb} if bad_sizes else at.costed(
+            d, at.AttentionTiling(record["t_q"], t_k, at.ResidencyMode(record["mode"])),
+            HardwareConfig(scratchpad_bytes=math.inf)).to_dict()
+        for _, name, wrong in (f for f in fills if f[0] == layer):
+            value = right.get(name, 0)
+            record[name] = (value if wrong is None else value + wrong
+                            if type(wrong) is int else wrong)
+            bad |= {(layer, name)} if wrong is not None else set()
+    return bad
+
+
+@st.composite
+def attention_maps(draw, fills: list):
+    """A ``schedule.attention`` map of some micro preset layers and, now and then,
+    ``stem``, which names no attention layer; ``fills`` as in ``tiling_records``."""
+    layers = draw(st.lists(st.sampled_from(MICRO_ATTENTION), unique=True, max_size=4))
+    layers += ["stem"] * (draw(st.integers(0, 4)) == 0)
+    return {layer: draw(tiling_records(layer, fills)) for layer in layers}
+
+
+def attention_faults(argv: list, attention, fills: list) -> tuple[set, list]:
+    """The bad (layer, field) pairs of command line ``argv``'s ``schedule.attention``
+    (``fill_derived``, which fills the map in), and the keys that name no attention
+    layer of its model."""
+    bad, unknown = set(), []
+    if isinstance(attention, dict):
+        eb = next((a.split("=")[1] for a in argv if a.startswith("--hw.element_bytes=")),
+                  "1")
+        bad = fill_derived(argv[2], int(eb) if eb.isdigit() else 1, attention, fills)
+        unknown = sorted(set(attention) - {n.id for n in build_preset(argv[2]).nodes
+                                           if isinstance(n.op, workload.Attention)})
+    if "--axis=t_q" in argv:   # each row sets t_q, and each record keeps its mode and t_k
+        bad = {(layer, name) for layer, name in bad if name == "t_k"}
+        bad |= {(layer, "t_q") for layer in MICRO_ATTENTION
+                if any(v in argv[-1] for v in ("2.5", "1e400", "=0", ",0"))}
+    return bad, unknown
+
+
+def check_attention_outcome(argv: list, attention, bad: set, unknown: list, code: int,
+                            err: str, out: str) -> None:
+    """A map with a bad pair or an unknown key never runs, and an exit 1 that names
+    ``schedule.attention`` names one of them; a run that ran gave each attention layer
+    the record the map gives it (a derived field at its given value), and each layer
+    the map does not name the baseline."""
+    if code == 1 and "schedule.attention" in err and argv[0] != "compare":
+        names = [f"fixes a tiling for {unknown}"] * bool(unknown) + [
+            f"{layer}: schedule.attention.{name}" for layer, name in bad] + [
+            "the graph has no attention layer"]
+        assert any(name in err for name in names), (bad, unknown, err)
+    if bad or unknown:
+        assert code in (1, 2), (bad, unknown)
+    if argv[0] != "run" or code not in (0, 3) or attention is None:
+        return
+    for unit in (u for u in json.loads(out)["schedule"]["units"] if u["kind"] == "attention"):
+        record = attention if attention == "baseline" else attention.get(unit["node"],
+                                                                          "baseline")
+        assert unit["tiling"] == record if record == "baseline" else all(
+            unit["tiling"][k] == v for k, v in record.items()), (record, unit)
+
+
 @st.composite
 def command_lines(draw):
-    """(argv, schedule of the config file or None) for run, compare or sweep."""
+    """(argv, schedule of the config file or None, the derived attention fields to fill
+    in: ``tiling_records``) for run, compare or sweep."""
     command = draw(st.sampled_from(["run", "compare", "sweep"]))
     argv = [command, "--model", draw(st.sampled_from(["toy-chain", "segformer-micro"]))]
     fields = draw(st.lists(st.sampled_from(sorted(cli.HardwareConfig.__dataclass_fields__)),
@@ -1020,27 +1160,24 @@ def command_lines(draw):
         argv.append("--schedules=naive,full")
     if command == "sweep":
         axis = draw(st.sampled_from(cli.SWEEP_AXES))
-        values = draw(st.lists(st.sampled_from(SWEEP_VALUES[axis]), min_size=1, max_size=2))
+        values = draw(st.lists(st.sampled_from(RANDOM_SWEEP_VALUES[axis]), min_size=1,
+                               max_size=2))
         argv += [f"--axis={axis}", f"--values={','.join(values)}"]
     schedule = {}
     if draw(st.booleans()):
         theta = st.sampled_from(THRESHOLDS)
         schedule["pruning"] = {"theta_attn": draw(theta), "theta_act": draw(theta)}
+    fills = []
     if draw(st.booleans()):
-        mode = draw(st.sampled_from(["resident_kv", "streaming_kv", "baseline"]))
-        schedule["attention"] = {"t_q": draw(st.sampled_from([1, 2, 4, 4, 2.9, 0, "x"])),
-                                 "mode": mode}
-        if mode == "baseline":
-            schedule["attention"] = "baseline"
-        elif mode == "streaming_kv":  # resident K/V take no t_k
-            schedule["attention"]["t_k"] = draw(st.sampled_from([1, 2, 4, 4, 3.7]))
+        schedule["attention"] = ("baseline" if draw(st.integers(0, 4)) == 0
+                                 else draw(attention_maps(fills)))
     if draw(st.booleans()):
         # chain 0 has 4 layers on toy-chain and 2 on segformer-micro
         schedule["fusion"] = {"0": [{"start": 0,
                                      "end": draw(st.sampled_from([1, 3, 3, 3.7])),
                                      "tile": [draw(st.sampled_from([4, 8, 16, 4.9, 0])),
                                               draw(st.sampled_from([4, 8, 16]))]}]}
-    return argv, schedule if schedule or draw(st.booleans()) else None
+    return argv, schedule if schedule or draw(st.booleans()) else None, fills
 
 
 # every option of run, compare and sweep but the --hw.* ones
@@ -1103,9 +1240,13 @@ def _no_constant(name):
 def test_random_command_lines_exit_cleanly(case):
     """Any command line ends in 0, 1, 2 or 3 without an exception; on 2 stderr
     names a layer and the bytes it lacks; on 0 and 3 stdout is strict JSON,
-    and a run uses the fixed tiling and fusion groups its config gives, as
-    given."""
-    argv, schedule = case
+    and a run uses the fixed tilings and fusion groups its config gives, as
+    given. A ``schedule.attention`` map with a bad size, a wrong derived field or
+    a key that names no attention layer never runs: its exit 1 names the layer and
+    the field, or the keys (unless another part of the command fails first)."""
+    argv, schedule, fills = case
+    attention = (schedule or {}).get("attention")
+    bad, unknown = attention_faults(argv, attention, fills)
     with tempfile.TemporaryDirectory() as tmp:
         if schedule is not None:
             argv = [*argv, "--config", write_config(Path(tmp), {"schedule": schedule})]
@@ -1113,6 +1254,8 @@ def test_random_command_lines_exit_cleanly(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     assert code in (0, 1, 2, 3), err.getvalue()
+    check_attention_outcome(argv, attention, bad, unknown, code, err.getvalue(),
+                            out.getvalue())
     if code == 2:
         nodes = [n.id for n in cli.build_graph(argv[2]).nodes]
         assert any(node in err.getvalue() for node in nodes), err.getvalue()
@@ -1125,21 +1268,39 @@ def test_random_command_lines_exit_cleanly(case):
     if argv[0] != "run":
         return
     units = data["schedule"]["units"]
-    attention = (schedule or {}).get("attention")
-    if attention is not None:
-        for tiling in (u["tiling"] for u in units if u["kind"] == "attention"):
-            if attention == "baseline":
-                assert tiling == "baseline"
-                continue
-            assert tiling["t_q"] == attention["t_q"]
-            if attention["mode"] == "streaming_kv":
-                assert tiling["t_k"] == attention["t_k"]
     fusion = (schedule or {}).get("fusion")
     if fusion is not None:
         given_group, = fusion["0"]
         ran, = next(u for u in units if u["kind"] == "chain")["plan"]["groups"]
         assert [ran["start"], ran["end"], ran["tile"]] == \
             [given_group["start"], given_group["end"], given_group["tile"]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["segformer-micro", "pvtv2-micro", "cmt-micro"]),
+       st.sampled_from([["run"], ["sweep", "--axis=t_q", "--values=1,4"],
+                        ["sweep", "--axis=scratchpad_bytes", "--values=262144"]]),
+       st.sampled_from(["1", "2"]), st.data())
+def test_random_attention_maps_run_or_exit_1_naming_the_field(model, command, eb, data):
+    """A ``schedule.attention`` map of per-layer records, each derived field given
+    right, given wrong or left out, and now and then a key that names no attention
+    layer, on a micro preset whose every tiling fits: a map with a bad size, a wrong
+    field or such a key exits 1 naming the layer and the field, or the key; any other
+    runs (exit 0), each layer with its record, and a layer it does not name with the
+    baseline. Never a traceback."""
+    fills = []
+    attention = data.draw(attention_maps(fills))
+    argv = [command[0], "--model", model, f"--hw.element_bytes={eb}", *command[1:]]
+    bad, unknown = attention_faults(argv, attention, fills)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), {"schedule": {"attention": attention}})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--config", config])
+    assert (code, err.getvalue() == "") == ((1, False) if bad or unknown else (0, True)), \
+        (bad, unknown, err.getvalue())
+    check_attention_outcome(argv, attention, bad, unknown, code, err.getvalue(),
+                            out.getvalue())
 
 
 def count_references(monkeypatch):
@@ -1568,7 +1729,7 @@ def test_sweep_rows_equal_runs_of_their_configs(axis, tmp_path, capsys):
         if axis == "scratchpad_bytes":
             cfg["hardware"] = {"scratchpad_bytes": value}
         elif axis == "t_q":
-            cfg["schedule"] = {"attention": {"t_q": value, "mode": "resident_kv"}}
+            cfg["schedule"] = {"attention": every_layer({"t_q": value, "mode": "resident_kv"})}
         else:   # the other threshold stays off, as in the sweep
             cfg["schedule"] = {"pruning": {"theta_attn": 0, "theta_act": 0, axis: value}}
         code, out, _ = run_cli(["run", "--config", write_config(tmp_path, cfg)], capsys)

@@ -8,9 +8,11 @@ presets), plus ``run`` on a SegFormer-B0-shaped 224x224 graph
 (``golden/b0-224.json``). Further cases cover both README sweeps, two
 ``t_q`` sweeps (one exits 1, one runs), pruning runs in JSON and CSV,
 ``element_bytes=2``, a fixed fusion plan (``golden/fixed-fusion.json``:
-cache and streamed-weight groups beside singleton chains), a fixed streaming
-attention tiling (``golden/fixed-attention.json``) in ``run`` and in a
-``t_q`` sweep, a ``theta_act``
+cache and streamed-weight groups beside singleton chains), a ``schedule.attention``
+map that names each of ``pvtv2-micro``'s four attention layers with the streaming
+tiling ``{"t_q": 4, "t_k": 2, "mode": "streaming_kv"}`` (``golden/fixed-attention.json``,
+its derived fields left out) in ``run`` and in a ``t_q`` sweep, which keeps each
+layer's mode and t_k, a ``theta_act``
 sweep in JSON and CSV, and a threshold sweep whose first row is infeasible.
 Every case runs twice: once as the command runs it (the reference overlaps
 the schedule on the B0 graph only) and once with every reference overlapping

@@ -65,9 +65,14 @@ def test_singleton_toy_chain_is_layer_sum_and_exact(hw):
     assert report.ema_bytes == expect
 
 
+def every_attention_layer(g, record) -> dict:
+    """A ``schedule.attention`` map that gives each attention layer of ``g`` ``record``."""
+    return {n.id: record for n in g.nodes if isinstance(n.op, Attention)}
+
+
 def test_fixed_streaming_tiling_applies_everywhere(hw):
     g = cs.build_preset("segformer-micro")
-    spec = {"t_q": 2, "t_k": 2, "mode": "streaming_kv"}
+    spec = every_attention_layer(g, {"t_q": 2, "t_k": 2, "mode": "streaming_kv"})
     sched = pipeline.plan_network(g, hw, spec, "auto")
     units = [u for u in sched.units if isinstance(u, pipeline.AttentionUnit)]
     assert len(units) == 4
@@ -76,7 +81,8 @@ def test_fixed_streaming_tiling_applies_everywhere(hw):
 
 def test_fixed_resident_tiling_resolves_tk(hw):
     g = cs.build_preset("segformer-micro")
-    sched = pipeline.plan_network(g, hw, {"t_q": 2, "mode": "resident_kv"}, "auto")
+    sched = pipeline.plan_network(g, hw, every_attention_layer(
+        g, {"t_q": 2, "mode": "resident_kv"}), "auto")
     units = [u for u in sched.units if isinstance(u, pipeline.AttentionUnit)]
     for u in units:
         assert u.dims == attention_dims(g, u.node, hw.element_bytes)
@@ -296,6 +302,19 @@ def test_projection_pass_over_capacity_fails_at_plan_time():
     assert "deficit 3096 B" in str(info.value)
 
 
+def test_a_unit_that_overflows_when_run_is_a_self_check_failure():
+    """Planning capacity-checks every unit, so a unit that overflows the scratchpad of
+    the hardware it runs on means a broken plan (exit 3), not an infeasible schedule:
+    here a plan for 256 KiB runs on 2 KiB, and the error names its first unit."""
+    g = cs.build_preset("segformer-micro")
+    sched = pipeline.plan_network(g, HardwareConfig(scratchpad_bytes=262144))
+    with pytest.raises(cs.SelfCheckError) as info:
+        checked_run(g, sched, seeded_input(g, 0), init_params(g, 0),
+                    HardwareConfig(scratchpad_bytes=2048))
+    assert str(info.value).startswith("chain[stem,s0_down]: ")
+    assert "alloc 'tin' needs 4560 B but only 2048 B available" in str(info.value)
+
+
 def test_run_schedule_frees_each_output_after_its_last_read(monkeypatch, hw):
     """While unit i runs, only outputs that unit i or a later unit reads are alive."""
     g = cs.build_preset("pvtv2-micro")
@@ -465,7 +484,8 @@ def test_plan_ema_falls_as_the_scratchpad_grows(graph, eb, scratchpads):
 
 
 # ---------------------------------------------------------------------------
-# One group record: the printed plan is a config that reproduces it
+# One group record and one tiling record: the printed schedule is a config that
+# reproduces it
 # ---------------------------------------------------------------------------
 
 B0_GRAPH = Path(__file__).parent / "golden" / "b0-224.json"
@@ -475,6 +495,11 @@ def printed_groups(schedule: dict) -> dict:
     """Each chain unit's printed ``plan.groups``, unedited, as a ``schedule.fusion`` map."""
     chains = [u for u in schedule["units"] if u["kind"] == "chain"]
     return {str(i): u["plan"]["groups"] for i, u in enumerate(chains)}
+
+
+def printed_tilings(schedule: dict) -> dict:
+    """Each attention unit's printed ``tiling``, unedited, as a ``schedule.attention`` map."""
+    return {u["node"]: u["tiling"] for u in schedule["units"] if u["kind"] == "attention"}
 
 
 def run_stdout(config: dict, tmp: Path) -> tuple[int, str]:
@@ -488,9 +513,10 @@ def run_stdout(config: dict, tmp: Path) -> tuple[int, str]:
 
 @pytest.mark.parametrize("model", [*cs.PRESETS, "b0-224"])
 def test_printed_groups_fed_back_reproduce_the_run(model, tmp_path):
-    """``run``'s stdout, pasted groups and all, is the auto run's byte for byte, but for
-    the config echo of ``schedule.fusion``: on each preset at five scratchpads and both
-    element widths, and on the B0 golden config."""
+    """``run``'s stdout, pasted tilings and groups and all, is the auto run's byte for
+    byte, but for the config echo of ``schedule.attention`` and ``schedule.fusion``: on
+    each preset at five scratchpads and both element widths, and on the B0 golden
+    config."""
     configs = ([json.loads(B0_GRAPH.read_text())] if model == "b0-224" else
                [{"model": model, "hardware": {"scratchpad_bytes": cap, "element_bytes": eb}}
                 for cap in (2048, 4096, 8192, 65536, 262144) for eb in (1, 2)])
@@ -500,10 +526,10 @@ def test_printed_groups_fed_back_reproduce_the_run(model, tmp_path):
         if code == 2:   # nothing to print
             continue
         data = json.loads(out)
-        fusion = printed_groups(data["schedule"])
-        data["config"]["schedule"]["fusion"] = fusion
-        config = dict(config, schedule=dict(config.get("schedule", {}), attention="auto",
-                                            fusion=fusion))
+        fixed = {"attention": printed_tilings(data["schedule"]),
+                 "fusion": printed_groups(data["schedule"])}
+        data["config"]["schedule"].update(fixed)
+        config = dict(config, schedule=dict(config.get("schedule", {}), **fixed))
         assert run_stdout(config, tmp_path) == (
             code, json.dumps(data, sort_keys=True, indent=2) + "\n"), config["hardware"]
         fed_back += 1
@@ -514,17 +540,18 @@ def test_printed_groups_fed_back_reproduce_the_run(model, tmp_path):
 @given(whole_graphs().map(graph_from_dict), st.sampled_from(SCRATCHPADS),
        st.sampled_from([1, 2]))
 def test_printed_groups_fed_back_reproduce_the_plan(g, scratchpad, eb):
-    """Plan only: under ``fusion`` and ``full``, each chain's printed groups, fed back
-    as ``schedule.fusion``, give the same ``schedule.to_dict()``."""
+    """Plan only: under each named schedule, each attention unit's printed tiling and
+    each chain's printed groups, fed back as ``schedule.attention`` and
+    ``schedule.fusion``, give the same ``schedule.to_dict()``."""
     hw, tables = HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb), {}
-    for name in ("fusion", "full"):
-        attention, fusion = cli.SCHEDULE_PRESETS[name]
+    for name, modes in cli.SCHEDULE_PRESETS.items():
         try:
-            printed = json.loads(json.dumps(pipeline.plan_network(g, hw, attention, fusion,
+            printed = json.loads(json.dumps(pipeline.plan_network(g, hw, *modes,
                                                                   tables).to_dict()))
         except cs.CapacityError:
             continue
-        again = pipeline.plan_network(g, hw, attention, printed_groups(printed), tables)
+        again = pipeline.plan_network(g, hw, printed_tilings(printed), printed_groups(printed),
+                                      tables)
         assert json.loads(json.dumps(again.to_dict())) == printed, name
 
 
@@ -569,6 +596,49 @@ def test_no_fed_back_partition_beats_the_search(g, scratchpad, eb, seed):
                 continue
             fixed = [u for u in units if isinstance(u, pipeline.ChainUnit)][index]
             assert fixed.plan.total_ema >= unit.plan.total_ema, fusion
+
+
+def one_step_neighbours(tiling, dims) -> list[dict]:
+    """The ``schedule.attention`` records one step from searched ``tiling`` on a layer of
+    ``dims``: the next smaller and next larger divisor t_q, the neighbouring divisor t_k
+    under streaming, and the mode flipped (a streaming t_k is then N_r)."""
+    choice = {"t_q": tiling.t_q, "t_k": tiling.t_k, "mode": tiling.mode.value}
+    streaming = tiling.mode is ResidencyMode.STREAMING_KV
+    steps = []
+    for key, extent in (("t_q", dims.N), ("t_k", dims.N_r))[:1 + streaming]:
+        sizes = workload.divisors(extent)
+        i = sizes.index(choice[key])
+        steps += [dict(choice, **{key: sizes[j]}) for j in (i - 1, i + 1)
+                  if 0 <= j < len(sizes)]
+    flipped = ResidencyMode.RESIDENT_KV if streaming else ResidencyMode.STREAMING_KV
+    return [*steps, dict(choice, mode=flipped.value, t_k=dims.N_r)]
+
+
+@pytest.mark.parametrize("scratchpad", [2048, 8192, 65536])
+def test_no_one_step_neighbour_beats_the_searched_tiling(scratchpad):
+    """Plan only: on every preset, each attention unit's one-step neighbours, fed back
+    in place of its printed tiling, are infeasible or cost that unit's row at least the
+    EMA of the auto plan's. This checks the search through the path a fixed tiling
+    takes."""
+    hw, checked = HardwareConfig(scratchpad_bytes=scratchpad), 0
+    for preset in cs.PRESETS:
+        g, tables = cs.build_preset(preset), {}
+        try:
+            auto = pipeline.plan_network(g, hw, "auto", "auto", tables).units
+        except cs.CapacityError:
+            continue
+        attention = [(i, u) for i, u in enumerate(auto) if isinstance(u, pipeline.AttentionUnit)]
+        printed = {u.node.id: u.tiling.to_dict() for _, u in attention}
+        for i, unit in attention:
+            for record in one_step_neighbours(unit.tiling, unit.dims):
+                try:
+                    units = pipeline.plan_network(g, hw, dict(printed, **{unit.node.id: record}),
+                                                  "auto", tables).units
+                except cs.CapacityError:
+                    continue
+                assert units[i].row["ema_bytes"] >= unit.row["ema_bytes"], (preset, record)
+                checked += 1
+    assert checked >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,22 @@ print the tables with::
     PYTHONPATH=src python tests/test_schema.py
 
 The property runs ``cli.main`` on a config of ``segformer-micro`` or ``pvtv2-micro``
-that gives every part: the graph inline, all hardware fields, a fixed streaming tiling,
-a fixed fusion group on chain 0, and pruning. It sets each field in turn:
+that gives every part: the graph inline, all hardware fields, a fixed streaming tiling
+on each attention layer, a fixed fusion group on chain 0, and pruning. It sets each
+field in turn (of the first attention layer's tiling, for ``schedule.attention``):
 
 * to a value outside its declared bounds, of the wrong type, or a boolean: exit 1,
-  no stdout, and stderr names the field. A derived field (a fusion group's
-  ``weights_resident``, ``ema_bytes``, ``extra_macs`` and ``buffer_bytes``, default
-  None) is also rejected at any value but the one recomputed from the group, and at
-  that value it changes nothing;
+  no stdout, and stderr names the field. A derived field (default None: a fusion
+  group's ``weights_resident``, ``ema_bytes``, ``extra_macs`` and ``buffer_bytes``,
+  and a tiling's ``element_bytes``, ``ema_bytes`` and ``buffer_bytes``) is also
+  rejected at any value but the one recomputed from its record, and at that value it
+  changes nothing;
 * to another legal value: ``report``, ``schedule``, ``pruning`` or
   ``adjusted_report`` changes (the hardware and seed that a report echoes do not
   count), or the schedule is infeasible (exit 2), or a rule across fields rejects the
   config (exit 1, no stdout): a node's channels must match its input, a fixed
-  tiling must fit every attention layer of the graph, and an add's ``residual_of``
-  must name the earlier of its two predecessors, say.
+  tiling's sizes must fit its attention layer, and an add's ``residual_of`` must
+  name the earlier of its two predecessors, say.
 
 Each example draws one bad and one legal value for every field (for a node field, of
 one node of its kind); ``EXEMPT`` lists the fields whose legal values need not change
@@ -73,6 +75,9 @@ KINDS = {"conv2d node": "conv2d", "downsample node": "downsample",
 # fields a config may give only at the value recomputed from the others (default None)
 DERIVED = {(part, f.name) for part, (cls, names) in PARTS.items() for f in fields(cls)
            if f.default is None and (names is None or f.name in names)}
+# fields whose default depends on another field of their part, with that dependence
+CONDITIONAL = {("schedule.attention", "t_k"):
+               "required under `streaming_kv`, derived (the layer's N_r) under `resident_kv`"}
 # fields whose legal values need not change the result, each with its reason
 EXEMPT = {
     ("top level", "tolerance"): "it only gates equivalence_ok and the exit code",
@@ -127,7 +132,7 @@ def schema_tables() -> str:
             least, most = (f.metadata.get(k) for k in ("least", "most"))
             lines.append(f"| `{f.name}` | {type_name(hints[f.name])} | "
                          f"{'' if least is None else least} | {'' if most is None else most} | "
-                         f"{default_text(f)} |")
+                         f"{CONDITIONAL.get((part, f.name)) or default_text(f)} |")
         lines.append("")
     return "\n".join(lines)
 
@@ -158,7 +163,8 @@ def base_config(preset: str) -> str:
                             "nodes": nodes}},
         "hardware": HardwareConfig().to_dict(),
         "schedule": {
-            "attention": {"t_q": 2, "t_k": 4, "mode": "streaming_kv"},
+            "attention": {n.id: {"t_q": 2, "t_k": 4, "mode": "streaming_kv"}
+                          for n in graph.nodes if isinstance(n.op, Attention)},
             "fusion": {"0": [{"start": 0, "end": len(chain) - 1, "tile": [4, 4],
                               "policy": "recompute"}]},
             "pruning": {"theta_attn": 0.01, "theta_act": 0.001, "granularity": "element"}},
@@ -177,6 +183,9 @@ def locate(config: dict, part: str, node_id: str | None) -> tuple[dict, str]:
         return config["hardware"], "hardware."
     if part == "schedule.fusion group":
         return config["schedule"]["fusion"]["0"][0], "schedule.fusion group "
+    if part == "schedule.attention":
+        layer = next(iter(config["schedule"]["attention"]))
+        return config["schedule"]["attention"][layer], f"{layer}: schedule.attention."
     return config["schedule"][part.split(".")[1]], f"{part}."
 
 
@@ -255,9 +264,13 @@ def test_every_field_changes_the_result_or_is_rejected(preset, data, tmp_path_fa
     code, out, err = run(base, tmp)
     assert (code, err) == (0, ""), err
     base_result = result(out)
-    # chain 0's one fixed group, as run printed it: its derived fields' recomputed values
-    chain = next(u for u in base_result["schedule"]["units"] if u["kind"] == "chain")
-    group = chain["plan"]["groups"][0]
+    # chain 0's one fixed group and the first attention layer's tiling, as run printed
+    # them: their derived fields' recomputed values
+    units = base_result["schedule"]["units"]
+    printed = {"schedule.fusion group": next(u for u in units if u["kind"] == "chain")[
+                   "plan"]["groups"][0],
+               "schedule.attention": next(u for u in units if u["kind"] == "attention")[
+                   "tiling"]}
     for part, (cls, _) in PARTS.items():
         hints = typing.get_type_hints(cls)
         nodes = [n["id"] for n in base["model"]["graph"]["nodes"] if n["kind"] == KINDS.get(part)]
@@ -266,7 +279,7 @@ def test_every_field_changes_the_result_or_is_rejected(preset, data, tmp_path_fa
             config = copy.deepcopy(base)
             holder, prefix = locate(config, part, node_id)
             name = prefix + f.name
-            derived = group[f.name] if (part, f.name) in DERIVED else MISSING
+            derived = printed[part][f.name] if (part, f.name) in DERIVED else MISSING
             holder[f.name] = data.draw(bad_values(f, hints[f.name], derived), label=name)
             code, out, err = run(config, tmp)
             assert (code, out) == (1, ""), (name, holder[f.name], err)
@@ -283,7 +296,7 @@ def test_every_field_changes_the_result_or_is_rejected(preset, data, tmp_path_fa
                               label=f"legal {name}")
             holder[f.name] = value
             if f.name == "mode" and value == "resident_kv":
-                del holder["t_k"]   # resident K/V take no t_k
+                del holder["t_k"]   # derived under resident_kv: each layer's N_r
             code, out, err = run(config, tmp)
             assert code in (0, 1, 2, 3), (name, value, err)
             if code == 1:
