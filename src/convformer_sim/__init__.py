@@ -18,7 +18,7 @@ from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, replay,
 from .workload import (Add, Attention, AttentionDims, Conv2D, Downsample, GELU,
                        LayerNode, LayerNorm, Linear, NetworkGraph, PRESETS,
                        TensorShape, build_preset, infer_shapes, init_params,
-                       layer_macs, reference_execute)
+                       layer_work, reference_execute)
 from .attention_tiling import (AttentionTiling, ResidencyMode, SoftmaxState,
                                attention_ema, online_softmax_update,
                                schedule_attention, search_attention_tiling,

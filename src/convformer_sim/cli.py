@@ -18,7 +18,7 @@ import io
 import json
 import sys
 import threading
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -251,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig, sim: dict) -> dict:
     result = {
         "config": cfg.resolved_dict(),
         "report": sim["report"].to_dict(),
-        "schedule": sim["schedule"].to_dict(),
+        "schedule": {"units": [u.to_dict() for u in sim["schedule"]]},
         "max_abs_deviation": sim["deviation"],
         "equivalence_ok": sim["deviation"] <= cfg.tolerance,
     }
@@ -445,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in PRESETS:
                 g = build_preset(name)
                 data.append({"name": name, "layers": len(g.nodes),
-                             "input_shape": list(g.input_shape.as_tuple())})
+                             "input_shape": list(astuple(g.input_shape))})
             emit(data, "json", None)
             return 0
 

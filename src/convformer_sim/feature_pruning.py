@@ -51,18 +51,15 @@ def prune_mask(t: np.ndarray, theta: float, granularity: Granularity
                ) -> tuple[np.ndarray, float]:
     """Boolean mask (True = pruned) and pruned fraction.
 
-    ROW/COLUMN prune a whole vector only when every element is below theta;
-    rows are the last axis, columns the second-to-last.
+    ROW/COLUMN prune a whole vector when its largest magnitude is below theta;
+    rows lie along the last axis, columns along the second-to-last.
     """
     a = np.abs(t)
     if granularity is Granularity.ELEMENT:
         mask = a < theta
-    elif granularity is Granularity.ROW:
-        rows = a.max(axis=-1, keepdims=True) < theta
-        mask = np.broadcast_to(rows, t.shape).copy()
     else:
-        cols = a.max(axis=-2, keepdims=True) < theta
-        mask = np.broadcast_to(cols, t.shape).copy()
+        axis = -1 if granularity is Granularity.ROW else -2
+        mask = np.broadcast_to(a.max(axis=axis, keepdims=True) < theta, t.shape).copy()
     return mask, float(mask.sum()) / mask.size
 
 

@@ -23,7 +23,7 @@ from .errors import CapacityError, ConfigError, SelfCheckError
 from .hwmodel import (CostReport, HardwareConfig, ScratchpadSim, Txn, build_report,
                       check_derived, parse_fields, replay)
 from .workload import (Attention, AttentionDims, LayerNode, NetworkGraph, attention_dims,
-                       attention_forward, layer_macs, layer_vector_ops, projection_passes)
+                       attention_forward, layer_work, projection_passes)
 
 
 @dataclass
@@ -86,20 +86,12 @@ class AddUnit:
         return {"kind": "add", "node": self.nodes[0].id}
 
 
-@dataclass
-class NetworkSchedule:
-    units: list[ChainUnit | AttentionUnit | AddUnit]
-
-    def to_dict(self) -> dict:
-        return {"units": [u.to_dict() for u in self.units]}
-
-
 def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                  attention_mode: str | dict = "auto",
                  fusion_mode: str | dict = "auto", tables: dict | None = None
-                 ) -> NetworkSchedule:
-    """Build the unit schedule: fusion plans per chain, tilings per attention, and
-    each unit's breakdown row.
+                 ) -> list[ChainUnit | AttentionUnit | AddUnit]:
+    """Build the schedule, its list of units: fusion plans per chain, tilings per
+    attention, and each unit's breakdown row.
 
     A dict ``attention_mode`` maps attention layer ids to the records ``run`` prints
     (``at.fixed_tiling``); a layer it does not name runs the baseline core. Every
@@ -121,9 +113,9 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
                           "has no attention layer of that id")
 
     def row(nodes: list[LayerNode], label: str, ema: int, extra_macs: int = 0) -> dict:
+        macs, vector_ops = map(sum, zip(*(layer_work(graph, n) for n in nodes)))
         return {"unit": label, "ema_bytes": ema,   # closed forms, checked as the unit runs
-                "macs": sum(layer_macs(graph, n) for n in nodes) + extra_macs,
-                "vector_ops": sum(layer_vector_ops(graph, n) for n in nodes)}
+                "macs": macs + extra_macs, "vector_ops": vector_ops}
 
     units: list[ChainUnit | AttentionUnit | AddUnit] = []
     chain_idx = 0
@@ -163,7 +155,7 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
         except ConfigError as e:   # a field of the layer's fixed tiling
             raise ConfigError(f"{node.id}: {e}") from e
         units.append(unit)
-    return NetworkSchedule(units)
+    return units
 
 
 def _chain_plan(layers: list[lf.ChainLayer], fusion_mode: str | dict, index: int,
@@ -273,7 +265,7 @@ def add_unit_execute(a: np.ndarray, b: np.ndarray, unit: AddUnit, sim: Scratchpa
     return a + b
 
 
-def run_schedule(schedule: NetworkSchedule, x: np.ndarray,
+def run_schedule(schedule: list[ChainUnit | AttentionUnit | AddUnit], x: np.ndarray,
                  params: dict[str, dict[str, np.ndarray]], hw: HardwareConfig,
                  seed: int, reference: dict
                  ) -> tuple[np.ndarray, CostReport, list[tuple[str, float]]]:
@@ -287,11 +279,11 @@ def run_schedule(schedule: NetworkSchedule, x: np.ndarray,
     is freed after its last reader runs.
     """
     sim = ScratchpadSim(hw.scratchpad_bytes)
-    last_read = {p: i for i, u in enumerate(schedule.units) for p in u.nodes[0].preds}
+    last_read = {p: i for i, u in enumerate(schedule) for p in u.nodes[0].preds}
     values: dict[str, np.ndarray] = {}
     deviations: list[tuple[str, float]] = []
     out = x
-    for i, unit in enumerate(schedule.units):
+    for i, unit in enumerate(schedule):
         nodes, row = unit.nodes, unit.row
         ins = [values[p] for p in nodes[0].preds] or [x]
         values = {k: v for k, v in values.items() if last_read.get(k) != i}
@@ -307,7 +299,7 @@ def run_schedule(schedule: NetworkSchedule, x: np.ndarray,
             raise SelfCheckError(f"{row['unit']}: closed-form EMA {row['ema_bytes']} B "
                                  f"!= simulator {sim.ema_bytes - ema0} B")
         deviations.append((row["unit"], float(np.max(np.abs(out - reference[nodes[-1].id])))))
-    rows = [u.row for u in schedule.units]
+    rows = [u.row for u in schedule]
     report = build_report(sum(r["macs"] for r in rows), sum(r["vector_ops"] for r in rows),
                           sim, hw, breakdown=rows, seed=seed)
     return out, report, deviations

@@ -46,9 +46,6 @@ class TensorShape:
     def elements(self) -> int:
         return self.n * self.c * self.h * self.w
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n, self.c, self.h, self.w)
-
 
 # ---------------------------------------------------------------------------
 # Layer kinds
@@ -562,16 +559,19 @@ def seeded_input(graph: NetworkGraph, seed: int = 0) -> np.ndarray:
 # Cost primitives
 # ---------------------------------------------------------------------------
 
-def layer_macs(graph: NetworkGraph, node: LayerNode) -> int:
-    """Multiply-accumulate count; norm/activation layers are vector ops, not MACs."""
-    op = node.op
-    outs = graph.out_shape(node.id)
+def layer_work(graph: NetworkGraph, node: LayerNode) -> tuple[int, int]:
+    """(MACs, vector ops) of one layer. Norm, activation and add layers are vector ops;
+    an attention layer's projections and core (QK^T + AV) are MACs, and its softmax
+    map is vector ops."""
+    op, outs = node.op, graph.out_shape(node.id)
     if isinstance(op, Attention):
         dims = attention_dims(graph, node)
-        core = op.heads * 2 * dims.N * dims.N_r * op.d_head  # QK^T + AV
-        return core + sum(n_out * weights for _, _, weights, n_out
+        scores = op.heads * dims.N * dims.N_r   # the softmax map
+        projections = sum(n_out * weights for _, _, weights, n_out
                           in projection_passes(op, dims.N, dims.N_r))
-    return outs.h * outs.w * op_cost(op)[1]
+        return projections + 2 * scores * op.d_head, scores
+    return (outs.h * outs.w * op_cost(op)[1],
+            outs.elements if isinstance(op, (LayerNorm, GELU, Add)) else 0)
 
 
 def projection_passes(op: Attention, n: int, n_r: int) -> list[tuple[str, int, int, int]]:
@@ -583,17 +583,6 @@ def projection_passes(op: Attention, n: int, n_r: int) -> list[tuple[str, int, i
     sr = [("attnSR", n, w["w_sr"], n_r)] if "w_sr" in w else []
     return [("attnQ", n, w["wq"], n), *sr, ("attnK", n_r, w["wk"], n_r),
             ("attnV", n_r, w["wv"], n_r)]
-
-
-def layer_vector_ops(graph: NetworkGraph, node: LayerNode) -> int:
-    op = node.op
-    outs = graph.out_shape(node.id)
-    if isinstance(op, (LayerNorm, GELU, Add)):
-        return outs.elements
-    if isinstance(op, Attention):
-        dims = attention_dims(graph, node)
-        return dims.heads * dims.N * dims.N_r  # softmax map
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def test_criterion_5_ema_reduction_direction():
         ratios.append(tiled / untiled)
     # (b) fusion plan total strictly below the all-singleton schedule
     def network_ema(fusion_mode):
-        return sum(u.row["ema_bytes"] for u in plan_network(g, hw, "auto", fusion_mode).units)
+        return sum(u.row["ema_bytes"] for u in plan_network(g, hw, "auto", fusion_mode))
 
     fused_total, single_total = network_ema("auto"), network_ema("singleton")
     assert fused_total < single_total

@@ -453,7 +453,7 @@ class TestEquivalenceAndSelfCheckExit:
 
         def off_by_one(*args, **kwargs):
             schedule = real(*args, **kwargs)
-            (unit,) = [u for u in schedule.units if u.row["unit"] == "s0b0_attn"]
+            (unit,) = [u for u in schedule if u.row["unit"] == "s0b0_attn"]
             unit.row["ema_bytes"] += 1
             return schedule
 
@@ -1631,7 +1631,7 @@ def test_run_drops_each_reference_output_once_its_unit_is_checked(reference_timi
                         (pipeline, "add_unit_execute")):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
     sim = cli.simulate(cli.ExperimentConfig(model="pvtv2-micro"))
-    ends = [u.nodes[-1].id for u in sim["schedule"].units]
+    ends = [u.nodes[-1].id for u in sim["schedule"]]
     assert set(stored) == set(ends)
     assert len(alive_at) == len(ends)
     if reference_timing == "serial":
@@ -1929,7 +1929,7 @@ def test_run_drops_each_units_params_once_it_is_checked(reference_timing, monkey
                         (pipeline, "add_unit_execute")):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
     sim = cli.simulate(cli.ExperimentConfig(model="pvtv2-micro"))
-    units = [[n.id for n in u.nodes] for u in sim["schedule"].units]
+    units = [[n.id for n in u.nodes] for u in sim["schedule"]]
     with_params = {k for k, refs in drawn.items() if refs}
     assert set(drawn) == {k for ids in units for k in ids}
     assert len(alive_at) == len(units)

@@ -21,7 +21,7 @@ from convformer_sim.attention_tiling import ResidencyMode, search_attention_tili
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim, replay
 from convformer_sim.layer_fusion import split_into_segments
 from convformer_sim.workload import (FUSABLE_OPS, Attention, attention_dims, graph_from_dict,
-                                     init_params, layer_macs, layer_vector_ops,
+                                     init_params, layer_work,
                                      op_cost, reference_execute, seeded_input)
 from conftest import checked_run
 
@@ -42,7 +42,7 @@ def test_every_schedule_matches_reference(preset, hw):
             out, report, deviations = checked_run(g, sched, x, params, hw)
             dev = float(np.max(np.abs(out - ref)))
             assert dev <= 1e-9, (preset, att, fus, dev)
-            assert len(deviations) == len(sched.units)
+            assert len(deviations) == len(sched)
             assert all(d <= 1e-9 for _, d in deviations), (preset, att, fus, deviations)
             assert report.ema_bytes > 0
             # run_schedule itself asserts formula == counters byte-exactly
@@ -74,7 +74,7 @@ def test_fixed_streaming_tiling_applies_everywhere(hw):
     g = cs.build_preset("segformer-micro")
     spec = every_attention_layer(g, {"t_q": 2, "t_k": 2, "mode": "streaming_kv"})
     sched = pipeline.plan_network(g, hw, spec, "auto")
-    units = [u for u in sched.units if isinstance(u, pipeline.AttentionUnit)]
+    units = [u for u in sched if isinstance(u, pipeline.AttentionUnit)]
     assert len(units) == 4
     assert all(u.tiling.mode is ResidencyMode.STREAMING_KV for u in units)
 
@@ -83,7 +83,7 @@ def test_fixed_resident_tiling_resolves_tk(hw):
     g = cs.build_preset("segformer-micro")
     sched = pipeline.plan_network(g, hw, every_attention_layer(
         g, {"t_q": 2, "mode": "resident_kv"}), "auto")
-    units = [u for u in sched.units if isinstance(u, pipeline.AttentionUnit)]
+    units = [u for u in sched if isinstance(u, pipeline.AttentionUnit)]
     for u in units:
         assert u.dims == attention_dims(g, u.node, hw.element_bytes)
         assert u.tiling.t_k == u.dims.N_r  # resolved per layer
@@ -94,7 +94,7 @@ def test_attention_unit_ema_matches_execution(hw):
     params = init_params(g, 0)
     record = {}
     reference_execute(g, seeded_input(g, 0), params, record=record)
-    units = [u for u in pipeline.plan_network(g, hw).units
+    units = [u for u in pipeline.plan_network(g, hw)
              if isinstance(u, pipeline.AttentionUnit)]
     assert len(units) == sum(isinstance(n.op, Attention) for n in g.nodes)
     for unit in units:
@@ -163,18 +163,17 @@ def test_gemm_pass_blocks_shrink_to_fit():
 def test_schedule_serializes(hw):
     g = cs.build_preset("cmt-micro")
     sched = pipeline.plan_network(g, hw, "auto", "auto")
-    d = sched.to_dict()
-    kinds = {u["kind"] for u in d["units"]}
+    kinds = {u.to_dict()["kind"] for u in sched}
     assert kinds == {"chain", "attention", "add"}
 
 
 def test_macs_include_recompute_overhead():
     hw = HardwareConfig(scratchpad_bytes=4000)  # one tiled RECOMPUTE group
     g = cs.build_preset("toy-chain")
-    (unit,) = pipeline.plan_network(g, hw, "auto", "auto").units
+    (unit,) = pipeline.plan_network(g, hw, "auto", "auto")
     extra = unit.plan.total_extra_macs
     assert extra > 0
-    base = sum(layer_macs(g, n) for n in g.nodes)
+    base = sum(layer_work(g, n)[0] for n in g.nodes)
     assert unit.row["macs"] == base + extra
 
 
@@ -189,14 +188,14 @@ def test_units_cover_the_graph_and_sum_its_costs(preset, scratchpad_bytes, sched
     hw = HardwareConfig(scratchpad_bytes=scratchpad_bytes)
     g = cs.build_preset(preset)
     sched = pipeline.plan_network(g, hw, *cli.SCHEDULE_PRESETS[schedule])
-    covered = [node.id for u in sched.units for node in u.nodes]
+    covered = [node.id for u in sched for node in u.nodes]
     assert sorted(covered) == sorted(n.id for n in g.nodes)   # each exactly once
     params = init_params(g, 0)
     _, report, _ = checked_run(g, sched, seeded_input(g, 0), params, hw)
-    extra = sum(u.plan.total_extra_macs for u in sched.units
+    extra = sum(u.plan.total_extra_macs for u in sched
                 if isinstance(u, pipeline.ChainUnit))
-    assert report.macs == sum(layer_macs(g, n) for n in g.nodes) + extra
-    assert report.vector_ops == sum(layer_vector_ops(g, n) for n in g.nodes)
+    assert report.macs == sum(layer_work(g, n)[0] for n in g.nodes) + extra
+    assert report.vector_ops == sum(layer_work(g, n)[1] for n in g.nodes)
 
 
 def random_network(rng, idx):
@@ -263,7 +262,7 @@ def test_random_networks_all_schedules_equivalent(idx, hw):
         out, report, deviations = checked_run(g, sched, x, params, hw, idx)
         dev = float(np.max(np.abs(out - ref)))
         assert dev <= 1e-9, (idx, att, fus, dev)
-        assert len(deviations) == len(sched.units)
+        assert len(deviations) == len(sched)
         assert all(d <= 1e-9 for _, d in deviations), (idx, att, fus, deviations)
         # run_schedule cross-checks closed-form EMA against counters
 
@@ -319,8 +318,8 @@ def test_run_schedule_frees_each_output_after_its_last_read(monkeypatch, hw):
     """While unit i runs, only outputs that unit i or a later unit reads are alive."""
     g = cs.build_preset("pvtv2-micro")
     sched = pipeline.plan_network(g, hw)
-    firsts = [u.nodes[0] for u in sched.units]
-    lasts = [u.nodes[-1].id for u in sched.units]
+    firsts = [u.nodes[0] for u in sched]
+    lasts = [u.nodes[-1].id for u in sched]
     still_read = [{lasts.index(p) for n in firsts[i:] for p in n.preds}
                   for i in range(len(firsts))]
     outputs, alive_at = [], []
@@ -338,7 +337,7 @@ def test_run_schedule_frees_each_output_after_its_last_read(monkeypatch, hw):
         monkeypatch.setattr(owner, name, spy(getattr(owner, name)))
     params = init_params(g, 0)
     checked_run(g, sched, seeded_input(g, 0), params, hw)
-    assert len(alive_at) == len(sched.units)
+    assert len(alive_at) == len(sched)
     assert any(len(still_read[i]) < i for i in range(len(still_read)))
     for i, alive in enumerate(alive_at):
         assert alive <= still_read[i], (i, alive - still_read[i])
@@ -430,7 +429,7 @@ def test_random_graph_plans_and_executes_or_exits_2(graph, scratchpad, eb, sched
     params, x = init_params(g, 0), seeded_input(g, 0)
     out, report, deviations = checked_run(g, sched, x, params, hw)
     assert float(np.max(np.abs(out - reference_execute(g, x, params)))) <= 1e-9
-    assert len(deviations) == len(sched.units)
+    assert len(deviations) == len(sched)
     assert all(d <= 1e-9 for _, d in deviations), deviations
     assert report.scratchpad_high_water <= scratchpad
 
@@ -472,7 +471,7 @@ def test_plan_ema_falls_as_the_scratchpad_grows(graph, eb, scratchpads):
         ema = {}
         for name, modes in cli.SCHEDULE_PRESETS.items():
             try:
-                units = pipeline.plan_network(g, hw, *modes, tables).units
+                units = pipeline.plan_network(g, hw, *modes, tables)
                 ema[name] = sum(u.row["ema_bytes"] for u in units)
             except cs.CapacityError:
                 ema[name] = math.inf
@@ -542,17 +541,17 @@ def test_printed_groups_fed_back_reproduce_the_run(model, tmp_path):
 def test_printed_groups_fed_back_reproduce_the_plan(g, scratchpad, eb):
     """Plan only: under each named schedule, each attention unit's printed tiling and
     each chain's printed groups, fed back as ``schedule.attention`` and
-    ``schedule.fusion``, give the same ``schedule.to_dict()``."""
+    ``schedule.fusion``, give the same printed ``schedule``."""
     hw, tables = HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb), {}
     for name, modes in cli.SCHEDULE_PRESETS.items():
         try:
-            printed = json.loads(json.dumps(pipeline.plan_network(g, hw, *modes,
-                                                                  tables).to_dict()))
+            units = pipeline.plan_network(g, hw, *modes, tables)
+            printed = json.loads(json.dumps({"units": [u.to_dict() for u in units]}))
         except cs.CapacityError:
             continue
         again = pipeline.plan_network(g, hw, printed_tilings(printed), printed_groups(printed),
                                       tables)
-        assert json.loads(json.dumps(again.to_dict())) == printed, name
+        assert json.loads(json.dumps({"units": [u.to_dict() for u in again]})) == printed, name
 
 
 def random_groups(rng: random.Random, layers: list) -> list[dict]:
@@ -583,7 +582,7 @@ def test_no_fed_back_partition_beats_the_search(g, scratchpad, eb, seed):
     hw = HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb)
     tables, rng = {}, random.Random(seed)
     try:
-        auto = pipeline.plan_network(g, hw, "auto", "auto", tables).units
+        auto = pipeline.plan_network(g, hw, "auto", "auto", tables)
     except cs.CapacityError:
         return
     chains = [u for u in auto if isinstance(u, pipeline.ChainUnit)]
@@ -591,7 +590,7 @@ def test_no_fed_back_partition_beats_the_search(g, scratchpad, eb, seed):
         for _ in range(8):
             fusion = {str(index): random_groups(rng, unit.layers)}
             try:
-                units = pipeline.plan_network(g, hw, "auto", fusion, tables).units
+                units = pipeline.plan_network(g, hw, "auto", fusion, tables)
             except cs.CapacityError:
                 continue
             fixed = [u for u in units if isinstance(u, pipeline.ChainUnit)][index]
@@ -624,7 +623,7 @@ def test_no_one_step_neighbour_beats_the_searched_tiling(scratchpad):
     for preset in cs.PRESETS:
         g, tables = cs.build_preset(preset), {}
         try:
-            auto = pipeline.plan_network(g, hw, "auto", "auto", tables).units
+            auto = pipeline.plan_network(g, hw, "auto", "auto", tables)
         except cs.CapacityError:
             continue
         attention = [(i, u) for i, u in enumerate(auto) if isinstance(u, pipeline.AttentionUnit)]
@@ -633,7 +632,7 @@ def test_no_one_step_neighbour_beats_the_searched_tiling(scratchpad):
             for record in one_step_neighbours(unit.tiling, unit.dims):
                 try:
                     units = pipeline.plan_network(g, hw, dict(printed, **{unit.node.id: record}),
-                                                  "auto", tables).units
+                                                  "auto", tables)
                 except cs.CapacityError:
                     continue
                 assert units[i].row["ema_bytes"] >= unit.row["ema_bytes"], (preset, record)
@@ -641,15 +640,71 @@ def test_no_one_step_neighbour_beats_the_searched_tiling(scratchpad):
     assert checked >= 10
 
 
+def one_step_partitions(groups: list[dict], layers: list) -> list[list[dict]]:
+    """The ``schedule.fusion`` group lists one step from a chain's printed ``groups``, their
+    derived fields left out: a group's tile at the next smaller or next larger divisor in
+    rows or in columns; its policy flipped; two adjacent groups merged at the second's
+    tile and policy; a group split at each interior layer, the first part at its full-map
+    tile."""
+    chosen = [{k: g[k] for k in ("start", "end", "tile", "policy")} for g in groups]
+    neighbours = []
+    for i, g in enumerate(chosen):
+        before, after = chosen[:i], chosen[i + 1:]
+        out = layers[g["end"]].out_shape
+        for axis, extent in enumerate((out.h, out.w)):
+            sizes = workload.divisors(extent)
+            k = sizes.index(g["tile"][axis])
+            neighbours += [[*before, dict(g, tile=[*g["tile"][:axis], sizes[j],
+                                                   *g["tile"][axis + 1:]]), *after]
+                           for j in (k - 1, k + 1) if 0 <= j < len(sizes)]
+        flipped = "cache" if g["policy"] == "recompute" else "recompute"
+        neighbours.append([*before, dict(g, policy=flipped), *after])
+        if after:
+            neighbours.append([*before, dict(after[0], start=g["start"]), *after[1:]])
+        for cut in range(g["start"], g["end"]):
+            full = layers[cut].out_shape
+            neighbours.append([*before, dict(g, end=cut, tile=[full.h, full.w]),
+                               dict(g, start=cut + 1), *after])
+    return neighbours
+
+
+@pytest.mark.parametrize("scratchpad", [2048, 8192, 65536])
+def test_no_one_step_neighbour_beats_the_searched_groups(scratchpad):
+    """Plan only: on every preset, each chain's one-step neighbour partitions, fed back
+    in place of its printed groups while every other chain keeps its own, are infeasible
+    or cost that chain at least the auto plan's EMA. This checks the partition search
+    through the path fixed groups take."""
+    hw, checked = HardwareConfig(scratchpad_bytes=scratchpad), 0
+    for preset in cs.PRESETS:
+        g, tables = cs.build_preset(preset), {}
+        try:
+            auto = pipeline.plan_network(g, hw, "auto", "auto", tables)
+        except cs.CapacityError:
+            continue
+        printed = printed_groups({"units": [u.to_dict() for u in auto]})
+        chains = [u for u in auto if isinstance(u, pipeline.ChainUnit)]
+        for index, unit in enumerate(chains):
+            for groups in one_step_partitions(printed[str(index)], unit.layers):
+                fusion = dict(printed, **{str(index): groups})
+                try:
+                    units = pipeline.plan_network(g, hw, "auto", fusion, tables)
+                except cs.CapacityError:
+                    continue
+                fixed = [u for u in units if isinstance(u, pipeline.ChainUnit)][index]
+                assert fixed.plan.total_ema >= unit.plan.total_ema, (preset, index, groups)
+                checked += 1
+    assert checked >= 100
+
+
 # ---------------------------------------------------------------------------
 # Fusion cost tables shared by a command's plans
 # ---------------------------------------------------------------------------
 
 def planned(graph, hw, schedule, tables=None):
-    """``plan_network(...).to_dict()`` of a named schedule, or its CapacityError's text."""
+    """Each unit's ``to_dict()`` in a named schedule, or its CapacityError's text."""
     try:
-        return pipeline.plan_network(graph, hw, *cli.SCHEDULE_PRESETS[schedule],
-                                     tables).to_dict()
+        return [u.to_dict() for u in pipeline.plan_network(
+            graph, hw, *cli.SCHEDULE_PRESETS[schedule], tables)]
     except cs.CapacityError as e:
         return str(e)
 
@@ -668,6 +723,48 @@ def test_plans_from_shared_tables_equal_fresh_plans(name):
     assert tables
 
 
+def renamed(graph):
+    """``graph`` with node i renamed ``"{n - i}#"`` (n nodes), in ``preds`` and
+    ``residual_of`` too, and a function that maps those ids in a text back."""
+    old = [n.id for n in graph.nodes]
+    assert not any("#" in i for i in old)
+    new = {i: f"{len(old) - k}#" for k, i in enumerate(old)}
+    nodes = [workload.LayerNode(new[n.id], replace(n.op, residual_of=new[n.op.residual_of])
+                                if isinstance(n.op, workload.Add) else n.op,
+                                tuple(new[p] for p in n.preds)) for n in graph.nodes]
+    back = {v: k for k, v in new.items()}
+    return (workload.infer_shapes(workload.NetworkGraph(nodes, graph.input_shape)),
+            lambda text: re.sub(r"\d+#", lambda m: back[m[0]], text))
+
+
+def assert_renaming_changes_only_labels(g, hw, tables):
+    """Under each named schedule, planning the renamed ``g`` gives the plan of ``g``,
+    or its CapacityError text, once the ids are mapped back; both plans share ``tables``,
+    which key by geometry, not by node id."""
+    other, back = renamed(g)
+    for schedule in cli.SCHEDULE_PRESETS:
+        assert (back(json.dumps(planned(other, hw, schedule, tables)))
+                == json.dumps(planned(g, hw, schedule, tables))), schedule
+
+
+@pytest.mark.parametrize("name", cs.PRESETS)
+def test_renaming_every_node_changes_only_the_labels(name):
+    g = cs.build_preset(name)
+    for eb in (1, 2):
+        tables = {}
+        for scratchpad in (2048, 8192, 65536, 262144):
+            hw = HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb)
+            assert_renaming_changes_only_labels(g, hw, tables)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(whole_graphs().map(graph_from_dict), st.sampled_from(SCRATCHPADS),
+       st.sampled_from([1, 2]))
+def test_renaming_every_node_of_a_random_graph_changes_only_the_labels(g, scratchpad, eb):
+    assert_renaming_changes_only_labels(
+        g, HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb), {})
+
+
 def test_plan_replays_each_pass_geometry_once_per_hardware(monkeypatch):
     """Planning replays one capacity check per attention projection or add geometry
     and hardware: B0's 8 attention and 16 add units make 4 geometries of each, and
@@ -678,7 +775,7 @@ def test_plan_replays_each_pass_geometry_once_per_hardware(monkeypatch):
                         lambda txns, sim: replays.append(sim) or real(txns, sim))
     tables, hw = {}, HardwareConfig(scratchpad_bytes=1 << 20)
     sched = pipeline.plan_network(g, hw, "auto", "auto", tables)
-    assert sum(not isinstance(u, pipeline.ChainUnit) for u in sched.units) == 24
+    assert sum(not isinstance(u, pipeline.ChainUnit) for u in sched) == 24
     assert len(replays) == 8
     pipeline.plan_network(g, hw, "auto", "singleton", tables)
     assert len(replays) == 8

@@ -37,7 +37,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, astuple, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -159,7 +159,7 @@ def base_config(preset: str) -> str:
         nodes.append(node)
     chain = next(nodes for kind, nodes in split_into_segments(graph) if kind == "chain")
     return json.dumps({
-        "model": {"graph": {"input_shape": list(graph.input_shape.as_tuple()),
+        "model": {"graph": {"input_shape": list(astuple(graph.input_shape)),
                             "nodes": nodes}},
         "hardware": HardwareConfig().to_dict(),
         "schedule": {

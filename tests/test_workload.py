@@ -15,7 +15,7 @@ from convformer_sim.workload import (Add, Attention, Conv2D, Downsample, GELU,
                                      LayerNode, LayerNorm, Linear, NetworkGraph,
                                      TensorShape, attention_dims, attention_operands,
                                      build_preset, dense_attention, graph_from_dict,
-                                     infer_shapes, init_params, layer_macs, op_cost,
+                                     infer_shapes, init_params, layer_work, op_cost,
                                      projection_passes, reference_execute,
                                      seeded_input, sr_conv)
 
@@ -142,12 +142,12 @@ class TestLayerMacs:
     def test_conv(self):
         g = infer_shapes(NetworkGraph([LayerNode("c", Conv2D(3, 8, 3, 1, 1))],
                                       TensorShape(1, 3, 8, 8)))
-        assert layer_macs(g, g.nodes[0]) == 8 * 8 * 8 * 3 * 9  # 13824
+        assert layer_work(g, g.nodes[0])[0] == 8 * 8 * 8 * 3 * 9  # 13824
 
     def test_linear(self):
         g = infer_shapes(NetworkGraph([LayerNode("l", Linear(4, 4))],
                                       TensorShape(1, 4, 1, 2)))
-        assert layer_macs(g, g.nodes[0]) == 2 * 4 * 4
+        assert layer_work(g, g.nodes[0])[0] == 2 * 4 * 4
 
     def test_attention_core_term(self):
         # score + context on N=64, N_r=16, d=32, heads=1 contributes 65536
@@ -159,22 +159,22 @@ class TestLayerMacs:
         expected_core = 64 * 16 * 32 * 2
         proj = 64 * c * c + 2 * 16 * c * c
         sr = 16 * c * 2 ** 2  # depthwise patch reduction
-        assert layer_macs(g, g.nodes[0]) == expected_core + proj + sr
+        assert layer_work(g, g.nodes[0])[0] == expected_core + proj + sr
 
     def test_depthwise_is_dense_over_cin(self):
         dense = NetworkGraph([LayerNode("c", Conv2D(8, 8, 3, 1, 1))],
                              TensorShape(1, 8, 8, 8))
         dw = NetworkGraph([LayerNode("c", Conv2D(8, 8, 3, 1, 1, groups=8))],
                           TensorShape(1, 8, 8, 8))
-        md = layer_macs(infer_shapes(dense), dense.nodes[0])
-        mw = layer_macs(infer_shapes(dw), dw.nodes[0])
+        md = layer_work(infer_shapes(dense), dense.nodes[0])[0]
+        mw = layer_work(infer_shapes(dw), dw.nodes[0])[0]
         assert mw * 8 == md
 
     def test_norm_and_activation_are_zero_macs(self):
         nodes = [LayerNode("n", LayerNorm()), LayerNode("g", GELU(), ("n",))]
         g = infer_shapes(NetworkGraph(nodes, TensorShape(1, 4, 4, 4)))
-        assert layer_macs(g, g.nodes[0]) == 0
-        assert layer_macs(g, g.nodes[1]) == 0
+        assert layer_work(g, g.nodes[0])[0] == 0
+        assert layer_work(g, g.nodes[1])[0] == 0
 
 
 def test_divisors_equal_brute_force():
