@@ -34,7 +34,8 @@ from .workload import (Attention, GELU, LayerNode, Linear, NetworkGraph, PRESETS
                        seeded_input)
 
 # A graph whose largest activation (input included) has at most this many elements runs its
-# reference before its schedule: overlapping them made micro-sweeps wall_s 21% slower.
+# reference before its schedule: overlapping them made micro-sweeps wall_s 21% slower, and
+# its three ops 27% slower in-process when re-measured (140.2 -> 177.7 ms, 2 vCPUs).
 SERIAL_MAX_ELEMENTS = 1 << 15
 
 SCHEDULE_PRESETS = {
@@ -62,7 +63,7 @@ class ExperimentConfig:
             "pruning": "off" if self.pruning is None else dict(
                 asdict(self.pruning), granularity=self.pruning.granularity.value),
         }
-        return {"model": self.model, "hardware": self.hardware.to_dict(),
+        return {"model": self.model, "hardware": asdict(self.hardware),
                 "schedule": sched, "seed": self.seed, "tolerance": self.tolerance}
 
 
@@ -150,7 +151,7 @@ class Params(dict):
 class Reference:
     """The reference run of one model and seed, shared by a command's rows. It keeps
     unit-boundary outputs (alike in every schedule) and, if pruning, the GELUs that
-    ``pruning_points`` names; ``tables`` holds the rows' plan caches
+    ``pruning_points`` names; ``tables`` holds the rows' fusion cost tables
     (``pipeline.plan_network``; unused if ``release``) and ``last`` the (unpruned
     config, simulation) of the last row that ran its schedule."""
 
@@ -250,13 +251,13 @@ def run_experiment(cfg: ExperimentConfig, sim: dict) -> dict:
     """The ``run`` result of ``cfg`` from its row ``sim`` (``simulate(cfg)``)."""
     result = {
         "config": cfg.resolved_dict(),
-        "report": sim["report"].to_dict(),
+        "report": asdict(sim["report"]),
         "schedule": {"units": [u.to_dict() for u in sim["schedule"]]},
         "max_abs_deviation": sim["deviation"],
         "equivalence_ok": sim["deviation"] <= cfg.tolerance,
     }
     if "pruning" in sim:
-        result.update(pruning=sim["pruning"], adjusted_report=sim["adjusted_report"].to_dict())
+        result.update(pruning=sim["pruning"], adjusted_report=asdict(sim["adjusted_report"]))
     return result
 
 
@@ -291,7 +292,7 @@ def pruning_analysis(graph: NetworkGraph, record: dict[str, np.ndarray],
             _, stats = fp.prune_activation_map(tok, cfg.theta_act, cfg.granularity,
                                                linear.c_out)
         layers.append({"node": node.id, "point": "attention" if linear is None else "activation",
-                       **stats.to_dict()})
+                       **asdict(stats)})
     return layers
 
 

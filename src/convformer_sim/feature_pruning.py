@@ -12,7 +12,7 @@ use strict inequality (|x| < theta), so theta = 0 prunes nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -42,9 +42,6 @@ class SparsityStats:
     output_mse: float = 0.0
     output_cosine: float = 1.0
     elided_output_elems: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def prune_mask(t: np.ndarray, theta: float, granularity: Granularity

@@ -137,9 +137,6 @@ class HardwareConfig:
             # EMA minimization is meaningless if DRAM is not the expensive level.
             raise ConfigError("hardware.e_dram must exceed e_sram")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, *parts: dict) -> "HardwareConfig":
         """The config of ``hardware`` parts, a later part's fields winning."""
@@ -267,9 +264,6 @@ class CostReport:
     CSV_FIELDS = ("ema_bytes", "macs", "vector_ops", "sram_accesses",
                   "cycles", "energy_pj", "scratchpad_high_water")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def price(macs: int, ema_bytes: int, sram_accesses: int,
           hw: HardwareConfig) -> tuple[int, float]:
@@ -295,6 +289,6 @@ def build_report(macs: int, vector_ops: int, sim: ScratchpadSim,
         energy_pj=energy,
         scratchpad_high_water=sim.high_water,
         breakdown=breakdown or [],
-        hardware=hw.to_dict(),
+        hardware=asdict(hw),
         seed=seed,
     )

@@ -96,7 +96,7 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
     A dict ``attention_mode`` maps attention layer ids to the records ``run`` prints
     (``at.fixed_tiling``); a layer it does not name runs the baseline core. Every
     group, core and pass is capacity-checked here, before anything executes; ``tables``,
-    which calls may share, keeps fusion cost tables, attention searches and passed replays.
+    which calls may share, keeps the fusion cost tables (``lf._candidate_table``).
     """
     tables = {} if tables is None else tables
     segments = lf.split_into_segments(graph)
@@ -132,24 +132,18 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
         try:   # capacity-check the core, then replay the unit's passes without compute
             if isinstance(node.op, Attention):
                 dims = attention_dims(graph, node, eb)
-                if attention_mode == "auto":   # one search per geometry and hardware
-                    tiling = tables[dims, hw] = (tables.get((dims, hw))
-                                                 or at.search_attention_tiling(dims, hw))
-                else:   # a layer that a map does not name runs the baseline core
-                    tiling = at.fixed_tiling(records.get(node.id, "baseline"), dims, hw)
+                # a layer that a map does not name runs the baseline core
+                tiling = (at.search_attention_tiling(dims, hw) if attention_mode == "auto"
+                          else at.fixed_tiling(records.get(node.id, "baseline"), dims, hw))
                 # each pass moves its input, weights and output once (``_gemm_pass``)
                 ema = at.attention_ema(dims, tiling) + eb * sum(
                     (n_in + n_out) * dims.heads * dims.d + weights
                     for _, n_in, weights, n_out in projection_passes(node.op, dims.N, dims.N_r))
-                key, unit = (node.op, dims, hw), AttentionUnit(nodes, dims, tiling,
-                                                               row(nodes, node.id, ema))
+                unit = AttentionUnit(nodes, dims, tiling, row(nodes, node.id, ema))
             else:   # an add: shape inference leaves no other barrier
                 elems = graph.out_shape(node.id).elements
-                key, unit = (elems, hw), AddUnit(nodes, elems,
-                                                 row(nodes, node.id, 3 * elems * eb))
-            if key not in tables:   # one replay per geometry and hardware that passes
-                replay(unit.passes(hw), ScratchpadSim(hw.scratchpad_bytes))
-                tables[key] = True
+                unit = AddUnit(nodes, elems, row(nodes, node.id, 3 * elems * eb))
+            replay(unit.passes(hw), ScratchpadSim(hw.scratchpad_bytes))
         except CapacityError as e:
             raise CapacityError(e.requested, e.available, f"{node.id}: {e.what}") from e
         except ConfigError as e:   # a field of the layer's fixed tiling

@@ -165,7 +165,7 @@ class TestSparseCostAdjust:
     def test_zero_stats_identity(self, hw):
         rep = report_for(1000, 256, hw)
         adj = sparse_cost_adjust(rep, SparsityStats(), hw)
-        assert adj.to_dict() == rep.to_dict()
+        assert adj == rep
 
     def test_all_macs_skipped_floors_at_bandwidth(self, hw):
         rep = report_for(10_000, 1600, hw)

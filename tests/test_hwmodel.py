@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from convformer_sim.errors import CapacityError, ConfigError, SelfCheckError
@@ -161,7 +163,7 @@ def test_report_serialization_roundtrip():
     sim.alloc("x", 16)
     sim.load("x", 16)
     r = build_report(5, 1, sim, hw, seed=3)
-    d = json.loads(json.dumps(r.to_dict(), sort_keys=True))
+    d = json.loads(json.dumps(asdict(r), sort_keys=True))
     assert d["ema_bytes"] == 16 and d["seed"] == 3
     assert d["hardware"]["scratchpad_bytes"] == hw.scratchpad_bytes
     assert all(f in d for f in r.CSV_FIELDS)

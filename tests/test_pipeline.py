@@ -765,22 +765,21 @@ def test_renaming_every_node_of_a_random_graph_changes_only_the_labels(g, scratc
         g, HardwareConfig(scratchpad_bytes=scratchpad, element_bytes=eb), {})
 
 
-def test_plan_replays_each_pass_geometry_once_per_hardware(monkeypatch):
-    """Planning replays one capacity check per attention projection or add geometry
-    and hardware: B0's 8 attention and 16 add units make 4 geometries of each, and
-    a plan sharing the tables replays only for hardware it has not seen."""
+def test_plan_replays_every_barrier_unit_and_shares_only_fusion_tables(monkeypatch):
+    """Each plan replays one capacity check per attention or add unit, B0's 8 and 16,
+    also when it shares ``tables`` with an earlier plan: they hold fusion cost tables
+    alone."""
     g = graph_from_dict(json.loads(B0_GRAPH.read_text())["model"]["graph"])
     replays, real = [], pipeline.replay
     monkeypatch.setattr(pipeline, "replay",
                         lambda txns, sim: replays.append(sim) or real(txns, sim))
     tables, hw = {}, HardwareConfig(scratchpad_bytes=1 << 20)
     sched = pipeline.plan_network(g, hw, "auto", "auto", tables)
-    assert sum(not isinstance(u, pipeline.ChainUnit) for u in sched) == 24
-    assert len(replays) == 8
+    assert sum(not isinstance(u, pipeline.ChainUnit) for u in sched) == len(replays) == 24
     pipeline.plan_network(g, hw, "auto", "singleton", tables)
-    assert len(replays) == 8
-    pipeline.plan_network(g, replace(hw, scratchpad_bytes=1 << 21), "auto", "auto", tables)
-    assert len(replays) == 16
+    assert len(replays) == 48
+    assert tables and all(isinstance(t, cs.layer_fusion._GroupTable)
+                          for t in tables.values())
 
 
 UNIT_KINDS = ("ChainUnit", "AttentionUnit", "AddUnit")

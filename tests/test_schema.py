@@ -37,7 +37,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import MISSING, astuple, fields
+from dataclasses import MISSING, asdict, astuple, fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
@@ -161,7 +161,7 @@ def base_config(preset: str) -> str:
     return json.dumps({
         "model": {"graph": {"input_shape": list(astuple(graph.input_shape)),
                             "nodes": nodes}},
-        "hardware": HardwareConfig().to_dict(),
+        "hardware": asdict(HardwareConfig()),
         "schedule": {
             "attention": {n.id: {"t_q": 2, "t_k": 4, "mode": "streaming_kv"}
                           for n in graph.nodes if isinstance(n.op, Attention)},
