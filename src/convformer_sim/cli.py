@@ -189,10 +189,15 @@ class Reference:
             stored.set()
 
     def __setitem__(self, node_id: str, out: np.ndarray) -> None:
-        """Keeps ``out`` only if ``node_id`` is a unit boundary (or a pruned GELU)."""
+        """Keeps ``out``, read-only, only if ``node_id`` is a unit boundary (or a pruned
+        GELU); so no later layer can write into it."""
         if node_id in self.stored:
+            out.flags.writeable = False
             self.outputs[node_id] = out
             self.stored[node_id].set()
+
+    def __contains__(self, node_id: str) -> bool:   # a kept output is never donated
+        return node_id in self.stored
 
     def __getitem__(self, node_id: str) -> np.ndarray:
         """Waits until ``node_id`` is stored; with ``release``, drops it and its unit's params."""

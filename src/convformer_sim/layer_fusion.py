@@ -26,7 +26,7 @@ import numpy as np
 from .errors import CapacityError, ConfigError
 from .hwmodel import HardwareConfig, ScratchpadSim, Txn, bounded, replay
 from .workload import (FUSABLE_OPS, MAX_EXTENT, LayerNode, NetworkGraph, TensorShape,
-                       divisors, layer_forward, op_cost, tile_intervals, window)
+                       divisors, keeps_layout, layer_forward, op_cost, tile_intervals, window)
 from .workload import conv2d_region  # noqa: F401  (perfbench/tracer.py wraps this alias)
 
 
@@ -454,7 +454,8 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
 
     Each compute step runs one layer on one tile; intermediate maps within a
     group never touch DRAM. The resulting counters match ``group_ema``
-    byte-exactly and the output matches the dense reference path.
+    byte-exactly and the output matches the dense reference path. A layer after
+    the first donates its tile input, under the reference's ``keeps_layout`` rule.
     """
     for group in plan.groups:   # each group reads the last one's output as ``x``
         layers = chain[group.start:group.end + 1]
@@ -470,8 +471,9 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
             if li == 0:
                 tile_val = x[:, slice(*rows[0]), slice(*cols[0])]
             node = layers[li].node
+            donate = li > 0 and keeps_layout([l.node.op for l in layers[li + 1:li + 2]])
             tile_val = layer_forward(node, [tile_val], params[node.id], rows[li + 1],
-                                     cols[li + 1], (rows[li][0], cols[li][0]))
+                                     cols[li + 1], (rows[li][0], cols[li][0]), donate)
             if li == len(layers) - 1:
                 out[:, slice(*rows[li + 1]), slice(*cols[li + 1])] = tile_val
 

@@ -315,13 +315,15 @@ def block_rows(row_elements: int) -> int:
 
 def conv2d_region(x: np.ndarray, op: Conv2D, w: np.ndarray,
                   b: np.ndarray, rows: tuple[int, int], cols: tuple[int, int],
-                  origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+                  origin: tuple[int, int] = (0, 0), donate: bool = False) -> np.ndarray:
     """Compute conv output pixels for out rows [r0,r1) x cols [c0,c1).
 
     ``x`` is a (c, h', w') array whose [0,0] pixel sits at absolute position
     ``origin``; positions outside it are zero padding. The reference executor
     passes the full tensor at origin (0,0); the fused executor passes a tile
     region. Shared so per-pixel arithmetic is identical on both paths.
+    ``donate`` lets a depthwise conv whose region is the shape of ``x`` write
+    into ``x`` and return it.
     """
     k, stride, pad, groups = window(op)
     c_in, c_out = x.shape[0], op.c_out
@@ -363,9 +365,11 @@ def conv2d_region(x: np.ndarray, op: Conv2D, w: np.ndarray,
 
     if depthwise:
         # k*k taps, row-major from zero, bias last: each pixel's float
-        # operations are the same in any region and any block, and a fresh
-        # C-contiguous result keeps later channel reductions so
-        out = np.empty((c_out, oh, ow), dtype=np.float64)
+        # operations are the same in any region and any block. A donated x
+        # takes each block's result once the block is in the window, since
+        # channels are independent; else the result is fresh and C-contiguous
+        out = (x if donate and x.shape == (c_out, oh, ow)
+               else np.empty((c_out, oh, ow), dtype=np.float64))
         acc = np.empty((len(flat), oh, cw), dtype=np.float64)
         prod = np.empty_like(acc)
         for lo in range(0, c_out, step):
@@ -380,7 +384,8 @@ def conv2d_region(x: np.ndarray, op: Conv2D, w: np.ndarray,
                               j:j + (ow - 1) * stride + 1:stride]
                 np.multiply(w[lo:lo + n, 0, i, j, None, None], tap, out=pb)
                 block += pb
-            np.add(block[:, :, :ow], b[lo:lo + n, None, None], out=out[lo:lo + n])
+            # axes reversed: numpy then writes a channel-last out 2.5x faster
+            np.add(block[:, :, :ow].T, b[lo:lo + n], out=out[lo:lo + n].T)
         return out
     padded(0)
     # every stride-th k x k window of the padded input: (c_in, oh, ow, k, k)
@@ -411,15 +416,17 @@ def layernorm(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, donate: bool = False) -> np.ndarray:
     """Tanh-form GELU, shared by every executor:
     0.5 * x * (1 + tanh(c * (x + 0.044715 * x*x*x))), in that order, over
-    blocks of ``x``'s first axis; x*x*x as numpy's x**3 is slow below 0."""
-    out = np.empty(x.shape, dtype=np.float64)
-    step = block_rows(math.prod(x.shape[1:]))
-    tmp = np.empty((min(step, len(x)), *x.shape[1:]), dtype=np.float64)
-    for lo in range(0, len(x), step):
-        xb, ob = x[lo:lo + step], out[lo:lo + step]
+    blocks of ``x``'s first axis; x*x*x as numpy's x**3 is slow below 0.
+    ``donate`` writes the result into ``x``, its axes taken in memory order."""
+    xs = x.transpose(np.argsort(x.strides, kind="stable")[::-1]) if donate else x
+    out = xs if donate else np.empty(x.shape, dtype=np.float64)
+    step = block_rows(math.prod(xs.shape[1:]))
+    tmp = np.empty((min(step, len(xs)), *xs.shape[1:]), dtype=np.float64)
+    for lo in range(0, len(xs), step):
+        xb, ob = xs[lo:lo + step], out[lo:lo + step]
         t = tmp[:len(xb)]
         np.multiply(xb, xb, out=t)
         t *= xb
@@ -430,7 +437,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
         t += 1.0
         np.multiply(0.5, xb, out=ob)
         ob *= t
-    return out
+    return x if donate else out
 
 
 def linear_tokens(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -498,18 +505,27 @@ def attention_forward(x: np.ndarray, op: Attention, p: dict[str, np.ndarray],
 # Reference execution
 # ---------------------------------------------------------------------------
 
+def keeps_layout(readers: list[LayerOp]) -> bool:
+    """Whether a layer read by ``readers`` may write into its dead input (``donate``),
+    so that its result keeps that input's memory layout. A LayerNorm's channel sums
+    round by layout, and an add passes its operands' layout on."""
+    return not any(isinstance(op, (LayerNorm, Add)) for op in readers)
+
+
 def layer_forward(node: LayerNode, inputs: list[np.ndarray], p: dict[str, np.ndarray],
                   rows: tuple[int, int] | None = None, cols: tuple[int, int] | None = None,
-                  origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+                  origin: tuple[int, int] = (0, 0), donate: bool = False) -> np.ndarray:
     """One layer, for the reference and the fused executor. A conv computes
     output rows x cols (default: all) of an input whose [0, 0] pixel sits at
-    ``origin``; the other layers are pixel- or token-wise and take their whole input."""
+    ``origin``; the other layers are pixel- or token-wise and take their whole input.
+    ``donate``, which the executors set when nothing else reads the input, lets a
+    depthwise conv or a GELU write into it."""
     op = node.op
     x = inputs[0]
     if isinstance(op, Conv2D):
         rows = rows or (0, conv_out_dim(x.shape[1], op))
         cols = cols or (0, conv_out_dim(x.shape[2], op))
-        return conv2d_region(x, op, p["w"], p["b"], rows, cols, origin)
+        return conv2d_region(x, op, p["w"], p["b"], rows, cols, origin, donate)
     if isinstance(op, Attention):
         return attention_forward(x, op, p)
     if isinstance(op, Linear):
@@ -517,7 +533,7 @@ def layer_forward(node: LayerNode, inputs: list[np.ndarray], p: dict[str, np.nda
     if isinstance(op, LayerNorm):
         return layernorm(x)
     if isinstance(op, GELU):
-        return gelu(x)
+        return gelu(x, donate)
     return inputs[0] + inputs[1]   # an add
 
 
@@ -528,17 +544,22 @@ def reference_execute(graph: NetworkGraph, x: np.ndarray,
 
     ``x`` is the float64 input (``seeded_input``), ``params`` those the schedule reads.
     ``record``, if given, gets every node's output; outputs are freed after their
-    last read unless ``record`` keeps them.
+    last read unless ``record`` keeps them (``in record``). A node donates its input
+    if it is the input's one reader and ``keeps_layout`` of its own readers.
     """
     if tuple(x.shape) != (graph.input_shape.c, graph.input_shape.h, graph.input_shape.w):
         raise ConfigError(f"input: expected {graph.input_shape}, got {x.shape}")
     last_read = {p: n.id for n in graph.nodes for p in n.preds}
+    consumers, ops = graph.consumers(), {n.id: n.op for n in graph.nodes}
     values: dict[str, np.ndarray] = {}
     out = x
     for node in graph.nodes:
         ins = [values[p] for p in node.preds] if node.preds else [x]
+        donate = (bool(node.preds) and consumers[node.preds[0]] == [node.id]
+                  and (record is None or node.preds[0] not in record)
+                  and keeps_layout([ops[r] for r in consumers[node.id]]))
         try:
-            out = layer_forward(node, ins, params[node.id])
+            out = layer_forward(node, ins, params[node.id], donate=donate)
         except MemoryError as e:
             raise ConfigError(f"{node.id}: out of memory in the reference ({e})") from e
         if not np.all(np.isfinite(out)):

@@ -1434,19 +1434,23 @@ def test_pruned_reference_keeps_only_the_gelus_pruning_reads():
 
 
 def test_reference_step_frees_non_boundary_outputs(monkeypatch):
-    """An output that is not kept is dead once its last consumer has run,
-    and every output but the kept ones once the reference step returns."""
+    """A buffer that is not kept is dead once the last consumer of the output
+    it holds has run, and every buffer but the kept ones once the reference step
+    returns. A donated buffer holds its consumer's output from then on."""
     graph = build_preset("pvtv2-micro")
     order = {n.id: i for i, n in enumerate(graph.nodes)}
     last_read = {p: order[n.id] for n in graph.nodes for p in n.preds}
     kept_ids = boundary_ids(graph)
-    outputs, stale = {}, []
+    outputs, stale, donated = {}, [], set()
     real = workload.layer_forward
 
     def spy(node, inputs, p, *args, **kwargs):
         stale.extend((node.id, k) for k, ref in outputs.items() if ref() is not None
                      and k not in kept_ids and last_read[k] < order[node.id])
         out = real(node, inputs, p, *args, **kwargs)
+        for k in [k for k, ref in outputs.items() if ref() is out]:
+            del outputs[k]   # donated: the buffer now holds this node's output
+            donated.add(k)
         outputs[node.id] = weakref.ref(out)
         return out
 
@@ -1456,11 +1460,29 @@ def test_reference_step_frees_non_boundary_outputs(monkeypatch):
     kept = ref.join()
     assert set(kept) == kept_ids
     assert stale == []
-    assert set(outputs) == set(order)
+    assert donated == {f"s{s}b0_{layer}" for s in range(4) for layer in ("fc1", "dw")}
+    assert set(outputs) == set(order) - donated
     dropped = set(outputs) - kept_ids
     assert dropped
     assert all(outputs[node_id]() is None for node_id in dropped)
     assert all(outputs[node_id]() is not None for node_id in kept_ids)
+
+
+def test_a_donation_into_a_kept_output_raises(monkeypatch):
+    """The Reference keeps each output read-only. One that claims to keep nothing
+    lets the GELU write into the attention output that it keeps: the write raises."""
+    graph = workload.graph_from_dict({"input_shape": [1, 4, 4, 4], "nodes": [
+        {"id": "a", "kind": "attention", "heads": 1, "d_head": 4},
+        {"id": "g", "kind": "gelu", "preds": ["a"]},
+        {"id": "l", "kind": "linear", "c_in": 4, "c_out": 4, "preds": ["g"]}]})
+    ref = cli.Reference(graph, 0, False)
+    ref.start()
+    assert not any(a.flags.writeable for a in ref.join().values())
+    monkeypatch.setattr(cli.Reference, "__contains__", lambda self, node_id: False)
+    ref = cli.Reference(graph, 0, False)
+    ref.start()
+    with pytest.raises(ValueError, match="read-only"):
+        ref.join()
 
 
 def test_perturbed_unit_exits_3_naming_it(monkeypatch, capsys):

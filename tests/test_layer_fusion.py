@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ from convformer_sim.errors import CapacityError, ConfigError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.layer_fusion import (FusionGroup, FusionPlan, HaloPolicy,
                                          best_group_choice, chain_from_nodes,
-                                         fused_execute, group_buffer_bytes,
-                                         group_ema, partition_chain,
+                                         fixed_tile_choice, fused_execute,
+                                         group_buffer_bytes, group_ema, partition_chain,
                                          singleton_plan, split_into_segments)
 from convformer_sim.hwmodel import replay
 from convformer_sim.layer_fusion import (POLICIES, _candidate_table, _GroupTable,
@@ -490,6 +491,44 @@ class TestFusedExecute:
                 assert np.max(np.abs(out - ref)) <= 1e-9
                 assert sim.ema_bytes == plan.total_ema
 
+
+    @pytest.mark.parametrize("tile", [(6, 5), (2, 5), (3, 1)])
+    def test_donated_tiles_keep_the_references_bytes(self, tile):
+        # each GELU writes into its linear's channel-last tile only where no
+        # LayerNorm reads it, as in the reference; LayerNorm's sums over 16
+        # channels round by layout
+        g = make_chain_graph([Linear(4, 16), GELU(), LayerNorm(), Linear(16, 16), GELU(),
+                              Conv2D(16, 16, 3, 1, 1, groups=16), GELU(), Linear(16, 16)],
+                             TensorShape(1, 4, 6, 5))
+        chain, params, x = chain_of(g), init_params(g, 0), seeded_input(g, 0)
+        hw = HardwareConfig(scratchpad_bytes=1 << 20)
+        plan = FusionPlan([fixed_tile_choice(chain, tile, RECOMPUTE, hw)])
+        out = fused_execute(chain, plan, x, ScratchpadSim(hw.scratchpad_bytes), params, hw)
+        assert out.tobytes() == reference_execute(g, x, params).tobytes()
+
+    def test_a_mix_ffn_holds_one_hidden_map(self):
+        """fc1 -> 3x3 depthwise -> GELU -> fc2 at 56x56: the depthwise conv and the
+        GELU write into fc1's 128-channel map, in the reference and in one
+        whole-map group, so neither executor holds two such maps at once."""
+        g = make_chain_graph([LayerNorm(), Linear(32, 128),
+                              Conv2D(128, 128, 3, 1, 1, groups=128), GELU(),
+                              Linear(128, 32)], TensorShape(1, 32, 56, 56))
+        chain, params, x = chain_of(g), init_params(g, 0), seeded_input(g, 0)
+        hw = HardwareConfig(scratchpad_bytes=1 << 30)
+        plan = FusionPlan([fixed_tile_choice(chain, (56, 56), RECOMPUTE, hw)])
+        hidden = 128 * 56 * 56 * 8   # bytes of one hidden map
+        sim = ScratchpadSim(hw.scratchpad_bytes)
+        for run in (lambda: reference_execute(g, x, params),
+                    lambda: fused_execute(chain, plan, x, sim, params, hw)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one hidden map and the 32-channel maps (a quarter of one each)
+            # beside it; two hidden maps would pass 2 * hidden
+            assert peak < 1.75 * hidden, peak / hidden
 
     @pytest.mark.parametrize("tile", [(2, 1), (4, 4), (1, 16)])
     @pytest.mark.parametrize("policy", [RECOMPUTE, CACHE])

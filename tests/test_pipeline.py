@@ -434,6 +434,47 @@ def test_random_graph_plans_and_executes_or_exits_2(graph, scratchpad, eb, sched
     assert report.scratchpad_high_water <= scratchpad
 
 
+B0_GRAPH = Path(__file__).parent / "golden" / "b0-224.json"
+
+
+def token_node(node_id, kind, *preds, **fields):
+    return {"id": node_id, "kind": kind, "preds": list(preds), **fields}
+
+
+# two GELUs that read a linear's channel-last map; were they to donate it, an add
+# whose other operand is channel-last too, and a LayerNorm, would get that layout.
+# 16 channels, so that LayerNorm's sums round by layout
+LAYOUT_TRAPS = {"input_shape": [1, 4, 6, 5], "nodes": [
+    token_node("fc0", "linear", c_in=4, c_out=16), token_node("ln0", "layernorm", "fc0"),
+    token_node("fc1", "linear", "ln0", c_in=16, c_out=16), token_node("g1", "gelu", "fc1"),
+    token_node("add1", "add", "g1", "ln0", residual_of="ln0"),
+    token_node("ln1", "layernorm", "add1"),
+    token_node("fc2", "linear", "ln1", c_in=16, c_out=16), token_node("g2", "gelu", "fc2"),
+    token_node("ln2", "layernorm", "g2")]}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(whole_graphs().map(graph_from_dict))
+@example(cs.build_preset("toy-chain"))
+@example(cs.build_preset("segformer-micro"))
+@example(cs.build_preset("pvtv2-micro"))
+@example(cs.build_preset("cmt-micro"))
+@example(graph_from_dict(json.loads(B0_GRAPH.read_text())["model"]["graph"]))
+@example(graph_from_dict(LAYOUT_TRAPS))
+def test_donated_reference_equals_a_full_record(g):
+    """Without a record, the reference writes dead maps over (donates them); a dict
+    record keeps every output, so it donates none. Both give the same bytes, and each
+    kept output is its layer run again on the kept inputs: no donation reached a kept
+    map, nor carried a layout into a LayerNorm or an add."""
+    params, x, full = init_params(g, 0), seeded_input(g, 0), {}
+    out = reference_execute(g, x, params)
+    assert reference_execute(g, x, params, record=full).tobytes() == out.tobytes()
+    for node in g.nodes:
+        again = workload.layer_forward(node, [full[p] for p in node.preds] or [x],
+                                       params[node.id])
+        assert again.tobytes() == full[node.id].tobytes(), node.id
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(whole_graphs().map(graph_from_dict))
 @example(cs.build_preset("toy-chain"))
@@ -486,8 +527,6 @@ def test_plan_ema_falls_as_the_scratchpad_grows(graph, eb, scratchpads):
 # One group record and one tiling record: the printed schedule is a config that
 # reproduces it
 # ---------------------------------------------------------------------------
-
-B0_GRAPH = Path(__file__).parent / "golden" / "b0-224.json"
 
 
 def printed_groups(schedule: dict) -> dict:

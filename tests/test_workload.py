@@ -426,8 +426,13 @@ def test_blocked_gelu_matches_at_any_block(block, monkeypatch):
     monkeypatch.setattr(workload, "BLOCK_ELEMENTS", block)
     rng = np.random.default_rng(block)
     x = awkward_values(rng, (7, 3, 5))
+    last = awkward_values(rng, (3, 5, 7)).transpose(2, 0, 1)   # as linear_tokens returns it
     with np.errstate(all="ignore"):
         assert workload.gelu(x).tobytes() == expr_gelu(x).tobytes()
+        for a in (x, last):   # donated: written into a, in a's memory order
+            want = expr_gelu(a).tobytes()
+            assert workload.gelu(a).tobytes() == want
+            assert workload.gelu(a, donate=True) is a and a.tobytes() == want
 
 
 def depthwise_case(rng, sr_style=False):
@@ -462,6 +467,29 @@ def test_depthwise_blocks_bit_identical_to_per_pixel_oracle(block, sr_style, mon
         got = workload.conv2d_region(x, op, w, b, rows, cols, origin=origin)
         want = loop_conv2d_region(x, op, w, b, rows, cols, origin=origin)
         assert got.tobytes() == want.tobytes(), (case, op, rows, cols, origin)
+        # donated: written into x only when the region has x's shape (no halo)
+        before = x.copy()
+        got = workload.conv2d_region(x, op, w, b, rows, cols, origin, donate=True)
+        assert got.tobytes() == want.tobytes(), (case, op, rows, cols, origin)
+        if got.shape == x.shape:
+            assert got is x
+        else:
+            assert not np.shares_memory(got, x) and x.tobytes() == before.tobytes()
+    for case in range(20):   # whole channel-last maps, as linear_tokens returns them
+        c, h, wd = (int(n) for n in rng.integers(1, 12, 3))
+        k = int(rng.choice([1, 3, 5]))
+        op = Conv2D(c, c, k, 1, k // 2, groups=c)
+        w, b = rng.standard_normal((c, 1, k, k)), rng.standard_normal(c)
+        x = awkward_values(rng, (h, wd, c)).transpose(2, 0, 1)
+        want = loop_conv2d_region(x, op, w, b, (0, h), (0, wd)).tobytes()
+        assert workload.conv2d_region(x, op, w, b, (0, h), (0, wd)).tobytes() == want
+        # a fused tile of all but the last row reads the whole map as its input
+        region = (0, h - 1), (0, wd)
+        tile = workload.conv2d_region(x, op, w, b, *region, donate=True)
+        assert tile.tobytes() == loop_conv2d_region(x, op, w, b, *region).tobytes()
+        assert not np.shares_memory(tile, x)
+        got = workload.conv2d_region(x, op, w, b, (0, h), (0, wd), donate=True)
+        assert got is x and x.tobytes() == want, (case, op)
 
 
 def test_depthwise_at_the_default_block_size():
