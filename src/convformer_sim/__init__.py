@@ -19,13 +19,13 @@ from .workload import (Add, Attention, AttentionDims, Conv2D, Downsample, GELU,
                        LayerNode, LayerNorm, Linear, NetworkGraph, PRESETS,
                        TensorShape, build_preset, infer_shapes, init_params,
                        layer_work, reference_execute)
-from .attention_tiling import (AttentionTiling, ResidencyMode, SoftmaxState,
-                               attention_ema, online_softmax_update,
-                               schedule_attention, search_attention_tiling,
-                               tiled_attention_execute, tiling_buffer_bytes)
-from .layer_fusion import (ChainLayer, FusionGroup, FusionPlan, HaloPolicy,
-                           fused_execute, group_buffer_bytes, group_ema,
-                           partition_chain, schedule_group, singleton_plan)
+from .attention_tiling import (AttentionTiling, ResidencyMode, attention_ema,
+                               online_softmax_update, schedule_attention,
+                               search_attention_tiling, tiled_attention_execute,
+                               tiling_buffer_bytes)
+from .layer_fusion import (ChainLayer, FusionGroup, HaloPolicy, fused_execute,
+                           group_buffer_bytes, group_ema, partition_chain,
+                           schedule_group, singleton_plan)
 from .feature_pruning import (Granularity, PruneConfig, SparsityStats, prune_mask,
                               pruned_attention_execute, sparse_cost_adjust)
 

@@ -25,7 +25,7 @@ test suite enforces this for the whole search grid.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -53,9 +53,6 @@ class AttentionTiling:
     element_bytes: int = None
     ema_bytes: int = None
     buffer_bytes: int = None
-
-    def to_dict(self) -> dict:
-        return dict(asdict(self), mode=self.mode.value)
 
 
 def fixed_tiling(record, dims: AttentionDims, hw: HardwareConfig) -> AttentionTiling | None:
@@ -238,27 +235,15 @@ def schedule_attention(dims: AttentionDims, tiling: AttentionTiling | None) -> l
 # Online softmax
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SoftmaxState:
-    m: np.ndarray    # running row max, (t_q,)
-    l: np.ndarray    # running row sum of exponentials, (t_q,)
-    acc: np.ndarray  # rescaled output accumulator, (t_q, d)
-
-
-def init_softmax_state(rows: int, d: int) -> SoftmaxState:
-    return SoftmaxState(m=np.full(rows, -np.inf), l=np.zeros(rows),
-                        acc=np.zeros((rows, d)))
-
-
-def online_softmax_update(state: SoftmaxState, s_block: np.ndarray,
-                          v_block: np.ndarray) -> SoftmaxState:
-    """One streaming-softmax step over a (rows x t_k) score block."""
-    m_new = np.maximum(state.m, s_block.max(axis=1))
-    scale = np.exp(state.m - m_new)  # exp(-inf) = 0 on the first block
+def online_softmax_update(m: np.ndarray, l: np.ndarray, acc: np.ndarray, s_block: np.ndarray,
+                          v_block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One streaming-softmax step over a (rows x t_k) score block: the running row max
+    ``m`` (rows,), row sum of exponentials ``l`` (rows,) and rescaled output accumulator
+    ``acc`` (rows, d), updated."""
+    m_new = np.maximum(m, s_block.max(axis=1))
+    scale = np.exp(m - m_new)  # exp(-inf) = 0 on the first block
     e = np.exp(s_block - m_new[:, None])
-    l_new = state.l * scale + e.sum(axis=1)
-    acc_new = state.acc * scale[:, None] + e @ v_block
-    return SoftmaxState(m=m_new, l=l_new, acc=acc_new)
+    return m_new, l * scale + e.sum(axis=1), acc * scale[:, None] + e @ v_block
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +268,7 @@ def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     q_tiles, k_blocks = tile_intervals(dims.N, t_q), tile_intervals(dims.N_r, t_k)
     inv_scale = 1.0 / math.sqrt(dims.d)
     out = np.empty_like(q)
-    state: SoftmaxState | None = None
+    state = None   # the streamed query tile's (m, l, acc)
 
     def compute(txn: Txn):
         nonlocal state
@@ -292,12 +277,13 @@ def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             out[h, lo:hi] = softmax_rows((q[h, lo:hi] @ k[h].T) * inv_scale) @ v[h]
         elif txn.what == "block":
             if txn.block == 0:
-                state = init_softmax_state(hi - lo, dims.d)
+                state = np.full(hi - lo, -np.inf), np.zeros(hi - lo), np.zeros((hi - lo, dims.d))
             blk = slice(*k_blocks[txn.block])
-            state = online_softmax_update(state, (q[h, lo:hi] @ k[h, blk].T) * inv_scale,
+            state = online_softmax_update(*state, (q[h, lo:hi] @ k[h, blk].T) * inv_scale,
                                           v[h, blk])
         elif txn.what == "finalize":
-            out[h, lo:hi] = state.acc / state.l[:, None]
+            _, l, acc = state
+            out[h, lo:hi] = acc / l[:, None]
 
     replay(schedule_attention(dims, tiling), sim, compute)
     return out

@@ -60,11 +60,18 @@ class ExperimentConfig:
         sched: dict = {
             "attention": self.attention,
             "fusion": self.fusion,
-            "pruning": "off" if self.pruning is None else dict(
-                asdict(self.pruning), granularity=self.pruning.granularity.value),
+            "pruning": "off" if self.pruning is None else asdict(self.pruning),
         }
         return {"model": self.model, "hardware": asdict(self.hardware),
                 "schedule": sched, "seed": self.seed, "tolerance": self.tolerance}
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; ValueError naming a repeated key (RFC 8259 §4)."""
+    if len(d := dict(pairs)) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"key {key!r} is repeated in the object with keys {sorted(d)}")
+    return d
 
 
 def load_config(path: str | None, args: argparse.Namespace,
@@ -72,13 +79,15 @@ def load_config(path: str | None, args: argparse.Namespace,
     raw: dict = {}
     if path:
         try:
-            with open(path) as f:
-                raw = json.load(f)
+            with open(path, encoding="utf-8") as f:
+                raw = json.load(f, object_pairs_hook=_unique_keys)
         except OSError as e:
             raise ConfigError(f"cannot read config {path!r}: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path!r} is not valid JSON "
                               f"(line {e.lineno}, column {e.colno}): {e.msg}")
+        except (RecursionError, ValueError) as e:   # too deep, not UTF-8, > 4,300 digits
+            raise ConfigError(f"config {path!r} cannot be read as JSON: {e}")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     check_keys("config", raw, ("model", "hardware", "schedule", "seed", "tolerance"))

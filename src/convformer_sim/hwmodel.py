@@ -33,14 +33,14 @@ def parse_number(name: str, value, integer: bool, least: int | None = None,
     try:
         if isinstance(value, bool):   # JSON true is not 1
             raise TypeError
-        number = int(str(value)) if integer else float(value)
+        number = int(str(value)) if integer or type(value) is int else float(value)
     except (TypeError, ValueError):
         noun = "an integer" if integer else "a number"
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
-    if integer and abs(number) > sys.float_info.max:  # exact: no conversion to float
+    if type(number) is int and abs(number) > sys.float_info.max:  # exact: no conversion to float
         raise ConfigError(f"{name} must be at most {sys.float_info.max:.4g}, "
                           f"got {len(str(abs(number)))} digits")
-    if not integer and not math.isfinite(number):
+    if not integer and not math.isfinite(number := float(number)):
         raise ConfigError(f"{name} must be finite, got {number}")
     if least is not None and number < least:
         raise ConfigError(f"{name} must be >= {least}, got {number}")
@@ -88,7 +88,7 @@ def check_derived(prefix: str, given: dict, record, raw: dict, basis: str) -> No
     ``given``) that is not ``record``'s: only a field derived from ``basis`` can differ."""
     for name, value in given.items():
         if getattr(record, name) != value:
-            raise ConfigError(f"{prefix}{name} must be {json.dumps(record.to_dict()[name])} "
+            raise ConfigError(f"{prefix}{name} must be {json.dumps(asdict(record)[name])} "
                               f"(derived from {basis}), got {json.dumps(raw[name])}")
 
 

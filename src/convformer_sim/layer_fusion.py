@@ -16,7 +16,7 @@ stitched between chains at DRAM granularity by the pipeline module.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
 from typing import Sequence
@@ -56,26 +56,6 @@ class FusionGroup:
     ema_bytes: int = None
     extra_macs: int = None
     buffer_bytes: int = None
-
-    def to_dict(self) -> dict:
-        return dict(asdict(self), tile=list(self.tile), policy=self.policy.value)
-
-
-@dataclass
-class FusionPlan:
-    groups: list[FusionGroup]
-
-    @property
-    def total_ema(self) -> int:
-        return sum(g.ema_bytes for g in self.groups)
-
-    @property
-    def total_extra_macs(self) -> int:
-        return sum(g.extra_macs for g in self.groups)
-
-    def to_dict(self) -> dict:
-        return {"groups": [g.to_dict() for g in self.groups],
-                "total_ema": self.total_ema, "total_extra_macs": self.total_extra_macs}
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +334,8 @@ def fixed_tile_choice(layers: Sequence[ChainLayer], tile: tuple[int, int], polic
 
 
 def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig,
-                    tables: dict | None = None) -> FusionPlan:
-    """Minimum-EMA partition of a linear chain into fusion groups.
+                    tables: dict | None = None) -> list[FusionGroup]:
+    """Minimum-EMA partition of a linear chain into fusion groups, its plan.
 
     DP over split points: plans[j], the plan of chain[0..j], is the minimum over
     i of plans[i-1] plus group(i..j), the best option over divisor tiles of layer
@@ -364,12 +344,12 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig,
     """
     table = _candidate_table(chain, hw, tables)
     choices = table.best(hw.scratchpad_bytes)
-    plans = {-1: FusionPlan([])}   # prefix end j -> its minimum (EMA, group count) plan
+    plans = {-1: []}   # prefix end j -> its minimum (EMA, group count) plan
     for j, starts in enumerate(choices):
-        cands = [FusionPlan(plans[i - 1].groups + [g]) for i, g in enumerate(starts)
+        cands = [plans[i - 1] + [g] for i, g in enumerate(starts)
                  if g is not None and i - 1 in plans]
         if cands:
-            plans[j] = min(cands, key=lambda plan: (plan.total_ema, len(plan.groups)))
+            plans[j] = min(cands, key=lambda plan: (sum(g.ema_bytes for g in plan), len(plan)))
     if len(chain) - 1 not in plans:   # then some layer fits no tile alone: name the first
         j = next(j for j, starts in enumerate(choices) if starts[j] is None)
         raise CapacityError(int(table.buf[j, j].min()), hw.scratchpad_bytes,
@@ -378,7 +358,7 @@ def partition_chain(chain: Sequence[ChainLayer], hw: HardwareConfig,
 
 
 def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig,
-                   tables: dict | None = None) -> FusionPlan:
+                   tables: dict | None = None) -> list[FusionGroup]:
     """Fusion-free baseline: every layer is its own group (full-map tile if it fits)."""
     groups: list[FusionGroup] = []
     for i, layer in enumerate(chain):
@@ -386,9 +366,9 @@ def singleton_plan(chain: Sequence[ChainLayer], hw: HardwareConfig,
         try:
             chosen = fixed_tile_choice([layer], full, HaloPolicy.RECOMPUTE, hw, tables)
         except CapacityError:
-            (chosen,) = partition_chain([layer], hw, tables).groups
+            (chosen,) = partition_chain([layer], hw, tables)
         groups.append(replace(chosen, start=i, end=i))
-    return FusionPlan(groups)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +426,7 @@ def schedule_group(layers: Sequence[ChainLayer], walks: list[tuple],
     return txns
 
 
-def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
+def fused_execute(chain: Sequence[ChainLayer], plan: list[FusionGroup], x: np.ndarray,
                   sim: ScratchpadSim,
                   params: dict[str, dict[str, np.ndarray]],
                   hw: HardwareConfig) -> np.ndarray:
@@ -457,7 +437,7 @@ def fused_execute(chain: Sequence[ChainLayer], plan: FusionPlan, x: np.ndarray,
     byte-exactly and the output matches the dense reference path. A layer after
     the first donates its tile input, under the reference's ``keeps_layout`` rule.
     """
-    for group in plan.groups:   # each group reads the last one's output as ``x``
+    for group in plan:   # each group reads the last one's output as ``x``
         layers = chain[group.start:group.end + 1]
         walks = _tile_walks(layers, group.tile)
         last = layers[-1].out_shape

@@ -12,7 +12,7 @@ network's EMA ground truth.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -29,7 +29,7 @@ from .workload import (Attention, AttentionDims, LayerNode, NetworkGraph, attent
 @dataclass
 class ChainUnit:
     layers: list[lf.ChainLayer]
-    plan: lf.FusionPlan
+    plan: list[lf.FusionGroup]
     row: dict   # {unit, ema_bytes, macs, vector_ops}, as in every unit kind
 
     @property
@@ -40,8 +40,10 @@ class ChainUnit:
         return lf.fused_execute(self.layers, self.plan, ins[0], sim, params, hw)
 
     def to_dict(self) -> dict:
-        return {"kind": "chain", "layers": [n.id for n in self.nodes],
-                "plan": self.plan.to_dict()}
+        return {"kind": "chain", "layers": [n.id for n in self.nodes], "plan": {
+            "groups": [asdict(g) for g in self.plan],
+            "total_ema": sum(g.ema_bytes for g in self.plan),
+            "total_extra_macs": sum(g.extra_macs for g in self.plan)}}
 
 
 @dataclass
@@ -67,7 +69,7 @@ class AttentionUnit:
 
     def to_dict(self) -> dict:
         return {"kind": "attention", "node": self.node.id,
-                "tiling": "baseline" if self.tiling is None else self.tiling.to_dict()}
+                "tiling": "baseline" if self.tiling is None else asdict(self.tiling)}
 
 
 @dataclass
@@ -124,8 +126,8 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
             layers = lf.chain_from_nodes(graph, nodes)
             plan = _chain_plan(layers, fusion_mode, chain_idx, hw, tables)
             label = "chain[" + ",".join(n.id for n in nodes) + "]"
-            units.append(ChainUnit(layers, plan, row(nodes, label, plan.total_ema,
-                                                     plan.total_extra_macs)))
+            units.append(ChainUnit(layers, plan, row(nodes, label, sum(g.ema_bytes for g in plan),
+                                                     sum(g.extra_macs for g in plan))))
             chain_idx += 1
             continue
         node, eb = nodes[0], hw.element_bytes
@@ -153,7 +155,7 @@ def plan_network(graph: NetworkGraph, hw: HardwareConfig,
 
 
 def _chain_plan(layers: list[lf.ChainLayer], fusion_mode: str | dict, index: int,
-                hw: HardwareConfig, tables: dict) -> lf.FusionPlan:
+                hw: HardwareConfig, tables: dict) -> list[lf.FusionGroup]:
     """Chain ``index``'s plan in ``fusion_mode``; a chain a map does not name is singleton.
 
     A map's groups are ``FusionGroup`` records, as ``run`` prints them: each group is
@@ -181,7 +183,7 @@ def _chain_plan(layers: list[lf.ChainLayer], fusion_mode: str | dict, index: int
         covered = end + 1
     if covered != len(layers):
         raise ConfigError("schedule.fusion groups do not cover the whole chain")
-    return lf.FusionPlan(groups)
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from convformer_sim.attention_tiling import (AttentionTiling, ResidencyMode,
 from convformer_sim.errors import CapacityError
 from convformer_sim.feature_pruning import PruneConfig, pruned_attention_execute
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
-from convformer_sim.layer_fusion import (FusionGroup, FusionPlan, HaloPolicy,
+from convformer_sim.layer_fusion import (FusionGroup, HaloPolicy,
                                          best_group_choice, chain_from_nodes,
                                          fused_execute, group_buffer_bytes,
                                          partition_chain, singleton_plan,
@@ -170,7 +170,7 @@ def test_criterion_3_counter_formula_agreement():
                      singleton_plan(chain, HardwareConfig())):
             sim = ScratchpadSim(1 << 30)
             fused_execute(chain, plan, xin, sim, params, HardwareConfig())
-            assert sim.ema_bytes == plan.total_ema
+            assert sim.ema_bytes == sum(group.ema_bytes for group in plan)
             fusion_cases += 1
         if len(chain) >= 2:
             last = chain[-1].out_shape
@@ -178,8 +178,7 @@ def test_criterion_3_counter_formula_agreement():
             for policy in (HaloPolicy.RECOMPUTE, HaloPolicy.CACHE):
                 from convformer_sim.layer_fusion import group_ema
                 ema, extra = group_ema(chain, tile, policy, True, hw)
-                plan = FusionPlan([FusionGroup(0, len(chain) - 1, tile, policy,
-                                               True, ema, extra, 0)])
+                plan = [FusionGroup(0, len(chain) - 1, tile, policy, True, ema, extra, 0)]
                 sim = ScratchpadSim(1 << 30)
                 fused_execute(chain, plan, xin, sim, params, hw)
                 assert sim.ema_bytes == ema
@@ -256,7 +255,7 @@ def test_criterion_4_search_optimality():
             if ok and (best is None or total < best):
                 best = total
         plan = partition_chain(chain, hw)
-        assert plan.total_ema == best, cap
+        assert sum(group.ema_bytes for group in plan) == best, cap
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 4 PASS: tiling search optimal on {searched} dim/hw "
@@ -402,8 +401,7 @@ def test_criterion_8_capacity_soundness_fuzz():
         hw = HardwareConfig(scratchpad_bytes=cap)
         params = init_params(g, 0)
         x = seeded_input(g, 0)
-        plan = FusionPlan([FusionGroup(0, depth - 1, tile, policy, resident,
-                                       0, 0, 0)])
+        plan = [FusionGroup(0, depth - 1, tile, policy, resident, 0, 0, 0)]
         try:
             group_buffer_bytes(chain, tile, policy, resident, hw)
             feasible = True

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from convformer_sim.attention_tiling import (AttentionTiling, ResidencyMode,
-                                             attention_ema, init_softmax_state,
-                                             online_softmax_update, replay,
+                                             attention_ema, online_softmax_update, replay,
                                              schedule_attention,
                                              search_attention_tiling,
                                              tiled_attention_execute,
@@ -290,44 +289,47 @@ def test_one_compute_touch_per_query_tile_or_kv_block(n, n_r, d, heads):
 # Online softmax
 # ---------------------------------------------------------------------------
 
+def fresh_state(rows: int, d: int) -> tuple:
+    """The (running max, running sum, accumulator) before a query tile's first block."""
+    return np.full(rows, -np.inf), np.zeros(rows), np.zeros((rows, d))
+
+
 def test_first_block_equals_plain_softmax_stats(rng):
     s = rng.normal(size=(4, 6))
     v = rng.normal(size=(6, 3))
-    state = online_softmax_update(init_softmax_state(4, 3), s, v)
+    m_run, l_run, _ = online_softmax_update(*fresh_state(4, 3), s, v)
     m = s.max(axis=1)
-    np.testing.assert_allclose(state.m, m)
-    np.testing.assert_allclose(state.l, np.exp(s - m[:, None]).sum(axis=1))
+    np.testing.assert_allclose(m_run, m)
+    np.testing.assert_allclose(l_run, np.exp(s - m[:, None]).sum(axis=1))
 
 
 def test_single_block_equals_dense(rng):
     s = rng.normal(size=(5, 8))
     v = rng.normal(size=(8, 3))
-    state = online_softmax_update(init_softmax_state(5, 3), s, v)
-    np.testing.assert_allclose(state.acc / state.l[:, None], softmax_rows(s) @ v,
-                               atol=1e-14)
+    _, l, acc = online_softmax_update(*fresh_state(5, 3), s, v)
+    np.testing.assert_allclose(acc / l[:, None], softmax_rows(s) @ v, atol=1e-14)
 
 
 def test_two_block_split_equals_one_block(rng):
     s = rng.normal(size=(4, 4))
     v = rng.normal(size=(4, 5))
-    one = online_softmax_update(init_softmax_state(4, 5), s, v)
-    st = init_softmax_state(4, 5)
-    st = online_softmax_update(st, s[:, :2], v[:2])
-    st = online_softmax_update(st, s[:, 2:], v[2:])
-    np.testing.assert_allclose(st.acc / st.l[:, None], one.acc / one.l[:, None],
-                               atol=1e-12)
+    _, one_l, one_acc = online_softmax_update(*fresh_state(4, 5), s, v)
+    st = fresh_state(4, 5)
+    st = online_softmax_update(*st, s[:, :2], v[:2])
+    _, l, acc = online_softmax_update(*st, s[:, 2:], v[2:])
+    np.testing.assert_allclose(acc / l[:, None], one_acc / one_l[:, None], atol=1e-12)
 
 
 def test_partial_prefix_matches_dense_recompute(rng):
     # after each block, acc/l equals the softmax-weighted V over blocks so far
     s = rng.normal(size=(3, 12))
     v = rng.normal(size=(12, 4))
-    st = init_softmax_state(3, 4)
+    st = fresh_state(3, 4)
     for b in range(4):
-        st = online_softmax_update(st, s[:, 3 * b:3 * b + 3], v[3 * b:3 * b + 3])
+        st = online_softmax_update(*st, s[:, 3 * b:3 * b + 3], v[3 * b:3 * b + 3])
+        _, l, acc = st
         seen = 3 * (b + 1)
-        np.testing.assert_allclose(st.acc / st.l[:, None],
-                                   softmax_rows(s[:, :seen]) @ v[:seen],
+        np.testing.assert_allclose(acc / l[:, None], softmax_rows(s[:, :seen]) @ v[:seen],
                                    atol=1e-12)
 
 

@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import functools
 import importlib.util
 import io
 import json
@@ -10,7 +12,7 @@ import threading
 import time
 import weakref
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -921,6 +923,46 @@ def test_missing_config_file_exits_1_naming_it(tmp_path, capsys):
     assert f"cannot read config {path!r}" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    # 100,000 nested arrays were a RecursionError traceback from json
+    (b"[" * 100_000, "maximum recursion depth exceeded while decoding a JSON array"),
+    # a file that is not UTF-8 was a UnicodeDecodeError traceback
+    (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0"),
+    # a number of more than 4,300 digits was a ValueError traceback
+    (b'{"seed": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    # a repeated key ran on its last value: the first was neither used nor rejected
+    (b'{"model": "toy-chain", "seed": 1, "seed": 2}',
+     "key 'seed' is repeated in the object with keys ['model', 'seed']"),
+    (b'{"hardware": {"pe_count": 4, "e_dram": 50.5, "pe_count": 4}}',
+     "key 'pe_count' is repeated in the object with keys ['e_dram', 'pe_count']"),
+], ids=["too-deep", "not-utf-8", "huge-number", "repeated-key", "repeated-nested-key"])
+def test_unreadable_config_file_exits_1_naming_it(content, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(["run", "--config", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"config error: config {str(path)!r} cannot be read as JSON: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--config", {"hardware": {"e_dram": 10**400}}], "hardware.e_dram"),
+    (["--config", {"tolerance": 10**400}], "tolerance"),
+    (["--config", {"schedule": {"pruning": {"theta_attn": 10**400}}}],
+     "schedule.pruning.theta_attn"),
+    (["sweep", "--axis", "theta_act", "--values", str(10**400)], "theta_act"),
+])
+def test_integer_past_the_float_range_in_a_float_field_exits_1_naming_it(argv, field,
+                                                                          tmp_path, capsys):
+    # a JSON or --values integer of 401 digits in a float field was an OverflowError
+    # traceback; an integer field already exited 1 so
+    if argv[0] == "--config":
+        argv = ["run", "--config", write_config(tmp_path, argv[1])]
+    code, out, err = run_cli([*argv, "--model", "segformer-micro"], capsys)
+    assert (code, out) == (1, "")
+    assert f"{field} must be at most 1.798e+308, got 401 digits" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["compare", "--model", "toy-chain", "--schedules", "naive,bogus"],
      "unknown schedule 'bogus'"),
@@ -1107,9 +1149,9 @@ def fill_derived(model: str, eb: int, attention: dict, fills: list) -> set:
         bad_sizes = {(layer, k) for k, v, top in sizes
                      if type(v) is not int or not 1 <= v <= top}
         bad |= bad_sizes
-        right = {"t_k": t_k, "element_bytes": eb} if bad_sizes else at.costed(
+        right = {"t_k": t_k, "element_bytes": eb} if bad_sizes else asdict(at.costed(
             d, at.AttentionTiling(record["t_q"], t_k, at.ResidencyMode(record["mode"])),
-            HardwareConfig(scratchpad_bytes=math.inf)).to_dict()
+            HardwareConfig(scratchpad_bytes=math.inf)))
         for _, name, wrong in (f for f in fills if f[0] == layer):
             value = right.get(name, 0)
             record[name] = (value if wrong is None else value + wrong
@@ -1327,6 +1369,116 @@ def test_random_attention_maps_run_or_exit_1_naming_the_field(model, command, eb
         (bad, unknown, err.getvalue())
     check_attention_outcome(argv, attention, bad, unknown, code, err.getvalue(),
                             out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# Random config files
+# ---------------------------------------------------------------------------
+
+FUZZ_BASES = (   # valid configs, each planned and run in a few milliseconds
+    {"model": "toy-chain", "hardware": {"scratchpad_bytes": 8192, "element_bytes": 2},
+     "schedule": {"fusion": {"0": [{"start": 0, "end": 1, "tile": [8, 8], "policy": "cache"},
+                                  {"start": 2, "end": 3, "tile": [16, 16]}]}},
+     "seed": 3, "tolerance": 1e-6},
+    {"model": mha_graph(2, 4), "schedule": {
+        "attention": {"mha": {"t_q": 4, "t_k": 2, "mode": "streaming_kv"}},
+        "pruning": {"theta_attn": 0.01, "theta_act": 0.001, "granularity": "row"}}},
+    {"model": two_node_graph({"kind": "gelu"}), "schedule": {"fusion": "singleton"}},
+    {"model": {"preset": "toy-chain"}, "hardware": {"pe_count": 16, "e_dram": 50.5}},
+)
+# a value swapped in at a path: every JSON type, and numbers out of every range
+FUZZ_VALUES = ("x", "", 1, -1, 0, 2.5, True, None, [], {}, [1, 2], {"x": 1},
+               10**400, 2**63, float("nan"), float("inf"))
+FUZZ_KEYS = st.sampled_from(["model", "hardware", "schedule", "seed", "tolerance", "graph",
+                             "preset", "nodes", "fusion", "attention", "x"]) | st.text(max_size=3)
+JSON_LEAVES = st.sampled_from(["null", "true", "false", "NaN", "Infinity", "-Infinity", "1e999",
+                               "1" + "0" * 400, "9" * 5000, "-0", '"toy-chain"']) \
+    | st.integers().map(str) | st.floats().map(json.dumps) | st.text(max_size=4).map(json.dumps)
+
+
+def _tree_paths(tree, path=()):
+    yield path
+    items = (tree.items() if isinstance(tree, dict) else
+             enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        yield from _tree_paths(value, (*path, key))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A ``FUZZ_BASES`` config, as JSON text, changed at one path: its value swapped for
+    one of ``FUZZ_VALUES``, deleted, or given a new key or item."""
+    config = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    *parents, key = draw(st.sampled_from(list(_tree_paths(config))[1:]))
+    parent = functools.reduce(lambda tree, k: tree[k], parents, config)
+    value = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    action = draw(st.sampled_from(["swap", "delete", "add"]))
+    if action == "delete":
+        del parent[key]
+    elif action == "add" and isinstance(parent[key], dict):
+        parent[key][draw(FUZZ_KEYS)] = value
+    elif action == "add" and isinstance(parent[key], list):
+        parent[key].append(value)
+    else:
+        parent[key] = value
+    return json.dumps(config)
+
+
+def json_texts():
+    """JSON text, repeated keys, ``NaN`` literals and huge numbers included, at most
+    100,000 levels deep."""
+    tree = st.recursive(JSON_LEAVES, lambda kids: st.lists(kids, max_size=3).map(
+        lambda xs: f"[{', '.join(xs)}]") | st.lists(st.tuples(FUZZ_KEYS.map(json.dumps), kids),
+                                                  max_size=4).map(
+        lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"), max_leaves=10)
+    wrap = st.sampled_from([("", "")] * 4 + [("[", "]"), ('{"model": ', "}")])
+    return st.builds(lambda w, depth, text: w[0] * depth + text + w[1] * depth, wrap,
+                     st.sampled_from([1, 900, 100_000]), tree)
+
+
+# the config's root and the fields of its parts, as errors name them
+CONFIG_FIELDS = ("config root", "model", "preset", "graph", "hardware", *HW_FIELDS, "schedule",
+                 "attention", "fusion", "pruning", "seed", "tolerance")
+
+
+def config_names(text: str) -> set[str]:
+    """Every object key and string member value of config ``text``, if it parses."""
+    names = set()
+
+    def collect(pairs):
+        names.update(n for k, v in pairs for n in (k, v) if isinstance(n, str))
+        return dict(pairs)
+    try:
+        json.loads(text, object_pairs_hook=collect)
+    except (RecursionError, ValueError):
+        return set()
+    return names
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.one_of(st.binary(max_size=40), json_texts().map(str.encode),
+                 mutated_configs().map(str.encode)))
+@example(b"[" * 100_000)
+@example(b"\xff\xfe{")
+@example(b'{"model": "toy-chain", "seed": 1, "seed": 2}')
+def test_random_config_files_exit_cleanly(content):
+    """Any config file ends in exit 0, 1, 2 or 3, never an exception: arbitrary bytes,
+    arbitrary JSON trees and valid configs changed at one path. Exit 1 names the file,
+    a key or string of the file, its root or a config field; on 0 and 3 stdout is strict
+    JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--config", str(path)])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code == 1:
+        names = {str(path), *CONFIG_FIELDS} | config_names(content.decode("utf-8", "replace"))
+        assert any(repr(n) in err.getvalue() or n.strip() and re.search(
+            rf"(?<!\w){re.escape(n)}(?!\w)", err.getvalue()) for n in names), err.getvalue()
+    if code in (0, 3):
+        json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 def count_references(monkeypatch):

@@ -11,7 +11,7 @@ import convformer_sim as cs
 from convformer_sim.cli import build_graph
 from convformer_sim.errors import CapacityError, ConfigError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
-from convformer_sim.layer_fusion import (FusionGroup, FusionPlan, HaloPolicy,
+from convformer_sim.layer_fusion import (FusionGroup, HaloPolicy,
                                          best_group_choice, chain_from_nodes,
                                          fixed_tile_choice, fused_execute,
                                          group_buffer_bytes, group_ema, partition_chain,
@@ -251,7 +251,7 @@ class TestGroupFeasible:
         layers = chain_of(g)
         tile = (4, 4)
         req = group_buffer_bytes(layers, tile, policy, resident, hw)
-        plan = FusionPlan([FusionGroup(0, 2, tile, policy, resident, 0, 0, 0)])
+        plan = [FusionGroup(0, 2, tile, policy, resident, 0, 0, 0)]
         sim = ScratchpadSim(hw.scratchpad_bytes)
         params = init_params(g, 0)
         fused_execute(layers, plan, seeded_input(g, 0), sim, params, hw)
@@ -261,6 +261,11 @@ class TestGroupFeasible:
 # ---------------------------------------------------------------------------
 # Partitioning
 # ---------------------------------------------------------------------------
+
+def plan_ema(plan) -> int:
+    """A chain's plan's EMA, the sum over its groups."""
+    return sum(group.ema_bytes for group in plan)
+
 
 def brute_force_partition(chain, hw):
     """Oracle: the minimum (EMA, group count) over all 2^(n-1) contiguous
@@ -290,34 +295,34 @@ class TestPartition:
     def test_single_layer_chain(self, hw):
         g = make_chain_graph([Conv2D(4, 4, 3, 1, 1)], TensorShape(1, 4, 8, 8))
         plan = partition_chain(chain_of(g), hw)
-        assert len(plan.groups) == 1
-        assert plan.total_ema == plan.groups[0].ema_bytes
+        assert len(plan) == 1
+        assert plan_ema(plan) == plan[0].ema_bytes
 
     def test_toy_chain_matches_brute_force(self, hw):
         g = cs.build_preset("toy-chain")
         chain = chain_of(g)
         plan = partition_chain(chain, hw)
-        assert (plan.total_ema, len(plan.groups)) == brute_force_partition(chain, hw)
+        assert (plan_ema(plan), len(plan)) == brute_force_partition(chain, hw)
 
     def test_constrained_scratchpad_matches_brute_force(self):
         hw = HardwareConfig(scratchpad_bytes=2048)
         g = cs.build_preset("toy-chain")
         chain = chain_of(g)
         plan = partition_chain(chain, hw)
-        assert (plan.total_ema, len(plan.groups)) == brute_force_partition(chain, hw)
+        assert (plan_ema(plan), len(plan)) == brute_force_partition(chain, hw)
 
     def test_huge_scratchpad_fuses_everything(self):
         hw = HardwareConfig(scratchpad_bytes=1 << 30)
         g = cs.build_preset("toy-chain")
         chain = chain_of(g)
         plan = partition_chain(chain, hw)
-        assert len(plan.groups) == 1
+        assert len(plan) == 1
         last = chain[-1].out_shape
-        assert plan.groups[0].tile == (last.h, last.w)
+        assert plan[0].tile == (last.h, last.w)
         w = sum(op_cost(l.node.op)[0] for l in chain)
         first = chain[0].in_shape
         expect = (first.c * first.h * first.w + last.c * last.h * last.w + w)
-        assert plan.total_ema == expect * hw.element_bytes
+        assert plan_ema(plan) == expect * hw.element_bytes
 
     def test_no_feasible_plan(self):
         hw = HardwareConfig(scratchpad_bytes=16)
@@ -358,7 +363,7 @@ class TestPartition:
                 chain = chain_from_nodes(g, nodes)
                 fused = partition_chain(chain, hw)
                 single = singleton_plan(chain, hw)
-                assert fused.total_ema < single.total_ema, preset
+                assert plan_ema(fused) < plan_ema(single), preset
 
     def test_policy_trade(self, hw):
         # fixed group and tile with >1 boundary: recompute pays MACs,
@@ -452,7 +457,7 @@ class TestFusedExecute:
         sim = ScratchpadSim(hw.scratchpad_bytes)
         out = fused_execute(chain, plan, x, sim, params, hw)
         np.testing.assert_array_equal(out, ref)
-        assert sim.ema_bytes == plan.total_ema
+        assert sim.ema_bytes == plan_ema(plan)
 
     @pytest.mark.parametrize("policy", [RECOMPUTE, CACHE])
     def test_fused_toy_chain_8x8(self, hw, policy):
@@ -463,7 +468,7 @@ class TestFusedExecute:
         ref = reference_execute(g, x, params)
         tile = (8, 8)
         ema, extra = group_ema(chain, tile, policy, True, hw)
-        plan = FusionPlan([FusionGroup(0, 3, tile, policy, True, ema, extra, 0)])
+        plan = [FusionGroup(0, 3, tile, policy, True, ema, extra, 0)]
         sim = ScratchpadSim(hw.scratchpad_bytes)
         out = fused_execute(chain, plan, x, sim, params, hw)
         assert np.max(np.abs(out - ref)) <= 1e-12
@@ -489,7 +494,7 @@ class TestFusedExecute:
                 sim = ScratchpadSim(hw.scratchpad_bytes)
                 out = fused_execute(chain, plan, x, sim, params, hw)
                 assert np.max(np.abs(out - ref)) <= 1e-9
-                assert sim.ema_bytes == plan.total_ema
+                assert sim.ema_bytes == plan_ema(plan)
 
 
     @pytest.mark.parametrize("tile", [(6, 5), (2, 5), (3, 1)])
@@ -502,7 +507,7 @@ class TestFusedExecute:
                              TensorShape(1, 4, 6, 5))
         chain, params, x = chain_of(g), init_params(g, 0), seeded_input(g, 0)
         hw = HardwareConfig(scratchpad_bytes=1 << 20)
-        plan = FusionPlan([fixed_tile_choice(chain, tile, RECOMPUTE, hw)])
+        plan = [fixed_tile_choice(chain, tile, RECOMPUTE, hw)]
         out = fused_execute(chain, plan, x, ScratchpadSim(hw.scratchpad_bytes), params, hw)
         assert out.tobytes() == reference_execute(g, x, params).tobytes()
 
@@ -515,7 +520,7 @@ class TestFusedExecute:
                               Linear(128, 32)], TensorShape(1, 32, 56, 56))
         chain, params, x = chain_of(g), init_params(g, 0), seeded_input(g, 0)
         hw = HardwareConfig(scratchpad_bytes=1 << 30)
-        plan = FusionPlan([fixed_tile_choice(chain, (56, 56), RECOMPUTE, hw)])
+        plan = [fixed_tile_choice(chain, (56, 56), RECOMPUTE, hw)]
         hidden = 128 * 56 * 56 * 8   # bytes of one hidden map
         sim = ScratchpadSim(hw.scratchpad_bytes)
         for run in (lambda: reference_execute(g, x, params),
@@ -542,7 +547,7 @@ class TestFusedExecute:
         x = seeded_input(g, 0)
         ref = reference_execute(g, x, params)
         ema, extra = group_ema(chain, tile, policy, True, hw)
-        plan = FusionPlan([FusionGroup(0, 2, tile, policy, True, ema, extra, 0)])
+        plan = [FusionGroup(0, 2, tile, policy, True, ema, extra, 0)]
         sim = ScratchpadSim(hw.scratchpad_bytes)
         out = fused_execute(chain, plan, x, sim, params, hw)
         assert np.max(np.abs(out - ref)) <= 1e-12
