@@ -24,6 +24,7 @@ test suite enforces this for the whole search grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -164,71 +165,60 @@ def search_attention_tiling(dims: AttentionDims, hw: HardwareConfig) -> Attentio
 # ---------------------------------------------------------------------------
 
 def schedule_attention(dims: AttentionDims, tiling: AttentionTiling | None) -> list[Txn]:
-    """Ordered scratchpad transactions for one attention core, all heads.
+    """Ordered scratchpad transactions for one head of an attention core.
 
-    Right matrices come first: in resident mode K and V are allocated and
-    loaded before any Q tile and each of their bytes is loaded exactly once
-    per head; in streaming mode they are re-streamed once per Q tile. The
-    baseline (``None``) scores the whole sequence as one query tile, spills
-    S, and reads it back beside V to compute the tile.
+    Heads run one after another and each allocates and frees the same regions, so a
+    core replays this list once per head. Right matrices come first: in resident mode
+    K and V are allocated and loaded before any Q tile and each of their bytes is
+    loaded exactly once; in streaming mode they are re-streamed once per Q tile. The
+    baseline (``None``) scores the whole sequence as one query tile, spills S, and
+    reads it back beside V to compute the tile.
     """
     eb = dims.element_bytes
-    txns: list[Txn] = []
     if tiling is None:
         qb, kvb, sb = dims.N * dims.d * eb, dims.N_r * dims.d * eb, dims.N * dims.N_r * eb
-        for h in range(dims.heads):
-            txns += [Txn("alloc", "Q", qb, h), Txn("load", "Q", qb, h, what="load_q"),
-                     Txn("alloc", "K", kvb, h), Txn("load", "K", kvb, h, what="load_k"),
-                     Txn("alloc", "S", sb, h), Txn("touch", "S", sb, h, 0, what="scores"),
-                     Txn("store", "S", sb, h, what="spill_s"),
-                     Txn("free", "S", 0, h), Txn("free", "K", 0, h), Txn("free", "Q", 0, h),
-                     Txn("alloc", "V", kvb, h), Txn("load", "V", kvb, h, what="load_v"),
-                     Txn("alloc", "S", sb, h), Txn("load", "S", sb, h, what="reload_s"),
-                     Txn("alloc", "O", qb, h), Txn("touch", "O", sb + qb, h, 0, what="tile"),
-                     Txn("store", "O", qb, h, what="store_o"),
-                     Txn("free", "O", 0, h), Txn("free", "S", 0, h), Txn("free", "V", 0, h)]
-        return txns
+        return [Txn("alloc", "Q", qb), Txn("load", "Q", qb, what="load_q"),
+                Txn("alloc", "K", kvb), Txn("load", "K", kvb, what="load_k"),
+                Txn("alloc", "S", sb), Txn("touch", "S", sb, 0, what="scores"),
+                Txn("store", "S", sb, what="spill_s"),
+                Txn("free", "S", 0), Txn("free", "K", 0), Txn("free", "Q", 0),
+                Txn("alloc", "V", kvb), Txn("load", "V", kvb, what="load_v"),
+                Txn("alloc", "S", sb), Txn("load", "S", sb, what="reload_s"),
+                Txn("alloc", "O", qb), Txn("touch", "O", sb + qb, 0, what="tile"),
+                Txn("store", "O", qb, what="store_o"),
+                Txn("free", "O", 0), Txn("free", "S", 0), Txn("free", "V", 0)]
     q_tiles = tile_intervals(dims.N, tiling.t_q)
     if tiling.mode is ResidencyMode.RESIDENT_KV:
         kv_bytes = dims.N_r * dims.d * eb
-        for h in range(dims.heads):
-            txns += [Txn("alloc", "K", kv_bytes, h),
-                     Txn("load", "K", kv_bytes, h, what="load_k"),
-                     Txn("alloc", "V", kv_bytes, h),
-                     Txn("load", "V", kv_bytes, h, what="load_v"),
-                     Txn("alloc", "QO", tiling.t_q * dims.d * eb, h),
-                     Txn("alloc", "S", tiling.t_q * dims.N_r * eb, h)]
-            for t, (lo, hi) in enumerate(q_tiles):
-                q_bytes, s_bytes = (hi - lo) * dims.d * eb, (hi - lo) * dims.N_r * eb
-                # scores and softmax pass over S, the context writes the tile
-                txns += [Txn("load", "QO", q_bytes, h, t, what="load_q"),
-                         Txn("touch", "S", 2 * s_bytes + q_bytes, h, t, what="tile"),
-                         Txn("store", "QO", q_bytes, h, t, what="store_o")]
-            txns += [Txn("free", region, 0, h) for region in ("S", "QO", "V", "K")]
-    else:
-        k_blocks = tile_intervals(dims.N_r, tiling.t_k)
-        kv_block, q_tile = tiling.t_k * dims.d * eb, tiling.t_q * dims.d * eb
-        for h in range(dims.heads):
-            txns += [Txn("alloc", "K", kv_block, h), Txn("alloc", "V", kv_block, h),
-                     Txn("alloc", "Q", q_tile, h), Txn("alloc", "ACC", q_tile, h),
-                     Txn("alloc", "M", tiling.t_q * eb, h),
-                     Txn("alloc", "L", tiling.t_q * eb, h),
-                     Txn("alloc", "S", tiling.t_q * tiling.t_k * eb, h)]
-            for t, (lo, hi) in enumerate(q_tiles):
-                q_bytes = (hi - lo) * dims.d * eb
-                txns.append(Txn("load", "Q", q_bytes, h, t, what="load_q"))
-                for b, (blo, bhi) in enumerate(k_blocks):
-                    kv_bytes = (bhi - blo) * dims.d * eb
-                    # the score block, then the online update of the accumulator
-                    txns += [Txn("load", "K", kv_bytes, h, t, b, "load_k"),
-                             Txn("load", "V", kv_bytes, h, t, b, "load_v"),
-                             Txn("touch", "S", (hi - lo) * (bhi - blo) * eb + q_bytes,
-                                 h, t, b, "block")]
-                txns += [Txn("touch", "ACC", q_bytes, h, t, what="finalize"),
-                         Txn("store", "ACC", q_bytes, h, t, what="store_o")]
-            txns += [Txn("free", region, 0, h)
-                     for region in ("S", "L", "M", "ACC", "Q", "V", "K")]
-    return txns
+        txns = [Txn("alloc", "K", kv_bytes), Txn("load", "K", kv_bytes, what="load_k"),
+                Txn("alloc", "V", kv_bytes), Txn("load", "V", kv_bytes, what="load_v"),
+                Txn("alloc", "QO", tiling.t_q * dims.d * eb),
+                Txn("alloc", "S", tiling.t_q * dims.N_r * eb)]
+        for t, (lo, hi) in enumerate(q_tiles):
+            q_bytes, s_bytes = (hi - lo) * dims.d * eb, (hi - lo) * dims.N_r * eb
+            # scores and softmax pass over S, the context writes the tile
+            txns += [Txn("load", "QO", q_bytes, t, what="load_q"),
+                     Txn("touch", "S", 2 * s_bytes + q_bytes, t, what="tile"),
+                     Txn("store", "QO", q_bytes, t, what="store_o")]
+        return txns + [Txn("free", region, 0) for region in ("S", "QO", "V", "K")]
+    k_blocks = tile_intervals(dims.N_r, tiling.t_k)
+    kv_block, q_tile = tiling.t_k * dims.d * eb, tiling.t_q * dims.d * eb
+    txns = [Txn("alloc", "K", kv_block), Txn("alloc", "V", kv_block),
+            Txn("alloc", "Q", q_tile), Txn("alloc", "ACC", q_tile),
+            Txn("alloc", "M", tiling.t_q * eb), Txn("alloc", "L", tiling.t_q * eb),
+            Txn("alloc", "S", tiling.t_q * tiling.t_k * eb)]
+    for t, (lo, hi) in enumerate(q_tiles):
+        q_bytes = (hi - lo) * dims.d * eb
+        txns.append(Txn("load", "Q", q_bytes, t, what="load_q"))
+        for b, (blo, bhi) in enumerate(k_blocks):
+            kv_bytes = (bhi - blo) * dims.d * eb
+            # the score block, then the online update of the accumulator
+            txns += [Txn("load", "K", kv_bytes, t, b, "load_k"),
+                     Txn("load", "V", kv_bytes, t, b, "load_v"),
+                     Txn("touch", "S", (hi - lo) * (bhi - blo) * eb + q_bytes, t, b, "block")]
+        txns += [Txn("touch", "ACC", q_bytes, t, what="finalize"),
+                 Txn("store", "ACC", q_bytes, t, what="store_o")]
+    return txns + [Txn("free", region, 0) for region in ("S", "L", "M", "ACC", "Q", "V", "K")]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +243,10 @@ def online_softmax_update(m: np.ndarray, l: np.ndarray, acc: np.ndarray, s_block
 def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                             dims: AttentionDims, tiling: AttentionTiling | None,
                             sim: ScratchpadSim) -> np.ndarray:
-    """softmax(QK^T/sqrt(d))V, replaying the core's schedule through ``sim``.
+    """softmax(QK^T/sqrt(d))V, replaying the one-head schedule through ``sim`` once per head.
 
     q is (heads, N, d); k, v are (heads, N_r, d); ``tiling=None`` runs the
-    spilled-score baseline. ``replay`` calls ``compute`` on each touch. A
+    spilled-score baseline. ``replay`` calls ``compute`` with the head on each touch. A
     ``"tile"`` step attends its query tile over all of K and V; the streaming
     state starts at block 0 of each query tile and ends at ``"finalize"``; the
     baseline's ``"scores"`` step only counts traffic. Capacity errors from the
@@ -270,9 +260,9 @@ def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     out = np.empty_like(q)
     state = None   # the streamed query tile's (m, l, acc)
 
-    def compute(txn: Txn):
+    def compute(h: int, txn: Txn):
         nonlocal state
-        h, (lo, hi) = txn.head, q_tiles[txn.tile]
+        lo, hi = q_tiles[txn.tile]
         if txn.what == "tile":
             out[h, lo:hi] = softmax_rows((q[h, lo:hi] @ k[h].T) * inv_scale) @ v[h]
         elif txn.what == "block":
@@ -285,7 +275,9 @@ def tiled_attention_execute(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             _, l, acc = state
             out[h, lo:hi] = acc / l[:, None]
 
-    replay(schedule_attention(dims, tiling), sim, compute)
+    txns = schedule_attention(dims, tiling)
+    for h in range(dims.heads):
+        replay(txns, sim, functools.partial(compute, h))
     return out
 
 

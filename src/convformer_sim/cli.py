@@ -489,7 +489,11 @@ def main(argv: list[str] | None = None) -> int:
         emit(data, args.format, args.out)
         return _equivalence_exit(sims, cfg.tolerance)
     except SimError as e:
-        print(f"{e.label}: {e}", file=sys.stderr)
+        message, half = f"{e.label}: {e}", 500   # a bad config value is echoed: cut its middle
+        if len(message) > 2 * half:
+            message = (f"{message[:half]} [... {len(message) - 2 * half} characters cut ...] "
+                       f"{message[-half:]}")
+        print(message, file=sys.stderr)
         return e.exit_code
     except OSError as e:
         print(f"output error: {e}", file=sys.stderr)

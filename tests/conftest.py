@@ -3,7 +3,7 @@ import pytest
 
 from convformer_sim import pipeline
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
-from convformer_sim.attention_tiling import replay
+from convformer_sim.attention_tiling import replay, schedule_attention
 from convformer_sim.workload import reference_execute
 
 
@@ -21,6 +21,15 @@ def replay_counters(txns, capacity=1 << 30):
     """Independent oracle: drive a schedule through a fresh simulator."""
     sim = ScratchpadSim(capacity)
     replay(txns, sim)
+    return sim
+
+
+def replay_core(dims, tiling, capacity=1 << 30):
+    """An attention core through a fresh simulator: its one-head schedule replayed
+    ``dims.heads`` times, as ``tiled_attention_execute`` drives it."""
+    sim, txns = ScratchpadSim(capacity), schedule_attention(dims, tiling)
+    for _ in range(dims.heads):
+        replay(txns, sim)
     return sim
 
 

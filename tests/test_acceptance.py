@@ -36,7 +36,7 @@ from convformer_sim.workload import (Attention, Conv2D, GELU, LayerNode,
                                      init_params, reference_execute,
                                      seeded_input, softmax_rows)
 
-from conftest import region_loads, replay_counters
+from conftest import region_loads, replay_core
 
 RESIDENT = ResidencyMode.RESIDENT_KV
 STREAMING = ResidencyMode.STREAMING_KV
@@ -157,9 +157,7 @@ def test_criterion_3_counter_formula_agreement():
                     for t_q in spread(divisors(n), 2)
                     for t_k in spread(divisors(n_r), 2)]
         for tiling in tilings:
-            sim = ScratchpadSim(1 << 30)
-            replay(schedule_attention(dims, tiling), sim)
-            assert sim.ema_bytes == attention_ema(dims, tiling)
+            assert replay_core(dims, tiling).ema_bytes == attention_ema(dims, tiling)
             attn_cases += 1
     assert attn_cases >= 50
 
@@ -203,12 +201,10 @@ def test_criterion_4_search_optimality():
                     cands += [AttentionTiling(t_q, t_k, STREAMING)
                               for t_k in divisors(n_r)]
                     for c in cands:
-                        sim = ScratchpadSim(cap)
                         try:
-                            replay(schedule_attention(dims, c), sim)
+                            sim = replay_core(dims, c, cap)
                         except CapacityError:
-                            peak = replay_counters(schedule_attention(dims, c)).high_water
-                            need = min(need, peak)
+                            need = min(need, replay_core(dims, c).high_water)
                             continue
                         best = sim.ema_bytes if best is None else min(best, sim.ema_bytes)
                 if best is None:
@@ -295,19 +291,18 @@ def test_criterion_6_right_operand_single_load():
         tiling = search_attention_tiling(dims, hw)
         if tiling.mode is not RESIDENT:
             tiling = AttentionTiling(min(4, dims.N), dims.N_r, RESIDENT)
-        txns = schedule_attention(dims, tiling)
-        sim = ScratchpadSim(hw.scratchpad_bytes)
-        replay(txns, sim)
-        kv_size = dims.heads * dims.N_r * dims.d * dims.element_bytes
+        txns = schedule_attention(dims, tiling)   # one head's, replayed once per head
+        sim = replay_core(dims, tiling, hw.scratchpad_bytes)
+        kv_size = dims.N_r * dims.d * dims.element_bytes
         loads = region_loads(txns)
         assert loads["K"] == kv_size, node.id
         assert loads["V"] == kv_size, node.id
-        for h in range(dims.heads):
-            per_head = [t for t in txns if t.head == h and t.action == "load"]
-            first_q = next(i for i, t in enumerate(per_head) if t.what == "load_q")
-            assert {t.what for t in per_head[:first_q]} == {"load_k", "load_v"}
+        assert sim.dram_reads == dims.heads * sum(loads.values()), node.id
+        head_loads = [t for t in txns if t.action == "load"]
+        first_q = next(i for i, t in enumerate(head_loads) if t.what == "load_q")
+        assert {t.what for t in head_loads[:first_q]} == {"load_k", "load_v"}
         checked += 1
-    print(f"\nACCEPTANCE 6 PASS: K/V load bytes equal their size exactly once "
+    print(f"\nACCEPTANCE 6 PASS: K/V load bytes equal their size exactly once per head "
           f"in {checked} resident schedules (transaction-trace assertion)")
 
 

@@ -1,11 +1,13 @@
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from math import ceil
 
 import numpy as np
 import pytest
 
 from convformer_sim.attention_tiling import (AttentionTiling, ResidencyMode,
-                                             attention_ema, online_softmax_update, replay,
+                                             attention_ema, online_softmax_update,
                                              schedule_attention,
                                              search_attention_tiling,
                                              tiled_attention_execute,
@@ -15,7 +17,7 @@ from convformer_sim.errors import CapacityError
 from convformer_sim.hwmodel import HardwareConfig, ScratchpadSim
 from convformer_sim.workload import AttentionDims, dense_attention, softmax_rows
 
-from conftest import region_loads, replay_counters
+from conftest import region_loads, replay_core, replay_counters
 
 RESIDENT = ResidencyMode.RESIDENT_KV
 STREAMING = ResidencyMode.STREAMING_KV
@@ -44,14 +46,14 @@ def test_resident_ema_example():
     tiling = AttentionTiling(8, 16, RESIDENT)
     # Q + K + V + O = 64*32 + 16*32 + 16*32 + 64*32, verified by replay below
     assert attention_ema(dims, tiling) == 5120
-    sim = replay_counters(schedule_attention(dims, tiling))
+    sim = replay_core(dims, tiling)
     assert sim.ema_bytes == 5120
 
 
 def test_untiled_baseline_example():
     dims = AttentionDims(N=64, N_r=16, d=32, heads=1, element_bytes=1)
     assert attention_ema(dims, None) == 5120 + 2 * 64 * 16
-    sim = replay_counters(schedule_attention(dims, None))
+    sim = replay_core(dims, None)
     assert sim.ema_bytes == 7168
 
 
@@ -69,14 +71,14 @@ def test_streaming_full_tq_equals_resident():
 def test_ema_formula_matches_replay_everywhere(n, n_r, d, heads):
     dims = AttentionDims(N=n, N_r=n_r, d=d, heads=heads, element_bytes=1)
     for tiling in [None, *all_tilings(dims)]:
-        sim = replay_counters(schedule_attention(dims, tiling))
+        sim = replay_core(dims, tiling)
         assert sim.ema_bytes == attention_ema(dims, tiling), tiling
 
 
 def test_ema_handles_element_bytes():
     dims = AttentionDims(N=16, N_r=4, d=8, heads=2, element_bytes=2)
     tiling = AttentionTiling(4, 2, STREAMING)
-    sim = replay_counters(schedule_attention(dims, tiling))
+    sim = replay_core(dims, tiling)
     assert sim.ema_bytes == attention_ema(dims, tiling)
     assert sim.ema_bytes % 2 == 0
 
@@ -98,7 +100,7 @@ def test_resident_buffer_example():
     hw = HardwareConfig()
     req = tiling_buffer_bytes(dims, tiling, hw)
     assert req == 2 * 512 + 8 * 16 + 8 * 32  # K+V, score tile, shared Q/O tile
-    sim = replay_counters(schedule_attention(dims, tiling))
+    sim = replay_core(dims, tiling)
     assert sim.high_water == req
 
 
@@ -110,7 +112,7 @@ def test_buffer_formula_matches_replay_high_water(n, n_r, d, heads):
     hw = HardwareConfig(scratchpad_bytes=1 << 30)
     for tiling in [None, *all_tilings(dims)]:
         req = tiling_buffer_bytes(dims, tiling, hw)
-        sim = replay_counters(schedule_attention(dims, tiling))
+        sim = replay_core(dims, tiling)
         assert sim.high_water == req, tiling
 
 
@@ -143,9 +145,8 @@ def brute_force_min_ema(dims, hw):
     """Oracle: feasibility and EMA both measured by replaying each candidate."""
     best = None
     for tiling in all_tilings(dims):
-        sim = ScratchpadSim(hw.scratchpad_bytes)
         try:
-            replay(schedule_attention(dims, tiling), sim)
+            sim = replay_core(dims, tiling, hw.scratchpad_bytes)
         except CapacityError:
             continue
         if best is None or sim.ema_bytes < best:
@@ -168,7 +169,7 @@ def test_search_matches_brute_force(n, n_r, d, heads, capacity):
         with pytest.raises(CapacityError) as e:
             search_attention_tiling(dims, hw)
         # the smallest candidate's need, as its replay measures it
-        assert e.value.requested == min(replay_counters(schedule_attention(dims, t)).high_water
+        assert e.value.requested == min(replay_core(dims, t).high_water
                                         for t in all_tilings(dims))
         assert e.value.available == capacity
         return
@@ -241,14 +242,13 @@ def test_resident_schedule_order_and_counts():
 def test_resident_single_load_across_heads():
     dims = AttentionDims(N=32, N_r=8, d=4, heads=3)
     tiling = AttentionTiling(8, 8, RESIDENT)
-    txns = schedule_attention(dims, tiling)
-    for h in range(dims.heads):
-        per_head = [t for t in txns if t.head == h and t.action == "load"]
-        q_first = next(i for i, t in enumerate(per_head) if t.what == "load_q")
-        assert all(t.what != "load_q" for t in per_head[:q_first])
-        assert sum(t.nbytes for t in per_head if t.what == "load_k") == 8 * 4
-    replay_counters(txns)
-    assert region_loads(txns)["K"] == dims.heads * 8 * 4
+    txns = schedule_attention(dims, tiling)   # one head's, replayed once per head
+    loads = [t for t in txns if t.action == "load"]
+    q_first = next(i for i, t in enumerate(loads) if t.what == "load_q")
+    assert {t.what for t in loads[:q_first]} == {"load_k", "load_v"}
+    per_head = region_loads(txns)
+    assert per_head["K"] == 8 * 4
+    assert replay_core(dims, tiling).dram_reads == dims.heads * sum(per_head.values())
 
 
 def test_streaming_single_pass_when_tq_is_n():
@@ -275,9 +275,9 @@ def test_one_compute_touch_per_query_tile_or_kv_block(n, n_r, d, heads):
         touches = Counter(t.what for t in schedule_attention(dims, tiling)
                           if t.action == "touch")
         if tiling is None:  # one query tile; the first touch scores S before it spills
-            assert touches == {"scores": heads, "tile": heads}
+            assert touches == {"scores": 1, "tile": 1}
             continue
-        q_tiles = heads * ceil(n / tiling.t_q)
+        q_tiles = ceil(n / tiling.t_q)   # one head's list, whatever the heads
         if tiling.mode is RESIDENT:
             assert touches == {"tile": q_tiles}, tiling
         else:
@@ -392,11 +392,28 @@ def test_execute_counters_match_schedule_replay(rng):
     for tiling in [AttentionTiling(8, 16, RESIDENT), AttentionTiling(8, 4, STREAMING)]:
         sim_exec = LoadRecordingSim(1 << 20)
         tiled_attention_execute(q, k, v, dims, tiling, sim_exec)
-        txns = schedule_attention(dims, tiling)
-        sim_replay = replay_counters(txns)
+        sim_replay = replay_core(dims, tiling)
         for counter in ("dram_reads", "dram_writes", "sram_accesses", "high_water"):
             assert getattr(sim_exec, counter) == getattr(sim_replay, counter)
-        assert sim_exec.loads == region_loads(txns)
+        assert sim_exec.loads == {region: dims.heads * nbytes for region, nbytes
+                                  in region_loads(schedule_attention(dims, tiling)).items()}
+
+
+def test_core_memory_does_not_grow_with_heads(rng):
+    # a core builds one head's list once: its memory is the output, not heads x tiles Txns
+    dims = AttentionDims(N=64, N_r=4, d=1, heads=64)
+    tiling = AttentionTiling(1, 4, RESIDENT)
+    q, k, v = rand_qkv(rng, 64, 64, 4, 1)
+    tracemalloc.start()
+    try:
+        tiled_attention_execute(q, k, v, dims, tiling, ScratchpadSim(1 << 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert len(schedule_attention(dims, tiling)) \
+        == len(schedule_attention(replace(dims, heads=1), tiling))
+
 
 def test_execute_propagates_capacity_error(rng):
     q, k, v = rand_qkv(rng, 1, 64, 64, 32)

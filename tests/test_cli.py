@@ -945,6 +945,20 @@ def test_unreadable_config_file_exits_1_naming_it(content, message, tmp_path, ca
     assert message in err
 
 
+@pytest.mark.parametrize("config, where", [
+    ({"hardware": [0] * 100_000}, "hardware"),
+    ({"model": json.loads("[" * 900 + "]" * 900)}, "model"),
+], ids=["wide", "deep"])
+def test_config_error_echoing_a_huge_value_is_cut_in_the_middle(config, where, tmp_path,
+                                                                  capsys):
+    # the whole value was echoed: 300,047 and 1,844 bytes of stderr
+    full = f"config error: {where} must be an object, got {config[where]!r}"
+    code, out, err = run_cli(["run", "--config", write_config(tmp_path, config)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"{full[:500]} [... {len(full) - 1000} characters cut ...] "
+                   f"{full[-500:]}\n")
+
+
 @pytest.mark.parametrize("argv, field", [
     (["--config", {"hardware": {"e_dram": 10**400}}], "hardware.e_dram"),
     (["--config", {"tolerance": 10**400}], "tolerance"),
